@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -103,23 +104,28 @@ func driveStoreIngest(s store.ViolationStore, n int) error {
 	return s.Sync()
 }
 
-// driveStoreQueries runs q mixed queries (by assertion, by stream, and
-// time-windowed with a limit) and returns the wall time plus a result
-// checksum so the work cannot be optimised away.
-func driveStoreQueries(s store.ViolationStore, q int) (time.Duration, int) {
-	sum := 0
+// storeBenchQuery returns the i-th query of the mixed query workload: by
+// assertion, by assertion and stream, and time-windowed, each keeping the
+// newest 100.
+func storeBenchQuery(i int) store.Query {
+	query := store.Query{Assertion: fmt.Sprintf("assert-%02d", i%16), Limit: 100}
+	switch i % 3 {
+	case 1:
+		query.Stream = fmt.Sprintf("cam-%d", i%8)
+	case 2:
+		query.MinIngestUnix = 1753800000 + int64(i%200)
+	}
+	return query
+}
+
+// driveStoreQueries runs the first q queries of the mixed workload and
+// returns the wall time.
+func driveStoreQueries(s store.ViolationStore, q int) time.Duration {
 	start := time.Now()
 	for i := 0; i < q; i++ {
-		query := store.Query{Assertion: fmt.Sprintf("assert-%02d", i%16), Limit: 100}
-		switch i % 3 {
-		case 1:
-			query.Stream = fmt.Sprintf("cam-%d", i%8)
-		case 2:
-			query.MinIngestUnix = 1753800000 + int64(i%200)
-		}
-		sum += len(s.Query(query))
+		s.Query(storeBenchQuery(i))
 	}
-	return time.Since(start), sum
+	return time.Since(start)
 }
 
 // renderStoreBench races the mem and disk backends on collector ingest
@@ -210,15 +216,16 @@ func renderStoreBench(quick bool, outPath string) (string, error) {
 	if err := driveStoreIngest(diskStore, n); err != nil {
 		return "", fmt.Errorf("disk query fixture: %w", err)
 	}
+	for i := 0; i < q; i++ {
+		query := storeBenchQuery(i)
+		if mem, disk := memStore.Query(query), diskStore.Query(query); !slices.Equal(mem, disk) {
+			return "", fmt.Errorf("query parity broken on %+v: mem and disk answers differ (%d and %d violations)", query, len(mem), len(disk))
+		}
+	}
 	var memQuery, diskQuery time.Duration
 	for t := 0; t < trials; t++ {
-		memWall, memSum := driveStoreQueries(memStore, q)
-		diskWall, diskSum := driveStoreQueries(diskStore, q)
-		if memSum != diskSum {
-			return "", fmt.Errorf("query parity broken: mem saw %d results, disk %d", memSum, diskSum)
-		}
-		memQuery = best(memQuery, memWall)
-		diskQuery = best(diskQuery, diskWall)
+		memQuery = best(memQuery, driveStoreQueries(memStore, q))
+		diskQuery = best(diskQuery, driveStoreQueries(diskStore, q))
 	}
 	info := diskStore.Info()
 	if err := diskStore.Close(); err != nil {
@@ -235,7 +242,7 @@ func renderStoreBench(quick bool, outPath string) (string, error) {
 	if got := recovered.TotalFired(); got != n {
 		return "", fmt.Errorf("recovery lost violations: %d of %d", got, n)
 	}
-	rep.Recovery.Recovered = len(recovered.Violations())
+	rep.Recovery.Recovered = recovered.Info().Entries
 	recovered.Close()
 
 	rep.Ingest.MemNsPerOp = float64(memIngest.Nanoseconds()) / float64(n)

@@ -50,15 +50,20 @@ func MergeStats(a, b Stats) Stats {
 // stable, so violations a single recorder emitted in arrival order keep
 // that order among ties.
 func SortViolations(vs []Violation) {
-	sort.SliceStable(vs, func(i, j int) bool {
-		if vs[i].Time != vs[j].Time {
-			return vs[i].Time < vs[j].Time
-		}
-		if vs[i].Stream != vs[j].Stream {
-			return vs[i].Stream < vs[j].Stream
-		}
-		return vs[i].SampleIndex < vs[j].SampleIndex
-	})
+	sort.SliceStable(vs, func(i, j int) bool { return keyLess(&vs[i], &vs[j]) })
+}
+
+// keyLess is the SortViolations order: Time, then Stream, then
+// SampleIndex. StoreQuery.ByKey selects by the same key, which is what
+// lets a sharded reader merge per-shard answers instead of whole logs.
+func keyLess(a, b *Violation) bool {
+	if a.Time != b.Time {
+		return a.Time < b.Time
+	}
+	if a.Stream != b.Stream {
+		return a.Stream < b.Stream
+	}
+	return a.SampleIndex < b.SampleIndex
 }
 
 // MergeRecorderSnapshots combines per-shard (or per-stream) snapshots

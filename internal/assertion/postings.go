@@ -1,0 +1,202 @@
+package assertion
+
+import "slices"
+
+// PostingIndex is the read index both ViolationStore backends answer
+// Query from: per assertion name and per stream key, the log slots of the
+// retained violations, oldest first. The owning store keeps it in step
+// with its log under its own lock — Add on append, EvictOldest when a
+// bounded log overwrites its oldest entry, Rebuild after compaction —
+// so a filtered query costs the matching postings, not the retained log.
+// Violations with an empty Stream carry no stream posting (an empty
+// StoreQuery.Stream means "any").
+type PostingIndex struct {
+	byAssert map[string][]int32
+	byStream map[string][]int32
+}
+
+// Reset drops every posting.
+func (p *PostingIndex) Reset() {
+	p.byAssert = make(map[string][]int32)
+	p.byStream = make(map[string][]int32)
+}
+
+// Add indexes v, which the store just wrote to slot as its newest
+// retained violation.
+func (p *PostingIndex) Add(slot int, v Violation) {
+	if p.byAssert == nil {
+		p.Reset()
+	}
+	p.byAssert[v.Assertion] = append(p.byAssert[v.Assertion], int32(slot))
+	if v.Stream != "" {
+		p.byStream[v.Stream] = append(p.byStream[v.Stream], int32(slot))
+	}
+}
+
+// EvictOldest drops the postings of v, which must be the oldest retained
+// violation — and so the head of each list it is on. A key whose last
+// posting goes is deleted, which keeps the index bounded by the retained
+// log on a fleet whose stream keys churn.
+func (p *PostingIndex) EvictOldest(v Violation) {
+	popHead(p.byAssert, v.Assertion)
+	if v.Stream != "" {
+		popHead(p.byStream, v.Stream)
+	}
+}
+
+// popHead drops the oldest posting under key, and the key with its last.
+func popHead(lists map[string][]int32, key string) {
+	if list := lists[key]; len(list) > 1 {
+		lists[key] = list[1:]
+	} else {
+		delete(lists, key)
+	}
+}
+
+// Rebuild re-indexes log, a ring whose oldest entry sits at log[head]
+// (head is 0 for a flat, arrival-ordered log) — the state after
+// compaction, or when a store starts indexing a log it already holds.
+func (p *PostingIndex) Rebuild(log []Violation, head int) {
+	p.Reset()
+	for i := range log {
+		slot := head + i
+		if slot >= len(log) {
+			slot -= len(log)
+		}
+		p.Add(slot, log[slot])
+	}
+}
+
+// Size reports the index's footprint: how many keys it holds and how
+// many postings across them. Both are bounded by the retained log — one
+// assertion posting per violation, one stream posting per keyed one, no
+// key without a posting.
+func (p *PostingIndex) Size() (keys, postings int) {
+	for _, lists := range []map[string][]int32{p.byAssert, p.byStream} {
+		keys += len(lists)
+		for _, list := range lists {
+			postings += len(list)
+		}
+	}
+	return keys, postings
+}
+
+// candidates returns the posting list a query walks — the shorter one
+// when it names both an assertion and a stream — or indexed false when
+// it names neither and every retained slot is a candidate.
+func (p *PostingIndex) candidates(q StoreQuery) (list []int32, indexed bool) {
+	switch {
+	case q.Assertion != "" && q.Stream != "":
+		a, s := p.byAssert[q.Assertion], p.byStream[q.Stream]
+		if len(s) < len(a) {
+			return s, true
+		}
+		return a, true
+	case q.Assertion != "":
+		return p.byAssert[q.Assertion], true
+	case q.Stream != "":
+		return p.byStream[q.Stream], true
+	}
+	return nil, false
+}
+
+// Query answers q over log, the retained violations this index covers: a
+// ring whose oldest entry sits at log[head] (head is 0 for a flat log).
+// The result is a fresh slice in arrival order. With a limit it holds the
+// newest q.Limit matches — the last to arrive, or under q.ByKey the
+// greatest by (Time, Stream, SampleIndex, arrival) — found by walking the
+// candidates newest to oldest, so the arrival-order walk stops after
+// q.Limit matches and neither walk allocates beyond the matches it keeps:
+// nothing is sized by q.Limit alone. The caller holds the lock guarding
+// log.
+func (p *PostingIndex) Query(q StoreQuery, log []Violation, head int) []Violation {
+	list, indexed := p.candidates(q)
+	n := len(log)
+	if indexed {
+		n = len(list)
+	}
+	// cand returns the i-th oldest candidate.
+	cand := func(i int) *Violation {
+		if indexed {
+			return &log[list[i]]
+		}
+		if i += head; i >= len(log) {
+			i -= len(log)
+		}
+		return &log[i]
+	}
+	if q.Limit <= 0 {
+		out := make([]Violation, 0, n)
+		for i := 0; i < n; i++ {
+			if v := cand(i); q.Matches(*v) {
+				out = append(out, *v)
+			}
+		}
+		return out
+	}
+
+	picked := make([]int, 0, min(q.Limit, n)) // candidate ranks
+	if !q.ByKey {
+		for i := n - 1; i >= 0 && len(picked) < q.Limit; i-- {
+			if q.Matches(*cand(i)) {
+				picked = append(picked, i)
+			}
+		}
+		slices.Reverse(picked)
+	} else {
+		// picked is a min-heap of the q.Limit greatest candidates seen so
+		// far. Ranks break key ties, so the order is total and a candidate
+		// older than everything in the heap never displaces an equal key.
+		less := func(a, b int) bool {
+			va, vb := cand(a), cand(b)
+			return keyLess(va, vb) || (!keyLess(vb, va) && a < b)
+		}
+		for i := n - 1; i >= 0; i-- {
+			switch {
+			case !q.Matches(*cand(i)):
+			case len(picked) < q.Limit:
+				picked = append(picked, i)
+				siftUp(picked, less)
+			case less(picked[0], i):
+				picked[0] = i
+				siftDown(picked, less)
+			}
+		}
+		slices.Sort(picked)
+	}
+	out := make([]Violation, len(picked))
+	for j, i := range picked {
+		out[j] = *cand(i)
+	}
+	return out
+}
+
+// siftUp restores the min-heap h after an append.
+func siftUp(h []int, less func(a, b int) bool) {
+	for c := len(h) - 1; c > 0; {
+		parent := (c - 1) / 2
+		if !less(h[c], h[parent]) {
+			return
+		}
+		h[c], h[parent] = h[parent], h[c]
+		c = parent
+	}
+}
+
+// siftDown restores the min-heap h after its root was replaced.
+func siftDown(h []int, less func(a, b int) bool) {
+	for c := 0; ; {
+		child := 2*c + 1
+		if child >= len(h) {
+			return
+		}
+		if r := child + 1; r < len(h) && less(h[r], h[child]) {
+			child = r
+		}
+		if !less(h[child], h[c]) {
+			return
+		}
+		h[c], h[child] = h[child], h[c]
+		c = child
+	}
+}

@@ -91,19 +91,25 @@ type violationRing struct {
 	dropped atomic.Int64
 }
 
+// full reports whether the next add overwrites the oldest entry,
+// buf[head].
+func (r *violationRing) full() bool { return r.limit > 0 && len(r.buf) == r.limit }
+
 // add appends v, overwriting the oldest entry in place (constant-time
-// eviction) once the bound is hit.
-func (r *violationRing) add(v Violation) {
-	if r.limit > 0 && len(r.buf) == r.limit {
-		r.buf[r.head] = v
+// eviction) once the bound is hit, and returns the slot v landed in.
+func (r *violationRing) add(v Violation) int {
+	if r.full() {
+		slot := r.head
+		r.buf[slot] = v
 		r.head++
 		if r.head == r.limit {
 			r.head = 0
 		}
 		r.dropped.Add(1)
-		return
+		return slot
 	}
 	r.buf = append(r.buf, v)
+	return len(r.buf) - 1
 }
 
 // snapshot copies the retained violations in arrival order.
@@ -371,12 +377,12 @@ func (r *Recorder) Record(v Violation) {
 }
 
 // Violations returns a copy of the retained violations in arrival order.
-func (r *Recorder) Violations() []Violation { return r.store.Violations() }
+func (r *Recorder) Violations() []Violation { return r.store.Query(StoreQuery{}) }
 
 // ByAssertion returns retained violations of the named assertion in
 // arrival order.
 func (r *Recorder) ByAssertion(name string) []Violation {
-	return r.store.ByAssertion(name)
+	return r.store.Query(StoreQuery{Assertion: name})
 }
 
 // Query returns retained violations matching q in arrival order.

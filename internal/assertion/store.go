@@ -19,6 +19,15 @@ import (
 // needs the Violation and Stats types), while Recorder must still accept
 // any backend; internal/store aliases them so the two packages share one
 // set of types.
+//
+// Query is the seam's one read path. Every reader — Recorder.Violations
+// and ByAssertion, the collector's merged views, /v1/violations/query —
+// is a StoreQuery, and both backends answer it from the shared
+// PostingIndex (postings.go; MemStore builds its own on the first
+// filtered query): a filtered query walks only its matching postings, a
+// limited one keeps only the newest Limit matches, and the store lock is
+// held for that walk rather than for a copy of the whole retained log.
+// Only the unlimited, unfiltered query is still a full copy.
 
 // StoreQuery selects retained violations from a ViolationStore. The zero
 // value selects everything.
@@ -34,10 +43,16 @@ type StoreQuery struct {
 	MaxIngestUnix int64
 	// Limit keeps only the newest N matches (0 = all).
 	Limit int
+	// ByKey makes "newest" mean greatest by (Time, Stream, SampleIndex)
+	// with ties to the later arrival, instead of last to arrive. Results
+	// stay in arrival order either way. A reader merging several stores
+	// in SortViolations order sets it, so that each store's newest Limit
+	// are the only ones that can reach the merged newest Limit.
+	ByKey bool
 }
 
 // Matches reports whether v satisfies the query's filters (Limit is
-// applied by the caller over the filtered arrival-order list).
+// applied by the store over the matches).
 func (q StoreQuery) Matches(v Violation) bool {
 	if q.Assertion != "" && v.Assertion != q.Assertion {
 		return false
@@ -52,14 +67,6 @@ func (q StoreQuery) Matches(v Violation) bool {
 		return false
 	}
 	return true
-}
-
-// limitNewest applies a StoreQuery limit to an arrival-ordered result.
-func limitNewest(vs []Violation, limit int) []Violation {
-	if limit > 0 && len(vs) > limit {
-		return vs[len(vs)-limit:]
-	}
-	return vs
 }
 
 // StoreInfo describes a store's current shape, for metrics and
@@ -123,12 +130,8 @@ type ViolationStore interface {
 	// and the violation joins the retained log (which a bound or
 	// retention policy may later evict it from).
 	Append(v Violation) error
-	// Violations returns a copy of the retained log in arrival order.
-	Violations() []Violation
-	// ByAssertion returns retained violations of one assertion in
-	// arrival order.
-	ByAssertion(name string) []Violation
-	// Query returns retained violations matching q in arrival order.
+	// Query returns a fresh slice of the retained violations matching q,
+	// in arrival order; the zero query copies the whole retained log.
 	Query(q StoreQuery) []Violation
 	// Stats returns one assertion's aggregate statistics. Statistics are
 	// complete over everything ever appended, regardless of what the
@@ -178,13 +181,19 @@ type ViolationStore interface {
 }
 
 // MemStore is the in-memory ViolationStore: a bounded ring-buffer log
-// with O(1) eviction plus lock-free per-assertion statistics — the
-// storage internals Recorder carried before the seam existed. It is the
-// backend NewRecorder wires in and the baseline the on-disk SegmentStore
-// is benchmarked against. It is safe for concurrent use.
+// with O(1) eviction, indexed for Query once someone queries it, plus
+// lock-free per-assertion statistics — the storage internals Recorder
+// carried before the seam existed. It is the backend NewRecorder wires in
+// and the baseline the on-disk SegmentStore is benchmarked against. It is
+// safe for concurrent use.
 type MemStore struct {
-	mu  sync.Mutex // guards the violation ring only
+	mu  sync.Mutex // guards the violation ring and its index
 	log violationRing
+	// index follows the ring from the first filtered Query on (indexed).
+	// A store nobody asks by assertion or stream — every edge Recorder —
+	// pays nothing for it on Append.
+	index   PostingIndex
+	indexed bool
 
 	stats sync.Map // assertion name -> *statsCell
 
@@ -213,37 +222,42 @@ func (m *MemStore) Append(v Violation) error {
 	st.last.Store(int64(v.SampleIndex))
 
 	m.mu.Lock()
-	m.log.add(v)
+	m.addLocked(v)
 	m.mu.Unlock()
 	return nil
 }
 
-// Violations implements ViolationStore.
-func (m *MemStore) Violations() []Violation {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.log.snapshot()
+// addLocked appends v to the ring, moving a built index with it: the
+// entry a full ring is about to overwrite is its oldest.
+func (m *MemStore) addLocked(v Violation) {
+	if !m.indexed {
+		m.log.add(v)
+		return
+	}
+	if m.log.full() {
+		m.index.EvictOldest(m.log.buf[m.log.head])
+	}
+	m.index.Add(m.log.add(v), v)
 }
 
-// ByAssertion implements ViolationStore.
-func (m *MemStore) ByAssertion(name string) []Violation {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.log.byAssertion(name)
-}
-
-// Query implements ViolationStore.
+// Query implements ViolationStore. The first query that names an
+// assertion or a stream builds the index, one pass over the ring.
 func (m *MemStore) Query(q StoreQuery) []Violation {
 	m.mu.Lock()
-	vs := m.log.snapshot()
-	m.mu.Unlock()
-	kept := vs[:0]
-	for _, v := range vs {
-		if q.Matches(v) {
-			kept = append(kept, v)
-		}
+	defer m.mu.Unlock()
+	if !m.indexed && (q.Assertion != "" || q.Stream != "") {
+		m.index.Rebuild(m.log.buf, m.log.head)
+		m.indexed = true
 	}
-	return limitNewest(kept, q.Limit)
+	return m.index.Query(q, m.log.buf, m.log.head)
+}
+
+// IndexSize reports the query index's keys and postings (see
+// PostingIndex.Size).
+func (m *MemStore) IndexSize() (keys, postings int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.index.Size()
 }
 
 // Stats implements ViolationStore.
@@ -322,6 +336,9 @@ func (m *MemStore) compact(minIngestUnix int64, budget func(name string) (int, b
 		return 0
 	}
 	m.log.buf, m.log.head = kept, 0
+	if m.indexed {
+		m.index.Rebuild(kept, 0)
+	}
 	m.compacted.Add(int64(evicted))
 	return evicted
 }
@@ -390,7 +407,7 @@ func (m *MemStore) Replace(snap RecorderSnapshot) error {
 	m.mu.Lock()
 	m.log.dropped.Store(snap.LogDropped)
 	for _, v := range snap.Violations {
-		m.log.add(v)
+		m.addLocked(v)
 	}
 	m.mu.Unlock()
 	m.compacted.Store(snap.Compacted)
@@ -402,6 +419,7 @@ func (m *MemStore) Replace(snap RecorderSnapshot) error {
 func (m *MemStore) Clear() error {
 	m.mu.Lock()
 	m.log.clear()
+	m.index.Reset()
 	m.mu.Unlock()
 	m.compacted.Store(0)
 	m.stats.Range(func(name, _ any) bool {

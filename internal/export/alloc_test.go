@@ -1,9 +1,12 @@
 package export
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"omg/internal/assertion"
+	"omg/internal/store"
 )
 
 // allocBenchBatch builds the steady-state ingest shape the alloc budget
@@ -78,5 +81,62 @@ func TestAllocRegressionBinaryEncodeBatch(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("binary AppendBatch allocated %.1f times per frame into a warm buffer, want 0", allocs)
+	}
+}
+
+// TestAllocRegressionQueryNewest asserts the pushed-down read path's cost
+// model on both backends: over 100K retained violations, a Limit-100
+// query — unfiltered, by stream or by assertion, newest by arrival or by
+// key — allocates O(limit), never a copy of the retained log. The ceiling
+// is 16 KiB per query: the 100-row answer (72 B a row, 8 KiB once rounded
+// to its size class) plus the 100 picked ranks measure 9088 B; the
+// copy-everything path it replaced allocated 7 MB here.
+func TestAllocRegressionQueryNewest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is meaningless under -race")
+	}
+	const retained, ceiling = 100_000, 16 << 10
+	seg, err := store.Open(store.Config{Dir: t.TempDir(), NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	mem := assertion.NewMemStore(retained)
+	for i := 0; i < retained*3/2; i++ { // wraps the mem ring half way round
+		v := assertion.Violation{
+			Assertion: fmt.Sprintf("assert-%d", i%8), Stream: fmt.Sprintf("cam-%d", i%64),
+			SampleIndex: i, Time: float64(i%1000) / 10, Severity: 1,
+		}
+		mem.Append(v)
+		if i >= retained/2 {
+			if err := seg.Append(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, s := range map[string]assertion.ViolationStore{"mem": mem, "segment": seg} {
+		if got := s.Info().Entries; got != retained {
+			t.Fatalf("%s retains %d, want %d", name, got, retained)
+		}
+		for _, q := range []assertion.StoreQuery{{}, {Stream: "cam-7"}, {Assertion: "assert-3"}} {
+			for _, byKey := range []bool{false, true} {
+				q.Limit, q.ByKey = 100, byKey
+				s.Query(q) // MemStore builds its index on the first filtered query
+				const runs = 20
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < runs; i++ {
+					if got := s.Query(q); len(got) != q.Limit {
+						t.Fatalf("%s %+v: %d violations", name, q, len(got))
+					}
+				}
+				runtime.ReadMemStats(&after)
+				if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > ceiling {
+					t.Errorf("%s Query(%+v) allocated %d bytes, want <= %d", name, q, per, ceiling)
+				} else {
+					t.Logf("%s Query(%+v): %d bytes", name, q, per)
+				}
+			}
+		}
 	}
 }

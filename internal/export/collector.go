@@ -599,33 +599,41 @@ func (c *Collector) Summary() map[string]int {
 	return out
 }
 
-// Violations returns the retained violations of every shard. With one
-// shard this is arrival order; across shards the merge is ordered by
-// Time, then Stream, then SampleIndex (no global arrival order exists).
-func (c *Collector) Violations() []assertion.Violation {
+// Query returns the retained violations matching q across every shard —
+// the one read path behind Violations, ByAssertion and the query
+// endpoint. With one shard the answer is in arrival order and q.Limit
+// keeps the last to arrive. Across shards no global arrival order
+// exists: the answer is ordered by Time, then Stream, then SampleIndex
+// (ties by shard, then arrival), q.Limit keeps the newest in that order,
+// and each shard hands over only its own newest q.Limit (q.ByKey) — so a
+// limited query merges at most Limit violations per shard, never the
+// retained log.
+func (c *Collector) Query(q assertion.StoreQuery) []assertion.Violation {
 	if len(c.recs) == 1 {
-		return c.recs[0].Violations()
+		return c.recs[0].Query(q)
 	}
+	q.ByKey = true
 	var out []assertion.Violation
 	for _, r := range c.recs {
-		out = append(out, r.Violations()...)
+		out = append(out, r.Query(q)...)
 	}
 	assertion.SortViolations(out)
+	if q.Limit > 0 && len(out) > q.Limit {
+		out = out[len(out)-q.Limit:]
+	}
 	return out
 }
 
-// ByAssertion returns retained violations of the named assertion, merged
-// across shards in the same order Violations uses.
+// Violations returns the retained violations of every shard, in Query's
+// order.
+func (c *Collector) Violations() []assertion.Violation {
+	return c.Query(assertion.StoreQuery{})
+}
+
+// ByAssertion returns retained violations of the named assertion, in
+// Query's order.
 func (c *Collector) ByAssertion(name string) []assertion.Violation {
-	if len(c.recs) == 1 {
-		return c.recs[0].ByAssertion(name)
-	}
-	var out []assertion.Violation
-	for _, r := range c.recs {
-		out = append(out, r.ByAssertion(name)...)
-	}
-	assertion.SortViolations(out)
-	return out
+	return c.Query(assertion.StoreQuery{Assertion: name})
 }
 
 // LogDropped returns how many retained violations the bounded in-memory
@@ -1049,42 +1057,52 @@ func (c *Collector) handleSummary(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (c *Collector) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	limit := 0
-	if raw := q.Get("limit"); raw != "" {
+	start := queryHist.StartIf(true)
+	defer queryHist.Done(start)
+	params := r.URL.Query()
+	q := assertion.StoreQuery{Assertion: params.Get("assertion"), Stream: params.Get("stream")}
+	if raw := params.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 0 {
 			http.Error(w, fmt.Sprintf("bad limit %q", raw), http.StatusBadRequest)
 			return
 		}
-		limit = n
+		q.Limit = n
 	}
-	var vs []assertion.Violation
-	if name := q.Get("assertion"); name != "" {
-		vs = c.ByAssertion(name)
-	} else {
-		vs = c.Violations()
-	}
-	if stream := q.Get("stream"); stream != "" {
-		// Filter into a fresh slice — never compact vs in place. vs can
-		// alias storage a backend owns (a ViolationStore is free to return
-		// its live slice), and the old `kept := vs[:0]` rewrite corrupted
-		// those retained violations for every later reader.
-		kept := make([]assertion.Violation, 0, len(vs))
-		for _, v := range vs {
-			if v.Stream == stream {
-				kept = append(kept, v)
-			}
-		}
-		vs = kept
-	}
-	if limit > 0 && len(vs) > limit {
-		vs = vs[len(vs)-limit:] // the most recent ones
-	}
+	writeQueryResponse(w, c.Query(q))
+}
+
+// queryBodyPool recycles query response buffers.
+var queryBodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 32<<10); return &b }}
+
+// maxPooledQueryBody keeps an unlimited query's tens of megabytes from
+// living on in the pool after the one response that needed them.
+const maxPooledQueryBody = 1 << 20
+
+// writeQueryResponse writes a QueryResponse body, byte for byte what
+// encoding/json writes for it (an empty answer is [], never null), with
+// the reflection-free violation encoder into a pooled buffer.
+func writeQueryResponse(w http.ResponseWriter, vs []assertion.Violation) {
 	if vs == nil {
 		vs = []assertion.Violation{}
 	}
-	writeJSON(w, QueryResponse{Count: len(vs), Violations: vs})
+	bufp := queryBodyPool.Get().(*[]byte)
+	buf := append((*bufp)[:0], `{"count":`...)
+	buf = strconv.AppendInt(buf, int64(len(vs)), 10)
+	buf = append(buf, `,"violations":`...)
+	buf, err := assertion.AppendViolationsJSON(buf, vs)
+	if err != nil {
+		// A NaN or infinite Time/Severity, which no JSON ingest can deliver.
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	} else {
+		buf = append(buf, "}\n"...)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(buf)
+	}
+	if cap(buf) <= maxPooledQueryBody {
+		*bufp = buf
+		queryBodyPool.Put(bufp)
+	}
 }
 
 // handleMetrics renders the collector's counters in the Prometheus text

@@ -235,8 +235,8 @@ func TestHealthzTurns503OnceShutdownBegins(t *testing.T) {
 	getBody(t, srv.URL+"/healthz", http.StatusServiceUnavailable)
 }
 
-// leakyStore hands out its live retained slice from Violations — the
-// worst case the query path must tolerate without corrupting the log.
+// leakyStore hands out its live retained slice for the whole-log query —
+// the worst case the query path must tolerate without corrupting the log.
 type leakyStore struct {
 	assertion.ViolationStore
 	mu sync.Mutex
@@ -250,7 +250,12 @@ func (s *leakyStore) Append(v assertion.Violation) error {
 	return s.ViolationStore.Append(v)
 }
 
-func (s *leakyStore) Violations() []assertion.Violation { return s.vs }
+func (s *leakyStore) Query(q assertion.StoreQuery) []assertion.Violation {
+	if q == (assertion.StoreQuery{}) {
+		return s.vs
+	}
+	return s.ViolationStore.Query(q)
+}
 
 func TestQueryStreamFilterDoesNotCorruptRetainedLog(t *testing.T) {
 	c := NewCollector(0)

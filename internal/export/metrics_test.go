@@ -45,6 +45,7 @@ func TestMetricsExpositionStrict(t *testing.T) {
 		"omg_collector_e2e_age_seconds",
 		"omg_collector_tail_broadcast_seconds",
 		"omg_collector_labels_next_seconds",
+		"omg_collector_query_seconds",
 		"omg_export_deliver_seconds",
 		"omg_observe_seconds",
 		"omg_store_append_seconds",

@@ -39,6 +39,11 @@ var (
 	labelsNextHist = obs.Default().NewHistogram(
 		"omg_collector_labels_next_seconds",
 		"Label-candidate selection and serve time per /v1/labels/next request.")
+	// queryHist times serving one /v1/violations/query request: the
+	// per-shard index walks, the merge and the response encode.
+	queryHist = obs.Default().NewHistogram(
+		"omg_collector_query_seconds",
+		"Query serve time per /v1/violations/query request.")
 	// throttleWaitHist charts the Retry-After waits the collector
 	// advertises on shed or throttled ingest requests, by rejection
 	// reason (rate_limit, inflight, store_degraded) — the shape of

@@ -13,7 +13,9 @@ import (
 // FuzzHandleQuery drives the query endpoint with arbitrary parameter
 // combinations: whatever the inputs, the handler must answer 200 (with a
 // self-consistent body honouring the filters and the limit) or 400 (for
-// an unparsable limit) — never panic, never another status.
+// an unparsable limit) — never panic, never another status — and a 200
+// body must be byte-identical to the reference oracle's (see
+// referenceQuery).
 func FuzzHandleQuery(f *testing.F) {
 	f.Add("a", "edge-01", "3")
 	f.Add("", "", "")
@@ -21,6 +23,8 @@ func FuzzHandleQuery(f *testing.F) {
 	f.Add("a", "", "-1")
 	f.Add("b\x00", "日本語", "bogus")
 	f.Add("a", "edge-00", "999999999999999999999")
+	f.Add("", "", "2000000000") // must cost what the 15 retained cost, not what the limit asks
+	f.Add("b", "edge-02", "2")  // both filters: the shorter posting list is walked
 	f.Fuzz(func(t *testing.T, assertionName, stream, limitRaw string) {
 		c := NewCollectorConfig(CollectorConfig{Shards: 2})
 		defer c.Close()
@@ -69,6 +73,9 @@ func FuzzHandleQuery(f *testing.F) {
 			if stream != "" && v.Stream != stream {
 				t.Fatalf("stream filter %q leaked %+v", stream, v)
 			}
+		}
+		if want := referenceBody(t, c, assertionName, stream, limit); !bytes.Equal(rr.Body.Bytes(), want) {
+			t.Fatalf("assertion=%q stream=%q limit=%q\n got %s\nwant %s", assertionName, stream, limitRaw, rr.Body.Bytes(), want)
 		}
 	})
 }

@@ -67,7 +67,7 @@ func TestSegmentInjectedDiskFull(t *testing.T) {
 	if got := h.TotalFired(); got != flushed {
 		t.Fatalf("healed TotalFired = %d, want %d flushed pre-fault", got, flushed)
 	}
-	vs := h.Violations()
+	vs := h.Query(Query{})
 	if len(vs) != flushed {
 		t.Fatalf("healed Violations = %d, want %d", len(vs), flushed)
 	}

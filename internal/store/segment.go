@@ -93,12 +93,6 @@ type segMeta struct {
 	bytes   int64
 }
 
-// segEntry is the in-memory mirror of one on-disk record.
-type segEntry struct {
-	seq uint64
-	v   assertion.Violation
-}
-
 // segCheckpoint is the on-disk checkpoint file: the aggregate statistics
 // as of AppendSeq, the live-segment manifest, and the eviction counters.
 // Recovery replays every record with a sequence number above AppendSeq
@@ -166,9 +160,12 @@ type SegmentStore struct {
 	sealMu  sync.Mutex     // guards sealErr (never taken with mu held by the sealer)
 	sealErr error          // first background seal failure, latched
 
-	entries  []segEntry
-	byAssert map[string][]int32
-	byStream map[string][]int32
+	// The in-memory mirror of the on-disk records, in arrival order:
+	// vs[i] was appended with sequence number seqs[i], and index holds
+	// its postings.
+	vs    []assertion.Violation
+	seqs  []uint64
+	index assertion.PostingIndex
 
 	stats      map[string]assertion.Stats
 	totalFired int
@@ -201,8 +198,6 @@ func Open(cfg Config) (*SegmentStore, error) {
 		segBytes:  cfg.SegmentBytes,
 		noSync:    cfg.NoSync,
 		failAfter: cfg.FailWritesAfterBytes,
-		byAssert:  make(map[string][]int32),
-		byStream:  make(map[string][]int32),
 		stats:     make(map[string]assertion.Stats),
 		obsSample: obs.HotSampler(),
 	}
@@ -321,7 +316,6 @@ func (s *SegmentStore) recover() error {
 	for _, st := range s.stats {
 		s.totalFired += st.Fired
 	}
-	s.rebuildIndex()
 
 	// The highest segment resumes as the active one unless it is already
 	// at the roll threshold.
@@ -423,7 +417,7 @@ func (s *SegmentStore) replaySegment(num int, coveredSeq uint64, newest bool) (s
 					if seq > maxSeq {
 						maxSeq = seq
 					}
-					s.appendEntry(segEntry{seq: seq, v: v})
+					s.appendEntry(seq, v)
 					meta.records++
 					off += recordHeader + bodyLen
 					good = true
@@ -447,19 +441,21 @@ func (s *SegmentStore) replaySegment(num int, coveredSeq uint64, newest bool) (s
 	return meta, maxSeq, nil
 }
 
-// appendEntry adds one record to the in-memory mirror, doubling the
-// backing array when full. The runtime grows large slices by only
-// ~1.25x, so a long append stream would re-allocate — and page-fault,
-// zero and copy — about 5x the mirror's final size through the hot
-// path; doubling caps that at ~2x (a measurable share of the per-append
-// cost in BENCH_6.json).
-func (s *SegmentStore) appendEntry(e segEntry) {
-	if len(s.entries) == cap(s.entries) {
-		grown := make([]segEntry, len(s.entries), max(1024, 2*cap(s.entries)))
-		copy(grown, s.entries)
-		s.entries = grown
+// appendEntry adds one record to the in-memory mirror and its index,
+// doubling the backing arrays when full. The runtime grows large slices
+// by only ~1.25x, so a long append stream would re-allocate — and
+// page-fault, zero and copy — about 5x the mirror's final size through
+// the hot path; doubling caps that at ~2x (a measurable share of the
+// per-append cost in BENCH_6.json).
+func (s *SegmentStore) appendEntry(seq uint64, v assertion.Violation) {
+	if len(s.vs) == cap(s.vs) {
+		n := max(1024, 2*cap(s.vs))
+		s.vs = append(make([]assertion.Violation, 0, n), s.vs...)
+		s.seqs = append(make([]uint64, 0, n), s.seqs...)
 	}
-	s.entries = append(s.entries, e)
+	s.index.Add(len(s.vs), v)
+	s.vs = append(s.vs, v)
+	s.seqs = append(s.seqs, seq)
 }
 
 // foldStats applies one violation to the aggregate statistics — the
@@ -476,23 +472,6 @@ func (s *SegmentStore) foldStats(v assertion.Violation) {
 	}
 	st.LastSample = v.SampleIndex
 	s.stats[v.Assertion] = st
-}
-
-// rebuildIndex recomputes the sparse per-assertion/stream posting lists
-// from the entry mirror.
-func (s *SegmentStore) rebuildIndex() {
-	s.byAssert = make(map[string][]int32)
-	s.byStream = make(map[string][]int32)
-	for i, e := range s.entries {
-		s.indexEntry(int32(i), e.v)
-	}
-}
-
-func (s *SegmentStore) indexEntry(idx int32, v assertion.Violation) {
-	s.byAssert[v.Assertion] = append(s.byAssert[v.Assertion], idx)
-	if v.Stream != "" {
-		s.byStream[v.Stream] = append(s.byStream[v.Stream], idx)
-	}
 }
 
 func (s *SegmentStore) openSegment(num int) error {
@@ -535,9 +514,7 @@ func (s *SegmentStore) Append(v assertion.Violation) error {
 
 	s.foldStats(v)
 	s.totalFired++
-	idx := int32(len(s.entries))
-	s.appendEntry(segEntry{seq: seq, v: v})
-	s.indexEntry(idx, v)
+	s.appendEntry(seq, v)
 
 	err = s.maybeFlushRollLocked()
 	appendHist.Done(start)
@@ -684,7 +661,7 @@ func (s *SegmentStore) wireCheckpointLocked(durable bool) Checkpoint {
 		Backend:    segmentBackend,
 		Durable:    durable && !s.noSync,
 		Dir:        s.dir,
-		Entries:    len(s.entries),
+		Entries:    len(s.vs),
 		TotalFired: s.totalFired,
 		AppendSeq:  s.appendSeq,
 		Segments:   s.manifestLocked(),
@@ -746,62 +723,20 @@ func (s *SegmentStore) Checkpoint() (Checkpoint, error) {
 	return s.checkpointLocked()
 }
 
-// Violations implements ViolationStore.
-func (s *SegmentStore) Violations() []assertion.Violation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]assertion.Violation, len(s.entries))
-	for i, e := range s.entries {
-		out[i] = e.v
-	}
-	return out
-}
-
-// ByAssertion implements ViolationStore, served from the sparse index.
-func (s *SegmentStore) ByAssertion(name string) []assertion.Violation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idxs := s.byAssert[name]
-	if len(idxs) == 0 {
-		return nil
-	}
-	out := make([]assertion.Violation, len(idxs))
-	for i, idx := range idxs {
-		out[i] = s.entries[idx].v
-	}
-	return out
-}
-
-// Query implements ViolationStore. When the query names an assertion or
-// stream, candidates come from the sparse posting lists instead of a
-// full scan.
+// Query implements ViolationStore from the in-memory mirror and its
+// posting index.
 func (s *SegmentStore) Query(q Query) []assertion.Violation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []assertion.Violation
-	scan := func(idxs []int32) {
-		for _, idx := range idxs {
-			if v := s.entries[idx].v; q.Matches(v) {
-				out = append(out, v)
-			}
-		}
-	}
-	switch {
-	case q.Assertion != "":
-		scan(s.byAssert[q.Assertion])
-	case q.Stream != "":
-		scan(s.byStream[q.Stream])
-	default:
-		for _, e := range s.entries {
-			if q.Matches(e.v) {
-				out = append(out, e.v)
-			}
-		}
-	}
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[len(out)-q.Limit:]
-	}
-	return out
+	return s.index.Query(q, s.vs, 0)
+}
+
+// IndexSize reports the query index's keys and postings (see
+// assertion.PostingIndex.Size).
+func (s *SegmentStore) IndexSize() (keys, postings int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.index.Size()
 }
 
 // Stats implements ViolationStore.
@@ -897,18 +832,16 @@ func (s *SegmentStore) compact(minIngestUnix int64, budget func(string) (int, bo
 		return 0, err
 	}
 
-	vs := make([]assertion.Violation, len(s.entries))
-	for i, e := range s.entries {
-		vs[i] = e.v
-	}
-	mask := assertion.PlanCompaction(vs, minIngestUnix, budget)
-	survivors := make([]segEntry, 0, len(s.entries))
+	mask := assertion.PlanCompaction(s.vs, minIngestUnix, budget)
+	keptVs := make([]assertion.Violation, 0, len(s.vs))
+	keptSeqs := make([]uint64, 0, len(s.vs))
 	for i, keep := range mask {
 		if keep {
-			survivors = append(survivors, s.entries[i])
+			keptVs = append(keptVs, s.vs[i])
+			keptSeqs = append(keptSeqs, s.seqs[i])
 		}
 	}
-	evicted := len(s.entries) - len(survivors)
+	evicted := len(s.vs) - len(keptVs)
 	if evicted == 0 {
 		return 0, nil
 	}
@@ -944,15 +877,15 @@ func (s *SegmentStore) compact(minIngestUnix int64, budget func(string) (int, bo
 		buf = buf[:0]
 		return nil
 	}
-	for _, e := range survivors {
-		body, err := assertion.AppendViolationJSON(nil, e.v)
+	for i, v := range keptVs {
+		body, err := assertion.AppendViolationJSON(nil, v)
 		if err != nil {
 			return 0, fmt.Errorf("store: compact encode: %w", err)
 		}
 		var hdr [recordHeader]byte
 		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
 		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body))
-		binary.LittleEndian.PutUint64(hdr[8:16], e.seq)
+		binary.LittleEndian.PutUint64(hdr[8:16], keptSeqs[i])
 		buf = append(buf, hdr[:]...)
 		buf = append(buf, body...)
 		records++
@@ -1021,8 +954,8 @@ func (s *SegmentStore) compact(minIngestUnix int64, budget func(string) (int, bo
 	s.activeBytes = last.bytes
 	s.activeRecs = last.records
 
-	s.entries = survivors
-	s.rebuildIndex()
+	s.vs, s.seqs = keptVs, keptSeqs
+	s.index.Rebuild(s.vs, 0)
 	s.compacted += int64(evicted)
 	return evicted, nil
 }
@@ -1094,9 +1027,7 @@ func (s *SegmentStore) Replace(snap assertion.RecorderSnapshot) error {
 		s.pending = append(s.pending, body...)
 		s.pendingRecs++
 		s.appendSeq = seq
-		idx := int32(len(s.entries))
-		s.appendEntry(segEntry{seq: seq, v: v})
-		s.indexEntry(idx, v)
+		s.appendEntry(seq, v)
 		if err := s.maybeFlushRollLocked(); err != nil {
 			return err
 		}
@@ -1145,9 +1076,8 @@ func (s *SegmentStore) clearLocked() error {
 	s.pending = s.pending[:0]
 	s.pendingRecs = 0
 	s.finalized = nil
-	s.entries = nil
-	s.byAssert = make(map[string][]int32)
-	s.byStream = make(map[string][]int32)
+	s.vs, s.seqs = nil, nil
+	s.index.Reset()
 	s.stats = make(map[string]assertion.Stats)
 	s.totalFired = 0
 	s.appendSeq = 0
@@ -1166,7 +1096,7 @@ func (s *SegmentStore) Info() Info {
 	}
 	return Info{
 		Backend:  segmentBackend,
-		Entries:  len(s.entries),
+		Entries:  len(s.vs),
 		Segments: len(s.finalized) + 1,
 		Bytes:    bytes,
 	}

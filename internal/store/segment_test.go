@@ -27,7 +27,7 @@ func fill(t *testing.T, s ViolationStore, n int) []assertion.Violation {
 // assertSame asserts two stores hold identical logs and statistics.
 func assertSame(t *testing.T, got, want ViolationStore) {
 	t.Helper()
-	if g, w := got.Violations(), want.Violations(); !reflect.DeepEqual(g, w) {
+	if g, w := got.Query(Query{}), want.Query(Query{}); !reflect.DeepEqual(g, w) {
 		t.Fatalf("Violations mismatch:\n got %+v\nwant %+v", g, w)
 	}
 	if g, w := got.StatsAll(), want.StatsAll(); !reflect.DeepEqual(g, w) {
@@ -69,7 +69,7 @@ func TestSegmentReopenAfterClose(t *testing.T) {
 // re-attaching the violation log (segment exports deliberately omit it).
 func stripStore(snap assertion.RecorderSnapshot, s ViolationStore) assertion.RecorderSnapshot {
 	snap.Store = nil
-	snap.Violations = s.Violations()
+	snap.Violations = s.Query(Query{})
 	return snap
 }
 

@@ -52,13 +52,13 @@ func TestContractAppendAndViews(t *testing.T) {
 					t.Fatalf("Append: %v", err)
 				}
 			}
-			if got := s.Violations(); !reflect.DeepEqual(got, vs) {
+			if got := s.Query(Query{}); !reflect.DeepEqual(got, vs) {
 				t.Fatalf("Violations = %+v, want %+v", got, vs)
 			}
-			if got := s.ByAssertion("a"); len(got) != 3 || got[0].SampleIndex != 1 || got[2].SampleIndex != 4 {
+			if got := s.Query(Query{Assertion: "a"}); len(got) != 3 || got[0].SampleIndex != 1 || got[2].SampleIndex != 4 {
 				t.Fatalf("ByAssertion(a) = %+v", got)
 			}
-			if got := s.ByAssertion("nope"); len(got) != 0 {
+			if got := s.Query(Query{Assertion: "nope"}); len(got) != 0 {
 				t.Fatalf("ByAssertion(nope) = %+v", got)
 			}
 			if got := s.TotalFired(); got != len(vs) {
@@ -146,7 +146,7 @@ func TestContractCompact(t *testing.T) {
 				t.Fatalf("Compact(cap) = %d, %v; want 2", n, err)
 			}
 			var idx []int
-			for _, v := range s.Violations() {
+			for _, v := range s.Query(Query{}) {
 				idx = append(idx, v.SampleIndex)
 			}
 			if want := []int{7, 8, 9, 10}; !reflect.DeepEqual(idx, want) {
@@ -180,7 +180,7 @@ func TestContractClear(t *testing.T) {
 			if err := s.Clear(); err != nil {
 				t.Fatalf("Clear: %v", err)
 			}
-			if len(s.Violations()) != 0 || s.TotalFired() != 0 || len(s.StatsAll()) != 0 {
+			if len(s.Query(Query{})) != 0 || s.TotalFired() != 0 || len(s.StatsAll()) != 0 {
 				t.Fatalf("state survived Clear")
 			}
 			// The store stays usable.
@@ -213,7 +213,7 @@ func TestContractExportReplaceRoundTrip(t *testing.T) {
 			if got := s.TotalFired(); got != 6 {
 				t.Fatalf("TotalFired = %d, want 6", got)
 			}
-			if got := len(s.Violations()); got != 4 {
+			if got := len(s.Query(Query{})); got != 4 {
 				t.Fatalf("retained = %d, want 4", got)
 			}
 			if got := s.Compacted(); got != 2 {
@@ -248,7 +248,9 @@ func TestContractInfo(t *testing.T) {
 
 func TestContractConcurrentAppendCompact(t *testing.T) {
 	// Satellite: Record concurrent with Compact/CompactBudgets must never
-	// regress TotalFired or Stats. Run against both backends under -race.
+	// regress TotalFired or Stats, and limited queries walking the index
+	// beside them must answer inside their filter. Run against both
+	// backends under -race.
 	for backend, s := range backends(t) {
 		t.Run(backend, func(t *testing.T) {
 			const writers, perWriter = 4, 200
@@ -263,6 +265,25 @@ func TestContractConcurrentAppendCompact(t *testing.T) {
 					if _, err := s.CompactBudgets(map[string]int{"w0": 10}); err != nil {
 						t.Errorf("CompactBudgets: %v", err)
 						return
+					}
+				}
+			}()
+			stop, readerDone := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(readerDone)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					for _, q := range []Query{{Assertion: "w1", Limit: 5}, {Stream: "s", Limit: 5, ByKey: true}, {}} {
+						for _, v := range s.Query(q) {
+							if !q.Matches(v) {
+								t.Errorf("Query(%+v) answered %+v", q, v)
+								return
+							}
+						}
 					}
 				}
 			}()
@@ -289,6 +310,8 @@ func TestContractConcurrentAppendCompact(t *testing.T) {
 			}
 			wg.Wait()
 			<-done
+			close(stop)
+			<-readerDone
 			if got := s.TotalFired(); got != writers*perWriter {
 				t.Fatalf("TotalFired = %d, want %d", got, writers*perWriter)
 			}
@@ -342,7 +365,7 @@ func TestCompactionKeepsNewestSuffix(t *testing.T) {
 			}
 			sort.Ints(want)
 			var got []int
-			for _, v := range s.Violations() {
+			for _, v := range s.Query(Query{}) {
 				got = append(got, v.SampleIndex)
 			}
 			if !reflect.DeepEqual(got, want) {
