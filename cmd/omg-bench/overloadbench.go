@@ -64,7 +64,10 @@ func renderOverloadBench(quick bool, outPath string) (string, error) {
 	// generous limits nothing may be throttled, so a single retry would
 	// mean the bench is measuring the wrong thing.
 	drive := func(cfg export.CollectorConfig) (time.Duration, int64, error) {
-		collector := export.NewCollectorConfig(cfg)
+		collector, err := export.OpenCollector(cfg)
+		if err != nil {
+			return 0, 0, err
+		}
 		defer collector.Close()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

@@ -56,7 +56,10 @@ func renderSinkBench(quick bool) (string, error) {
 		return "", fmt.Errorf("jsonl sink: %w", err)
 	}
 
-	collector := export.NewCollector(0)
+	collector, err := export.OpenCollector(export.CollectorConfig{})
+	if err != nil {
+		return "", err
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", err
@@ -111,7 +114,10 @@ func renderFanInBench(quick bool) (string, error) {
 	total := sources * batchesPerSource * perBatch
 
 	drive := func(shards int) (time.Duration, error) {
-		c := export.NewCollectorConfig(export.CollectorConfig{Shards: shards})
+		c, err := export.OpenCollector(export.CollectorConfig{Shards: shards})
+		if err != nil {
+			return 0, err
+		}
 		defer c.Close()
 		start := time.Now()
 		var wg sync.WaitGroup

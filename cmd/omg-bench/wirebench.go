@@ -89,7 +89,10 @@ func renderWireBench(quick bool, outPath string) (string, error) {
 	// from first Record to last Flush. Delivery is verified, so the race
 	// doubles as a smoke test that both codecs carry the stream intact.
 	drive := func(wire string, compress bool) (time.Duration, int64, error) {
-		collector := export.NewCollectorConfig(export.CollectorConfig{Shards: senders})
+		collector, err := export.OpenCollector(export.CollectorConfig{Shards: senders})
+		if err != nil {
+			return 0, 0, err
+		}
 		defer collector.Close()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

@@ -39,7 +39,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
 	"sync"
 
 	"omg/internal/assertion"
@@ -111,19 +110,17 @@ func main() {
 	var logFile *os.File
 	switch {
 	case *sinkKind == "http":
-		// Built through the assertion sink registry (the seam third-party
-		// backends use) rather than the export package's constructor.
-		s, err := assertion.NewSinkFromFactory("http", map[string]string{
-			"url":      *exportURL,
-			"batch":    strconv.Itoa(*exportBatch),
-			"retries":  strconv.Itoa(*exportRetries),
-			"wire":     *wire,
-			"compress": strconv.FormatBool(*wireCompress),
-		})
-		if err != nil {
+		cfg := export.HTTPSinkConfig{
+			BaseURL: *exportURL, BatchMax: *exportBatch, MaxRetries: *exportRetries,
+			Wire: *wire, Compress: *wireCompress,
+		}
+		if *exportRetries == 0 {
+			cfg.MaxRetries = -1 // the flag is literal; the config spells "no retries" as negative
+		}
+		var err error
+		if httpSink, err = export.NewHTTPSink(cfg); err != nil {
 			log.Fatalf("build http sink: %v", err)
 		}
-		httpSink = s.(*export.HTTPSink)
 		sink = httpSink
 		if *logPath != "" {
 			// -log beside -sink=http: tee into a local JSONL file too.

@@ -27,10 +27,10 @@ import (
 func main() {
 	// 1. The collector: a sharded ingest/query service for the whole
 	// fleet, listening on a loopback port. Batches route by source to one
-	// of 4 recorders (no fan-in contention), and the queryable log keeps
+	// of 4 shard stores (no fan-in contention), and the queryable log keeps
 	// only the newest 500 violations per assertion — the aggregate counts
 	// stay complete regardless.
-	collector := omg.NewCollectorConfig(omg.CollectorConfig{
+	collector, err := omg.OpenCollector(omg.CollectorConfig{
 		Retain:             10000,
 		Shards:             4,
 		RetainPerAssertion: 500,
@@ -38,6 +38,9 @@ func main() {
 		// /v1/labels/next leases the most informative samples to labelers.
 		Labels: omg.LabelConfig{Selector: "bal", Seed: 1, DefaultBudget: 5},
 	})
+	if err != nil {
+		panic(err)
+	}
 	defer collector.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

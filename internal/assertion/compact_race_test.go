@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// TestRecordConcurrentWithCompact drives Record against a churn of
-// Compact/CompactBudgets and asserts the monotonicity contract: lifetime
+// TestRecordConcurrentWithCompact drives MemStore.Append against a churn
+// of Compact/CompactBudgets and asserts the monotonicity contract: lifetime
 // counters (TotalFired, per-assertion Stats.Fired) never regress, no
 // matter what retention evicts from the queryable log.
 func TestRecordConcurrentWithCompact(t *testing.T) {
-	rec := NewRecorder(0)
+	rec := NewMemStore(0)
 	const writers, perWriter = 4, 300
 
 	stop := make(chan struct{})
@@ -49,7 +49,7 @@ func TestRecordConcurrentWithCompact(t *testing.T) {
 			name := "w" + strconv.Itoa(w)
 			lastFired, lastTotal := 0, 0
 			for i := 0; i < perWriter; i++ {
-				rec.Record(Violation{Assertion: name, SampleIndex: i, Severity: 1, IngestUnix: 100})
+				rec.Append(Violation{Assertion: name, SampleIndex: i, Severity: 1, IngestUnix: 100})
 				if st, ok := rec.Stats(name); !ok || st.Fired < lastFired {
 					t.Errorf("Stats(%s).Fired regressed: %d then %d", name, lastFired, st.Fired)
 					return
@@ -78,9 +78,6 @@ func TestRecordConcurrentWithCompact(t *testing.T) {
 			t.Fatalf("Stats(%s).Fired = %d, want %d", name, st.Fired, perWriter)
 		}
 	}
-	if err := rec.Err(); err != nil {
-		t.Fatalf("Err: %v", err)
-	}
 }
 
 // TestCompactRemovesOnlyOldestPerAssertion is the retention property
@@ -97,19 +94,19 @@ func TestCompactRemovesOnlyOldestPerAssertion(t *testing.T) {
 		return x
 	}
 	for trial := 0; trial < 50; trial++ {
-		rec := NewRecorder(0)
+		rec := NewMemStore(0)
 		n := 10 + int(rng()%80)
 		perName := make(map[string][]int)
 		for i := 0; i < n; i++ {
 			name := "a" + strconv.Itoa(int(rng()%5))
-			rec.Record(Violation{Assertion: name, SampleIndex: i, Severity: 1, IngestUnix: int64(100 + i)})
+			rec.Append(Violation{Assertion: name, SampleIndex: i, Severity: 1, IngestUnix: int64(100 + i)})
 			perName[name] = append(perName[name], i)
 		}
 		cap := 1 + int(rng()%5)
 		rec.Compact(0, cap)
 
 		got := make(map[string][]int)
-		for _, v := range rec.Violations() {
+		for _, v := range rec.Query(StoreQuery{}) {
 			got[v.Assertion] = append(got[v.Assertion], v.SampleIndex)
 		}
 		for name, idxs := range perName {

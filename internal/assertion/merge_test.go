@@ -103,9 +103,9 @@ func TestStatsMaxSevSeverityRanges(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := NewRecorder(0)
+			r := NewMemStore(0)
 			for i, sev := range tc.severities {
-				r.Record(Violation{Assertion: "a", SampleIndex: i, Severity: sev})
+				r.Append(Violation{Assertion: "a", SampleIndex: i, Severity: sev})
 			}
 			st, ok := r.Stats("a")
 			if !ok {
@@ -116,12 +116,12 @@ func TestStatsMaxSevSeverityRanges(t *testing.T) {
 			}
 			// The -Inf seed must survive a snapshot round-trip and further
 			// negative records without leaking into the JSON-facing Stats.
-			r2 := NewRecorder(0)
-			r2.RestoreSnapshot(r.Snapshot())
+			r2 := NewMemStore(0)
+			r2.Replace(r.Export())
 			if st2, _ := r2.Stats("a"); st2.MaxSev != tc.wantMax {
 				t.Fatalf("restored MaxSev = %v, want %v", st2.MaxSev, tc.wantMax)
 			}
-			r2.Record(Violation{Assertion: "a", SampleIndex: 99, Severity: tc.wantMax - 1})
+			r2.Append(Violation{Assertion: "a", SampleIndex: 99, Severity: tc.wantMax - 1})
 			if st2, _ := r2.Stats("a"); st2.MaxSev != tc.wantMax {
 				t.Fatalf("MaxSev after lower record = %v, want %v", st2.MaxSev, tc.wantMax)
 			}
@@ -132,36 +132,36 @@ func TestStatsMaxSevSeverityRanges(t *testing.T) {
 func TestRestoreSnapshotUnfiredCellKeepsSeed(t *testing.T) {
 	// A restored cell that has never fired keeps the -Inf seed, so the
 	// first post-restore record — even a negative one — becomes the max.
-	r := NewRecorder(0)
-	r.RestoreSnapshot(RecorderSnapshot{Stats: map[string]Stats{"a": {Fired: 0}}})
+	r := NewMemStore(0)
+	r.Replace(RecorderSnapshot{Stats: map[string]Stats{"a": {Fired: 0}}})
 	if st, _ := r.Stats("a"); st.MaxSev != 0 || math.IsInf(st.MaxSev, -1) {
 		t.Fatalf("unfired restored cell MaxSev = %v, want 0", st.MaxSev)
 	}
-	r.Record(Violation{Assertion: "a", Severity: -2})
+	r.Append(Violation{Assertion: "a", Severity: -2})
 	if st, _ := r.Stats("a"); st.MaxSev != -2 {
 		t.Fatalf("MaxSev after negative record on unfired cell = %v, want -2", st.MaxSev)
 	}
 }
 
 func TestRecorderCompact(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewMemStore(0)
 	for i := 0; i < 10; i++ {
 		name := "a"
 		if i%2 == 1 {
 			name = "b"
 		}
-		r.Record(Violation{Assertion: name, SampleIndex: i, Severity: 1, IngestUnix: int64(100 + i)})
+		r.Append(Violation{Assertion: name, SampleIndex: i, Severity: 1, IngestUnix: int64(100 + i)})
 	}
 	// No policy: nothing happens.
-	if n := r.Compact(0, 0); n != 0 {
+	if n, _ := r.Compact(0, 0); n != 0 {
 		t.Fatalf("no-policy Compact evicted %d", n)
 	}
 
 	// Per-assertion cap keeps the newest 2 of each.
-	if n := r.Compact(0, 2); n != 6 {
+	if n, _ := r.Compact(0, 2); n != 6 {
 		t.Fatalf("cap Compact evicted %d, want 6", n)
 	}
-	vs := r.Violations()
+	vs := r.Query(StoreQuery{})
 	if len(vs) != 4 {
 		t.Fatalf("retained %d violations, want 4: %+v", len(vs), vs)
 	}
@@ -174,11 +174,11 @@ func TestRecorderCompact(t *testing.T) {
 
 	// Age bound drops everything ingested before the cutoff; unstamped
 	// violations are exempt.
-	r.Record(Violation{Assertion: "a", SampleIndex: 42, Severity: 1}) // IngestUnix 0
-	if n := r.Compact(109, 0); n != 3 {
+	r.Append(Violation{Assertion: "a", SampleIndex: 42, Severity: 1}) // IngestUnix 0
+	if n, _ := r.Compact(109, 0); n != 3 {
 		t.Fatalf("age Compact evicted %d, want 3", n)
 	}
-	vs = r.Violations()
+	vs = r.Query(StoreQuery{})
 	if len(vs) != 2 || vs[0].SampleIndex != 9 || vs[1].SampleIndex != 42 {
 		t.Fatalf("after age compaction: %+v", vs)
 	}
@@ -195,8 +195,8 @@ func TestRecorderCompact(t *testing.T) {
 	}
 
 	// The log keeps working after compaction (ring invariants hold).
-	r.Record(Violation{Assertion: "b", SampleIndex: 50, Severity: 1})
-	if vs = r.Violations(); len(vs) != 3 || vs[2].SampleIndex != 50 {
+	r.Append(Violation{Assertion: "b", SampleIndex: 50, Severity: 1})
+	if vs = r.Query(StoreQuery{}); len(vs) != 3 || vs[2].SampleIndex != 50 {
 		t.Fatalf("record after compaction: %+v", vs)
 	}
 }
@@ -204,17 +204,17 @@ func TestRecorderCompact(t *testing.T) {
 func TestRecorderCompactBoundedRing(t *testing.T) {
 	// Compacting a full, wrapped ring must preserve arrival order and
 	// leave the ring usable at its bound.
-	r := NewRecorder(4)
+	r := NewMemStore(4)
 	for i := 0; i < 7; i++ { // wraps: retains 3..6
-		r.Record(Violation{Assertion: "a", SampleIndex: i, Severity: 1, IngestUnix: int64(i)})
+		r.Append(Violation{Assertion: "a", SampleIndex: i, Severity: 1, IngestUnix: int64(i)})
 	}
-	if n := r.Compact(5, 0); n != 2 { // evicts 3, 4
+	if n, _ := r.Compact(5, 0); n != 2 { // evicts 3, 4
 		t.Fatalf("Compact evicted %d, want 2", n)
 	}
 	for i := 7; i < 10; i++ {
-		r.Record(Violation{Assertion: "a", SampleIndex: i, Severity: 1, IngestUnix: int64(i)})
+		r.Append(Violation{Assertion: "a", SampleIndex: i, Severity: 1, IngestUnix: int64(i)})
 	}
-	vs := r.Violations()
+	vs := r.Query(StoreQuery{})
 	want := []int{6, 7, 8, 9} // bound 4 evicted 5 on the way back up
 	if len(vs) != len(want) {
 		t.Fatalf("retained %d violations, want %d: %+v", len(vs), len(want), vs)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
@@ -146,20 +145,19 @@ type sinkBox struct {
 	owned bool
 }
 
-// Recorder is the violation recording front end: it feeds every recorded
-// violation into a pluggable ViolationStore (the queryable log plus
-// aggregate statistics — in-memory rings by default, on-disk segment
-// files via internal/store) and optionally streams it to a pluggable
-// Sink backend (JSONL by default). In a production deployment the
-// violation stream is what populates dashboards and the data-collection
-// pipeline (paper §2.3). It is safe for concurrent use.
+// Recorder is the edge's violation recording front end: it feeds every
+// recorded violation into an in-memory MemStore (the queryable log plus
+// aggregate statistics) and optionally streams it to a pluggable Sink
+// backend (JSONL by default). In a production deployment the violation
+// stream is what populates dashboards and the data-collection pipeline
+// (paper §2.3). It is safe for concurrent use.
 //
 // The observe path never encodes JSON: Record hands violations to the
 // sink (asynchronous backends queue them for a worker goroutine), and
 // Flush/Close drain the stream to the backend. Call Flush (or Close)
 // before reading the sink's output or its error state.
 type Recorder struct {
-	store ViolationStore
+	store *MemStore
 
 	sink atomic.Pointer[sinkBox]
 
@@ -167,9 +165,8 @@ type Recorder struct {
 	// SinkDropped survives StreamTo swaps and Close.
 	sinkDropped atomic.Int64
 
-	// streamErr retains the first streaming or storage error across sink
-	// swaps, so rotating logs with StreamTo cannot silently discard a
-	// failure.
+	// streamErr retains the first streaming error across sink swaps, so
+	// rotating logs with StreamTo cannot silently discard a failure.
 	streamErr firstErr
 }
 
@@ -182,32 +179,6 @@ func (r *Recorder) storedErr() error { return r.streamErr.get() }
 // statistics are always complete regardless of the memory bound.
 func NewRecorder(limit int) *Recorder {
 	return &Recorder{store: NewMemStore(limit)}
-}
-
-// NewRecorderWithStore returns a recorder over the given storage
-// backend — e.g. an on-disk store.SegmentStore, so the queryable log
-// survives crashes. The caller retains ownership of the store:
-// Recorder.Close settles only the streaming sink, and whoever opened the
-// store closes it.
-func NewRecorderWithStore(s ViolationStore) *Recorder {
-	if s == nil {
-		return NewRecorder(0)
-	}
-	return &Recorder{store: s}
-}
-
-// Store returns the recorder's storage backend — for callers (the
-// collector) that checkpoint, sync or inspect it directly.
-func (r *Recorder) Store() ViolationStore { return r.store }
-
-// SyncStore flushes the storage backend's buffered appends to the OS
-// (see ViolationStore.Sync) and retains any error for Err. Collectors
-// call it once per ingested batch so acknowledged batches survive a
-// process crash.
-func (r *Recorder) SyncStore() error {
-	err := r.store.Sync()
-	r.saveErr(err)
-	return err
 }
 
 // StreamTo attaches a buffered asynchronous JSONL sink: every subsequent
@@ -265,8 +236,8 @@ func (r *Recorder) retire(box *sinkBox) {
 	}
 }
 
-// Err returns the first error encountered while streaming or storing, if
-// any — including errors from sinks since replaced or closed. Because
+// Err returns the first error encountered while streaming, if any —
+// including errors from sinks since replaced or closed. Because
 // sinks may be asynchronous, call Flush first to observe errors from
 // already-recorded violations. When the sink has discarded violations
 // (see SinkDropped) the count is folded into the error message.
@@ -328,8 +299,7 @@ func (r *Recorder) Flush() error {
 // Close detaches the sink — closing it if owned, flushing it if shared —
 // and returns the first streaming error. The recorder itself remains
 // usable (and Err still reports the sink's error); subsequent violations
-// are no longer streamed. The storage backend is untouched: its owner
-// closes it (the internal MemStore needs no closing).
+// are no longer streamed. The MemStore is untouched.
 func (r *Recorder) Close() error {
 	if box := r.sink.Swap(nil); box != nil {
 		r.retire(box)
@@ -338,13 +308,9 @@ func (r *Recorder) Close() error {
 }
 
 // Record appends one violation to the store and streams it to the sink.
-// With the default MemStore this is O(1) even when the bounded log is
-// full and evicting; a storage failure (a disk-backed store's write
-// error) is retained for Err and never blocks the sink stream.
+// It is O(1) even when the bounded log is full and evicting.
 func (r *Recorder) Record(v Violation) {
-	if err := r.store.Append(v); err != nil {
-		r.saveErr(err)
-	}
+	_ = r.store.Append(v) // MemStore.Append never fails
 
 	if box := r.sink.Load(); box != nil {
 		// A record can be refused when a concurrent StreamTo swap closed
@@ -399,50 +365,8 @@ func (r *Recorder) TotalFired() int { return r.store.TotalFired() }
 // retained log by its own size bound.
 func (r *Recorder) Dropped() int { return int(r.store.Dropped()) }
 
-// Compact applies a retention policy to the retained log and returns how
-// many violations it evicted: violations whose IngestUnix is older than
-// minIngestUnix are dropped (0 disables the age bound; violations without
-// an ingest stamp are exempt), and at most maxPerAssertion of the newest
-// violations are kept per assertion (<= 0 disables the cap). Aggregate
-// statistics are untouched — like the log's own bound, compaction ages
-// out the queryable log, not the counts. Evictions accumulate in
-// Compacted, separately from Dropped. A storage error is retained for
-// Err.
-func (r *Recorder) Compact(minIngestUnix int64, maxPerAssertion int) int {
-	n, err := r.store.Compact(minIngestUnix, maxPerAssertion)
-	r.saveErr(err)
-	return n
-}
-
-// CompactBudgets evicts all but the newest budgets[name] violations of
-// each assertion named in budgets (assertions absent from the map are
-// untouched). It is the per-shard half of a sharded store's global
-// per-assertion cap: the coordinator decides how many of an assertion's
-// globally-newest violations live on each shard and hands every shard
-// its budget. Evictions are counted like Compact's.
-func (r *Recorder) CompactBudgets(budgets map[string]int) int {
-	n, err := r.store.CompactBudgets(budgets)
-	r.saveErr(err)
-	return n
-}
-
-// Compacted returns how many violations Compact has evicted from the
-// retained log over the recorder's lifetime.
-func (r *Recorder) Compacted() int64 { return r.store.Compacted() }
-
 // AssertionNames returns the names of assertions that have fired, sorted.
-func (r *Recorder) AssertionNames() []string {
-	if m, ok := r.store.(*MemStore); ok {
-		return m.AssertionNames()
-	}
-	stats := r.store.StatsAll()
-	out := make([]string, 0, len(stats))
-	for name := range stats {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func (r *Recorder) AssertionNames() []string { return r.store.AssertionNames() }
 
 // Summary renders per-assertion firing counts as a map (assertion name →
 // count) for dashboards and tests.
@@ -457,8 +381,4 @@ func (r *Recorder) Summary() map[string]int {
 
 // Clear removes all retained violations and statistics. It must not be
 // called concurrently with Record.
-func (r *Recorder) Clear() {
-	if err := r.store.Clear(); err != nil {
-		r.saveErr(err)
-	}
-}
+func (r *Recorder) Clear() { r.store.Clear() }

@@ -1,19 +1,19 @@
 package assertion
 
 // RecorderSnapshot is a point-in-time, JSON-serialisable copy of a
-// Recorder's state: per-assertion aggregate statistics plus the retained
-// violation log. It is the recorder half of the export wire format
-// (internal/export), letting a collector persist its state across restarts
-// and a deployment ship a recorder's view over the network.
+// ViolationStore's state (ViolationStore.Export / Replace): per-assertion
+// aggregate statistics plus the retained violation log. It is the store
+// half of the export wire format (internal/export), letting a collector
+// persist its shards across restarts; the name is the wire format's.
 type RecorderSnapshot struct {
 	// Stats holds each fired assertion's aggregate statistics.
 	Stats map[string]Stats `json:"stats,omitempty"`
 	// Violations is the retained violation log in arrival order. When the
-	// recorder's in-memory bound has evicted violations the log is
+	// store's in-memory bound has evicted violations the log is
 	// partial; LogDropped counts those evictions, and Stats stays
 	// complete regardless.
 	//
-	// A disk-backed recorder omits Violations entirely (see Store): the
+	// A disk-backed store omits Violations entirely (see Store): the
 	// segment files are the durable log, and embedding a copy here would
 	// make every checkpoint O(retained log).
 	Violations []Violation `json:"violations,omitempty"`
@@ -32,34 +32,11 @@ type RecorderSnapshot struct {
 }
 
 // TotalFired returns the total violation count across the snapshot's
-// statistics — the restored value of Recorder.TotalFired.
+// statistics — the restored value of ViolationStore.TotalFired.
 func (s RecorderSnapshot) TotalFired() int {
 	total := 0
 	for _, st := range s.Stats {
 		total += st.Fired
 	}
 	return total
-}
-
-// Snapshot captures the recorder's statistics and retained violations. It
-// is safe to call concurrently with Record; violations recorded while the
-// snapshot is being taken may appear in the statistics, the log, both or
-// neither, but each assertion's Stats entry is internally consistent.
-//
-// With a durable backend the snapshot is a cheap checkpoint: the store
-// fsyncs its state and the snapshot carries its manifest (Store) instead
-// of an embedded violation log.
-func (r *Recorder) Snapshot() RecorderSnapshot {
-	return r.store.Export()
-}
-
-// RestoreSnapshot replaces the recorder's statistics and retained log with
-// the snapshot's — the inverse of Snapshot, used by a collector reloading
-// persisted state. The attached sink (if any) is left untouched: restored
-// violations are not replayed into it. When this recorder's in-memory
-// bound is tighter than the snapshotting recorder's, the oldest restored
-// violations are evicted and counted in Dropped as usual. It must not be
-// called concurrently with Record. A storage error is retained for Err.
-func (r *Recorder) RestoreSnapshot(snap RecorderSnapshot) {
-	r.saveErr(r.store.Replace(snap))
 }

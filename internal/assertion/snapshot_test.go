@@ -7,12 +7,12 @@ import (
 )
 
 func TestRecorderSnapshotRoundTrip(t *testing.T) {
-	src := NewRecorder(0)
-	src.Record(Violation{Assertion: "a", Stream: "cam-0", SampleIndex: 3, Time: 0.1, Severity: 2})
-	src.Record(Violation{Assertion: "a", Stream: "cam-1", SampleIndex: 7, Time: 0.2, Severity: 5})
-	src.Record(Violation{Assertion: "b", Stream: "cam-0", SampleIndex: 9, Time: 0.3, Severity: 1})
+	src := NewMemStore(0)
+	src.Append(Violation{Assertion: "a", Stream: "cam-0", SampleIndex: 3, Time: 0.1, Severity: 2})
+	src.Append(Violation{Assertion: "a", Stream: "cam-1", SampleIndex: 7, Time: 0.2, Severity: 5})
+	src.Append(Violation{Assertion: "b", Stream: "cam-0", SampleIndex: 9, Time: 0.3, Severity: 1})
 
-	snap := src.Snapshot()
+	snap := src.Export()
 	if got := snap.TotalFired(); got != 3 {
 		t.Fatalf("snapshot TotalFired = %d, want 3", got)
 	}
@@ -27,14 +27,14 @@ func TestRecorderSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst := NewRecorder(0)
-	dst.Record(Violation{Assertion: "stale", Severity: 9}) // must be wiped by the restore
-	dst.RestoreSnapshot(decoded)
+	dst := NewMemStore(0)
+	dst.Append(Violation{Assertion: "stale", Severity: 9}) // must be wiped by the restore
+	dst.Replace(decoded)
 
-	if got, want := dst.Summary(), src.Summary(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored Summary = %v, want %v", got, want)
+	if got, want := dst.StatsAll(), src.StatsAll(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored StatsAll = %v, want %v", got, want)
 	}
-	if got, want := dst.Violations(), src.Violations(); !reflect.DeepEqual(got, want) {
+	if got, want := dst.Query(StoreQuery{}), src.Query(StoreQuery{}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored Violations = %v, want %v", got, want)
 	}
 	for _, name := range src.AssertionNames() {
@@ -53,11 +53,11 @@ func TestRecorderSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestRecorderSnapshotCarriesLogDropped(t *testing.T) {
-	src := NewRecorder(2) // bounded: the first violation is evicted
+	src := NewMemStore(2) // bounded: the first violation is evicted
 	for i := 0; i < 3; i++ {
-		src.Record(Violation{Assertion: "a", SampleIndex: i, Severity: 1})
+		src.Append(Violation{Assertion: "a", SampleIndex: i, Severity: 1})
 	}
-	snap := src.Snapshot()
+	snap := src.Export()
 	if snap.LogDropped != 1 || len(snap.Violations) != 2 {
 		t.Fatalf("snapshot = %d violations with LogDropped %d, want 2 and 1", len(snap.Violations), snap.LogDropped)
 	}
@@ -66,24 +66,24 @@ func TestRecorderSnapshotCarriesLogDropped(t *testing.T) {
 		t.Fatalf("snapshot TotalFired = %d, want 3", got)
 	}
 
-	dst := NewRecorder(0)
-	dst.RestoreSnapshot(snap)
+	dst := NewMemStore(0)
+	dst.Replace(snap)
 	if got := dst.Dropped(); got != 1 {
 		t.Fatalf("restored Dropped = %d, want 1", got)
 	}
-	if got := len(dst.Violations()); got != 2 {
+	if got := len(dst.Query(StoreQuery{})); got != 2 {
 		t.Fatalf("restored log holds %d violations, want 2", got)
 	}
 }
 
 func TestRecorderRestoreIntoTighterBoundEvicts(t *testing.T) {
-	src := NewRecorder(0)
+	src := NewMemStore(0)
 	for i := 0; i < 5; i++ {
-		src.Record(Violation{Assertion: "a", SampleIndex: i, Severity: 1})
+		src.Append(Violation{Assertion: "a", SampleIndex: i, Severity: 1})
 	}
-	dst := NewRecorder(2)
-	dst.RestoreSnapshot(src.Snapshot())
-	vs := dst.Violations()
+	dst := NewMemStore(2)
+	dst.Replace(src.Export())
+	vs := dst.Query(StoreQuery{})
 	if len(vs) != 2 || vs[0].SampleIndex != 3 || vs[1].SampleIndex != 4 {
 		t.Fatalf("tighter bound should keep the newest violations, got %v", vs)
 	}

@@ -8,16 +8,16 @@ import (
 )
 
 // This file declares the violation storage seam: the ViolationStore
-// interface a Recorder sits on, and MemStore, the in-memory backend
-// extracted from the recorder's original violationRing/statsCell
-// internals.
+// interface the export collector keeps one of per ingest shard, and
+// MemStore, the in-memory backend — which is also what an edge Recorder
+// records into, concretely, with no seam in between.
 //
 // The canonical entry point for the seam is the internal/store package,
 // which re-exports these types under their store names and adds the
 // on-disk SegmentStore backend. The declarations live here because Go's
 // import graph forbids assertion -> store (every store implementation
-// needs the Violation and Stats types), while Recorder must still accept
-// any backend; internal/store aliases them so the two packages share one
+// needs the Violation and Stats types) and MemStore is the Recorder's
+// own storage; internal/store aliases them so the two packages share one
 // set of types.
 //
 // Query is the seam's one read path. Every reader — Recorder.Violations
@@ -91,18 +91,16 @@ type StoreSegment struct {
 	Bytes   int64  `json:"bytes"`
 }
 
-// StoreCheckpoint is the durable high-water mark a store returns from
-// Checkpoint: enough to validate a recovery without shipping the
-// violations themselves. For a disk-backed store it is the segment
-// manifest plus the append sequence the persisted statistics cover; for
-// MemStore it only summarises the in-memory state (Durable false).
+// StoreCheckpoint is the durable high-water mark a disk-backed store
+// exports in place of its violations (RecorderSnapshot.Store): enough to
+// validate a recovery without shipping the log itself — the segment
+// manifest plus the append sequence the persisted statistics cover.
 type StoreCheckpoint struct {
 	Backend string `json:"backend"`
-	// Durable reports whether the checkpoint made state crash-safe (a
-	// disk store fsyncs its active segment and statistics; an in-memory
-	// store cannot).
+	// Durable reports whether the checkpoint made state crash-safe (the
+	// store fsynced its active segment and statistics).
 	Durable bool `json:"durable"`
-	// Dir is the disk store's data directory ("" for in-memory).
+	// Dir is the store's data directory.
 	Dir string `json:"dir,omitempty"`
 	// Entries and TotalFired are the retained-log size and lifetime
 	// violation count at checkpoint time.
@@ -112,16 +110,16 @@ type StoreCheckpoint struct {
 	// ever appended has a unique increasing sequence number, and the
 	// checkpointed statistics cover all of them up to this one.
 	AppendSeq uint64 `json:"append_seq,omitempty"`
-	// Segments is the live segment manifest (disk stores only).
+	// Segments is the live segment manifest.
 	Segments []StoreSegment `json:"segments,omitempty"`
 }
 
-// ViolationStore is the violation storage seam: the backend a Recorder
-// keeps its queryable log and aggregate statistics in. Implementations
-// must be safe for concurrent use.
+// ViolationStore is the violation storage seam: the backend a collector
+// shard keeps its queryable log and aggregate statistics in.
+// Implementations must be safe for concurrent use.
 //
 // Two backends exist: MemStore (this package; ring buffer + lock-free
-// statistics, the original Recorder internals) and store.SegmentStore
+// statistics, also the edge Recorder's storage) and store.SegmentStore
 // (append-only on-disk segment files with exact crash recovery). The
 // internal/store package is the canonical home of the seam; it aliases
 // this interface so both packages share one type.
@@ -133,11 +131,9 @@ type ViolationStore interface {
 	// Query returns a fresh slice of the retained violations matching q,
 	// in arrival order; the zero query copies the whole retained log.
 	Query(q StoreQuery) []Violation
-	// Stats returns one assertion's aggregate statistics. Statistics are
-	// complete over everything ever appended, regardless of what the
-	// retained log has evicted.
-	Stats(name string) (Stats, bool)
 	// StatsAll returns every fired assertion's aggregate statistics.
+	// Statistics are complete over everything ever appended, regardless
+	// of what the retained log has evicted.
 	StatsAll() map[string]Stats
 	// TotalFired returns the lifetime violation count.
 	TotalFired() int
@@ -162,30 +158,23 @@ type ViolationStore interface {
 	// Replace overwrites the store's state with a snapshot's — the
 	// restore path. It must not be called concurrently with Append.
 	Replace(snap RecorderSnapshot) error
-	// Clear removes all retained violations and statistics.
-	Clear() error
 	// Sync makes every appended violation durable against process crash
 	// (buffered disk stores flush to the OS; in-memory stores no-op).
-	// Machine-crash durability additionally needs Checkpoint, which
-	// fsyncs.
+	// Machine-crash durability additionally needs the fsync a disk
+	// store's Export and Close perform.
 	Sync() error
-	// Checkpoint persists a durable recovery point (disk stores fsync
-	// the active segment and their statistics) and returns its manifest.
-	Checkpoint() (StoreCheckpoint, error)
 	// Info describes the store's current shape for metrics.
 	Info() StoreInfo
-	// Close releases resources after a final Checkpoint-equivalent
-	// flush. MemStore's Close is a no-op and the store stays usable;
+	// Close releases resources after a final checkpointing flush. MemStore's Close is a no-op and the store stays usable;
 	// disk stores refuse appends afterwards.
 	Close() error
 }
 
 // MemStore is the in-memory ViolationStore: a bounded ring-buffer log
 // with O(1) eviction, indexed for Query once someone queries it, plus
-// lock-free per-assertion statistics — the storage internals Recorder
-// carried before the seam existed. It is the backend NewRecorder wires in
-// and the baseline the on-disk SegmentStore is benchmarked against. It is
-// safe for concurrent use.
+// lock-free per-assertion statistics. It is every edge Recorder's storage,
+// the collector's "mem" shard backend, and the baseline the on-disk
+// SegmentStore is benchmarked against. It is safe for concurrent use.
 type MemStore struct {
 	mu  sync.Mutex // guards the violation ring and its index
 	log violationRing
@@ -260,7 +249,7 @@ func (m *MemStore) IndexSize() (keys, postings int) {
 	return m.index.Size()
 }
 
-// Stats implements ViolationStore.
+// Stats returns one assertion's aggregate statistics.
 func (m *MemStore) Stats(name string) (Stats, bool) {
 	cell, ok := m.stats.Load(name)
 	if !ok {
@@ -414,9 +403,9 @@ func (m *MemStore) Replace(snap RecorderSnapshot) error {
 	return nil
 }
 
-// Clear implements ViolationStore. It must not be called concurrently
-// with Append.
-func (m *MemStore) Clear() error {
+// Clear removes all retained violations and statistics. It must not be
+// called concurrently with Append.
+func (m *MemStore) Clear() {
 	m.mu.Lock()
 	m.log.clear()
 	m.index.Reset()
@@ -426,27 +415,11 @@ func (m *MemStore) Clear() error {
 		m.stats.Delete(name)
 		return true
 	})
-	return nil
 }
 
 // Sync implements ViolationStore; an in-memory store has nothing to
 // flush.
 func (m *MemStore) Sync() error { return nil }
-
-// Checkpoint implements ViolationStore. Memory cannot survive a crash,
-// so the checkpoint only summarises the current state (Durable false);
-// durable checkpoints come from the Recorder/Collector snapshot path.
-func (m *MemStore) Checkpoint() (StoreCheckpoint, error) {
-	m.mu.Lock()
-	entries := len(m.log.buf)
-	m.mu.Unlock()
-	return StoreCheckpoint{
-		Backend:    "mem",
-		Durable:    false,
-		Entries:    entries,
-		TotalFired: m.TotalFired(),
-	}, nil
-}
 
 // Info implements ViolationStore.
 func (m *MemStore) Info() StoreInfo {
@@ -456,9 +429,7 @@ func (m *MemStore) Info() StoreInfo {
 	return StoreInfo{Backend: "mem", Entries: entries}
 }
 
-// Close implements ViolationStore as a no-op: the store stays usable, so
-// Recorder.Close (which settles only the sink) keeps its historical
-// semantics with the default backend.
+// Close implements ViolationStore as a no-op: the store stays usable.
 func (m *MemStore) Close() error { return nil }
 
 // AssertionNames returns the names of assertions that have fired,

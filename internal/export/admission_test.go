@@ -42,7 +42,7 @@ func postBatchRaw(t *testing.T, url string, b Batch, withHeaders bool) (*http.Re
 }
 
 func TestAdmissionRateLimit429AndRetryAfter(t *testing.T) {
-	c := NewCollectorConfig(CollectorConfig{RateLimitBytes: 200, RateBurstBytes: 200})
+	c := openCollector(t, CollectorConfig{RateLimitBytes: 200, RateBurstBytes: 200})
 	defer c.Close()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -105,7 +105,7 @@ func TestAdmissionRateLimit429AndRetryAfter(t *testing.T) {
 }
 
 func TestAdmissionRateLimitRefills(t *testing.T) {
-	c := NewCollectorConfig(CollectorConfig{RateLimitBytes: 64 << 10, RateBurstBytes: 400})
+	c := openCollector(t, CollectorConfig{RateLimitBytes: 64 << 10, RateBurstBytes: 400})
 	defer c.Close()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -130,7 +130,7 @@ func TestAdmissionRateLimitRefills(t *testing.T) {
 }
 
 func TestAdmissionMaxInflightSheds(t *testing.T) {
-	c := NewCollectorConfig(CollectorConfig{MaxInflight: 1})
+	c := openCollector(t, CollectorConfig{MaxInflight: 1})
 	defer c.Close()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -247,7 +247,7 @@ func TestAdmissionStoreDegradedLatch(t *testing.T) {
 func TestAdmissionUnlimitedCollectorUnchanged(t *testing.T) {
 	// The zero config has no admission control: everything is admitted
 	// and nothing is counted against the new reasons.
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 	for seq := uint64(1); seq <= 20; seq++ {

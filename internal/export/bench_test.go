@@ -14,7 +14,7 @@ import (
 // Compare with the assertion package's BenchmarkJSONLSink to see what the
 // network hop costs.
 func BenchmarkHTTPSinkLoopback(b *testing.B) {
-	c := NewCollector(0)
+	c := openCollector(b, CollectorConfig{})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
@@ -42,7 +42,7 @@ func BenchmarkHTTPSinkLoopback(b *testing.B) {
 // BenchmarkCollectorIngest measures the server side alone: applying an
 // already-decoded batch to the backing recorder.
 func BenchmarkCollectorIngest(b *testing.B) {
-	c := NewCollector(100000)
+	c := openCollector(b, CollectorConfig{Retain: 100000})
 	batch := Batch{Version: WireVersion, Source: "bench", Violations: make([]assertion.Violation, 256)}
 	for i := range batch.Violations {
 		batch.Violations[i] = assertion.Violation{Assertion: "bench", Stream: "cam-0", SampleIndex: i, Severity: 1}
@@ -107,7 +107,7 @@ func BenchmarkBatchCodec(b *testing.B) {
 func BenchmarkCollectorFanIn(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			c := NewCollectorConfig(CollectorConfig{Retain: 100000, Shards: shards})
+			c := openCollector(b, CollectorConfig{Retain: 100000, Shards: shards})
 			defer c.Close()
 			var sources atomic.Int64
 			b.RunParallel(func(pb *testing.PB) {

@@ -58,9 +58,10 @@ const (
 	binMaxPayload = 256 << 20
 )
 
-// ErrBinaryFrame reports a structurally invalid binary frame: bad magic,
-// torn or truncated body, CRC mismatch, unknown flags, or payload bytes
-// left over after the batch. Version-window violations are ErrWireVersion
+// ErrBinaryFrame reports an invalid binary frame: bad magic, torn or
+// truncated body, CRC mismatch, unknown flags, payload bytes left over
+// after the batch, or a non-finite Time/Severity (which AppendBatch never
+// writes). Version-window violations are ErrWireVersion
 // instead, so receivers can count the two causes apart.
 var ErrBinaryFrame = errors.New("export: malformed binary frame")
 
@@ -156,9 +157,9 @@ func isJSONFloat(f float64) bool {
 }
 
 // DecodeBatch decodes one complete frame. Structural failures (torn or
-// truncated frames, trailing bytes, CRC mismatch, unknown flags) wrap
-// ErrBinaryFrame and never yield a partial batch; an out-of-window
-// version wraps ErrWireVersion.
+// truncated frames, trailing bytes, CRC mismatch, unknown flags) and
+// non-finite floats wrap ErrBinaryFrame and never yield a partial batch;
+// an out-of-window version wraps ErrWireVersion.
 func (c *BinaryCodec) DecodeBatch(data []byte) (Batch, error) {
 	if len(data) < binHeaderLen {
 		return Batch{}, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrBinaryFrame, len(data), binHeaderLen)
@@ -318,6 +319,11 @@ func (d *binDecoder) decodePayload(p []byte) (Batch, error) {
 		v.Time = math.Float64frombits(binary.LittleEndian.Uint64(p))
 		v.Severity = math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
 		p = p[16:]
+		if !isJSONFloat(v.Time) || !isJSONFloat(v.Severity) {
+			// The encoder's rule, enforced on frames built outside this
+			// process: what no JSON body can carry, no binary frame may.
+			return Batch{}, fmt.Errorf("%w: non-finite time or severity in violation %d", ErrBinaryFrame, i)
+		}
 		if sv, p, err = binReadVarint(p, "ingest_unix"); err != nil {
 			return Batch{}, err
 		}

@@ -1,7 +1,9 @@
 package export
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"testing"
@@ -20,12 +22,15 @@ import (
 // round trip is lossless (valid UTF-8 strings; JSON replaces invalid
 // bytes with U+FFFD, binary is 8-bit clean) — be deep-equal to it. Torn,
 // truncated, bit-flipped and trailing-garbage frames must all error
-// without yielding a partial batch.
+// without yielding a partial batch. A last leg hand-builds a CRC-valid
+// frame around arbitrary float bits (ingest and observed, reinterpreted):
+// every frame DecodeBatch accepts, AppendBatchJSON can encode.
 func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add("edge-0", uint64(0), 0, "a", "s", 1.5, 2.5, int64(0), int64(0), WireVersion, false, uint16(0), uint16(0))
 	f.Add("", uint64(1), 2, "flicker", "", 1e-7, 1e21, int64(77), int64(1753800000_000000000), MinWireVersion, true, uint16(9), uint16(3))
 	f.Add("host-1-abc", uint64(1<<63), 1, "日本語", "<&>", -1.0, 0.0, int64(-1), int64(-5), WireVersion+1, false, uint16(1), uint16(50))
 	f.Add("bad\xffsource", uint64(3), 3, "n", "s", math.Inf(1), 1.0, int64(5), int64(9), 0, true, uint16(100), uint16(14))
+	f.Add("edge-1", uint64(4), 1, "a", "s", 0.5, 1.0, int64(math.Float64bits(math.NaN())), int64(math.Float64bits(math.Inf(-1))), WireVersion, false, uint16(0), uint16(0))
 	f.Fuzz(func(t *testing.T, source string, seq uint64, nViolations int, name, stream string,
 		tm, sev float64, ingest, observed int64, version int, compress bool, cut, flip uint16) {
 		version &= 0xFF // stay inside the one-byte frame field; exercises out-of-window values too
@@ -108,5 +113,46 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if _, err := codec.DecodeBatch(append(append([]byte(nil), frame...), 0xAA)); !errors.Is(err, ErrBinaryFrame) {
 			t.Fatalf("trailing byte: err = %v, want ErrBinaryFrame", err)
 		}
+		// Float bits a sender outside this process chose: the decoder
+		// takes exactly the values the encoders would have written.
+		if len(b.Violations) > 0 {
+			wild := b
+			wild.Violations = append([]assertion.Violation(nil), b.Violations...)
+			wild.Violations[len(wild.Violations)-1].Time = math.Float64frombits(uint64(ingest))
+			wild.Violations[0].Severity = math.Float64frombits(uint64(observed))
+			got, err := codec.DecodeBatch(rawBinaryFrame(wild))
+			if err == nil {
+				if _, err := AppendBatchJSON(nil, got); err != nil {
+					t.Fatalf("DecodeBatch accepted a frame AppendBatchJSON cannot encode: %v", err)
+				}
+			} else if !errors.Is(err, ErrBinaryFrame) {
+				t.Fatalf("wild floats: err = %v, want ErrBinaryFrame", err)
+			}
+		}
 	})
+}
+
+// rawBinaryFrame hand-builds an uncompressed, CRC-valid frame around b the
+// way a sender outside this process could: appendBinaryPayload's layout
+// with none of AppendBatch's checks.
+func rawBinaryFrame(b Batch) []byte {
+	p := binary.AppendUvarint(nil, uint64(len(b.Source)))
+	p = append(p, b.Source...)
+	p = binary.AppendUvarint(p, b.Seq)
+	p = binary.AppendUvarint(p, uint64(len(b.Violations))+1)
+	for _, v := range b.Violations {
+		p = binary.AppendUvarint(p, uint64(len(v.Assertion)))
+		p = append(p, v.Assertion...)
+		p = binary.AppendUvarint(p, uint64(len(v.Stream)))
+		p = append(p, v.Stream...)
+		p = binary.AppendVarint(p, int64(v.SampleIndex))
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v.Time))
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v.Severity))
+		p = binary.AppendVarint(p, v.IngestUnix)
+		p = binary.AppendVarint(p, v.ObservedUnixNano)
+	}
+	frame := append([]byte(binMagic), byte(b.Version), 0)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(p)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(p, binCastagnoli))
+	return append(frame, p...)
 }

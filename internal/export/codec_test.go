@@ -226,7 +226,7 @@ func fixFrameHeader(frame []byte) {
 }
 
 func TestCollectorIngestsBinaryContentType(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -281,7 +281,7 @@ func TestCollectorIngestsBinaryContentType(t *testing.T) {
 }
 
 func TestCollectorIngest415ForUnknownContentType(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -308,7 +308,7 @@ func TestCollectorIngest415ForUnknownContentType(t *testing.T) {
 }
 
 func TestCollectorAcceptWireRestrictsCodecs(t *testing.T) {
-	c := NewCollectorConfig(CollectorConfig{AcceptWire: []string{CodecJSON}})
+	c := openCollector(t, CollectorConfig{AcceptWire: []string{CodecJSON}})
 	defer c.Close()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -352,7 +352,7 @@ func TestOpenCollectorRejectsUnknownAcceptWire(t *testing.T) {
 }
 
 func TestCollectorCountsRejectionsByReason(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -404,7 +404,7 @@ func getMetrics(t *testing.T, baseURL string) string {
 
 func TestHTTPSinkBinaryWireDeliversToCollector(t *testing.T) {
 	for _, compress := range []bool{false, true} {
-		c := NewCollector(0)
+		c := openCollector(t, CollectorConfig{})
 		srv := httptest.NewServer(c.Handler())
 		sink, err := NewHTTPSink(HTTPSinkConfig{
 			BaseURL: srv.URL, Source: "edge-bin", Wire: CodecBinary, Compress: compress,
@@ -441,7 +441,7 @@ func TestHTTPSinkFallsBackToJSONOn415(t *testing.T) {
 	// parseable accepted-codecs body) makes the sink latch onto JSON and
 	// re-send the same batch under the same seq — delivery stays
 	// exactly-once, nothing is dropped.
-	c := NewCollectorConfig(CollectorConfig{AcceptWire: []string{CodecJSON}})
+	c := openCollector(t, CollectorConfig{AcceptWire: []string{CodecJSON}})
 	defer c.Close()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -478,7 +478,7 @@ func TestHTTPSinkFallsBackToJSONOn400FromLegacyCollector(t *testing.T) {
 	// A pre-codec collector has no Content-Type dispatch: it JSON-parses
 	// whatever arrives and answers 400 for a binary frame. The sink must
 	// read that as "codec refused" and renegotiate down to JSON.
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
 	legacy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		b, err := DecodeBatch(http.MaxBytesReader(w, r.Body, maxIngestBytes))

@@ -8,6 +8,7 @@ import (
 	"mime"
 	"net/http"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,8 +36,8 @@ type CollectorConfig struct {
 	// Shards is the number of independent ingest shards. Batches route
 	// by Source over the same FNV-1a seam MonitorPool uses for streams
 	// (assertion.ShardFor), so concurrent senders land on different
-	// recorders instead of contending on one ring mutex. 0 or 1 keeps
-	// the single-recorder layout.
+	// stores instead of contending on one mutex. 0 or 1 keeps the
+	// single-shard layout.
 	Shards int
 	// RetainAge evicts retained violations older than this — measured
 	// from collector ingest time — at each compaction (0 = no age
@@ -58,8 +59,7 @@ type CollectorConfig struct {
 	// Store selects the violation storage backend: "" or "mem" keeps the
 	// in-memory rings; "disk" puts every shard on an on-disk
 	// store.SegmentStore under DataDir, making violations, statistics and
-	// dedup marks survive a crash exactly. Only OpenCollector honours
-	// this field — NewCollectorConfig always builds the in-memory layout.
+	// dedup marks survive a crash exactly.
 	Store string
 	// DataDir is the disk backend's data directory (required when Store
 	// is "disk"): shard-N subdirectories hold each shard's segments, and
@@ -79,9 +79,8 @@ type CollectorConfig struct {
 	// ("json", "binary"). Empty accepts every registered codec. A request
 	// whose Content-Type maps to no accepted codec is answered 415 with a
 	// JSON body listing the accepted content types, which is what lets an
-	// HTTPSink fall back to JSON against a JSON-only collector. Unknown
-	// names here are an error in OpenCollector and are skipped by
-	// NewCollectorConfig (which has no error return).
+	// HTTPSink fall back to JSON against a JSON-only collector. An unknown
+	// name is an OpenCollector error.
 	AcceptWire []string
 	// RateLimitBytes is the per-source ingest byte budget in bytes/second
 	// (0 = unlimited). Each source draws request bodies from its own
@@ -114,10 +113,10 @@ type CollectorConfig struct {
 // batches from any number of edge monitors and serves aggregate and
 // per-violation queries over HTTP. Ingest is sharded by batch source
 // (CollectorConfig.Shards), so concurrent senders append to independent
-// recorders; every read path — Summary, Violations, the query endpoint,
+// stores; every read path — Summary, Violations, the query endpoint,
 // snapshots — presents the merged view. It deduplicates retried batches
 // by (source, seq) — the receiver half of the exactly-once contract
-// HTTPSink's sequence numbers set up — and its whole state (recorders +
+// HTTPSink's sequence numbers set up — and its whole state (shard stores +
 // dedup marks + counters) snapshots to disk and back, so a restarted
 // collector resumes where it stopped. A retention policy (RetainAge,
 // RetainPerAssertion) ages out the queryable log without touching the
@@ -125,8 +124,10 @@ type CollectorConfig struct {
 // SSE subscribers. It is safe for concurrent use; Close stops the
 // retention janitor, ends tail streams and settles the attached sink.
 type Collector struct {
-	cfg  CollectorConfig
-	recs []*assertion.Recorder // one per shard, routed by batch source
+	cfg CollectorConfig
+	// shards holds one store per ingest shard, routed by batch source:
+	// MemStores, or SegmentStores under DataDir for the disk backend.
+	shards []assertion.ViolationStore
 
 	mu      sync.Mutex
 	sources map[string]*sourceState
@@ -141,7 +142,7 @@ type Collector struct {
 
 	// Overload-protection state: per-source token buckets (RateLimitBytes),
 	// the admitted-request count (MaxInflight), and the latched degraded
-	// flag a failed store sync flips — see admission.go.
+	// flag a failed store write flips — see admission.go.
 	bucketsMu    sync.Mutex
 	buckets      map[string]*tokenBucket
 	inflight     atomic.Int64
@@ -165,12 +166,14 @@ type Collector struct {
 	codecs    map[string]BatchCodec
 	acceptCTs []string
 
-	sinkMu sync.Mutex
-	sink   assertion.Sink
+	// sink is the attached -log tee (nil without one); logRefused counts
+	// the violations it refused at Record time.
+	sinkMu     sync.Mutex
+	sink       assertion.Sink
+	logRefused atomic.Int64
 
-	// Disk backend state (nil/zero for in-memory collectors): the
-	// per-shard stores, and the dedup-marks write-ahead log.
-	stores     []assertion.ViolationStore
+	// The disk backend's dedup-marks write-ahead log (nil for in-memory
+	// collectors).
 	marks      *os.File
 	marksMu    sync.Mutex
 	marksBytes int64
@@ -191,39 +194,28 @@ type sourceState struct {
 	lastSeq atomic.Uint64 // high-water mark of fully applied batches
 }
 
-// NewCollector returns a single-shard collector retaining at most limit
-// violations in memory (0 = unbounded) — shorthand for
-// NewCollectorConfig(CollectorConfig{Retain: limit}).
-func NewCollector(limit int) *Collector {
-	return NewCollectorConfig(CollectorConfig{Retain: limit})
-}
-
-// NewCollectorConfig returns a collector shaped by cfg, starting the
-// retention janitor when a retention bound is set. Call Close when done.
-// The recorders always sit on in-memory stores; use OpenCollector for
-// cfg.Store selection (the disk backend can fail to open, so its
-// constructor returns an error).
-func NewCollectorConfig(cfg CollectorConfig) *Collector {
-	c := newCollectorBase(&cfg)
-	per := perShard(cfg.Retain, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		c.recs = append(c.recs, assertion.NewRecorder(per))
+// OpenCollector returns a collector shaped by cfg — the only constructor.
+// With Store "" / "mem" every shard is an in-memory ring; with "disk" each
+// shard is a store.SegmentStore in its own shard-N subdirectory of
+// DataDir, beside a dedup-marks log and the label state file, which
+// together recover the collector's exact state — violations, statistics,
+// dedup high-water marks, request counters, the label loop — after a
+// crash. A configuration the collector cannot honour (unknown Store, disk
+// without DataDir, unknown AcceptWire codec or label selector, unreadable
+// label state) is an error on either backend. Call Close when done.
+//
+// Restarting with a different Shards count over the same DataDir is not
+// supported: each shard owns its subdirectory.
+func OpenCollector(cfg CollectorConfig) (*Collector, error) {
+	switch cfg.Store {
+	case "", StoreMem:
+	case StoreDisk:
+		if cfg.DataDir == "" {
+			return nil, errors.New("export: the disk store backend requires DataDir")
+		}
+	default:
+		return nil, fmt.Errorf("export: unknown store backend %q (want %q or %q)", cfg.Store, StoreMem, StoreDisk)
 	}
-	var err error
-	if c.labels, err = labelsvc.New(c, c.cfg.Labels); err != nil {
-		// This constructor has no error return: an invalid label config
-		// (unknown selector, unreadable state file) falls back to the
-		// default loop. OpenCollector surfaces the same error instead.
-		c.labels, _ = labelsvc.New(c, labelsvc.Config{})
-	}
-	c.startJanitor()
-	return c
-}
-
-// newCollectorBase normalises cfg and builds the collector shell —
-// everything except the per-shard recorders and the janitor, which the
-// backend-specific constructors add.
-func newCollectorBase(cfg *CollectorConfig) *Collector {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
@@ -240,7 +232,7 @@ func newCollectorBase(cfg *CollectorConfig) *Collector {
 		cfg.RateBurstBytes = cfg.RateLimitBytes
 	}
 	c := &Collector{
-		cfg:     *cfg,
+		cfg:     cfg,
 		sources: make(map[string]*sourceState),
 		buckets: make(map[string]*tokenBucket),
 		tail:    newTailHub(cfg.TailBuffer),
@@ -254,7 +246,9 @@ func newCollectorBase(cfg *CollectorConfig) *Collector {
 	for _, name := range names {
 		codec, err := Codec(name)
 		if err != nil {
-			continue // OpenCollector validates loudly before we get here
+			// A typo'd -wire-accept fails loudly instead of silently
+			// narrowing ingest.
+			return nil, err
 		}
 		ct := strings.ToLower(codec.ContentType())
 		if _, dup := c.codecs[ct]; !dup {
@@ -263,27 +257,29 @@ func newCollectorBase(cfg *CollectorConfig) *Collector {
 		}
 	}
 	sort.Strings(c.acceptCTs)
-	return c
-}
 
-// validateAcceptWire resolves every AcceptWire name, so a typo'd
-// -wire-accept flag fails loudly instead of silently narrowing ingest.
-func validateAcceptWire(names []string) error {
-	for _, name := range names {
-		if _, err := Codec(name); err != nil {
-			return err
-		}
+	if err := c.openShards(); err != nil {
+		c.closeStores()
+		return nil, err
 	}
-	return nil
-}
-
-// startJanitor launches the retention janitor when a retention bound is
-// configured.
-func (c *Collector) startJanitor() {
-	if c.cfg.RetainAge > 0 || c.cfg.RetainPerAssertion > 0 {
+	labelsCfg := cfg.Labels
+	if c.durable() && labelsCfg.StatePath == "" {
+		// The label loop's state file lives beside the shards so selector
+		// state, leases and labels recover with the violations they rank.
+		labelsCfg.StatePath = filepath.Join(cfg.DataDir, labelsName)
+	}
+	labels, err := labelsvc.New(c, labelsCfg)
+	if err != nil {
+		c.closeStores()
+		return nil, err
+	}
+	c.labels = labels
+	c.ingested.Store(int64(c.TotalFired()))
+	if cfg.RetainAge > 0 || cfg.RetainPerAssertion > 0 {
 		c.janitor.Add(1)
 		go c.runJanitor()
 	}
+	return c, nil
 }
 
 // perShard splits a global bound across shards, rounding up so the
@@ -306,25 +302,35 @@ func (c *Collector) sourceState(source string) *sourceState {
 	return st
 }
 
-// recFor routes a batch source to its shard's recorder.
-func (c *Collector) recFor(source string) *assertion.Recorder {
-	return c.recs[assertion.ShardFor(source, len(c.recs))]
-}
-
 // NumShards returns the number of ingest shards.
-func (c *Collector) NumShards() int { return len(c.recs) }
+func (c *Collector) NumShards() int { return len(c.shards) }
 
 // AttachSink tees every ingested violation into s — e.g. a durable JSONL
-// log beside the queryable in-memory state. Every shard's recorder shares
-// the one backend, and the collector takes ownership: Close flushes and
-// closes it.
+// log beside the queryable state. The collector takes ownership: Close
+// flushes and closes it.
 func (c *Collector) AttachSink(s assertion.Sink) {
 	c.sinkMu.Lock()
 	c.sink = s
 	c.sinkMu.Unlock()
-	for _, r := range c.recs {
-		r.ShareSink(s)
+}
+
+// logSink returns the attached tee, if any.
+func (c *Collector) logSink() assertion.Sink {
+	c.sinkMu.Lock()
+	defer c.sinkMu.Unlock()
+	return c.sink
+}
+
+// LogTeeDropped returns how many ingested violations the attached tee has
+// lost: the sink's own drop count (write errors, bounded backends) plus
+// the violations it refused at Record time — an ingest racing or
+// following Close included, since the closed sink stays attached.
+func (c *Collector) LogTeeDropped() int64 {
+	n := c.logRefused.Load()
+	if dc, ok := c.logSink().(assertion.DropCounter); ok {
+		n += dc.Dropped()
 	}
+	return n
 }
 
 // Quiesce stops the retention janitor and ends live-tail streams, but
@@ -342,7 +348,7 @@ func (c *Collector) Quiesce() {
 	})
 }
 
-// Close quiesces the collector (janitor, tail streams), detaches and
+// Close quiesces the collector (janitor, tail streams), flushes and
 // closes the attached sink (if any), and — for a disk-backed collector —
 // checkpoints and closes the shard stores and the marks log, returning
 // the first error. An in-memory collector remains usable for ingest and
@@ -353,20 +359,8 @@ func (c *Collector) Close() error {
 	c.Quiesce()
 	var err error
 	c.closeOnce.Do(func() {
-		c.sinkMu.Lock()
-		s := c.sink
-		c.sink = nil
-		c.sinkMu.Unlock()
-		if s != nil {
-			for _, r := range c.recs {
-				r.ShareSink(nil) // detach (and flush) before the close below
-				if e := r.Err(); err == nil {
-					err = e
-				}
-			}
-			if e := s.Close(); err == nil {
-				err = e
-			}
+		if s := c.logSink(); s != nil {
+			err = s.Close()
 		}
 		if e := c.labels.Close(); err == nil {
 			err = e
@@ -392,14 +386,15 @@ func (c *Collector) Ingest(b Batch) (accepted int, duplicate bool) {
 	return accepted, duplicate
 }
 
-// ingestChecked is Ingest plus the durability verdict: a non-nil error
-// means the batch's violations reached the memory mirror but NOT stable
-// storage (the store just latched degraded), and — critically — the
-// source's dedup mark was not advanced. The HTTP path answers 503 then,
-// so the sender retries the same sequence number and a healed (restarted)
+// ingestChecked is Ingest plus the store's verdict: a non-nil error means
+// the shard store refused a violation or failed to flush the batch (the
+// collector just latched degraded), and — critically — the source's
+// dedup mark was not advanced. The HTTP path answers 503 then, so the
+// sender retries the same sequence number and a healed (restarted)
 // collector applies it durably exactly once. Acking it instead would
-// trade that retry for silent loss: the pending buffer holding the
-// violations dies with the degraded process.
+// trade that retry for silent loss: whatever the store did keep lives in
+// a memory mirror and a pending buffer that die with the degraded
+// process.
 func (c *Collector) ingestChecked(b Batch) (accepted int, duplicate bool, err error) {
 	if b.Source == "" || b.Seq == 0 {
 		n, err := c.apply(b)
@@ -429,19 +424,23 @@ func (c *Collector) ingestChecked(b Batch) (accepted int, duplicate bool, err er
 	return accepted, false, nil
 }
 
-// apply records a batch's violations on its source's shard, stamps their
-// ingest time (the retention clock), publishes them to tail subscribers
-// and updates the counters. The returned error is the shard store's sync
-// failure, if any: the violations are then in the memory mirror but not
-// durable, and the collector has latched degraded.
+// apply appends a batch's violations to its source's shard store, stamps
+// their ingest time (the retention clock), tees them to the attached sink,
+// publishes them to tail subscribers and updates the counters. It returns
+// how many violations the store took and the store's first failure, which
+// latches the collector degraded: a refused Append ends the batch there,
+// and a failed Sync leaves all of it in the memory mirror but not durable.
 func (c *Collector) apply(b Batch) (int, error) {
-	rec := c.recFor(b.Source)
+	st := c.shards[assertion.ShardFor(b.Source, len(c.shards))]
+	sink := c.logSink()
 	now := time.Now()
 	nowUnix := now.Unix()
 	nowNano := now.UnixNano()
 	// The per-source age child is resolved at most once per batch, off
 	// the per-violation loop.
 	var age *obs.Histogram
+	applied := 0
+	var err error
 	for _, v := range b.Violations {
 		if v.ObservedUnixNano > 0 {
 			if age == nil {
@@ -451,33 +450,38 @@ func (c *Collector) apply(b Batch) (int, error) {
 			age.Record(time.Duration(nowNano - v.ObservedUnixNano))
 		}
 		v.IngestUnix = nowUnix
-		rec.Record(v)
+		if err = st.Append(v); err != nil {
+			break
+		}
+		applied++
+		if sink != nil && sink.Record(v) != nil {
+			c.logRefused.Add(1)
+		}
 		c.tail.publish(v)
 		c.publishWeakLabel(v)
 	}
-	var syncErr error
-	if c.durable() {
-		// One write syscall flushes the whole batch to the OS: after the
-		// acknowledgement below, these violations survive a process
-		// crash. A failed flush (ENOSPC, dying disk) latches the
-		// collector degraded — this batch is then rejected (not acked,
-		// not marked applied), because its violations live only in the
-		// memory mirror and a pending buffer the degraded process takes
-		// to its grave; the sender's retry re-delivers them to a healed
-		// collector — and every later ingest is rejected with reason
-		// "store_degraded" up front.
-		if syncErr = rec.SyncStore(); syncErr != nil {
-			c.degrade(syncErr)
-		}
+	if err == nil {
+		// For a disk shard, one write syscall flushes the whole batch to
+		// the OS: after the acknowledgement, these violations survive a
+		// process crash.
+		err = st.Sync()
 	}
+	// A store failure (a violation it cannot encode, ENOSPC, a dying disk)
+	// latches the collector degraded — this batch is then rejected (not
+	// acked, not marked applied), because whatever of it the store holds
+	// lives only in the memory mirror and a pending buffer the degraded
+	// process takes to its grave; the sender's retry re-delivers it to a
+	// healed collector — and every later ingest is rejected with reason
+	// "store_degraded" up front.
+	c.degrade(err)
 	// The label service learns about the batch only after every violation
 	// has landed on the shard (and, for disk shards, synced): its
 	// stream→source bindings then persist before the sender sees the ack,
 	// so a post-crash revival knows every acked stream's source.
-	c.labels.ObserveBatch(b.Source, b.Violations)
+	c.labels.ObserveBatch(b.Source, b.Violations[:applied])
 	c.batches.Add(1)
-	c.ingested.Add(int64(len(b.Violations)))
-	return len(b.Violations), syncErr
+	c.ingested.Add(int64(applied))
+	return applied, err
 }
 
 // runJanitor applies the retention policy on a timer until Close.
@@ -497,23 +501,32 @@ func (c *Collector) runJanitor() {
 
 // CompactNow applies the retention policy once across every shard and
 // returns how many violations it evicted. It is what the janitor runs on
-// its timer; tests and operators can call it directly.
+// its timer; tests and operators can call it directly. A disk shard that
+// fails the rewrite latches the collector degraded, like any other failed
+// store write.
 func (c *Collector) CompactNow() int {
 	total := 0
 	if c.cfg.RetainAge > 0 {
 		cutoff := time.Now().Add(-c.cfg.RetainAge).Unix()
-		for _, r := range c.recs {
-			total += r.Compact(cutoff, 0)
+		for _, st := range c.shards {
+			total += c.evicted(st.Compact(cutoff, 0))
 		}
 	}
 	if maxPer := c.cfg.RetainPerAssertion; maxPer > 0 {
-		if len(c.recs) == 1 {
-			total += c.recs[0].Compact(0, maxPer)
+		if len(c.shards) == 1 {
+			total += c.evicted(c.shards[0].Compact(0, maxPer))
 		} else {
 			total += c.compactPerAssertion(maxPer)
 		}
 	}
 	return total
+}
+
+// evicted passes a shard compaction's count through and latches the
+// collector degraded on its error.
+func (c *Collector) evicted(n int, err error) int {
+	c.degrade(err)
+	return n
 }
 
 // compactPerAssertion enforces the per-assertion cap globally across
@@ -533,14 +546,14 @@ func (c *Collector) compactPerAssertion(maxPer int) int {
 		ingest int64
 	}
 	perAssertion := make(map[string][]slot)
-	for si, r := range c.recs {
-		vs := r.Violations() // oldest -> newest
+	for si, st := range c.shards {
+		vs := st.Query(assertion.StoreQuery{}) // oldest -> newest
 		for i := len(vs) - 1; i >= 0; i-- {
 			v := vs[i]
 			perAssertion[v.Assertion] = append(perAssertion[v.Assertion], slot{si, v.IngestUnix})
 		}
 	}
-	budgets := make([]map[string]int, len(c.recs))
+	budgets := make([]map[string]int, len(c.shards))
 	for name, slots := range perAssertion {
 		if len(slots) <= maxPer {
 			continue // under the cap: no budget, untouched
@@ -548,7 +561,7 @@ func (c *Collector) compactPerAssertion(maxPer int) int {
 		// Newest first; the per-shard lists were appended newest-first, so
 		// stability keeps arrival order among same-second ties.
 		sort.SliceStable(slots, func(i, j int) bool { return slots[i].ingest > slots[j].ingest })
-		for si := range c.recs {
+		for si := range c.shards {
 			if budgets[si] == nil {
 				budgets[si] = make(map[string]int)
 			}
@@ -559,9 +572,9 @@ func (c *Collector) compactPerAssertion(maxPer int) int {
 		}
 	}
 	total := 0
-	for si, r := range c.recs {
+	for si, st := range c.shards {
 		if len(budgets[si]) > 0 {
-			total += r.CompactBudgets(budgets[si])
+			total += c.evicted(st.CompactBudgets(budgets[si]))
 		}
 	}
 	return total
@@ -572,8 +585,8 @@ func (c *Collector) compactPerAssertion(maxPer int) int {
 // evictions restored from a snapshot).
 func (c *Collector) RetentionEvicted() int64 {
 	var n int64
-	for _, r := range c.recs {
-		n += r.Compacted()
+	for _, st := range c.shards {
+		n += st.Compacted()
 	}
 	return n
 }
@@ -582,8 +595,8 @@ func (c *Collector) RetentionEvicted() int64 {
 // across shards. It is complete regardless of retention and log bounds.
 func (c *Collector) TotalFired() int {
 	total := 0
-	for _, r := range c.recs {
-		total += r.TotalFired()
+	for _, st := range c.shards {
+		total += st.TotalFired()
 	}
 	return total
 }
@@ -591,9 +604,9 @@ func (c *Collector) TotalFired() int {
 // Summary returns per-assertion firing counts merged across shards.
 func (c *Collector) Summary() map[string]int {
 	out := make(map[string]int)
-	for _, r := range c.recs {
-		for name, n := range r.Summary() {
-			out[name] += n
+	for _, st := range c.shards {
+		for name, stats := range st.StatsAll() {
+			out[name] += stats.Fired
 		}
 	}
 	return out
@@ -609,13 +622,13 @@ func (c *Collector) Summary() map[string]int {
 // limited query merges at most Limit violations per shard, never the
 // retained log.
 func (c *Collector) Query(q assertion.StoreQuery) []assertion.Violation {
-	if len(c.recs) == 1 {
-		return c.recs[0].Query(q)
+	if len(c.shards) == 1 {
+		return c.shards[0].Query(q)
 	}
 	q.ByKey = true
 	var out []assertion.Violation
-	for _, r := range c.recs {
-		out = append(out, r.Query(q)...)
+	for _, st := range c.shards {
+		out = append(out, st.Query(q)...)
 	}
 	assertion.SortViolations(out)
 	if q.Limit > 0 && len(out) > q.Limit {
@@ -640,13 +653,13 @@ func (c *Collector) ByAssertion(name string) []assertion.Violation {
 // logs have evicted (overflow, not retention), summed across shards.
 func (c *Collector) LogDropped() int {
 	n := 0
-	for _, r := range c.recs {
-		n += r.Dropped()
+	for _, st := range c.shards {
+		n += int(st.Dropped())
 	}
 	return n
 }
 
-// Snapshot captures the collector's state — per-shard recorders plus
+// Snapshot captures the collector's state — per-shard store exports plus
 // dedup marks and counters — in wire form. A single-shard collector
 // fills the legacy Recorder field; a sharded one fills Recorders (one
 // snapshot per shard, so a same-shape restart restores shard-for-shard)
@@ -675,12 +688,12 @@ func (c *Collector) Snapshot() Snapshot {
 	}
 	labels := c.labels.StateSnapshot()
 	s.Labels = &labels
-	if len(c.recs) == 1 {
-		s.Recorder = c.recs[0].Snapshot()
+	if len(c.shards) == 1 {
+		s.Recorder = c.shards[0].Export()
 	} else {
-		s.Recorders = make([]assertion.RecorderSnapshot, 0, len(c.recs))
-		for _, r := range c.recs {
-			s.Recorders = append(s.Recorders, r.Snapshot())
+		s.Recorders = make([]assertion.RecorderSnapshot, 0, len(c.shards))
+		for _, st := range c.shards {
+			s.Recorders = append(s.Recorders, st.Export())
 		}
 		s.Recorder = assertion.MergeRecorderSnapshots(s.Recorders...)
 	}
@@ -701,15 +714,16 @@ func (c *Collector) Snapshot() Snapshot {
 // segments are authoritative; a legacy violations-bearing snapshot still
 // migrates in), and dedup marks and counters keep whichever value is
 // higher — a stale snapshot file can never roll the recovered state
-// back.
+// back. A shard store that fails to take its part latches the collector
+// degraded.
 func (c *Collector) Restore(s Snapshot) {
 	switch {
-	case len(s.Recorders) == len(c.recs):
-		for i, r := range c.recs {
-			r.RestoreSnapshot(s.Recorders[i])
+	case len(s.Recorders) == len(c.shards):
+		for i, st := range c.shards {
+			c.degrade(st.Replace(s.Recorders[i]))
 		}
-	case len(s.Recorders) == 0 && len(c.recs) == 1:
-		c.recs[0].RestoreSnapshot(s.Recorder)
+	case len(s.Recorders) == 0 && len(c.shards) == 1:
+		c.degrade(c.shards[0].Replace(s.Recorder))
 	default:
 		merged := s.Recorder
 		if len(s.Recorders) > 0 {
@@ -767,16 +781,16 @@ func (c *Collector) Restore(s Snapshot) {
 // violation), statistics and eviction counters land on shard 0 — the
 // merged read views are identical either way.
 func (c *Collector) redistribute(m assertion.RecorderSnapshot) {
-	parts := make([]assertion.RecorderSnapshot, len(c.recs))
+	parts := make([]assertion.RecorderSnapshot, len(c.shards))
 	parts[0].Stats = m.Stats
 	parts[0].LogDropped = m.LogDropped
 	parts[0].Compacted = m.Compacted
 	for _, v := range m.Violations {
-		i := assertion.ShardFor(v.Stream, len(c.recs))
+		i := assertion.ShardFor(v.Stream, len(c.shards))
 		parts[i].Violations = append(parts[i].Violations, v)
 	}
-	for i, r := range c.recs {
-		r.RestoreSnapshot(parts[i])
+	for i, st := range c.shards {
+		c.degrade(st.Replace(parts[i]))
 	}
 }
 
@@ -1046,7 +1060,7 @@ func (c *Collector) handleSummary(w http.ResponseWriter, _ *http.Request) {
 		DuplicateBatches: c.duplicates.Load(),
 		Rejected:         c.rejected.Load(),
 		Sources:          sources,
-		Shards:           len(c.recs),
+		Shards:           len(c.shards),
 		LogDropped:       c.LogDropped(),
 		RetentionEvicted: c.RetentionEvicted(),
 	}
@@ -1127,8 +1141,9 @@ func (c *Collector) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	counter("omg_collector_retention_evictions_total", "Violations evicted from the queryable log by the retention policy.", c.RetentionEvicted())
 	counter("omg_collector_tail_dropped_total", "Tail events dropped because a subscriber's buffer was full.", c.tail.droppedTotal())
+	counter("omg_collector_log_dropped_total", "Ingested violations the attached -log sink refused or dropped.", c.LogTeeDropped())
 	gauge("omg_collector_tail_clients", "Connected live-tail subscribers.", c.tail.clientCount())
-	gauge("omg_collector_shards", "Ingest shards.", int64(len(c.recs)))
+	gauge("omg_collector_shards", "Ingest shards.", int64(len(c.shards)))
 	degraded := int64(0)
 	if c.degraded.Load() {
 		degraded = 1

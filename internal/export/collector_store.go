@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 
 	"omg/internal/assertion"
-	"omg/internal/bandit"
-	"omg/internal/labelsvc"
 	"omg/internal/store"
 )
 
@@ -47,80 +45,40 @@ type markLine struct {
 	Rej     int64  `json:"rej,omitempty"`
 }
 
-// OpenCollector returns a collector shaped by cfg, honouring the storage
-// backend selection: with Store "" / "mem" it is NewCollectorConfig, and
-// with "disk" each shard's recorder sits on an on-disk
-// store.SegmentStore under DataDir (one shard-N subdirectory each), plus
-// a dedup-marks log, both of which recover the collector's exact state —
-// violations, statistics, dedup high-water marks and request counters —
-// after a crash. Call Close when done; for the disk backend Close also
-// checkpoints and closes the stores.
-//
-// Restarting with a different Shards count over the same DataDir is not
-// supported: each shard owns its subdirectory.
-func OpenCollector(cfg CollectorConfig) (*Collector, error) {
-	if err := validateAcceptWire(cfg.AcceptWire); err != nil {
-		return nil, err
-	}
-	switch cfg.Store {
-	case "", StoreMem:
-		// Unlike NewCollectorConfig (which silently falls back), surface a
-		// bad label-selector name so a typo'd flag fails loudly.
-		if _, err := bandit.NewRoundSelector(cfg.Labels.Selector, 0); err != nil {
-			return nil, err
+// openShards opens one store per shard: in-memory rings splitting
+// cfg.Retain between them, or — for the disk backend — a SegmentStore per
+// shard-N subdirectory of DataDir plus the dedup-marks log.
+func (c *Collector) openShards() error {
+	for i := 0; i < c.cfg.Shards; i++ {
+		if !c.durable() {
+			c.shards = append(c.shards, assertion.NewMemStore(perShard(c.cfg.Retain, c.cfg.Shards)))
+			continue
 		}
-		return NewCollectorConfig(cfg), nil
-	case StoreDisk:
-	default:
-		return nil, fmt.Errorf("export: unknown store backend %q (want %q or %q)", cfg.Store, StoreMem, StoreDisk)
-	}
-	if cfg.DataDir == "" {
-		return nil, errors.New("export: the disk store backend requires DataDir")
-	}
-	c := newCollectorBase(&cfg)
-	for i := 0; i < cfg.Shards; i++ {
 		st, err := store.Open(store.Config{
-			Dir:                  filepath.Join(cfg.DataDir, fmt.Sprintf("shard-%d", i)),
-			SegmentBytes:         cfg.SegmentBytes,
-			FailWritesAfterBytes: cfg.StoreFailAfterBytes,
+			Dir:                  filepath.Join(c.cfg.DataDir, fmt.Sprintf("shard-%d", i)),
+			SegmentBytes:         c.cfg.SegmentBytes,
+			FailWritesAfterBytes: c.cfg.StoreFailAfterBytes,
 		})
 		if err != nil {
-			c.closeStores()
-			return nil, err
+			return err
 		}
-		c.stores = append(c.stores, st)
-		c.recs = append(c.recs, assertion.NewRecorderWithStore(st))
+		c.shards = append(c.shards, st)
 	}
-	if err := c.loadMarks(); err != nil {
-		c.closeStores()
-		return nil, err
+	if c.durable() {
+		return c.loadMarks()
 	}
-	// The label loop's state file lives beside the shards so selector
-	// state, leases and labels recover with the violations they rank.
-	labelsCfg := cfg.Labels
-	if labelsCfg.StatePath == "" {
-		labelsCfg.StatePath = filepath.Join(cfg.DataDir, labelsName)
-	}
-	labels, err := labelsvc.New(c, labelsCfg)
-	if err != nil {
-		c.closeStores()
-		return nil, err
-	}
-	c.labels = labels
-	c.ingested.Store(int64(c.TotalFired()))
-	c.startJanitor()
-	return c, nil
+	return nil
 }
 
 // durable reports whether the collector's shards sit on disk-backed
 // stores.
-func (c *Collector) durable() bool { return len(c.stores) > 0 }
+func (c *Collector) durable() bool { return c.cfg.Store == StoreDisk }
 
 // closeStores closes whatever stores were opened (partial-open cleanup
-// and the Close path).
+// and the Close path; closing a MemStore is a no-op) and the marks log.
 func (c *Collector) closeStores() error {
 	var err error
-	for _, st := range c.stores {
+	for _, st := range c.shards {
 		if e := st.Close(); err == nil {
 			err = e
 		}
@@ -282,8 +240,8 @@ func (c *Collector) rewriteMarksLocked() {
 // the segment and byte counts are zero.
 func (c *Collector) StoreInfo() store.Info {
 	var total store.Info
-	for _, r := range c.recs {
-		info := r.Store().Info()
+	for _, st := range c.shards {
+		info := st.Info()
 		total.Backend = info.Backend
 		total.Entries += info.Entries
 		if info.Backend != "mem" {

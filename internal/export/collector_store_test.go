@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"omg/internal/assertion"
+	"omg/internal/labelsvc"
 )
 
 func diskCollector(t *testing.T, dir string, shards int) *Collector {
@@ -35,6 +36,30 @@ func TestOpenCollectorValidation(t *testing.T) {
 	defer c.Close()
 	if c.durable() {
 		t.Fatal("mem collector claims to be durable")
+	}
+
+	// A configuration the collector cannot honour is an error on either
+	// backend, never a silent fallback.
+	corrupt := filepath.Join(t.TempDir(), "labels.json")
+	if err := os.WriteFile(corrupt, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for backend, base := range backendConfigs(t) {
+		for name, mutate := range map[string]func(*CollectorConfig){
+			"unknown codec":       func(c *CollectorConfig) { c.AcceptWire = []string{CodecJSON, "morse"} },
+			"unknown selector":    func(c *CollectorConfig) { c.Labels = labelsvc.Config{Selector: "coin-flip"} },
+			"corrupt label state": func(c *CollectorConfig) { c.Labels = labelsvc.Config{StatePath: corrupt} },
+			"unreadable label state": func(c *CollectorConfig) {
+				c.Labels = labelsvc.Config{StatePath: filepath.Dir(corrupt)} // a directory
+			},
+		} {
+			cfg := base
+			mutate(&cfg)
+			if c, err := OpenCollector(cfg); err == nil {
+				c.Close()
+				t.Errorf("%s: %s accepted", backend, name)
+			}
+		}
 	}
 }
 
@@ -164,7 +189,7 @@ func TestDiskCollectorMetricsAndSummaryShape(t *testing.T) {
 func TestDiskCollectorLegacySnapshotMigrates(t *testing.T) {
 	// A snapshot written by a mem-backed collector restores into a disk
 	// one: the embedded violations become segments.
-	mem := NewCollector(0)
+	mem := openCollector(t, CollectorConfig{})
 	mem.Ingest(Batch{Source: "s", Seq: 1, Violations: []assertion.Violation{
 		{Assertion: "a", Stream: "x", SampleIndex: 1, Severity: 2},
 		{Assertion: "b", Stream: "y", SampleIndex: 2, Severity: 3},

@@ -24,7 +24,7 @@ func mkBatch(source string, seq uint64, n int) Batch {
 }
 
 func TestCollectorIngestDeduplicates(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	if n, dup := c.Ingest(mkBatch("edge-01", 1, 3)); n != 3 || dup {
 		t.Fatalf("first batch: accepted %d dup %v", n, dup)
 	}
@@ -83,7 +83,7 @@ func getBody(t *testing.T, url string, wantStatus int) []byte {
 }
 
 func TestCollectorHTTPAPI(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
@@ -176,11 +176,11 @@ func TestCollectorHTTPAPI(t *testing.T) {
 }
 
 func TestCollectorSnapshotRestoreKeepsDedup(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	c.Ingest(mkBatch("edge-01", 1, 3))
 	c.Ingest(mkBatch("edge-01", 2, 2))
 
-	restored := NewCollector(0)
+	restored := openCollector(t, CollectorConfig{})
 	restored.Restore(c.Snapshot())
 	if got := restored.TotalFired(); got != 5 {
 		t.Fatalf("restored TotalFired = %d, want 5", got)
@@ -205,7 +205,7 @@ func TestCollectorSnapshotRestoreKeepsDedup(t *testing.T) {
 }
 
 func TestCollectorMetricsEscapesLabels(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	name := "weird\"assertion\\name"
 	c.Ingest(Batch{Version: WireVersion, Violations: []assertion.Violation{{Assertion: name, Severity: 1}}})
 	srv := httptest.NewServer(c.Handler())
@@ -215,4 +215,15 @@ func TestCollectorMetricsEscapesLabels(t *testing.T) {
 	if !strings.Contains(metrics, want) {
 		t.Fatalf("metrics missing escaped label %q:\n%s", want, metrics)
 	}
+}
+
+// openCollector is OpenCollector for tests: a configuration error fails
+// the test.
+func openCollector(t testing.TB, cfg CollectorConfig) *Collector {
+	t.Helper()
+	c, err := OpenCollector(cfg)
+	if err != nil {
+		t.Fatalf("OpenCollector: %v", err)
+	}
+	return c
 }

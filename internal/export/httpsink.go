@@ -585,85 +585,3 @@ type permanentError struct {
 
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
-
-// init plugs the HTTP backend into the assertion package's sink registry,
-// so flag-driven tools can build it by name without importing this
-// package's types. Recognised params: url (required), source, batch,
-// retries, depth, timeout (Go duration), backoff (Go duration), wire
-// (codec name), compress (bool), retry-budget (Go duration),
-// breaker-failures (int), breaker-probe (Go duration).
-func init() {
-	assertion.MustRegisterSinkFactory("http", func(params map[string]string) (assertion.Sink, error) {
-		cfg := HTTPSinkConfig{BaseURL: params["url"], Source: params["source"], Wire: params["wire"]}
-		if v, ok := params["compress"]; ok {
-			b, err := strconv.ParseBool(v)
-			if err != nil {
-				return nil, fmt.Errorf("export: http sink param compress=%q: %w", v, err)
-			}
-			cfg.Compress = b
-		}
-		var err error
-		if cfg.QueueDepth, err = atoiParam(params, "depth"); err != nil {
-			return nil, err
-		}
-		if cfg.BatchMax, err = atoiParam(params, "batch"); err != nil {
-			return nil, err
-		}
-		if v, ok := params["retries"]; ok {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return nil, fmt.Errorf("export: http sink param retries=%q: %w", v, err)
-			}
-			if n < 0 {
-				return nil, fmt.Errorf("export: http sink param retries must be >= 0")
-			}
-			// The param is literal: retries=0 means a single attempt,
-			// which the config spells as a negative count.
-			if n == 0 {
-				cfg.MaxRetries = -1
-			} else {
-				cfg.MaxRetries = n
-			}
-		}
-		if cfg.Timeout, err = durationParam(params, "timeout"); err != nil {
-			return nil, err
-		}
-		if cfg.BaseBackoff, err = durationParam(params, "backoff"); err != nil {
-			return nil, err
-		}
-		if cfg.RetryBudget, err = durationParam(params, "retry-budget"); err != nil {
-			return nil, err
-		}
-		if cfg.BreakerFailures, err = atoiParam(params, "breaker-failures"); err != nil {
-			return nil, err
-		}
-		if cfg.BreakerProbe, err = durationParam(params, "breaker-probe"); err != nil {
-			return nil, err
-		}
-		return NewHTTPSink(cfg)
-	})
-}
-
-func atoiParam(params map[string]string, key string) (int, error) {
-	v, ok := params[key]
-	if !ok {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("export: http sink param %s=%q: %w", key, v, err)
-	}
-	return n, nil
-}
-
-func durationParam(params map[string]string, key string) (time.Duration, error) {
-	v, ok := params[key]
-	if !ok {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return 0, fmt.Errorf("export: http sink param %s=%q: %w", key, v, err)
-	}
-	return d, nil
-}

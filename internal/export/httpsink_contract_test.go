@@ -13,7 +13,7 @@ import (
 // through a total outage, and through the recovery after it. Nothing is
 // double-counted and nothing vanishes into neither bucket.
 func TestHTTPSinkAccountingContract(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
 	inner := c.Handler()
 	var down atomic.Bool

@@ -32,7 +32,7 @@ func recordN(t *testing.T, s assertion.Sink, n int) {
 }
 
 func TestHTTPSinkDeliversToCollector(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
@@ -63,7 +63,7 @@ func TestHTTPSinkDeliversToCollector(t *testing.T) {
 }
 
 func TestHTTPSinkRetriesTransientFailures(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	inner := c.Handler()
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -95,7 +95,7 @@ func TestHTTPSinkRetryAfterLostResponseIsExactlyOnce(t *testing.T) {
 	// The nastiest delivery race: the collector applies the batch but the
 	// sender never sees the response. The retry carries the same
 	// (source, seq), so the collector must dedupe it.
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	inner := c.Handler()
 	var failed atomic.Bool
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -179,7 +179,7 @@ func TestHTTPSinkDoesNotRetryRejectedPayloads(t *testing.T) {
 func TestHTTPSinkRecoversAfterOutage(t *testing.T) {
 	// Unlike a dead file sink, the network can come back: a batch lost to
 	// an outage must not latch the sink dead for later batches.
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	inner := c.Handler()
 	var down atomic.Bool
 	down.Store(true)
@@ -226,51 +226,12 @@ func TestHTTPSinkValidatesConfig(t *testing.T) {
 	}
 }
 
-func TestHTTPSinkFactoryRegistered(t *testing.T) {
-	c := NewCollector(0)
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-
-	s, err := assertion.NewSinkFromFactory("http", map[string]string{
-		"url": srv.URL, "batch": "8", "retries": "1", "depth": "64",
-		"timeout": "2s", "backoff": "1ms", "source": "factory-test",
-	})
-	if err != nil {
-		t.Fatalf("http factory: %v", err)
-	}
-	hs, ok := s.(*HTTPSink)
-	if !ok {
-		t.Fatalf("factory built %T, want *HTTPSink", s)
-	}
-	if hs.Source() != "factory-test" {
-		t.Fatalf("Source = %q", hs.Source())
-	}
-	recordN(t, s, 10)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.TotalFired(); got != 10 {
-		t.Fatalf("collector ingested %d, want 10", got)
-	}
-
-	for _, params := range []map[string]string{
-		{},                                  // missing url
-		{"url": srv.URL, "batch": "x"},      // bad int
-		{"url": srv.URL, "retries": "-1"},   // negative retries
-		{"url": srv.URL, "timeout": "soon"}, // bad duration
-	} {
-		if _, err := assertion.NewSinkFromFactory("http", params); err == nil {
-			t.Fatalf("params %v should be rejected", params)
-		}
-	}
-}
-
 // TestHTTPSinkRecordDuringClose is the export-side companion of the
 // assertion package's sink contract test: concurrent producers racing
 // Close under -race, with delivered + dropped accounting for every
 // accepted violation.
 func TestHTTPSinkRecordDuringClose(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 

@@ -77,7 +77,7 @@ func respKeys(t *testing.T, r LabelsNextResponse) map[labelsvc.SampleKey]bool {
 }
 
 func TestLabelsHTTPLoop(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -167,7 +167,7 @@ func TestLabelsHTTPLoop(t *testing.T) {
 }
 
 func TestLabelsFeedbackRejectsBadRequests(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -188,7 +188,7 @@ func TestLabelsFeedbackRejectsBadRequests(t *testing.T) {
 }
 
 func TestTailWeakLabelEvents(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -220,7 +220,7 @@ func TestTailWeakLabelEvents(t *testing.T) {
 }
 
 func TestHealthzTurns503OnceShutdownBegins(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
@@ -258,9 +258,9 @@ func (s *leakyStore) Query(q assertion.StoreQuery) []assertion.Violation {
 }
 
 func TestQueryStreamFilterDoesNotCorruptRetainedLog(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
-	c.recs[0] = assertion.NewRecorderWithStore(&leakyStore{ViolationStore: assertion.NewMemStore(0)})
+	c.shards[0] = &leakyStore{ViolationStore: c.shards[0]}
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
@@ -298,7 +298,7 @@ func TestQueryStreamFilterDoesNotCorruptRetainedLog(t *testing.T) {
 }
 
 func TestSnapshotCarriesLabelState(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
 	c.Ingest(labelBatch("edge-01", "cam-0", 1, 8))
 	if _, err := c.Labels().Next(4, "alice"); err != nil {
@@ -324,7 +324,7 @@ func TestSnapshotCarriesLabelState(t *testing.T) {
 	}
 
 	// A fresh collector restoring the snapshot continues the same loop.
-	c2 := NewCollector(0)
+	c2 := openCollector(t, CollectorConfig{})
 	defer c2.Close()
 	c2.Ingest(labelBatch("edge-01", "cam-0", 1, 8))
 	c2.Restore(out)

@@ -15,7 +15,7 @@ import (
 // malformed HELP/TYPE line, a non-cumulative bucket or a duplicate series
 // anywhere on the page fails CI rather than a scrape.
 func TestMetricsExpositionStrict(t *testing.T) {
-	c := NewCollectorConfig(CollectorConfig{Retain: 100, Shards: 2})
+	c := openCollector(t, CollectorConfig{Retain: 100, Shards: 2})
 	defer c.Close()
 
 	// A source name holding every character the label escaper must handle
@@ -38,7 +38,8 @@ func TestMetricsExpositionStrict(t *testing.T) {
 	}
 
 	// The stage families this PR's dashboards scrape must be present as
-	// proper histograms, and the runtime block must ride along.
+	// proper histograms, and the runtime block and the -log tee's loss
+	// counter must ride along.
 	for _, family := range []string{
 		"omg_collector_ingest_decode_seconds",
 		"omg_collector_ingest_apply_seconds",
@@ -54,9 +55,9 @@ func TestMetricsExpositionStrict(t *testing.T) {
 			t.Errorf("/metrics is missing histogram family %s", family)
 		}
 	}
-	for _, series := range []string{"go_goroutines", "go_memstats_heap_alloc_bytes"} {
+	for _, series := range []string{"go_goroutines", "go_memstats_heap_alloc_bytes", "omg_collector_log_dropped_total"} {
 		if !strings.Contains(body, "\n"+series+" ") {
-			t.Errorf("/metrics is missing runtime series %s", series)
+			t.Errorf("/metrics is missing series %s", series)
 		}
 	}
 

@@ -26,7 +26,7 @@ func FuzzHandleQuery(f *testing.F) {
 	f.Add("", "", "2000000000") // must cost what the 15 retained cost, not what the limit asks
 	f.Add("b", "edge-02", "2")  // both filters: the shorter posting list is walked
 	f.Fuzz(func(t *testing.T, assertionName, stream, limitRaw string) {
-		c := NewCollectorConfig(CollectorConfig{Shards: 2})
+		c := openCollector(t, CollectorConfig{Shards: 2})
 		defer c.Close()
 		fillFleet(c, 3, 1, 5)
 

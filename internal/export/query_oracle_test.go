@@ -19,10 +19,10 @@ import (
 // merge when sharded, filter afterwards, keep the tail.
 func referenceQuery(c *Collector, name, stream string, limit int) []assertion.Violation {
 	var all []assertion.Violation
-	for _, r := range c.recs {
-		all = append(all, r.Query(assertion.StoreQuery{})...)
+	for _, st := range c.shards {
+		all = append(all, st.Query(assertion.StoreQuery{})...)
 	}
-	if len(c.recs) > 1 {
+	if len(c.shards) > 1 {
 		assertion.SortViolations(all)
 	}
 	kept := []assertion.Violation{}

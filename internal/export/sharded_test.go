@@ -46,8 +46,8 @@ func fillFleet(c *Collector, sources, batches, perBatch int) map[string]int {
 }
 
 func TestShardedCollectorMergedViewsMatchSingleShard(t *testing.T) {
-	single := NewCollector(0)
-	sharded := NewCollectorConfig(CollectorConfig{Shards: 4})
+	single := openCollector(t, CollectorConfig{})
+	sharded := openCollector(t, CollectorConfig{Shards: 4})
 	defer single.Close()
 	defer sharded.Close()
 	want := fillFleet(single, 6, 3, 10)
@@ -92,7 +92,7 @@ func stripIngest(vs []assertion.Violation) []assertion.Violation {
 }
 
 func TestShardedCollectorConcurrentIngest(t *testing.T) {
-	c := NewCollectorConfig(CollectorConfig{Shards: 8, Retain: 4096})
+	c := openCollector(t, CollectorConfig{Shards: 8, Retain: 4096})
 	defer c.Close()
 	const sources, batches, perBatch = 16, 20, 25
 	var wg sync.WaitGroup
@@ -123,7 +123,7 @@ func TestShardedCollectorConcurrentIngest(t *testing.T) {
 }
 
 func TestShardedCollectorSnapshotRoundTrip(t *testing.T) {
-	src := NewCollectorConfig(CollectorConfig{Shards: 4})
+	src := openCollector(t, CollectorConfig{Shards: 4})
 	defer src.Close()
 	fillFleet(src, 6, 3, 10)
 	snap := src.Snapshot()
@@ -159,28 +159,28 @@ func TestShardedCollectorSnapshotRoundTrip(t *testing.T) {
 	}
 
 	t.Run("same-shard-count", func(t *testing.T) {
-		restored := NewCollectorConfig(CollectorConfig{Shards: 4})
+		restored := openCollector(t, CollectorConfig{Shards: 4})
 		defer restored.Close()
 		restored.Restore(snap)
 		check(t, restored)
 	})
 	t.Run("different-shard-count", func(t *testing.T) {
-		restored := NewCollectorConfig(CollectorConfig{Shards: 7})
+		restored := openCollector(t, CollectorConfig{Shards: 7})
 		defer restored.Close()
 		restored.Restore(snap)
 		check(t, restored)
 	})
 	t.Run("into-single-shard", func(t *testing.T) {
-		restored := NewCollector(0)
+		restored := openCollector(t, CollectorConfig{})
 		defer restored.Close()
 		restored.Restore(snap)
 		check(t, restored)
 	})
 	t.Run("legacy-single-into-sharded", func(t *testing.T) {
-		single := NewCollector(0)
+		single := openCollector(t, CollectorConfig{})
 		defer single.Close()
 		fillFleet(single, 6, 3, 10)
-		restored := NewCollectorConfig(CollectorConfig{Shards: 4})
+		restored := openCollector(t, CollectorConfig{Shards: 4})
 		defer restored.Close()
 		restored.Restore(single.Snapshot())
 		if got, want := restored.TotalFired(), single.TotalFired(); got != want {
@@ -193,7 +193,7 @@ func TestShardedCollectorSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestShardedSnapshotFileRoundTrip(t *testing.T) {
-	src := NewCollectorConfig(CollectorConfig{Shards: 3})
+	src := openCollector(t, CollectorConfig{Shards: 3})
 	defer src.Close()
 	fillFleet(src, 5, 2, 8)
 	path := t.TempDir() + "/state.json"
@@ -204,7 +204,7 @@ func TestShardedSnapshotFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := NewCollectorConfig(CollectorConfig{Shards: 3})
+	restored := openCollector(t, CollectorConfig{Shards: 3})
 	defer restored.Close()
 	restored.Restore(loaded)
 	if got, want := restored.TotalFired(), src.TotalFired(); got != want {
@@ -213,11 +213,11 @@ func TestShardedSnapshotFileRoundTrip(t *testing.T) {
 }
 
 func TestCollectorRejectedSurvivesSnapshot(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
 	c.rejected.Add(3)
 	c.Ingest(mkBatch("edge-01", 1, 2))
-	restored := NewCollector(0)
+	restored := openCollector(t, CollectorConfig{})
 	defer restored.Close()
 	restored.Restore(c.Snapshot())
 	if got := restored.rejected.Load(); got != 3 {
@@ -226,7 +226,7 @@ func TestCollectorRejectedSurvivesSnapshot(t *testing.T) {
 }
 
 func TestCollectorRetention(t *testing.T) {
-	c := NewCollectorConfig(CollectorConfig{Shards: 2, RetainPerAssertion: 4, CompactEvery: time.Hour})
+	c := openCollector(t, CollectorConfig{Shards: 2, RetainPerAssertion: 4, CompactEvery: time.Hour})
 	defer c.Close()
 	fillFleet(c, 4, 2, 10) // 80 violations over assertions a and b
 	total := c.TotalFired()
@@ -263,7 +263,7 @@ func TestCollectorRetentionPerAssertionGlobalUnderSkew(t *testing.T) {
 	// All of one assertion's violations come from a single source and so
 	// land on one shard. A per-shard split of the cap would under-retain
 	// (cap/shards); the global plan must keep exactly the cap.
-	c := NewCollectorConfig(CollectorConfig{Shards: 4, RetainPerAssertion: 10, CompactEvery: time.Hour})
+	c := openCollector(t, CollectorConfig{Shards: 4, RetainPerAssertion: 10, CompactEvery: time.Hour})
 	defer c.Close()
 	b := Batch{Version: WireVersion, Source: "lone-edge", Seq: 1}
 	for i := 0; i < 50; i++ {
@@ -288,7 +288,7 @@ func TestCollectorRetentionPerAssertionGlobalUnderSkew(t *testing.T) {
 }
 
 func TestCollectorRetentionAge(t *testing.T) {
-	c := NewCollectorConfig(CollectorConfig{RetainAge: time.Hour, CompactEvery: time.Hour})
+	c := openCollector(t, CollectorConfig{RetainAge: time.Hour, CompactEvery: time.Hour})
 	defer c.Close()
 	c.Ingest(mkBatch("edge-01", 1, 5))
 	// Nothing is an hour old yet.
@@ -314,7 +314,7 @@ func TestCollectorRetentionAge(t *testing.T) {
 }
 
 func TestCollectorJanitorRunsOnTimer(t *testing.T) {
-	c := NewCollectorConfig(CollectorConfig{RetainPerAssertion: 1, CompactEvery: 10 * time.Millisecond})
+	c := openCollector(t, CollectorConfig{RetainPerAssertion: 1, CompactEvery: 10 * time.Millisecond})
 	defer c.Close()
 	c.Ingest(mkBatch("edge-01", 1, 10))
 	deadline := time.Now().Add(5 * time.Second)

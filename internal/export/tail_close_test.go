@@ -27,7 +27,7 @@ func TestTailSlowConsumerAccountingOnCloseUnderChurn(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 
 	const tailBuffer = 4
-	c := NewCollectorConfig(CollectorConfig{TailBuffer: tailBuffer})
+	c := openCollector(t, CollectorConfig{TailBuffer: tailBuffer})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 

@@ -55,7 +55,7 @@ func nextEvent(t *testing.T, sc *bufio.Scanner) (event, data string) {
 }
 
 func TestTailStreamsIngestedViolations(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -81,7 +81,7 @@ func TestTailStreamsIngestedViolations(t *testing.T) {
 }
 
 func TestTailFilters(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -110,7 +110,7 @@ func TestTailSlowConsumerDropsAndCounts(t *testing.T) {
 	// A subscriber that never drains its 4-slot buffer loses everything
 	// beyond it — dropped and counted, per client and hub-wide — and
 	// ingest completes without ever blocking on the laggard.
-	c := NewCollectorConfig(CollectorConfig{TailBuffer: 4})
+	c := openCollector(t, CollectorConfig{TailBuffer: 4})
 	defer c.Close()
 	cl := c.tail.subscribe("", "")
 	defer c.tail.unsubscribe(cl)
@@ -142,7 +142,7 @@ func TestTailSlowConsumerDropsAndCounts(t *testing.T) {
 }
 
 func TestTailEndsOnCollectorClose(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
@@ -170,7 +170,7 @@ func waitForTailClients(t *testing.T, c *Collector, n int64) {
 }
 
 func TestCollectorOversizedIngestReturns413(t *testing.T) {
-	c := NewCollector(0)
+	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()

@@ -64,10 +64,10 @@ func TestDecodeBatchAcceptsOlderVersions(t *testing.T) {
 }
 
 func TestSnapshotFileRoundTrip(t *testing.T) {
-	rec := assertion.NewRecorder(0)
-	rec.Record(assertion.Violation{Assertion: "a", SampleIndex: 1, Severity: 3})
+	st := assertion.NewMemStore(0)
+	st.Append(assertion.Violation{Assertion: "a", SampleIndex: 1, Severity: 3})
 	in := Snapshot{
-		Recorder: rec.Snapshot(),
+		Recorder: st.Export(),
 		LastSeq:  map[string]uint64{"edge-01": 12, "edge-02": 4},
 		Batches:  16,
 	}

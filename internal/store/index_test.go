@@ -158,7 +158,7 @@ func runIndexInvariant(t *testing.T, s indexedStore, limit int) {
 				add(v)
 			}
 		default:
-			if err := s.Clear(); err != nil {
+			if err := s.Replace(assertion.RecorderSnapshot{}); err != nil {
 				t.Fatal(err)
 			}
 			model = nil

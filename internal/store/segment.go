@@ -594,7 +594,7 @@ func (s *SegmentStore) rollLocked() error {
 
 // sealBarrierLocked waits for every background seal to finish and
 // returns the first seal failure, if any. Durability points (checkpoint,
-// compaction, Clear, Close) must pass this barrier before promising that
+// compaction, Replace, Close) must pass this barrier before promising that
 // sealed segments are on stable storage.
 func (s *SegmentStore) sealBarrierLocked() error {
 	s.sealWG.Wait()
@@ -713,7 +713,8 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Checkpoint implements ViolationStore.
+// Checkpoint persists a durable recovery point — the active segment and
+// the statistics are fsynced — and returns its manifest.
 func (s *SegmentStore) Checkpoint() (Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -737,17 +738,6 @@ func (s *SegmentStore) IndexSize() (keys, postings int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.index.Size()
-}
-
-// Stats implements ViolationStore.
-func (s *SegmentStore) Stats(name string) (assertion.Stats, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.stats[name]
-	if ok && math.IsInf(st.MaxSev, -1) {
-		st.MaxSev = 0
-	}
-	return st, ok
 }
 
 // StatsAll implements ViolationStore.
@@ -1038,17 +1028,8 @@ func (s *SegmentStore) Replace(snap assertion.RecorderSnapshot) error {
 	return err
 }
 
-// Clear implements ViolationStore: every segment and the checkpoint are
-// deleted and the store restarts empty.
-func (s *SegmentStore) Clear() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.clearLocked()
-}
-
+// clearLocked deletes every segment and the checkpoint and restarts the
+// store empty.
 func (s *SegmentStore) clearLocked() error {
 	// Settle background seals before deleting their files; whatever they
 	// reported no longer matters once the store is reset.

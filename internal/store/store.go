@@ -1,26 +1,26 @@
-// Package store is the violation storage seam: the pluggable backend a
-// Recorder (and the collector's per-shard recorders) keep their queryable
-// violation log and aggregate statistics in.
+// Package store is the violation storage seam: the pluggable backend the
+// export collector keeps each ingest shard's queryable violation log and
+// aggregate statistics in.
 //
 // Two backends implement ViolationStore:
 //
 //   - MemStore — the in-memory default: a bounded ring-buffer log with
-//     O(1) eviction plus lock-free per-assertion statistics, extracted
-//     from the original assertion.Recorder internals. Fast, but a crash
-//     loses everything since the last wire snapshot.
+//     O(1) eviction plus lock-free per-assertion statistics; also what an
+//     edge assertion.Recorder records into. Fast, but a crash loses
+//     everything since the last wire snapshot.
 //   - SegmentStore (this package) — an append-only on-disk backend:
 //     length-prefixed, CRC-checked segment files holding one JSON
 //     violation per record, a sparse per-assertion/stream index for
 //     queries, fsync'd segment rolls and checkpoints, crash-safe
 //     compaction with the same retention semantics as
-//     Recorder.Compact/CompactBudgets, and exact crash recovery by
+//     MemStore.Compact/CompactBudgets, and exact crash recovery by
 //     segment replay.
 //
 // The interface and the in-memory backend are declared in
 // internal/assertion and aliased here: Go's import graph forbids
 // assertion -> store (every backend needs the Violation and Stats
-// types), while Recorder must still accept any backend. Aliasing makes
-// the two packages share one set of types, so a *store.SegmentStore is a
+// types), and MemStore is the Recorder's own storage. Aliasing makes the
+// two packages share one set of types, so a *store.SegmentStore is a
 // valid assertion.ViolationStore with no adapter.
 package store
 

@@ -85,18 +85,17 @@ type (
 	JSONLConfig = assertion.JSONLConfig
 	// RotateConfig is a RotatingFileSink's size/age/retention policy.
 	RotateConfig = assertion.RotateConfig
-	// SinkFactory builds a Sink from string parameters; backends register
-	// themselves by name via RegisterSinkFactory.
-	SinkFactory = assertion.SinkFactory
-	// RecorderSnapshot is a JSON-serialisable copy of a Recorder's state.
+	// RecorderSnapshot is a JSON-serialisable copy of a ViolationStore's
+	// state (Export / Replace).
 	RecorderSnapshot = assertion.RecorderSnapshot
 
-	// ViolationStore is the pluggable storage seam under a Recorder:
-	// append, query, stats, compaction, durable checkpoint. MemStore is
-	// the in-memory implementation; internal/store's SegmentStore is the
+	// ViolationStore is the pluggable storage seam under each collector
+	// shard: append, query, stats, compaction, export. MemStore is the
+	// in-memory implementation; internal/store's SegmentStore is the
 	// crash-recoverable on-disk one (omg-server -store=disk).
 	ViolationStore = assertion.ViolationStore
-	// MemStore is the bounded in-memory ViolationStore.
+	// MemStore is the bounded in-memory ViolationStore — also what a
+	// Recorder records into.
 	MemStore = assertion.MemStore
 	// StoreQuery selects violations by assertion, stream and ingest-time
 	// window with a newest-N limit.
@@ -276,37 +275,15 @@ func NewRotatingFileSinkConfig(path string, cfg RotateConfig) (*RotatingFileSink
 	return assertion.NewRotatingFileSinkConfig(path, cfg)
 }
 
-// RegisterSinkFactory registers a named sink backend for
-// NewSinkFromFactory; duplicate registration is an error.
-func RegisterSinkFactory(kind string, f SinkFactory) error {
-	return assertion.RegisterSinkFactory(kind, f)
-}
-
-// NewSinkFromFactory builds a sink through a registered backend factory
-// ("http" is registered by the export subsystem).
-func NewSinkFromFactory(kind string, params map[string]string) (Sink, error) {
-	return assertion.NewSinkFromFactory(kind, params)
-}
-
-// SinkFactoryKinds returns the registered sink backend names, sorted.
-func SinkFactoryKinds() []string { return assertion.SinkFactoryKinds() }
-
 // NewHTTPSink returns a sink exporting violation batches to the collector
 // at cfg.BaseURL.
 func NewHTTPSink(cfg HTTPSinkConfig) (*HTTPSink, error) { return export.NewHTTPSink(cfg) }
 
-// NewCollector returns a single-shard violation collector retaining at
-// most limit violations in memory (0 = unbounded); serve its Handler over
-// HTTP to accept exported batches.
-func NewCollector(limit int) *Collector { return export.NewCollector(limit) }
-
-// NewCollectorConfig returns a collector shaped by cfg — sharded ingest,
-// retention policy, live tail. Close it when done.
-func NewCollectorConfig(cfg CollectorConfig) *Collector { return export.NewCollectorConfig(cfg) }
-
-// OpenCollector returns a collector with its violation store chosen by
-// cfg.Store: StoreMem (the default) or StoreDisk, which recovers and
-// appends to crash-recoverable segment files under cfg.DataDir.
+// OpenCollector returns a collector shaped by cfg — sharded ingest,
+// retention policy, live tail, label loop — with its violation store
+// chosen by cfg.Store: StoreMem (the default) or StoreDisk, which recovers
+// and appends to crash-recoverable segment files under cfg.DataDir. Serve
+// its Handler over HTTP to accept exported batches; Close it when done.
 func OpenCollector(cfg CollectorConfig) (*Collector, error) { return export.OpenCollector(cfg) }
 
 // Store backends for CollectorConfig.Store / omg-server -store.
@@ -319,10 +296,6 @@ const (
 // violations (0 = unbounded); aggregate statistics stay complete past
 // eviction.
 func NewMemStore(limit int) *MemStore { return assertion.NewMemStore(limit) }
-
-// NewRecorderWithStore returns a Recorder persisting through s instead of
-// the default in-memory store.
-func NewRecorderWithStore(s ViolationStore) *Recorder { return assertion.NewRecorderWithStore(s) }
 
 // ShardFor routes a key to one of n shards with FNV-1a — the routing seam
 // MonitorPool uses for streams and the collector uses for batch sources.

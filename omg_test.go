@@ -128,11 +128,10 @@ func TestFacadeCCMAB(t *testing.T) {
 }
 
 func TestFacadeViolationStore(t *testing.T) {
-	// A Recorder over an explicit MemStore, queried through the seam.
+	// A MemStore, appended to and queried through the seam.
 	var s omg.ViolationStore = omg.NewMemStore(0)
-	rec := omg.NewRecorderWithStore(s)
-	rec.Record(omg.Violation{Assertion: "lights", Stream: "cam-0", Severity: 2})
-	rec.Record(omg.Violation{Assertion: "flicker", Stream: "cam-1", Severity: 1})
+	s.Append(omg.Violation{Assertion: "lights", Stream: "cam-0", Severity: 2})
+	s.Append(omg.Violation{Assertion: "flicker", Stream: "cam-1", Severity: 1})
 	got := s.Query(omg.StoreQuery{Assertion: "lights"})
 	if len(got) != 1 || got[0].Stream != "cam-0" {
 		t.Fatalf("store query = %+v", got)
