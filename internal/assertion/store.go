@@ -28,6 +28,14 @@ import (
 // limited one keeps only the newest Limit matches, and the store lock is
 // held for that walk rather than for a copy of the whole retained log.
 // Only the unlimited, unfiltered query is still a full copy.
+//
+// The seam's other direction is the EvictionObserver a store's owner may
+// set on the concrete backend (it is not part of ViolationStore): the
+// store reports what leaves its retained log — a ring overflow, a
+// compaction, a wholesale Clear/Replace — so a derived view can be kept
+// current at the rate the log changes instead of re-read whenever it is
+// consulted. The collector's label service keeps its candidate index
+// that way; its adds it already hears from the ingest path.
 
 // StoreQuery selects retained violations from a ViolationStore. The zero
 // value selects everything.
@@ -114,6 +122,20 @@ type StoreCheckpoint struct {
 	Segments []StoreSegment `json:"segments,omitempty"`
 }
 
+// EvictionObserver hears what leaves a store's retained log. A store with
+// an observer set calls it under its own lock, so the calls arrive in the
+// order the log changed; the observer must return quickly, must not call
+// back into the store, and must not keep vs (a ring overflow passes the
+// slot about to be overwritten).
+type EvictionObserver interface {
+	// ObserveEvicted reports violations evicted by the log's own bound or
+	// by a compaction, oldest first.
+	ObserveEvicted(vs []Violation)
+	// ObserveReplaced reports that the whole log was cleared or replaced
+	// (Clear, Replace): whatever was derived from it must be re-read.
+	ObserveReplaced()
+}
+
 // ViolationStore is the violation storage seam: the backend a collector
 // shard keeps its queryable log and aggregate statistics in.
 // Implementations must be safe for concurrent use.
@@ -187,6 +209,19 @@ type MemStore struct {
 	stats sync.Map // assertion name -> *statsCell
 
 	compacted atomic.Int64
+
+	// observer hears evictions (nil for every edge Recorder). It sits last
+	// so the fields Append touches keep their layout.
+	observer EvictionObserver
+}
+
+// SetEvictionObserver makes o hear every later eviction from the retained
+// log (see EvictionObserver); nil detaches. Set it before the store is
+// shared.
+func (m *MemStore) SetEvictionObserver(o EvictionObserver) {
+	m.mu.Lock()
+	m.observer = o
+	m.mu.Unlock()
 }
 
 // NewMemStore returns an in-memory store keeping at most limit
@@ -219,6 +254,9 @@ func (m *MemStore) Append(v Violation) error {
 // addLocked appends v to the ring, moving a built index with it: the
 // entry a full ring is about to overwrite is its oldest.
 func (m *MemStore) addLocked(v Violation) {
+	if m.observer != nil && m.log.full() {
+		m.observer.ObserveEvicted(m.log.buf[m.log.head : m.log.head+1])
+	}
 	if !m.indexed {
 		m.log.add(v)
 		return
@@ -324,6 +362,7 @@ func (m *MemStore) compact(minIngestUnix int64, budget func(name string) (int, b
 	if evicted == 0 {
 		return 0
 	}
+	ReportEvicted(m.observer, vs, mask)
 	m.log.buf, m.log.head = kept, 0
 	if m.indexed {
 		m.index.Rebuild(kept, 0)
@@ -355,6 +394,28 @@ func PlanCompaction(vs []Violation, minIngestUnix int64, budget func(name string
 		keepMask[i] = true
 	}
 	return keepMask
+}
+
+// ReportEvicted tells o (nil = nobody) what a PlanCompaction mask evicts
+// from vs: the runs of vs between survivors, handed over as they lie — an
+// observer that is not listening costs a compaction no copy of what it
+// evicts. Shared with SegmentStore.
+func ReportEvicted(o EvictionObserver, vs []Violation, keep []bool) {
+	if o == nil {
+		return
+	}
+	for i := 0; i < len(vs); {
+		if keep[i] {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(vs) && !keep[j] {
+			j++
+		}
+		o.ObserveEvicted(vs[i:j])
+		i = j
+	}
 }
 
 // CompactionBudget adapts the Compact/CompactBudgets parameter pair into
@@ -409,6 +470,9 @@ func (m *MemStore) Clear() {
 	m.mu.Lock()
 	m.log.clear()
 	m.index.Reset()
+	if m.observer != nil {
+		m.observer.ObserveReplaced()
+	}
 	m.mu.Unlock()
 	m.compacted.Store(0)
 	m.stats.Range(func(name, _ any) bool {

@@ -210,26 +210,46 @@ func (b *BAL) selectExcluding(state RoundState, k int, weights []float64, chosen
 	return out
 }
 
-// rankSampler returns a within-assertion sampler weighting candidates by
+// rankSampler is the within-assertion sampler weighting candidates by
 // their severity rank: ranking the triggering candidates by ascending
 // maximum severity, candidate weight is rank^power, so higher-severity
 // points are proportionally more likely — "sample proportional to
-// severity score rank" (Algorithm 2).
-func rankSampler(power float64) func(rng *simrand.RNG, cands []Candidate, positions []int) int {
-	return func(rng *simrand.RNG, cands []Candidate, positions []int) int {
-		order := append([]int(nil), positions...)
-		sort.SliceStable(order, func(a, b int) bool {
-			_, sa := cands[order[a]].Severities.Max()
-			_, sb := cands[order[b]].Severities.Max()
-			if sa != sb {
-				return sa < sb
-			}
-			return cands[order[a]].Index < cands[order[b]].Index
-		})
-		weights := make([]float64, len(order))
-		for i := range order {
-			weights[i] = math.Pow(float64(i+1), power)
-		}
-		return order[rng.WeightedChoice(weights)]
+// severity score rank" (Algorithm 2). The ranking is a stable sort, so
+// deleting a picked candidate leaves the rest ranked as a re-sort would.
+type rankPicker struct {
+	power float64
+	// weights[i] is (i+1)^power, grown to the longest list drawn from.
+	weights []float64
+}
+
+func rankSampler(power float64) *rankPicker { return &rankPicker{power: power} }
+
+func (r *rankPicker) arrange(cands []Candidate, positions []int) {
+	// The sort key is extracted once per candidate, not once per
+	// comparison.
+	type ranked struct {
+		pos int
+		sev float64
 	}
+	items := make([]ranked, len(positions))
+	for i, pos := range positions {
+		_, sev := cands[pos].Severities.Max()
+		items[i] = ranked{pos, sev}
+	}
+	sort.SliceStable(items, func(a, b int) bool {
+		if items[a].sev != items[b].sev {
+			return items[a].sev < items[b].sev
+		}
+		return cands[items[a].pos].Index < cands[items[b].pos].Index
+	})
+	for i, it := range items {
+		positions[i] = it.pos
+	}
+}
+
+func (r *rankPicker) pick(rng *simrand.RNG, n int) int {
+	for i := len(r.weights); i < n; i++ {
+		r.weights = append(r.weights, math.Pow(float64(i+1), r.power))
+	}
+	return rng.WeightedChoice(r.weights[:n])
 }

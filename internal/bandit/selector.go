@@ -7,6 +7,7 @@
 package bandit
 
 import (
+	"slices"
 	"sort"
 
 	"omg/internal/assertion"
@@ -159,17 +160,14 @@ func (u *UniformMA) Reset(seed int64) { u.rng = simrand.NewStream(seed, "selecto
 // Select implements Selector.
 func (u *UniformMA) Select(state RoundState) []int {
 	k := clampBudget(state.Budget, len(state.Candidates))
-	return selectFromAssertions(u.rng, state, k, nil, nil)
+	return selectFromAssertions(u.rng, state, k, nil, uniformPicker{})
 }
 
 // triggering returns, per assertion, the candidate positions with
-// positive severity, excluding already-chosen positions.
-func triggering(cands []Candidate, numAssertions int, chosen map[int]bool) [][]int {
+// positive severity, in candidate order.
+func triggering(cands []Candidate, numAssertions int) [][]int {
 	out := make([][]int, numAssertions)
 	for pos, c := range cands {
-		if chosen[pos] {
-			continue
-		}
 		for m, s := range c.Severities {
 			if m < numAssertions && s > 0 {
 				out[m] = append(out[m], pos)
@@ -179,19 +177,37 @@ func triggering(cands []Candidate, numAssertions int, chosen map[int]bool) [][]i
 	return out
 }
 
+// withinPicker chooses among one assertion's triggering candidates.
+// arrange puts the assertion's positions into the order pick's draw
+// refers to; it runs once per assertion per selection (the first time
+// that assertion is drawn), and the selection loop then deletes every
+// picked position from the lists it is on with the order preserved — so
+// each draw sees exactly the list a from-scratch rebuild without the
+// picked positions would have produced.
+type withinPicker interface {
+	arrange(cands []Candidate, positions []int)
+	pick(rng *simrand.RNG, n int) int
+}
+
+// uniformPicker draws uniformly over the positions in candidate order.
+type uniformPicker struct{}
+
+func (uniformPicker) arrange([]Candidate, []int)       {}
+func (uniformPicker) pick(rng *simrand.RNG, n int) int { return rng.Choice(n) }
+
 // selectFromAssertions fills k slots by repeatedly (1) choosing an
 // assertion — with the given weights, or uniformly among non-empty ones
 // when weights is nil — and (2) choosing one of its triggering candidates
-// with pickWithin (uniform when nil). Unfillable slots fall back to
-// random selection over the remaining pool.
+// with within. Unfillable slots fall back to random selection over the
+// remaining pool.
 func selectFromAssertions(
 	rng *simrand.RNG,
 	state RoundState,
 	k int,
 	weights []float64,
-	pickWithin func(rng *simrand.RNG, cands []Candidate, positions []int) int,
+	within withinPicker,
 ) []int {
-	out := selectFromAssertionsNoFill(rng, state, k, weights, pickWithin)
+	out := selectFromAssertionsNoFill(rng, state, k, weights, within)
 	if len(out) < k {
 		chosen := make(map[int]bool, len(out))
 		for _, p := range out {
@@ -219,7 +235,7 @@ func selectFromAssertionsNoFill(
 	state RoundState,
 	k int,
 	weights []float64,
-	pickWithin func(rng *simrand.RNG, cands []Candidate, positions []int) int,
+	within withinPicker,
 ) []int {
 	d := len(state.FiredCounts)
 	if d == 0 {
@@ -229,15 +245,18 @@ func selectFromAssertionsNoFill(
 			}
 		}
 	}
-	chosen := make(map[int]bool, k)
+	// The per-assertion lists are built once; a pick is deleted from every
+	// list it is on, so no round re-derives them from the whole pool.
+	trig := triggering(state.Candidates, d)
+	arranged := make([]bool, d)
+	w := make([]float64, d)
 	var out []int
 	for len(out) < k {
-		trig := triggering(state.Candidates, d, chosen)
 		// Effective weights: zero out assertions with no available
 		// triggering candidates.
-		w := make([]float64, d)
 		nonEmpty := 0
 		for m := 0; m < d; m++ {
+			w[m] = 0
 			if len(trig[m]) == 0 {
 				continue
 			}
@@ -267,13 +286,16 @@ func selectFromAssertionsNoFill(
 			}
 		}
 		m := rng.WeightedChoice(w)
-		var pos int
-		if pickWithin == nil {
-			pos = trig[m][rng.Choice(len(trig[m]))]
-		} else {
-			pos = pickWithin(rng, state.Candidates, trig[m])
+		if !arranged[m] {
+			within.arrange(state.Candidates, trig[m])
+			arranged[m] = true
 		}
-		chosen[pos] = true
+		pos := trig[m][within.pick(rng, len(trig[m]))]
+		for a, s := range state.Candidates[pos].Severities {
+			if a < d && s > 0 {
+				trig[a] = slices.DeleteFunc(trig[a], func(p int) bool { return p == pos })
+			}
+		}
 		out = append(out, pos)
 	}
 	return out

@@ -134,6 +134,12 @@ type Collector struct {
 
 	tail   *tailHub
 	labels *labelsvc.Service
+	// seedMu makes the label index's seed atomic against every writer of
+	// the retained log: apply (through its ObserveBatch), CompactNow and
+	// Restore hold it shared, the seed — one read of every shard, once
+	// per process unless a restore drops the index — holds it exclusively
+	// (labelSeed.LockSeed).
+	seedMu sync.RWMutex
 
 	// closing flips when shutdown begins (Quiesce/Close): /healthz
 	// answers 503 from then on so load balancers drain the instance
@@ -258,22 +264,24 @@ func OpenCollector(cfg CollectorConfig) (*Collector, error) {
 	}
 	sort.Strings(c.acceptCTs)
 
-	if err := c.openShards(); err != nil {
-		c.closeStores()
-		return nil, err
-	}
 	labelsCfg := cfg.Labels
 	if c.durable() && labelsCfg.StatePath == "" {
 		// The label loop's state file lives beside the shards so selector
 		// state, leases and labels recover with the violations they rank.
 		labelsCfg.StatePath = filepath.Join(cfg.DataDir, labelsName)
 	}
-	labels, err := labelsvc.New(c, labelsCfg)
+	// The label service comes first because the shards report their
+	// evictions to it; it reads nothing from them until someone asks for
+	// labels.
+	labels, err := labelsvc.New(labelSeed{c}, labelsCfg)
 	if err != nil {
-		c.closeStores()
 		return nil, err
 	}
 	c.labels = labels
+	if err := c.openShards(); err != nil {
+		c.closeStores()
+		return nil, err
+	}
 	c.ingested.Store(int64(c.TotalFired()))
 	if cfg.RetainAge > 0 || cfg.RetainPerAssertion > 0 {
 		c.janitor.Add(1)
@@ -431,6 +439,8 @@ func (c *Collector) ingestChecked(b Batch) (accepted int, duplicate bool, err er
 // latches the collector degraded: a refused Append ends the batch there,
 // and a failed Sync leaves all of it in the memory mirror but not durable.
 func (c *Collector) apply(b Batch) (int, error) {
+	c.seedMu.RLock()
+	defer c.seedMu.RUnlock()
 	st := c.shards[assertion.ShardFor(b.Source, len(c.shards))]
 	sink := c.logSink()
 	now := time.Now()
@@ -474,10 +484,18 @@ func (c *Collector) apply(b Batch) (int, error) {
 	// healed collector — and every later ingest is rejected with reason
 	// "store_degraded" up front.
 	c.degrade(err)
+	if err != nil {
+		// The store may hold part of what it refused (a disk shard's
+		// memory mirror does); the label index re-reads it rather than
+		// guess.
+		c.labels.ObserveReplaced()
+	}
 	// The label service learns about the batch only after every violation
 	// has landed on the shard (and, for disk shards, synced): its
 	// stream→source bindings then persist before the sender sees the ack,
-	// so a post-crash revival knows every acked stream's source.
+	// so a post-crash revival knows every acked stream's source. The
+	// violations themselves are only queued for the candidate index, so
+	// this does not wait on a label pull unless the batch binds a stream.
 	c.labels.ObserveBatch(b.Source, b.Violations[:applied])
 	c.batches.Add(1)
 	c.ingested.Add(int64(applied))
@@ -505,6 +523,8 @@ func (c *Collector) runJanitor() {
 // fails the rewrite latches the collector degraded, like any other failed
 // store write.
 func (c *Collector) CompactNow() int {
+	c.seedMu.RLock()
+	defer c.seedMu.RUnlock()
 	total := 0
 	if c.cfg.RetainAge > 0 {
 		cutoff := time.Now().Add(-c.cfg.RetainAge).Unix()
@@ -717,6 +737,8 @@ func (c *Collector) Snapshot() Snapshot {
 // back. A shard store that fails to take its part latches the collector
 // degraded.
 func (c *Collector) Restore(s Snapshot) {
+	c.seedMu.RLock()
+	defer c.seedMu.RUnlock()
 	switch {
 	case len(s.Recorders) == len(c.shards):
 		for i, st := range c.shards {
@@ -1159,6 +1181,14 @@ func (c *Collector) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("omg_collector_labels_errors_found_total", "Posted labels that confirmed a real model error.", errorsFound)
 	gauge("omg_collector_labels_leases", "Unexpired label leases.", int64(c.labels.ActiveLeases()))
 	gauge("omg_collector_labels_round", "Completed label selection rounds.", int64(c.labels.Round()))
+	index := c.labels.IndexStats()
+	gauge("omg_collector_labels_candidates", "Candidates in the live label index (0 until a label call seeds it).", int64(index.Candidates))
+	fmt.Fprintf(&b, "# HELP omg_collector_labels_index_events_total Deltas queued for the label index: ingested adds and store evictions.\n")
+	fmt.Fprintf(&b, "# TYPE omg_collector_labels_index_events_total counter\n")
+	fmt.Fprintf(&b, "omg_collector_labels_index_events_total{kind=\"add\"} %d\n", index.Adds)
+	fmt.Fprintf(&b, "omg_collector_labels_index_events_total{kind=\"evict\"} %d\n", index.Evictions)
+	counter("omg_collector_labels_seeds_total", "Times the label index was built from the retained log (first label call, and after a restore or a feed overflow).", index.Seeds)
+	counter("omg_collector_labels_state_write_errors_total", "Failed writes of the label state file.", index.StateWriteErrors)
 
 	summary := c.Summary()
 	names := make([]string, 0, len(summary))

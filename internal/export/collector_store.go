@@ -47,11 +47,15 @@ type markLine struct {
 
 // openShards opens one store per shard: in-memory rings splitting
 // cfg.Retain between them, or — for the disk backend — a SegmentStore per
-// shard-N subdirectory of DataDir plus the dedup-marks log.
+// shard-N subdirectory of DataDir plus the dedup-marks log. Every shard
+// reports its evictions to the label service, the other half of what
+// keeps the candidate index current (apply reports the adds).
 func (c *Collector) openShards() error {
 	for i := 0; i < c.cfg.Shards; i++ {
 		if !c.durable() {
-			c.shards = append(c.shards, assertion.NewMemStore(perShard(c.cfg.Retain, c.cfg.Shards)))
+			st := assertion.NewMemStore(perShard(c.cfg.Retain, c.cfg.Shards))
+			st.SetEvictionObserver(c.labels)
+			c.shards = append(c.shards, st)
 			continue
 		}
 		st, err := store.Open(store.Config{
@@ -62,6 +66,7 @@ func (c *Collector) openShards() error {
 		if err != nil {
 			return err
 		}
+		st.SetEvictionObserver(c.labels)
 		c.shards = append(c.shards, st)
 	}
 	if c.durable() {

@@ -26,6 +26,27 @@ const LabelsFeedbackPath = "/v1/labels/feedback"
 // LabelsStatsPath summarises the labeling loop (GET).
 const LabelsStatsPath = "/v1/labels/stats"
 
+// labelSeed is the collector as the label service's ViolationSource: what
+// the candidate index is seeded from, and the lock that makes the seed
+// atomic against ingest and compaction.
+type labelSeed struct{ c *Collector }
+
+// Violations implements labelsvc.ViolationSource: every shard's retained
+// log, unmerged — the index does not depend on the order it is read in.
+func (l labelSeed) Violations() []assertion.Violation {
+	var out []assertion.Violation
+	for _, st := range l.c.shards {
+		out = append(out, st.Query(assertion.StoreQuery{})...)
+	}
+	return out
+}
+
+// LockSeed implements labelsvc.SeedLocker.
+func (l labelSeed) LockSeed() (unlock func()) {
+	l.c.seedMu.Lock()
+	return l.c.seedMu.Unlock
+}
+
 // Labels exposes the collector's label-selection service (tests,
 // embedders that drive the loop in process).
 func (c *Collector) Labels() *labelsvc.Service { return c.labels }

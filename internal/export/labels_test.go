@@ -11,7 +11,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"omg/internal/assertion"
 	"omg/internal/consistency"
@@ -412,5 +414,158 @@ func TestOpenCollectorRejectsUnknownSelector(t *testing.T) {
 	}
 	if _, err := OpenCollector(CollectorConfig{Store: StoreDisk, DataDir: t.TempDir(), Labels: labelsvc.Config{Selector: "thompson"}}); err == nil {
 		t.Fatal("unknown selector must fail the disk backend too")
+	}
+}
+
+// TestParkedPullDoesNotBlockIngest: a label pull holds the loop's lock
+// for its whole selection — and a slow one (a large pool, an fsync of the
+// state file) for a long time. Ingest must not queue behind it: the batch
+// is acknowledged and counted while the pull is still parked, and the
+// pull after it sees the batch's samples.
+func TestParkedPullDoesNotBlockIngest(t *testing.T) {
+	t0 := time.Unix(1700000000, 0)
+	var armed atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	c := openCollector(t, CollectorConfig{Labels: labelsvc.Config{
+		// Next reads the clock under the loop's lock: parking the clock
+		// parks the pull exactly where a slow selection would sit.
+		Now: func() time.Time {
+			if armed.CompareAndSwap(true, false) {
+				close(parked)
+				<-release
+			}
+			return t0
+		},
+	}})
+	defer c.Close()
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	// The first batch binds the stream to its source — the one thing an
+	// ingest still takes the loop's lock for — and the first pull seeds
+	// the index.
+	postJSON(t, srv.URL+IngestPath, labelBatch("edge-1", "cam-0", 1, 20), http.StatusOK)
+	pullBatch(t, srv.URL, 4, "warm")
+
+	armed.Store(true)
+	pulled := make(chan int, 1) // the parked pull's status
+	go func() {
+		resp, err := http.Get(srv.URL + LabelsNextPath + "?budget=4&puller=slow")
+		if err != nil {
+			t.Error(err)
+			pulled <- 0
+			return
+		}
+		resp.Body.Close()
+		pulled <- resp.StatusCode
+	}()
+	<-parked
+
+	fresh := Batch{Version: WireVersion, Source: "edge-1", Seq: 2}
+	for i := 100; i < 110; i++ {
+		fresh.Violations = append(fresh.Violations, assertion.Violation{
+			Assertion: "lights", Stream: "cam-0", SampleIndex: i, Severity: 9,
+		})
+	}
+	ingested := make(chan int, 1)
+	go func() {
+		n, _ := c.Ingest(fresh)
+		ingested <- n
+	}()
+	select {
+	case n := <-ingested:
+		if n != len(fresh.Violations) {
+			t.Fatalf("ingest beside a parked pull accepted %d of %d", n, len(fresh.Violations))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ingest waited on a parked label pull")
+	}
+	var sum SummaryResponse
+	if err := json.Unmarshal(getBody(t, srv.URL+"/v1/summary", http.StatusOK), &sum); err != nil {
+		t.Fatal(err)
+	}
+	if want := 30 + len(fresh.Violations); sum.TotalFired != want || sum.Batches != 2 {
+		t.Fatalf("summary beside a parked pull = %+v, want %d violations in 2 batches", sum, want)
+	}
+
+	close(release)
+	if status := <-pulled; status != http.StatusOK {
+		t.Fatalf("the parked pull answered %d once released", status)
+	}
+	next := pullBatch(t, srv.URL, 256, "after")
+	seen := 0
+	for _, cand := range next.Candidates {
+		if cand.Sample >= 100 {
+			seen++
+		}
+	}
+	if seen != len(fresh.Violations) {
+		t.Fatalf("the pull after the parked one sees %d of the %d samples ingested beside it", seen, len(fresh.Violations))
+	}
+}
+
+// parkingSink parks the first Record it is handed — inside apply, after
+// the violation's Append and before its ObserveBatch.
+type parkingSink struct {
+	once            sync.Once
+	parked, release chan struct{}
+}
+
+func (s *parkingSink) Record(assertion.Violation) error {
+	s.once.Do(func() {
+		close(s.parked)
+		<-s.release
+	})
+	return nil
+}
+func (s *parkingSink) Flush() error { return nil }
+func (s *parkingSink) Close() error { return nil }
+func (s *parkingSink) Err() error   { return nil }
+
+// TestSeedWaitsForInFlightApply pins the seed's atomicity: a first label
+// call that arrives while a batch is between its Append and its
+// ObserveBatch must wait for that apply to finish. Otherwise the seed
+// reads the violation from the store AND the apply queues it as an add,
+// and when retention later evicts it the index keeps a phantom candidate
+// the retained log no longer has.
+func TestSeedWaitsForInFlightApply(t *testing.T) {
+	c := openCollector(t, CollectorConfig{RetainPerAssertion: 1, CompactEvery: time.Hour})
+	defer c.Close()
+	sink := &parkingSink{parked: make(chan struct{}), release: make(chan struct{})}
+	c.AttachSink(sink)
+
+	one := func(seq uint64, sample int) Batch {
+		return Batch{Version: WireVersion, Source: "edge-1", Seq: seq, Violations: []assertion.Violation{
+			{Assertion: "lights", Stream: "cam-0", SampleIndex: sample, Severity: 1},
+		}}
+	}
+	applied := make(chan struct{})
+	go func() {
+		c.Ingest(one(1, 1))
+		close(applied)
+	}()
+	<-sink.parked
+
+	seeded := make(chan struct{})
+	go func() {
+		c.Labels().Pool()
+		close(seeded)
+	}()
+	select {
+	case <-seeded:
+		t.Fatal("the seed did not wait for the apply in flight")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(sink.release)
+	<-applied
+	<-seeded
+
+	c.Ingest(one(2, 2))
+	if evicted := c.CompactNow(); evicted != 1 {
+		t.Fatalf("compaction evicted %d, want 1", evicted)
+	}
+	pool := c.Labels().Pool()
+	if len(pool) != 1 || pool[0].Sample != 2 {
+		t.Fatalf("pool after the first sample was evicted = %+v, want only sample 2", pool)
 	}
 }

@@ -61,6 +61,47 @@ func TestMetricsExpositionStrict(t *testing.T) {
 		}
 	}
 
+	// The label index: a scrape never builds it, so a collector nobody has
+	// pulled labels from reports an empty one and no seed; the first label
+	// call seeds it, and ingest and ring overflow after that are counted
+	// as the events that keep it current.
+	for _, series := range []string{
+		"omg_collector_labels_candidates 0",
+		"omg_collector_labels_seeds_total 0",
+		`omg_collector_labels_index_events_total{kind="add"} 0`,
+		`omg_collector_labels_index_events_total{kind="evict"} 0`,
+		"omg_collector_labels_state_write_errors_total 0",
+	} {
+		if !strings.Contains(body, "\n"+series+"\n") {
+			t.Errorf("/metrics before any label call is missing %q", series)
+		}
+	}
+	c.Labels().Stats()
+	for seq := uint64(2); seq <= 60; seq++ { // 118 violations into two 50-slot rings
+		c.Ingest(Batch{
+			Version: WireVersion, Source: "edge-00", Seq: seq,
+			Violations: []assertion.Violation{
+				{Assertion: "flicker", Stream: "edge-00", SampleIndex: int(seq), Severity: 1},
+				{Assertion: "lights", Stream: "edge-00", SampleIndex: int(seq), Severity: 2},
+			},
+		})
+	}
+	body = metricsBody(t, c)
+	if err := obs.ValidateExposition([]byte(body)); err != nil {
+		t.Fatalf("/metrics rejected by strict parser after label calls: %v", err)
+	}
+	for _, series := range []string{
+		"omg_collector_labels_candidates 27", // the newest 50 violations of edge-00's ring are 25 samples; +2 on the other shard
+		"omg_collector_labels_seeds_total 1",
+		`omg_collector_labels_index_events_total{kind="add"} 118`,
+		`omg_collector_labels_index_events_total{kind="evict"} 69`,
+	} {
+		if !strings.Contains(body, "\n"+series+"\n") {
+			t.Errorf("/metrics after label calls is missing %q:\n%s", series, grepLines(body, "omg_collector_labels_"))
+			break
+		}
+	}
+
 	// Every ingested batch carried an observe stamp, so each source owns
 	// an e2e-age series — including the escaped one.
 	if !strings.Contains(body, `omg_collector_e2e_age_seconds_count{source="edge-00"}`) {
@@ -69,4 +110,14 @@ func TestMetricsExpositionStrict(t *testing.T) {
 	if !strings.Contains(body, `source="edge\"q\\u\nx"`) {
 		t.Errorf("e2e age histogram did not escape the weird source label:\n%s", body)
 	}
+}
+
+func grepLines(page, substr string) string {
+	var out []string
+	for _, line := range strings.Split(page, "\n") {
+		if strings.Contains(line, substr) && !strings.HasPrefix(line, "#") && !strings.Contains(line, "_seconds_") {
+			out = append(out, line)
+		}
+	}
+	return strings.Join(out, "\n")
 }

@@ -16,16 +16,41 @@
 // plain JSON State persisted atomically on every mutation. Reviving a
 // Service from that State after kill -9 continues the loop byte
 // identically.
+//
+// The candidate pool is a live index (index.go), maintained at the rate
+// the retained log changes rather than rebuilt at the rate it is read.
+// It is seeded once — one read of the ViolationSource, at the first label
+// call (Next, ApplyFeedback, Stats, Pool) and again after RestoreState or
+// a store Replace — and from then on folded forward by deltas: the adds
+// ObserveBatch hears from the ingest path and the evictions
+// ObserveEvicted hears from the stores. A service nobody asks for labels
+// never reads the log and keeps no index. Two locks split the work:
+//
+//   - the feed lock guards the queue of pending deltas, the seeded flag
+//     and the stream→source bindings' readers on the ingest side. It is
+//     all ObserveBatch and ObserveEvicted take (ObserveBatch adds
+//     Service.mu only when a binding actually changes, because a new
+//     binding persists before the sender's ack), so ingest never waits
+//     behind a pull.
+//   - Service.mu guards everything a label call reads and writes: the
+//     index, the selector, leases, the labeled set, the state file. Label
+//     calls drain the feed under it before they read.
+//
+// Served bytes are those of a full rebuild over the retained log at the
+// moment of the call: Candidate features are materialised from the index
+// (and the current bindings) only for the candidates a call returns.
 package labelsvc
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"omg/internal/assertion"
@@ -39,10 +64,23 @@ var ErrClosed = errors.New("labelsvc: service closed")
 // StateVersion versions the persisted State schema.
 const StateVersion = 1
 
-// ViolationSource supplies the retained violation history candidates are
-// assembled from — in production, export.Collector's merged view.
+// ViolationSource supplies the retained violation history the candidate
+// index is seeded from — in production, the export.Collector's shards. It
+// is read once per seed, in any order; afterwards the service hears the
+// log change through ObserveBatch and ObserveEvicted.
 type ViolationSource interface {
 	Violations() []assertion.Violation
+}
+
+// SeedLocker is the optional half of a ViolationSource whose log changes
+// while the service runs. LockSeed holds every writer of the log (an
+// ingest apply up to and including its ObserveBatch, a compaction, a
+// restore) off until the returned unlock is called, so that the seed's
+// read and its switch to delta-folding are one atomic step: no violation
+// is both in the read and in the feed, and none is in neither. The
+// service calls it holding none of its own locks.
+type SeedLocker interface {
+	LockSeed() (unlock func())
 }
 
 // Config tunes a Service. The zero value selects BAL with seed 1, a
@@ -217,19 +255,12 @@ type Stats struct {
 	ErrorsFound int64  `json:"errors_found"`
 }
 
-// assembly is the candidate pool derived from one generation of the
-// violation history; cached until the next ingest invalidates it.
-type assembly struct {
-	gen   uint64
-	names []string
-	cands []Candidate
-	vecs  []assertion.Vector
-	byKey map[key2]int
-}
-
 // Service is the label-selection engine. All methods are safe for
 // concurrent use.
 type Service struct {
+	// mu guards the loop: selector, round counters, labeled set, leases,
+	// the index and the state file. Lock order: a SeedLocker's lock, then
+	// mu, then feedMu.
 	mu  sync.Mutex
 	cfg Config
 	src ViolationSource
@@ -241,12 +272,37 @@ type Service struct {
 	errorsFound int64
 	labeled     map[key2]LabeledSample
 	leases      map[key2]Lease
-	streamSrc   map[string]string
+	// streamSrc is written with mu and feedMu both held, so either lock
+	// is enough to read it.
+	streamSrc map[string]string
 
-	gen    uint64
-	asm    *assembly
-	closed bool
+	// idx is the candidate index; meaningful only while seeded.
+	idx *index
+	// unsaved is set while the state file lags the loop: the last write
+	// failed (logged once per such streak), so the next call writes even
+	// if it has nothing new.
+	unsaved bool
+	closed  bool
+
+	// feedMu guards the delta queue between the ingest side and the label
+	// calls. seeded says the index exists and deltas are worth queueing;
+	// it drops back to false when the log is replaced under the index or
+	// when the queue outgrows feedCap — folding more deltas than the
+	// index has cells costs more than reading the log again — and the
+	// next label call then seeds afresh. It is written with feedMu held;
+	// ObserveEvicted also reads it without, as a reason not to take the
+	// lock at all.
+	feedMu  sync.Mutex
+	seeded  atomic.Bool
+	feed    []delta
+	feedCap int
+
+	adds, evicts, seeds, writeErrs atomic.Int64
 }
+
+// minFeedCap is the floor of the delta queue's bound: a small index still
+// tolerates this many pending deltas before a re-seed is preferred.
+const minFeedCap = 1 << 16
 
 // New builds a Service over the given violation source. If cfg.StatePath
 // names an existing state file the persisted loop is revived from it
@@ -284,41 +340,164 @@ func New(src ViolationSource, cfg Config) (*Service, error) {
 }
 
 // ObserveBatch notifies the service that a batch from the named source
-// was ingested: it refreshes the stream→source bindings and invalidates
-// the cached candidate pool. New bindings are persisted before returning
-// so a post-crash revival still knows every acked stream's source.
+// was ingested and is now in the retained log: its violations are queued
+// as adds for the index (when there is one), and the stream→source
+// bindings are refreshed. A new binding is persisted before returning so
+// a post-crash revival still knows every acked stream's source — the one
+// case that takes the loop's lock; a batch that binds nothing new never
+// waits on a label call.
 func (s *Service) ObserveBatch(source string, vs []assertion.Violation) {
+	s.feedMu.Lock()
+	s.enqueueLocked(vs, +1, &s.adds)
+	rebind := false
+	if source != "" {
+		for _, v := range vs {
+			if v.Stream != "" && s.streamSrc[v.Stream] != source {
+				rebind = true
+				break
+			}
+		}
+	}
+	s.feedMu.Unlock()
+	if !rebind {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
-	s.gen++
-	if source == "" {
+	s.feedMu.Lock()
+	for _, v := range vs {
+		if v.Stream != "" {
+			s.streamSrc[v.Stream] = source
+		}
+	}
+	s.feedMu.Unlock()
+	s.persistLocked()
+}
+
+// ObserveEvicted implements assertion.EvictionObserver: vs left the
+// retained log (ring overflow, compaction) and is queued as evictions for
+// the index. It takes only the feed lock and does not keep vs.
+func (s *Service) ObserveEvicted(vs []assertion.Violation) {
+	if !s.seeded.Load() {
+		return // nobody has asked for labels: an eviction costs this load
+	}
+	s.feedMu.Lock()
+	s.enqueueLocked(vs, -1, &s.evicts)
+	s.feedMu.Unlock()
+}
+
+// ObserveReplaced implements assertion.EvictionObserver: the retained log
+// was cleared or replaced wholesale, so the index is dropped and the next
+// label call seeds again.
+func (s *Service) ObserveReplaced() {
+	s.feedMu.Lock()
+	s.unseedLocked()
+	s.feedMu.Unlock()
+}
+
+// unseedLocked drops the feed and marks the index for a fresh seed at the
+// next label call. Called with feedMu held.
+func (s *Service) unseedLocked() {
+	s.seeded.Store(false)
+	s.feed = nil
+}
+
+// enqueueLocked queues one delta per positive-severity violation — the
+// only ones a candidate is made of — while an index exists to fold them
+// into. Called with feedMu held.
+func (s *Service) enqueueLocked(vs []assertion.Violation, n int32, events *atomic.Int64) {
+	if !s.seeded.Load() {
 		return
 	}
-	changed := false
+	if len(s.feed)+len(vs) > s.feedCap {
+		s.unseedLocked()
+		return
+	}
+	queued := 0
 	for _, v := range vs {
-		if v.Stream == "" {
-			continue
-		}
-		if s.streamSrc[v.Stream] != source {
-			s.streamSrc[v.Stream] = source
-			changed = true
+		if v.Severity > 0 {
+			s.feed = append(s.feed, delta{v.Stream, v.Assertion, v.SampleIndex, v.Severity, n})
+			queued++
 		}
 	}
-	if changed {
-		s.saveLocked()
+	events.Add(int64(queued))
+}
+
+// lockCurrent takes mu and brings the index up to the retained log: it
+// folds every queued delta, seeding the index first if there is none. All
+// label calls start here. The seed is the one place the log itself is
+// read; it runs with the source's writers held off (SeedLocker), which
+// requires letting go of mu first.
+func (s *Service) lockCurrent() {
+	s.mu.Lock()
+	for !s.drainLocked() {
+		s.mu.Unlock()
+		unlock := func() {}
+		if l, ok := s.src.(SeedLocker); ok {
+			unlock = l.LockSeed()
+		}
+		s.mu.Lock()
+		s.seedLocked()
+		unlock()
 	}
+}
+
+// drainLocked folds the queued deltas into the index and reports whether
+// there is an index at all; when there is not (never seeded, or dropped
+// since) it lets go of whatever stale one is left.
+func (s *Service) drainLocked() bool {
+	s.feedMu.Lock()
+	seeded, batch := s.seeded.Load(), s.feed
+	s.feed = nil
+	s.feedMu.Unlock()
+	if !seeded {
+		s.idx = nil
+		return false
+	}
+	for _, d := range batch {
+		s.idx.apply(d)
+	}
+	s.idx.settle()
+	s.feedMu.Lock()
+	s.feedCap = max(minFeedCap, 2*s.idx.ncells)
+	s.feedMu.Unlock()
+	return true
+}
+
+// seedLocked builds the index from one read of the retained log — the
+// full rebuild, and its only caller outside tests is lockCurrent — and
+// switches the feed on. Writers of the log are held off by the caller. A
+// concurrent label call may have seeded while mu was released.
+func (s *Service) seedLocked() {
+	if s.seeded.Load() {
+		return
+	}
+	s.idx = newIndex()
+	for _, v := range s.src.Violations() {
+		if v.Severity > 0 {
+			s.idx.apply(delta{v.Stream, v.Assertion, v.SampleIndex, v.Severity, +1})
+		}
+	}
+	s.seeds.Add(1)
+	s.feedMu.Lock()
+	s.seeded.Store(true)
+	s.feedCap = minFeedCap // until the drain that follows sizes it to the index
+	s.feedMu.Unlock()
 }
 
 // Next leases the next budgeted batch of candidates to puller. A budget
 // of 0 means the configured default; the configured maximum always caps
 // it. Samples already labeled or under an unexpired lease are never
 // served, so two concurrent pullers get disjoint batches. An empty pool
-// yields an empty batch without advancing the round.
+// yields an empty batch without advancing the round. A non-nil error
+// other than ErrClosed means the state file could not be written: the
+// batch's leases exist only in memory, so none is returned and the puller
+// should retry.
 func (s *Service) Next(budget int, puller string) (Batch, error) {
-	s.mu.Lock()
+	s.lockCurrent()
 	defer s.mu.Unlock()
 	if s.closed {
 		return Batch{}, ErrClosed
@@ -331,8 +510,7 @@ func (s *Service) Next(budget int, puller string) (Batch, error) {
 	}
 	now := s.cfg.Now()
 	s.expireLocked(now)
-	asm := s.assembleLocked()
-	avail, positions := s.availableLocked(asm)
+	avail, cands := s.availableLocked()
 	batch := Batch{
 		Round:          s.round,
 		Selector:       s.sel.Name(),
@@ -348,15 +526,15 @@ func (s *Service) Next(budget int, puller string) (Batch, error) {
 		Round:       round,
 		Budget:      overProvision(budget, len(avail)),
 		Candidates:  avail,
-		FiredCounts: bandit.FiredCounts(avail, len(asm.names)),
+		FiredCounts: bandit.FiredCounts(avail, len(s.idx.axis)),
 	})
-	chosen := diversify(asm, positions, picks, budget)
+	chosen := diversify(cands, len(s.idx.axis), picks, budget)
 
 	expires := now.Add(s.cfg.LeaseTTL).Unix()
 	batch.Round = round
 	batch.Candidates = make([]Candidate, 0, len(chosen))
 	for _, pos := range chosen {
-		c := asm.cands[pos] // copy; the cached pool stays lease-free
+		c := s.materialiseLocked(cands[pos])
 		c.LeaseUntilUnix = expires
 		batch.Candidates = append(batch.Candidates, c)
 		s.leases[c.key2()] = Lease{
@@ -368,7 +546,9 @@ func (s *Service) Next(budget int, puller string) (Batch, error) {
 	}
 	s.round = round
 	s.served += int64(len(batch.Candidates))
-	s.saveLocked()
+	if err := s.persistLocked(); err != nil {
+		return Batch{}, err
+	}
 	return batch, nil
 }
 
@@ -387,14 +567,16 @@ func overProvision(budget, pool int) int {
 // leases, counts confirmed model errors, and feeds the reward back into
 // reward-driven selectors. Re-posting an already-labeled sample is an
 // idempotent duplicate. Labels for samples the service never served are
-// accepted too (volunteered labels still shrink the pool).
+// accepted too (volunteered labels still shrink the pool). A non-nil error
+// other than ErrClosed means the labels were applied in memory but the
+// state file could not be written; re-posting them (they then count as
+// duplicates) retries the write.
 func (s *Service) ApplyFeedback(items []Feedback) (FeedbackResult, error) {
-	s.mu.Lock()
+	s.lockCurrent()
 	defer s.mu.Unlock()
 	if s.closed {
 		return FeedbackResult{}, ErrClosed
 	}
-	asm := s.assembleLocked()
 	res := FeedbackResult{Round: s.round}
 	for _, f := range items {
 		k := f.key2()
@@ -418,30 +600,32 @@ func (s *Service) ApplyFeedback(items []Feedback) (FeedbackResult, error) {
 			s.errorsFound++
 			reward = 1
 		}
-		if pos, ok := asm.byKey[k]; ok {
-			s.sel.Reward(bandit.ContextFromSeverities(asm.vecs[pos], len(asm.names)), reward)
+		if c := s.idx.lookup(k); c != nil {
+			s.idx.derive(c)
+			s.sel.Reward(bandit.ContextFromSeverities(c.vec, len(s.idx.axis)), reward)
 		}
 	}
-	if res.Applied > 0 {
-		s.saveLocked()
+	if res.Applied > 0 || s.unsaved {
+		if err := s.persistLocked(); err != nil {
+			return res, err
+		}
 	}
 	return res, nil
 }
 
 // Stats reports the service's current summary.
 func (s *Service) Stats() Stats {
-	s.mu.Lock()
+	s.lockCurrent()
 	defer s.mu.Unlock()
 	s.expireLocked(s.cfg.Now())
-	asm := s.assembleLocked()
-	avail, _ := s.availableLocked(asm)
+	avail, _ := s.availableLocked()
 	return Stats{
 		Selector:    s.sel.Name(),
 		Seed:        s.selSeed(),
 		Round:       s.round,
 		Pool:        len(avail),
-		Candidates:  len(asm.cands),
-		Assertions:  len(asm.names),
+		Candidates:  s.idx.ncands,
+		Assertions:  len(s.idx.axis),
 		Labeled:     len(s.labeled),
 		Leased:      len(s.leases),
 		Served:      s.served,
@@ -455,14 +639,13 @@ func (s *Service) selSeed() int64 { return s.sel.StateSnapshot().Seed }
 // Pool returns the currently selectable candidates in canonical order
 // (tests and diagnostics).
 func (s *Service) Pool() []Candidate {
-	s.mu.Lock()
+	s.lockCurrent()
 	defer s.mu.Unlock()
 	s.expireLocked(s.cfg.Now())
-	asm := s.assembleLocked()
-	_, positions := s.availableLocked(asm)
-	out := make([]Candidate, len(positions))
-	for i, pos := range positions {
-		out[i] = asm.cands[pos]
+	_, cands := s.availableLocked()
+	out := make([]Candidate, len(cands))
+	for i, c := range cands {
+		out[i] = s.materialiseLocked(c)
 	}
 	return out
 }
@@ -483,7 +666,7 @@ func (s *Service) RestoreState(st State) {
 		return
 	}
 	s.restoreLocked(st)
-	s.saveLocked()
+	s.persistLocked()
 }
 
 // Round returns the number of completed selection rounds.
@@ -506,6 +689,35 @@ func (s *Service) Counters() (served, feedback, errorsFound int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.served, s.feedback, s.errorsFound
+}
+
+// IndexStats describes the candidate index for metrics, without ever
+// building it: a collector nobody has asked for labels reports zeros.
+type IndexStats struct {
+	// Candidates is the index's size after folding what is queued (0
+	// while there is no index).
+	Candidates int
+	// Adds and Evictions count the deltas queued for the index; Seeds how
+	// often it was built from the retained log.
+	Adds, Evictions, Seeds int64
+	// StateWriteErrors counts failed writes of the state file.
+	StateWriteErrors int64
+}
+
+// IndexStats reports the index's size and lifetime counters.
+func (s *Service) IndexStats() IndexStats {
+	st := IndexStats{
+		Adds:             s.adds.Load(),
+		Evictions:        s.evicts.Load(),
+		Seeds:            s.seeds.Load(),
+		StateWriteErrors: s.writeErrs.Load(),
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.drainLocked() {
+		st.Candidates = s.idx.ncands
+	}
+	return st
 }
 
 // Close persists the final state and rejects further mutations.
@@ -576,12 +788,33 @@ func (s *Service) restoreLocked(st State) {
 	for _, l := range st.Leases {
 		s.leases[l.key2()] = l
 	}
-	s.streamSrc = make(map[string]string, len(st.StreamSources))
+	streamSrc := make(map[string]string, len(st.StreamSources))
 	for k, v := range st.StreamSources {
-		s.streamSrc[k] = v
+		streamSrc[k] = v
 	}
-	s.asm = nil
-	s.gen++
+	// A restored loop ranks whatever the source holds now: drop the index
+	// with the rest of the old state.
+	s.feedMu.Lock()
+	s.streamSrc = streamSrc
+	s.unseedLocked()
+	s.feedMu.Unlock()
+}
+
+// persistLocked is saveLocked with the failure accounted for: counted,
+// logged once per streak of failures, and remembered (unsaved) so the next
+// call that could have nothing new to write writes anyway.
+func (s *Service) persistLocked() error {
+	err := s.saveLocked()
+	streak := s.unsaved
+	s.unsaved = err != nil
+	if err == nil {
+		return nil
+	}
+	s.writeErrs.Add(1)
+	if !streak {
+		log.Printf("labelsvc: state file %s not written, label state is not durable: %v", s.cfg.StatePath, err)
+	}
+	return fmt.Errorf("labelsvc: write state: %w", err)
 }
 
 // saveLocked atomically persists the state file: temp + fsync + rename +
@@ -631,129 +864,90 @@ func (s *Service) expireLocked(now time.Time) {
 	}
 }
 
-// assembleLocked builds (or reuses) the candidate pool for the current
-// ingest generation: one candidate per (stream, sample) with its
-// max-severity-per-assertion feature vector, in canonical (stream,
-// sample) order so selection is deterministic.
-func (s *Service) assembleLocked() *assembly {
-	if s.asm != nil && s.asm.gen == s.gen {
-		return s.asm
-	}
-	gen := s.gen
-	vs := s.src.Violations()
-	byKey := make(map[key2]int)
-	var cands []Candidate
-	nameSet := make(map[string]bool)
-	for _, v := range vs {
-		if v.Severity <= 0 {
-			continue
-		}
-		nameSet[v.Assertion] = true
-		k := key2{v.Stream, v.SampleIndex}
-		idx, ok := byKey[k]
-		if !ok {
-			idx = len(cands)
-			byKey[k] = idx
-			cands = append(cands, Candidate{
-				SampleKey:  SampleKey{Source: s.streamSrc[v.Stream], Stream: v.Stream, Sample: v.SampleIndex},
-				Severities: make(map[string]float64, 4),
-			})
-		}
-		if v.Severity > cands[idx].Severities[v.Assertion] {
-			cands[idx].Severities[v.Assertion] = v.Severity
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Stream != cands[j].Stream {
-			return cands[i].Stream < cands[j].Stream
-		}
-		return cands[i].Sample < cands[j].Sample
-	})
-	names := make([]string, 0, len(nameSet))
-	for n := range nameSet {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	nameIdx := make(map[string]int, len(names))
-	for i, n := range names {
-		nameIdx[n] = i
-	}
-	vecs := make([]assertion.Vector, len(cands))
-	for i := range cands {
-		c := &cands[i]
-		byKey[c.key2()] = i
-		vec := make(assertion.Vector, len(names))
-		for name, sev := range c.Severities {
-			vec[nameIdx[name]] = sev
-			if sev > c.MaxSeverity || (sev == c.MaxSeverity && (c.TopAssertion == "" || name < c.TopAssertion)) {
-				c.MaxSeverity = sev
-				c.TopAssertion = name
-			}
-		}
-		vecs[i] = vec
-		for _, name := range names {
-			sev, fired := c.Severities[name]
-			if !fired {
+// availableLocked walks the index in canonical (stream, sample) order and
+// returns the selectable candidates: unlabeled and not under an active
+// lease. cands[i] backs avail[i]; avail[i].Index is the candidate's rank
+// among all candidates, available or not, which is what selectors break
+// ties by.
+func (s *Service) availableLocked() (avail []bandit.Candidate, cands []*cand) {
+	x := s.idx
+	avail = make([]bandit.Candidate, 0, x.ncands)
+	cands = make([]*cand, 0, x.ncands)
+	rank := 0
+	for _, st := range x.order {
+		for _, c := range st.list {
+			if c.positive == 0 {
 				continue
 			}
-			if kind, attrKey, ok := consistency.ProposalKindForAssertion(name); ok {
-				c.WeakLabels = append(c.WeakLabels, WeakLabel{
-					Kind:      kind,
-					Assertion: name,
-					AttrKey:   attrKey,
-					Severity:  sev,
-				})
+			i := rank
+			rank++
+			k := key2{st.name, c.sample}
+			if _, ok := s.labeled[k]; ok {
+				continue
 			}
+			if _, ok := s.leases[k]; ok {
+				continue
+			}
+			x.derive(c)
+			avail = append(avail, bandit.Candidate{Index: i, Severities: c.vec, Uncertainty: c.maxSev})
+			cands = append(cands, c)
 		}
 	}
-	s.asm = &assembly{gen: gen, names: names, cands: cands, vecs: vecs, byKey: byKey}
-	return s.asm
+	return avail, cands
 }
 
-// availableLocked filters the pool down to selectable candidates:
-// unlabeled and not under an active lease. positions[i] is the assembly
-// index backing avail[i]; avail[i].Index is set to the same value so a
-// selector's picks translate directly.
-func (s *Service) availableLocked(asm *assembly) (avail []bandit.Candidate, positions []int) {
-	for i := range asm.cands {
-		k := asm.cands[i].key2()
-		if _, ok := s.labeled[k]; ok {
-			continue
-		}
-		if _, ok := s.leases[k]; ok {
-			continue
-		}
-		avail = append(avail, bandit.Candidate{
-			Index:       i,
-			Severities:  asm.vecs[i],
-			Uncertainty: asm.cands[i].MaxSeverity,
-		})
-		positions = append(positions, i)
+// materialiseLocked builds the served form of an index candidate: the
+// per-assertion severities, the weak-label proposals of its
+// consistency-generated assertions, and the source its stream is bound to
+// now.
+func (s *Service) materialiseLocked(c *cand) Candidate {
+	x := s.idx
+	x.derive(c)
+	out := Candidate{
+		SampleKey:    SampleKey{Source: s.streamSrc[c.st.name], Stream: c.st.name, Sample: c.sample},
+		Severities:   make(map[string]float64, len(c.cells)),
+		TopAssertion: x.axis[c.top],
+		MaxSeverity:  c.maxSev,
 	}
-	return avail, positions
+	for pos, sev := range c.vec {
+		if sev <= 0 {
+			continue
+		}
+		name := x.axis[pos]
+		out.Severities[name] = sev
+		if kind, attrKey, ok := consistency.ProposalKindForAssertion(name); ok {
+			out.WeakLabels = append(out.WeakLabels, WeakLabel{
+				Kind:      kind,
+				Assertion: name,
+				AttrKey:   attrKey,
+				Severity:  sev,
+			})
+		}
+	}
+	return out
 }
 
-// diversify makes a batch per-assertion-diverse. It maps a selector's
-// ranked picks (positions into the available slice) back to assembly
-// positions, interleaves them round-robin across dominant assertions —
-// preserving rank order within each assertion — truncated to budget, and
-// then guarantees representation: every assertion that still has an
-// available candidate gets at least one slot when the budget allows,
-// evicting the tail of the most-represented group. Fully deterministic,
-// so crash recovery and the reference trace reproduce it exactly.
-func diversify(asm *assembly, positions []int, picks []int, budget int) []int {
-	var groupOrder []string
-	groups := make(map[string][]int)
+// diversify makes a batch per-assertion-diverse. picks are a selector's
+// ranked positions into cands (the available candidates in canonical
+// order, over an axis of d assertions); it interleaves them round-robin
+// across dominant assertions — preserving rank order within each
+// assertion — truncated to budget, and then guarantees representation:
+// every assertion that still has an available candidate gets at least one
+// slot when the budget allows, evicting the tail of the most-represented
+// group. Fully deterministic, so crash recovery and the reference trace
+// reproduce it exactly.
+func diversify(cands []*cand, d int, picks []int, budget int) []int {
+	var groupOrder []int32
+	groups := make([][]int, d)
 	for _, p := range picks {
-		if p < 0 || p >= len(positions) {
+		if p < 0 || p >= len(cands) {
 			continue
 		}
-		pos := positions[p]
-		top := asm.cands[pos].TopAssertion
-		if _, ok := groups[top]; !ok {
+		top := cands[p].top
+		if groups[top] == nil {
 			groupOrder = append(groupOrder, top)
 		}
-		groups[top] = append(groups[top], pos)
+		groups[top] = append(groups[top], p)
 	}
 	out := make([]int, 0, budget)
 	for len(out) < budget {
@@ -777,25 +971,27 @@ func diversify(asm *assembly, positions []int, picks []int, budget int) []int {
 		// nothing unrepresented that the selector could have offered.
 		return out
 	}
-	count := make(map[string]int)
+	count := make([]int, d)
 	inBatch := make(map[int]bool, len(out))
-	for _, pos := range out {
-		count[asm.cands[pos].TopAssertion]++
-		inBatch[pos] = true
+	for _, p := range out {
+		count[cands[p].top]++
+		inBatch[p] = true
 	}
-	for _, name := range asm.names {
+	// Axis positions are in name order, so walking them ascending is the
+	// lexicographic walk (and tie-break) over assertion names.
+	for name := range count {
 		if count[name] > 0 {
 			continue
 		}
 		// Highest-severity available candidate dominated by this
 		// assertion (canonical order breaks ties).
 		best := -1
-		for _, pos := range positions {
-			if inBatch[pos] || asm.cands[pos].TopAssertion != name {
+		for p, c := range cands {
+			if inBatch[p] || int(c.top) != name {
 				continue
 			}
-			if best < 0 || asm.cands[pos].MaxSeverity > asm.cands[best].MaxSeverity {
-				best = pos
+			if best < 0 || c.maxSev > cands[best].maxSev {
+				best = p
 			}
 		}
 		if best < 0 {
@@ -803,17 +999,17 @@ func diversify(asm *assembly, positions []int, picks []int, budget int) []int {
 		}
 		// Evict the last occurrence of the most-represented group, but
 		// never a group's only entry.
-		evictGroup, maxN := "", 1
+		evictGroup, maxN := -1, 1
 		for g, n := range count {
-			if n > maxN || (n == maxN && evictGroup != "" && g < evictGroup) {
+			if n > maxN {
 				evictGroup, maxN = g, n
 			}
 		}
-		if evictGroup == "" {
+		if evictGroup < 0 {
 			break // all groups are singletons; the budget is spoken for
 		}
 		for j := len(out) - 1; j >= 0; j-- {
-			if asm.cands[out[j]].TopAssertion == evictGroup {
+			if int(cands[out[j]].top) == evictGroup {
 				count[evictGroup]--
 				delete(inBatch, out[j])
 				out[j] = best

@@ -337,17 +337,18 @@ func TestBALReferenceTrace(t *testing.T) {
 			Candidates:  avail,
 			FiredCounts: bandit.FiredCounts(avail, len(sorted)),
 		})
-		// Snapshot the service's internal pool mapping before Next
-		// mutates lease state, then apply the shared deterministic
-		// diversity pass to the reference ranking.
-		s.mu.Lock()
-		asm := s.assembleLocked()
-		_, positions := s.availableLocked(asm)
+		// Snapshot the service's available candidates (the same ones, in
+		// the same order, as the public Pool view) before Next mutates
+		// lease state, then apply the shared deterministic diversity pass
+		// to the reference ranking.
+		s.lockCurrent()
+		_, cands := s.availableLocked()
+		d := len(s.idx.axis)
 		s.mu.Unlock()
-		wantPos := diversify(asm, positions, picks, budget)
+		wantPos := diversify(cands, d, picks, budget)
 		wantKeys := make([]SampleKey, len(wantPos))
 		for i, pos := range wantPos {
-			wantKeys[i] = asm.cands[pos].SampleKey
+			wantKeys[i] = pool[pos].SampleKey
 		}
 
 		got, err := s.Next(budget, "ref")

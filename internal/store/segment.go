@@ -177,6 +177,18 @@ type SegmentStore struct {
 	// obsSample gates the append histogram's clock reads; mutated under
 	// mu, which is what makes the non-atomic sampler safe here.
 	obsSample obs.Sampler
+
+	// observer hears what leaves the mirror: compaction's evictions and
+	// clearLocked's wholesale reset (see assertion.EvictionObserver).
+	observer assertion.EvictionObserver
+}
+
+// SetEvictionObserver makes o hear every later eviction from the retained
+// log; nil detaches.
+func (s *SegmentStore) SetEvictionObserver(o assertion.EvictionObserver) {
+	s.mu.Lock()
+	s.observer = o
+	s.mu.Unlock()
 }
 
 // Open opens (or creates) the segment store in cfg.Dir, running crash
@@ -944,6 +956,7 @@ func (s *SegmentStore) compact(minIngestUnix int64, budget func(string) (int, bo
 	s.activeBytes = last.bytes
 	s.activeRecs = last.records
 
+	assertion.ReportEvicted(s.observer, s.vs, mask) // the old mirror, before it goes
 	s.vs, s.seqs = keptVs, keptSeqs
 	s.index.Rebuild(s.vs, 0)
 	s.compacted += int64(evicted)
@@ -1059,6 +1072,9 @@ func (s *SegmentStore) clearLocked() error {
 	s.finalized = nil
 	s.vs, s.seqs = nil, nil
 	s.index.Reset()
+	if s.observer != nil {
+		s.observer.ObserveReplaced()
+	}
 	s.stats = make(map[string]assertion.Stats)
 	s.totalFired = 0
 	s.appendSeq = 0

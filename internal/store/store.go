@@ -22,6 +22,13 @@
 // types), and MemStore is the Recorder's own storage. Aliasing makes the
 // two packages share one set of types, so a *store.SegmentStore is a
 // valid assertion.ViolationStore with no adapter.
+//
+// Beside the interface, both backends take an EvictionObserver
+// (SetEvictionObserver on the concrete type): the seam's other direction,
+// through which a store tells its owner what compaction, a ring overflow
+// or a wholesale Replace removed from the retained log. The collector
+// points it at its label service, which keeps the candidate index
+// current from those reports instead of re-reading the log.
 package store
 
 import "omg/internal/assertion"
@@ -42,6 +49,10 @@ type Checkpoint = assertion.StoreCheckpoint
 
 // Segment describes one live segment file in a checkpoint manifest.
 type Segment = assertion.StoreSegment
+
+// EvictionObserver hears what leaves a backend's retained log; both
+// backends take one through SetEvictionObserver.
+type EvictionObserver = assertion.EvictionObserver
 
 // MemStore is the in-memory backend.
 type MemStore = assertion.MemStore
