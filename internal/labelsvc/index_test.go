@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -209,18 +210,29 @@ func TestStateWriteFailuresAreLoud(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	if b, err := svc.Next(4, "p"); err == nil || len(b.Candidates) != 0 {
-		t.Fatalf("pull with an unwritable state file: err=%v candidates=%d, want an error and none", err, len(b.Candidates))
-	} else if !strings.Contains(err.Error(), "write state") {
-		t.Fatalf("error does not name the failure: %v", err)
+	before, stateBefore := svc.Stats(), svc.StateSnapshot()
+	for try := 0; try < 3; try++ {
+		if b, err := svc.Next(4, "p"); err == nil || len(b.Candidates) != 0 {
+			t.Fatalf("pull with an unwritable state file: err=%v candidates=%d, want an error and none", err, len(b.Candidates))
+		} else if !strings.Contains(err.Error(), "write state") {
+			t.Fatalf("error does not name the failure: %v", err)
+		}
+	}
+	// A failed pull is taken back whole: retrying against a full disk
+	// leases nothing, so the pool does not drain into batches nobody holds.
+	if after := svc.Stats(); after != before {
+		t.Fatalf("stats after failed pulls = %+v, want the %+v before them", after, before)
+	}
+	if after := svc.StateSnapshot(); !reflect.DeepEqual(after, stateBefore) {
+		t.Fatalf("state after failed pulls = %+v, want %+v", after, stateBefore)
 	}
 	fb := []Feedback{{SampleKey: b.Candidates[0].SampleKey, Label: "x"}}
 	if _, err := svc.ApplyFeedback(fb); err == nil {
 		t.Fatal("feedback acknowledged with an unwritable state file")
 	}
 	svc.ObserveBatch("edge-9", []assertion.Violation{v("lights", "cam-new", 1, 1)})
-	if got := svc.IndexStats().StateWriteErrors; got != 3 {
-		t.Fatalf("state write errors = %d, want 3 (pull, feedback, binding)", got)
+	if got := svc.IndexStats().StateWriteErrors; got != 5 {
+		t.Fatalf("state write errors = %d, want 5 (three pulls, feedback, binding)", got)
 	}
 
 	// The disk comes back: the re-posted label is a duplicate, but the

@@ -494,8 +494,9 @@ func (s *Service) seedLocked() {
 // served, so two concurrent pullers get disjoint batches. An empty pool
 // yields an empty batch without advancing the round. A non-nil error
 // other than ErrClosed means the state file could not be written: the
-// batch's leases exist only in memory, so none is returned and the puller
-// should retry.
+// round is taken back (its leases, the round and served counters, the
+// selector's state), no candidate is returned, and a retry redraws the
+// same round.
 func (s *Service) Next(budget int, puller string) (Batch, error) {
 	s.lockCurrent()
 	defer s.mu.Unlock()
@@ -522,6 +523,9 @@ func (s *Service) Next(budget int, puller string) (Batch, error) {
 	}
 
 	round := s.round + 1
+	// The selector's fields are only ever replaced whole, so a copy of the
+	// struct is enough to take a failed round back.
+	selBefore := *s.sel
 	picks := s.sel.Select(bandit.RoundState{
 		Round:       round,
 		Budget:      overProvision(budget, len(avail)),
@@ -547,6 +551,14 @@ func (s *Service) Next(budget int, puller string) (Batch, error) {
 	s.round = round
 	s.served += int64(len(batch.Candidates))
 	if err := s.persistLocked(); err != nil {
+		// Nobody will hold these leases: take the round back, so a puller
+		// retrying against a full disk does not drain the pool into them.
+		for _, c := range batch.Candidates {
+			delete(s.leases, c.key2())
+		}
+		s.round = round - 1
+		s.served -= int64(len(batch.Candidates))
+		*s.sel = selBefore
 		return Batch{}, err
 	}
 	return batch, nil
