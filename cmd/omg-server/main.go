@@ -158,6 +158,7 @@ func main() {
 		}
 	}
 
+	opened := time.Now()
 	c, err := export.OpenCollector(export.CollectorConfig{
 		Retain:              *retain,
 		Shards:              *shards,
@@ -183,7 +184,9 @@ func main() {
 		log.Fatalf("open collector: %v", err)
 	}
 	if *storeKind == export.StoreDisk {
-		log.Printf("disk store at %s: recovered %d violations", *dataDir, c.TotalFired())
+		info := c.StoreInfo()
+		log.Printf("disk store at %s: replayed %d retained violations (%d ever fired) from %d segments, %d bytes, in %s",
+			*dataDir, info.Entries, c.TotalFired(), info.Segments, info.Bytes, time.Since(opened).Round(time.Millisecond))
 	}
 	if *snapshot != "" {
 		s, err := export.ReadSnapshotFile(*snapshot)

@@ -133,6 +133,33 @@ func TestAllocRegressionAppendViolationJSON(t *testing.T) {
 	}
 }
 
+// TestAllocRegressionViolationRecord asserts both directions of the
+// binary record codec allocate nothing in steady state: encoding into a
+// buffer with capacity, and — what a store's replay does a million times
+// — decoding a record whose names the interner has already seen.
+func TestAllocRegressionViolationRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is meaningless under -race")
+	}
+	buf := make([]byte, 0, 512)
+	v := Violation{Assertion: "alloc-enc", Stream: "cam-0", SampleIndex: 7, Time: 0.23, Severity: 1.5, IngestUnix: 1753800000}
+	var in Interner
+	var back Violation
+	body, err := AppendViolationRecord(buf, &v)
+	if err != nil || DecodeViolationRecord(body, &back, &in) != nil { // interns both names
+		t.Fatal("warm-up round trip failed")
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		body, err := AppendViolationRecord(buf, &v)
+		if err != nil || DecodeViolationRecord(body, &back, &in) != nil || back != v {
+			t.Fatal("round trip failed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("the record round trip allocated %.1f times per violation, want 0", allocs)
+	}
+}
+
 // TestAllocRegressionSuiteEvaluateInto asserts the reusable-vector
 // evaluation entry point allocates nothing once dst has capacity.
 func TestAllocRegressionSuiteEvaluateInto(t *testing.T) {

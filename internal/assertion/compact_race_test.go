@@ -7,7 +7,7 @@ import (
 )
 
 // TestRecordConcurrentWithCompact drives MemStore.Append against a churn
-// of Compact/CompactBudgets and asserts the monotonicity contract: lifetime
+// of capped and budgeted Compact and asserts the monotonicity contract: lifetime
 // counters (TotalFired, per-assertion Stats.Fired) never regress, no
 // matter what retention evicts from the queryable log.
 func TestRecordConcurrentWithCompact(t *testing.T) {
@@ -36,7 +36,7 @@ func TestRecordConcurrentWithCompact(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				rec.CompactBudgets(budgets)
+				rec.Compact(0, 0, budgets)
 			}
 		}
 	}()

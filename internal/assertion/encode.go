@@ -1,18 +1,25 @@
 package assertion
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
 	"unicode/utf8"
 )
 
-// This file is the reflection-free violation encoder. The observe→record→
-// export hot path encodes every violation at least once (JSONL sink, HTTP
-// wire batches, SSE tail), and encoding/json pays reflection plus an
-// intermediate allocation per Marshal call. AppendViolationJSON writes the
-// same bytes by hand into a caller-owned buffer, so steady-state encoding
-// costs no allocations at all.
+// This file holds the two violation encodings, both reflection-free and
+// both appending into a caller-owned buffer: the JSON one for whatever a
+// human or another tool may read (JSONL sink, JSON wire batches, SSE tail,
+// query answers), and the binary one for what only this program reads —
+// the binary wire frame's per-violation layout and, behind one tag byte,
+// the disk store's record body (see AppendViolationBinary).
+//
+// The observe→record→export hot path encodes every violation at least
+// once, and encoding/json pays reflection plus an intermediate allocation
+// per Marshal call. AppendViolationJSON writes the same bytes by hand, so
+// steady-state encoding costs no allocations at all.
 //
 // The output is byte-identical to encoding/json's Marshal of a Violation —
 // field order, omitempty behaviour, string escaping (including HTML
@@ -92,7 +99,7 @@ func appendJSONString(dst []byte, s string) []byte {
 // leading zero stripped (1e-07 encodes as 1e-7). NaN and infinities are
 // rejected, exactly as json.Marshal rejects them.
 func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
+	if !isFinite(f) {
 		return dst, fmt.Errorf("assertion: unsupported JSON value: %v", f)
 	}
 	abs := math.Abs(f)
@@ -164,4 +171,178 @@ func AppendViolationsJSON(dst []byte, vs []Violation) ([]byte, error) {
 		}
 	}
 	return append(dst, ']'), nil
+}
+
+// Binary violation layout (integers little-endian or varint, strings
+// 8-bit clean):
+//
+//	uvarint assertion length, assertion bytes
+//	uvarint stream length, stream bytes
+//	varint  sample_index
+//	8 bytes float64 time (IEEE-754 bits)
+//	8 bytes float64 severity
+//	varint  ingest_unix
+//	varint  observed_unix_nano
+//
+// It is written in two places and read back by one decoder: the binary
+// wire frame (export.BinaryCodec) carries a run of these after its batch
+// header, and a disk record body (store.SegmentStore) is one of them
+// behind ViolationRecordTag. Both refuse a non-finite Time or Severity on
+// the way in and on the way out — what AppendViolationJSON cannot write,
+// no encoding of a violation carries. FuzzViolationRecord and export's
+// FuzzBinaryRoundTrip fuzz it; TestViolationBinaryCoversAllFields fails
+// when Violation gains a field this layout does not know.
+
+// ErrViolationEncoding reports bytes that are not a binary violation:
+// truncated or overlong fields, a non-finite Time or Severity, an unknown
+// record tag, or bytes left over after a record.
+var ErrViolationEncoding = errors.New("assertion: malformed binary violation")
+
+// ViolationRecordTag is the first byte of a binary record body. It is not
+// '{', which is how a reader tells a record from the JSON bodies older
+// stores wrote.
+const ViolationRecordTag byte = 0x01
+
+// isFinite reports whether JSON could represent f.
+func isFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// AppendViolationBinary appends v in the binary layout. It allocates
+// nothing when dst has capacity; on error (a NaN or infinite Time or
+// Severity, exactly what AppendViolationJSON refuses) dst is returned
+// unextended.
+func AppendViolationBinary(dst []byte, v *Violation) ([]byte, error) {
+	if !isFinite(v.Time) || !isFinite(v.Severity) {
+		return dst, fmt.Errorf("assertion: unsupported value: time %v, severity %v (NaN or Inf)", v.Time, v.Severity)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(v.Assertion)))
+	dst = append(dst, v.Assertion...)
+	dst = binary.AppendUvarint(dst, uint64(len(v.Stream)))
+	dst = append(dst, v.Stream...)
+	dst = binary.AppendVarint(dst, int64(v.SampleIndex))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Time))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Severity))
+	dst = binary.AppendVarint(dst, v.IngestUnix)
+	return binary.AppendVarint(dst, v.ObservedUnixNano), nil
+}
+
+// AppendViolationRecord appends v as a record body: ViolationRecordTag,
+// then the binary layout. Same error contract as AppendViolationBinary.
+func AppendViolationRecord(dst []byte, v *Violation) ([]byte, error) {
+	out, err := AppendViolationBinary(append(dst, ViolationRecordTag), v)
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// Interner deduplicates the strings a decoder produces: violations repeat
+// a handful of assertion and stream names thousands of times, and one
+// table per decode (a pooled wire decoder, a store's replay) makes each
+// distinct name one allocation. The zero value is ready to use; it is not
+// safe for concurrent use.
+type Interner struct{ m map[string]string }
+
+// internCap bounds the table so a hostile stream of unique names cannot
+// grow it without limit; past the cap strings still decode, they just
+// allocate.
+const internCap = 4096
+
+// Intern returns b as a string, reusing the previous allocation for a
+// name seen before. The map lookup on string(b) does not allocate.
+func (in *Interner) Intern(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if s, ok := in.m[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if in.m == nil {
+		in.m = make(map[string]string, 64)
+	}
+	if len(in.m) < internCap {
+		in.m[s] = s
+	}
+	return s
+}
+
+// DecodeViolationBinary decodes one violation in the binary layout from
+// the front of p into v, interning its names, and returns the bytes after
+// it. Errors wrap ErrViolationEncoding; v is unspecified after one. With
+// the names already interned it allocates nothing.
+func DecodeViolationBinary(p []byte, v *Violation, in *Interner) ([]byte, error) {
+	name, p, err := readBinaryString(p, "assertion")
+	if err != nil {
+		return p, err
+	}
+	v.Assertion = in.Intern(name)
+	stream, p, err := readBinaryString(p, "stream")
+	if err != nil {
+		return p, err
+	}
+	v.Stream = in.Intern(stream)
+	sample, p, err := readBinaryVarint(p, "sample_index")
+	if err != nil {
+		return p, err
+	}
+	v.SampleIndex = int(sample)
+	if len(p) < 16 {
+		return p, fmt.Errorf("%w: truncated float fields", ErrViolationEncoding)
+	}
+	v.Time = math.Float64frombits(binary.LittleEndian.Uint64(p))
+	v.Severity = math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
+	p = p[16:]
+	if !isFinite(v.Time) || !isFinite(v.Severity) {
+		// The encoder's rule, enforced on bytes built outside this
+		// process: what no JSON body can carry, no binary one may.
+		return p, fmt.Errorf("%w: non-finite time or severity", ErrViolationEncoding)
+	}
+	if v.IngestUnix, p, err = readBinaryVarint(p, "ingest_unix"); err != nil {
+		return p, err
+	}
+	v.ObservedUnixNano, p, err = readBinaryVarint(p, "observed_unix_nano")
+	return p, err
+}
+
+// DecodeViolationRecord decodes a whole record body — ViolationRecordTag,
+// one binary violation, nothing after it — into v. Any other first byte
+// is refused by name rather than guessed at.
+func DecodeViolationRecord(body []byte, v *Violation, in *Interner) error {
+	if len(body) == 0 {
+		return fmt.Errorf("%w: empty record body", ErrViolationEncoding)
+	}
+	if body[0] != ViolationRecordTag {
+		return fmt.Errorf("%w: unknown record tag 0x%02x", ErrViolationEncoding, body[0])
+	}
+	rest, err := DecodeViolationBinary(body[1:], v, in)
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after the record", ErrViolationEncoding, len(rest))
+	}
+	return nil
+}
+
+// readBinaryVarint consumes one signed varint from p. The error is
+// formatted only on failure: nothing on the success path may allocate.
+func readBinaryVarint(p []byte, what string) (int64, []byte, error) {
+	v, n := binary.Varint(p)
+	if n <= 0 {
+		return 0, p, fmt.Errorf("%w: truncated %s", ErrViolationEncoding, what)
+	}
+	return v, p[n:], nil
+}
+
+// readBinaryString consumes one length-prefixed byte string from p.
+func readBinaryString(p []byte, what string) ([]byte, []byte, error) {
+	n, sz := binary.Uvarint(p)
+	if sz <= 0 {
+		return nil, p, fmt.Errorf("%w: truncated %s length", ErrViolationEncoding, what)
+	}
+	p = p[sz:]
+	if n > uint64(len(p)) {
+		return nil, p, fmt.Errorf("%w: %s length %d exceeds remaining %d bytes", ErrViolationEncoding, what, n, len(p))
+	}
+	return p[:n], p[n:], nil
 }

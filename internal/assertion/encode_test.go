@@ -3,7 +3,10 @@ package assertion
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -131,5 +134,110 @@ func TestAppendViolationsJSONMatchesMarshal(t *testing.T) {
 	// An unencodable element must fail the whole array, like json.Marshal.
 	if _, err := AppendViolationsJSON(nil, []Violation{{Assertion: "x", Severity: math.Inf(1)}}); err == nil {
 		t.Fatal("Inf severity in array must not encode")
+	}
+}
+
+// FuzzViolationRecord fuzzes the binary record codec — the disk store's
+// record body and, minus the tag, the binary wire's per-violation layout —
+// from both ends. Forwards: a violation encodes exactly when the JSON
+// encoder would take it, and decodes back equal on every field; a torn
+// body, a trailing byte and any other tag (the legacy '{' included) are
+// refused. Backwards: arbitrary bytes never panic the decoder, and
+// whatever it accepts is a finite violation the encoder takes back. Seeds
+// are export.FuzzBinaryRoundTrip's corpus.
+func FuzzViolationRecord(f *testing.F) {
+	f.Add("a", "s", 0, 1.5, 2.5, int64(0), int64(0), uint16(0), []byte{ViolationRecordTag, 1, 'a', 0, 0})
+	f.Add("flicker", "", 2, 1e-7, 1e21, int64(77), int64(1753800000_000000000), uint16(9), []byte(`{"assertion":"a"}`))
+	f.Add("日本語", "<&>", 1, -1.0, 0.0, int64(-1), int64(-5), uint16(1), []byte{})
+	f.Add("n", "s", 3, math.Inf(1), 1.0, int64(5), int64(9), uint16(100), []byte{ViolationRecordTag})
+	f.Add("bad\xffname", "s\x00", -4, 0.5, math.NaN(), int64(math.MinInt64), int64(math.MaxInt64), uint16(3), []byte{0x02, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, name, stream string, idx int, tm, sev float64, ingest, observed int64, cut uint16, raw []byte) {
+		v := Violation{Assertion: name, Stream: stream, SampleIndex: idx, Time: tm, Severity: sev, IngestUnix: ingest, ObservedUnixNano: observed}
+		prefix := []byte("kept")
+		body, err := AppendViolationRecord(prefix, &v)
+		if _, jsonErr := AppendViolationJSON(nil, v); (err == nil) != (jsonErr == nil) {
+			t.Fatalf("encoders disagree on %+v: record %v, JSON %v", v, err, jsonErr)
+		}
+		if err != nil {
+			if string(body) != "kept" {
+				t.Fatalf("failed encode extended the buffer to %q", body)
+			}
+		} else {
+			body = body[len(prefix):]
+			var in Interner
+			var got Violation
+			if err := DecodeViolationRecord(body, &got, &in); err != nil {
+				t.Fatalf("decode of %x: %v", body, err)
+			}
+			if got != v {
+				t.Fatalf("round trip changed the violation:\n got %+v\nwant %+v", got, v)
+			}
+			for _, bad := range [][]byte{
+				body[:int(cut)%len(body)],                     // torn
+				append(append([]byte{}, body...), 0xAA),       // trailing byte
+				append([]byte{'{'}, body[1:]...),              // the legacy format's first byte
+				append([]byte{byte(cut) | 0x02}, body[1:]...), // any tag but ours
+			} {
+				if err := DecodeViolationRecord(bad, &got, &in); !errors.Is(err, ErrViolationEncoding) {
+					t.Fatalf("decode of damaged body %x: err = %v, want ErrViolationEncoding", bad, err)
+				}
+			}
+		}
+
+		var in Interner
+		var wild Violation
+		if err := DecodeViolationRecord(raw, &wild, &in); err != nil {
+			if !errors.Is(err, ErrViolationEncoding) {
+				t.Fatalf("decode of %x: err = %v, want ErrViolationEncoding", raw, err)
+			}
+			return
+		}
+		if !isFinite(wild.Time) || !isFinite(wild.Severity) {
+			t.Fatalf("decode of %x yielded a non-finite violation: %+v", raw, wild)
+		}
+		again, err := AppendViolationRecord(nil, &wild)
+		if err != nil {
+			t.Fatalf("decoder accepted %x as %+v, which the encoder refuses: %v", raw, wild, err)
+		}
+		var back Violation
+		if err := DecodeViolationRecord(again, &back, &in); err != nil || back != wild {
+			t.Fatalf("re-encoded %+v decodes as %+v, %v", wild, back, err)
+		}
+	})
+}
+
+// TestViolationBinaryCoversAllFields fails when a field is added to
+// Violation without teaching the binary layout about it: every field is
+// set, by reflection, to a value distinct from its zero, and the violation
+// must come back equal from both the record and the bare layout.
+func TestViolationBinaryCoversAllFields(t *testing.T) {
+	var v Violation
+	rv := reflect.ValueOf(&v).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		switch field := rv.Field(i); field.Kind() {
+		case reflect.String:
+			field.SetString(fmt.Sprintf("field-%d", i))
+		case reflect.Int, reflect.Int64:
+			field.SetInt(int64(1753800000123456789 - i))
+		case reflect.Float64:
+			field.SetFloat(float64(i) + 0.25)
+		default:
+			t.Fatalf("Violation.%s has kind %s: teach this test, AppendViolationBinary and DecodeViolationBinary about it",
+				rv.Type().Field(i).Name, field.Kind())
+		}
+	}
+	var in Interner
+	var back Violation
+	body, err := AppendViolationRecord(nil, &v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := DecodeViolationRecord(body, &back, &in); err != nil || back != v {
+		t.Fatalf("record round trip lost data: %+v != %+v (%v)", back, v, err)
+	}
+	back = Violation{}
+	rest, err := DecodeViolationBinary(append(body[1:], "next"...), &back, &in)
+	if err != nil || back != v || string(rest) != "next" {
+		t.Fatalf("layout round trip: %+v, rest %q, %v; want %+v, \"next\"", back, rest, err, v)
 	}
 }

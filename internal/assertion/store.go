@@ -162,19 +162,24 @@ type ViolationStore interface {
 	// Dropped counts violations evicted by the retained log's own bound
 	// (overflow, not retention policy).
 	Dropped() int64
-	// Compacted counts violations evicted by Compact/CompactBudgets.
+	// Compacted counts violations evicted by Compact.
 	Compacted() int64
 	// Compact applies a retention policy to the retained log and returns
 	// how many violations it evicted: violations whose IngestUnix is
 	// older than minIngestUnix are dropped (0 disables the age bound;
 	// unstamped violations are exempt), and at most maxPerAssertion of
-	// the newest violations are kept per assertion (<= 0 disables).
-	// Statistics are untouched.
-	Compact(minIngestUnix int64, maxPerAssertion int) (int, error)
-	// CompactBudgets evicts all but the newest budgets[name] violations
-	// of each assertion named in budgets (absent assertions untouched) —
-	// the per-shard half of a sharded store's global per-assertion cap.
-	CompactBudgets(budgets map[string]int) (int, error)
+	// the newest violations are kept per assertion (<= 0 disables). A
+	// budgets map overrides the cap for the assertions it names: only the
+	// newest budgets[name] of each survive, absent assertions keep the
+	// uniform cap — the per-shard half of a sharded store's global
+	// per-assertion cap, planned from IngestRuns. Statistics are untouched.
+	Compact(minIngestUnix int64, maxPerAssertion int, budgets ...map[string]int) (int, error)
+	// IngestRuns returns, per assertion with retained violations, their
+	// ingest stamps in arrival order, run-length encoded: what a planner
+	// ranking one assertion's violations across several stores needs, at
+	// a few bytes per distinct (assertion, second) instead of a copy of
+	// the log.
+	IngestRuns() map[string][]IngestRun
 	// Export captures the store's state as a recorder snapshot.
 	Export() RecorderSnapshot
 	// Replace overwrites the store's state with a snapshot's — the
@@ -323,24 +328,18 @@ func (m *MemStore) Dropped() int64 { return m.log.dropped.Load() }
 func (m *MemStore) Compacted() int64 { return m.compacted.Load() }
 
 // Compact implements ViolationStore.
-func (m *MemStore) Compact(minIngestUnix int64, maxPerAssertion int) (int, error) {
-	if minIngestUnix <= 0 && maxPerAssertion <= 0 {
+func (m *MemStore) Compact(minIngestUnix int64, maxPerAssertion int, budgets ...map[string]int) (int, error) {
+	if !RetentionBounds(minIngestUnix, maxPerAssertion, budgets) {
 		return 0, nil
 	}
-	return m.compact(minIngestUnix, func(string) (int, bool) {
-		return maxPerAssertion, maxPerAssertion > 0
-	}), nil
+	return m.compact(minIngestUnix, CompactionBudget(maxPerAssertion, budgets...)), nil
 }
 
-// CompactBudgets implements ViolationStore.
-func (m *MemStore) CompactBudgets(budgets map[string]int) (int, error) {
-	if len(budgets) == 0 {
-		return 0, nil
-	}
-	return m.compact(0, func(name string) (int, bool) {
-		n, ok := budgets[name]
-		return n, ok
-	}), nil
+// IngestRuns implements ViolationStore.
+func (m *MemStore) IngestRuns() map[string][]IngestRun {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return IngestRunsOf(m.log.buf, m.log.head)
 }
 
 // compact rewrites the retained log, keeping a violation when it is not
@@ -418,17 +417,59 @@ func ReportEvicted(o EvictionObserver, vs []Violation, keep []bool) {
 	}
 }
 
-// CompactionBudget adapts the Compact/CompactBudgets parameter pair into
-// the budget callback PlanCompaction takes; shared with SegmentStore.
-// Pass budgets == nil for the uniform maxPerAssertion cap.
-func CompactionBudget(maxPerAssertion int, budgets map[string]int) func(name string) (int, bool) {
-	if budgets != nil {
-		return func(name string) (int, bool) {
-			n, ok := budgets[name]
-			return n, ok
+// CompactionBudget adapts Compact's cap parameters into the budget
+// callback PlanCompaction takes: an assertion named in one of budgets
+// gets that budget, any other the uniform cap. Shared with SegmentStore.
+func CompactionBudget(maxPerAssertion int, budgets ...map[string]int) func(name string) (int, bool) {
+	return func(name string) (int, bool) {
+		for _, b := range budgets {
+			if n, ok := b[name]; ok {
+				return n, true
+			}
+		}
+		return maxPerAssertion, maxPerAssertion > 0
+	}
+}
+
+// RetentionBounds reports whether Compact's parameters bound anything at
+// all — a Compact they do not is a no-op. Shared with SegmentStore.
+func RetentionBounds(minIngestUnix int64, maxPerAssertion int, budgets []map[string]int) bool {
+	for _, b := range budgets {
+		if len(b) > 0 {
+			return true
 		}
 	}
-	return func(string) (int, bool) { return maxPerAssertion, maxPerAssertion > 0 }
+	return minIngestUnix > 0 || maxPerAssertion > 0
+}
+
+// IngestRun is a run of one assertion's retained violations that share an
+// ingest stamp and arrived back to back (among that assertion's).
+type IngestRun struct {
+	Unix int64 // the shared IngestUnix (0 = unstamped)
+	N    int   // how many violations
+}
+
+// IngestRunsOf run-length encodes each assertion's ingest stamps over log,
+// a ring whose oldest entry sits at log[head] (0 for a flat log), in
+// arrival order — the shared body of both backends' IngestRuns. Stamps
+// are the collector's clock at ingest, so they barely ever step backwards
+// and an assertion costs one run per second it was retained over.
+func IngestRunsOf(log []Violation, head int) map[string][]IngestRun {
+	out := make(map[string][]IngestRun)
+	for i := range log {
+		slot := head + i
+		if slot >= len(log) {
+			slot -= len(log)
+		}
+		v := &log[slot]
+		runs := out[v.Assertion]
+		if n := len(runs); n > 0 && runs[n-1].Unix == v.IngestUnix {
+			runs[n-1].N++
+			continue
+		}
+		out[v.Assertion] = append(runs, IngestRun{Unix: v.IngestUnix, N: 1})
+	}
+	return out
 }
 
 // Export implements ViolationStore. It is safe to call concurrently with

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"sync"
 
 	"omg/internal/assertion"
@@ -35,14 +34,8 @@ import (
 //	uvarint seq
 //	uvarint violation count + 1 (0 encodes a nil slice, preserving the
 //	        JSON null-vs-[] distinction)
-//	per violation:
-//	  uvarint assertion length, assertion bytes
-//	  uvarint stream length, stream bytes
-//	  varint  sample_index
-//	  8 bytes float64 time (IEEE-754 bits)
-//	  8 bytes float64 severity
-//	  varint  ingest_unix
-//	  varint  observed_unix_nano
+//	per violation: assertion.AppendViolationBinary's layout (the disk
+//	        store's record bodies hold the same bytes)
 const (
 	binMagic       = "OMGB"
 	binHeaderLen   = 14
@@ -132,28 +125,12 @@ func appendBinaryPayload(dst []byte, b Batch) ([]byte, error) {
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(b.Violations))+1)
 	for i := range b.Violations {
-		v := &b.Violations[i]
-		if !isJSONFloat(v.Time) || !isJSONFloat(v.Severity) {
-			return dst, fmt.Errorf("export: binary codec: violation %d has unsupported float value (NaN or Inf)", i)
+		var err error
+		if dst, err = assertion.AppendViolationBinary(dst, &b.Violations[i]); err != nil {
+			return dst, fmt.Errorf("export: binary codec: violation %d: %w", i, err)
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(v.Assertion)))
-		dst = append(dst, v.Assertion...)
-		dst = binary.AppendUvarint(dst, uint64(len(v.Stream)))
-		dst = append(dst, v.Stream...)
-		dst = binary.AppendVarint(dst, int64(v.SampleIndex))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Time))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Severity))
-		dst = binary.AppendVarint(dst, v.IngestUnix)
-		dst = binary.AppendVarint(dst, v.ObservedUnixNano)
 	}
 	return dst, nil
-}
-
-// isJSONFloat reports whether the JSON encoder could represent f — the
-// binary codec refuses the same values so a batch either ships on both
-// wires or neither.
-func isJSONFloat(f float64) bool {
-	return !math.IsNaN(f) && !math.IsInf(f, 0)
 }
 
 // DecodeBatch decodes one complete frame. Structural failures (torn or
@@ -204,36 +181,13 @@ func (c *BinaryCodec) DecodeBatch(data []byte) (Batch, error) {
 // and stream names thousands of times), the inflate machinery, and the
 // decompression buffer.
 type binDecoder struct {
-	interned map[string]string
-	br       bytes.Reader
-	fr       io.ReadCloser
-	scratch  []byte
+	names   assertion.Interner
+	br      bytes.Reader
+	fr      io.ReadCloser
+	scratch []byte
 }
 
-// binInternCap bounds the intern table so a hostile stream of unique
-// names cannot grow it without limit; past the cap strings still decode,
-// they just allocate.
-const binInternCap = 4096
-
-var binDecoderPool = sync.Pool{New: func() any {
-	return &binDecoder{interned: make(map[string]string, 64)}
-}}
-
-// intern returns b as a string, reusing the previous allocation for a
-// name seen before. The map lookup on string(b) does not allocate.
-func (d *binDecoder) intern(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if s, ok := d.interned[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if len(d.interned) < binInternCap {
-		d.interned[s] = s
-	}
-	return s
-}
+var binDecoderPool = sync.Pool{New: func() any { return new(binDecoder) }}
 
 // inflate decompresses stored into the decoder's scratch buffer, bounded
 // by binMaxPayload.
@@ -276,7 +230,7 @@ func (d *binDecoder) decodePayload(p []byte) (Batch, error) {
 	if err != nil {
 		return Batch{}, err
 	}
-	b.Source = d.intern(src)
+	b.Source = d.names.Intern(src)
 	seq, p, err := binReadUvarint(p, "seq")
 	if err != nil {
 		return Batch{}, err
@@ -298,40 +252,9 @@ func (d *binDecoder) decodePayload(p []byte) (Batch, error) {
 	}
 	vs := make([]assertion.Violation, count)
 	for i := range vs {
-		v := &vs[i]
-		var name, stream []byte
-		if name, p, err = binReadBytes(p, "assertion"); err != nil {
-			return Batch{}, err
+		if p, err = assertion.DecodeViolationBinary(p, &vs[i], &d.names); err != nil {
+			return Batch{}, fmt.Errorf("%w: violation %d: %v", ErrBinaryFrame, i, err)
 		}
-		v.Assertion = d.intern(name)
-		if stream, p, err = binReadBytes(p, "stream"); err != nil {
-			return Batch{}, err
-		}
-		v.Stream = d.intern(stream)
-		var sv int64
-		if sv, p, err = binReadVarint(p, "sample_index"); err != nil {
-			return Batch{}, err
-		}
-		v.SampleIndex = int(sv)
-		if len(p) < 16 {
-			return Batch{}, fmt.Errorf("%w: truncated float fields in violation %d", ErrBinaryFrame, i)
-		}
-		v.Time = math.Float64frombits(binary.LittleEndian.Uint64(p))
-		v.Severity = math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
-		p = p[16:]
-		if !isJSONFloat(v.Time) || !isJSONFloat(v.Severity) {
-			// The encoder's rule, enforced on frames built outside this
-			// process: what no JSON body can carry, no binary frame may.
-			return Batch{}, fmt.Errorf("%w: non-finite time or severity in violation %d", ErrBinaryFrame, i)
-		}
-		if sv, p, err = binReadVarint(p, "ingest_unix"); err != nil {
-			return Batch{}, err
-		}
-		v.IngestUnix = sv
-		if sv, p, err = binReadVarint(p, "observed_unix_nano"); err != nil {
-			return Batch{}, err
-		}
-		v.ObservedUnixNano = sv
 	}
 	if len(p) != 0 {
 		return Batch{}, fmt.Errorf("%w: %d trailing payload bytes after batch", ErrBinaryFrame, len(p))
@@ -343,15 +266,6 @@ func (d *binDecoder) decodePayload(p []byte) (Batch, error) {
 // binReadUvarint consumes one uvarint from p.
 func binReadUvarint(p []byte, what string) (uint64, []byte, error) {
 	v, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, p, fmt.Errorf("%w: truncated %s", ErrBinaryFrame, what)
-	}
-	return v, p[n:], nil
-}
-
-// binReadVarint consumes one signed varint from p.
-func binReadVarint(p []byte, what string) (int64, []byte, error) {
-	v, n := binary.Varint(p)
 	if n <= 0 {
 		return 0, p, fmt.Errorf("%w: truncated %s", ErrBinaryFrame, what)
 	}

@@ -556,45 +556,52 @@ func (c *Collector) evicted(n int, err error) int {
 // it ranks each over-cap assertion's retained violations newest-first
 // across all shards (by ingest time; within a shard, arrival order
 // breaks ties) and hands every shard a budget — how many of the global
-// newest N live there — which CompactBudgets then enforces locally.
+// newest N live there — which Compact then enforces locally. The ranking
+// needs only each shard's ingest stamps, which IngestRuns hands over
+// run-length encoded: the plan reads a few entries per assertion per
+// second of retained log, never the log.
 // Ingest racing the plan can only add violations newer than everything
 // planned, so a racing shard at worst evicts the oldest planned
 // survivor, never a newer violation in favour of an older one.
 func (c *Collector) compactPerAssertion(maxPer int) int {
-	type slot struct {
-		shard  int
-		ingest int64
+	type run struct {
+		shard int
+		assertion.IngestRun
 	}
-	perAssertion := make(map[string][]slot)
+	perAssertion := make(map[string][]run)
+	retained := make(map[string]int)
 	for si, st := range c.shards {
-		vs := st.Query(assertion.StoreQuery{}) // oldest -> newest
-		for i := len(vs) - 1; i >= 0; i-- {
-			v := vs[i]
-			perAssertion[v.Assertion] = append(perAssertion[v.Assertion], slot{si, v.IngestUnix})
+		for name, runs := range st.IngestRuns() { // oldest -> newest
+			for i := len(runs) - 1; i >= 0; i-- {
+				perAssertion[name] = append(perAssertion[name], run{si, runs[i]})
+				retained[name] += runs[i].N
+			}
 		}
 	}
 	budgets := make([]map[string]int, len(c.shards))
-	for name, slots := range perAssertion {
-		if len(slots) <= maxPer {
+	for name, runs := range perAssertion {
+		if retained[name] <= maxPer {
 			continue // under the cap: no budget, untouched
 		}
-		// Newest first; the per-shard lists were appended newest-first, so
+		// Newest first; the per-shard runs were appended newest-first, so
 		// stability keeps arrival order among same-second ties.
-		sort.SliceStable(slots, func(i, j int) bool { return slots[i].ingest > slots[j].ingest })
+		sort.SliceStable(runs, func(i, j int) bool { return runs[i].Unix > runs[j].Unix })
 		for si := range c.shards {
 			if budgets[si] == nil {
 				budgets[si] = make(map[string]int)
 			}
 			budgets[si][name] = 0 // a shard with none of the newest N keeps none
 		}
-		for _, s := range slots[:maxPer] {
-			budgets[s.shard][name]++
+		for left := maxPer; left > 0; runs = runs[1:] {
+			n := min(runs[0].N, left)
+			budgets[runs[0].shard][name] += n
+			left -= n
 		}
 	}
 	total := 0
 	for si, st := range c.shards {
 		if len(budgets[si]) > 0 {
-			total += c.evicted(st.CompactBudgets(budgets[si]))
+			total += c.evicted(st.Compact(0, 0, budgets[si]))
 		}
 	}
 	return total

@@ -1,0 +1,141 @@
+package export
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"omg/internal/assertion"
+)
+
+// The wire and data-directory format tests. Everything under testdata/ was
+// written by the commit before the disk store's record bodies turned
+// binary (see testdata/README.md) and is never regenerated: what it pins
+// is that this code reads, and where it still writes the format writes,
+// exactly what that code did.
+
+func readFixture(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestFormatFixtureFrames holds the wire still: one batch in its four
+// checked-in spellings — JSON at wire versions 1 and 2, a binary frame
+// plain and deflated — must each decode to the checked-in batch, and
+// today's encoders must reproduce each file byte for byte.
+func TestFormatFixtureFrames(t *testing.T) {
+	var want Batch
+	if err := json.Unmarshal(readFixture(t, "batch.decoded.json"), &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		file    string
+		codec   BatchCodec
+		version int
+	}{
+		{"batch-v1.json", jsonCodec{}, 1},
+		{"batch-v2.json", jsonCodec{}, 2},
+		{"frame-plain.bin", &BinaryCodec{}, 2},
+		{"frame-deflate.bin", &BinaryCodec{Compress: true}, 2},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			frame := readFixture(t, tc.file)
+			want := want
+			want.Version = tc.version
+			got, err := tc.codec.DecodeBatch(frame)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("decoded\n got %+v\nwant %+v", got, want)
+			}
+			again, err := tc.codec.AppendBatch(nil, want)
+			if err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			if !bytes.Equal(again, frame) {
+				t.Fatalf("today's encoder writes %d bytes, the checked-in frame is %d:\n got %q\nwant %q", len(again), len(frame), again, frame)
+			}
+		})
+	}
+}
+
+// TestFormatFixtureCollectorDir reopens a 2-shard disk collector's data
+// directory the parent commit wrote and abandoned without Close — JSON
+// record bodies behind a compaction's checkpoint, marks.log with a
+// duplicate in it, labels.json — and requires the same bytes from
+// /v1/summary and /v1/violations/query that its writer served, and that
+// the dedup marks still hold.
+func TestFormatFixtureCollectorDir(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "collector")
+	err := filepath.Walk(src, func(path string, fi os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if fi.IsDir() {
+			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := openCollector(t, CollectorConfig{Store: StoreDisk, DataDir: dir, Shards: 2})
+	defer c.Close()
+	h := c.Handler()
+	get := func(path string) []byte {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, rr.Code, rr.Body)
+		}
+		return rr.Body.Bytes()
+	}
+	if got, want := get("/v1/summary"), readFixture(t, "summary.json"); !bytes.Equal(got, want) {
+		t.Fatalf("/v1/summary\n got %s\nwant %s", got, want)
+	}
+	if got, want := get("/v1/violations/query"), readFixture(t, "query.json"); !bytes.Equal(got, want) {
+		t.Fatalf("/v1/violations/query\n got %s\nwant %s", got, want)
+	}
+	if page := metricsBody(t, c); !strings.Contains(page, "\nomg_store_recovered_records_total{format=\"json\"} ") {
+		t.Fatalf("/metrics has no recovered-records series:\n%s", grepLines(page, "omg_store_"))
+	}
+
+	// edge-b's seq 3 was applied before the crash; seq 4 was not.
+	post := func(seq uint64) IngestResponse {
+		body, err := AppendBatchJSON(nil, Batch{Version: WireVersion, Source: "edge-b", Seq: seq,
+			Violations: []assertion.Violation{{Assertion: "vehicle:appear", Stream: "cam0", SampleIndex: 1, Severity: 1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", IngestPath, bytes.NewReader(body)))
+		var resp IngestResponse
+		if rr.Code != http.StatusOK || json.Unmarshal(rr.Body.Bytes(), &resp) != nil {
+			t.Fatalf("POST seq %d: %d %s", seq, rr.Code, rr.Body)
+		}
+		return resp
+	}
+	if resp := post(3); !resp.Duplicate || resp.Accepted != 0 {
+		t.Fatalf("replayed (edge-b, 3) answered %+v, want a duplicate", resp)
+	}
+	if resp := post(4); resp.Duplicate || resp.Accepted != 1 {
+		t.Fatalf("fresh (edge-b, 4) answered %+v, want accepted", resp)
+	}
+}

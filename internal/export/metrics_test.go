@@ -50,12 +50,14 @@ func TestMetricsExpositionStrict(t *testing.T) {
 		"omg_export_deliver_seconds",
 		"omg_observe_seconds",
 		"omg_store_append_seconds",
+		"omg_store_recover_seconds",
 	} {
 		if !strings.Contains(body, "# TYPE "+family+" histogram") {
 			t.Errorf("/metrics is missing histogram family %s", family)
 		}
 	}
-	for _, series := range []string{"go_goroutines", "go_memstats_heap_alloc_bytes", "omg_collector_log_dropped_total"} {
+	for _, series := range []string{"go_goroutines", "go_memstats_heap_alloc_bytes", "omg_collector_log_dropped_total",
+		`omg_store_recovered_records_total{format="json"}`, `omg_store_recovered_records_total{format="binary"}`} {
 		if !strings.Contains(body, "\n"+series+" ") {
 			t.Errorf("/metrics is missing series %s", series)
 		}

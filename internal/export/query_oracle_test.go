@@ -97,7 +97,7 @@ func ingestTies(c *Collector, seqBase uint64, n int) {
 // to the concatenate-sort-filter path it replaced: both backends, one to
 // three shards, every filter shape and limit, over tie-heavy data in every
 // state the index has to follow the log through — plain appends, a
-// wrapped MemStore ring, Compact (one shard) and CompactBudgets (sharded)
+// wrapped MemStore ring, Compact capped (one shard) and budgeted (sharded)
 // retention, a snapshot Replace, and a disk close and reopen.
 func TestQueryMatchesReferenceOracle(t *testing.T) {
 	open := func(t *testing.T, cfg CollectorConfig) *Collector {

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"omg/internal/assertion"
+	"omg/internal/simrand"
 )
 
 // metricsBody renders the collector's /metrics endpoint.
@@ -327,5 +329,82 @@ func TestCollectorJanitorRunsOnTimer(t *testing.T) {
 	metrics := metricsBody(t, c)
 	if !strings.Contains(metrics, "omg_collector_retention_evictions_total 9") {
 		t.Fatalf("metrics missing retention evictions:\n%s", metrics)
+	}
+}
+
+// TestCompactPerAssertionMatchesWholeLogRanking holds the run-length plan
+// to the ranking it replaced: copy every shard's whole retained log, rank
+// each over-cap assertion's violations newest-first by ingest stamp
+// (shards in order, arrival order within one, stable among equal stamps)
+// and keep the first cap. Stamps repeat, differ across shards and step
+// backwards, so ties at the cut and non-monotone shards both occur.
+func TestCompactPerAssertionMatchesWholeLogRanking(t *testing.T) {
+	for _, backend := range []string{StoreMem, StoreDisk} {
+		for seed := int64(1); seed <= 20; seed++ {
+			const shards, maxPer = 3, 7
+			c := openCollector(t, CollectorConfig{Store: backend, DataDir: t.TempDir(), Shards: shards,
+				RetainPerAssertion: maxPer, CompactEvery: time.Hour})
+			rng := simrand.New(seed)
+			for i := 0; i < 120; i++ {
+				v := assertion.Violation{
+					Assertion:   fmt.Sprintf("a%d", rng.Choice(4)),
+					Stream:      "s",
+					SampleIndex: i,
+					Severity:    1,
+					IngestUnix:  int64(1000 + i/25 - rng.Choice(2)*rng.Choice(3)),
+				}
+				if err := c.shards[rng.Choice(shards)].Append(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			type slot struct {
+				shard  int
+				ingest int64
+			}
+			perAssertion := make(map[string][]slot)
+			retained := make([][]assertion.Violation, shards)
+			for si, st := range c.shards {
+				retained[si] = st.Query(assertion.StoreQuery{})
+				for i := len(retained[si]) - 1; i >= 0; i-- {
+					v := retained[si][i]
+					perAssertion[v.Assertion] = append(perAssertion[v.Assertion], slot{si, v.IngestUnix})
+				}
+			}
+			// budget[shard][assertion]: how many of the global newest cap
+			// live there; a shard then keeps its newest that many.
+			budget := make([]map[string]int, shards)
+			for si := range budget {
+				budget[si] = make(map[string]int)
+			}
+			for name, slots := range perAssertion {
+				sort.SliceStable(slots, func(i, j int) bool { return slots[i].ingest > slots[j].ingest })
+				for _, s := range slots[:min(maxPer, len(slots))] {
+					budget[s.shard][name]++
+				}
+			}
+			evicted := 0
+			for si := range c.shards {
+				var want []assertion.Violation
+				for i := len(retained[si]) - 1; i >= 0; i-- {
+					if v := retained[si][i]; budget[si][v.Assertion] > 0 {
+						budget[si][v.Assertion]--
+						want = append([]assertion.Violation{v}, want...)
+					}
+				}
+				evicted += len(retained[si]) - len(want)
+				retained[si] = want
+			}
+
+			if got := c.CompactNow(); got != evicted {
+				t.Fatalf("%s seed %d: CompactNow evicted %d, the whole-log ranking evicts %d", backend, seed, got, evicted)
+			}
+			for si, st := range c.shards {
+				if got := st.Query(assertion.StoreQuery{}); len(got) != len(retained[si]) || (len(got) > 0 && !reflect.DeepEqual(got, retained[si])) {
+					t.Fatalf("%s seed %d shard %d retains\n got %+v\nwant %+v", backend, seed, si, got, retained[si])
+				}
+			}
+			c.Close()
+		}
 	}
 }

@@ -63,7 +63,7 @@ func openShape(t *testing.T, s collectorShape, cfg export.CollectorConfig) *expo
 // live index against the stores that feed it: a seeded random walk over
 // multi-source ingest (source-less batches included), ring overflow by
 // frames smaller and larger than a shard's ring, CompactNow by age and by
-// the per-assertion cap (Compact on one shard, CompactBudgets on three),
+// the per-assertion cap (Compact capped on one shard, budgeted on three),
 // Restore of the collector's own snapshot and of a legacy
 // violations-bearing one, and label rounds with partial feedback. After
 // every step — each a quiescent point — Pool, Stats and the next batch

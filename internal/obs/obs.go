@@ -175,6 +175,29 @@ func (v *HistogramVec) With(value string) *Histogram {
 	return h
 }
 
+// CounterVec is a counter family keyed by one label whose values are all
+// named at registration, so every series is on the page from zero — a
+// dashboard can tell "none yet" from "not exported".
+type CounterVec struct {
+	name   string
+	help   string
+	label  string
+	values []string
+	counts []atomic.Int64
+}
+
+// Add adds n to the child for the given label value, which must be one
+// the family was registered with.
+func (v *CounterVec) Add(value string, n int64) {
+	for i, name := range v.values {
+		if name == value {
+			v.counts[i].Add(n)
+			return
+		}
+	}
+	panic(fmt.Sprintf("obs: counter %s has no %s=%q child", v.name, v.label, value))
+}
+
 // escapeLabelValue escapes a Prometheus label value per the exposition
 // format: backslash, double quote and newline.
 func escapeLabelValue(s string) string {
@@ -308,6 +331,14 @@ func (r *Registry) NewHistogramVec(name, help, label string) *HistogramVec {
 	return v
 }
 
+// NewCounterVec registers and returns a counter family keyed by one
+// label, with one child per value.
+func (r *Registry) NewCounterVec(name, help, label string, values ...string) *CounterVec {
+	v := &CounterVec{name: name, help: help, label: label, values: values, counts: make([]atomic.Int64, len(values))}
+	r.register(name, v)
+	return v
+}
+
 // NewGaugeFunc registers a gauge whose value is read from fn at scrape
 // time — the natural shape for queue depths and pool sizes.
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
@@ -332,3 +363,4 @@ func (f *funcMetric) metricName() string { return f.name }
 
 func (h *Histogram) metricName() string    { return h.name }
 func (v *HistogramVec) metricName() string { return v.name }
+func (v *CounterVec) metricName() string   { return v.name }

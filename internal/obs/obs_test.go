@@ -114,6 +114,31 @@ func TestHistogramVec(t *testing.T) {
 	}
 }
 
+func TestCounterVec(t *testing.T) {
+	r := NewRegistry()
+	v := r.NewCounterVec("test_records_total", "Records by format.", "format", "json", "binary")
+	v.Add("binary", 7)
+	v.Add("binary", 2)
+
+	var b strings.Builder
+	r.WriteMetrics(&b)
+	out := b.String()
+	if err := ValidateExposition([]byte(out)); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, out)
+	}
+	// Every child is on the page from zero, under one header.
+	want := "# TYPE test_records_total counter\ntest_records_total{format=\"json\"} 0\ntest_records_total{format=\"binary\"} 9\n"
+	if !strings.Contains(out, want) {
+		t.Errorf("exposition\n%s\ndoes not contain\n%s", out, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Add to an unregistered child did not panic")
+		}
+	}()
+	v.Add("xml", 1)
+}
+
 func TestHistogramVecOverflow(t *testing.T) {
 	r := NewRegistry()
 	v := r.NewHistogramVec("test_overflow_seconds", "x.", "source")

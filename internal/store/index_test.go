@@ -53,7 +53,7 @@ func scanQuery(log []assertion.Violation, q Query) []assertion.Violation {
 
 // TestQueryIndexInvariant drives both backends through a seeded
 // interleaving of appends (with ring eviction on the bounded MemStore),
-// Compact, CompactBudgets, Replace and Clear, keeping a plain slice as the
+// Compact (capped and budgeted), Replace and Clear, keeping a plain slice as the
 // model of the retained log. After every step Query must equal a linear
 // scan of the model for every filter shape, limit and order, and the index
 // must hold exactly the model's postings under exactly the model's keys —
@@ -141,7 +141,7 @@ func runIndexInvariant(t *testing.T, s indexedStore, limit int) {
 			}
 		case op < 98:
 			budgets := map[string]int{assertions[rng.Choice(4)]: rng.Choice(6), assertions[rng.Choice(4)]: rng.Choice(6)}
-			if _, err := s.CompactBudgets(budgets); err != nil {
+			if _, err := s.Compact(0, 0, budgets); err != nil {
 				t.Fatal(err)
 			}
 			compactModel(0, assertion.CompactionBudget(0, budgets))

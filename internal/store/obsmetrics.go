@@ -15,4 +15,15 @@ var (
 	sealSyncHist = obs.Default().NewHistogram(
 		"omg_store_seal_sync_seconds",
 		"Background fsync+close of a sealed segment file.")
+	// recoverHist times Open's crash recovery — how long the store (and
+	// the collector above it) was away. One record per Open.
+	recoverHist = obs.Default().NewHistogram(
+		"omg_store_recover_seconds",
+		"SegmentStore crash recovery on Open: segment replay into the mirror, index and statistics.")
+	// recoveredRecords counts replayed records by body format, so an
+	// operator sees pre-binary JSON bodies ageing out after an upgrade.
+	recoveredRecords = obs.Default().NewCounterVec(
+		"omg_store_recovered_records_total",
+		"Records replayed from segment files on Open, by body format.",
+		"format", "json", "binary")
 )

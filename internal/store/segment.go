@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"syscall"
+	"time"
 
 	"omg/internal/assertion"
 	"omg/internal/obs"
@@ -36,9 +37,21 @@ const (
 	segmentBackend = "segment"
 
 	// recordHeader frames every record: u32 body length, u32 CRC-32
-	// (IEEE) of the body, u64 append sequence number, then the JSON body
-	// produced by assertion.AppendViolationJSON. Little-endian.
+	// (IEEE) of the body, u64 append sequence number, little-endian, then
+	// the body. A body is written as assertion.AppendViolationRecord — one
+	// tag byte and the binary wire layout — and read by its first byte:
+	// the tag is that, '{' is the JSON body stores before the binary
+	// format wrote (still replayed; compaction rewrites it as binary), and
+	// anything else is refused as ErrCorrupt naming the byte.
 	recordHeader = 16
+
+	// compactChunk is how much compaction encodes before each write to
+	// the segment it is building.
+	compactChunk = 256 << 10
+
+	// mirrorDoubleBelow is where the mirror's growth turns from doubling
+	// to ×1.25 (see appendEntry).
+	mirrorDoubleBelow = 64 << 10
 
 	// maxRecordBytes bounds a single record body on replay; a length
 	// prefix beyond it means the header itself is garbage.
@@ -111,8 +124,9 @@ type segCheckpoint struct {
 const checkpointVersion = 1
 
 // SegmentStore is the on-disk ViolationStore: an append-only log of
-// length-prefixed, CRC-checked JSON records across rolling segment
-// files, mirrored in memory for queries.
+// length-prefixed, CRC-checked records — one binary-encoded violation
+// each (see recordHeader) — across rolling segment files, mirrored in
+// memory for queries.
 //
 // Durability model: every record is buffered in memory and written to
 // the active segment with a single write syscall on Sync (the collector
@@ -152,7 +166,7 @@ type SegmentStore struct {
 
 	pending     []byte
 	pendingRecs int
-	scratch     []byte
+	scratch     []byte // compaction's encode chunk, kept between cycles
 
 	finalized []segMeta // sealed segments, ascending
 
@@ -213,9 +227,11 @@ func Open(cfg Config) (*SegmentStore, error) {
 		stats:     make(map[string]assertion.Stats),
 		obsSample: obs.HotSampler(),
 	}
+	start := time.Now()
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
+	recoverHist.Record(time.Since(start))
 	return s, nil
 }
 
@@ -313,8 +329,9 @@ func (s *SegmentStore) recover() error {
 	sort.Ints(live)
 
 	maxSeq := coveredSeq
+	var interned assertion.Interner // one table for the whole replay
 	for i, num := range live {
-		meta, segMax, err := s.replaySegment(num, coveredSeq, i == len(live)-1)
+		meta, segMax, err := s.replaySegment(num, coveredSeq, i == len(live)-1, &interned)
 		if err != nil {
 			return err
 		}
@@ -398,17 +415,25 @@ func (s *SegmentStore) readCheckpoint() (segCheckpoint, bool, error) {
 }
 
 // replaySegment reads one segment into the in-memory mirror, folding
-// records above coveredSeq into the statistics. A torn or corrupt record
-// is truncated away when the segment is the newest (tail = the only
-// place a crash can tear); anywhere else it is refused as corruption.
-func (s *SegmentStore) replaySegment(num int, coveredSeq uint64, newest bool) (segMeta, uint64, error) {
+// records above coveredSeq into the statistics. A torn record — one that
+// fails the length or CRC check — is truncated away when the segment is
+// the newest (tail = the only place a crash can tear); anywhere else it
+// is refused as corruption. A record that passes both and still does not
+// decode is never a torn tail: it is corruption, or a newer writer's
+// format, and is refused wherever it sits.
+func (s *SegmentStore) replaySegment(num int, coveredSeq uint64, newest bool, names *assertion.Interner) (segMeta, uint64, error) {
 	path := filepath.Join(s.dir, segName(num))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return segMeta{}, 0, fmt.Errorf("store: replay %s: %w", segName(num), err)
 	}
+	// One exact reservation for the whole segment, not a growth chain.
+	if need := len(s.vs) + countRecords(data); need > cap(s.vs) {
+		s.resizeMirror(need)
+	}
 	meta := segMeta{num: num}
 	maxSeq := uint64(0)
+	var jsonBodies, binaryBodies int64
 	off := 0
 	for off < len(data) {
 		rest := data[off:]
@@ -420,7 +445,14 @@ func (s *SegmentStore) replaySegment(num int, coveredSeq uint64, newest bool) (s
 				if crc32.ChecksumIEEE(body) == binary.LittleEndian.Uint32(rest[4:8]) {
 					seq := binary.LittleEndian.Uint64(rest[8:16])
 					var v assertion.Violation
-					if err := json.Unmarshal(body, &v); err != nil {
+					if body[0] == '{' {
+						v, err = decodeJSONBody(body)
+						jsonBodies++
+					} else {
+						err = assertion.DecodeViolationRecord(body, &v, names)
+						binaryBodies++
+					}
+					if err != nil {
 						return segMeta{}, 0, fmt.Errorf("%w: %s record at offset %d: %v", ErrCorrupt, segName(num), off, err)
 					}
 					if seq > coveredSeq {
@@ -449,25 +481,64 @@ func (s *SegmentStore) replaySegment(num int, coveredSeq uint64, newest bool) (s
 		data = data[:off]
 		break
 	}
+	recoveredRecords.Add("json", jsonBodies)
+	recoveredRecords.Add("binary", binaryBodies)
 	meta.bytes = int64(len(data))
 	return meta, maxSeq, nil
 }
 
+// decodeJSONBody decodes a record body written before the binary format.
+// It is its own function so that encoding/json, which makes its target
+// escape to the heap, costs the binary path's violation nothing.
+func decodeJSONBody(body []byte) (assertion.Violation, error) {
+	var v assertion.Violation
+	err := json.Unmarshal(body, &v)
+	return v, err
+}
+
+// countRecords walks data's record headers — lengths only, no CRC, no
+// decode — and returns how many records it frames, so replay can size the
+// mirror once for a segment it has already read. A torn tail may count
+// one too many; nothing but the reservation depends on it.
+func countRecords(data []byte) int {
+	n := 0
+	for len(data) >= recordHeader {
+		bodyLen := int(binary.LittleEndian.Uint32(data[0:4]))
+		if bodyLen <= 0 || bodyLen > maxRecordBytes || recordHeader+bodyLen > len(data) {
+			break
+		}
+		data = data[recordHeader+bodyLen:]
+		n++
+	}
+	return n
+}
+
 // appendEntry adds one record to the in-memory mirror and its index,
-// doubling the backing arrays when full. The runtime grows large slices
-// by only ~1.25x, so a long append stream would re-allocate — and
-// page-fault, zero and copy — about 5x the mirror's final size through
-// the hot path; doubling caps that at ~2x (a measurable share of the
-// per-append cost in BENCH_6.json).
+// growing a full mirror geometrically: doubling while it is small (the
+// runtime's own ×1.25 would re-allocate, zero and copy about 5x a young
+// mirror's final size through the append path), ×1.25 once it holds
+// mirrorDoubleBelow entries. Compaction filters the mirror in place, so
+// under a retention policy the capacity settles within a quarter of the
+// largest backlog one compaction period has produced, however the ingest
+// rate moves; doubling there would land on the next power of two and hold
+// up to twice the peak (84 MB a step at a million entries).
 func (s *SegmentStore) appendEntry(seq uint64, v assertion.Violation) {
-	if len(s.vs) == cap(s.vs) {
-		n := max(1024, 2*cap(s.vs))
-		s.vs = append(make([]assertion.Violation, 0, n), s.vs...)
-		s.seqs = append(make([]uint64, 0, n), s.seqs...)
+	if n := cap(s.vs); len(s.vs) == n {
+		if n < mirrorDoubleBelow {
+			s.resizeMirror(max(1024, 2*n))
+		} else {
+			s.resizeMirror(n + n/4)
+		}
 	}
 	s.index.Add(len(s.vs), v)
 	s.vs = append(s.vs, v)
 	s.seqs = append(s.seqs, seq)
+}
+
+// resizeMirror moves the mirror into arrays of exactly the given capacity.
+func (s *SegmentStore) resizeMirror(capacity int) {
+	s.vs = append(make([]assertion.Violation, 0, capacity), s.vs...)
+	s.seqs = append(make([]uint64, 0, capacity), s.seqs...)
 }
 
 // foldStats applies one violation to the aggregate statistics — the
@@ -498,6 +569,24 @@ func (s *SegmentStore) openSegment(num int) error {
 	return nil
 }
 
+// appendRecord frames v as one record on dst: the header, then the
+// tagged binary body it checksums. Every record this store writes —
+// Append, compaction's survivors, Replace's migration — is framed here.
+// On error (a non-finite Time or Severity) dst is returned unextended.
+func appendRecord(dst []byte, seq uint64, v *assertion.Violation) ([]byte, error) {
+	start := len(dst)
+	var hdr [recordHeader]byte
+	out, err := assertion.AppendViolationRecord(append(dst, hdr[:]...), v)
+	if err != nil {
+		return dst, err
+	}
+	body := out[start+recordHeader:]
+	binary.LittleEndian.PutUint32(out[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(out[start+4:], crc32.ChecksumIEEE(body))
+	binary.LittleEndian.PutUint64(out[start+8:], seq)
+	return out, nil
+}
+
 // Append implements ViolationStore. The record lands in the pending
 // buffer; Sync (or the 64 KiB threshold, or a segment roll) hands it to
 // the OS.
@@ -508,29 +597,29 @@ func (s *SegmentStore) Append(v assertion.Violation) error {
 		return ErrClosed
 	}
 	start := appendHist.StartIf(s.obsSample.Next())
-	body, err := assertion.AppendViolationJSON(s.scratch[:0], v)
+	err := s.bufferLocked(v)
+	if err == nil {
+		s.foldStats(v)
+		s.totalFired++
+		err = s.maybeFlushRollLocked()
+	}
+	appendHist.Done(start)
+	return err
+}
+
+// bufferLocked frames v as the next record in the pending buffer and
+// mirrors it. A violation the encoder refuses leaves the store untouched.
+func (s *SegmentStore) bufferLocked(v assertion.Violation) error {
+	seq := s.appendSeq + 1
+	pending, err := appendRecord(s.pending, seq, &v)
 	if err != nil {
 		return err
 	}
-	s.scratch = body[:0] // keep the capacity for the next encode
-
-	seq := s.appendSeq + 1
-	var hdr [recordHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body))
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	s.pending = append(s.pending, hdr[:]...)
-	s.pending = append(s.pending, body...)
+	s.pending = pending
 	s.pendingRecs++
 	s.appendSeq = seq
-
-	s.foldStats(v)
-	s.totalFired++
 	s.appendEntry(seq, v)
-
-	err = s.maybeFlushRollLocked()
-	appendHist.Done(start)
-	return err
+	return nil
 }
 
 // maybeFlushRollLocked flushes when the pending buffer is large and
@@ -795,19 +884,18 @@ func (s *SegmentStore) Compacted() int64 {
 
 // Compact implements ViolationStore with the same retention semantics as
 // the in-memory backend, rewriting the segment files crash-safely.
-func (s *SegmentStore) Compact(minIngestUnix int64, maxPerAssertion int) (int, error) {
-	if minIngestUnix <= 0 && maxPerAssertion <= 0 {
+func (s *SegmentStore) Compact(minIngestUnix int64, maxPerAssertion int, budgets ...map[string]int) (int, error) {
+	if !assertion.RetentionBounds(minIngestUnix, maxPerAssertion, budgets) {
 		return 0, nil
 	}
-	return s.compact(minIngestUnix, assertion.CompactionBudget(maxPerAssertion, nil))
+	return s.compact(minIngestUnix, assertion.CompactionBudget(maxPerAssertion, budgets...))
 }
 
-// CompactBudgets implements ViolationStore.
-func (s *SegmentStore) CompactBudgets(budgets map[string]int) (int, error) {
-	if len(budgets) == 0 {
-		return 0, nil
-	}
-	return s.compact(0, assertion.CompactionBudget(0, budgets))
+// IngestRuns implements ViolationStore.
+func (s *SegmentStore) IngestRuns() map[string][]assertion.IngestRun {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return assertion.IngestRunsOf(s.vs, 0)
 }
 
 // compact rewrites the live segments with only the surviving records.
@@ -819,6 +907,11 @@ func (s *SegmentStore) CompactBudgets(budgets map[string]int) (int, error) {
 // before the checkpoint the old segments are still authoritative (orphan
 // .tmp files are discarded); after it, the survivors are (missing
 // renames are promoted, manifest-absent old segments dropped).
+//
+// Nothing it compacts is duplicated on the way: survivors are encoded
+// straight from the mirror, under the keep-mask, through one reused chunk
+// buffer into one open file at a time, and the mirror is then filtered in
+// place.
 func (s *SegmentStore) compact(minIngestUnix int64, budget func(string) (int, bool)) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -835,71 +928,21 @@ func (s *SegmentStore) compact(minIngestUnix int64, budget func(string) (int, bo
 	}
 
 	mask := assertion.PlanCompaction(s.vs, minIngestUnix, budget)
-	keptVs := make([]assertion.Violation, 0, len(s.vs))
-	keptSeqs := make([]uint64, 0, len(s.vs))
-	for i, keep := range mask {
+	kept := 0
+	for _, keep := range mask {
 		if keep {
-			keptVs = append(keptVs, s.vs[i])
-			keptSeqs = append(keptSeqs, s.seqs[i])
+			kept++
 		}
 	}
-	evicted := len(s.vs) - len(keptVs)
+	evicted := len(mask) - kept
 	if evicted == 0 {
 		return 0, nil
 	}
 
 	// Write survivors into fresh segment files (numbers above every
 	// existing one), respecting the roll threshold.
-	firstNew := s.activeNum + 1
-	var newMetas []segMeta
-	var buf []byte
-	num := firstNew
-	records := 0
-	writeOut := func() error {
-		path := filepath.Join(s.dir, segName(num)+".tmp")
-		if err := os.WriteFile(path, buf, 0o644); err != nil {
-			return fmt.Errorf("store: compact: %w", err)
-		}
-		if !s.noSync {
-			f, err := os.OpenFile(path, os.O_WRONLY, 0)
-			if err != nil {
-				return fmt.Errorf("store: compact: %w", err)
-			}
-			err = f.Sync()
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return fmt.Errorf("store: compact fsync: %w", err)
-			}
-		}
-		newMetas = append(newMetas, segMeta{num: num, records: records, bytes: int64(len(buf))})
-		num++
-		records = 0
-		buf = buf[:0]
-		return nil
-	}
-	for i, v := range keptVs {
-		body, err := assertion.AppendViolationJSON(nil, v)
-		if err != nil {
-			return 0, fmt.Errorf("store: compact encode: %w", err)
-		}
-		var hdr [recordHeader]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body))
-		binary.LittleEndian.PutUint64(hdr[8:16], keptSeqs[i])
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, body...)
-		records++
-		if int64(len(buf)) >= s.segBytes {
-			if err := writeOut(); err != nil {
-				return 0, err
-			}
-		}
-	}
-	// Always emit a final segment, even when empty: the store needs an
-	// active segment to append to.
-	if err := writeOut(); err != nil {
+	newMetas, err := s.writeSurvivors(mask)
+	if err != nil {
 		return 0, err
 	}
 
@@ -946,21 +989,101 @@ func (s *SegmentStore) compact(minIngestUnix int64, budget func(string) (int, bo
 
 	// Adopt the new generation: the last new segment becomes active.
 	last := newMetas[len(newMetas)-1]
-	s.finalized = nil
-	for _, m := range newMetas[:len(newMetas)-1] {
-		s.finalized = append(s.finalized, m)
-	}
+	s.finalized = append(s.finalized[:0], newMetas[:len(newMetas)-1]...)
 	if err := s.openSegment(last.num); err != nil {
 		return 0, err
 	}
 	s.activeBytes = last.bytes
 	s.activeRecs = last.records
 
-	assertion.ReportEvicted(s.observer, s.vs, mask) // the old mirror, before it goes
-	s.vs, s.seqs = keptVs, keptSeqs
+	assertion.ReportEvicted(s.observer, s.vs, mask) // the whole mirror, before it is filtered
+	s.filterMirror(mask)
 	s.index.Rebuild(s.vs, 0)
 	s.compacted += int64(evicted)
 	return evicted, nil
+}
+
+// writeSurvivors writes the mirror's entries that mask keeps into .tmp
+// segment files numbered above every existing one, rolling at the segment
+// threshold, and returns their metadata in order. It always emits a final
+// segment, even an empty one: the store needs an active segment to append
+// to. Each file is created, written in compactChunk pieces encoded into
+// the reused scratch buffer, fsync'd and closed through the one handle.
+func (s *SegmentStore) writeSurvivors(mask []bool) ([]segMeta, error) {
+	var metas []segMeta
+	meta := segMeta{num: s.activeNum + 1}
+	var f *os.File
+	buf := s.scratch[:0]
+	defer func() {
+		s.scratch = buf[:0]
+		if f != nil {
+			f.Close() // an error path; the .tmp it leaves is swept by recover
+		}
+	}()
+	// flush writes the chunk out; seal also ends the current file.
+	flush := func(seal bool) error {
+		var err error
+		if f == nil {
+			f, err = os.Create(filepath.Join(s.dir, segName(meta.num)+".tmp"))
+		}
+		if err == nil {
+			_, err = f.Write(buf)
+		}
+		meta.bytes += int64(len(buf))
+		buf = buf[:0]
+		if err != nil || !seal {
+			return err
+		}
+		if !s.noSync {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		f = nil
+		metas = append(metas, meta)
+		meta = segMeta{num: meta.num + 1}
+		return err
+	}
+	for i, keep := range mask {
+		if !keep {
+			continue
+		}
+		var err error
+		if buf, err = appendRecord(buf, s.seqs[i], &s.vs[i]); err != nil {
+			return nil, fmt.Errorf("store: compact encode: %w", err)
+		}
+		meta.records++
+		if full := meta.bytes+int64(len(buf)) >= s.segBytes; full || len(buf) >= compactChunk {
+			if err := flush(full); err != nil {
+				return nil, fmt.Errorf("store: compact: %w", err)
+			}
+		}
+	}
+	if err := flush(true); err != nil {
+		return nil, fmt.Errorf("store: compact: %w", err)
+	}
+	return metas, nil
+}
+
+// filterMirror drops from the mirror, in place, what mask does not keep,
+// and clears the vacated tail so the evicted violations' strings are
+// freed. The arrays stay — the next period's backlog refills them — unless
+// this period's peak fit in half of them, in which case a burst has
+// passed and they shrink to that peak.
+func (s *SegmentStore) filterMirror(mask []bool) {
+	kept := 0
+	for i, keep := range mask {
+		if keep {
+			s.vs[kept], s.seqs[kept] = s.vs[i], s.seqs[i]
+			kept++
+		}
+	}
+	clear(s.vs[kept:])
+	s.vs, s.seqs = s.vs[:kept], s.seqs[:kept]
+	if peak := len(mask); peak <= cap(s.vs)/2 {
+		s.resizeMirror(peak)
+	}
 }
 
 // Export implements ViolationStore as a cheap checkpoint: the snapshot
@@ -1016,21 +1139,9 @@ func (s *SegmentStore) Replace(snap assertion.RecorderSnapshot) error {
 	s.dropped = snap.LogDropped
 	s.compacted = snap.Compacted
 	for _, v := range snap.Violations {
-		seq := s.appendSeq + 1
-		body, err := assertion.AppendViolationJSON(s.scratch[:0], v)
-		if err != nil {
+		if err := s.bufferLocked(v); err != nil {
 			return err
 		}
-		s.scratch = body[:0]
-		var hdr [recordHeader]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body))
-		binary.LittleEndian.PutUint64(hdr[8:16], seq)
-		s.pending = append(s.pending, hdr[:]...)
-		s.pending = append(s.pending, body...)
-		s.pendingRecs++
-		s.appendSeq = seq
-		s.appendEntry(seq, v)
 		if err := s.maybeFlushRollLocked(); err != nil {
 			return err
 		}

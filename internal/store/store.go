@@ -9,12 +9,21 @@
 //     edge assertion.Recorder records into. Fast, but a crash loses
 //     everything since the last wire snapshot.
 //   - SegmentStore (this package) — an append-only on-disk backend:
-//     length-prefixed, CRC-checked segment files holding one JSON
-//     violation per record, a sparse per-assertion/stream index for
-//     queries, fsync'd segment rolls and checkpoints, crash-safe
-//     compaction with the same retention semantics as
-//     MemStore.Compact/CompactBudgets, and exact crash recovery by
-//     segment replay.
+//     length-prefixed, CRC-checked segment files holding one violation
+//     per record, a per-assertion/stream index for queries, fsync'd
+//     segment rolls and checkpoints, crash-safe compaction with the same
+//     retention semantics as MemStore.Compact, and exact crash recovery
+//     by segment replay.
+//
+// A record body is the binary wire's per-violation encoding behind one
+// tag byte (assertion.AppendViolationRecord): one encoder and one decoder
+// from the edge's frame to the disk. Replay dispatches on the body's
+// first byte: the tag decodes as binary; '{' is the JSON object stores
+// before this format wrote, and still decodes, so an upgrade is in place
+// — new records land beside old ones, mixed segments replay in order,
+// and compaction rewrites its survivors as binary; anything else is
+// ErrCorrupt, never guessed at and never truncated as a torn tail. An
+// older binary cannot read binary bodies and refuses the directory.
 //
 // The interface and the in-memory backend are declared in
 // internal/assertion and aliased here: Go's import graph forbids

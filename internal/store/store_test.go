@@ -153,9 +153,9 @@ func TestContractCompact(t *testing.T) {
 				t.Fatalf("after compaction: %v, want %v", idx, want)
 			}
 			// Budgets: keep only the newest odd.
-			n, err = s.CompactBudgets(map[string]int{"odd": 1})
+			n, err = s.Compact(0, 0, map[string]int{"odd": 1})
 			if err != nil || n != 1 {
-				t.Fatalf("CompactBudgets = %d, %v; want 1", n, err)
+				t.Fatalf("budgeted Compact = %d, %v; want 1", n, err)
 			}
 			if got := s.Compacted(); got != 7 {
 				t.Fatalf("Compacted = %d, want 7", got)
@@ -249,7 +249,7 @@ func TestContractInfo(t *testing.T) {
 }
 
 func TestContractConcurrentAppendCompact(t *testing.T) {
-	// Satellite: Record concurrent with Compact/CompactBudgets must never
+	// Satellite: Record concurrent with capped and budgeted Compact must never
 	// regress TotalFired or Stats, and limited queries walking the index
 	// beside them must answer inside their filter. Run against both
 	// backends under -race.
@@ -264,8 +264,8 @@ func TestContractConcurrentAppendCompact(t *testing.T) {
 						t.Errorf("Compact: %v", err)
 						return
 					}
-					if _, err := s.CompactBudgets(map[string]int{"w0": 10}); err != nil {
-						t.Errorf("CompactBudgets: %v", err)
+					if _, err := s.Compact(0, 0, map[string]int{"w0": 10}); err != nil {
+						t.Errorf("budgeted Compact: %v", err)
 						return
 					}
 				}
