@@ -1,20 +1,14 @@
 // Command omg-bench regenerates every table and figure of the paper's
 // evaluation at full scale and prints them in the paper's row/series
-// format.
+// format. System performance is measured elsewhere, by one harness:
+// `bash benchmark/run.sh` and the Benchmark* functions.
 //
 // Usage:
 //
 //	omg-bench                 # run everything
 //	omg-bench -only table4    # one experiment: table1..4, table6,
-//	                          # figure3, figure4a, figure4b, figure5,
-//	                          # sinkbench (JSONL vs loopback HTTP export),
-//	                          # fanin (sharded vs single-recorder collector),
-//	                          # store (mem vs on-disk segment violation store),
-//	                          # labels (candidate assembly + label serving),
-//	                          # obs (instrumented vs uninstrumented hot paths),
-//	                          # wire (JSON vs binary batch codec e2e),
-//	                          # overload (admission-control overhead)
-//	omg-bench -quick          # reduced sizes (CI smoke run)
+//	                          # figure3, figure4a, figure4b, figure5
+//	omg-bench -quick          # reduced sizes (seconds, not minutes)
 //	omg-bench -root DIR       # repository root for Table 2 (default .)
 package main
 
@@ -29,15 +23,9 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment (table1..table4, table6, figure3, figure4a, figure4b, figure5, sinkbench, fanin, observe, store, labels, obs, wire, overload)")
+	only := flag.String("only", "", "run a single experiment (table1..table4, table6, figure3, figure4a, figure4b, figure5)")
 	quick := flag.Bool("quick", false, "use reduced experiment sizes")
 	root := flag.String("root", ".", "repository root (for Table 2 LOC measurement)")
-	benchOut := flag.String("bench-out", "BENCH_5.json", "where the observe experiment writes its machine-readable results (empty disables)")
-	storeBenchOut := flag.String("store-bench-out", "BENCH_6.json", "where the store experiment writes its machine-readable results (empty disables)")
-	labelBenchOut := flag.String("label-bench-out", "BENCH_7.json", "where the labels experiment writes its machine-readable results (empty disables)")
-	obsBenchOut := flag.String("obs-bench-out", "BENCH_8.json", "where the obs experiment writes its machine-readable results (empty disables)")
-	wireBenchOut := flag.String("wire-bench-out", "BENCH_9.json", "where the wire experiment writes its machine-readable results (empty disables)")
-	overloadBenchOut := flag.String("overload-bench-out", "BENCH_10.json", "where the overload experiment writes its machine-readable results (empty disables)")
 	flag.Parse()
 
 	scale := experiments.FullScale()
@@ -64,14 +52,6 @@ func main() {
 		}},
 		{"table4", func() (string, error) { return experiments.RenderTable4(scale), nil }},
 		{"table6", func() (string, error) { return experiments.RenderTable6(scale), nil }},
-		{"sinkbench", func() (string, error) { return renderSinkBench(*quick) }},
-		{"fanin", func() (string, error) { return renderFanInBench(*quick) }},
-		{"observe", func() (string, error) { return renderObserveBench(*quick, *benchOut) }},
-		{"store", func() (string, error) { return renderStoreBench(*quick, *storeBenchOut) }},
-		{"labels", func() (string, error) { return renderLabelBench(*quick, *labelBenchOut) }},
-		{"obs", func() (string, error) { return renderObsBench(*quick, *obsBenchOut) }},
-		{"wire", func() (string, error) { return renderWireBench(*quick, *wireBenchOut) }},
-		{"overload", func() (string, error) { return renderOverloadBench(*quick, *overloadBenchOut) }},
 	}
 
 	matched := false

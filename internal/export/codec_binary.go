@@ -66,8 +66,8 @@ var binCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 // registered instance serves every incoming frame.
 type BinaryCodec struct {
 	// Compress DEFLATE-compresses encoded payloads (flag bit 0). Spends
-	// CPU to cut bytes on the wire; omg-bench -only wire measures both
-	// sides of that trade.
+	// CPU to cut bytes on the wire; BenchmarkBatchCodec's binary and
+	// binary-deflate cases measure both sides of that trade.
 	Compress bool
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -429,9 +430,25 @@ func (s *HTTPSink) ship(buf []byte, violations []assertion.Violation) []byte {
 	}
 	body, err := s.codec.AppendBatch(buf, wb)
 	if err != nil {
+		// Neither codec carries a non-finite Time or Severity: drop only
+		// those, counted, and ship the rest under the same Seq — one bad
+		// value must not cost the violations beside it.
 		s.setErr(fmt.Errorf("export: encode batch: %w", err))
-		s.dropped.Add(int64(len(violations)))
-		return buf
+		kept := violations[:0]
+		for _, v := range violations {
+			if finite(v.Time) && finite(v.Severity) {
+				kept = append(kept, v)
+			}
+		}
+		if len(kept) > 0 && len(kept) < len(violations) {
+			s.dropped.Add(int64(len(violations) - len(kept)))
+			violations, wb.Violations = kept, kept
+			body, err = s.codec.AppendBatch(buf, wb)
+		}
+		if err != nil {
+			s.dropped.Add(int64(len(violations)))
+			return buf
+		}
 	}
 	began := time.Now()
 	transient := false
@@ -511,6 +528,8 @@ func (s *HTTPSink) sleep(d time.Duration) {
 	case <-s.closing:
 	}
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // fallbackStatus reports whether an HTTP status from the collector should
 // trigger the JSON wire fallback. 413 is excluded: the body was too big,

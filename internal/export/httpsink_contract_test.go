@@ -1,10 +1,13 @@
 package export
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+
+	"omg/internal/assertion"
 )
 
 // TestHTTPSinkAccountingContract locks the DropCounter arithmetic the
@@ -86,5 +89,56 @@ func TestHTTPSinkAccountingContract(t *testing.T) {
 	// The collector saw exactly the delivered violations, once each.
 	if got := c.TotalFired(); int64(got) != s.Delivered() {
 		t.Fatalf("collector ingested %d, sink delivered %d", got, s.Delivered())
+	}
+}
+
+// TestHTTPSinkNonFiniteCostsOneViolation: neither wire can carry a NaN
+// severity, so the sink drops that violation — counted — and ships the
+// rest of its batch, rather than the whole batch around it.
+func TestHTTPSinkNonFiniteCostsOneViolation(t *testing.T) {
+	for _, wire := range []string{CodecJSON, CodecBinary} {
+		t.Run(wire, func(t *testing.T) {
+			c := openCollector(t, CollectorConfig{})
+			defer c.Close()
+			inner := c.Handler()
+			// Hold every POST until all violations are queued, so the NaN
+			// is coalesced into a batch with its neighbours.
+			gate := make(chan struct{})
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				select {
+				case <-gate:
+					inner.ServeHTTP(w, r)
+				case <-r.Context().Done(): // a failed test closing the server
+				}
+			}))
+			defer srv.Close()
+
+			cfg := fastCfg(srv.URL)
+			cfg.Wire = wire
+			s, err := NewHTTPSink(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 200
+			for i := 0; i < n; i++ {
+				v := assertion.Violation{Assertion: "a", Stream: "cam-0", SampleIndex: i, Severity: 1}
+				if i == n/2 {
+					v.Severity = math.NaN()
+				}
+				if err := s.Record(v); err != nil {
+					t.Fatalf("Record(%d) = %v", i, err)
+				}
+			}
+			close(gate)
+			if err := s.Close(); err == nil {
+				t.Fatal("Close must surface the encode error")
+			}
+			if s.Delivered() != n-1 || s.Dropped() != 1 {
+				t.Fatalf("Delivered %d Dropped %d, want %d and 1", s.Delivered(), s.Dropped(), n-1)
+			}
+			if got := c.TotalFired(); got != n-1 {
+				t.Fatalf("collector total_fired = %d, want %d", got, n-1)
+			}
+		})
 	}
 }

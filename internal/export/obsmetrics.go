@@ -54,8 +54,8 @@ var (
 		"reason")
 	// admissionHist times the admission fast path (duplicate-retry check,
 	// in-flight slot, token-bucket charge) for admitted requests — the
-	// per-request overhead the overload layer adds, gated ≤5% of ingest
-	// in BENCH_10.json.
+	// per-request overhead the overload layer adds (priced end to end by
+	// BenchmarkHTTPSinkLoopback's plain vs guarded).
 	admissionHist = obs.Default().NewHistogram(
 		"omg_collector_admission_seconds",
 		"Admission-control time per admitted ingest request.")

@@ -23,8 +23,9 @@ import (
 )
 
 // disabled flips the whole package off: Record and StartIf become a
-// single atomic load. It exists so omg-bench can race instrumented
-// against uninstrumented hot paths inside one binary.
+// single atomic load. It exists so the benchmark harness
+// (benchmark/layers.go) and tests can price instrumented against
+// uninstrumented hot paths inside one binary.
 var disabled atomic.Bool
 
 // SetEnabled turns instrumentation on (the default) or off process-wide.

@@ -23,8 +23,9 @@ import (
 //   - counter values are finite and non-negative;
 //   - no series (name plus canonical labelset) appears twice.
 //
-// The collector's /metrics test and omg-bench's obs experiment run every
-// scrape page through this, so an exposition regression fails CI.
+// The collector's (mem and disk) and the edge monitor's /metrics tests
+// run every scrape page through this, so an exposition regression fails
+// CI.
 func ValidateExposition(data []byte) error {
 	p := &promParser{
 		families: make(map[string]*promFamily),

@@ -68,7 +68,8 @@ const (
 // SegmentBytes zero. Rolls are the append path's only fsyncs, and an
 // fsync stalls the appending caller for as long as the device takes to
 // persist the whole segment — so the default is sized to amortise that
-// stall far below the per-record work (measured in BENCH_6.json), while
+// stall far below the per-record work (omg_store_seal_sync_seconds times
+// it; the harness reports it as server.seal_sync_mean_ms), while
 // keeping recovery replay and compaction granular enough. Smaller
 // segments tighten the machine-crash window at a direct ingest-latency
 // cost; process-crash (SIGKILL) recovery is exact at any size.
