@@ -7,13 +7,12 @@
 //
 // With -streams N > 1 it drives N concurrent camera feeds (each with its
 // own seed and stream key) through the pool's asynchronous ingestion path,
-// exercising the multi-stream hot path. -sink selects the violation
-// backend (plain JSONL, size/time-rotated files, per-assertion sampling,
-// or HTTP batch export to an omg-server collector) and
-// -per-stream-recorders gives each camera its own violation recorder.
+// one shard per stream, exercising the multi-stream hot path. -sink
+// selects the violation backend: plain JSONL, size/time-rotated files, or
+// HTTP batch export to an omg-server collector.
 //
 // With -sink=http, -log is optional and tees a local JSONL copy beside
-// the export.
+// the export. -export-url without -sink=http is an error.
 //
 // -metrics-addr starts an edge-side Prometheus /metrics listener so the
 // source fleet is scrapeable (observe latency, shard queue depth and
@@ -22,11 +21,9 @@
 //
 // Usage:
 //
-//	omg-monitor [-frames N] [-seed S] [-log violations.jsonl]
-//	            [-streams N] [-workers N]
-//	            [-sink jsonl|rotate|sample|http]
+//	omg-monitor [-frames N] [-seed S] [-log violations.jsonl] [-streams N]
+//	            [-sink jsonl|rotate|http]
 //	            [-rotate-bytes N] [-rotate-keep N] [-rotate-interval D]
-//	            [-sample-every N] [-per-stream-recorders]
 //	            [-export-url http://collector:9077] [-export-batch N]
 //	            [-export-retries N] [-wire json|binary] [-wire-compress]
 //	            [-metrics-addr :9078] [-debug-addr :9079]
@@ -53,13 +50,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed (stream i uses seed+i)")
 	logPath := flag.String("log", "", "JSONL violation log path (default: stdout summary only)")
 	streams := flag.Int("streams", 1, "number of concurrent camera streams")
-	workers := flag.Int("workers", 0, "max shards evaluating concurrently (0 = one per shard)")
-	sinkKind := flag.String("sink", "jsonl", "violation sink backend: jsonl, rotate or sample (with -log), or http (with -export-url)")
+	sinkKind := flag.String("sink", "jsonl", "violation sink backend: jsonl or rotate (with -log), or http (with -export-url)")
 	rotateBytes := flag.Int64("rotate-bytes", 1<<20, "rotate the log after this many bytes (-sink=rotate)")
 	rotateKeep := flag.Int("rotate-keep", 3, "rotated log files to keep (-sink=rotate)")
 	rotateInterval := flag.Duration("rotate-interval", 0, "also rotate the log after this long, whichever of size/age trips first (-sink=rotate; 0 = size only)")
-	sampleEvery := flag.Int("sample-every", 10, "keep 1 in N violations per assertion (-sink=sample)")
-	perStream := flag.Bool("per-stream-recorders", false, "give each stream its own violation recorder")
 	exportURL := flag.String("export-url", "", "collector base URL, e.g. http://collector:9077 (-sink=http)")
 	exportBatch := flag.Int("export-batch", 256, "violations coalesced per exported batch (-sink=http)")
 	exportRetries := flag.Int("export-retries", 3, "retries per failed batch before its violations count as dropped (-sink=http)")
@@ -72,15 +66,18 @@ func main() {
 		log.Fatalf("-streams must be >= 1")
 	}
 	switch *sinkKind {
-	case "jsonl", "rotate", "sample", "http":
+	case "jsonl", "rotate", "http":
 	default:
-		log.Fatalf("unknown -sink %q (want jsonl, rotate, sample or http)", *sinkKind)
+		log.Fatalf("unknown -sink %q (want jsonl, rotate or http)", *sinkKind)
 	}
-	if *logPath == "" && (*sinkKind == "rotate" || *sinkKind == "sample") {
-		log.Fatalf("-sink=%s requires -log", *sinkKind)
+	if *logPath == "" && *sinkKind == "rotate" {
+		log.Fatalf("-sink=rotate requires -log")
 	}
 	if *sinkKind == "http" && *exportURL == "" {
 		log.Fatalf("-sink=http requires -export-url")
+	}
+	if *sinkKind != "http" && *exportURL != "" {
+		log.Fatalf("-export-url requires -sink=http")
 	}
 	if *rotateBytes <= 0 {
 		log.Fatalf("-rotate-bytes must be > 0")
@@ -90,9 +87,6 @@ func main() {
 	}
 	if *rotateInterval < 0 {
 		log.Fatalf("-rotate-interval must be >= 0")
-	}
-	if *sampleEvery < 1 {
-		log.Fatalf("-sample-every must be >= 1")
 	}
 	if *exportBatch < 1 {
 		log.Fatalf("-export-batch must be >= 1")
@@ -105,7 +99,6 @@ func main() {
 	// silently truncate the violation stream: every sink error path below
 	// exits non-zero.
 	var sink assertion.Sink
-	var sampler *assertion.SamplingSink
 	var httpSink *export.HTTPSink
 	var logFile *os.File
 	switch {
@@ -133,17 +126,13 @@ func main() {
 		}
 	case *logPath != "":
 		switch *sinkKind {
-		case "jsonl", "sample":
+		case "jsonl":
 			f, err := os.Create(*logPath)
 			if err != nil {
 				log.Fatalf("create log: %v", err)
 			}
 			logFile = f
 			sink = assertion.NewJSONLSink(f, 0)
-			if *sinkKind == "sample" {
-				sampler = assertion.NewSamplingSink(sink, *sampleEvery)
-				sink = sampler
-			}
 		case "rotate":
 			s, err := assertion.NewRotatingFileSinkConfig(*logPath, assertion.RotateConfig{
 				MaxBytes: *rotateBytes, MaxAge: *rotateInterval, Keep: *rotateKeep,
@@ -169,17 +158,10 @@ func main() {
 	popts := []assertion.PoolOption{
 		assertion.WithShards(*streams),
 		assertion.WithPoolWindowSize(8),
-	}
-	if *perStream {
-		popts = append(popts, assertion.WithPerStreamRecorders(10000))
-	} else {
-		popts = append(popts, assertion.WithPoolRecorder(assertion.NewRecorder(10000)))
+		assertion.WithPoolRecorder(assertion.NewRecorder(10000)),
 	}
 	if sink != nil {
 		popts = append(popts, assertion.WithPoolSink(sink))
-	}
-	if *workers > 0 {
-		popts = append(popts, assertion.WithPoolWorkers(*workers))
 	}
 	pool := assertion.NewMonitorPool(suite, popts...)
 
@@ -266,14 +248,15 @@ func main() {
 		}(i, d)
 	}
 	wg.Wait()
-	// Close drains the pipeline, flushes every recorder and closes the
-	// pool-owned sink; any sink error surfaces here. When the sink counts
-	// its losses (e.g. the HTTP exporter with the collector down), report
-	// them — drops must never be silent.
+	// Close drains the pipeline, flushes the recorder and closes the
+	// pool-owned sink; any sink error surfaces here. Drops must never be
+	// silent: the error then already carries the recorder's drop count, so
+	// the exit line names it once, out of the total, beside the sink's
+	// own error.
 	if err := pool.Close(); err != nil {
-		if dc, ok := sink.(assertion.DropCounter); ok && dc.Dropped() > 0 {
+		if n := pool.Recorder().SinkDropped(); n > 0 && sink.Err() != nil {
 			log.Fatalf("drain monitor pool: %v (sink dropped %d of %d violations)",
-				err, dc.Dropped(), pool.TotalFired())
+				sink.Err(), n, pool.TotalFired())
 		}
 		log.Fatalf("drain monitor pool: %v", err)
 	}
@@ -284,9 +267,6 @@ func main() {
 	for _, name := range pool.AssertionNames() {
 		st, _ := pool.Stats(name)
 		fmt.Printf("  %-18s fired %5d times, max severity %.1f\n", name, st.Fired, st.MaxSev)
-	}
-	if sampler != nil && sampler.SampledOut() > 0 {
-		fmt.Printf("sink sampled out %d violations (sampling policy)\n", sampler.SampledOut())
 	}
 
 	if logFile != nil {

@@ -84,7 +84,7 @@ func TestEndToEndJSONLSink(t *testing.T) {
 	bin := needBinary(t)
 	logPath := filepath.Join(t.TempDir(), "violations.jsonl")
 	out, err := exec.Command(bin,
-		"-frames", "300", "-streams", "3", "-workers", "2", "-log", logPath,
+		"-frames", "300", "-streams", "3", "-log", logPath,
 	).CombinedOutput()
 	if err != nil {
 		t.Fatalf("omg-monitor failed: %v\n%s", err, out)
@@ -136,12 +136,15 @@ func TestEndToEndUnwritableSinkPath(t *testing.T) {
 func TestEndToEndBadSinkFlags(t *testing.T) {
 	bin := needBinary(t)
 	logPath := filepath.Join(t.TempDir(), "v.jsonl")
-	// Unknown backend, with and without -log, and a backend that needs a
-	// log path but got none: all must fail loudly, never silently no-op.
+	// Unknown backends, with and without -log, a backend that needs a log
+	// path but got none, and an export URL no backend uses: all must fail
+	// loudly, never silently no-op.
 	for _, args := range [][]string{
 		{"-frames", "50", "-log", logPath, "-sink", "bogus"},
 		{"-frames", "50", "-sink", "bogus"},
+		{"-frames", "50", "-sink", "sample"},
 		{"-frames", "50", "-sink", "rotate"},
+		{"-frames", "50", "-export-url", "http://127.0.0.1:1"},
 	} {
 		if out, err := exec.Command(bin, args...).CombinedOutput(); err == nil {
 			t.Fatalf("%v: expected non-zero exit; output:\n%s", args, out)
@@ -302,29 +305,5 @@ func TestEndToEndRotatingSink(t *testing.T) {
 	}
 	if _, err := os.Stat(logPath + ".3"); err == nil {
 		t.Fatal("-rotate-keep 2 must prune the third rotated file")
-	}
-}
-
-func TestEndToEndSamplingSinkAndPerStreamRecorders(t *testing.T) {
-	bin := needBinary(t)
-	logPath := filepath.Join(t.TempDir(), "violations.jsonl")
-	out, err := exec.Command(bin,
-		"-frames", "300", "-streams", "2", "-log", logPath,
-		"-sink", "sample", "-sample-every", "5", "-per-stream-recorders",
-	).CombinedOutput()
-	if err != nil {
-		t.Fatalf("omg-monitor failed: %v\n%s", err, out)
-	}
-	m := regexp.MustCompile(`violations recorded: (\d+)`).FindSubmatch(out)
-	if m == nil {
-		t.Fatalf("summary line missing from output:\n%s", out)
-	}
-	total, _ := strconv.Atoi(string(m[1]))
-	vs := readViolations(t, logPath)
-	if len(vs) == 0 || len(vs) >= total {
-		t.Fatalf("sampling should log fewer than the %d recorded violations, logged %d", total, len(vs))
-	}
-	if !regexp.MustCompile(`sink sampled out \d+ violations`).Match(out) {
-		t.Fatalf("sampled-out count missing from summary:\n%s", out)
 	}
 }

@@ -161,7 +161,7 @@ func TestEndToEndHTTPExportDeliversExactlyOnce(t *testing.T) {
 	baseURL, server := startServer(t, "-snapshot", snapPath)
 
 	out, err := exec.Command(monitorBin,
-		"-frames", "300", "-streams", "2", "-workers", "2",
+		"-frames", "300", "-streams", "2",
 		"-sink", "http", "-export-url", baseURL, "-export-batch", "32",
 	).CombinedOutput()
 	if err != nil {

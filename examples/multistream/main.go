@@ -6,10 +6,10 @@
 // The "models" here are toy temperature estimators, one per sensor, whose
 // outputs occasionally spike; the assertions encode that readings stay in
 // a physical range and do not jump between consecutive samples of the
-// same sensor. Each sensor is its own stream with its own violation
-// recorder, and every violation fans out through a composed sink stack:
-// a queryable MemorySink beside a SamplingSink that rate-limits the
-// JSONL stream on stderr to 1 in 5 violations per assertion.
+// same sensor. Each sensor is its own stream with its own sliding window;
+// every violation lands in the pool's one bounded recorder, which the
+// dashboard below queries, and streams as JSONL to stderr through the
+// pool-owned sink.
 package main
 
 import (
@@ -46,23 +46,15 @@ func main() {
 		return 0
 	}))
 
-	// 2. Compose the violation backend: every violation lands in a
-	// queryable in-memory sink AND — sampled 1-in-5 per assertion — in the
-	// asynchronous JSONL stream on stderr. The pool owns the stack and
-	// closes it on pool.Close.
-	mem := omg.NewMemorySink(1000)
-	sampled := omg.NewSamplingSink(omg.NewJSONLSink(os.Stderr, 0), 5)
-	sink := omg.NewMultiSink(mem, sampled)
-
-	// 3. Build the sharded pool: each sensor gets its own recorder (no
-	// cross-stream contention on the violation log), all fanning into the
-	// one shared sink stack.
+	// 2. Build the sharded pool: one recorder retaining the newest 1000
+	// violations of the whole fleet, and an asynchronous JSONL stream on
+	// stderr that the pool owns and closes on pool.Close.
 	pool := omg.NewMonitorPool(reg.Suite(),
 		omg.WithShards(4),
 		omg.WithPoolWindowSize(8),
 		omg.WithQueueDepth(64),
-		omg.WithPerStreamRecorders(200),
-		omg.WithPoolSink(sink),
+		omg.WithPoolRecorder(omg.NewRecorder(1000)),
+		omg.WithPoolSink(omg.NewJSONLSink(os.Stderr, 0)),
 	)
 
 	// Corrective action: page the on-call when any sensor jumps hard.
@@ -70,7 +62,7 @@ func main() {
 	var pages atomic.Int64
 	pool.OnAssertion("temp-jump", 10, func(v omg.Violation) { pages.Add(1) })
 
-	// 4. Drive 16 sensors concurrently through the async ingestion path.
+	// 3. Drive 16 sensors concurrently through the async ingestion path.
 	// Enqueue blocks when a shard queue is full — backpressure, not loss.
 	const sensors, samples = 16, 500
 	var wg sync.WaitGroup
@@ -97,8 +89,8 @@ func main() {
 	}
 	wg.Wait()
 
-	// 5. Drain the pipeline and the sink stack, then read the dashboard
-	// from the pool's merged views and the memory backend.
+	// 4. Drain the pipeline and the sink, then read the dashboard from the
+	// pool's recorder.
 	if err := pool.Close(); err != nil {
 		panic(err)
 	}
@@ -109,10 +101,8 @@ func main() {
 		st, _ := pool.Stats(name)
 		fmt.Printf("  %-14s fired %3d times, max severity %.1f\n", name, st.Fired, st.MaxSev)
 	}
-	fmt.Printf("memory sink retains %d violations; %d sampled out of the JSONL stream\n",
-		mem.Len(), sampled.SampledOut())
-	// Per-stream drill-down: the noisiest sensor's own recorder.
-	if rec := pool.StreamRecorder("sensor-00"); rec != nil {
-		fmt.Printf("sensor-00 alone fired %d times\n", rec.TotalFired())
-	}
+	// Per-stream drill-down: one sensor's retained violations.
+	sensor := pool.Recorder().Query(omg.StoreQuery{Stream: "sensor-00"})
+	fmt.Printf("recorder retains %d violations, %d of them from sensor-00\n",
+		len(pool.Violations()), len(sensor))
 }

@@ -23,7 +23,7 @@ func FuzzShardFor(f *testing.F) {
 		p1 := NewMonitorPool(poolSuite(), WithShards(shards))
 		defer p1.Close()
 		p2 := NewMonitorPool(poolSuite(), WithShards(shards),
-			WithQueueDepth(7), WithPoolWorkers(2), WithPoolWindowSize(3))
+			WithQueueDepth(7), WithPoolWindowSize(3))
 		defer p2.Close()
 
 		got := p1.shardFor(stream)

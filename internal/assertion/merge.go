@@ -25,10 +25,9 @@ func ShardFor(key string, n int) int {
 }
 
 // MergeStats combines two aggregate views of the same assertion, as held
-// by two different recorders (per-stream recorders in a pool, per-shard
-// recorders in a collector): counts and severities sum, MaxSev is the
-// maximum, and the sample range spans the earliest first to the latest
-// last.
+// by two different stores (the per-shard stores of a collector): counts
+// and severities sum, MaxSev is the maximum, and the sample range spans
+// the earliest first to the latest last.
 func MergeStats(a, b Stats) Stats {
 	a.Fired += b.Fired
 	a.TotalSev += b.TotalSev

@@ -3,7 +3,6 @@ package assertion
 import (
 	"errors"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -28,32 +27,24 @@ var ErrPoolClosed = errors.New("assertion: monitor pool is closed")
 //     severity vector — for a single stream this reproduces Monitor
 //     exactly;
 //   - Enqueue/ObserveBatch queue samples on a bounded per-shard queue
-//     drained by the pool's worker goroutines. A full queue blocks the
+//     drained by one worker goroutine per shard. A full queue blocks the
 //     producer (explicit backpressure, never silent loss); Flush waits for
-//     the pipeline and the recorder's JSONL sink to drain.
+//     the pipeline and the recorder's sink to drain.
 //
-// By default all streams share one Recorder, whose statistics are
-// lock-free and whose sink is asynchronous, so the observe path stays
-// allocation-lean under multi-stream load. WithPerStreamRecorders gives
-// every stream its own recorder instead — removing the shared violation
-// ring as a cross-stream contention point — while the pool's Summary,
-// Violations, Stats, TotalFired and AssertionNames keep presenting the
-// merged view.
+// All streams record into one Recorder, whose statistics are lock-free
+// and whose sink is asynchronous, so the observe path stays
+// allocation-lean under multi-stream load.
 type MonitorPool struct {
 	suite      *Suite
 	windowSize int
 
 	shards  []*poolShard
 	queues  []chan shardItem
-	rec     *Recorder     // shared recorder; nil when perStream
-	sem     chan struct{} // bounds concurrent evaluation; nil when unbounded
+	rec     *Recorder
+	sink    Sink // pool-owned backend attached to rec; nil when none
 	wg      sync.WaitGroup
 	pending *waiter
 	drained chan struct{} // closed once the workers have exited
-
-	perStream      bool
-	perStreamLimit int
-	sink           Sink // pool-owned shared backend; nil when none
 
 	// actMu serialises action registration against stream-monitor
 	// creation so every monitor sees every action exactly once.
@@ -103,36 +94,23 @@ func putChunk(c *[]Sample) {
 }
 
 type poolConfig struct {
-	shards         int
-	workers        int
-	queueDepth     int
-	windowSize     int
-	recorder       *Recorder
-	perStream      bool
-	perStreamLimit int
-	sink           Sink
+	shards     int
+	queueDepth int
+	windowSize int
+	recorder   *Recorder
+	sink       Sink
 }
 
 // PoolOption configures a MonitorPool.
 type PoolOption func(*poolConfig)
 
 // WithShards sets the number of shards (default: GOMAXPROCS, minimum 1).
-// More shards allow more streams to be evaluated concurrently.
+// Each shard has one worker goroutine, so the shard count is also the
+// bound on how many streams are evaluated concurrently.
 func WithShards(n int) PoolOption {
 	return func(c *poolConfig) {
 		if n >= 1 {
 			c.shards = n
-		}
-	}
-}
-
-// WithPoolWorkers bounds how many shards may evaluate assertions at the
-// same time (default: one worker per shard). Use it to cap CPU spent on
-// monitoring without reducing the shard count.
-func WithPoolWorkers(n int) PoolOption {
-	return func(c *poolConfig) {
-		if n >= 1 {
-			c.workers = n
 		}
 	}
 }
@@ -158,9 +136,8 @@ func WithPoolWindowSize(n int) PoolOption {
 	}
 }
 
-// WithPoolRecorder attaches a shared recorder; by default a fresh
-// unbounded in-memory recorder is created. Ignored when
-// WithPerStreamRecorders is also set.
+// WithPoolRecorder sets the recorder every stream records into; by
+// default a fresh unbounded in-memory recorder is created.
 func WithPoolRecorder(r *Recorder) PoolOption {
 	return func(c *poolConfig) {
 		if r != nil {
@@ -169,24 +146,11 @@ func WithPoolRecorder(r *Recorder) PoolOption {
 	}
 }
 
-// WithPerStreamRecorders gives every stream its own Recorder (each
-// bounded to limit retained violations, 0 = unbounded) instead of one
-// recorder shared by all streams. Concurrent shard workers then never
-// contend on a shared violation ring; the pool's Summary, Violations,
-// Stats, TotalFired and AssertionNames merge across streams, and
-// StreamRecorder exposes each stream's own view. Overrides
-// WithPoolRecorder; Recorder() returns nil in this mode.
-func WithPerStreamRecorders(limit int) PoolOption {
-	return func(c *poolConfig) {
-		c.perStream = true
-		c.perStreamLimit = limit
-	}
-}
-
-// WithPoolSink attaches one violation backend shared by every recorder in
-// the pool — the shared recorder, or each per-stream recorder. The pool
-// owns the sink: Flush flushes it and Close closes it. With a shared
-// recorder this replaces any sink previously attached to it.
+// WithPoolSink attaches a violation backend to the pool's recorder
+// (Recorder.StreamToSink, so a sink already attached to it is closed).
+// The pool owns the sink: Flush flushes it and Close closes it. The
+// closed sink stays attached, so a violation recorded after Close is
+// refused and counted in the recorder's SinkDropped.
 func WithPoolSink(s Sink) PoolOption {
 	return func(c *poolConfig) {
 		c.sink = s
@@ -206,30 +170,20 @@ func NewMonitorPool(suite *Suite, opts ...PoolOption) *MonitorPool {
 	if cfg.shards < 1 {
 		cfg.shards = 1
 	}
-	if cfg.perStream {
-		cfg.recorder = nil
-	} else if cfg.recorder == nil {
+	if cfg.recorder == nil {
 		cfg.recorder = NewRecorder(0)
 	}
 	p := &MonitorPool{
-		suite:          suite,
-		windowSize:     cfg.windowSize,
-		rec:            cfg.recorder,
-		pending:        newWaiter(),
-		drained:        make(chan struct{}),
-		perStream:      cfg.perStream,
-		perStreamLimit: cfg.perStreamLimit,
-		sink:           cfg.sink,
-		qwait:          obs.HotAtomicSampler(),
+		suite:      suite,
+		windowSize: cfg.windowSize,
+		rec:        cfg.recorder,
+		sink:       cfg.sink,
+		pending:    newWaiter(),
+		drained:    make(chan struct{}),
+		qwait:      obs.HotAtomicSampler(),
 	}
-	if p.rec != nil && p.sink != nil {
-		p.rec.ShareSink(p.sink)
-	}
-	// The semaphore exists only when it can actually bind: with one
-	// worker slot per shard it could never block, so the unbounded
-	// default skips the channel operations entirely.
-	if cfg.workers > 0 && cfg.workers < cfg.shards {
-		p.sem = make(chan struct{}, cfg.workers)
+	if p.sink != nil {
+		p.rec.StreamToSink(p.sink)
 	}
 	for i := 0; i < cfg.shards; i++ {
 		p.shards = append(p.shards, &poolShard{streams: make(map[string]*Monitor)})
@@ -243,44 +197,25 @@ func NewMonitorPool(suite *Suite, opts ...PoolOption) *MonitorPool {
 }
 
 // runShard drains one shard's queue. Each shard is serviced by exactly one
-// goroutine, which is what preserves per-stream total order; the semaphore
-// bounds how many shards evaluate simultaneously. Batch chunks are
-// evaluated in order and their backing arrays returned to the chunk pool.
+// goroutine, which is what preserves per-stream total order. Batch chunks
+// are evaluated in order and their backing arrays returned to the chunk
+// pool.
 func (p *MonitorPool) runShard(i int) {
 	defer p.wg.Done()
 	for it := range p.queues[i] {
 		queueWaitHist.Done(it.enq)
 		if it.chunk == nil {
-			p.observeOn(i, it.s)
+			p.monitorFor(i, it.s.Stream).Observe(it.s)
 			p.pending.add(-1)
 			continue
 		}
-		p.observeChunk(i, *it.chunk)
-		p.pending.add(-len(*it.chunk))
+		chunk := *it.chunk
+		for j := range chunk {
+			p.monitorFor(i, chunk[j].Stream).Observe(chunk[j])
+		}
+		p.pending.add(-len(chunk))
 		putChunk(it.chunk)
 	}
-}
-
-// observeChunk evaluates one batch chunk on the given shard, holding a
-// worker slot once for the whole chunk rather than once per sample.
-func (p *MonitorPool) observeChunk(shard int, chunk []Sample) {
-	if p.sem != nil {
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
-	}
-	for i := range chunk {
-		p.monitorFor(shard, chunk[i].Stream).Observe(chunk[i])
-	}
-}
-
-// observeOn evaluates one sample on the given shard, honouring the
-// worker-count bound on both the async and sync paths.
-func (p *MonitorPool) observeOn(shard int, s Sample) Vector {
-	if p.sem != nil {
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
-	}
-	return p.monitorFor(shard, s.Stream).Observe(s)
 }
 
 // shardFor routes a stream key to its shard with the shared FNV-1a seam.
@@ -289,8 +224,7 @@ func (p *MonitorPool) shardFor(stream string) int {
 }
 
 // monitorFor returns the stream's monitor, creating it on first use with
-// the pool's window size, shared recorder and every action registered so
-// far.
+// the pool's window size, recorder and every action registered so far.
 func (p *MonitorPool) monitorFor(shard int, stream string) *Monitor {
 	sh := p.shards[shard]
 	sh.mu.Lock()
@@ -312,14 +246,7 @@ func (p *MonitorPool) monitorFor(shard int, stream string) *Monitor {
 	}
 	sh.mu.Unlock()
 
-	rec := p.rec
-	if p.perStream {
-		rec = NewRecorder(p.perStreamLimit)
-		if p.sink != nil {
-			rec.ShareSink(p.sink)
-		}
-	}
-	mopts := []MonitorOption{WithRecorder(rec)}
+	mopts := []MonitorOption{WithRecorder(p.rec)}
 	if p.windowSize >= 1 {
 		mopts = append(mopts, WithWindowSize(p.windowSize))
 	}
@@ -343,7 +270,7 @@ func (p *MonitorPool) monitorFor(shard int, stream string) *Monitor {
 // same stream while the async pipeline is non-empty, or the stream's
 // sample order is no longer defined.
 func (p *MonitorPool) Observe(s Sample) Vector {
-	return p.observeOn(p.shardFor(s.Stream), s)
+	return p.monitorFor(p.shardFor(s.Stream), s.Stream).Observe(s)
 }
 
 // Enqueue queues one sample for asynchronous evaluation on its stream's
@@ -441,67 +368,20 @@ func putChunkIndex(idx *[]*[]Sample) {
 	chunkIndexPool.Put(idx)
 }
 
-// Flush blocks until every queued sample has been evaluated and every
+// Flush blocks until every queued sample has been evaluated and the
 // recorder's sink (if any) has drained, and returns the first sink error,
 // if any.
 func (p *MonitorPool) Flush() error {
 	p.pending.wait()
-	return p.flushRecorders()
+	return p.rec.Flush()
 }
 
-// flushRecorders flushes every sink in the pool, returning the first
-// error. The pool-owned shared sink is flushed once — not once per
-// recorder streaming into it — while a sink a caller attached to an
-// individual recorder (replacing the shared one) still gets its own
-// flush.
-func (p *MonitorPool) flushRecorders() error {
-	var first error
-	note := func(err error) {
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	if p.sink != nil {
-		note(p.sink.Flush())
-	}
-	p.eachRecorder(func(r *Recorder) {
-		if p.sink != nil && r.currentSink() == p.sink {
-			note(r.Err()) // its sink is the pool sink, flushed above
-			return
-		}
-		note(r.Flush())
-	})
-	return first
-}
-
-// eachRecorder visits every recorder in the pool: the shared one, or each
-// stream's own when WithPerStreamRecorders is on. Recorders are collected
-// under the shard locks but visited outside them, so fn may block (e.g.
-// on a sink flush) without stalling the observe path.
-func (p *MonitorPool) eachRecorder(fn func(*Recorder)) {
-	if !p.perStream {
-		fn(p.rec)
-		return
-	}
-	var recs []*Recorder
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		for _, m := range sh.streams {
-			recs = append(recs, m.Recorder())
-		}
-		sh.mu.Unlock()
-	}
-	for _, r := range recs {
-		fn(r)
-	}
-}
-
-// Close drains the pipeline, stops the worker goroutines, flushes every
-// recorder's sink and closes the pool-owned sink (WithPoolSink),
-// returning the first error. Recorders themselves are not closed —
-// callers that attached their own sink to a recorder should rec.Close()
-// it when the stream is final. Close is idempotent; Observe keeps working
-// afterwards but Enqueue returns ErrPoolClosed.
+// Close drains the pipeline, stops the worker goroutines, flushes the
+// recorder's sink and closes the pool-owned sink (WithPoolSink), returning
+// the first error. The recorder itself is not closed — a caller that
+// attached its own sink to it should rec.Close() it when the stream is
+// final. Close is idempotent; Observe keeps working afterwards but Enqueue
+// returns ErrPoolClosed.
 func (p *MonitorPool) Close() error {
 	p.mu.Lock()
 	first := !p.closed
@@ -518,11 +398,12 @@ func (p *MonitorPool) Close() error {
 		// the pipeline has drained.
 		<-p.drained
 	}
-	err := p.flushRecorders()
+	err := p.rec.Flush()
 	if p.sink != nil {
-		if cerr := p.sink.Close(); err == nil {
-			err = cerr
-		}
+		// Closed in place, not detached: a violation recorded after Close
+		// is refused by the closed sink and counted in SinkDropped.
+		p.rec.saveErr(p.sink.Close())
+		err = p.rec.Err()
 	}
 	return err
 }
@@ -588,101 +469,24 @@ func (p *MonitorPool) NumStreams() int {
 	return n
 }
 
-// Recorder returns the pool's shared recorder, or nil when
-// WithPerStreamRecorders is on — use the pool's merged views (Summary,
-// Violations, Stats, TotalFired, AssertionNames) or StreamRecorder then.
+// Recorder returns the recorder every stream records into; never nil.
 func (p *MonitorPool) Recorder() *Recorder { return p.rec }
 
-// StreamRecorder returns the recorder observing the given stream: the
-// stream's own recorder under WithPerStreamRecorders (nil if the stream
-// has not been seen yet), the shared recorder otherwise.
-func (p *MonitorPool) StreamRecorder(stream string) *Recorder {
-	if !p.perStream {
-		return p.rec
-	}
-	sh := p.shards[p.shardFor(stream)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if m, ok := sh.streams[stream]; ok {
-		return m.Recorder()
-	}
-	return nil
-}
+// Summary returns per-assertion firing counts (Recorder.Summary).
+func (p *MonitorPool) Summary() map[string]int { return p.rec.Summary() }
 
-// Summary returns per-assertion firing counts merged across every
-// recorder in the pool.
-func (p *MonitorPool) Summary() map[string]int {
-	out := make(map[string]int)
-	p.eachRecorder(func(r *Recorder) {
-		for name, n := range r.Summary() {
-			out[name] += n
-		}
-	})
-	return out
-}
-
-// TotalFired returns the total number of violations recorded across every
-// recorder in the pool.
-func (p *MonitorPool) TotalFired() int {
-	total := 0
-	p.eachRecorder(func(r *Recorder) { total += r.TotalFired() })
-	return total
-}
+// TotalFired returns the total number of violations recorded.
+func (p *MonitorPool) TotalFired() int { return p.rec.TotalFired() }
 
 // AssertionNames returns the names of assertions that have fired on any
 // stream, sorted.
-func (p *MonitorPool) AssertionNames() []string {
-	seen := make(map[string]bool)
-	p.eachRecorder(func(r *Recorder) {
-		for _, name := range r.AssertionNames() {
-			seen[name] = true
-		}
-	})
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func (p *MonitorPool) AssertionNames() []string { return p.rec.AssertionNames() }
 
-// Stats returns aggregate statistics for the named assertion merged
-// across every recorder in the pool: counts and severities are summed,
-// MaxSev is the maximum, and the sample range spans the earliest first to
-// the latest last.
-func (p *MonitorPool) Stats(name string) (Stats, bool) {
-	if !p.perStream {
-		return p.rec.Stats(name)
-	}
-	var out Stats
-	found := false
-	p.eachRecorder(func(r *Recorder) {
-		st, ok := r.Stats(name)
-		if !ok {
-			return
-		}
-		if !found {
-			out, found = st, true
-			return
-		}
-		out = MergeStats(out, st)
-	})
-	return out, found
-}
+// Stats returns aggregate statistics for the named assertion.
+func (p *MonitorPool) Stats(name string) (Stats, bool) { return p.rec.Stats(name) }
 
-// Violations returns the retained violations of every recorder in the
-// pool. With the shared recorder this is its arrival order; with
-// per-stream recorders the merge is ordered by Time, then Stream, then
-// SampleIndex, since no global arrival order exists across recorders.
-func (p *MonitorPool) Violations() []Violation {
-	if !p.perStream {
-		return p.rec.Violations()
-	}
-	var out []Violation
-	p.eachRecorder(func(r *Recorder) { out = append(out, r.Violations()...) })
-	SortViolations(out)
-	return out
-}
+// Violations returns the retained violations in arrival order.
+func (p *MonitorPool) Violations() []Violation { return p.rec.Violations() }
 
 // NumShards returns the number of shards.
 func (p *MonitorPool) NumShards() int { return len(p.shards) }

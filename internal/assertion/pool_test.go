@@ -237,7 +237,7 @@ func TestPoolCloseSemantics(t *testing.T) {
 func TestPoolStreamsJSONLWithStreamKey(t *testing.T) {
 	var buf bytes.Buffer
 	rec := NewRecorder(0)
-	rec.StreamTo(&buf)
+	rec.StreamToSink(NewJSONLSink(&buf, 0))
 	pool := NewMonitorPool(NewSuite(New("always", func([]Sample) float64 { return 1 })),
 		WithShards(2), WithPoolRecorder(rec))
 	if err := pool.ObserveBatch([]Sample{
@@ -272,5 +272,101 @@ func TestPoolReset(t *testing.T) {
 	}
 	if pool.Observed() != 3 {
 		t.Fatalf("Observed = %d", pool.Observed())
+	}
+}
+
+// drive pushes perStream samples for each of n streams through the pool's
+// async path and flushes.
+func drive(t *testing.T, pool *MonitorPool, streams, perStream int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for g := 0; g < streams; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			key := fmt.Sprintf("cam-%d", g)
+			for i := 0; i < perStream; i++ {
+				if err := pool.Enqueue(Sample{Stream: key, Index: i, Time: float64(i)}); err != nil {
+					t.Errorf("Enqueue: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := pool.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+}
+
+func TestPoolSinkWithSharedRecorder(t *testing.T) {
+	mem := &captureSink{}
+	always := NewSuite(New("always", func([]Sample) float64 { return 1 }))
+	pool := NewMonitorPool(always, WithShards(2), WithPoolSink(mem))
+	drive(t, pool, 2, 20)
+	if err := pool.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := mem.Len(); got != 40 {
+		t.Fatalf("sink has %d violations, want 40", got)
+	}
+	// The shared recorder still has the full log and stats.
+	if got := pool.Recorder().TotalFired(); got != 40 {
+		t.Fatalf("recorder fired %d, want 40", got)
+	}
+}
+
+// TestPoolBooksBalanceAcrossClose: every violation the pool records is
+// either delivered by the pool-owned sink or counted in the recorder's
+// SinkDropped — including one recorded after Close, which leaves the
+// closed sink attached.
+func TestPoolBooksBalanceAcrossClose(t *testing.T) {
+	sink := &captureSink{}
+	always := NewSuite(New("always", func([]Sample) float64 { return 1 }))
+	pool := NewMonitorPool(always, WithShards(2), WithPoolSink(sink))
+	drive(t, pool, 3, 25)
+	if err := pool.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	pool.Observe(Sample{Stream: "cam-0", Index: 25}) // fires into the closed sink
+	dropped := pool.Recorder().SinkDropped()
+	if dropped != 1 {
+		t.Fatalf("SinkDropped = %d, want the 1 violation recorded after Close", dropped)
+	}
+	if delivered := int64(sink.Len()); delivered+dropped != int64(pool.TotalFired()) {
+		t.Fatalf("delivered %d + dropped %d != %d fired", delivered, dropped, pool.TotalFired())
+	}
+}
+
+func TestPoolPerStreamConcurrentViews(t *testing.T) {
+	// Run with -race: the pool's views must be safe against in-flight
+	// traffic on many streams.
+	pool := NewMonitorPool(poolSuite(), WithShards(4), WithPoolRecorder(NewRecorder(100)))
+	defer pool.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			key := fmt.Sprintf("s-%d", g)
+			for i := 0; i < 300; i++ {
+				pool.Observe(Sample{Stream: key, Index: i})
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			_ = pool.Summary()
+			_ = pool.TotalFired()
+			_ = pool.Violations()
+			_, _ = pool.Stats("every-third")
+		}
+	}()
+	wg.Wait()
+	<-done
+	if err := pool.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package assertion
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sync/atomic"
 )
@@ -80,9 +79,9 @@ func atomicMaxFloat(a *atomic.Uint64, x float64) {
 	}
 }
 
-// violationRing is the bounded violation log shared by MemStore and
-// MemorySink: append-or-overwrite with O(1) eviction, arrival-order
-// reads. Callers provide their own locking.
+// violationRing is MemStore's bounded violation log: append-or-overwrite
+// with O(1) eviction, arrival-order reads. Callers provide their own
+// locking.
 type violationRing struct {
 	limit   int
 	buf     []Violation
@@ -119,38 +118,22 @@ func (r *violationRing) snapshot() []Violation {
 	return out
 }
 
-// byAssertion copies retained violations of the named assertion in
-// arrival order.
-func (r *violationRing) byAssertion(name string) []Violation {
-	var out []Violation
-	n := len(r.buf)
-	for i := 0; i < n; i++ {
-		if v := r.buf[(r.head+i)%n]; v.Assertion == name {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 func (r *violationRing) clear() {
 	r.buf, r.head = nil, 0
 	r.dropped.Store(0)
 }
 
-// sinkBox pairs an attached Sink with its ownership: owned sinks are
-// closed when detached (swap or Recorder.Close), shared sinks — one
-// backend fed by several recorders — are only flushed.
-type sinkBox struct {
-	s     Sink
-	owned bool
-}
+// sinkBox holds the attached Sink. Each attach allocates a new box, so
+// Record can tell a swap (a new box) from a sink closed in place (the
+// same box).
+type sinkBox struct{ s Sink }
 
 // Recorder is the edge's violation recording front end: it feeds every
 // recorded violation into an in-memory MemStore (the queryable log plus
 // aggregate statistics) and optionally streams it to a pluggable Sink
-// backend (JSONL by default). In a production deployment the violation
-// stream is what populates dashboards and the data-collection pipeline
-// (paper §2.3). It is safe for concurrent use.
+// backend. In a production deployment the violation stream is what
+// populates dashboards and the data-collection pipeline (paper §2.3). It
+// is safe for concurrent use.
 //
 // The observe path never encodes JSON: Record hands violations to the
 // sink (asynchronous backends queue them for a worker goroutine), and
@@ -161,12 +144,13 @@ type Recorder struct {
 
 	sink atomic.Pointer[sinkBox]
 
-	// sinkDropped accumulates the drop counts of detached owned sinks so
-	// SinkDropped survives StreamTo swaps and Close.
+	// sinkDropped accumulates the drop counts of detached sinks, plus
+	// refusals seen at Record time, so SinkDropped survives swaps and
+	// Close.
 	sinkDropped atomic.Int64
 
 	// streamErr retains the first streaming error across sink swaps, so
-	// rotating logs with StreamTo cannot silently discard a failure.
+	// rotating logs with StreamToSink cannot silently discard a failure.
 	streamErr firstErr
 }
 
@@ -181,58 +165,21 @@ func NewRecorder(limit int) *Recorder {
 	return &Recorder{store: NewMemStore(limit)}
 }
 
-// StreamTo attaches a buffered asynchronous JSONL sink: every subsequent
-// violation is queued for a worker goroutine that encodes it as one JSON
-// object per line. Write and encoding errors are retained and reported by
-// Err. Use Flush or Close to wait for queued violations to reach w; a
-// previously attached sink is closed (flushed) first. Passing nil detaches
-// the current sink.
-func (r *Recorder) StreamTo(w io.Writer) { r.StreamToBuffered(w, 0) }
-
-// StreamToBuffered is StreamTo with an explicit queue depth (<= 0 uses the
-// default of 1024). When the queue is full, Record blocks until the sink
-// worker catches up — explicit backpressure rather than silent loss.
-func (r *Recorder) StreamToBuffered(w io.Writer, depth int) {
-	if w == nil {
-		r.StreamToSink(nil)
-		return
-	}
-	r.StreamToSink(NewJSONLSink(w, depth))
-}
-
-// StreamToSink attaches a violation backend, taking ownership: a
-// previously attached sink is retired first, and Close (or a later swap)
-// closes this one. Passing nil detaches the current sink. Compose
-// backends — MultiSink, SamplingSink, RotatingFileSink — before attaching.
-func (r *Recorder) StreamToSink(s Sink) { r.attachSink(s, true) }
-
-// ShareSink attaches a violation backend without taking ownership: the
-// recorder flushes it on Flush, Close and swaps but never closes it. Use
-// it when one backend is fed by several recorders (e.g. per-stream
-// recorders fanning into one MultiSink); whoever created the sink closes
-// it.
-func (r *Recorder) ShareSink(s Sink) { r.attachSink(s, false) }
-
-func (r *Recorder) attachSink(s Sink, owned bool) {
+// StreamToSink attaches a violation backend and takes ownership of it: a
+// previously attached sink is closed first (its error retained and its
+// drops folded into SinkDropped), and Close or a later swap closes this
+// one. Passing nil detaches the current sink. Compose backends —
+// MultiSink, RotatingFileSink — before attaching.
+func (r *Recorder) StreamToSink(s Sink) {
 	var box *sinkBox
 	if s != nil {
-		box = &sinkBox{s: s, owned: owned}
+		box = &sinkBox{s: s}
 	}
 	if old := r.sink.Swap(box); old != nil {
-		r.retire(old)
-	}
-}
-
-// retire settles a detached sink: owned sinks are closed and their drop
-// count folded into SinkDropped; shared sinks are only flushed.
-func (r *Recorder) retire(box *sinkBox) {
-	if !box.owned {
-		r.saveErr(box.s.Flush())
-		return
-	}
-	r.saveErr(box.s.Close())
-	if dc, ok := box.s.(DropCounter); ok {
-		r.sinkDropped.Add(dc.Dropped())
+		r.saveErr(old.s.Close())
+		if dc, ok := old.s.(DropCounter); ok {
+			r.sinkDropped.Add(dc.Dropped())
+		}
 	}
 }
 
@@ -258,30 +205,17 @@ func (r *Recorder) Err() error {
 }
 
 // SinkDropped returns how many violations this recorder's streaming path
-// has lost — a sink's internal drops (write errors, bounded backends) for
-// owned sinks, including ones since replaced or closed, plus refusals
-// observed at Record time. A shared sink's internal count is NOT folded
-// in: one backend fed by many recorders cannot attribute its drops to any
-// one of them, so that total belongs to whoever owns the sink (query its
-// Dropped directly). Deliberate sampling skips are never counted (see
-// SamplingSink.SampledOut).
+// has lost: the sinks' own drops (write errors, bounded backends),
+// including sinks since replaced or closed, plus refusals observed at
+// Record time.
 func (r *Recorder) SinkDropped() int64 {
 	n := r.sinkDropped.Load()
-	if box := r.sink.Load(); box != nil && box.owned {
+	if box := r.sink.Load(); box != nil {
 		if dc, ok := box.s.(DropCounter); ok {
 			n += dc.Dropped()
 		}
 	}
 	return n
-}
-
-// currentSink returns the attached backend, if any — for callers (the
-// pool) that must not flush one shared sink once per recorder.
-func (r *Recorder) currentSink() Sink {
-	if box := r.sink.Load(); box != nil {
-		return box.s
-	}
-	return nil
 }
 
 // Flush blocks until every queued violation has been written to the sink
@@ -296,14 +230,12 @@ func (r *Recorder) Flush() error {
 	return r.Err()
 }
 
-// Close detaches the sink — closing it if owned, flushing it if shared —
-// and returns the first streaming error. The recorder itself remains
-// usable (and Err still reports the sink's error); subsequent violations
-// are no longer streamed. The MemStore is untouched.
+// Close detaches and closes the sink and returns the first streaming
+// error. The recorder itself remains usable (and Err still reports the
+// sink's error); subsequent violations are no longer streamed. The
+// MemStore is untouched.
 func (r *Recorder) Close() error {
-	if box := r.sink.Swap(nil); box != nil {
-		r.retire(box)
-	}
+	r.StreamToSink(nil)
 	return r.Err()
 }
 
@@ -313,8 +245,8 @@ func (r *Recorder) Record(v Violation) {
 	_ = r.store.Append(v) // MemStore.Append never fails
 
 	if box := r.sink.Load(); box != nil {
-		// A record can be refused when a concurrent StreamTo swap closed
-		// this sink between the Load and the call; retry on the
+		// A record can be refused when a concurrent StreamToSink swap
+		// closed this sink between the Load and the call; retry on the
 		// replacement so the violation lands in exactly one stream.
 		for {
 			err := box.s.Record(v)
@@ -331,7 +263,7 @@ func (r *Recorder) Record(v Violation) {
 			next := r.sink.Load()
 			if next == nil || next == box {
 				// A still-attached sink refused the violation and no
-				// replacement exists (it was closed elsewhere, e.g. a
+				// replacement exists (it was closed in place, e.g. a
 				// pool-owned backend after pool.Close): account for the
 				// loss instead of hiding it.
 				r.sinkDropped.Add(1)

@@ -66,7 +66,7 @@ func TestRecorderBounded(t *testing.T) {
 func TestRecorderJSONLStream(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewRecorder(0)
-	r.StreamTo(&buf)
+	r.StreamToSink(NewJSONLSink(&buf, 0))
 	r.Record(Violation{Assertion: "flicker", SampleIndex: 7, Time: 0.25, Severity: 1})
 	r.Record(Violation{Assertion: "agree", SampleIndex: 9, Severity: 2})
 	if err := r.Flush(); err != nil {
@@ -95,7 +95,7 @@ func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk ful
 
 func TestRecorderStreamErrorRetained(t *testing.T) {
 	r := NewRecorder(0)
-	r.StreamTo(failingWriter{})
+	r.StreamToSink(NewJSONLSink(failingWriter{}, 0))
 	r.Record(Violation{Assertion: "a", Severity: 1})
 	if err := r.Flush(); err == nil {
 		t.Fatal("stream error not retained")
@@ -115,7 +115,7 @@ func TestRecorderStreamErrorRetained(t *testing.T) {
 
 func TestRecorderSinkDroppedCountsPostErrorLoss(t *testing.T) {
 	r := NewRecorder(0)
-	r.StreamTo(failingWriter{})
+	r.StreamToSink(NewJSONLSink(failingWriter{}, 0))
 	const n = 25
 	for i := 0; i < n; i++ {
 		r.Record(Violation{Assertion: "a", SampleIndex: i, Severity: 1})
@@ -143,10 +143,10 @@ func TestRecorderSinkDroppedCountsPostErrorLoss(t *testing.T) {
 
 func TestRecorderSinkDroppedSurvivesSwap(t *testing.T) {
 	r := NewRecorder(0)
-	r.StreamTo(failingWriter{})
+	r.StreamToSink(NewJSONLSink(failingWriter{}, 0))
 	r.Record(Violation{Assertion: "a", Severity: 1})
 	var buf bytes.Buffer
-	r.StreamTo(&buf) // retires the dead sink, folding in its drops
+	r.StreamToSink(NewJSONLSink(&buf, 0)) // retires the dead sink, folding in its drops
 	if got := r.SinkDropped(); got != 1 {
 		t.Fatalf("SinkDropped after swap = %d, want 1", got)
 	}
@@ -160,7 +160,7 @@ func TestRecorderSinkDroppedSurvivesSwap(t *testing.T) {
 }
 
 func TestRecorderStreamToSinkBackends(t *testing.T) {
-	mem := NewMemorySink(0)
+	mem := &captureSink{}
 	r := NewRecorder(0)
 	r.StreamToSink(mem)
 	r.Record(Violation{Assertion: "a", SampleIndex: 1, Severity: 2})
@@ -176,33 +176,6 @@ func TestRecorderStreamToSinkBackends(t *testing.T) {
 	}
 	if err := mem.Record(Violation{}); !errors.Is(err, ErrSinkClosed) {
 		t.Fatalf("owned sink not closed by Recorder.Close: %v", err)
-	}
-}
-
-func TestRecorderShareSinkLeavesSinkOpen(t *testing.T) {
-	mem := NewMemorySink(0)
-	ra, rb := NewRecorder(0), NewRecorder(0)
-	ra.ShareSink(mem)
-	rb.ShareSink(mem)
-	ra.Record(Violation{Assertion: "a", Severity: 1})
-	rb.Record(Violation{Assertion: "b", Severity: 1})
-	if err := ra.Close(); err != nil {
-		t.Fatalf("Close = %v", err)
-	}
-	// The shared sink must survive one recorder's Close so the other can
-	// keep streaming into it.
-	rb.Record(Violation{Assertion: "b", Severity: 1})
-	if err := rb.Flush(); err != nil {
-		t.Fatalf("Flush = %v", err)
-	}
-	if got := mem.Len(); got != 3 {
-		t.Fatalf("shared sink has %d violations, want 3", got)
-	}
-	if err := rb.Close(); err != nil {
-		t.Fatalf("Close = %v", err)
-	}
-	if err := mem.Record(Violation{}); err != nil {
-		t.Fatalf("shared sink closed by a recorder: %v", err)
 	}
 }
 
@@ -227,10 +200,10 @@ func TestRecorderCountsGenericRecordRefusal(t *testing.T) {
 }
 
 func TestRecorderCountsRefusalWhenSharedSinkClosed(t *testing.T) {
-	mem := NewMemorySink(0)
+	mem := &captureSink{}
 	r := NewRecorder(0)
-	r.ShareSink(mem)
-	mem.Close() // closed elsewhere, e.g. pool.Close on a pool-owned sink
+	r.StreamToSink(mem)
+	mem.Close() // closed in place, e.g. pool.Close on a pool-owned sink
 	r.Record(Violation{Assertion: "a", Severity: 1})
 	// The attached sink refused the violation with no replacement: the
 	// loss must be visible, not silent.
@@ -292,7 +265,7 @@ func TestRecorderRingWraparound(t *testing.T) {
 func TestRecorderFlushAndClose(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewRecorder(0)
-	r.StreamTo(&buf)
+	r.StreamToSink(NewJSONLSink(&buf, 0))
 	const n = 2000 // exceed the sink batch size to exercise coalescing
 	for i := 0; i < n; i++ {
 		r.Record(Violation{Assertion: "a", SampleIndex: i, Severity: 1})
@@ -319,9 +292,9 @@ func TestRecorderFlushAndClose(t *testing.T) {
 func TestRecorderSinkDetach(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewRecorder(0)
-	r.StreamTo(&buf)
+	r.StreamToSink(NewJSONLSink(&buf, 0))
 	r.Record(Violation{Assertion: "a", Severity: 1})
-	r.StreamTo(nil) // detach flushes the previous sink
+	r.StreamToSink(nil) // detach closes the previous sink
 	if got := strings.Count(buf.String(), "\n"); got != 1 {
 		t.Fatalf("lines after detach = %d, want 1", got)
 	}
@@ -336,13 +309,13 @@ func TestRecorderSinkDetach(t *testing.T) {
 
 func TestRecorderErrorSurvivesSinkSwap(t *testing.T) {
 	r := NewRecorder(0)
-	r.StreamTo(failingWriter{})
+	r.StreamToSink(NewJSONLSink(failingWriter{}, 0))
 	r.Record(Violation{Assertion: "a", Severity: 1})
 	// Rotating the log must not discard the failed sink's error.
 	var buf bytes.Buffer
-	r.StreamTo(&buf)
+	r.StreamToSink(NewJSONLSink(&buf, 0))
 	if r.Err() == nil {
-		t.Fatal("error lost across StreamTo swap")
+		t.Fatal("error lost across StreamToSink swap")
 	}
 	if err := r.Flush(); err == nil {
 		t.Fatal("Flush lost the swapped-out sink's error")

@@ -19,10 +19,10 @@ const (
 var ErrSinkClosed = errors.New("assertion: violation sink is closed")
 
 // Sink is a pluggable violation backend: the destination of a Recorder's
-// streaming path. A production deployment composes backends — a
-// RotatingFileSink for durable JSONL, a MemorySink for tests, a
-// SamplingSink to tame high-volume assertions, a MultiSink to fan out to
-// several of them at once.
+// streaming path. A production deployment picks a JSONLSink, a
+// RotatingFileSink for durable rotated JSONL or export.HTTPSink for a
+// collector, and a MultiSink to fan out to several of them at once. The
+// queryable in-memory view is the Recorder's own MemStore, not a sink.
 //
 // Implementations must be safe for concurrent use. Record may be
 // asynchronous: a nil return means the violation was accepted, not that it
@@ -51,10 +51,8 @@ type Sink interface {
 }
 
 // DropCounter is implemented by sinks that can lose violations — after a
-// write error or to a bounded buffer — and count what they drop.
-// Recorder.SinkDropped aggregates it. Deliberate policy skips are not
-// drops (SamplingSink reports those via SampledOut), so the count stays
-// an actionable loss signal.
+// write error, a refused delivery or to a bounded buffer — and count what
+// they drop. Recorder.SinkDropped aggregates it.
 type DropCounter interface {
 	// Dropped returns how many violations this sink has discarded instead
 	// of delivering.
@@ -123,10 +121,10 @@ func (w *waiter) count() int {
 	return w.n
 }
 
-// JSONLSink is the buffered asynchronous JSONL backend behind
-// Recorder.StreamTo. Violations are handed to a single worker goroutine
-// over a bounded channel; the worker coalesces whatever is queued into one
-// Write so encoding and I/O never run on the observe path. After the first
+// JSONLSink is the buffered asynchronous JSONL backend. Violations are
+// handed to a single worker goroutine over a bounded channel; the worker
+// coalesces whatever is queued into one Write so encoding and I/O never
+// run on the observe path. After the first
 // write error the worker keeps draining (discarding output) so senders are
 // never blocked by a dead sink — every violation discarded that way is
 // counted by Dropped.

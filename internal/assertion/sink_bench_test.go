@@ -33,16 +33,8 @@ func BenchmarkJSONLSink(b *testing.B) {
 	benchSink(b, NewJSONLSink(io.Discard, 0))
 }
 
-func BenchmarkMemorySink(b *testing.B) {
-	benchSink(b, NewMemorySink(4096))
-}
-
 func BenchmarkMultiSink(b *testing.B) {
-	benchSink(b, NewMultiSink(NewMemorySink(4096), NewJSONLSink(io.Discard, 0)))
-}
-
-func BenchmarkSamplingSink(b *testing.B) {
-	benchSink(b, NewSamplingSink(NewMemorySink(4096), 10))
+	benchSink(b, NewMultiSink(NewJSONLSink(io.Discard, 0), NewJSONLSink(io.Discard, 0)))
 }
 
 func BenchmarkRotatingFileSink(b *testing.B) {
@@ -53,33 +45,22 @@ func BenchmarkRotatingFileSink(b *testing.B) {
 	benchSink(b, s)
 }
 
-// BenchmarkMonitorPoolRecorderModes contrasts the shared recorder (every
-// stream contends on one violation ring) with per-stream recorders (no
-// cross-stream lock contention) under parallel always-firing traffic:
-// each goroutine drives its own stream, so the per-stream variant's
-// Record path never crosses goroutines.
-func BenchmarkMonitorPoolRecorderModes(b *testing.B) {
+// BenchmarkMonitorPoolAlwaysFiring prices the pool's synchronous path
+// under parallel always-firing traffic: each goroutine drives its own
+// stream, and every sample records into the pool's one bounded recorder.
+func BenchmarkMonitorPoolAlwaysFiring(b *testing.B) {
 	suite := NewSuite(New("always", func(w []Sample) float64 { return 1 }))
-	for _, mode := range []string{"shared", "per-stream"} {
-		b.Run(mode, func(b *testing.B) {
-			opts := []PoolOption{WithShards(8), WithPoolWindowSize(4)}
-			if mode == "per-stream" {
-				opts = append(opts, WithPerStreamRecorders(1024))
-			} else {
-				opts = append(opts, WithPoolRecorder(NewRecorder(1024)))
-			}
-			pool := NewMonitorPool(suite, opts...)
-			defer pool.Close()
-			var streamID atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				key := fmt.Sprintf("stream-%d", streamID.Add(1))
-				i := 0
-				for pb.Next() {
-					pool.Observe(Sample{Stream: key, Index: i})
-					i++
-				}
-			})
-		})
-	}
+	pool := NewMonitorPool(suite, WithShards(8), WithPoolWindowSize(4),
+		WithPoolRecorder(NewRecorder(1024)))
+	defer pool.Close()
+	var streamID atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		key := fmt.Sprintf("stream-%d", streamID.Add(1))
+		i := 0
+		for pb.Next() {
+			pool.Observe(Sample{Stream: key, Index: i})
+			i++
+		}
+	})
 }

@@ -11,72 +11,6 @@ import (
 	"time"
 )
 
-// MemorySink is a bounded, queryable violation backend: the testing and
-// debugging counterpart of the file-based sinks. It keeps the most recent
-// limit violations in a ring buffer (like Recorder's in-memory log) and
-// counts what the bound evicts. It is safe for concurrent use.
-type MemorySink struct {
-	mu     sync.Mutex
-	log    violationRing
-	closed bool
-}
-
-// NewMemorySink returns a sink retaining at most limit violations
-// (0 or negative = unbounded).
-func NewMemorySink(limit int) *MemorySink {
-	return &MemorySink{log: violationRing{limit: limit}}
-}
-
-// Record stores one violation, evicting the oldest when the bound is hit.
-func (s *MemorySink) Record(v Violation) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrSinkClosed
-	}
-	s.log.add(v)
-	return nil
-}
-
-// Flush is a no-op: MemorySink is synchronous.
-func (s *MemorySink) Flush() error { return nil }
-
-// Close stops accepting violations; the retained log stays queryable.
-func (s *MemorySink) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	return nil
-}
-
-// Err always returns nil: an in-memory store cannot fail.
-func (s *MemorySink) Err() error { return nil }
-
-// Dropped returns how many violations the memory bound evicted.
-func (s *MemorySink) Dropped() int64 { return s.log.dropped.Load() }
-
-// Len returns the number of retained violations.
-func (s *MemorySink) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.log.buf)
-}
-
-// Violations returns a copy of the retained violations in arrival order.
-func (s *MemorySink) Violations() []Violation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.log.snapshot()
-}
-
-// ByAssertion returns retained violations of the named assertion in
-// arrival order.
-func (s *MemorySink) ByAssertion(name string) []Violation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.log.byAssertion(name)
-}
-
 // MultiSink fans every violation out to several backends with independent
 // error tracking: one failing backend never stops delivery to the healthy
 // ones, and Errs reports each backend's first error separately.
@@ -161,7 +95,7 @@ func (s *MultiSink) Err() error {
 
 // Errs returns each backend's first error, index-aligned with the
 // constructor's arguments — the independent error tracking that lets a
-// caller tell a dead file sink from a healthy memory sink.
+// caller tell a dead file sink from a healthy exporter beside it.
 func (s *MultiSink) Errs() []error {
 	out := make([]error, len(s.sinks))
 	for i, child := range s.sinks {
@@ -187,27 +121,6 @@ func (s *MultiSink) Dropped() int64 {
 	return n
 }
 
-// SamplingSink rate-limits per assertion: of every `every` violations of
-// one assertion it forwards the first to the wrapped backend and counts
-// the rest as sampled out. High-volume assertions (the paper's
-// continuously firing production monitors) stop drowning the backend
-// while rare ones still get through at full fidelity — each assertion is
-// sampled on its own counter. Deliberate sampling is reported by
-// SampledOut, not Dropped, so drop counts stay a pure loss signal.
-type SamplingSink struct {
-	next  Sink
-	every int64
-
-	counts sync.Map // assertion name -> *atomic.Int64
-
-	mu      sync.RWMutex
-	closed  bool
-	sampled atomic.Int64 // deliberately sampled out (policy, not loss)
-	dropped atomic.Int64 // forwards the wrapped backend refused (loss)
-
-	err firstErr // first forward failure; the wrapped sink refused a violation
-}
-
 // nopSink discards — and counts — everything; it stands in for nil
 // backends so a mis-wired composition surfaces as a drop count instead
 // of a panic on the observe path.
@@ -218,87 +131,6 @@ func (s *nopSink) Flush() error           { return nil }
 func (s *nopSink) Close() error           { return nil }
 func (s *nopSink) Err() error             { return nil }
 func (s *nopSink) Dropped() int64         { return s.dropped.Load() }
-
-// NewSamplingSink returns a sink forwarding 1 of every `every` violations
-// per assertion to next (every <= 1 forwards everything; a nil next
-// discards the forwarded violations). The SamplingSink owns next: Close
-// closes it.
-func NewSamplingSink(next Sink, every int) *SamplingSink {
-	if every < 1 {
-		every = 1
-	}
-	if next == nil {
-		next = &nopSink{}
-	}
-	return &SamplingSink{next: next, every: int64(every)}
-}
-
-// Record forwards every `every`-th violation of v's assertion and drops
-// the rest, counting them. A refusal by the wrapped backend (e.g. it was
-// closed independently) is not this sink's closure: the violation is
-// counted as dropped and the failure retained for Err, so the loss is
-// never silent.
-func (s *SamplingSink) Record(v Violation) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrSinkClosed
-	}
-	cell, ok := s.counts.Load(v.Assertion)
-	if !ok {
-		cell, _ = s.counts.LoadOrStore(v.Assertion, &atomic.Int64{})
-	}
-	n := cell.(*atomic.Int64).Add(1)
-	if (n-1)%s.every != 0 {
-		s.sampled.Add(1)
-		return nil
-	}
-	if err := s.next.Record(v); err != nil {
-		s.dropped.Add(1)
-		s.err.set(fmt.Errorf("sampling sink: forward: %w", err))
-	}
-	return nil
-}
-
-// Flush flushes the wrapped backend, retaining its error even if the
-// backend itself does not.
-func (s *SamplingSink) Flush() error {
-	s.err.set(s.next.Flush())
-	return s.Err()
-}
-
-// Close closes the wrapped backend, retaining its close error for Err.
-func (s *SamplingSink) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.err.set(s.next.Close())
-	return s.Err()
-}
-
-// Err returns the first forward failure or the wrapped backend's first
-// error, if any.
-func (s *SamplingSink) Err() error {
-	if err := s.err.get(); err != nil {
-		return err
-	}
-	return s.next.Err()
-}
-
-// SampledOut returns how many violations the sampling policy skipped on
-// purpose. Policy skips are not loss, so they are excluded from Dropped.
-func (s *SamplingSink) SampledOut() int64 { return s.sampled.Load() }
-
-// Dropped returns the violations actually lost: forwards the wrapped
-// backend refused, plus whatever the backend itself dropped. Deliberate
-// sampling is reported by SampledOut instead.
-func (s *SamplingSink) Dropped() int64 {
-	n := s.dropped.Load()
-	if dc, ok := s.next.(DropCounter); ok {
-		n += dc.Dropped()
-	}
-	return n
-}
 
 // rotatingWriter is the io.Writer behind RotatingFileSink: it rotates
 // path -> path.1 -> path.2 ... once the current file would exceed

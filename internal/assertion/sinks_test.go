@@ -14,6 +14,28 @@ import (
 	"testing"
 )
 
+// captureSink is a synchronous in-memory Sink for tests: it keeps every
+// violation it accepts and refuses with ErrSinkClosed after Close.
+type captureSink struct {
+	mu     sync.Mutex
+	vs     []Violation
+	closed bool
+}
+
+func (s *captureSink) Record(v Violation) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrSinkClosed
+	}
+	s.vs = append(s.vs, v)
+	return nil
+}
+func (s *captureSink) Flush() error { return nil }
+func (s *captureSink) Close() error { s.mu.Lock(); s.closed = true; s.mu.Unlock(); return nil }
+func (s *captureSink) Err() error   { return nil }
+func (s *captureSink) Len() int     { s.mu.Lock(); defer s.mu.Unlock(); return len(s.vs) }
+
 // recordN pushes n violations of the named assertion into s.
 func recordN(t *testing.T, s Sink, name string, n int) {
 	t.Helper()
@@ -109,43 +131,8 @@ func TestJSONLSinkNoDropsOnHealthyWriter(t *testing.T) {
 	}
 }
 
-func TestMemorySink(t *testing.T) {
-	s := NewMemorySink(3)
-	recordN(t, s, "a", 2)
-	if err := s.Record(Violation{Assertion: "b", SampleIndex: 2, Severity: 1}); err != nil {
-		t.Fatal(err)
-	}
-	recordN(t, s, "a", 1) // evicts the oldest (a, index 0)
-	if err := s.Flush(); err != nil {
-		t.Fatalf("Flush = %v", err)
-	}
-	if got := s.Len(); got != 3 {
-		t.Fatalf("Len = %d", got)
-	}
-	if got := s.Dropped(); got != 1 {
-		t.Fatalf("Dropped = %d", got)
-	}
-	vs := s.Violations()
-	if len(vs) != 3 || vs[0].SampleIndex != 1 || vs[1].Assertion != "b" {
-		t.Fatalf("Violations = %v", vs)
-	}
-	if by := s.ByAssertion("b"); len(by) != 1 || by[0].SampleIndex != 2 {
-		t.Fatalf("ByAssertion(b) = %v", by)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close = %v", err)
-	}
-	// The log stays queryable after Close, but stops accepting.
-	if got := s.Len(); got != 3 {
-		t.Fatalf("Len after Close = %d", got)
-	}
-	if err := s.Record(Violation{Assertion: "a"}); !errors.Is(err, ErrSinkClosed) {
-		t.Fatalf("Record after Close = %v, want ErrSinkClosed", err)
-	}
-}
-
 func TestMultiSinkKeepsHealthyBackendsAlive(t *testing.T) {
-	healthy := NewMemorySink(0)
+	healthy := &captureSink{}
 	dead := NewJSONLSink(failingWriter{}, 0)
 	s := NewMultiSink(dead, healthy)
 
@@ -184,7 +171,7 @@ func TestMultiSinkKeepsHealthyBackendsAlive(t *testing.T) {
 }
 
 func TestMultiSinkFanOut(t *testing.T) {
-	a, b := NewMemorySink(0), NewMemorySink(0)
+	a, b := &captureSink{}, &captureSink{}
 	s := NewMultiSink(a, b)
 	recordN(t, s, "x", 7)
 	if err := s.Close(); err != nil {
@@ -192,69 +179,6 @@ func TestMultiSinkFanOut(t *testing.T) {
 	}
 	if a.Len() != 7 || b.Len() != 7 {
 		t.Fatalf("fan-out incomplete: %d / %d", a.Len(), b.Len())
-	}
-}
-
-func TestSamplingSinkPerAssertionRate(t *testing.T) {
-	mem := NewMemorySink(0)
-	s := NewSamplingSink(mem, 3)
-	recordN(t, s, "hot", 10) // forwards indices 0, 3, 6, 9
-	recordN(t, s, "rare", 4) // forwards indices 0, 3
-	if err := s.Flush(); err != nil {
-		t.Fatalf("Flush = %v", err)
-	}
-	hot, rare := mem.ByAssertion("hot"), mem.ByAssertion("rare")
-	if len(hot) != 4 || len(rare) != 2 {
-		t.Fatalf("forwarded hot=%d rare=%d, want 4/2 — sampling must be per-assertion", len(hot), len(rare))
-	}
-	for i, want := range []int{0, 3, 6, 9} {
-		if hot[i].SampleIndex != want {
-			t.Fatalf("hot[%d].SampleIndex = %d, want %d", i, hot[i].SampleIndex, want)
-		}
-	}
-	if got := s.SampledOut(); got != 8 {
-		t.Fatalf("SampledOut = %d, want 8", got)
-	}
-	// Policy skips are not loss: the drop counter must stay clean.
-	if got := s.Dropped(); got != 0 {
-		t.Fatalf("Dropped = %d, want 0 (sampling is not loss)", got)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close = %v", err)
-	}
-	// Close must propagate to the wrapped backend.
-	if err := mem.Record(Violation{}); !errors.Is(err, ErrSinkClosed) {
-		t.Fatalf("wrapped backend not closed: %v", err)
-	}
-	if err := s.Record(Violation{}); !errors.Is(err, ErrSinkClosed) {
-		t.Fatalf("Record after Close = %v, want ErrSinkClosed", err)
-	}
-}
-
-func TestSamplingSinkWrappedBackendClosedIsNotSilentLoss(t *testing.T) {
-	mem := NewMemorySink(0)
-	s := NewSamplingSink(mem, 1)
-	mem.Close() // the wrapped backend dies independently of the wrapper
-	// The wrapper is still open, so its Record must not claim closure —
-	// otherwise a Recorder would drop the violation with no trace.
-	if err := s.Record(Violation{Assertion: "a"}); err != nil {
-		t.Fatalf("Record = %v, want nil (wrapper is open)", err)
-	}
-	if got := s.Dropped(); got != 1 {
-		t.Fatalf("refused forward not counted: Dropped = %d, want 1", got)
-	}
-	if s.Err() == nil {
-		t.Fatal("refused forward not retained in Err")
-	}
-	// End to end: the recorder surfaces the loss instead of hiding it.
-	r := NewRecorder(0)
-	r.StreamToSink(NewSamplingSink(func() Sink { m := NewMemorySink(0); m.Close(); return m }(), 1))
-	r.Record(Violation{Assertion: "a", Severity: 1})
-	if err := r.Flush(); err == nil {
-		t.Fatal("recorder hid the wrapped backend's refusal")
-	}
-	if got := r.SinkDropped(); got != 1 {
-		t.Fatalf("SinkDropped = %d, want 1", got)
 	}
 }
 
@@ -292,41 +216,10 @@ func TestRotatingWriterSplitsBatchAroundOversizedLine(t *testing.T) {
 	}
 }
 
-// closeFailSink accepts everything but fails its final Close — the
-// deferred-write failure mode of networked filesystems.
-type closeFailSink struct{ closeErr error }
-
-func (s *closeFailSink) Record(Violation) error { return nil }
-func (s *closeFailSink) Flush() error           { return nil }
-func (s *closeFailSink) Close() error           { return s.closeErr }
-func (s *closeFailSink) Err() error             { return nil }
-
-func TestSamplingSinkRetainsWrappedCloseError(t *testing.T) {
-	s := NewSamplingSink(&closeFailSink{closeErr: errors.New("deferred write failed")}, 2)
-	if err := s.Close(); err == nil {
-		t.Fatal("Close must surface the wrapped backend's close error")
-	}
-	if s.Err() == nil {
-		t.Fatal("close error must stay retained in Err")
-	}
-}
-
 func TestNilBackendsDoNotPanic(t *testing.T) {
 	// Mis-wired compositions must degrade gracefully, not crash a shard
 	// worker on the observe path.
-	s := NewSamplingSink(nil, 2)
-	recordN(t, s, "a", 4)
-	if got := s.SampledOut(); got != 2 {
-		t.Fatalf("SampledOut = %d, want 2", got)
-	}
-	// The forwarded half went to the nil stand-in: lost, but counted.
-	if got := s.Dropped(); got != 2 {
-		t.Fatalf("Dropped = %d, want 2 (nil backend must count its losses)", got)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mem := NewMemorySink(0)
+	mem := &captureSink{}
 	m := NewMultiSink(nil, mem, nil)
 	recordN(t, m, "a", 3)
 	if err := m.Close(); err != nil {
@@ -335,17 +228,10 @@ func TestNilBackendsDoNotPanic(t *testing.T) {
 	if mem.Len() != 3 {
 		t.Fatalf("real backend got %d violations, want 3", mem.Len())
 	}
-}
-
-func TestSamplingSinkPassThrough(t *testing.T) {
-	mem := NewMemorySink(0)
-	s := NewSamplingSink(mem, 1)
-	recordN(t, s, "a", 5)
-	if mem.Len() != 5 || s.Dropped() != 0 || s.SampledOut() != 0 {
-		t.Fatalf("every=1 must pass everything through: len=%d dropped=%d sampled=%d",
-			mem.Len(), s.Dropped(), s.SampledOut())
+	// Each nil stand-in lost every violation, and counted it.
+	if got := m.Dropped(); got != 2*3 {
+		t.Fatalf("Dropped = %d, want 6 (nil backends must count their losses)", got)
 	}
-	s.Close()
 }
 
 // readJSONLFiles parses every retained rotating-log file and returns the
@@ -486,14 +372,8 @@ func TestRotatingFileSinkUnwritablePath(t *testing.T) {
 func TestSinkFlushCloseSemantics(t *testing.T) {
 	backends := map[string]func(t *testing.T) Sink{
 		"jsonl": func(t *testing.T) Sink { return NewJSONLSink(&bytes.Buffer{}, 8) },
-		"memory": func(t *testing.T) Sink {
-			return NewMemorySink(64)
-		},
 		"multi": func(t *testing.T) Sink {
-			return NewMultiSink(NewMemorySink(0), NewJSONLSink(&bytes.Buffer{}, 8))
-		},
-		"sampling": func(t *testing.T) Sink {
-			return NewSamplingSink(NewMemorySink(0), 4)
+			return NewMultiSink(&captureSink{}, NewJSONLSink(&bytes.Buffer{}, 8))
 		},
 		"rotating": func(t *testing.T) Sink {
 			s, err := NewRotatingFileSink(filepath.Join(t.TempDir(), "v.jsonl"), 4096, 2)

@@ -3,6 +3,7 @@ package export
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,15 +11,17 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"omg/internal/assertion"
+	"omg/internal/labelsvc"
 )
 
-// The wire and data-directory format tests. Everything under testdata/ was
-// written by the commit before the disk store's record bodies turned
-// binary (see testdata/README.md) and is never regenerated: what it pins
-// is that this code reads, and where it still writes the format writes,
-// exactly what that code did.
+// The wire, data-directory and snapshot-file format tests. Everything
+// under testdata/ was written once by an earlier commit (see
+// testdata/README.md) and is never regenerated: what it pins is that this
+// code reads, and where it still writes the format writes, exactly what
+// that code did.
 
 func readFixture(t *testing.T, name string) []byte {
 	t.Helper()
@@ -27,6 +30,17 @@ func readFixture(t *testing.T, name string) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// getOK serves GET path from h and returns the body of its 200 answer.
+func getOK(t *testing.T, h http.Handler, path string) []byte {
+	t.Helper()
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("GET %s: %d %s", path, rr.Code, rr.Body)
+	}
+	return rr.Body.Bytes()
 }
 
 // TestFormatFixtureFrames holds the wire still: one batch in its four
@@ -99,18 +113,10 @@ func TestFormatFixtureCollectorDir(t *testing.T) {
 	c := openCollector(t, CollectorConfig{Store: StoreDisk, DataDir: dir, Shards: 2})
 	defer c.Close()
 	h := c.Handler()
-	get := func(path string) []byte {
-		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
-		if rr.Code != http.StatusOK {
-			t.Fatalf("GET %s: %d %s", path, rr.Code, rr.Body)
-		}
-		return rr.Body.Bytes()
-	}
-	if got, want := get("/v1/summary"), readFixture(t, "summary.json"); !bytes.Equal(got, want) {
+	if got, want := getOK(t, h, "/v1/summary"), readFixture(t, "summary.json"); !bytes.Equal(got, want) {
 		t.Fatalf("/v1/summary\n got %s\nwant %s", got, want)
 	}
-	if got, want := get("/v1/violations/query"), readFixture(t, "query.json"); !bytes.Equal(got, want) {
+	if got, want := getOK(t, h, "/v1/violations/query"), readFixture(t, "query.json"); !bytes.Equal(got, want) {
 		t.Fatalf("/v1/violations/query\n got %s\nwant %s", got, want)
 	}
 	if page := metricsBody(t, c); !strings.Contains(page, "\nomg_store_recovered_records_total{format=\"json\"} ") {
@@ -137,5 +143,43 @@ func TestFormatFixtureCollectorDir(t *testing.T) {
 	}
 	if resp := post(4); resp.Duplicate || resp.Accepted != 1 {
 		t.Fatalf("fresh (edge-b, 4) answered %+v, want accepted", resp)
+	}
+}
+
+// TestFormatFixtureSnapshots restores the two snapshot-file shapes a
+// collector has written — version 2 as WriteSnapshotFile writes it, and
+// the same state at version 1 with no labels — into 1- and 3-shard mem
+// collectors. Each must serve the /v1/summary and /v1/violations/query
+// bytes its writer's own restore served, and a version-2 restore must
+// also revive the label loop.
+func TestFormatFixtureSnapshots(t *testing.T) {
+	now := time.Unix(1700000000, 0)
+	for _, file := range []string{"snapshot-v1.json", "snapshot-v2.json"} {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/%d-shard", file, shards), func(t *testing.T) {
+				snap, err := ReadSnapshotFile(filepath.Join("testdata", file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := openCollector(t, CollectorConfig{Shards: shards, Labels: labelsvc.Config{Now: func() time.Time { return now }}})
+				defer c.Close()
+				c.Restore(snap)
+				h := c.Handler()
+				for path, want := range map[string]string{
+					"/v1/summary":          fmt.Sprintf("snapshot.summary-%dshard.json", shards),
+					"/v1/violations/query": fmt.Sprintf("snapshot.query-%dshard.json", shards),
+				} {
+					if got := getOK(t, h, path); !bytes.Equal(got, readFixture(t, want)) {
+						t.Fatalf("%s\n got %s\nwant %s", path, got, readFixture(t, want))
+					}
+				}
+				if file != "snapshot-v2.json" {
+					return
+				}
+				if got, want := getOK(t, h, LabelsStatsPath), readFixture(t, "snapshot-v2.labels-stats.json"); !bytes.Equal(got, want) {
+					t.Fatalf("%s\n got %s\nwant %s", LabelsStatsPath, got, want)
+				}
+			})
+		}
 	}
 }

@@ -53,7 +53,8 @@ type (
 	// MonitorPool is the sharded, pipelined runtime-monitoring component:
 	// samples are routed by Sample.Stream to per-stream monitors, with a
 	// synchronous Observe path and an asynchronous Enqueue/ObserveBatch
-	// path behind a bounded worker pool.
+	// path drained by one worker per shard, all recording into one
+	// Recorder.
 	MonitorPool = assertion.MonitorPool
 	// PoolOption configures a MonitorPool.
 	PoolOption = assertion.PoolOption
@@ -72,13 +73,9 @@ type (
 	DropCounter = assertion.DropCounter
 	// JSONLSink is the buffered asynchronous JSONL backend.
 	JSONLSink = assertion.JSONLSink
-	// MemorySink is the bounded, queryable in-memory backend for tests.
-	MemorySink = assertion.MemorySink
 	// MultiSink fans violations out to several backends with independent
 	// error tracking.
 	MultiSink = assertion.MultiSink
-	// SamplingSink forwards 1 in N violations per assertion.
-	SamplingSink = assertion.SamplingSink
 	// RotatingFileSink writes size- and age-rotated JSONL files.
 	RotatingFileSink = assertion.RotatingFileSink
 	// JSONLConfig is a JSONLSink's queue depth and close-time fsync policy.
@@ -250,18 +247,8 @@ func AppendBatchJSON(dst []byte, b ViolationBatch) ([]byte, error) {
 	return export.AppendBatchJSON(dst, b)
 }
 
-// NewMemorySink returns a queryable sink retaining at most limit
-// violations (0 = unbounded).
-func NewMemorySink(limit int) *MemorySink { return assertion.NewMemorySink(limit) }
-
 // NewMultiSink returns a sink fanning out to every given backend.
 func NewMultiSink(sinks ...Sink) *MultiSink { return assertion.NewMultiSink(sinks...) }
-
-// NewSamplingSink returns a sink forwarding 1 of every `every` violations
-// per assertion to next.
-func NewSamplingSink(next Sink, every int) *SamplingSink {
-	return assertion.NewSamplingSink(next, every)
-}
 
 // NewRotatingFileSink opens a JSONL log at path rotating after maxBytes,
 // keeping at most `keep` rotated files beside the active one.
@@ -347,24 +334,17 @@ func WithRecorder(r *Recorder) MonitorOption { return assertion.WithRecorder(r) 
 // WithShards sets a pool's shard count (default GOMAXPROCS).
 func WithShards(n int) PoolOption { return assertion.WithShards(n) }
 
-// WithPoolWorkers bounds how many shards evaluate concurrently.
-func WithPoolWorkers(n int) PoolOption { return assertion.WithPoolWorkers(n) }
-
 // WithQueueDepth sets a pool's per-shard async queue capacity.
 func WithQueueDepth(n int) PoolOption { return assertion.WithQueueDepth(n) }
 
 // WithPoolWindowSize sets each stream monitor's sliding-window length.
 func WithPoolWindowSize(n int) PoolOption { return assertion.WithPoolWindowSize(n) }
 
-// WithPoolRecorder attaches a shared recorder to a pool.
+// WithPoolRecorder sets the recorder every stream of a pool records into.
 func WithPoolRecorder(r *Recorder) PoolOption { return assertion.WithPoolRecorder(r) }
 
-// WithPerStreamRecorders gives every stream its own bounded recorder; the
-// pool's Summary/Violations/Stats views merge across streams.
-func WithPerStreamRecorders(limit int) PoolOption { return assertion.WithPerStreamRecorders(limit) }
-
-// WithPoolSink attaches one pool-owned violation backend shared by every
-// recorder in the pool.
+// WithPoolSink attaches a pool-owned violation backend to the pool's
+// recorder; the pool flushes it on Flush and closes it on Close.
 func WithPoolSink(s Sink) PoolOption { return assertion.WithPoolSink(s) }
 
 // Consistency-assertion API (paper §4).
