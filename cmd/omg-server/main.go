@@ -31,26 +31,26 @@
 // in /metrics; aggregate counts stay complete), compacted every
 // -compact-every.
 //
-// With -snapshot PATH the server loads its state from PATH at startup (if
-// the file exists) and persists it there on shutdown — SIGTERM/SIGINT or
-// a serve error, either way through the same persist sequence — and
-// additionally every -snapshot-every when set, so a crash loses at most
-// one period. -log streams ingested violations to a local JSONL file,
-// size-rotated at 64 MiB with 3 rotated files retained.
-//
-// With -store=disk the collector's violation log itself lives on disk:
+// The collector's state is durable in one way only: with -store=disk
 // every shard appends to segment files under -data-dir (rolled at
-// -segment-bytes) and dedup marks go to a write-ahead log, so a SIGKILL'd
-// server restarts to its exact pre-crash state — counts, retained
-// violations and exactly-once dedup marks — with no snapshot needed.
-// -snapshot remains useful as a portable export; a stale one can never
-// roll the disk store back.
+// -segment-bytes), dedup marks and counters go to a write-ahead log and
+// the label loop to a state file beside them, so a restarted — even a
+// SIGKILL'd — server resumes its exact state: counts, retained
+// violations, exactly-once dedup marks and leases. The default
+// -store=mem keeps everything in memory and loses it at exit. -log
+// streams ingested violations to a local JSONL file, size-rotated at
+// 64 MiB with 3 rotated files retained.
+//
+// "omg-server import" migrates a snapshot file an older server wrote
+// with its since-removed -snapshot flag into an empty data directory,
+// once; the server then runs on that directory with -store=disk and the
+// same -shards. A snapshot a -store=disk server wrote is refused: its
+// data directory already is its state.
 //
 // Usage:
 //
 //	omg-server [-addr :9077] [-retain N] [-shards N]
 //	           [-retain-age DUR] [-retain-per-assertion N] [-compact-every DUR]
-//	           [-snapshot state.json] [-snapshot-every DUR]
 //	           [-log violations.jsonl]
 //	           [-store mem|disk] [-data-dir DIR] [-segment-bytes N]
 //	           [-label-selector bal|ccmab|uncertainty|uniform-ma|random]
@@ -58,6 +58,7 @@
 //	           [-wire-accept json,binary] [-drain DUR] [-debug-addr :PORT]
 //	           [-rate-limit BYTES/S] [-burst BYTES] [-max-inflight N]
 //	           [-chaos-disk-full-after BYTES]
+//	omg-server import -data-dir DIR [-shards N] SNAPSHOT.json
 //
 // -debug-addr serves net/http/pprof on a separate gated listener —
 // profiling stays off the public collector port and off entirely unless
@@ -76,17 +77,14 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -97,16 +95,22 @@ import (
 )
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "import" {
+		importSnapshot(os.Args[2:])
+		return
+	}
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: omg-server [flags]\n       omg-server import -data-dir DIR [-shards N] SNAPSHOT.json\n")
+		flag.PrintDefaults()
+	}
 	addr := flag.String("addr", ":9077", "listen address (host:port; port 0 picks a free port)")
 	retain := flag.Int("retain", 100000, "violations to retain in memory for queries, across all shards (0 = unbounded)")
 	shards := flag.Int("shards", 1, "ingest shards; batches route by source so concurrent senders do not contend on one recorder")
 	retainAge := flag.Duration("retain-age", 0, "evict retained violations older than this, by ingest time (0 = no age bound)")
 	retainPer := flag.Int("retain-per-assertion", 0, "keep only the newest N retained violations per assertion (0 = no cap)")
 	compactEvery := flag.Duration("compact-every", 30*time.Second, "retention compaction period (with -retain-age or -retain-per-assertion)")
-	snapshot := flag.String("snapshot", "", "state snapshot path: loaded at startup, written on shutdown")
-	snapshotEvery := flag.Duration("snapshot-every", 0, "also persist -snapshot on this period (0 = only on shutdown)")
 	logPath := flag.String("log", "", "also stream ingested violations to this JSONL file (size-rotated at 64 MiB, 3 rotations kept)")
-	storeKind := flag.String("store", export.StoreMem, "violation store backend: mem (in-memory) or disk (crash-recoverable segment files under -data-dir)")
+	storeKind := flag.String("store", export.StoreMem, "violation store backend: mem (in-memory, lost at exit) or disk (crash-recoverable segment files under -data-dir)")
 	dataDir := flag.String("data-dir", "", "data directory for -store=disk (created if missing)")
 	segmentBytes := flag.Int64("segment-bytes", 0, "target size of one on-disk segment file for -store=disk (0 = 64 MiB default)")
 	labelSelector := flag.String("label-selector", "bal", "label-selection strategy: bal, ccmab, uncertainty, uniform-ma or random")
@@ -127,14 +131,19 @@ func main() {
 	if *shards < 1 {
 		log.Fatalf("-shards must be >= 1")
 	}
-	if *retainAge < 0 || *retainPer < 0 || *compactEvery <= 0 || *snapshotEvery < 0 {
-		log.Fatalf("retention and snapshot periods must not be negative")
+	if *retainAge < 0 || *retainPer < 0 || *compactEvery <= 0 {
+		log.Fatalf("retention periods must not be negative")
 	}
 	if *segmentBytes < 0 {
 		log.Fatalf("-segment-bytes must be >= 0")
 	}
 	if *storeKind == export.StoreDisk && *dataDir == "" {
 		log.Fatalf("-store=disk requires -data-dir")
+	}
+	if *dataDir != "" && *storeKind != export.StoreDisk {
+		// A mem collector would silently ignore the directory and lose
+		// everything at exit.
+		log.Fatalf("-data-dir requires -store=disk")
 	}
 	if *labelBudget < 1 {
 		log.Fatalf("-label-budget must be >= 1")
@@ -188,56 +197,12 @@ func main() {
 		log.Printf("disk store at %s: replayed %d retained violations (%d ever fired) from %d segments, %d bytes, in %s",
 			*dataDir, info.Entries, c.TotalFired(), info.Segments, info.Bytes, time.Since(opened).Round(time.Millisecond))
 	}
-	if *snapshot != "" {
-		s, err := export.ReadSnapshotFile(*snapshot)
-		switch {
-		case err == nil:
-			c.Restore(s)
-			log.Printf("restored snapshot %s: %d violations across %d sources",
-				*snapshot, c.TotalFired(), len(s.LastSeq))
-		case errors.Is(err, fs.ErrNotExist):
-			log.Printf("no snapshot at %s yet; starting fresh", *snapshot)
-		default:
-			// A corrupt or version-mismatched snapshot must not be
-			// silently discarded (and later overwritten) — refuse to start.
-			log.Fatalf("load snapshot: %v", err)
-		}
-	}
 	if *logPath != "" {
 		s, err := assertion.NewRotatingFileSink(*logPath, 0, 3)
 		if err != nil {
 			log.Fatalf("open violation log: %v", err)
 		}
 		c.AttachSink(s)
-	}
-
-	// writeSnap serialises snapshot writes: the periodic snapshotter and
-	// the final shutdown write must never interleave on the same path.
-	var snapMu sync.Mutex
-	writeSnap := func() error {
-		snapMu.Lock()
-		defer snapMu.Unlock()
-		return export.WriteSnapshotFile(*snapshot, c.Snapshot())
-	}
-	snapStop := make(chan struct{})
-	var snapWG sync.WaitGroup
-	if *snapshot != "" && *snapshotEvery > 0 {
-		snapWG.Add(1)
-		go func() {
-			defer snapWG.Done()
-			t := time.NewTicker(*snapshotEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-snapStop:
-					return
-				case <-t.C:
-					if err := writeSnap(); err != nil {
-						log.Printf("periodic snapshot: %v", err)
-					}
-				}
-			}
-		}()
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -299,15 +264,13 @@ func main() {
 			time.Sleep(*drain)
 		}
 	case err := <-errCh:
-		// A serve failure must exit through the same persist sequence as
-		// SIGTERM: everything ingested so far (and the dedup marks) still
-		// reaches the snapshot and the violation log.
+		// A serve failure must exit through the same shutdown sequence as
+		// SIGTERM: everything ingested so far still reaches the violation
+		// log, and a disk store checkpoints.
 		log.Printf("serve: %v; shutting down", err)
 		exitCode = 1
 	}
 
-	close(snapStop)
-	snapWG.Wait()
 	// Quiesce before Shutdown (tail streams never end on their own, so
 	// Shutdown would wait out its whole deadline on them), but keep the
 	// -log sink attached until the drain finishes: ingests still in
@@ -322,13 +285,34 @@ func main() {
 		log.Printf("violation log: %v", err)
 		exitCode = 1
 	}
-	if *snapshot != "" {
-		if err := writeSnap(); err != nil {
-			log.Printf("write snapshot: %v", err)
-			exitCode = 1
-		} else {
-			log.Printf("snapshot persisted to %s", *snapshot)
-		}
-	}
 	os.Exit(exitCode)
+}
+
+// importSnapshot is the import subcommand: it migrates one legacy snapshot
+// file into an empty data directory for a -store=disk server with the
+// same -shards, and exits.
+func importSnapshot(args []string) {
+	fs := flag.NewFlagSet("omg-server import", flag.ExitOnError)
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: omg-server import -data-dir DIR [-shards N] SNAPSHOT.json\n")
+		fs.PrintDefaults()
+	}
+	dataDir := fs.String("data-dir", "", "data directory for -store=disk to create (must be empty or absent)")
+	shards := fs.Int("shards", 1, "ingest shards; the server must then run with the same -shards")
+	fs.Parse(args)
+	if *dataDir == "" || fs.NArg() != 1 {
+		fs.Usage()
+		os.Exit(2)
+	}
+	if *shards < 1 {
+		log.Fatalf("-shards must be >= 1")
+	}
+	s, err := export.ReadSnapshotFile(fs.Arg(0))
+	if err != nil {
+		log.Fatalf("import: %v", err)
+	}
+	if err := export.ImportSnapshot(*dataDir, *shards, s); err != nil {
+		log.Fatalf("import: %v", err)
+	}
+	log.Printf("imported %s into %s; serve it with -store disk -data-dir %s -shards %d", fs.Arg(0), *dataDir, *dataDir, *shards)
 }

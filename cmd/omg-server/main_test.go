@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -157,8 +158,8 @@ func recordedTotal(t *testing.T, out []byte) int {
 
 func TestEndToEndHTTPExportDeliversExactlyOnce(t *testing.T) {
 	needBinaries(t)
-	snapPath := filepath.Join(t.TempDir(), "state.json")
-	baseURL, server := startServer(t, "-snapshot", snapPath)
+	diskArgs := []string{"-store", "disk", "-data-dir", filepath.Join(t.TempDir(), "data")}
+	baseURL, server := startServer(t, diskArgs...)
 
 	out, err := exec.Command(monitorBin,
 		"-frames", "300", "-streams", "2",
@@ -208,7 +209,7 @@ func TestEndToEndHTTPExportDeliversExactlyOnce(t *testing.T) {
 	}
 
 	// A malformed ingest is rejected and counted; the counter must
-	// survive the restart below (it persists in the snapshot).
+	// survive the restart below (marks.log carries it).
 	resp, err := http.Post(baseURL+"/v1/violations", "application/json", strings.NewReader(`{"version":42}`))
 	if err != nil {
 		t.Fatal(err)
@@ -221,12 +222,9 @@ func TestEndToEndHTTPExportDeliversExactlyOnce(t *testing.T) {
 		t.Fatalf("rejected = %d, want 1", sum.Rejected)
 	}
 
-	// SIGTERM persists a snapshot; a restarted server resumes from it.
+	// A server restarted on the same data dir resumes where it stopped.
 	stopServer(t, server)
-	if _, err := os.Stat(snapPath); err != nil {
-		t.Fatalf("snapshot not persisted on SIGTERM: %v", err)
-	}
-	baseURL2, server2 := startServer(t, "-snapshot", snapPath)
+	baseURL2, server2 := startServer(t, diskArgs...)
 	defer stopServer(t, server2)
 	if sum = getSummary(t, baseURL2); sum.TotalFired != want || sum.Sources != 2 {
 		t.Fatalf("restarted collector reports %d violations from %d sources, want %d from 2",
@@ -365,38 +363,6 @@ func TestEndToEndShardedTailAndRetention(t *testing.T) {
 	}
 	if sum.RetentionEvicted == 0 {
 		t.Fatal("summary reports no retention evictions")
-	}
-}
-
-func TestEndToEndPeriodicSnapshotSurvivesKill(t *testing.T) {
-	needBinaries(t)
-	snapPath := filepath.Join(t.TempDir(), "state.json")
-	baseURL, server := startServer(t, "-snapshot", snapPath, "-snapshot-every", "50ms")
-
-	postWireBatch(t, baseURL, export.Batch{
-		Version: export.WireVersion, Source: "edge-01", Seq: 1,
-		Violations: []assertion.Violation{violation("a", "cam-0", 0), violation("a", "cam-0", 1)},
-	})
-	// The periodic snapshotter must persist without any shutdown signal.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if s, err := export.ReadSnapshotFile(snapPath); err == nil && s.Recorder.TotalFired() == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("periodic snapshot never captured the ingested state")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// SIGKILL: no shutdown hook runs, yet a restart resumes from the
-	// periodic snapshot — including the dedup mark for edge-01 seq 1.
-	server.Process.Kill()
-	server.Wait()
-	baseURL2, server2 := startServer(t, "-snapshot", snapPath)
-	defer stopServer(t, server2)
-	if sum := getSummary(t, baseURL2); sum.TotalFired != 2 {
-		t.Fatalf("restart after kill reports %d violations, want 2", sum.TotalFired)
 	}
 }
 
@@ -740,6 +706,55 @@ func TestEndToEndBadHTTPFlags(t *testing.T) {
 		if out, err := exec.Command(monitorBin, args...).CombinedOutput(); err == nil {
 			t.Fatalf("%v: expected non-zero exit; output:\n%s", args, out)
 		}
+	}
+}
+
+// TestEndToEndBadServerFlags: each row must exit non-zero before serving,
+// saying why. A -data-dir without -store=disk used to start a mem
+// collector that silently lost everything at exit.
+func TestEndToEndBadServerFlags(t *testing.T) {
+	needBinaries(t)
+	full := t.TempDir()
+	if err := os.WriteFile(filepath.Join(full, "marks.log"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-addr", "127.0.0.1:0", "-data-dir", t.TempDir()}, "-data-dir requires -store=disk"},
+		{[]string{"-addr", "127.0.0.1:0", "-snapshot", "x"}, "flag provided but not defined: -snapshot"},
+		{[]string{"import", "-data-dir", full, "../../internal/export/testdata/snapshot-v2.json"}, "not empty"},
+	} {
+		// A server that does start is killed at the deadline and fails the
+		// row for the missing message.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, serverBin, tc.args...).CombinedOutput()
+		cancel()
+		if err == nil || !strings.Contains(string(out), tc.want) {
+			t.Errorf("%v: err %v, want a non-zero exit saying %q; output:\n%s", tc.args, err, tc.want, out)
+		}
+	}
+}
+
+// TestEndToEndImportLegacySnapshot migrates a snapshot file an older
+// server wrote into a fresh data dir with omg-server import, serves it
+// with -store disk, and requires the query bytes that server served.
+func TestEndToEndImportLegacySnapshot(t *testing.T) {
+	needBinaries(t)
+	dataDir := filepath.Join(t.TempDir(), "data")
+	if out, err := exec.Command(serverBin, "import", "-data-dir", dataDir, "-shards", "3",
+		"../../internal/export/testdata/snapshot-v2.json").CombinedOutput(); err != nil {
+		t.Fatalf("import: %v\n%s", err, out)
+	}
+	baseURL, server := startServer(t, "-store", "disk", "-data-dir", dataDir, "-shards", "3")
+	defer stopServer(t, server)
+	want, err := os.ReadFile("../../internal/export/testdata/snapshot.query-3shard.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := getRaw(t, baseURL, "/v1/violations/query"); !bytes.Equal(got, want) {
+		t.Fatalf("imported data dir serves\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -326,8 +326,9 @@ func (s *Suite) EvaluateInto(dst Vector, window []Sample) Vector {
 	dst = dst[:len(s.assertions)]
 	for i, a := range s.assertions {
 		sev := a.Check(window)
-		if sev < 0 {
-			// Negative severities are clamped: the contract is [0, inf).
+		if !(sev > 0) {
+			// Negative and NaN severities are clamped: the contract is
+			// [0, inf), and a NaN reads as "did not fire".
 			sev = 0
 		}
 		dst[i] = sev

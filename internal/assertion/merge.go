@@ -6,8 +6,8 @@ import "sort"
 // shared by MonitorPool (keyed by Sample.Stream) and the export
 // collector's fan-in sharding (keyed by batch source). The hash is part
 // of the persistence contract: a key keeps its shard across process
-// restarts and implementations, so snapshots taken by one process restore
-// cleanly in another. n <= 1 always routes to shard 0.
+// restarts and implementations, so a data directory one process wrote
+// reopens cleanly in another. n <= 1 always routes to shard 0.
 func ShardFor(key string, n int) int {
 	if n <= 1 {
 		return 0
@@ -68,8 +68,8 @@ func keyLess(a, b *Violation) bool {
 // MergeRecorderSnapshots combines per-shard (or per-stream) snapshots
 // into the single-recorder view: statistics merge per assertion,
 // violations concatenate in SortViolations order, and eviction counters
-// sum. It is how a sharded collector's state restores into a collector
-// with a different shard count.
+// sum. It is how a legacy snapshot of any shard count imports into a
+// data directory of another.
 func MergeRecorderSnapshots(snaps ...RecorderSnapshot) RecorderSnapshot {
 	out := RecorderSnapshot{Stats: make(map[string]Stats)}
 	for _, s := range snaps {

@@ -71,8 +71,8 @@ func TestMergeRecorderSnapshots(t *testing.T) {
 		LogDropped: 2,
 	}
 	m := MergeRecorderSnapshots(a, b)
-	if m.TotalFired() != 4 {
-		t.Fatalf("merged TotalFired = %d, want 4", m.TotalFired())
+	if len(m.Stats) != 2 || m.Stats["y"] != b.Stats["y"] {
+		t.Fatalf("merged stats = %+v, want x and y with y unchanged", m.Stats)
 	}
 	wantX := Stats{Fired: 3, TotalSev: 7, MaxSev: 5, FirstSample: 1, LastSample: 8}
 	if m.Stats["x"] != wantX {

@@ -1,6 +1,9 @@
 package assertion
 
 import (
+	"bytes"
+	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -247,4 +250,62 @@ func TestMonitorActionMayReenterMonitor(t *testing.T) {
 	if lastLen != 8 {
 		t.Fatalf("Observed inside action = %d, want 8", lastLen)
 	}
+}
+
+// TestNaNSeverityDoesNotFire: a Check returning NaN reads as "did not
+// fire", like a negative severity. Through a Monitor and through a
+// MonitorPool streaming JSONL, nothing of it is recorded, the edge stats
+// stay finite and the sink drops nothing; a well-behaved assertion beside
+// it records as usual.
+func TestNaNSeverityDoesNotFire(t *testing.T) {
+	suite := func() *Suite {
+		return NewSuite(
+			New("nan", func([]Sample) float64 { return math.NaN() }),
+			New("even", func(w []Sample) float64 { return float64(1 - w[len(w)-1].Index%2) }),
+		)
+	}
+	check := func(t *testing.T, rec *Recorder) {
+		t.Helper()
+		if _, ok := rec.Stats("nan"); ok {
+			t.Fatal("the NaN assertion has stats: it fired")
+		}
+		st, ok := rec.Stats("even")
+		if !ok || st.Fired != 2 || math.IsNaN(st.TotalSev) || math.IsNaN(st.MaxSev) || st.TotalSev != 2 {
+			t.Fatalf("even stats = %+v (ok %v), want 2 finite firings", st, ok)
+		}
+		if got := rec.TotalFired(); got != 2 {
+			t.Fatalf("TotalFired = %d, want 2", got)
+		}
+	}
+
+	t.Run("monitor", func(t *testing.T) {
+		m := NewMonitor(suite())
+		for i := 0; i < 4; i++ {
+			if vec := m.Observe(Sample{Index: i}); vec[0] != 0 {
+				t.Fatalf("sample %d: NaN assertion's severity = %v, want 0", i, vec[0])
+			}
+		}
+		check(t, m.Recorder())
+	})
+
+	t.Run("pool-jsonl", func(t *testing.T) {
+		var buf bytes.Buffer
+		sink := NewJSONLSink(&buf, 0)
+		pool := NewMonitorPool(suite(), WithShards(2), WithPoolSink(sink))
+		for i := 0; i < 4; i++ {
+			if err := pool.Enqueue(Sample{Stream: "cam", Index: i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := pool.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		check(t, pool.Recorder())
+		if sink.Dropped() != 0 || pool.Recorder().SinkDropped() != 0 {
+			t.Fatalf("sink dropped %d, recorder counts %d sink drops; want 0", sink.Dropped(), pool.Recorder().SinkDropped())
+		}
+		if lines := strings.Count(buf.String(), "\n"); lines != 2 || strings.Contains(buf.String(), `"nan"`) {
+			t.Fatalf("JSONL holds %d lines, want the 2 even firings:\n%s", lines, buf.String())
+		}
+	})
 }

@@ -13,8 +13,8 @@ func TestRecorderSnapshotRoundTrip(t *testing.T) {
 	src.Append(Violation{Assertion: "b", Stream: "cam-0", SampleIndex: 9, Time: 0.3, Severity: 1})
 
 	snap := src.Export()
-	if got := snap.TotalFired(); got != 3 {
-		t.Fatalf("snapshot TotalFired = %d, want 3", got)
+	if got := snap.Stats["a"].Fired + snap.Stats["b"].Fired; got != 3 {
+		t.Fatalf("snapshot stats fired %d, want 3", got)
 	}
 
 	// Through JSON, as the export wire format ships it.
@@ -62,8 +62,8 @@ func TestRecorderSnapshotCarriesLogDropped(t *testing.T) {
 		t.Fatalf("snapshot = %d violations with LogDropped %d, want 2 and 1", len(snap.Violations), snap.LogDropped)
 	}
 	// Stats stay complete even though the log is partial.
-	if got := snap.TotalFired(); got != 3 {
-		t.Fatalf("snapshot TotalFired = %d, want 3", got)
+	if got := snap.Stats["a"].Fired; got != 3 {
+		t.Fatalf("snapshot stats fired %d, want 3", got)
 	}
 
 	dst := NewMemStore(0)

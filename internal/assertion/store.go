@@ -92,36 +92,6 @@ type StoreInfo struct {
 	Bytes int64 `json:"bytes"`
 }
 
-// StoreSegment describes one live segment file in a checkpoint manifest.
-type StoreSegment struct {
-	Name    string `json:"name"`
-	Records int    `json:"records"`
-	Bytes   int64  `json:"bytes"`
-}
-
-// StoreCheckpoint is the durable high-water mark a disk-backed store
-// exports in place of its violations (RecorderSnapshot.Store): enough to
-// validate a recovery without shipping the log itself — the segment
-// manifest plus the append sequence the persisted statistics cover.
-type StoreCheckpoint struct {
-	Backend string `json:"backend"`
-	// Durable reports whether the checkpoint made state crash-safe (the
-	// store fsynced its active segment and statistics).
-	Durable bool `json:"durable"`
-	// Dir is the store's data directory.
-	Dir string `json:"dir,omitempty"`
-	// Entries and TotalFired are the retained-log size and lifetime
-	// violation count at checkpoint time.
-	Entries    int `json:"entries"`
-	TotalFired int `json:"total_fired"`
-	// AppendSeq is the store's append high-water mark: every violation
-	// ever appended has a unique increasing sequence number, and the
-	// checkpointed statistics cover all of them up to this one.
-	AppendSeq uint64 `json:"append_seq,omitempty"`
-	// Segments is the live segment manifest.
-	Segments []StoreSegment `json:"segments,omitempty"`
-}
-
 // EvictionObserver hears what leaves a store's retained log. A store with
 // an observer set calls it under its own lock, so the calls arrive in the
 // order the log changed; the observer must return quickly, must not call
@@ -180,15 +150,14 @@ type ViolationStore interface {
 	// a few bytes per distinct (assertion, second) instead of a copy of
 	// the log.
 	IngestRuns() map[string][]IngestRun
-	// Export captures the store's state as a recorder snapshot.
-	Export() RecorderSnapshot
-	// Replace overwrites the store's state with a snapshot's — the
-	// restore path. It must not be called concurrently with Append.
+	// Replace overwrites the store's state with a snapshot's — how a
+	// legacy snapshot file is imported. It must not be called
+	// concurrently with Append.
 	Replace(snap RecorderSnapshot) error
 	// Sync makes every appended violation durable against process crash
 	// (buffered disk stores flush to the OS; in-memory stores no-op).
 	// Machine-crash durability additionally needs the fsync a disk
-	// store's Export and Close perform.
+	// store's checkpoints and Close perform.
 	Sync() error
 	// Info describes the store's current shape for metrics.
 	Info() StoreInfo
@@ -472,10 +441,11 @@ func IngestRunsOf(log []Violation, head int) map[string][]IngestRun {
 	return out
 }
 
-// Export implements ViolationStore. It is safe to call concurrently with
-// Append; violations appended while the export is being taken may appear
-// in the statistics, the log, both or neither, but each assertion's
-// Stats entry is internally consistent.
+// Export captures the store's state as a recorder snapshot, the shape
+// Replace takes. It is safe to call concurrently with Append; violations
+// appended while the export is being taken may appear in the statistics,
+// the log, both or neither, but each assertion's Stats entry is
+// internally consistent.
 func (m *MemStore) Export() RecorderSnapshot {
 	snap := RecorderSnapshot{Stats: m.StatsAll()}
 	m.mu.Lock()

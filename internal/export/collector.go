@@ -57,9 +57,9 @@ type CollectorConfig struct {
 	// dropped and counted — ingest never stalls on a tail consumer.
 	TailBuffer int
 	// Store selects the violation storage backend: "" or "mem" keeps the
-	// in-memory rings; "disk" puts every shard on an on-disk
-	// store.SegmentStore under DataDir, making violations, statistics and
-	// dedup marks survive a crash exactly.
+	// in-memory rings, which end with the process; "disk" puts every shard
+	// on an on-disk store.SegmentStore under DataDir, making violations,
+	// statistics and dedup marks survive a crash exactly.
 	Store string
 	// DataDir is the disk backend's data directory (required when Store
 	// is "disk"): shard-N subdirectories hold each shard's segments, and
@@ -113,16 +113,18 @@ type CollectorConfig struct {
 // batches from any number of edge monitors and serves aggregate and
 // per-violation queries over HTTP. Ingest is sharded by batch source
 // (CollectorConfig.Shards), so concurrent senders append to independent
-// stores; every read path — Summary, Violations, the query endpoint,
-// snapshots — presents the merged view. It deduplicates retried batches
-// by (source, seq) — the receiver half of the exactly-once contract
-// HTTPSink's sequence numbers set up — and its whole state (shard stores +
-// dedup marks + counters) snapshots to disk and back, so a restarted
-// collector resumes where it stopped. A retention policy (RetainAge,
-// RetainPerAssertion) ages out the queryable log without touching the
-// aggregate counts, and a live-tail hub streams ingested violations to
-// SSE subscribers. It is safe for concurrent use; Close stops the
-// retention janitor, ends tail streams and settles the attached sink.
+// stores; every read path — Summary, Violations, the query endpoint —
+// presents the merged view. It deduplicates retried batches by (source,
+// seq) — the receiver half of the exactly-once contract HTTPSink's
+// sequence numbers set up. Its state is durable in exactly one way: a
+// disk collector's data directory (shard segments, the dedup-marks log,
+// the label state file) recovers it after a restart or a crash; a mem
+// collector's state lives and dies with the process. A retention policy
+// (RetainAge, RetainPerAssertion) ages out the queryable log without
+// touching the aggregate counts, and a live-tail hub streams ingested
+// violations to SSE subscribers. It is safe for concurrent use; Close
+// stops the retention janitor, ends tail streams and settles the attached
+// sink.
 type Collector struct {
 	cfg CollectorConfig
 	// shards holds one store per ingest shard, routed by batch source:
@@ -135,9 +137,9 @@ type Collector struct {
 	tail   *tailHub
 	labels *labelsvc.Service
 	// seedMu makes the label index's seed atomic against every writer of
-	// the retained log: apply (through its ObserveBatch), CompactNow and
-	// Restore hold it shared, the seed — one read of every shard, once
-	// per process unless a restore drops the index — holds it exclusively
+	// the retained log: apply (through its ObserveBatch) and CompactNow
+	// hold it shared, the seed — one read of every shard, once per process
+	// unless a store failure drops the index — holds it exclusively
 	// (labelSeed.LockSeed).
 	seedMu sync.RWMutex
 
@@ -161,9 +163,8 @@ type Collector struct {
 	ingested   atomic.Int64
 	rejected   atomic.Int64 // malformed, oversized or version-mismatched requests
 	// rejectedBy splits rejected by cause for the labeled metric. Only
-	// the total persists in snapshots and the marks log, so after a
-	// restart the by-reason counters restart from zero and may sum below
-	// the total.
+	// the total persists in the marks log, so after a restart the
+	// by-reason counters restart from zero and may sum below the total.
 	rejectedBy [numRejectReasons]atomic.Int64
 
 	// codecs maps an accepted Content-Type (media type, lowercased) to
@@ -426,8 +427,7 @@ func (c *Collector) ingestChecked(b Batch) (accepted int, duplicate bool, err er
 	// disk-backed shards) synced: a crash between apply and mark leaves
 	// the violations durable and the mark unset, so a sender retry is
 	// re-counted — never lost, and only double-applied if the sender
-	// actually retries across the crash (the same window the snapshot
-	// path always had).
+	// actually retries across the crash.
 	c.logMarks(b.Source, b.Seq)
 	return accepted, false, nil
 }
@@ -609,7 +609,7 @@ func (c *Collector) compactPerAssertion(maxPer int) int {
 
 // RetentionEvicted returns how many violations the retention policy has
 // evicted from the queryable log over the collector's lifetime (including
-// evictions restored from a snapshot).
+// evictions imported from a legacy snapshot).
 func (c *Collector) RetentionEvicted() int64 {
 	var n int64
 	for _, st := range c.shards {
@@ -686,130 +686,12 @@ func (c *Collector) LogDropped() int {
 	return n
 }
 
-// Snapshot captures the collector's state — per-shard store exports plus
-// dedup marks and counters — in wire form. A single-shard collector
-// fills the legacy Recorder field; a sharded one fills Recorders (one
-// snapshot per shard, so a same-shape restart restores shard-for-shard)
-// AND the legacy field with the merged view, so a rollback to a
-// pre-sharding reader restores the full merged state instead of
-// silently starting empty.
-func (c *Collector) Snapshot() Snapshot {
-	c.mu.Lock()
-	states := make(map[string]*sourceState, len(c.sources))
-	for src, st := range c.sources {
-		states[src] = st
-	}
-	c.mu.Unlock()
-	lastSeq := make(map[string]uint64, len(states))
-	for src, st := range states {
-		st.mu.Lock() // an in-flight apply finishes before its mark is read
-		lastSeq[src] = st.lastSeq.Load()
-		st.mu.Unlock()
-	}
-	s := Snapshot{
-		Version:    WireVersion,
-		LastSeq:    lastSeq,
-		Batches:    c.batches.Load(),
-		Duplicates: c.duplicates.Load(),
-		Rejected:   c.rejected.Load(),
-	}
-	labels := c.labels.StateSnapshot()
-	s.Labels = &labels
-	if len(c.shards) == 1 {
-		s.Recorder = c.shards[0].Export()
-	} else {
-		s.Recorders = make([]assertion.RecorderSnapshot, 0, len(c.shards))
-		for _, st := range c.shards {
-			s.Recorders = append(s.Recorders, st.Export())
-		}
-		s.Recorder = assertion.MergeRecorderSnapshots(s.Recorders...)
-	}
-	return s
-}
-
-// Restore replaces the collector's state with a snapshot's. A snapshot
-// whose shard count matches restores shard-for-shard; any other shape —
-// a legacy single-recorder snapshot into a sharded collector, or a
-// different shard count — is merged and redistributed by stream key, so
-// the merged views are preserved exactly even though shard placement of
-// historical violations changes. It must not be called concurrently with
-// Ingest.
-//
-// A disk-backed collector already recovered its state from its own
-// files at OpenCollector, so Restore MERGES instead of overwriting:
-// recorder snapshots that carry a store checkpoint are no-ops (the
-// segments are authoritative; a legacy violations-bearing snapshot still
-// migrates in), and dedup marks and counters keep whichever value is
-// higher — a stale snapshot file can never roll the recovered state
-// back. A shard store that fails to take its part latches the collector
-// degraded.
-func (c *Collector) Restore(s Snapshot) {
-	c.seedMu.RLock()
-	defer c.seedMu.RUnlock()
-	switch {
-	case len(s.Recorders) == len(c.shards):
-		for i, st := range c.shards {
-			c.degrade(st.Replace(s.Recorders[i]))
-		}
-	case len(s.Recorders) == 0 && len(c.shards) == 1:
-		c.degrade(c.shards[0].Replace(s.Recorder))
-	default:
-		merged := s.Recorder
-		if len(s.Recorders) > 0 {
-			merged = assertion.MergeRecorderSnapshots(s.Recorders...)
-		}
-		c.redistribute(merged)
-	}
-	if c.durable() {
-		c.mu.Lock()
-		for src, seq := range s.LastSeq {
-			st := c.sources[src]
-			if st == nil {
-				st = &sourceState{}
-				c.sources[src] = st
-			}
-			if seq > st.lastSeq.Load() {
-				st.lastSeq.Store(seq)
-			}
-		}
-		c.mu.Unlock()
-		storeMax := func(a *atomic.Int64, v int64) {
-			if v > a.Load() {
-				a.Store(v)
-			}
-		}
-		storeMax(&c.batches, s.Batches)
-		storeMax(&c.duplicates, s.Duplicates)
-		storeMax(&c.rejected, s.Rejected)
-	} else {
-		c.mu.Lock()
-		c.sources = make(map[string]*sourceState, len(s.LastSeq))
-		for src, seq := range s.LastSeq {
-			st := &sourceState{}
-			st.lastSeq.Store(seq)
-			c.sources[src] = st
-		}
-		c.mu.Unlock()
-		c.batches.Store(s.Batches)
-		c.duplicates.Store(s.Duplicates)
-		c.rejected.Store(s.Rejected)
-	}
-	if s.Labels != nil {
-		// For a disk-backed collector the label state file recovered at
-		// OpenCollector is authoritative; a (possibly stale) snapshot can
-		// only advance the loop, never roll it back.
-		if !c.durable() || s.Labels.Round > c.labels.Round() {
-			c.labels.RestoreState(*s.Labels)
-		}
-	}
-	c.ingested.Store(int64(c.TotalFired()))
-}
-
-// redistribute restores a merged snapshot into this collector's shard
-// shape: violations re-route by stream key (sources are not recorded per
-// violation), statistics and eviction counters land on shard 0 — the
-// merged read views are identical either way.
-func (c *Collector) redistribute(m assertion.RecorderSnapshot) {
+// redistribute replaces the shards' contents with a merged snapshot in
+// this collector's shard shape: violations re-route by stream key
+// (sources are not recorded per violation), statistics and eviction
+// counters land on shard 0 — the merged read views are identical either
+// way. It must not be called concurrently with Ingest.
+func (c *Collector) redistribute(m assertion.RecorderSnapshot) error {
 	parts := make([]assertion.RecorderSnapshot, len(c.shards))
 	parts[0].Stats = m.Stats
 	parts[0].LogDropped = m.LogDropped
@@ -819,8 +701,11 @@ func (c *Collector) redistribute(m assertion.RecorderSnapshot) {
 		parts[i].Violations = append(parts[i].Violations, v)
 	}
 	for i, st := range c.shards {
-		c.degrade(st.Replace(parts[i]))
+		if err := st.Replace(parts[i]); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // SummaryResponse is the JSON body of GET /v1/summary.
@@ -1194,7 +1079,7 @@ func (c *Collector) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&b, "# TYPE omg_collector_labels_index_events_total counter\n")
 	fmt.Fprintf(&b, "omg_collector_labels_index_events_total{kind=\"add\"} %d\n", index.Adds)
 	fmt.Fprintf(&b, "omg_collector_labels_index_events_total{kind=\"evict\"} %d\n", index.Evictions)
-	counter("omg_collector_labels_seeds_total", "Times the label index was built from the retained log (first label call, and after a restore or a feed overflow).", index.Seeds)
+	counter("omg_collector_labels_seeds_total", "Times the label index was built from the retained log (first label call, and after a store failure or a feed overflow).", index.Seeds)
 	counter("omg_collector_labels_state_write_errors_total", "Failed writes of the label state file.", index.StateWriteErrors)
 
 	summary := c.Summary()

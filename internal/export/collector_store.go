@@ -192,8 +192,9 @@ func (c *Collector) logMarks(src string, seq uint64) {
 // rewriteMarksLocked compacts the marks log to one line per source plus
 // a counters line, atomically (write temp, rename). Called with marksMu
 // held; source marks are read atomically, so no sourceState mutex is
-// taken (lock order stays sourceState.mu -> marksMu).
-func (c *Collector) rewriteMarksLocked() {
+// taken (lock order stays sourceState.mu -> marksMu). On an error the
+// old log stays in place.
+func (c *Collector) rewriteMarksLocked() error {
 	c.mu.Lock()
 	marks := make(map[string]uint64, len(c.sources))
 	for src, st := range c.sources {
@@ -221,11 +222,11 @@ func (c *Collector) rewriteMarksLocked() {
 	path := filepath.Join(c.cfg.DataDir, marksName)
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return
+		return fmt.Errorf("export: rewrite marks log: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return
+		return fmt.Errorf("export: rewrite marks log: %w", err)
 	}
 	// The old fd now points at the replaced (unlinked) file; switch to
 	// the new one. On a reopen failure keep appending to the old fd —
@@ -233,11 +234,12 @@ func (c *Collector) rewriteMarksLocked() {
 	// retried batch, never data loss.
 	nf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return
+		return fmt.Errorf("export: reopen marks log: %w", err)
 	}
 	c.marks.Close()
 	c.marks = nf
 	c.marksBytes = int64(len(buf))
+	return nil
 }
 
 // StoreInfo sums the shard stores' shapes — entries, live segments and

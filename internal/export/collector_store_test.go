@@ -116,46 +116,31 @@ func TestDiskCollectorCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestDiskCollectorStaleSnapshotCannotRollBack: a snapshot that lags a
+// data dir's state can never be imported over it — the import refuses
+// any non-empty dir, and the recovered state is untouched.
 func TestDiskCollectorStaleSnapshotCannotRollBack(t *testing.T) {
+	mem := openCollector(t, CollectorConfig{})
+	defer mem.Close()
+	mem.Ingest(Batch{Source: "s", Seq: 1, Violations: []assertion.Violation{{Assertion: "a", Severity: 1}}})
+	stale := legacySnapshot(mem) // the state as of seq 1
+
 	dir := t.TempDir()
 	c := diskCollector(t, dir, 1)
 	c.Ingest(Batch{Source: "s", Seq: 1, Violations: []assertion.Violation{{Assertion: "a", Severity: 1}}})
-	stale := c.Snapshot() // checkpoint at seq 1
 	c.Ingest(Batch{Source: "s", Seq: 2, Violations: []assertion.Violation{{Assertion: "a", Severity: 2}}})
 	c.Quiesce()
 
+	if err := ImportSnapshot(dir, 1, stale); err == nil {
+		t.Fatal("a snapshot was imported over a live data dir")
+	}
 	r := diskCollector(t, dir, 1)
 	defer r.Close()
-	r.Restore(stale) // the periodic snapshot file lags the WAL
 	if got := r.TotalFired(); got != 2 {
 		t.Fatalf("TotalFired rolled back to %d by stale snapshot", got)
 	}
 	if _, dup := r.Ingest(Batch{Source: "s", Seq: 2}); !dup {
 		t.Fatal("dedup mark rolled back by stale snapshot")
-	}
-}
-
-func TestDiskCollectorSnapshotIsCheap(t *testing.T) {
-	c := diskCollector(t, t.TempDir(), 2)
-	defer c.Close()
-	for i := 1; i <= 10; i++ {
-		c.Ingest(Batch{Source: "s", Seq: uint64(i), Violations: []assertion.Violation{
-			{Assertion: "a", SampleIndex: i, Severity: 1},
-		}})
-	}
-	s := c.Snapshot()
-	for i, rs := range s.Recorders {
-		if len(rs.Violations) != 0 {
-			t.Fatalf("shard %d snapshot embeds %d violations", i, len(rs.Violations))
-		}
-		if rs.Store == nil || rs.Store.Backend != "segment" {
-			t.Fatalf("shard %d snapshot missing store checkpoint: %+v", i, rs.Store)
-		}
-	}
-	// The merged legacy view still reports the right totals for old
-	// readers.
-	if got := s.Recorder.TotalFired(); got != 10 {
-		t.Fatalf("merged snapshot TotalFired = %d, want 10", got)
 	}
 }
 
@@ -187,19 +172,21 @@ func TestDiskCollectorMetricsAndSummaryShape(t *testing.T) {
 }
 
 func TestDiskCollectorLegacySnapshotMigrates(t *testing.T) {
-	// A snapshot written by a mem-backed collector restores into a disk
-	// one: the embedded violations become segments.
+	// A snapshot written by a mem-backed collector imports into a data
+	// dir: the embedded violations become segments.
 	mem := openCollector(t, CollectorConfig{})
 	mem.Ingest(Batch{Source: "s", Seq: 1, Violations: []assertion.Violation{
 		{Assertion: "a", Stream: "x", SampleIndex: 1, Severity: 2},
 		{Assertion: "b", Stream: "y", SampleIndex: 2, Severity: 3},
 	}})
-	legacy := mem.Snapshot()
+	legacy := legacySnapshot(mem)
 	mem.Close()
 
 	dir := t.TempDir()
+	if err := ImportSnapshot(dir, 1, legacy); err != nil {
+		t.Fatal(err)
+	}
 	c := diskCollector(t, dir, 1)
-	c.Restore(legacy)
 	want := c.Violations()
 	if len(want) != 2 || c.TotalFired() != 2 {
 		t.Fatalf("migration lost data: %+v", want)

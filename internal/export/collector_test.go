@@ -175,13 +175,14 @@ func TestCollectorHTTPAPI(t *testing.T) {
 	}
 }
 
+// TestCollectorSnapshotRestoreKeepsDedup: a legacy snapshot's dedup marks
+// survive the import into a data dir.
 func TestCollectorSnapshotRestoreKeepsDedup(t *testing.T) {
 	c := openCollector(t, CollectorConfig{})
 	c.Ingest(mkBatch("edge-01", 1, 3))
 	c.Ingest(mkBatch("edge-01", 2, 2))
 
-	restored := openCollector(t, CollectorConfig{})
-	restored.Restore(c.Snapshot())
+	restored := importInto(t, legacySnapshot(c), 1)
 	if got := restored.TotalFired(); got != 5 {
 		t.Fatalf("restored TotalFired = %d, want 5", got)
 	}

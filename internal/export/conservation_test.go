@@ -97,7 +97,7 @@ func TestStoreRefusalIsNeverCounted(t *testing.T) {
 				// sender's retry is fresh work for a healed collector, not a
 				// duplicate.
 				agree("after the fault", acked+int(through))
-				if seq := c.Snapshot().LastSeq["edge"]; seq != 1 {
+				if seq := c.sourceState("edge").lastSeq.Load(); seq != 1 {
 					t.Fatalf("dedup mark advanced to %d over a refused batch", seq)
 				}
 				if resp, _ := postBatchRaw(t, srv.URL, mkBatch("edge", 2, 3), true); resp.StatusCode != http.StatusServiceUnavailable {

@@ -146,12 +146,13 @@ func TestFormatFixtureCollectorDir(t *testing.T) {
 	}
 }
 
-// TestFormatFixtureSnapshots restores the two snapshot-file shapes a
-// collector has written — version 2 as WriteSnapshotFile writes it, and
-// the same state at version 1 with no labels — into 1- and 3-shard mem
-// collectors. Each must serve the /v1/summary and /v1/violations/query
-// bytes its writer's own restore served, and a version-2 restore must
-// also revive the label loop.
+// TestFormatFixtureSnapshots imports the two snapshot-file shapes
+// collectors wrote — version 2 with label state, and the same state at
+// version 1 with none — into empty 1- and 3-shard data directories. Each,
+// opened as a disk collector, must serve the /v1/violations/query bytes
+// its writer's own restore served and the same /v1/summary with only
+// "store":"disk" added, and a version-2 import must also revive the label
+// loop byte for byte.
 func TestFormatFixtureSnapshots(t *testing.T) {
 	now := time.Unix(1700000000, 0)
 	for _, file := range []string{"snapshot-v1.json", "snapshot-v2.json"} {
@@ -161,16 +162,21 @@ func TestFormatFixtureSnapshots(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c := openCollector(t, CollectorConfig{Shards: shards, Labels: labelsvc.Config{Now: func() time.Time { return now }}})
+				dir := t.TempDir()
+				if err := ImportSnapshot(dir, shards, snap); err != nil {
+					t.Fatal(err)
+				}
+				c := openCollector(t, CollectorConfig{Store: StoreDisk, DataDir: dir, Shards: shards,
+					Labels: labelsvc.Config{Now: func() time.Time { return now }}})
 				defer c.Close()
-				c.Restore(snap)
 				h := c.Handler()
-				for path, want := range map[string]string{
-					"/v1/summary":          fmt.Sprintf("snapshot.summary-%dshard.json", shards),
-					"/v1/violations/query": fmt.Sprintf("snapshot.query-%dshard.json", shards),
+				summary := bytes.TrimSuffix(readFixture(t, fmt.Sprintf("snapshot.summary-%dshard.json", shards)), []byte("}\n"))
+				for path, want := range map[string][]byte{
+					"/v1/summary":          append(summary, `,"store":"disk"}`+"\n"...),
+					"/v1/violations/query": readFixture(t, fmt.Sprintf("snapshot.query-%dshard.json", shards)),
 				} {
-					if got := getOK(t, h, path); !bytes.Equal(got, readFixture(t, want)) {
-						t.Fatalf("%s\n got %s\nwant %s", path, got, readFixture(t, want))
+					if got := getOK(t, h, path); !bytes.Equal(got, want) {
+						t.Fatalf("%s\n got %s\nwant %s", path, got, want)
 					}
 				}
 				if file != "snapshot-v2.json" {

@@ -307,16 +307,14 @@ func TestSnapshotCarriesLabelState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := c.Snapshot()
+	snap := legacySnapshot(c)
 	if snap.Labels == nil || snap.Labels.Round != 1 || len(snap.Labels.Leases) != 4 {
 		t.Fatalf("snapshot labels = %+v", snap.Labels)
 	}
 
 	// The label state round-trips through the snapshot file unchanged.
 	path := filepath.Join(t.TempDir(), "snap.json")
-	if err := WriteSnapshotFile(path, snap); err != nil {
-		t.Fatal(err)
-	}
+	writeSnapshotFile(t, path, snap)
 	out, err := ReadSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -325,12 +323,8 @@ func TestSnapshotCarriesLabelState(t *testing.T) {
 		t.Fatalf("label state mangled by snapshot file:\n%+v\n%+v", out.Labels, snap.Labels)
 	}
 
-	// A fresh collector restoring the snapshot continues the same loop.
-	c2 := openCollector(t, CollectorConfig{})
-	defer c2.Close()
-	c2.Ingest(labelBatch("edge-01", "cam-0", 1, 8))
-	c2.Restore(out)
-	got := c2.Labels().StateSnapshot()
+	// A data dir imported from the file continues the same loop.
+	got := importInto(t, out, 1).Labels().StateSnapshot()
 	if !reflect.DeepEqual(got, *snap.Labels) {
 		t.Fatalf("restored label state diverged:\n%+v\n%+v", got, *snap.Labels)
 	}

@@ -98,7 +98,7 @@ func ingestTies(c *Collector, seqBase uint64, n int) {
 // three shards, every filter shape and limit, over tie-heavy data in every
 // state the index has to follow the log through — plain appends, a
 // wrapped MemStore ring, Compact capped (one shard) and budgeted (sharded)
-// retention, a snapshot Replace, and a disk close and reopen.
+// retention, the import's wholesale Replace, and a disk close and reopen.
 func TestQueryMatchesReferenceOracle(t *testing.T) {
 	open := func(t *testing.T, cfg CollectorConfig) *Collector {
 		c, err := OpenCollector(cfg)
@@ -141,8 +141,14 @@ func TestQueryMatchesReferenceOracle(t *testing.T) {
 			src := open(t, CollectorConfig{Shards: cfg.Shards})
 			ingestTies(src, 0, 40)
 			c := open(t, cfg)
-			ingestTies(c, 0, 3) // state the restore must overwrite
-			c.Restore(src.Snapshot())
+			ingestTies(c, 0, 3) // state the replacement must overwrite
+			var parts []assertion.RecorderSnapshot
+			for _, st := range src.shards {
+				parts = append(parts, st.(*assertion.MemStore).Export())
+			}
+			if err := c.redistribute(assertion.MergeRecorderSnapshots(parts...)); err != nil {
+				t.Fatal(err)
+			}
 			ingestTies(c, 1, 5)
 			return c
 		}},

@@ -124,20 +124,14 @@ func TestShardedCollectorConcurrentIngest(t *testing.T) {
 	}
 }
 
+// TestShardedCollectorSnapshotRoundTrip imports a 4-shard collector's
+// legacy snapshot into data dirs of every shape: the merged views and the
+// dedup marks must come back whatever the shard count.
 func TestShardedCollectorSnapshotRoundTrip(t *testing.T) {
 	src := openCollector(t, CollectorConfig{Shards: 4})
 	defer src.Close()
 	fillFleet(src, 6, 3, 10)
-	snap := src.Snapshot()
-	if len(snap.Recorders) != 4 {
-		t.Fatalf("sharded snapshot shape: %d recorders, want 4", len(snap.Recorders))
-	}
-	// The legacy field carries the merged view, so a rollback to a
-	// pre-sharding reader restores the full state instead of starting
-	// empty.
-	if got, want := snap.Recorder.TotalFired(), src.TotalFired(); got != want {
-		t.Fatalf("legacy snapshot field fired %d, want merged %d", got, want)
-	}
+	snap := legacySnapshot(src)
 
 	check := func(t *testing.T, restored *Collector) {
 		t.Helper()
@@ -161,30 +155,21 @@ func TestShardedCollectorSnapshotRoundTrip(t *testing.T) {
 	}
 
 	t.Run("same-shard-count", func(t *testing.T) {
-		restored := openCollector(t, CollectorConfig{Shards: 4})
-		defer restored.Close()
-		restored.Restore(snap)
-		check(t, restored)
+		check(t, importInto(t, snap, 4))
 	})
 	t.Run("different-shard-count", func(t *testing.T) {
-		restored := openCollector(t, CollectorConfig{Shards: 7})
-		defer restored.Close()
-		restored.Restore(snap)
-		check(t, restored)
+		check(t, importInto(t, snap, 7))
 	})
 	t.Run("into-single-shard", func(t *testing.T) {
-		restored := openCollector(t, CollectorConfig{})
-		defer restored.Close()
-		restored.Restore(snap)
-		check(t, restored)
+		check(t, importInto(t, snap, 1))
 	})
 	t.Run("legacy-single-into-sharded", func(t *testing.T) {
 		single := openCollector(t, CollectorConfig{})
 		defer single.Close()
 		fillFleet(single, 6, 3, 10)
-		restored := openCollector(t, CollectorConfig{Shards: 4})
-		defer restored.Close()
-		restored.Restore(single.Snapshot())
+		snap := legacySnapshot(single)
+		snap.Recorders = nil // the single-shard form: the lone Recorder
+		restored := importInto(t, snap, 4)
 		if got, want := restored.TotalFired(), single.TotalFired(); got != want {
 			t.Fatalf("restored TotalFired = %d, want %d", got, want)
 		}
@@ -199,16 +184,12 @@ func TestShardedSnapshotFileRoundTrip(t *testing.T) {
 	defer src.Close()
 	fillFleet(src, 5, 2, 8)
 	path := t.TempDir() + "/state.json"
-	if err := WriteSnapshotFile(path, src.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
+	writeSnapshotFile(t, path, legacySnapshot(src))
 	loaded, err := ReadSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := openCollector(t, CollectorConfig{Shards: 3})
-	defer restored.Close()
-	restored.Restore(loaded)
+	restored := importInto(t, loaded, 3)
 	if got, want := restored.TotalFired(), src.TotalFired(); got != want {
 		t.Fatalf("file round-trip TotalFired = %d, want %d", got, want)
 	}
@@ -219,9 +200,7 @@ func TestCollectorRejectedSurvivesSnapshot(t *testing.T) {
 	defer c.Close()
 	c.rejected.Add(3)
 	c.Ingest(mkBatch("edge-01", 1, 2))
-	restored := openCollector(t, CollectorConfig{})
-	defer restored.Close()
-	restored.Restore(c.Snapshot())
+	restored := importInto(t, legacySnapshot(c), 1)
 	if got := restored.rejected.Load(); got != 3 {
 		t.Fatalf("restored rejected = %d, want 3", got)
 	}
@@ -299,11 +278,13 @@ func TestCollectorRetentionAge(t *testing.T) {
 	}
 	// Age the retained violations artificially and compact again.
 	old := time.Now().Add(-2 * time.Hour).Unix()
-	snap := c.Snapshot()
-	for i := range snap.Recorder.Violations {
-		snap.Recorder.Violations[i].IngestUnix = old
+	snap := c.shards[0].(*assertion.MemStore).Export()
+	for i := range snap.Violations {
+		snap.Violations[i].IngestUnix = old
 	}
-	c.Restore(snap)
+	if err := c.shards[0].Replace(snap); err != nil {
+		t.Fatal(err)
+	}
 	if n := c.CompactNow(); n != 5 {
 		t.Fatalf("aged violations evicted = %d, want 5", n)
 	}

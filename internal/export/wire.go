@@ -4,11 +4,11 @@
 // share a process: models run at the edge, violations accumulate at a
 // central collector.
 //
-// It has three parts: a versioned JSON wire format for violation batches
-// and recorder snapshots; HTTPSink, an assertion.Sink that batches,
-// retries and ships a recorder's violation stream to a collector over
-// HTTP; and Collector, the ingest/aggregate/query service behind
-// cmd/omg-server.
+// It has three parts: a versioned wire format for violation batches (and
+// the reader of legacy collector snapshot files); HTTPSink, an
+// assertion.Sink that batches, retries and ships a recorder's violation
+// stream to a collector over HTTP; and Collector, the
+// ingest/aggregate/query service behind cmd/omg-server.
 package export
 
 import (
@@ -17,20 +17,17 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
-	"time"
 
 	"omg/internal/assertion"
 	"omg/internal/labelsvc"
 )
 
-// WireVersion is the version stamped on every batch and snapshot.
-// Version 2 adds the collector's label-service state to snapshots; the
-// batch shape is unchanged, so receivers accept any version in
-// [MinWireVersion, WireVersion] and reject the rest instead of guessing
-// at their shape.
+// WireVersion is the version stamped on every batch. Version 2 added the
+// collector's label-service state to snapshot files; the batch shape is
+// unchanged, so receivers accept any version in [MinWireVersion,
+// WireVersion] and reject the rest instead of guessing at their shape.
 const WireVersion = 2
 
 // MinWireVersion is the oldest wire version a receiver still accepts.
@@ -61,19 +58,18 @@ type Batch struct {
 	Violations []assertion.Violation `json:"violations"`
 }
 
-// Snapshot is the wire form of a collector's persisted state: the
-// recorder snapshot(s) plus the per-source dedup high-water marks and
-// request counters, so a restarted collector neither loses counts nor
-// re-applies a batch retried across the restart.
+// Snapshot is a legacy snapshot file's contents: the state collectors
+// once wrote with omg-server -snapshot — the recorder snapshot(s) plus
+// the per-source dedup high-water marks and request counters. Collectors
+// no longer write them; ImportSnapshot migrates one into a data
+// directory, which is the only durable collector state.
 type Snapshot struct {
-	Version     int   `json:"version"`
-	SavedAtUnix int64 `json:"saved_at_unix,omitempty"`
+	Version int `json:"version"`
 
-	// Recorder is the single-shard form (and the only form PR-3
-	// snapshots carry). A sharded collector writes Recorders — one
-	// snapshot per shard — and fills Recorder with the merged view
-	// alongside, so older readers that only know the legacy field still
-	// restore the full state. Readers prefer Recorders when present.
+	// Recorder is the single-shard form (and the only form the first
+	// snapshots carry). A sharded collector wrote Recorders — one
+	// snapshot per shard — and filled Recorder with the merged view
+	// alongside. Readers prefer Recorders when present.
 	Recorder  assertion.RecorderSnapshot   `json:"recorder"`
 	Recorders []assertion.RecorderSnapshot `json:"recorders,omitempty"`
 
@@ -178,66 +174,8 @@ func checkBatchVersion(v int) error {
 	return nil
 }
 
-// WriteSnapshotFile persists s at path atomically and durably: the
-// snapshot is written to a temp file in the same directory, fsync'd,
-// renamed over path, and the parent directory fsync'd — so a crash
-// mid-write never leaves a truncated snapshot, and a machine crash just
-// after the rename cannot lose or truncate it either (the rename itself
-// is only durable once the directory is synced). The wire version and
-// save time are stamped; on any failure the temp file is removed.
-func WriteSnapshotFile(path string, s Snapshot) error {
-	s.Version = WireVersion
-	if s.SavedAtUnix == 0 {
-		s.SavedAtUnix = time.Now().Unix()
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("export: write snapshot: %w", err)
-	}
-	// NOTE: no `:=` below — an earlier version shadowed err inside the
-	// encode branch and silently returned nil on encode failures.
-	enc := json.NewEncoder(tmp)
-	enc.SetIndent("", "  ")
-	if err = enc.Encode(s); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("export: encode snapshot: %w", err)
-	}
-	if err = tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("export: sync snapshot: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("export: write snapshot: %w", err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("export: write snapshot: %w", err)
-	}
-	return syncParentDir(path)
-}
-
-// syncParentDir fsyncs the directory holding path, making a rename into
-// it durable.
-func syncParentDir(path string) error {
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return fmt.Errorf("export: sync snapshot dir: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("export: sync snapshot dir: %w", err)
-	}
-	return nil
-}
-
-// ReadSnapshotFile loads a snapshot written by WriteSnapshotFile and
-// validates its version.
+// ReadSnapshotFile loads a legacy snapshot file and validates its
+// version.
 func ReadSnapshotFile(path string) (Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -252,4 +190,57 @@ func ReadSnapshotFile(path string) (Snapshot, error) {
 		return Snapshot{}, fmt.Errorf("%w: snapshot %s has version %d, want %d..%d", ErrWireVersion, path, s.Version, MinWireVersion, WireVersion)
 	}
 	return s, nil
+}
+
+// ImportSnapshot migrates a legacy snapshot into dataDir, which must be
+// empty or absent, as the state of a disk collector with the given shard
+// count: every shape (per-shard Recorders of any count, or the
+// single-shard Recorder) is merged and redistributed by stream key, so
+// the merged views are the snapshot's; then the dedup marks, counters and
+// label state are restored and written to the data directory. Refusing a
+// non-empty directory is what keeps a stale snapshot from rolling a
+// collector's state back. A snapshot a disk collector wrote carries a
+// segment manifest instead of its violations and is refused: that
+// collector's data directory is its state. A failed import leaves a
+// partial directory behind; remove it before retrying.
+func ImportSnapshot(dataDir string, shards int, s Snapshot) error {
+	ents, err := os.ReadDir(dataDir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("export: import: %w", err)
+	}
+	if len(ents) > 0 {
+		return fmt.Errorf("export: import: data dir %s is not empty", dataDir)
+	}
+	recs := s.Recorders
+	if len(recs) == 0 {
+		recs = []assertion.RecorderSnapshot{s.Recorder}
+	}
+	for _, r := range recs {
+		if r.Store != nil {
+			return errors.New("export: import: a disk collector wrote this snapshot; its data dir, not the snapshot, holds its state")
+		}
+	}
+	c, err := OpenCollector(CollectorConfig{Store: StoreDisk, DataDir: dataDir, Shards: shards})
+	if err != nil {
+		return err
+	}
+	err = c.redistribute(assertion.MergeRecorderSnapshots(recs...))
+	for src, seq := range s.LastSeq {
+		c.sourceState(src).lastSeq.Store(seq)
+	}
+	c.batches.Store(s.Batches)
+	c.duplicates.Store(s.Duplicates)
+	c.rejected.Store(s.Rejected)
+	if s.Labels != nil {
+		c.labels.RestoreState(*s.Labels)
+	}
+	c.marksMu.Lock()
+	if merr := c.rewriteMarksLocked(); err == nil {
+		err = merr
+	}
+	c.marksMu.Unlock()
+	if cerr := c.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

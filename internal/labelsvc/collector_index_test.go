@@ -13,7 +13,7 @@ import (
 )
 
 // This file holds a real collector's label loop — real stores, real ring
-// overflow, real compaction, real restores — to the full-rebuild oracle in
+// overflow, real compaction — to the full-rebuild oracle in
 // reference_test.go. It lives here rather than in internal/export because
 // the oracle is labelsvc test code; an external test package may import
 // export without a cycle.
@@ -64,10 +64,9 @@ func openShape(t *testing.T, s collectorShape, cfg export.CollectorConfig) *expo
 // multi-source ingest (source-less batches included), ring overflow by
 // frames smaller and larger than a shard's ring, CompactNow by age and by
 // the per-assertion cap (Compact capped on one shard, budgeted on three),
-// Restore of the collector's own snapshot and of a legacy
-// violations-bearing one, and label rounds with partial feedback. After
-// every step — each a quiescent point — Pool, Stats and the next batch
-// must equal the oracle's over the retained log, byte for byte.
+// and label rounds with partial feedback. After every step — each a
+// quiescent point — Pool, Stats and the next batch must equal the
+// oracle's over the retained log, byte for byte.
 func TestCollectorIndexMatchesFullRebuild(t *testing.T) {
 	for _, shape := range collectorShapes {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -110,10 +109,9 @@ func TestCollectorIndexMatchesFullRebuild(t *testing.T) {
 				if got := svc.IndexStats(); got.Seeds != 0 {
 					t.Fatalf("ingest alone seeded the index: %+v", got)
 				}
-				saved := c.Snapshot()
 				aged := false
 				for step := 0; step < 70; step++ {
-					switch op := rng.Intn(16); {
+					switch op := rng.Intn(13); {
 					case op < 6:
 						ingest(1 + rng.Intn(8))
 					case op == 6:
@@ -128,18 +126,6 @@ func TestCollectorIndexMatchesFullRebuild(t *testing.T) {
 						ingest(6)
 						c.CompactNow()
 					case op == 10:
-						saved = c.Snapshot()
-					case op == 11:
-						c.Restore(saved)
-					case op == 12:
-						// A pre-store snapshot: the violations ride in it, and
-						// both backends replace their logs with them.
-						vs := c.Violations()
-						c.Restore(export.Snapshot{
-							Version:  export.WireVersion,
-							Recorder: assertion.RecorderSnapshot{Violations: vs[:len(vs)/2]},
-						})
-					case op == 13:
 						now = now.Add(20 * time.Second)
 					default:
 						b := check(1 + rng.Intn(6))

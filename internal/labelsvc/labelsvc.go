@@ -669,8 +669,9 @@ func (s *Service) StateSnapshot() State {
 	return s.stateLocked()
 }
 
-// RestoreState replaces the service's state with a snapshot, e.g. when a
-// memory-backed collector restores a boot snapshot.
+// RestoreState replaces the service's state with a snapshot's and
+// persists it: how a legacy collector snapshot file's label state is
+// imported into a data directory.
 func (s *Service) RestoreState(st State) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -830,8 +831,7 @@ func (s *Service) persistLocked() error {
 }
 
 // saveLocked atomically persists the state file: temp + fsync + rename +
-// parent-dir fsync, the same durability contract as the collector's
-// snapshot and marks files.
+// parent-dir fsync.
 func (s *Service) saveLocked() error {
 	if s.cfg.StatePath == "" {
 		return nil

@@ -121,6 +121,13 @@ type segCheckpoint struct {
 	Segments  []Segment                  `json:"segments,omitempty"`
 }
 
+// Segment describes one live segment file in a checkpoint manifest.
+type Segment struct {
+	Name    string `json:"name"`
+	Records int    `json:"records"`
+	Bytes   int64  `json:"bytes"`
+}
+
 // checkpointVersion stamps segCheckpoint files.
 const checkpointVersion = 1
 
@@ -728,16 +735,16 @@ func (s *SegmentStore) manifestLocked() []Segment {
 // checkpointLocked makes the store durable: flush, fsync the active
 // segment, and atomically replace the checkpoint file with the current
 // statistics, manifest and sequence high-water mark.
-func (s *SegmentStore) checkpointLocked() (Checkpoint, error) {
+func (s *SegmentStore) checkpointLocked() error {
 	if err := s.flushLocked(); err != nil {
-		return Checkpoint{}, err
+		return err
 	}
 	if err := s.sealBarrierLocked(); err != nil {
-		return Checkpoint{}, err
+		return err
 	}
 	if !s.noSync {
 		if err := s.active.Sync(); err != nil {
-			return Checkpoint{}, fmt.Errorf("store: fsync segment: %w", err)
+			return fmt.Errorf("store: fsync segment: %w", err)
 		}
 	}
 	cp := segCheckpoint{
@@ -751,23 +758,7 @@ func (s *SegmentStore) checkpointLocked() (Checkpoint, error) {
 	for name, st := range s.stats {
 		cp.Stats[name] = st
 	}
-	if err := s.writeCheckpointFile(cp); err != nil {
-		return Checkpoint{}, err
-	}
-	return s.wireCheckpointLocked(true), nil
-}
-
-// wireCheckpointLocked builds the StoreCheckpoint handed to callers.
-func (s *SegmentStore) wireCheckpointLocked(durable bool) Checkpoint {
-	return Checkpoint{
-		Backend:    segmentBackend,
-		Durable:    durable && !s.noSync,
-		Dir:        s.dir,
-		Entries:    len(s.vs),
-		TotalFired: s.totalFired,
-		AppendSeq:  s.appendSeq,
-		Segments:   s.manifestLocked(),
-	}
+	return s.writeCheckpointFile(cp)
 }
 
 func (s *SegmentStore) writeCheckpointFile(cp segCheckpoint) error {
@@ -815,13 +806,14 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Checkpoint persists a durable recovery point — the active segment and
-// the statistics are fsynced — and returns its manifest.
-func (s *SegmentStore) Checkpoint() (Checkpoint, error) {
+// Checkpoint persists a durable recovery point: the active segment and
+// the statistics are fsynced. On a closed store it is a no-op, Close
+// having checkpointed last.
+func (s *SegmentStore) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return s.wireCheckpointLocked(true), nil
+		return nil
 	}
 	return s.checkpointLocked()
 }
@@ -846,10 +838,6 @@ func (s *SegmentStore) IndexSize() (keys, postings int) {
 func (s *SegmentStore) StatsAll() map[string]assertion.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.statsAllLocked()
-}
-
-func (s *SegmentStore) statsAllLocked() map[string]assertion.Stats {
 	out := make(map[string]assertion.Stats, len(s.stats))
 	for name, st := range s.stats {
 		if math.IsInf(st.MaxSev, -1) {
@@ -869,7 +857,7 @@ func (s *SegmentStore) TotalFired() int {
 
 // Dropped implements ViolationStore. The on-disk log has no size bound
 // of its own, so this is nonzero only when a legacy snapshot carrying a
-// drop count was restored.
+// drop count was imported.
 func (s *SegmentStore) Dropped() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1087,44 +1075,11 @@ func (s *SegmentStore) filterMirror(mask []bool) {
 	}
 }
 
-// Export implements ViolationStore as a cheap checkpoint: the snapshot
-// carries the statistics and the store manifest, never the violation
-// log — the segment files are the durable log and recover themselves on
-// Open.
-func (s *SegmentStore) Export() assertion.RecorderSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var cp Checkpoint
-	if s.closed {
-		cp = s.wireCheckpointLocked(true)
-	} else {
-		var err error
-		cp, err = s.checkpointLocked()
-		if err != nil {
-			// The snapshot is still shape-correct; Durable false tells
-			// the reader the disk state may lag it.
-			cp = s.wireCheckpointLocked(false)
-			cp.Durable = false
-		}
-	}
-	return assertion.RecorderSnapshot{
-		Stats:      s.statsAllLocked(),
-		LogDropped: s.dropped,
-		Compacted:  s.compacted,
-		Store:      &cp,
-	}
-}
-
-// Replace implements ViolationStore. A snapshot that itself came from a
-// segment store is a no-op: the segment files already recovered the
-// state on Open, and the snapshot carries no violations to restore. A
-// legacy in-memory snapshot (violation log embedded) migrates into the
-// store: the log is rewritten as segments and the statistics adopted
-// wholesale.
+// Replace implements ViolationStore: the store's files are cleared, the
+// snapshot's violation log is rewritten as segments and its statistics
+// adopted wholesale — how a legacy snapshot file migrates into a data
+// directory.
 func (s *SegmentStore) Replace(snap assertion.RecorderSnapshot) error {
-	if snap.Store != nil && snap.Store.Backend == segmentBackend {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -1149,8 +1104,7 @@ func (s *SegmentStore) Replace(snap assertion.RecorderSnapshot) error {
 	}
 	// The checkpoint's AppendSeq covers every migrated record, so a
 	// recovery will not fold them into the adopted statistics twice.
-	_, err := s.checkpointLocked()
-	return err
+	return s.checkpointLocked()
 }
 
 // clearLocked deletes every segment and the checkpoint and restarts the
@@ -1220,7 +1174,7 @@ func (s *SegmentStore) Close() error {
 	if s.closed {
 		return nil
 	}
-	_, err := s.checkpointLocked()
+	err := s.checkpointLocked()
 	if cerr := s.active.Close(); err == nil {
 		err = cerr
 	}

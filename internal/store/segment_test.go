@@ -48,8 +48,7 @@ func TestSegmentReopenAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill(t, s, 50)
-	mirror := NewMemStore(0)
-	mirror.Replace(stripStore(s.Export(), s))
+	mirror := mirrorOf(s)
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -65,12 +64,12 @@ func TestSegmentReopenAfterClose(t *testing.T) {
 	assertSame(t, r, mirror)
 }
 
-// stripStore turns a segment export into a mem-restorable snapshot by
-// re-attaching the violation log (segment exports deliberately omit it).
-func stripStore(snap assertion.RecorderSnapshot, s ViolationStore) assertion.RecorderSnapshot {
-	snap.Store = nil
-	snap.Violations = s.Query(Query{})
-	return snap
+// mirrorOf copies a store's retained log, statistics and eviction count
+// into a MemStore: the state a reopened SegmentStore must equal.
+func mirrorOf(s ViolationStore) *MemStore {
+	m := NewMemStore(0)
+	m.Replace(assertion.RecorderSnapshot{Stats: s.StatsAll(), Violations: s.Query(Query{}), Compacted: s.Compacted()})
+	return m
 }
 
 func TestSegmentCrashRecoveryWithoutClose(t *testing.T) {
@@ -85,8 +84,7 @@ func TestSegmentCrashRecoveryWithoutClose(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	mirror := NewMemStore(0)
-	mirror.Replace(stripStore(s.Export(), s))
+	mirror := mirrorOf(s)
 	// Abandon without Close — the open fd is irrelevant to the new store.
 
 	r, err := Open(Config{Dir: dir})
@@ -168,7 +166,7 @@ func TestSegmentCheckpointFoldsPostCheckpointRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill(t, s, 30)
-	if _, err := s.Checkpoint(); err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	fill(t, s, 17) // post-checkpoint, only synced
@@ -203,8 +201,7 @@ func TestSegmentCompactionSurvivesReopen(t *testing.T) {
 	if n == 0 {
 		t.Fatal("Compact evicted nothing")
 	}
-	mirror := NewMemStore(0)
-	mirror.Replace(stripStore(s.Export(), s))
+	mirror := mirrorOf(s)
 	s.Close()
 
 	r, err := Open(Config{Dir: dir})
@@ -230,8 +227,7 @@ func TestSegmentCompactionCrashBeforeCheckpoint(t *testing.T) {
 	}
 	fill(t, s, 20)
 	s.Sync()
-	mirror := NewMemStore(0)
-	mirror.Replace(stripStore(s.Export(), s))
+	mirror := mirrorOf(s)
 	// Fake the first half of a compaction crash: survivors written to
 	// .tmp, no checkpoint update, then "crash".
 	os.WriteFile(filepath.Join(dir, segName(7)+".tmp"), []byte("partial"), 0o644)
@@ -260,8 +256,7 @@ func TestSegmentCompactionCrashAfterCheckpoint(t *testing.T) {
 	if _, err := s.Compact(0, 5); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	mirror := NewMemStore(0)
-	mirror.Replace(stripStore(s.Export(), s))
+	mirror := mirrorOf(s)
 	s.Close()
 
 	// Reconstruct the crash window: demote every live segment back to
@@ -294,59 +289,6 @@ func TestSegmentCompactionCrashAfterCheckpoint(t *testing.T) {
 		if strings.HasSuffix(ent.Name(), ".tmp") {
 			t.Fatalf("leftover temp file %s", ent.Name())
 		}
-	}
-}
-
-func TestSegmentReplaceWithOwnCheckpointIsNoop(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	fill(t, s, 10)
-	snap := s.Export()
-	if snap.Store == nil || snap.Store.Backend != segmentBackend {
-		t.Fatalf("segment export missing checkpoint: %+v", snap.Store)
-	}
-	if len(snap.Violations) != 0 {
-		t.Fatalf("segment export embeds %d violations", len(snap.Violations))
-	}
-	// Restoring a store-shaped snapshot must not wipe the recovered log.
-	if err := s.Replace(snap); err != nil {
-		t.Fatalf("Replace: %v", err)
-	}
-	if got := s.TotalFired(); got != 10 {
-		t.Fatalf("TotalFired after self-Replace = %d, want 10", got)
-	}
-}
-
-func TestSegmentExportIsCheapAndDurable(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill(t, s, 5)
-	snap := s.Export()
-	if snap.Store == nil || !snap.Store.Durable {
-		t.Fatalf("export checkpoint = %+v, want durable", snap.Store)
-	}
-	if snap.Store.TotalFired != 5 || snap.Store.Entries != 5 {
-		t.Fatalf("checkpoint marks = %+v", snap.Store)
-	}
-	if len(snap.Store.Segments) == 0 {
-		t.Fatal("checkpoint manifest empty")
-	}
-	s.Close()
-	// The export's checkpoint also fsync'd: a reopen sees everything.
-	r, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.TotalFired() != 5 {
-		t.Fatalf("TotalFired = %d, want 5", r.TotalFired())
 	}
 }
 

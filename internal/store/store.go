@@ -6,8 +6,8 @@
 //
 //   - MemStore — the in-memory default: a bounded ring-buffer log with
 //     O(1) eviction plus lock-free per-assertion statistics; also what an
-//     edge assertion.Recorder records into. Fast, but a crash loses
-//     everything since the last wire snapshot.
+//     edge assertion.Recorder records into. Fast, but ephemeral: a crash
+//     loses everything.
 //   - SegmentStore (this package) — an append-only on-disk backend:
 //     length-prefixed, CRC-checked segment files holding one violation
 //     per record, a per-assertion/stream index for queries, fsync'd
@@ -51,13 +51,6 @@ type Query = assertion.StoreQuery
 
 // Info describes a store's current shape for metrics.
 type Info = assertion.StoreInfo
-
-// Checkpoint is a store's durable recovery point: manifest plus
-// high-water marks.
-type Checkpoint = assertion.StoreCheckpoint
-
-// Segment describes one live segment file in a checkpoint manifest.
-type Segment = assertion.StoreSegment
 
 // EvictionObserver hears what leaves a backend's retained log; both
 // backends take one through SetEvictionObserver.

@@ -82,12 +82,12 @@ type (
 	JSONLConfig = assertion.JSONLConfig
 	// RotateConfig is a RotatingFileSink's size/age/retention policy.
 	RotateConfig = assertion.RotateConfig
-	// RecorderSnapshot is a JSON-serialisable copy of a ViolationStore's
-	// state (Export / Replace).
+	// RecorderSnapshot is a JSON-serialisable copy of a store's state
+	// (MemStore.Export / ViolationStore.Replace).
 	RecorderSnapshot = assertion.RecorderSnapshot
 
 	// ViolationStore is the pluggable storage seam under each collector
-	// shard: append, query, stats, compaction, export. MemStore is the
+	// shard: append, query, stats, compaction, replace. MemStore is the
 	// in-memory implementation; internal/store's SegmentStore is the
 	// crash-recoverable on-disk one (omg-server -store=disk).
 	ViolationStore = assertion.ViolationStore
@@ -99,10 +99,6 @@ type (
 	StoreQuery = assertion.StoreQuery
 	// StoreInfo describes a store's backend, size and segment count.
 	StoreInfo = assertion.StoreInfo
-	// StoreCheckpoint is a store's durable manifest + statistics mark.
-	StoreCheckpoint = assertion.StoreCheckpoint
-	// StoreSegment describes one on-disk segment in a checkpoint manifest.
-	StoreSegment = assertion.StoreSegment
 
 	// HTTPSink exports violation batches to an omg-server collector over
 	// HTTP with bounded queueing, coalescing, retries and drop counting.
@@ -120,8 +116,6 @@ type (
 	CollectorConfig = export.CollectorConfig
 	// ViolationBatch is the wire form of one exported violation batch.
 	ViolationBatch = export.Batch
-	// CollectorSnapshot is the wire form of a collector's persisted state.
-	CollectorSnapshot = export.Snapshot
 	// BatchCodec is the pluggable wire-codec seam: it encodes a batch to
 	// request bytes and decodes them back, selected by name on the sender
 	// (HTTPSinkConfig.Wire) and by Content-Type on the collector.
@@ -147,7 +141,7 @@ func WireCodec(name string) (BatchCodec, error) { return export.Codec(name) }
 // WireCodecNames lists the registered wire codec names, sorted.
 func WireCodecNames() []string { return export.CodecNames() }
 
-// WireVersion is the version stamped on every exported batch and snapshot.
+// WireVersion is the version stamped on every exported batch.
 const WireVersion = export.WireVersion
 
 // MinWireVersion is the oldest wire version a collector still accepts,
