@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"omg"
+	"omg/internal/bandit"
 	"omg/internal/experiments"
 	"omg/internal/geometry"
 	"omg/internal/simrand"
@@ -187,15 +188,15 @@ func BenchmarkAblationCCMABRegret(b *testing.B) {
 func ccmabLateQuality(seed int64) float64 {
 	const horizon = 400
 	rng := simrand.NewStream(seed, "ccmab-bench")
-	c := omg.NewCCMAB(seed, 1, horizon, 1)
+	c := bandit.NewCCMAB(seed, 1, horizon, 1)
 	trueQuality := func(x float64) float64 {
 		return 0.15 + 0.7*math.Exp(-8*(x-0.7)*(x-0.7))
 	}
 	lateSum, lateN := 0.0, 0
 	for round := 1; round <= horizon; round++ {
-		arms := make([]omg.CCArm, 25)
+		arms := make([]bandit.CCArm, 25)
 		for i := range arms {
-			arms[i] = omg.CCArm{ID: i, Context: []float64{rng.Float64()}}
+			arms[i] = bandit.CCArm{ID: i, Context: []float64{rng.Float64()}}
 		}
 		sel := c.SelectArms(round, 3, arms)
 		for _, p := range sel {
@@ -320,7 +321,7 @@ func BenchmarkBALSelect(b *testing.B) {
 	}
 	state := omg.RoundState{
 		Round: 1, Budget: 100, Candidates: cands,
-		FiredCounts: omg.FiredCounts(cands, 3),
+		FiredCounts: bandit.FiredCounts(cands, 3),
 	}
 	sel := omg.NewBAL(1, omg.BALConfig{})
 	b.ResetTimer()

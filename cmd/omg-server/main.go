@@ -33,7 +33,7 @@
 //
 // The collector's state is durable in one way only: with -store=disk
 // every shard appends to segment files under -data-dir (rolled at
-// -segment-bytes), dedup marks and counters go to a write-ahead log and
+// 64 MiB), dedup marks and counters go to a write-ahead log and
 // the label loop to a state file beside them, so a restarted — even a
 // SIGKILL'd — server resumes its exact state: counts, retained
 // violations, exactly-once dedup marks and leases. The default
@@ -52,7 +52,7 @@
 //	omg-server [-addr :9077] [-retain N] [-shards N]
 //	           [-retain-age DUR] [-retain-per-assertion N] [-compact-every DUR]
 //	           [-log violations.jsonl]
-//	           [-store mem|disk] [-data-dir DIR] [-segment-bytes N]
+//	           [-store mem|disk] [-data-dir DIR]
 //	           [-label-selector bal|ccmab|uncertainty|uniform-ma|random]
 //	           [-label-seed N] [-label-budget N] [-lease-ttl DUR]
 //	           [-wire-accept json,binary] [-drain DUR] [-debug-addr :PORT]
@@ -112,7 +112,6 @@ func main() {
 	logPath := flag.String("log", "", "also stream ingested violations to this JSONL file (size-rotated at 64 MiB, 3 rotations kept)")
 	storeKind := flag.String("store", export.StoreMem, "violation store backend: mem (in-memory, lost at exit) or disk (crash-recoverable segment files under -data-dir)")
 	dataDir := flag.String("data-dir", "", "data directory for -store=disk (created if missing)")
-	segmentBytes := flag.Int64("segment-bytes", 0, "target size of one on-disk segment file for -store=disk (0 = 64 MiB default)")
 	labelSelector := flag.String("label-selector", "bal", "label-selection strategy: bal, ccmab, uncertainty, uniform-ma or random")
 	labelSeed := flag.Int64("label-seed", 1, "seed for the label selector's per-round RNG derivation")
 	labelBudget := flag.Int("label-budget", 16, "default /v1/labels/next batch size when the pull names no ?budget=")
@@ -133,9 +132,6 @@ func main() {
 	}
 	if *retainAge < 0 || *retainPer < 0 || *compactEvery <= 0 {
 		log.Fatalf("retention periods must not be negative")
-	}
-	if *segmentBytes < 0 {
-		log.Fatalf("-segment-bytes must be >= 0")
 	}
 	if *storeKind == export.StoreDisk && *dataDir == "" {
 		log.Fatalf("-store=disk requires -data-dir")
@@ -176,7 +172,6 @@ func main() {
 		CompactEvery:        *compactEvery,
 		Store:               *storeKind,
 		DataDir:             *dataDir,
-		SegmentBytes:        *segmentBytes,
 		AcceptWire:          acceptWire,
 		RateLimitBytes:      *rateLimit,
 		RateBurstBytes:      *rateBurst,
@@ -282,7 +277,7 @@ func main() {
 		log.Printf("shutdown: %v", err)
 	}
 	if err := c.Close(); err != nil {
-		log.Printf("violation log: %v", err)
+		log.Printf("close collector: %v", err)
 		exitCode = 1
 	}
 	os.Exit(exitCode)

@@ -15,7 +15,7 @@ package assertion
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 )
 
@@ -50,7 +50,9 @@ type Assertion interface {
 	// Check evaluates the assertion on a window of recent samples,
 	// ordered by increasing Index. The last element is the sample that
 	// triggered evaluation. It returns a severity score where 0 means
-	// abstain and larger values mean more severe suspected errors.
+	// abstain and larger values mean more severe suspected errors. The
+	// runtime reads a negative or NaN severity as 0 (did not fire) and
+	// +Inf as math.MaxFloat64, so every recorded severity is finite.
 	//
 	// The window slice is only valid for the duration of the call —
 	// monitors reuse its backing array across samples — so an assertion
@@ -215,21 +217,6 @@ func (r *Registry) Suite() *Suite {
 	return s
 }
 
-// ByDomain returns the names of assertions whose Meta.Domain matches,
-// sorted lexicographically.
-func (r *Registry) ByDomain(domain string) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []string
-	for name, e := range r.entries {
-		if e.Meta.Domain == domain {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Suite is an ordered, immutable list of assertions used for batch
 // evaluation. The order defines the meaning of severity vectors: element i
 // of a Vector is the severity of assertion i.
@@ -330,19 +317,12 @@ func (s *Suite) EvaluateInto(dst Vector, window []Sample) Vector {
 			// Negative and NaN severities are clamped: the contract is
 			// [0, inf), and a NaN reads as "did not fire".
 			sev = 0
+		} else if sev > math.MaxFloat64 {
+			// +Inf is the largest finite severity, which every encoder
+			// and statistic downstream can represent.
+			sev = math.MaxFloat64
 		}
 		dst[i] = sev
 	}
 	return dst
-}
-
-// EvaluateBatch evaluates the suite over a batch of windows (one window
-// per candidate data point) and returns one severity vector per window.
-// This is the primary entry point for assertion-driven data selection.
-func (s *Suite) EvaluateBatch(windows [][]Sample) []Vector {
-	out := make([]Vector, len(windows))
-	for i, w := range windows {
-		out[i] = s.Evaluate(w)
-	}
-	return out
 }

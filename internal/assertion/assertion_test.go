@@ -124,23 +124,6 @@ func TestRegistrySuiteSnapshot(t *testing.T) {
 	}
 }
 
-func TestRegistryByDomain(t *testing.T) {
-	r := NewRegistry()
-	if err := r.AddWithMeta(constAssertion("flicker", 1), Meta{Domain: "video"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.AddWithMeta(constAssertion("agree", 1), Meta{Domain: "av"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.AddWithMeta(constAssertion("appear", 1), Meta{Domain: "video"}); err != nil {
-		t.Fatal(err)
-	}
-	got := r.ByDomain("video")
-	if len(got) != 2 || got[0] != "appear" || got[1] != "flicker" {
-		t.Fatalf("ByDomain = %v", got)
-	}
-}
-
 func TestSuiteEvaluate(t *testing.T) {
 	s := NewSuite(
 		constAssertion("zero", 0),
@@ -157,15 +140,6 @@ func TestSuiteSkipsNil(t *testing.T) {
 	s := NewSuite(nil, constAssertion("a", 1), nil)
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d", s.Len())
-	}
-}
-
-func TestSuiteEvaluateBatch(t *testing.T) {
-	s := NewSuite(New("count", func(w []Sample) float64 { return float64(len(w)) }))
-	windows := [][]Sample{nil, make([]Sample, 2), make([]Sample, 5)}
-	vecs := s.EvaluateBatch(windows)
-	if len(vecs) != 3 || vecs[0][0] != 0 || vecs[1][0] != 2 || vecs[2][0] != 5 {
-		t.Fatalf("EvaluateBatch = %v", vecs)
 	}
 }
 

@@ -26,11 +26,12 @@ func ShardFor(key string, n int) int {
 
 // MergeStats combines two aggregate views of the same assertion, as held
 // by two different stores (the per-shard stores of a collector): counts
-// and severities sum, MaxSev is the maximum, and the sample range spans
-// the earliest first to the latest last.
+// and severities sum (saturating, see AddSeverity), MaxSev is the
+// maximum, and the sample range spans the earliest first to the latest
+// last.
 func MergeStats(a, b Stats) Stats {
 	a.Fired += b.Fired
-	a.TotalSev += b.TotalSev
+	a.TotalSev = AddSeverity(a.TotalSev, b.TotalSev)
 	if b.MaxSev > a.MaxSev {
 		a.MaxSev = b.MaxSev
 	}

@@ -225,3 +225,25 @@ func TestRecorderCompactBoundedRing(t *testing.T) {
 		}
 	}
 }
+
+// TestSeveritySumsSaturate: every severity sum clamps at ±MaxFloat64
+// instead of overflowing to an infinity no encoder can write — the
+// MemStore accumulator and MergeStats alike.
+func TestSeveritySumsSaturate(t *testing.T) {
+	s := NewMemStore(0)
+	s.Append(Violation{Assertion: "a", Severity: 1e308})
+	s.Append(Violation{Assertion: "a", Severity: 1e308})
+	st, _ := s.Stats("a")
+	if st.TotalSev != math.MaxFloat64 || st.MaxSev != 1e308 {
+		t.Fatalf("MemStore stats = %+v, want TotalSev saturated at MaxFloat64", st)
+	}
+	if got := MergeStats(st, st).TotalSev; got != math.MaxFloat64 {
+		t.Fatalf("MergeStats TotalSev = %v, want MaxFloat64", got)
+	}
+	if got := AddSeverity(-math.MaxFloat64, -1e308); got != -math.MaxFloat64 {
+		t.Fatalf("AddSeverity = %v, want -MaxFloat64", got)
+	}
+	if got := AddSeverity(1.5, 2); got != 3.5 {
+		t.Fatalf("AddSeverity(1.5, 2) = %v", got)
+	}
+}

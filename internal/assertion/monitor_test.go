@@ -69,7 +69,7 @@ func TestMonitorRecordsViolations(t *testing.T) {
 	if got := rec.TotalFired(); got != 3 {
 		t.Fatalf("TotalFired = %d", got)
 	}
-	vs := rec.ByAssertion("fires-on-even")
+	vs := rec.Query(StoreQuery{Assertion: "fires-on-even"})
 	if len(vs) != 3 {
 		t.Fatalf("violations = %v", vs)
 	}
@@ -306,6 +306,63 @@ func TestNaNSeverityDoesNotFire(t *testing.T) {
 		}
 		if lines := strings.Count(buf.String(), "\n"); lines != 2 || strings.Contains(buf.String(), `"nan"`) {
 			t.Fatalf("JSONL holds %d lines, want the 2 even firings:\n%s", lines, buf.String())
+		}
+	})
+}
+
+// TestInfSeverityClampsToMaxFloat: a Check returning +Inf fires at
+// math.MaxFloat64, the largest severity every encoder can write. Through
+// a Monitor and through a MonitorPool streaming JSONL, every firing is
+// recorded at MaxFloat64, the edge stats stay finite (the severity sum
+// saturates) and the sink neither drops nor errors.
+func TestInfSeverityClampsToMaxFloat(t *testing.T) {
+	suite := func() *Suite {
+		return NewSuite(New("inf", func([]Sample) float64 { return math.Inf(1) }))
+	}
+	check := func(t *testing.T, rec *Recorder) {
+		t.Helper()
+		st, ok := rec.Stats("inf")
+		if !ok || st.Fired != 4 || st.MaxSev != math.MaxFloat64 || st.TotalSev != math.MaxFloat64 {
+			t.Fatalf("inf stats = %+v (ok %v), want 4 firings at MaxFloat64", st, ok)
+		}
+		for _, v := range rec.Violations() {
+			if v.Severity != math.MaxFloat64 {
+				t.Fatalf("recorded severity %v, want MaxFloat64", v.Severity)
+			}
+		}
+	}
+
+	t.Run("monitor", func(t *testing.T) {
+		m := NewMonitor(suite())
+		for i := 0; i < 4; i++ {
+			if vec := m.Observe(Sample{Index: i}); vec[0] != math.MaxFloat64 {
+				t.Fatalf("sample %d: severity = %v, want MaxFloat64", i, vec[0])
+			}
+		}
+		check(t, m.Recorder())
+	})
+
+	t.Run("pool-jsonl", func(t *testing.T) {
+		var buf bytes.Buffer
+		sink := NewJSONLSink(&buf, 0)
+		pool := NewMonitorPool(suite(), WithShards(2), WithPoolSink(sink))
+		for i := 0; i < 4; i++ {
+			if err := pool.Enqueue(Sample{Stream: "cam", Index: i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := pool.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		check(t, pool.Recorder())
+		if err := pool.Recorder().Err(); err != nil {
+			t.Fatalf("recorder Err = %v", err)
+		}
+		if sink.Dropped() != 0 || pool.Recorder().SinkDropped() != 0 {
+			t.Fatalf("sink dropped %d, recorder counts %d sink drops; want 0", sink.Dropped(), pool.Recorder().SinkDropped())
+		}
+		if got := strings.Count(buf.String(), `"severity":1.7976931348623157e+308`); got != 4 {
+			t.Fatalf("JSONL holds %d MaxFloat64 firings, want 4:\n%s", got, buf.String())
 		}
 	})
 }

@@ -9,7 +9,7 @@ import (
 	"omg/internal/obs"
 )
 
-// ErrPoolClosed is returned by Enqueue, TryEnqueue and ObserveBatch after
+// ErrPoolClosed is returned by Enqueue and ObserveBatch after
 // the pool has been closed.
 var ErrPoolClosed = errors.New("assertion: monitor pool is closed")
 
@@ -67,7 +67,7 @@ type poolShard struct {
 }
 
 // shardItem is one unit of work on a shard queue: a single sample
-// (Enqueue/TryEnqueue) or a pooled chunk of batch samples (ObserveBatch).
+// (Enqueue) or a pooled chunk of batch samples (ObserveBatch).
 // Carrying the sample inline keeps the single-sample path allocation-free;
 // carrying the chunk as a pooled pointer lets the worker hand the backing
 // array straight back to the chunk pool when it is done.
@@ -285,25 +285,6 @@ func (p *MonitorPool) Enqueue(s Sample) error {
 	p.pending.add(1)
 	p.queues[p.shardFor(s.Stream)] <- shardItem{s: s, enq: queueWaitHist.StartIf(p.qwait.Next())}
 	return nil
-}
-
-// TryEnqueue is Enqueue without blocking: it reports false when the
-// shard's queue is full, letting load-shedding callers decide what to do
-// with the sample instead of stalling.
-func (p *MonitorPool) TryEnqueue(s Sample) (bool, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return false, ErrPoolClosed
-	}
-	p.pending.add(1)
-	select {
-	case p.queues[p.shardFor(s.Stream)] <- shardItem{s: s, enq: queueWaitHist.StartIf(p.qwait.Next())}:
-		return true, nil
-	default:
-		p.pending.add(-1)
-		return false, nil
-	}
 }
 
 // ObserveBatch queues a batch of samples for asynchronous evaluation,

@@ -108,7 +108,7 @@ func TestObserveBatchSplitsAcrossCalls(t *testing.T) {
 	if err := pool.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	vs := pool.Recorder().ByAssertion("trace")
+	vs := pool.Recorder().Query(StoreQuery{Assertion: "trace"})
 	if len(vs) != idx {
 		t.Fatalf("recorded %d violations, want %d", len(vs), idx)
 	}

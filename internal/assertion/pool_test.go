@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // sevFn is a deterministic severity function: fires on every third sample
@@ -168,7 +169,7 @@ func TestPoolConcurrentObserveAndRegister(t *testing.T) {
 	}
 }
 
-func TestPoolBackpressureTryEnqueue(t *testing.T) {
+func TestPoolBackpressureEnqueue(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, 1)
 	slow := New("slow", func(w []Sample) float64 {
@@ -187,19 +188,27 @@ func TestPoolBackpressureTryEnqueue(t *testing.T) {
 	}
 	<-started
 	for i := 1; i <= 2; i++ {
-		if ok, err := pool.TryEnqueue(Sample{Index: i}); err != nil || !ok {
-			t.Fatalf("TryEnqueue(%d) = %v, %v", i, ok, err)
+		if err := pool.Enqueue(Sample{Index: i}); err != nil {
+			t.Fatalf("Enqueue(%d) = %v", i, err)
 		}
 	}
-	if ok, err := pool.TryEnqueue(Sample{Index: 3}); err != nil || ok {
-		t.Fatalf("TryEnqueue on full queue = %v, %v; want false", ok, err)
+	// The queue is full: the next Enqueue blocks until the worker drains.
+	done := make(chan error, 1)
+	go func() { done <- pool.Enqueue(Sample{Index: 3}) }()
+	select {
+	case err := <-done:
+		t.Fatalf("Enqueue on a full queue returned %v instead of blocking", err)
+	case <-time.After(50 * time.Millisecond):
 	}
 	close(gate)
+	if err := <-done; err != nil {
+		t.Fatalf("blocked Enqueue = %v", err)
+	}
 	if err := pool.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if got := pool.Observed(); got != 3 {
-		t.Fatalf("Observed = %d, want 3", got)
+	if got := pool.Observed(); got != 4 {
+		t.Fatalf("Observed = %d, want 4", got)
 	}
 	if err := pool.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -222,9 +231,6 @@ func TestPoolCloseSemantics(t *testing.T) {
 	}
 	if err := pool.Enqueue(Sample{Stream: "s", Index: 50}); err != ErrPoolClosed {
 		t.Fatalf("Enqueue after Close = %v, want ErrPoolClosed", err)
-	}
-	if _, err := pool.TryEnqueue(Sample{Stream: "s", Index: 50}); err != ErrPoolClosed {
-		t.Fatalf("TryEnqueue after Close = %v, want ErrPoolClosed", err)
 	}
 	if err := pool.ObserveBatch([]Sample{{}}); err != ErrPoolClosed {
 		t.Fatalf("ObserveBatch after Close = %v, want ErrPoolClosed", err)

@@ -55,11 +55,23 @@ func (c *statsCell) snapshot() Stats {
 	}
 }
 
-// atomicAddFloat adds x to the float64 stored as bits in a.
+// AddSeverity returns a+b saturated at ±math.MaxFloat64. Every severity
+// sum (TotalSev) goes through it, so finite severities never add up to an
+// infinity that checkpoints, snapshots and the JSON encoders cannot hold.
+func AddSeverity(a, b float64) float64 {
+	s := a + b
+	if math.IsInf(s, 0) {
+		return math.Copysign(math.MaxFloat64, s)
+	}
+	return s
+}
+
+// atomicAddFloat adds x to the float64 stored as bits in a, saturating
+// like AddSeverity.
 func atomicAddFloat(a *atomic.Uint64, x float64) {
 	for {
 		old := a.Load()
-		next := math.Float64bits(math.Float64frombits(old) + x)
+		next := math.Float64bits(AddSeverity(math.Float64frombits(old), x))
 		if a.CompareAndSwap(old, next) {
 			return
 		}
@@ -276,12 +288,6 @@ func (r *Recorder) Record(v Violation) {
 
 // Violations returns a copy of the retained violations in arrival order.
 func (r *Recorder) Violations() []Violation { return r.store.Query(StoreQuery{}) }
-
-// ByAssertion returns retained violations of the named assertion in
-// arrival order.
-func (r *Recorder) ByAssertion(name string) []Violation {
-	return r.store.Query(StoreQuery{Assertion: name})
-}
 
 // Query returns retained violations matching q in arrival order.
 func (r *Recorder) Query(q StoreQuery) []Violation { return r.store.Query(q) }

@@ -230,11 +230,11 @@ func TestRecorderByAssertion(t *testing.T) {
 	r.Record(Violation{Assertion: "a", SampleIndex: 1, Severity: 1})
 	r.Record(Violation{Assertion: "b", SampleIndex: 2, Severity: 1})
 	r.Record(Violation{Assertion: "a", SampleIndex: 3, Severity: 1})
-	got := r.ByAssertion("a")
+	got := r.Query(StoreQuery{Assertion: "a"})
 	if len(got) != 2 || got[0].SampleIndex != 1 || got[1].SampleIndex != 3 {
-		t.Fatalf("ByAssertion = %v", got)
+		t.Fatalf("Query(a) = %v", got)
 	}
-	if got := r.ByAssertion("zzz"); len(got) != 0 {
+	if got := r.Query(StoreQuery{Assertion: "zzz"}); len(got) != 0 {
 		t.Fatalf("unknown assertion = %v", got)
 	}
 }
@@ -256,9 +256,9 @@ func TestRecorderRingWraparound(t *testing.T) {
 	if r.Dropped() != 5 {
 		t.Fatalf("Dropped = %d", r.Dropped())
 	}
-	by := r.ByAssertion("a")
+	by := r.Query(StoreQuery{Assertion: "a"})
 	if len(by) != 3 || by[0].SampleIndex != 5 || by[2].SampleIndex != 7 {
-		t.Fatalf("ByAssertion order wrong after wraparound: %v", by)
+		t.Fatalf("Query(a) order wrong after wraparound: %v", by)
 	}
 }
 

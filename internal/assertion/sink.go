@@ -39,11 +39,11 @@ type Sink interface {
 	// sink, not necessarily reached stable storage.
 	Flush() error
 	// Close flushes, releases resources and returns the first error. It is
-	// idempotent; Record returns ErrSinkClosed afterwards. File-backed
-	// sinks fsync on Close (and RotatingFileSink at every rotation
-	// boundary) unless that is explicitly disabled — see JSONLConfig
-	// SyncOnClose and RotateConfig DisableSync — so a clean shutdown
-	// leaves the violation log durable.
+	// idempotent; Record returns ErrSinkClosed afterwards. A
+	// RotatingFileSink fsyncs on Close and at every rotation boundary, and
+	// a JSONLSink over a file does so on Close when JSONLConfig
+	// SyncOnClose asks it to, so a clean shutdown leaves that violation
+	// log durable.
 	Close() error
 	// Err returns the first error the sink has encountered, if any,
 	// without blocking for in-flight violations.

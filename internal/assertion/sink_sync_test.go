@@ -72,58 +72,44 @@ func TestJSONLSinkSyncErrorRetained(t *testing.T) {
 
 // TestRotatingSinkSyncsAtBoundaries proves the default rotation policy
 // fsyncs the outgoing file at every rotation boundary and the active one
-// on Close — and that DisableSync turns all of it off.
+// on Close.
 func TestRotatingSinkSyncsAtBoundaries(t *testing.T) {
-	for _, disabled := range []bool{false, true} {
-		name := "default"
-		if disabled {
-			name = "disabled"
+	t.Run("default", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "v.jsonl")
+		s, err := NewRotatingFileSinkConfig(path, RotateConfig{MaxBytes: 128, Keep: 3})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "v.jsonl")
-			s, err := NewRotatingFileSinkConfig(path, RotateConfig{
-				MaxBytes: 128, Keep: 3, DisableSync: disabled,
-			})
-			if err != nil {
+		var syncs atomic.Int64
+		s.rw.syncFn = func(f *os.File) error {
+			syncs.Add(1)
+			return f.Sync()
+		}
+		// Each line is ~60 bytes, so 8 violations cross the 128-byte bound
+		// several times.
+		for i := 0; i < 8; i++ {
+			if err := s.Record(Violation{Assertion: "rotate-me", Stream: "cam", SampleIndex: i, Severity: 1}); err != nil {
 				t.Fatal(err)
 			}
-			var syncs atomic.Int64
-			s.rw.syncFn = func(f *os.File) error {
-				syncs.Add(1)
-				return f.Sync()
-			}
-			// Each line is ~60 bytes, so 8 violations cross the 128-byte
-			// bound several times.
-			for i := 0; i < 8; i++ {
-				if err := s.Record(Violation{Assertion: "rotate-me", Stream: "cam", SampleIndex: i, Severity: 1}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := s.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			rotated := syncs.Load()
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			total := syncs.Load()
-			if disabled {
-				if total != 0 {
-					t.Fatalf("DisableSync still synced %d times", total)
-				}
-				return
-			}
-			if rotated == 0 {
-				t.Fatal("no sync at any rotation boundary")
-			}
-			if total != rotated+1 {
-				t.Fatalf("Close added %d syncs, want exactly 1 (total %d, rotated %d)", total-rotated, total, rotated)
-			}
-			if _, err := os.Stat(path + ".1"); err != nil {
-				t.Fatalf("rotation did not happen: %v", err)
-			}
-		})
-	}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		rotated := syncs.Load()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		total := syncs.Load()
+		if rotated == 0 {
+			t.Fatal("no sync at any rotation boundary")
+		}
+		if total != rotated+1 {
+			t.Fatalf("Close added %d syncs, want exactly 1 (total %d, rotated %d)", total-rotated, total, rotated)
+		}
+		if _, err := os.Stat(path + ".1"); err != nil {
+			t.Fatalf("rotation did not happen: %v", err)
+		}
+	})
 }
 
 // TestRotatingSinkSyncFailureAbortsRotation: a failed fsync must surface

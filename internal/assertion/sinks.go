@@ -143,7 +143,6 @@ type rotatingWriter struct {
 	keep     int
 	maxAge   time.Duration        // 0 disables age-based rotation
 	now      func() time.Time     // clock hook for tests
-	noSync   bool                 // RotateConfig.DisableSync
 	syncFn   func(*os.File) error // fsync hook for tests; nil = (*os.File).Sync
 
 	mu       sync.Mutex
@@ -152,11 +151,11 @@ type rotatingWriter struct {
 	openedAt time.Time // when the active file started accumulating
 }
 
-// syncActive fsyncs the active file unless syncing is disabled. Rotation
-// and Close call it before letting go of a file, so every retained file
-// is durable the moment it stops being written to. Called with mu held.
+// syncActive fsyncs the active file. Rotation and Close call it before
+// letting go of a file, so every retained file is durable the moment it
+// stops being written to. Called with mu held.
 func (w *rotatingWriter) syncActive() error {
-	if w.noSync || w.f == nil {
+	if w.f == nil {
 		return nil
 	}
 	if w.syncFn != nil {
@@ -221,7 +220,7 @@ func (w *rotatingWriter) Write(p []byte) (int, error) {
 }
 
 // rotate shifts the retained files by one suffix and reopens path fresh.
-// The outgoing file is fsync'd first (unless DisableSync), so a rotation
+// The outgoing file is fsync'd first, so a rotation
 // boundary is also a durability boundary. A failed sync or shift aborts
 // the rotation: overwriting a still-retained file would silently destroy
 // logged violations, so the error surfaces (and latches the sink dead)
@@ -287,10 +286,9 @@ func (w *rotatingWriter) Close() error {
 // renames it to path.1 (shifting older rotations up) and starts fresh, so
 // week-long monitoring runs never grow one unbounded JSONL file.
 // Coalesced writes are split at line boundaries, so a retained file
-// exceeds the size bound only when a single JSONL line does. By default
-// the outgoing file is fsync'd at every rotation boundary and on Close
-// (RotateConfig DisableSync opts out), so rotated-out violation logs are
-// durable, not just written.
+// exceeds the size bound only when a single JSONL line does. The
+// outgoing file is fsync'd at every rotation boundary and on Close, so
+// rotated-out violation logs are durable, not just written.
 type RotatingFileSink struct {
 	*JSONLSink
 	rw *rotatingWriter
@@ -309,12 +307,6 @@ type RotateConfig struct {
 	// Keep is how many rotated files to retain beside the active one
 	// (minimum 1; path.1 is the most recent).
 	Keep int
-	// DisableSync turns off the default fsync of the active file at every
-	// rotation boundary and on Close. The default (sync on) means a
-	// retained file is durable the moment it stops being written to and a
-	// clean shutdown loses nothing to the page cache; disable it only
-	// when throughput matters more than machine-crash durability.
-	DisableSync bool
 }
 
 // NewRotatingFileSink opens a rotating JSONL log at path that rotates
@@ -346,7 +338,7 @@ func NewRotatingFileSinkConfig(path string, cfg RotateConfig) (*RotatingFileSink
 	}
 	rw := &rotatingWriter{
 		path: path, maxBytes: cfg.MaxBytes, keep: cfg.Keep,
-		maxAge: cfg.MaxAge, now: time.Now, noSync: cfg.DisableSync, f: f,
+		maxAge: cfg.MaxAge, now: time.Now, f: f,
 	}
 	rw.openedAt = rw.now()
 	if st, err := f.Stat(); err == nil {
@@ -357,10 +349,6 @@ func NewRotatingFileSinkConfig(path string, cfg RotateConfig) (*RotatingFileSink
 	}
 	return &RotatingFileSink{JSONLSink: NewJSONLSink(rw, 0), rw: rw}, nil
 }
-
-// Path returns the active log file's path; rotated files sit beside it
-// with numeric suffixes (path.1 is the most recent).
-func (s *RotatingFileSink) Path() string { return s.rw.path }
 
 // Close drains the worker, closes the active file and returns the first
 // error. A file-close failure is retained, so Err keeps reporting it.

@@ -216,8 +216,10 @@ func TestRegistryHasMetadata(t *testing.T) {
 	if !ok || e.Meta.Kind != "domain-knowledge" {
 		t.Fatalf("multibox meta = %+v", e.Meta)
 	}
-	if got := reg.ByDomain("video-analytics"); len(got) != 3 {
-		t.Fatalf("ByDomain = %v", got)
+	for _, name := range reg.Names() {
+		if e, _ := reg.Get(name); e.Meta.Domain != "video-analytics" {
+			t.Fatalf("%s domain = %q", name, e.Meta.Domain)
+		}
 	}
 }
 

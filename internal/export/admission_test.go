@@ -1,7 +1,6 @@
 package export
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -19,11 +18,7 @@ import (
 // already read.
 func postBatchRaw(t *testing.T, url string, b Batch, withHeaders bool) (*http.Response, []byte) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := EncodeBatch(&buf, b); err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, url+IngestPath, &buf)
+	req, err := http.NewRequest(http.MethodPost, url+IngestPath, jsonBody(t, b))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,10 @@
 package export
 
 import (
+	"encoding/json"
 	"fmt"
 	"mime"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // BatchCodec is the wire-codec seam: everything that turns a Batch into
@@ -15,8 +14,8 @@ import (
 // Content-Type on the receiver, so mixed fleets — old JSON edges next to
 // binary ones — land in the same dedup/store path.
 //
-// Implementations must be safe for concurrent use: one registered codec
-// instance serves every request.
+// Implementations must be safe for concurrent use: one codec instance
+// serves every request.
 type BatchCodec interface {
 	// Name is the short knob value ("json", "binary") used by flags and
 	// metric labels.
@@ -45,73 +44,36 @@ const (
 	ContentTypeBinary = "application/x-omg-batch"
 )
 
-var (
-	codecMu     sync.RWMutex
-	codecByName = map[string]BatchCodec{}
-	codecByCT   = map[string]BatchCodec{}
-)
+// codecs is the fixed table of wire codecs, sorted by name.
+var codecs = [...]BatchCodec{&BinaryCodec{}, jsonCodec{}}
 
-// RegisterBatchCodec adds c to the codec registry under its Name and
-// ContentType. Registering a duplicate name or content type errors —
-// codecs are process-global, like sink factories.
-func RegisterBatchCodec(c BatchCodec) error {
-	name := c.Name()
-	ct := strings.ToLower(c.ContentType())
-	if name == "" || ct == "" {
-		return fmt.Errorf("export: codec must have a name and content type")
-	}
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	if _, dup := codecByName[name]; dup {
-		return fmt.Errorf("export: codec %q already registered", name)
-	}
-	if _, dup := codecByCT[ct]; dup {
-		return fmt.Errorf("export: codec content type %q already registered", ct)
-	}
-	codecByName[name] = c
-	codecByCT[ct] = c
-	return nil
-}
-
-// MustRegisterBatchCodec is RegisterBatchCodec that panics on error, for
-// package-init registration of the built-ins.
-func MustRegisterBatchCodec(c BatchCodec) {
-	if err := RegisterBatchCodec(c); err != nil {
-		panic(err)
-	}
-}
-
-// Codec returns the codec registered under name. The empty name resolves
-// to the JSON codec, so zero-value configs keep today's wire format.
+// Codec returns the codec named name. The empty name resolves to the
+// JSON codec, so zero-value configs keep today's wire format.
 func Codec(name string) (BatchCodec, error) {
 	if name == "" {
 		name = CodecJSON
 	}
-	codecMu.RLock()
-	c, ok := codecByName[name]
-	codecMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("export: unknown wire codec %q (have %s)", name, strings.Join(CodecNames(), ", "))
+	for _, c := range codecs {
+		if c.Name() == name {
+			return c, nil
+		}
 	}
-	return c, nil
+	return nil, fmt.Errorf("export: unknown wire codec %q (have %s)", name, strings.Join(CodecNames(), ", "))
 }
 
-// CodecNames lists the registered codec names, sorted, for flag help and
-// error messages.
+// CodecNames lists the codec names, sorted, for flag help and error
+// messages.
 func CodecNames() []string {
-	codecMu.RLock()
-	names := make([]string, 0, len(codecByName))
-	for n := range codecByName {
-		names = append(names, n)
+	names := make([]string, len(codecs))
+	for i, c := range codecs {
+		names[i] = c.Name()
 	}
-	codecMu.RUnlock()
-	sort.Strings(names)
 	return names
 }
 
-// CodecForContentType resolves a request Content-Type header to a
-// registered codec. Media-type parameters (charset etc.) are ignored; an
-// empty header defaults to JSON, which is what pre-codec senders posted.
+// CodecForContentType resolves a request Content-Type header to its
+// codec. Media-type parameters (charset etc.) are ignored; an empty header
+// defaults to JSON, which is what pre-codec senders posted.
 func CodecForContentType(ct string) (BatchCodec, bool) {
 	mt := ContentTypeJSON
 	if strings.TrimSpace(ct) != "" {
@@ -121,10 +83,12 @@ func CodecForContentType(ct string) (BatchCodec, bool) {
 		}
 		mt = parsed
 	}
-	codecMu.RLock()
-	c, ok := codecByCT[mt]
-	codecMu.RUnlock()
-	return c, ok
+	for _, c := range codecs {
+		if c.ContentType() == mt {
+			return c, true
+		}
+	}
+	return nil, false
 }
 
 // jsonCodec adapts the existing reflection-free JSON wire format —
@@ -141,11 +105,16 @@ func (jsonCodec) AppendBatch(dst []byte, b Batch) ([]byte, error) {
 	return AppendBatchJSON(dst, b)
 }
 
+// DecodeBatch decodes one JSON batch and validates its version. The
+// whole payload must be one batch object: trailing whitespace is allowed,
+// trailing garbage is an error.
 func (jsonCodec) DecodeBatch(data []byte) (Batch, error) {
-	return DecodeBatchBytes(data)
-}
-
-func init() {
-	MustRegisterBatchCodec(jsonCodec{})
-	MustRegisterBatchCodec(&BinaryCodec{})
+	var b Batch
+	if err := json.Unmarshal(data, &b); err != nil {
+		return Batch{}, fmt.Errorf("export: decode batch: %w", err)
+	}
+	if err := checkBatchVersion(b.Version); err != nil {
+		return Batch{}, err
+	}
+	return b, nil
 }

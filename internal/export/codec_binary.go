@@ -63,7 +63,7 @@ var binCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 // BinaryCodec is the length-prefixed binary wire format. The zero value
 // encodes uncompressed frames; Compress selects DEFLATE framing on
 // encode. Decode always handles both, whatever Compress says, so one
-// registered instance serves every incoming frame.
+// instance serves every incoming frame.
 type BinaryCodec struct {
 	// Compress DEFLATE-compresses encoded payloads (flag bit 0). Spends
 	// CPU to cut bytes on the wire; BenchmarkBatchCodec's binary and

@@ -69,7 +69,7 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		}
 
 		got, err := codec.DecodeBatch(frame)
-		jsonGot, jsonDecErr := DecodeBatchBytes(jsonBytes)
+		jsonGot, jsonDecErr := jsonCodec{}.DecodeBatch(jsonBytes)
 		inWindow := version >= MinWireVersion && version <= WireVersion
 		if !inWindow {
 			// Both wires must reject the same version window, with the

@@ -261,11 +261,7 @@ func TestCollectorIngestsBinaryContentType(t *testing.T) {
 	}
 	// Cross-codec dedup: the same (source, seq) re-posted as JSON is the
 	// same batch — one dedup/store path for mixed fleets.
-	var buf bytes.Buffer
-	if err := EncodeBatch(&buf, b); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(srv.URL+IngestPath, ContentTypeJSON, &buf)
+	resp, err := http.Post(srv.URL+IngestPath, ContentTypeJSON, jsonBody(t, b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +323,7 @@ func TestCollectorAcceptWireRestrictsCodecs(t *testing.T) {
 	}
 	// JSON (and the bare Content-Type-less post of pre-codec senders)
 	// still lands.
-	var buf bytes.Buffer
-	if err := EncodeBatch(&buf, mkBatch("edge", 2, 2)); err != nil {
-		t.Fatal(err)
-	}
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+IngestPath, &buf)
+	req, _ := http.NewRequest(http.MethodPost, srv.URL+IngestPath, jsonBody(t, mkBatch("edge", 2, 2)))
 	resp, err = http.DefaultClient.Do(req) // no Content-Type header at all
 	if err != nil {
 		t.Fatal(err)
@@ -481,7 +473,12 @@ func TestHTTPSinkFallsBackToJSONOn400FromLegacyCollector(t *testing.T) {
 	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
 	legacy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		b, err := DecodeBatch(http.MaxBytesReader(w, r.Body, maxIngestBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBytes))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		b, err := jsonCodec{}.DecodeBatch(body)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

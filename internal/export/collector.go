@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -76,9 +75,9 @@ type CollectorConfig struct {
 	// defaults to DataDir/labels.json so the loop survives kill -9.
 	Labels labelsvc.Config
 	// AcceptWire limits which wire codecs ingest accepts, by codec name
-	// ("json", "binary"). Empty accepts every registered codec. A request
-	// whose Content-Type maps to no accepted codec is answered 415 with a
-	// JSON body listing the accepted content types, which is what lets an
+	// ("json", "binary"). Empty accepts both. A request whose
+	// Content-Type maps to no accepted codec is answered 415 with a JSON
+	// body listing the accepted content types, which is what lets an
 	// HTTPSink fall back to JSON against a JSON-only collector. An unknown
 	// name is an OpenCollector error.
 	AcceptWire []string
@@ -167,10 +166,10 @@ type Collector struct {
 	// by-reason counters restart from zero and may sum below the total.
 	rejectedBy [numRejectReasons]atomic.Int64
 
-	// codecs maps an accepted Content-Type (media type, lowercased) to
-	// its wire codec, per CollectorConfig.AcceptWire; acceptCTs is the
-	// sorted list for 415 bodies. Both are fixed at construction.
-	codecs    map[string]BatchCodec
+	// accepts is the set of codec names ingest takes, per
+	// CollectorConfig.AcceptWire; acceptCTs is their sorted content types
+	// for 415 bodies. Both are fixed at construction.
+	accepts   map[string]bool
 	acceptCTs []string
 
 	// sink is the attached -log tee (nil without one); logRefused counts
@@ -249,7 +248,7 @@ func OpenCollector(cfg CollectorConfig) (*Collector, error) {
 	if len(names) == 0 {
 		names = CodecNames()
 	}
-	c.codecs = make(map[string]BatchCodec, len(names))
+	c.accepts = make(map[string]bool, len(names))
 	for _, name := range names {
 		codec, err := Codec(name)
 		if err != nil {
@@ -257,10 +256,9 @@ func OpenCollector(cfg CollectorConfig) (*Collector, error) {
 			// narrowing ingest.
 			return nil, err
 		}
-		ct := strings.ToLower(codec.ContentType())
-		if _, dup := c.codecs[ct]; !dup {
-			c.codecs[ct] = codec
-			c.acceptCTs = append(c.acceptCTs, ct)
+		if !c.accepts[codec.Name()] {
+			c.accepts[codec.Name()] = true
+			c.acceptCTs = append(c.acceptCTs, codec.ContentType())
 		}
 	}
 	sort.Strings(c.acceptCTs)
@@ -843,20 +841,16 @@ func appendReadAll(buf []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-// codecFor resolves a request Content-Type against this collector's
-// accepted codecs. The empty header means JSON — that's what pre-codec
-// senders posted — but still only matches when JSON is accepted.
+// codecFor resolves a request Content-Type to its codec and then checks
+// it against this collector's accepted codecs. The empty header means
+// JSON — that's what pre-codec senders posted — but still only matches
+// when JSON is accepted.
 func (c *Collector) codecFor(ct string) (BatchCodec, bool) {
-	mt := ContentTypeJSON
-	if strings.TrimSpace(ct) != "" {
-		parsed, _, err := mime.ParseMediaType(ct)
-		if err != nil {
-			return nil, false
-		}
-		mt = parsed
+	codec, ok := CodecForContentType(ct)
+	if !ok || !c.accepts[codec.Name()] {
+		return nil, false
 	}
-	codec, ok := c.codecs[mt]
-	return codec, ok
+	return codec, true
 }
 
 func (c *Collector) handleIngest(w http.ResponseWriter, r *http.Request) {

@@ -1,12 +1,14 @@
 package export
 
 import (
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"omg/internal/assertion"
 	"omg/internal/labelsvc"
@@ -197,6 +199,43 @@ func TestDiskCollectorLegacySnapshotMigrates(t *testing.T) {
 	defer r.Close()
 	if got := r.Violations(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("migrated state not durable: %+v want %+v", got, want)
+	}
+}
+
+// TestDiskCollectorHugeSeveritiesSaturate: two finite severities whose
+// sum overflows float64 saturate at MaxFloat64 instead of reaching +Inf,
+// which checkpoint.json cannot encode. Compaction must not degrade the
+// collector, Close must succeed, and the reopened stats must be equal.
+func TestDiskCollectorHugeSeveritiesSaturate(t *testing.T) {
+	cfg := CollectorConfig{Store: StoreDisk, DataDir: t.TempDir(), RetainPerAssertion: 1, CompactEvery: time.Hour}
+	c, err := OpenCollector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Ingest(Batch{Source: "edge", Seq: 1, Violations: []assertion.Violation{
+		{Assertion: "huge", Stream: "s", SampleIndex: 1, Severity: 1e308},
+		{Assertion: "huge", Stream: "s", SampleIndex: 2, Severity: 1e308},
+	}})
+	if n := c.CompactNow(); n != 1 {
+		t.Fatalf("CompactNow evicted %d, want 1", n)
+	}
+	if err := c.DegradedCause(); err != nil {
+		t.Fatalf("collector degraded: %v", err)
+	}
+	want := c.shards[0].StatsAll()
+	if st := want["huge"]; st.Fired != 2 || st.TotalSev != math.MaxFloat64 || st.MaxSev != 1e308 {
+		t.Fatalf("stats = %+v, want TotalSev saturated at MaxFloat64", st)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	r, err := OpenCollector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.shards[0].StatsAll(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stats after reopen = %+v, want %+v", got, want)
 	}
 }
 

@@ -46,13 +46,21 @@ func TestCollectorIngestDeduplicates(t *testing.T) {
 	}
 }
 
-func postBatch(t *testing.T, url string, b Batch) IngestResponse {
+// jsonBody is b stamped with the current wire version and encoded as the
+// JSON codec sends it, for posting to a collector by hand.
+func jsonBody(t *testing.T, b Batch) *bytes.Reader {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := EncodeBatch(&buf, b); err != nil {
+	b.Version = WireVersion
+	data, err := AppendBatchJSON(nil, b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+IngestPath, "application/json", &buf)
+	return bytes.NewReader(data)
+}
+
+func postBatch(t *testing.T, url string, b Batch) IngestResponse {
+	t.Helper()
+	resp, err := http.Post(url+IngestPath, "application/json", jsonBody(t, b))
 	if err != nil {
 		t.Fatal(err)
 	}

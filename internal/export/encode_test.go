@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 
 	"omg/internal/assertion"
@@ -56,37 +55,31 @@ func FuzzAppendBatchJSON(f *testing.F) {
 	})
 }
 
-// TestEncodeBatchMatchesJSONEncoder locks EncodeBatch to its pre-existing
-// contract: the bytes on the wire are exactly what json.Encoder.Encode
-// produced before the reflection-free rewrite, newline included, with the
-// version stamped.
+// TestEncodeBatchMatchesJSONEncoder locks the JSON codec to its wire
+// contract: the bytes are exactly what encoding/json produces for the
+// stamped batch, and they decode back through the codec.
 func TestEncodeBatchMatchesJSONEncoder(t *testing.T) {
 	b := Batch{
-		Source: "edge-7",
-		Seq:    42,
+		Version: WireVersion,
+		Source:  "edge-7",
+		Seq:     42,
 		Violations: []assertion.Violation{
 			{Assertion: "flicker", Stream: "cam-0", SampleIndex: 9, Time: 0.3, Severity: 2},
 			{Assertion: "agree", SampleIndex: 10, Time: 0.301, Severity: 0.5, IngestUnix: 1753800000},
 		},
 	}
-	var got bytes.Buffer
-	if err := EncodeBatch(&got, b); err != nil {
+	got, err := jsonCodec{}.AppendBatch(nil, b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	stamped := b
-	stamped.Version = WireVersion
-	var want bytes.Buffer
-	if err := json.NewEncoder(&want).Encode(stamped); err != nil {
+	want, err := json.Marshal(b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != want.String() {
-		t.Fatalf("EncodeBatch bytes diverged:\n json: %q\n ours: %q", want.String(), got.String())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("encoded bytes diverged:\n json: %q\n ours: %q", want, got)
 	}
-	if !strings.HasSuffix(got.String(), "\n") {
-		t.Fatal("EncodeBatch output must stay newline-terminated")
-	}
-	// And the bytes must still decode through the public decoder.
-	decoded, err := DecodeBatch(&got)
+	decoded, err := jsonCodec{}.DecodeBatch(got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +89,14 @@ func TestEncodeBatchMatchesJSONEncoder(t *testing.T) {
 }
 
 // TestEncodeBatchUnencodable verifies an unencodable batch reports the
-// error instead of writing a partial payload.
+// error and leaves the buffer unextended instead of writing a partial
+// payload.
 func TestEncodeBatchUnencodable(t *testing.T) {
-	var out bytes.Buffer
-	err := EncodeBatch(&out, Batch{Violations: []assertion.Violation{{Assertion: "x", Severity: math.NaN()}}})
+	out, err := jsonCodec{}.AppendBatch([]byte("prefix"), Batch{Version: WireVersion, Violations: []assertion.Violation{{Assertion: "x", Severity: math.NaN()}}})
 	if err == nil {
 		t.Fatal("NaN severity must not encode")
 	}
-	if out.Len() != 0 {
-		t.Fatalf("partial payload written: %q", out.String())
+	if string(out) != "prefix" {
+		t.Fatalf("partial payload written: %q", out)
 	}
 }

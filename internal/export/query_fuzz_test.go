@@ -80,18 +80,30 @@ func FuzzHandleQuery(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBatch ensures arbitrary ingest bodies either decode into a
-// well-versioned batch or fail cleanly — the decoder backing the ingest
-// endpoint must never panic.
+// FuzzDecodeBatch fuzzes the JSON codec's DecodeBatch, which handleIngest
+// runs on every JSON request body: an arbitrary body either decodes into
+// a well-versioned batch or fails cleanly, never panics, and trailing
+// bytes after the batch object are an error, not silently ignored.
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte(`{"version":1,"source":"e","seq":1,"violations":[{"assertion":"a"}]}`))
 	f.Add([]byte(`{"version":42}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(``))
+	f.Add([]byte(`{"version":1,"violations":[]} {"version":1}`))
+	codec, err := Codec(CodecJSON)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		b, err := DecodeBatch(bytes.NewReader(body))
-		if err == nil && (b.Version < MinWireVersion || b.Version > WireVersion) {
+		b, err := codec.DecodeBatch(body)
+		if err != nil {
+			return
+		}
+		if b.Version < MinWireVersion || b.Version > WireVersion {
 			t.Fatalf("decoded batch with version %d", b.Version)
+		}
+		if !json.Valid(body) {
+			t.Fatalf("decoded %q, which is not one JSON value", body)
 		}
 	})
 }

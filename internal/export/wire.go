@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"sync"
@@ -87,9 +86,9 @@ type Snapshot struct {
 	Labels *labelsvc.State `json:"labels,omitempty"`
 }
 
-// wireBufPool recycles the scratch buffers the wire encoders build batch
-// payloads in, so steady-state batch encoding costs no allocations beyond
-// the first warm-up per concurrent encoder.
+// wireBufPool recycles the scratch buffers the binary encoder builds a
+// payload in before compressing it, so steady-state compressed encoding
+// costs no allocations beyond the first warm-up per concurrent encoder.
 var wireBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // AppendBatchJSON appends b's JSON object to dst without reflection and
@@ -116,53 +115,6 @@ func AppendBatchJSON(dst []byte, b Batch) ([]byte, error) {
 		return dst[:start], err
 	}
 	return append(dst, '}'), nil
-}
-
-// EncodeBatch writes b as JSON on w, stamping the current wire version.
-// Like json.Encoder.Encode, the payload is newline-terminated; the bytes
-// are built by the reflection-free AppendBatchJSON in a pooled buffer.
-func EncodeBatch(w io.Writer, b Batch) error {
-	b.Version = WireVersion
-	buf := wireBufPool.Get().(*[]byte)
-	defer func() {
-		*buf = (*buf)[:0]
-		wireBufPool.Put(buf)
-	}()
-	data, err := AppendBatchJSON(*buf, b)
-	if err != nil {
-		return err
-	}
-	*buf = append(data, '\n')
-	_, err = w.Write(*buf)
-	return err
-}
-
-// DecodeBatch reads one JSON batch from r and validates its version.
-func DecodeBatch(r io.Reader) (Batch, error) {
-	var b Batch
-	if err := json.NewDecoder(r).Decode(&b); err != nil {
-		return Batch{}, fmt.Errorf("export: decode batch: %w", err)
-	}
-	if err := checkBatchVersion(b.Version); err != nil {
-		return Batch{}, err
-	}
-	return b, nil
-}
-
-// DecodeBatchBytes decodes one JSON batch held fully in memory and
-// validates its version. This is the codec-seam form of DecodeBatch: the
-// whole payload must be one batch object (trailing whitespace allowed,
-// trailing garbage is an error — a stream decoder would silently ignore
-// it).
-func DecodeBatchBytes(data []byte) (Batch, error) {
-	var b Batch
-	if err := json.Unmarshal(data, &b); err != nil {
-		return Batch{}, fmt.Errorf("export: decode batch: %w", err)
-	}
-	if err := checkBatchVersion(b.Version); err != nil {
-		return Batch{}, err
-	}
-	return b, nil
 }
 
 // checkBatchVersion enforces the [MinWireVersion, WireVersion] acceptance

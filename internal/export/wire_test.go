@@ -1,12 +1,10 @@
 package export
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"omg/internal/assertion"
@@ -14,18 +12,19 @@ import (
 
 func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
 	in := Batch{
-		Source: "edge-01",
-		Seq:    7,
+		Version: WireVersion,
+		Source:  "edge-01",
+		Seq:     7,
 		Violations: []assertion.Violation{
 			{Assertion: "a", Stream: "cam-0", SampleIndex: 3, Time: 0.1, Severity: 2},
 			{Assertion: "b", SampleIndex: 4, Severity: 1},
 		},
 	}
-	var buf bytes.Buffer
-	if err := EncodeBatch(&buf, in); err != nil {
+	data, err := jsonCodec{}.AppendBatch(nil, in)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeBatch(&buf)
+	out, err := jsonCodec{}.DecodeBatch(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,14 +37,14 @@ func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeBatchRejectsWrongVersion(t *testing.T) {
-	_, err := DecodeBatch(strings.NewReader(`{"version":99,"violations":[]}`))
+	_, err := jsonCodec{}.DecodeBatch([]byte(`{"version":99,"violations":[]}`))
 	if !errors.Is(err, ErrWireVersion) {
 		t.Fatalf("version 99 should fail with ErrWireVersion, got %v", err)
 	}
-	if _, err := DecodeBatch(strings.NewReader(`{"version":0,"violations":[]}`)); !errors.Is(err, ErrWireVersion) {
+	if _, err := (jsonCodec{}).DecodeBatch([]byte(`{"version":0,"violations":[]}`)); !errors.Is(err, ErrWireVersion) {
 		t.Fatalf("version 0 should fail with ErrWireVersion, got %v", err)
 	}
-	if _, err := DecodeBatch(strings.NewReader(`not json`)); err == nil {
+	if _, err := (jsonCodec{}).DecodeBatch([]byte(`not json`)); err == nil {
 		t.Fatal("malformed JSON must be an error")
 	}
 }
@@ -53,7 +52,7 @@ func TestDecodeBatchRejectsWrongVersion(t *testing.T) {
 func TestDecodeBatchAcceptsOlderVersions(t *testing.T) {
 	// Version-1 senders stay valid across the version-2 bump: the batch
 	// shape did not change.
-	b, err := DecodeBatch(strings.NewReader(`{"version":1,"source":"edge","seq":3,"violations":[{"assertion":"a"}]}`))
+	b, err := jsonCodec{}.DecodeBatch([]byte(`{"version":1,"source":"edge","seq":3,"violations":[{"assertion":"a"}]}`))
 	if err != nil {
 		t.Fatalf("version 1 batch must decode: %v", err)
 	}

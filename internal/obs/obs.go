@@ -31,9 +31,6 @@ var disabled atomic.Bool
 // SetEnabled turns instrumentation on (the default) or off process-wide.
 func SetEnabled(on bool) { disabled.Store(!on) }
 
-// Enabled reports whether instrumentation is on.
-func Enabled() bool { return !disabled.Load() }
-
 // Histogram buckets are powers of two in nanoseconds: the first bucket
 // holds observations <= 128ns, each next one doubles, and the last finite
 // bucket holds ~73 minutes. Durations beyond that land only in +Inf.
@@ -116,9 +113,6 @@ func (h *Histogram) Count() uint64 {
 	}
 	return n
 }
-
-// Sum returns the total of all recorded observations.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
 // snapshot copies the bucket counters once; every derived figure (count,
 // cumulative buckets) comes from this one consistent read.

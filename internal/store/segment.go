@@ -557,7 +557,7 @@ func (s *SegmentStore) foldStats(v assertion.Violation) {
 		st = assertion.Stats{FirstSample: v.SampleIndex, MaxSev: math.Inf(-1)}
 	}
 	st.Fired++
-	st.TotalSev += v.Severity
+	st.TotalSev = assertion.AddSeverity(st.TotalSev, v.Severity)
 	if v.Severity > st.MaxSev {
 		st.MaxSev = v.Severity
 	}

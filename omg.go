@@ -62,10 +62,6 @@ type (
 	Violation = assertion.Violation
 	// Recorder stores violations and aggregate statistics.
 	Recorder = assertion.Recorder
-	// Stats summarises the firings of one assertion.
-	Stats = assertion.Stats
-	// Action is a corrective callback for violations.
-	Action = assertion.Action
 
 	// Sink is a pluggable violation backend fed by a Recorder.
 	Sink = assertion.Sink
@@ -78,68 +74,43 @@ type (
 	MultiSink = assertion.MultiSink
 	// RotatingFileSink writes size- and age-rotated JSONL files.
 	RotatingFileSink = assertion.RotatingFileSink
-	// JSONLConfig is a JSONLSink's queue depth and close-time fsync policy.
-	JSONLConfig = assertion.JSONLConfig
 	// RotateConfig is a RotatingFileSink's size/age/retention policy.
 	RotateConfig = assertion.RotateConfig
-	// RecorderSnapshot is a JSON-serialisable copy of a store's state
-	// (MemStore.Export / ViolationStore.Replace).
-	RecorderSnapshot = assertion.RecorderSnapshot
 
 	// ViolationStore is the pluggable storage seam under each collector
 	// shard: append, query, stats, compaction, replace. MemStore is the
 	// in-memory implementation; internal/store's SegmentStore is the
 	// crash-recoverable on-disk one (omg-server -store=disk).
 	ViolationStore = assertion.ViolationStore
-	// MemStore is the bounded in-memory ViolationStore — also what a
-	// Recorder records into.
+	// MemStore is the bounded in-memory ViolationStore a Recorder records
+	// into.
 	MemStore = assertion.MemStore
 	// StoreQuery selects violations by assertion, stream and ingest-time
 	// window with a newest-N limit.
 	StoreQuery = assertion.StoreQuery
-	// StoreInfo describes a store's backend, size and segment count.
-	StoreInfo = assertion.StoreInfo
 
 	// HTTPSink exports violation batches to an omg-server collector over
 	// HTTP with bounded queueing, coalescing, retries and drop counting.
 	HTTPSink = export.HTTPSink
 	// HTTPSinkConfig configures an HTTPSink.
 	HTTPSinkConfig = export.HTTPSinkConfig
-	// HTTPSinkStats is a consistent snapshot of an HTTPSink's delivery
-	// counters (HTTPSink.Stats).
-	HTTPSinkStats = export.HTTPSinkStats
 	// Collector ingests exported violation batches and serves queries; it
 	// is the engine behind cmd/omg-server.
 	Collector = export.Collector
 	// CollectorConfig shapes a Collector: shard count, retention bounds
 	// and live-tail buffering.
 	CollectorConfig = export.CollectorConfig
-	// ViolationBatch is the wire form of one exported violation batch.
-	ViolationBatch = export.Batch
 	// BatchCodec is the pluggable wire-codec seam: it encodes a batch to
 	// request bytes and decodes them back, selected by name on the sender
 	// (HTTPSinkConfig.Wire) and by Content-Type on the collector.
 	BatchCodec = export.BatchCodec
-	// BinaryBatchCodec is the length-prefixed CRC'd binary wire format
-	// (Content-Type application/x-omg-batch), with optional DEFLATE
-	// payload compression.
-	BinaryBatchCodec = export.BinaryCodec
 )
 
-// Wire codec names (HTTPSinkConfig.Wire, CollectorConfig.AcceptWire) and
-// the Content-Types they ride on.
+// Wire codec names (HTTPSinkConfig.Wire, CollectorConfig.AcceptWire).
 const (
-	CodecJSON         = export.CodecJSON
-	CodecBinary       = export.CodecBinary
-	ContentTypeJSON   = export.ContentTypeJSON
-	ContentTypeBinary = export.ContentTypeBinary
+	CodecJSON   = export.CodecJSON
+	CodecBinary = export.CodecBinary
 )
-
-// WireCodec returns the registered batch codec for name ("" means JSON).
-func WireCodec(name string) (BatchCodec, error) { return export.Codec(name) }
-
-// WireCodecNames lists the registered wire codec names, sorted.
-func WireCodecNames() []string { return export.CodecNames() }
 
 // WireVersion is the version stamped on every exported batch.
 const WireVersion = export.WireVersion
@@ -164,19 +135,9 @@ const (
 // per-sample candidates from the retained violations, ranks them with a
 // crash-recoverable bandit selector, and leases batches to pullers.
 type (
-	// LabelService is the collector's label-selection engine
-	// (Collector.Labels exposes it for in-process driving).
-	LabelService = labelsvc.Service
 	// LabelConfig shapes the label service via CollectorConfig.Labels:
 	// selector kind, seed, budgets, lease TTL, state path.
 	LabelConfig = labelsvc.Config
-	// LabelSampleKey identifies one data point: (source, stream, sample).
-	LabelSampleKey = labelsvc.SampleKey
-	// LabelCandidate is one selectable sample with its per-assertion
-	// severity vector and any corrective weak labels.
-	LabelCandidate = labelsvc.Candidate
-	// LabelBatch is one leased selection round.
-	LabelBatch = labelsvc.Batch
 	// LabelFeedback is one human label posted back to the loop.
 	LabelFeedback = labelsvc.Feedback
 	// LabelStats summarises the loop's progress.
@@ -186,33 +147,7 @@ type (
 	// LabelsFeedbackRequest is the JSON body POST /v1/labels/feedback
 	// accepts.
 	LabelsFeedbackRequest = export.LabelsFeedbackRequest
-	// LabelsFeedbackResponse is POST /v1/labels/feedback's answer.
-	LabelsFeedbackResponse = export.LabelsFeedbackResponse
-	// TailWeakLabelEvent is the payload of the SSE tail's `event:
-	// weaklabel` frames — a §4.2 corrective proposal per ingested
-	// consistency-assertion violation.
-	TailWeakLabelEvent = export.WeakLabelEvent
-
-	// RoundSelector is the crash-recoverable round-driving wrapper over
-	// the §3 selectors: its algorithm state serialises as
-	// RoundSelectorState and every round's randomness re-derives from
-	// (seed, round), so a revived selector replays identically.
-	RoundSelector = bandit.RoundSelector
-	// RoundSelectorState is a RoundSelector's persistent form.
-	RoundSelectorState = bandit.RoundSelectorState
 )
-
-// NewRoundSelector builds a crash-recoverable selector by kind — "bal"
-// (default when kind is empty), "ccmab", "uncertainty", "uniform-ma" or
-// "random" — the same names omg-server's -label-selector accepts.
-func NewRoundSelector(kind string, seed int64) (*RoundSelector, error) {
-	return bandit.NewRoundSelector(kind, seed)
-}
-
-// RoundSelectorKinds lists the RoundSelector kind names.
-func RoundSelectorKinds() []string {
-	return append([]string(nil), bandit.RoundSelectorKinds...)
-}
 
 // ErrSinkClosed is returned by a Sink's Record method after Close.
 var ErrSinkClosed = assertion.ErrSinkClosed
@@ -220,26 +155,6 @@ var ErrSinkClosed = assertion.ErrSinkClosed
 // NewJSONLSink returns an asynchronous JSONL sink over w with the given
 // queue depth (<= 0 uses the default of 1024).
 func NewJSONLSink(w io.Writer, depth int) *JSONLSink { return assertion.NewJSONLSink(w, depth) }
-
-// NewJSONLSinkConfig returns an asynchronous JSONL sink shaped by cfg —
-// queue depth plus SyncOnClose, which fsyncs file-backed writers before
-// Close returns.
-func NewJSONLSinkConfig(w io.Writer, cfg JSONLConfig) *JSONLSink {
-	return assertion.NewJSONLSinkConfig(w, cfg)
-}
-
-// AppendViolationJSON appends v's JSON object to dst without reflection
-// or allocation (given capacity), byte-identical to json.Marshal(v) — the
-// encoder behind the JSONL sink, the HTTP wire format and the SSE tail.
-func AppendViolationJSON(dst []byte, v Violation) ([]byte, error) {
-	return assertion.AppendViolationJSON(dst, v)
-}
-
-// AppendBatchJSON appends b's wire JSON to dst without reflection,
-// byte-identical to json.Marshal(b).
-func AppendBatchJSON(dst []byte, b ViolationBatch) ([]byte, error) {
-	return export.AppendBatchJSON(dst, b)
-}
 
 // NewMultiSink returns a sink fanning out to every given backend.
 func NewMultiSink(sinks ...Sink) *MultiSink { return assertion.NewMultiSink(sinks...) }
@@ -273,11 +188,6 @@ const (
 	StoreDisk = export.StoreDisk
 )
 
-// NewMemStore returns an in-memory ViolationStore keeping at most limit
-// violations (0 = unbounded); aggregate statistics stay complete past
-// eviction.
-func NewMemStore(limit int) *MemStore { return assertion.NewMemStore(limit) }
-
 // ShardFor routes a key to one of n shards with FNV-1a — the routing seam
 // MonitorPool uses for streams and the collector uses for batch sources.
 func ShardFor(key string, n int) int { return assertion.ShardFor(key, n) }
@@ -296,9 +206,6 @@ func NewBoolAssertion(name string, fn func(window []Sample) bool) Assertion {
 
 // NewRegistry returns an empty assertion database.
 func NewRegistry() *Registry { return assertion.NewRegistry() }
-
-// NewSuite builds an evaluation suite directly from assertions.
-func NewSuite(assertions ...Assertion) *Suite { return assertion.NewSuite(assertions...) }
 
 // NewMonitor builds a runtime monitor over a suite.
 func NewMonitor(suite *Suite, opts ...MonitorOption) *Monitor {
@@ -321,9 +228,6 @@ func NewRecorder(limit int) *Recorder { return assertion.NewRecorder(limit) }
 
 // WithWindowSize sets the monitor's sliding-window length.
 func WithWindowSize(n int) MonitorOption { return assertion.WithWindowSize(n) }
-
-// WithRecorder attaches a recorder to a monitor.
-func WithRecorder(r *Recorder) MonitorOption { return assertion.WithRecorder(r) }
 
 // WithShards sets a pool's shard count (default GOMAXPROCS).
 func WithShards(n int) PoolOption { return assertion.WithShards(n) }
@@ -351,8 +255,6 @@ type (
 	ConsistencyGenerator[Y any] = consistency.Generator[Y]
 	// TimedOutputs is a model's outputs for one input.
 	TimedOutputs[Y any] = consistency.TimedOutputs[Y]
-	// Proposal is one weak-label proposal from a correction rule.
-	Proposal[Y any] = consistency.Proposal[Y]
 	// TemporalKind selects generated temporal assertions.
 	TemporalKind = consistency.TemporalKind
 )
@@ -363,7 +265,8 @@ const (
 	Appear  = consistency.Appear
 )
 
-// Weak-label proposal kinds.
+// Weak-label proposal kinds: the Kind of each proposal
+// ConsistencyGenerator.WeakLabels returns.
 const (
 	ModifyAttr   = consistency.ModifyAttr
 	AddOutput    = consistency.AddOutput
@@ -397,37 +300,11 @@ type (
 	Candidate = bandit.Candidate
 	// RoundState is the per-round input to a selector.
 	RoundState = bandit.RoundState
-	// Selector chooses data points to label each round.
-	Selector = bandit.Selector
 	// BALConfig tunes the BAL algorithm.
 	BALConfig = bandit.BALConfig
-	// CCMAB is the resource-unconstrained reference bandit (Algorithm 1).
-	CCMAB = bandit.CCMAB
-	// CCArm is one volatile arm for CC-MAB.
-	CCArm = bandit.CCArm
 )
 
 // NewBAL builds the paper's bandit-based active-learning selector
 // (Algorithm 2). The zero BALConfig uses the paper's defaults: 25%
 // uniform exploration, 1% fallback threshold, random fallback.
 func NewBAL(seed int64, cfg BALConfig) *bandit.BAL { return bandit.NewBAL(seed, cfg) }
-
-// NewRandomSelector returns the random-sampling baseline.
-func NewRandomSelector(seed int64) Selector { return bandit.NewRandom(seed) }
-
-// NewUncertaintySelector returns the least-confident uncertainty baseline.
-func NewUncertaintySelector() Selector { return bandit.NewUncertainty() }
-
-// NewUniformMASelector returns the uniform-from-assertions baseline.
-func NewUniformMASelector(seed int64) Selector { return bandit.NewUniformMA(seed) }
-
-// NewCCMAB builds the CC-MAB reference algorithm for a context dimension,
-// horizon and Hölder smoothness.
-func NewCCMAB(seed int64, d, horizon int, alpha float64) *CCMAB {
-	return bandit.NewCCMAB(seed, d, horizon, alpha)
-}
-
-// FiredCounts computes per-assertion firing counts for a candidate pool.
-func FiredCounts(cands []Candidate, numAssertions int) []float64 {
-	return bandit.FiredCounts(cands, numAssertions)
-}

@@ -1,6 +1,7 @@
 package omg_test
 
 import (
+	"net/http/httptest"
 	"strconv"
 	"testing"
 
@@ -93,7 +94,7 @@ func TestFacadeBALSelection(t *testing.T) {
 	}
 	state := omg.RoundState{
 		Round: 1, Budget: 10, Candidates: cands,
-		FiredCounts: omg.FiredCounts(cands, 1),
+		FiredCounts: []float64{25}, // the even half fired
 	}
 	picked := sel.Select(state)
 	if len(picked) != 10 {
@@ -106,62 +107,51 @@ func TestFacadeBALSelection(t *testing.T) {
 	}
 }
 
-func TestFacadeBaselines(t *testing.T) {
-	for _, sel := range []omg.Selector{
-		omg.NewRandomSelector(1),
-		omg.NewUncertaintySelector(),
-		omg.NewUniformMASelector(2),
-	} {
-		if sel.Name() == "" {
-			t.Fatal("selector without a name")
-		}
-	}
-}
-
-func TestFacadeCCMAB(t *testing.T) {
-	c := omg.NewCCMAB(1, 1, 100, 1)
-	arms := []omg.CCArm{{ID: 0, Context: []float64{0.5}}}
-	if sel := c.SelectArms(1, 1, arms); len(sel) != 1 {
-		t.Fatalf("selection = %v", sel)
-	}
-	c.Update(arms[0], 1)
-}
-
 func TestFacadeViolationStore(t *testing.T) {
-	// A MemStore, appended to and queried through the seam.
-	var s omg.ViolationStore = omg.NewMemStore(0)
-	s.Append(omg.Violation{Assertion: "lights", Stream: "cam-0", Severity: 2})
-	s.Append(omg.Violation{Assertion: "flicker", Stream: "cam-1", Severity: 1})
-	got := s.Query(omg.StoreQuery{Assertion: "lights"})
+	// A Recorder's MemStore, queried through the seam's StoreQuery.
+	rec := omg.NewRecorder(0)
+	rec.Record(omg.Violation{Assertion: "lights", Stream: "cam-0", Severity: 2})
+	rec.Record(omg.Violation{Assertion: "flicker", Stream: "cam-1", Severity: 1})
+	got := rec.Query(omg.StoreQuery{Assertion: "lights"})
 	if len(got) != 1 || got[0].Stream != "cam-0" {
 		t.Fatalf("store query = %+v", got)
 	}
-	if info := s.Info(); info.Entries != 2 {
-		t.Fatalf("store info = %+v", info)
-	}
 
-	// A disk-backed collector via the facade survives reopen.
+	// A disk-backed collector, fed by an HTTPSink, survives reopen.
 	dir := t.TempDir()
+	export := func() {
+		t.Helper()
+		c, err := omg.OpenCollector(omg.CollectorConfig{Store: omg.StoreDisk, DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(c.Handler())
+		sink, err := omg.NewHTTPSink(omg.HTTPSinkConfig{BaseURL: srv.URL, Source: "edge"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Record(omg.Violation{Assertion: "lights", Stream: "cam-0", SampleIndex: 1, Severity: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	export()
+	// The same (source, seq) again after reopen: the dedup mark survived,
+	// so the collector still holds exactly one violation.
+	export()
 	c, err := omg.OpenCollector(omg.CollectorConfig{Store: omg.StoreDisk, DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Ingest(omg.ViolationBatch{Source: "edge", Seq: 1, Violations: []omg.Violation{
-		{Assertion: "lights", Stream: "cam-0", SampleIndex: 1, Severity: 2},
-	}})
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	c, err = omg.OpenCollector(omg.CollectorConfig{Store: omg.StoreDisk, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	if c.TotalFired() != 1 {
 		t.Fatalf("recovered %d violations, want 1", c.TotalFired())
-	}
-	if _, dup := c.Ingest(omg.ViolationBatch{Source: "edge", Seq: 1}); !dup {
-		t.Fatal("dedup mark lost across reopen")
 	}
 }
 
