@@ -125,14 +125,13 @@ func buildSchedule(seed int64, total time.Duration, chaos bool) []phase {
 
 // sinkReport is one sink's final books in the JSON report.
 type sinkReport struct {
-	Source         string `json:"source"`
-	Wire           string `json:"wire"`
-	Recorded       int64  `json:"recorded"`
-	Delivered      int64  `json:"delivered"`
-	Dropped        int64  `json:"dropped"`
-	Retries        int64  `json:"retries"`
-	BreakerDropped int64  `json:"breaker_dropped"`
-	Probes         int64  `json:"probes"`
+	Source    string            `json:"source"`
+	Wire      string            `json:"wire"`
+	Recorded  int64             `json:"recorded"`
+	Delivered int64             `json:"delivered"`
+	Dropped   int64             `json:"dropped"`
+	Retries   int64             `json:"retries"`
+	Drops     export.DropCounts `json:"drops"`
 }
 
 // report is the run's full accounting, written to -report.
@@ -143,10 +142,11 @@ type report struct {
 	Sinks    int     `json:"sinks"`
 	Schedule []phase `json:"schedule"`
 
-	Recorded  int64 `json:"recorded"`
-	Delivered int64 `json:"delivered"`
-	Dropped   int64 `json:"dropped"`
-	Retries   int64 `json:"retries"`
+	Recorded  int64             `json:"recorded"`
+	Delivered int64             `json:"delivered"`
+	Dropped   int64             `json:"dropped"`
+	Drops     export.DropCounts `json:"drops"` // Dropped by reason
+	Retries   int64             `json:"retries"`
 
 	CollectorTotal    int   `json:"collector_total_fired"`
 	CollectorRetained int   `json:"collector_retained"`
@@ -222,8 +222,7 @@ func main() {
 
 	// The sink fleet: each sink is one wire source; streams multiplex
 	// over them round-robin. Half speak JSON, half binary, and all run
-	// the full resilience stack (Retry-After honor is implicit, retry
-	// budget, circuit breaker).
+	// the one delivery policy under a 6s per-batch deadline.
 	sinks := make([]*export.HTTPSink, *sinkN)
 	for i := range sinks {
 		wire := export.CodecJSON
@@ -231,17 +230,11 @@ func main() {
 			wire = export.CodecBinary
 		}
 		s, err := export.NewHTTPSink(export.HTTPSinkConfig{
-			BaseURL:         proxy.url(),
-			Source:          fmt.Sprintf("loadgen-%02d", i),
-			Wire:            wire,
-			BatchMax:        64,
-			MaxRetries:      4,
-			BaseBackoff:     50 * time.Millisecond,
-			MaxBackoff:      time.Second,
-			Timeout:         2 * time.Second,
-			RetryBudget:     6 * time.Second,
-			BreakerFailures: 6,
-			BreakerProbe:    time.Second,
+			BaseURL:  proxy.url(),
+			Source:   fmt.Sprintf("loadgen-%02d", i),
+			Wire:     wire,
+			BatchMax: 64,
+			Deadline: 6 * time.Second,
 		})
 		if err != nil {
 			proc.kill()
@@ -326,13 +319,17 @@ func main() {
 		rep.Retries += st.Retries
 		rep.SinkStats = append(rep.SinkStats, sinkReport{
 			Source: s.Source(), Wire: st.Wire,
-			Recorded:       st.Delivered + st.Dropped, // see edge-books check below
-			Delivered:      st.Delivered,
-			Dropped:        st.Dropped,
-			Retries:        st.Retries,
-			BreakerDropped: st.BreakerDropped,
-			Probes:         st.Probes,
+			Recorded:  st.Delivered + st.Dropped, // see edge-books check below
+			Delivered: st.Delivered,
+			Dropped:   st.Dropped,
+			Retries:   st.Retries,
+			Drops:     st.Drops,
 		})
+		d := &rep.Drops
+		d.Deadline += st.Drops.Deadline
+		d.CircuitOpen += st.Drops.CircuitOpen
+		d.Rejected += st.Drops.Rejected
+		d.NonFinite += st.Drops.NonFinite
 	}
 
 	checkConservation(rep, proc)
@@ -346,8 +343,8 @@ func main() {
 			log.Printf("write report: %v", err)
 		}
 	}
-	fmt.Printf("omg-loadgen: recorded=%d delivered=%d dropped=%d retries=%d collector=%d ack_lost=%d faults={429:%d,500:%d,timeout:%d}\n",
-		rep.Recorded, rep.Delivered, rep.Dropped, rep.Retries,
+	fmt.Printf("omg-loadgen: recorded=%d delivered=%d dropped=%d %+v retries=%d collector=%d ack_lost=%d faults={429:%d,500:%d,timeout:%d}\n",
+		rep.Recorded, rep.Delivered, rep.Dropped, rep.Drops, rep.Retries,
 		rep.CollectorTotal, rep.AckLostApplied,
 		rep.Injected429, rep.Injected500, rep.InjectedHang)
 	if !rep.OK {

@@ -13,6 +13,10 @@
 //
 // With -sink=http, -log is optional and tees a local JSONL copy beside
 // the export. -export-url without -sink=http is an error.
+// -export-deadline is the exporter's one delivery knob: the longest one
+// batch may take before it is dropped and counted, so a dead or
+// black-holed collector costs violations, each counted by reason in the
+// exit line, never a stalled model.
 //
 // -metrics-addr starts an edge-side Prometheus /metrics listener so the
 // source fleet is scrapeable (observe latency, shard queue depth and
@@ -25,7 +29,7 @@
 //	            [-sink jsonl|rotate|http]
 //	            [-rotate-bytes N] [-rotate-keep N] [-rotate-interval D]
 //	            [-export-url http://collector:9077] [-export-batch N]
-//	            [-export-retries N] [-wire json|binary] [-wire-compress]
+//	            [-export-deadline D] [-wire json|binary] [-wire-compress]
 //	            [-metrics-addr :9078] [-debug-addr :9079]
 package main
 
@@ -37,6 +41,7 @@ import (
 	"net/http"
 	"os"
 	"sync"
+	"time"
 
 	"omg/internal/assertion"
 	"omg/internal/consistency"
@@ -56,7 +61,7 @@ func main() {
 	rotateInterval := flag.Duration("rotate-interval", 0, "also rotate the log after this long, whichever of size/age trips first (-sink=rotate; 0 = size only)")
 	exportURL := flag.String("export-url", "", "collector base URL, e.g. http://collector:9077 (-sink=http)")
 	exportBatch := flag.Int("export-batch", 256, "violations coalesced per exported batch (-sink=http)")
-	exportRetries := flag.Int("export-retries", 3, "retries per failed batch before its violations count as dropped (-sink=http)")
+	exportDeadline := flag.Duration("export-deadline", 10*time.Second, "longest one exported batch may take, attempts and retry waits together, before its violations count as dropped; the whole delivery policy derives from it (-sink=http)")
 	wire := flag.String("wire", "json", "wire codec for exported batches: json or binary; falls back to json automatically when the collector refuses the codec (-sink=http)")
 	wireCompress := flag.Bool("wire-compress", false, "DEFLATE-compress binary wire payloads (-sink=http -wire=binary)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics on this address (host:port; port 0 picks a free port)")
@@ -91,8 +96,8 @@ func main() {
 	if *exportBatch < 1 {
 		log.Fatalf("-export-batch must be >= 1")
 	}
-	if *exportRetries < 0 {
-		log.Fatalf("-export-retries must be >= 0")
+	if *exportDeadline <= 0 {
+		log.Fatalf("-export-deadline must be > 0")
 	}
 
 	// A full disk, a bad path or an unreachable collector must not
@@ -104,11 +109,8 @@ func main() {
 	switch {
 	case *sinkKind == "http":
 		cfg := export.HTTPSinkConfig{
-			BaseURL: *exportURL, BatchMax: *exportBatch, MaxRetries: *exportRetries,
+			BaseURL: *exportURL, BatchMax: *exportBatch, Deadline: *exportDeadline,
 			Wire: *wire, Compress: *wireCompress,
-		}
-		if *exportRetries == 0 {
-			cfg.MaxRetries = -1 // the flag is literal; the config spells "no retries" as negative
 		}
 		var err error
 		if httpSink, err = export.NewHTTPSink(cfg); err != nil {
@@ -183,7 +185,7 @@ func main() {
 			"Failed batch ship attempts that were retried.",
 			func() float64 { return float64(httpSink.Retries()) })
 		reg.NewCounterFunc("omg_export_dropped_total",
-			"Violations dropped after exhausting batch retries.",
+			"Violations dropped: at a batch's delivery deadline, by the open circuit, rejected by the collector, or non-finite.",
 			func() float64 { return float64(httpSink.Dropped()) })
 	}
 	if *metricsAddr != "" {
@@ -255,8 +257,12 @@ func main() {
 	// own error.
 	if err := pool.Close(); err != nil {
 		if n := pool.Recorder().SinkDropped(); n > 0 && sink.Err() != nil {
-			log.Fatalf("drain monitor pool: %v (sink dropped %d of %d violations)",
-				sink.Err(), n, pool.TotalFired())
+			by := ""
+			if httpSink != nil {
+				by = fmt.Sprintf("; export drops by reason %+v", httpSink.Stats().Drops)
+			}
+			log.Fatalf("drain monitor pool: %v (sink dropped %d of %d violations%s)",
+				sink.Err(), n, pool.TotalFired(), by)
 		}
 		log.Fatalf("drain monitor pool: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -176,7 +177,7 @@ func TestEndToEndEdgeMetricsAndDebug(t *testing.T) {
 	cmd := exec.Command(bin,
 		"-frames", "300", "-streams", "2",
 		"-sink", "http", "-export-url", collector.URL,
-		"-export-retries", "10",
+		"-export-deadline", "60s", // the held first batch must outlast the scrape
 		"-metrics-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0",
 	)
 	cmd.Stderr = os.Stderr
@@ -284,6 +285,53 @@ func TestEndToEndEdgeMetricsAndDebug(t *testing.T) {
 	out := tail.String()
 	if !regexp.MustCompile(`exported \d+ violations in \d+ batches .* \(\d+ retries, \d+ dropped, \d+ queued\)`).MatchString(out) {
 		t.Fatalf("export summary with sink stats missing from output:\n%s", out)
+	}
+}
+
+// TestEndToEndBlackHoledCollector: a collector that accepts connections
+// and never answers cannot stall the monitor. Each batch holds the
+// exporter for at most -export-deadline, two dead batches open the
+// circuit, and the run exits non-zero within seconds, every violation
+// counted as dropped.
+func TestEndToEndBlackHoledCollector(t *testing.T) {
+	bin := needBinary(t)
+	// Never Accept: the kernel completes each handshake into the backlog
+	// and the request bytes sit unread.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	began := time.Now()
+	cmd := exec.Command(bin, "-frames", "300", "-streams", "2",
+		"-sink", "http", "-export-url", "http://"+ln.Addr().String(), "-export-deadline", "500ms")
+	done := make(chan struct{})
+	var out []byte
+	go func() {
+		defer close(done)
+		out, err = cmd.CombinedOutput()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		cmd.Process.Kill()
+		<-done
+		t.Fatalf("omg-monitor still running after 10s against a black-holed collector:\n%s", out)
+	}
+	t.Logf("exited after %s", time.Since(began).Round(time.Millisecond))
+	if _, ok := err.(*exec.ExitError); !ok {
+		t.Fatalf("want a non-zero exit, got %v:\n%s", err, out)
+	}
+	m := regexp.MustCompile(`sink dropped (\d+) of (\d+) violations`).FindSubmatch(out)
+	if m == nil {
+		t.Fatalf("drop accounting missing from output:\n%s", out)
+	}
+	if dropped, recorded := string(m[1]), string(m[2]); dropped != recorded || recorded == "0" {
+		t.Fatalf("dropped %s of %s violations; with nothing answering every one must be counted:\n%s", dropped, recorded, out)
+	}
+	if !regexp.MustCompile(`drops by reason \{Deadline:[1-9]\d* CircuitOpen:\d+ Rejected:0 NonFinite:0\}`).Match(out) {
+		t.Fatalf("drop reasons missing or wrong:\n%s", out)
 	}
 }
 

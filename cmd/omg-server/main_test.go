@@ -676,7 +676,7 @@ func TestEndToEndCollectorDownCountsDrops(t *testing.T) {
 	// monitor must exit non-zero reporting exactly how much it lost.
 	out, err := exec.Command(monitorBin,
 		"-frames", "200",
-		"-sink", "http", "-export-url", "http://127.0.0.1:9", "-export-retries", "0",
+		"-sink", "http", "-export-url", "http://127.0.0.1:9", "-export-deadline", "500ms",
 	).CombinedOutput()
 	if err == nil {
 		t.Fatalf("expected non-zero exit with the collector down; output:\n%s", out)
@@ -701,7 +701,7 @@ func TestEndToEndBadHTTPFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-frames", "50", "-sink", "http"},                             // missing -export-url
 		{"-frames", "50", "-sink", "http", "-export-url", "collector"}, // scheme-less URL
-		{"-frames", "50", "-sink", "http", "-export-url", "http://x", "-export-retries", "-1"},
+		{"-frames", "50", "-sink", "http", "-export-url", "http://x", "-export-deadline", "0s"},
 	} {
 		if out, err := exec.Command(monitorBin, args...).CombinedOutput(); err == nil {
 			t.Fatalf("%v: expected non-zero exit; output:\n%s", args, out)

@@ -28,7 +28,7 @@ func BenchmarkHTTPSinkLoopback(b *testing.B) {
 			srv := httptest.NewServer(c.Handler())
 			defer srv.Close()
 
-			s, err := NewHTTPSink(HTTPSinkConfig{BaseURL: srv.URL, QueueDepth: 4096, BatchMax: 512})
+			s, err := NewHTTPSink(HTTPSinkConfig{BaseURL: srv.URL, BatchMax: 512})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,12 +2,14 @@ package export
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"strings"
@@ -19,12 +21,12 @@ import (
 )
 
 const (
-	defaultQueueDepth  = 1024
-	defaultBatchMax    = 256
-	defaultMaxRetries  = 3
-	defaultBaseBackoff = 50 * time.Millisecond
-	defaultMaxBackoff  = 2 * time.Second
-	defaultTimeout     = 5 * time.Second
+	queueDepth      = 1024
+	defaultBatchMax = 256
+	defaultDeadline = 10 * time.Second
+	// circuitAfter is how many batches in a row must run out their
+	// deadline on transient failures before the circuit opens.
+	circuitAfter = 2
 )
 
 // HTTPSinkConfig configures an HTTPSink. The zero value of every field
@@ -37,29 +39,25 @@ type HTTPSinkConfig struct {
 	// deduplicates retried batches per source, so it must be unique per
 	// process lifetime. Empty generates host-pid-nonce.
 	Source string
-	// QueueDepth bounds the record queue (default 1024). When it is full,
-	// Record blocks until the shipper catches up — explicit backpressure
-	// rather than silent loss.
-	QueueDepth int
 	// BatchMax caps how many violations are coalesced into one POST
 	// (default 256).
 	BatchMax int
-	// MaxRetries is how many times a failed batch is retried before its
-	// violations are counted as dropped (0 uses the default of 3;
-	// negative disables retries, i.e. a single attempt per batch).
-	// Responses in the 4xx range other than 429 are never retried: the
-	// payload itself was rejected.
-	MaxRetries int
-	// BaseBackoff is the first retry delay (default 50ms); each further
-	// retry doubles it, capped at MaxBackoff (default 2s), with jitter in
-	// [50%, 100%] of the capped value.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Timeout bounds each HTTP request (default 5s). Ignored when Client
-	// is set.
-	Timeout time.Duration
+	// Deadline is the longest one batch may hold the shipper, its
+	// attempts and the waits between them together (default 10s). It is
+	// the sink's one delivery knob; the rest of the policy derives from
+	// it. Each attempt times out after Deadline/2. Retries back off from
+	// Deadline/200, doubling to Deadline/5, with jitter in [50%, 100%]; a
+	// collector's Retry-After stretches a wait up to Deadline/5. A batch
+	// whose next attempt would not start before its deadline is dropped
+	// and counted. Two batches in a row dropped that way open the
+	// circuit: batches are then dropped without touching the network,
+	// except one single-attempt probe every Deadline. Any answer that is
+	// not a transient failure closes the circuit. 4xx responses other
+	// than 429 are never retried: the payload itself was rejected.
+	Deadline time.Duration
 	// Client overrides the HTTP client (e.g. for tests or custom
-	// transports).
+	// transports). Each attempt is bounded by its own request context
+	// whatever the client's Timeout.
 	Client *http.Client
 	// Wire selects the batch codec by name: "json" (the default) or
 	// "binary". Whatever is selected, the sink automatically falls back
@@ -72,26 +70,6 @@ type HTTPSinkConfig struct {
 	// Only meaningful with Wire "binary"; NewHTTPSink rejects it for
 	// codecs without a compressed form rather than silently ignoring it.
 	Compress bool
-	// RetryBudget bounds the total wall-clock time one batch may spend
-	// on delivery attempts and the waits between them (0 = attempt count
-	// only). With a throttling collector stretching waits via
-	// Retry-After, an attempt count alone no longer bounds how long a
-	// batch can occupy the shipper; the budget does. A batch over budget
-	// is dropped and counted exactly like one out of retries.
-	RetryBudget time.Duration
-	// BreakerFailures opens a circuit breaker after this many
-	// consecutive batches have exhausted their retries on transient
-	// errors (0 disables the breaker). While open, batches are dropped
-	// (counted, never silent) without touching the network, except one
-	// single-attempt probe every BreakerProbe; a successful probe closes
-	// the circuit. A dead collector then costs the fleet one probe per
-	// interval instead of a full retry ladder per batch. Permanent
-	// (4xx-rejected) batches do not trip the breaker: the collector is
-	// alive and talking.
-	BreakerFailures int
-	// BreakerProbe is the half-open probe interval (default
-	// 2*MaxBackoff).
-	BreakerProbe time.Duration
 }
 
 func (c *HTTPSinkConfig) fill() {
@@ -102,43 +80,26 @@ func (c *HTTPSinkConfig) fill() {
 		}
 		c.Source = fmt.Sprintf("%s-%d-%08x", host, os.Getpid(), rand.Uint32())
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = defaultQueueDepth
-	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = defaultBatchMax
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = defaultMaxRetries
-	} else if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = defaultBaseBackoff
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = defaultMaxBackoff
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = defaultTimeout
+	if c.Deadline <= 0 {
+		c.Deadline = defaultDeadline
 	}
 	if c.Client == nil {
-		c.Client = &http.Client{Timeout: c.Timeout}
-	}
-	if c.BreakerProbe <= 0 {
-		c.BreakerProbe = 2 * c.MaxBackoff
+		c.Client = http.DefaultClient
 	}
 }
 
 // HTTPSink ships a recorder's violation stream to a collector over HTTP:
 // the network backend of the Sink seam. Violations are handed to a single
 // shipper goroutine over a bounded queue; the shipper coalesces whatever
-// is queued into one wire Batch per POST and retries failed deliveries
-// with exponential backoff and jitter. A batch that exhausts its retry
-// budget is dropped and counted (Dropped), never silently lost, and the
-// failure is retained for Err — but the sink does not latch dead: later
-// batches get their own retry budget, so a collector outage only costs
-// the batches shipped while it lasted.
+// is queued into one wire Batch per POST and delivers it under the
+// policy next decides (see HTTPSinkConfig.Deadline). A batch that is not
+// delivered is dropped and counted by reason (Stats), never silently
+// lost, and the failure is retained for Err — but the sink does not
+// latch dead: a collector outage costs the batches shipped while it
+// lasted, and one Deadline of open circuit after it.
 //
 // Exactly-once: each batch carries a (Source, Seq) pair reused across its
 // retries, and the collector ignores sequence numbers it has already
@@ -162,36 +123,31 @@ type HTTPSink struct {
 	pendingN    int
 
 	done    chan struct{}
-	closing chan struct{} // closed as Close begins: aborts backoff waits
+	closing chan struct{} // closed as Close begins: cuts retry waits short
 
-	// Circuit-breaker state. consecFailures and breakerUntil are owned by
-	// the shipper goroutine; breakerOpen and the counters are atomics so
-	// Stats can read them from any goroutine.
-	consecFailures int
-	breakerUntil   time.Time
-	breakerOpen    atomic.Bool
-	breakerDropped atomic.Int64
-	probes         atomic.Int64
+	// The policy's memory and clock, owned by the shipper goroutine. The
+	// clock reads time.Since(epoch); Close moves epoch back by every wait
+	// it cuts short, so a skipped wait still counts against its batch.
+	state deliveryState
+	epoch time.Time
 
 	errMu sync.Mutex
 	err   error // first delivery failure, retained
 
-	seq       atomic.Uint64
-	delivered atomic.Int64
-	batches   atomic.Int64
-	retries   atomic.Int64
-	dropped   atomic.Int64
+	seq         atomic.Uint64
+	delivered   atomic.Int64
+	batches     atomic.Int64
+	retries     atomic.Int64
+	circuitOpen atomic.Bool
+	drops       [numDropReasons]atomic.Int64
 }
 
 // NewHTTPSink returns a sink exporting violation batches to the collector
 // at cfg.BaseURL. The shipper goroutine starts immediately; Close stops
 // it after draining the queue.
 func NewHTTPSink(cfg HTTPSinkConfig) (*HTTPSink, error) {
-	if cfg.BaseURL == "" {
-		return nil, fmt.Errorf("export: HTTPSink requires a BaseURL")
-	}
-	if !strings.HasPrefix(cfg.BaseURL, "http://") && !strings.HasPrefix(cfg.BaseURL, "https://") {
-		return nil, fmt.Errorf("export: HTTPSink BaseURL %q must start with http:// or https://", cfg.BaseURL)
+	if u, err := url.Parse(cfg.BaseURL); err != nil || u.Scheme != "http" && u.Scheme != "https" {
+		return nil, fmt.Errorf("export: HTTPSink BaseURL %q must be an http:// or https:// URL", cfg.BaseURL)
 	}
 	cfg.fill()
 	codec, err := Codec(cfg.Wire)
@@ -208,9 +164,11 @@ func NewHTTPSink(cfg HTTPSinkConfig) (*HTTPSink, error) {
 		cfg:     cfg,
 		url:     strings.TrimSuffix(cfg.BaseURL, "/") + IngestPath,
 		codec:   codec,
-		ch:      make(chan assertion.Violation, cfg.QueueDepth),
+		ch:      make(chan assertion.Violation, queueDepth),
 		done:    make(chan struct{}),
 		closing: make(chan struct{}),
+		state:   deliveryState{deadline: cfg.Deadline, json: codec.Name() == CodecJSON},
+		epoch:   time.Now(),
 	}
 	s.pendingCond = sync.NewCond(&s.pendingMu)
 	go s.run()
@@ -240,8 +198,7 @@ func (s *HTTPSink) Record(v assertion.Violation) error {
 }
 
 // Flush blocks until every accepted violation has been delivered to the
-// collector or dropped after exhausting its retries, and returns the
-// first delivery error, if any.
+// collector or dropped, and returns the first delivery error, if any.
 func (s *HTTPSink) Flush() error {
 	s.pendingMu.Lock()
 	for s.pendingN > 0 {
@@ -254,10 +211,9 @@ func (s *HTTPSink) Flush() error {
 // Close drains the queue (delivering or counting every queued violation),
 // stops the shipper and returns the first delivery error. It is
 // idempotent; Record returns ErrSinkClosed afterwards. A shipper asleep
-// in a backoff wait wakes immediately and retries without further
-// waits, so Close is bounded by the delivery attempts themselves —
-// against a dead collector it returns in a few fast-failing attempts
-// per queued batch, never a full backoff ladder each.
+// in a retry wait wakes at once, and later waits are skipped, but every
+// skipped wait still counts against its batch's Deadline: a closing
+// shipper makes the attempts it would have made awake and no more.
 func (s *HTTPSink) Close() error {
 	s.mu.Lock()
 	already := s.closed
@@ -279,11 +235,10 @@ func (s *HTTPSink) Err() error {
 	return s.err
 }
 
-// Dropped returns how many violations were discarded after their batch
-// exhausted its retry budget or was rejected outright — actual loss, per
-// the DropCounter contract. Delivered() + Dropped() equals the violations
-// accepted by Record once Flush returns.
-func (s *HTTPSink) Dropped() int64 { return s.dropped.Load() }
+// Dropped returns how many violations were discarded, for any reason —
+// actual loss, per the DropCounter contract. Delivered() + Dropped()
+// equals the violations accepted by Record once Flush returns.
+func (s *HTTPSink) Dropped() int64 { return s.Stats().Dropped }
 
 // Delivered returns how many violations the collector has acknowledged.
 func (s *HTTPSink) Delivered() int64 { return s.delivered.Load() }
@@ -294,6 +249,21 @@ func (s *HTTPSink) Batches() int64 { return s.batches.Load() }
 // Retries returns how many delivery attempts were retries.
 func (s *HTTPSink) Retries() int64 { return s.retries.Load() }
 
+// DropCounts splits a sink's dropped violations by reason.
+type DropCounts struct {
+	// Deadline: the batch's Deadline ran out on transient failures.
+	Deadline int64 `json:"deadline"`
+	// CircuitOpen: the batch shipped while the circuit was open, without
+	// an attempt or as a failed probe.
+	CircuitOpen int64 `json:"circuit_open"`
+	// Rejected: the collector refused the payload (a 4xx other than 429),
+	// or it could not be encoded at all.
+	Rejected int64 `json:"rejected"`
+	// NonFinite: the violation's Time or Severity was NaN or infinite,
+	// which no wire can carry.
+	NonFinite int64 `json:"non_finite"`
+}
+
 // HTTPSinkStats is a point-in-time snapshot of a sink's delivery
 // telemetry, for exit summaries and scrape-time gauges.
 type HTTPSinkStats struct {
@@ -303,9 +273,9 @@ type HTTPSinkStats struct {
 	Batches int64
 	// Retries is how many delivery attempts were retries.
 	Retries int64
-	// Dropped is how many violations were discarded after exhausting
-	// their batch's retry budget.
+	// Dropped is how many violations were discarded: the sum of Drops.
 	Dropped int64
+	Drops   DropCounts
 	// Queued is how many violations are waiting in the record queue
 	// right now (excluding the batch the shipper is delivering).
 	Queued int
@@ -314,39 +284,33 @@ type HTTPSinkStats struct {
 	// down to JSON.
 	Wire         string
 	WireFellBack bool
-	// BreakerOpen reports whether the circuit breaker is currently open;
-	// BreakerDropped is how many violations were fast-dropped by the
-	// open circuit (a subset of Dropped); Probes is how many half-open
-	// probe batches have been attempted.
-	BreakerOpen    bool
-	BreakerDropped int64
-	Probes         int64
+	// CircuitOpen reports whether the circuit is open: batches drop
+	// unsent but for one single-attempt probe per Deadline.
+	CircuitOpen bool
 }
 
 // Stats returns a consistent-enough snapshot of the sink's delivery
 // counters for reporting; each field is individually atomic.
 func (s *HTTPSink) Stats() HTTPSinkStats {
+	d := DropCounts{s.drops[dropDeadline].Load(), s.drops[dropCircuitOpen].Load(),
+		s.drops[dropRejected].Load(), s.drops[dropNonFinite].Load()}
 	return HTTPSinkStats{
-		Delivered:      s.delivered.Load(),
-		Batches:        s.batches.Load(),
-		Retries:        s.retries.Load(),
-		Dropped:        s.dropped.Load(),
-		Queued:         len(s.ch),
-		Wire:           s.Wire(),
-		WireFellBack:   s.fellBack.Load(),
-		BreakerOpen:    s.breakerOpen.Load(),
-		BreakerDropped: s.breakerDropped.Load(),
-		Probes:         s.probes.Load(),
+		Delivered:    s.delivered.Load(),
+		Batches:      s.batches.Load(),
+		Retries:      s.retries.Load(),
+		Dropped:      d.Deadline + d.CircuitOpen + d.Rejected + d.NonFinite,
+		Drops:        d,
+		Queued:       len(s.ch),
+		Wire:         s.Wire(),
+		WireFellBack: s.fellBack.Load(),
+		CircuitOpen:  s.circuitOpen.Load(),
 	}
 }
 
 // Wire returns the name of the codec batches currently ship with —
 // the configured one, or "json" after the fallback latched.
 func (s *HTTPSink) Wire() string {
-	if s.fellBack.Load() {
-		return CodecJSON
-	}
-	if s.cfg.Wire == "" {
+	if s.fellBack.Load() || s.cfg.Wire == "" {
 		return CodecJSON
 	}
 	return s.cfg.Wire
@@ -399,12 +363,9 @@ func (s *HTTPSink) run() {
 }
 
 // ship encodes one batch into buf (reflection-free, reusing buf's backing
-// array) and delivers it, retrying transient failures with exponential
-// backoff and jitter — stretched to honor a collector's Retry-After,
-// bounded by RetryBudget, and short-circuited entirely while the circuit
-// breaker is open. On giving up the batch's violations are counted as
-// dropped and the last failure is retained. The extended buffer is
-// returned so the shipper keeps its capacity across batches.
+// array) and carries out the actions next decides for it until the batch
+// is acknowledged or dropped. The extended buffer is returned so the
+// shipper keeps its capacity across batches.
 func (s *HTTPSink) ship(buf []byte, violations []assertion.Violation) []byte {
 	start := deliverHist.StartIf(true)
 	defer deliverHist.Done(start)
@@ -414,140 +375,94 @@ func (s *HTTPSink) ship(buf []byte, violations []assertion.Violation) []byte {
 		Seq:        s.seq.Add(1),
 		Violations: violations,
 	}
-	probing := false
-	if s.cfg.BreakerFailures > 0 && s.breakerOpen.Load() {
-		if time.Now().Before(s.breakerUntil) {
-			// Open circuit: fail fast without touching the network. The
-			// loss is counted (dropped + breakerDropped), never silent.
-			s.breakerDropped.Add(int64(len(violations)))
-			s.dropped.Add(int64(len(violations)))
-			s.setErr(fmt.Errorf("export: deliver batch to %s: circuit open after %d consecutive failed batches", s.url, s.consecFailures))
-			return buf
-		}
-		// Half-open: this batch is the probe — one attempt, no retries.
-		probing = true
-		s.probes.Add(1)
+	body := s.encode(buf, &wb)
+	if len(wb.Violations) == 0 {
+		return body
 	}
-	body, err := s.codec.AppendBatch(buf, wb)
-	if err != nil {
-		// Neither codec carries a non-finite Time or Severity: drop only
-		// those, counted, and ship the rest under the same Seq — one bad
-		// value must not cost the violations beside it.
-		s.setErr(fmt.Errorf("export: encode batch: %w", err))
-		kept := violations[:0]
-		for _, v := range violations {
-			if finite(v.Time) && finite(v.Severity) {
-				kept = append(kept, v)
-			}
-		}
-		if len(kept) > 0 && len(kept) < len(violations) {
-			s.dropped.Add(int64(len(violations) - len(kept)))
-			violations, wb.Violations = kept, kept
-			body, err = s.codec.AppendBatch(buf, wb)
-		}
-		if err != nil {
-			s.dropped.Add(int64(len(violations)))
-			return buf
-		}
-	}
-	began := time.Now()
-	transient := false
-	for attempt := 0; ; attempt++ {
-		var retryAfter time.Duration
-		retryAfter, err = s.post(body, wb.Seq)
-		if err == nil {
-			s.delivered.Add(int64(len(violations)))
+	err, o := errCircuitOpen, outcome{status: batchStart}
+	for {
+		var act action
+		act, s.state = next(s.state, o, time.Since(s.epoch), rand.Float64())
+		s.circuitOpen.Store(s.state.dead >= circuitAfter)
+		switch act.kind {
+		case actAck:
+			s.delivered.Add(int64(len(wb.Violations)))
 			s.batches.Add(1)
-			s.consecFailures = 0
-			s.breakerOpen.Store(false)
 			return body
-		}
-		var perm *permanentError
-		if errors.As(err, &perm) {
-			// A 415/406 (this collector does not accept our codec) or 400
-			// (a pre-codec collector choked JSON-parsing a binary frame)
-			// means the *codec* was refused, not the batch: renegotiate by
-			// latching onto JSON and re-sending the same batch — same
-			// sequence number, so dedup semantics are untouched — without
-			// spending the retry budget on the handshake.
-			if s.codec.Name() != CodecJSON && fallbackStatus(perm.status) {
-				s.codec = jsonCodec{}
-				s.fellBack.Store(true)
-				if body, err = s.codec.AppendBatch(body[:0], wb); err == nil {
-					attempt--
-					continue
-				}
-				err = fmt.Errorf("export: re-encode batch as json: %w", err)
+		case actDrop:
+			s.setErr(fmt.Errorf("export: deliver batch to %s (%s drop): %w", s.url, dropReasonNames[act.reason], err))
+			s.drops[act.reason].Add(int64(len(wb.Violations)))
+			return body
+		case actRetry:
+			s.retries.Add(1)
+			s.sleep(act.wait)
+		case actFallback:
+			// The collector refused the codec, not the batch: latch onto
+			// JSON and resend the same batch under the same Seq, so dedup
+			// semantics are untouched.
+			s.codec = jsonCodec{}
+			s.fellBack.Store(true)
+			if body = s.encode(body[:0], &wb); len(wb.Violations) == 0 {
+				return body
 			}
-			transient = false
-			break
 		}
-		transient = true
-		if probing || attempt >= s.cfg.MaxRetries {
-			break
-		}
-		// The collector's Retry-After stretches this attempt's wait, but
-		// stays clamped into the existing ladder: never beyond MaxBackoff,
-		// so one bad header cannot park the shipper for an hour.
-		wait := s.backoff(attempt)
-		if retryAfter > wait {
-			wait = retryAfter
-		}
-		if wait > s.cfg.MaxBackoff {
-			wait = s.cfg.MaxBackoff
-		}
-		if s.cfg.RetryBudget > 0 && time.Since(began)+wait > s.cfg.RetryBudget {
-			err = fmt.Errorf("retry budget %s exhausted: %w", s.cfg.RetryBudget, err)
-			break
-		}
-		s.retries.Add(1)
-		s.sleep(wait)
+		o, err = s.post(body, wb.Seq, act.timeout)
 	}
-	if s.cfg.BreakerFailures > 0 && transient {
-		s.consecFailures++
-		if s.consecFailures >= s.cfg.BreakerFailures {
-			s.breakerOpen.Store(true)
-			s.breakerUntil = time.Now().Add(s.cfg.BreakerProbe)
-		}
-	}
-	s.setErr(fmt.Errorf("export: deliver batch to %s: %w", s.url, err))
-	s.dropped.Add(int64(len(violations)))
-	return body
 }
 
-// sleep waits d — or not at all once Close has begun. A closing sink
-// keeps making its retry attempts (a collector recovering from a blip
-// still receives every queued batch, per the drain contract) but skips
-// the waits between them, so Close is bounded by the attempts
-// themselves, never by the backoff ladder.
+var errCircuitOpen = errors.New("circuit open")
+
+// encode appends wb's wire form to buf. Neither codec carries a
+// non-finite Time or Severity: those violations are dropped, counted,
+// and the rest encode under the same Seq — one bad value must not cost
+// the violations beside it. wb.Violations is left holding what was
+// encoded; it is empty when nothing could be.
+func (s *HTTPSink) encode(buf []byte, wb *Batch) []byte {
+	body, err := s.codec.AppendBatch(buf, *wb)
+	if err == nil {
+		return body
+	}
+	s.setErr(fmt.Errorf("export: encode batch: %w", err))
+	kept := wb.Violations[:0]
+	for _, v := range wb.Violations {
+		if finite(v.Time) && finite(v.Severity) {
+			kept = append(kept, v)
+		}
+	}
+	s.drops[dropNonFinite].Add(int64(len(wb.Violations) - len(kept)))
+	if wb.Violations = kept; len(kept) > 0 {
+		if body, err = s.codec.AppendBatch(buf, *wb); err == nil {
+			return body
+		}
+	}
+	s.drops[dropRejected].Add(int64(len(kept)))
+	wb.Violations = nil
+	return buf
+}
+
+// sleep waits d, or less once Close has begun: the rest of the wait is
+// skipped but charged to the policy clock, so a closing shipper never
+// spins on a fast-refusing port.
 func (s *HTTPSink) sleep(d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
+	began := time.Now()
 	select {
 	case <-t.C:
 	case <-s.closing:
+		s.epoch = s.epoch.Add(-max(0, d-time.Since(began)))
 	}
 }
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
-// fallbackStatus reports whether an HTTP status from the collector should
-// trigger the JSON wire fallback. 413 is excluded: the body was too big,
-// and a JSON re-encode of the same batch is no smaller.
-func fallbackStatus(status int) bool {
-	return status == http.StatusUnsupportedMediaType ||
-		status == http.StatusNotAcceptable ||
-		status == http.StatusBadRequest
-}
-
-// post delivers one encoded batch. On a non-2xx answer carrying a
-// Retry-After header (a throttling or degraded collector), the parsed
-// wait is returned alongside the error so ship can stretch its backoff.
-func (s *HTTPSink) post(body []byte, seq uint64) (retryAfter time.Duration, err error) {
-	req, err := http.NewRequest(http.MethodPost, s.url, bytes.NewReader(body))
-	if err != nil {
-		return 0, &permanentError{err: err}
-	}
+// post makes one delivery attempt bounded by timeout and reports what
+// came back for next; the error describes a failed attempt.
+func (s *HTTPSink) post(body []byte, seq uint64, timeout time.Duration) (outcome, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	// NewHTTPSink parsed the URL, so building the request cannot fail.
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, s.url, bytes.NewReader(body))
 	req.Header.Set("Content-Type", s.codec.ContentType())
 	// The batch identity rides the headers too, so an overloaded
 	// collector can acknowledge an already-applied retry without reading
@@ -556,51 +471,123 @@ func (s *HTTPSink) post(body []byte, seq uint64) (retryAfter time.Duration, err 
 	req.Header.Set(SeqHeader, strconv.FormatUint(seq, 10))
 	resp, err := s.cfg.Client.Do(req)
 	if err != nil {
-		return 0, err
+		return outcome{}, err
 	}
 	// Drain before closing or the transport cannot return the connection
 	// to its keep-alive pool, and every batch would pay a new handshake.
 	defer resp.Body.Close()
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
-	if resp.StatusCode/100 == 2 {
-		return 0, nil
+	o := outcome{status: resp.StatusCode}
+	if o.status/100 == 2 {
+		return o, nil
 	}
-	if v := strings.TrimSpace(resp.Header.Get("Retry-After")); v != "" {
-		// Only the delta-seconds form is parsed (it is what the collector
-		// sends); an HTTP-date or garbage value is ignored, falling back
-		// to the sink's own backoff.
-		if secs, perr := strconv.Atoi(v); perr == nil && secs > 0 {
-			retryAfter = time.Duration(secs) * time.Second
+	// Only the delta-seconds Retry-After is parsed (it is what the
+	// collector sends); an HTTP-date or garbage value is ignored.
+	if secs, perr := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After"))); perr == nil && secs > 0 {
+		o.retryAfter = time.Duration(secs) * time.Second
+	}
+	return o, fmt.Errorf("collector returned %s", resp.Status)
+}
+
+// The delivery policy. next is the whole decision of what the shipper
+// does with a batch: ship reports each outcome and carries out the
+// action next returns. next is pure — time arrives only as now and
+// randomness only as jitter — so a test can enumerate outcome sequences
+// with no network and no sleeps.
+
+// outcome is what happened last: a batch starting, or one attempt's
+// answer. status is the HTTP status, or 0 when no answer came (a
+// timeout or a refused connection).
+type outcome struct {
+	status     int
+	retryAfter time.Duration // the collector's Retry-After, if it sent one
+}
+
+// batchStart is the outcome status that opens a new batch.
+const batchStart = -1
+
+// action is what the shipper does next with the batch.
+type action struct {
+	kind    actionKind
+	wait    time.Duration // actRetry: sleep this long first
+	timeout time.Duration // actSend, actRetry, actFallback: the attempt's bound
+	reason  dropReason    // actDrop
+}
+
+type actionKind uint8
+
+const (
+	actSend     actionKind = iota // the batch's first attempt (the probe, while the circuit is open)
+	actRetry                      // wait, then attempt again
+	actFallback                   // re-encode as JSON, resend under the same Seq
+	actAck                        // delivered
+	actDrop                       // dropped, counted under reason
+)
+
+type dropReason uint8
+
+const (
+	dropDeadline dropReason = iota
+	dropCircuitOpen
+	dropRejected
+	dropNonFinite
+	numDropReasons
+)
+
+var dropReasonNames = [numDropReasons]string{"deadline", "circuit_open", "rejected", "non_finite"}
+
+// deliveryState is next's memory: the batch in flight and the collector's
+// recent record.
+type deliveryState struct {
+	deadline  time.Duration // the one knob
+	json      bool          // batches ship as JSON, configured or fallen back
+	began     time.Duration // when the batch in flight started
+	step      time.Duration // the backoff ladder's next step for the batch in flight
+	probing   bool          // the batch in flight is the circuit's probe
+	dead      int           // batches in a row dropped at their deadline; >= circuitAfter is an open circuit
+	nextProbe time.Duration // while open, no attempt before this
+}
+
+// next returns what to do after outcome o at time now, and the state to
+// pass with the following outcome. jitter in [0, 1] places each backoff
+// within [50%, 100%] of its ladder step.
+func next(st deliveryState, o outcome, now time.Duration, jitter float64) (action, deliveryState) {
+	d := st.deadline
+	switch code := o.status; {
+	case code == batchStart:
+		st.began, st.step, st.probing = now, d/200, st.dead >= circuitAfter
+		if st.probing && now < st.nextProbe {
+			return action{kind: actDrop, reason: dropCircuitOpen}, st
 		}
+		return action{kind: actSend, timeout: d / 2}, st
+	case code/100 == 2 || code/100 == 4 && code != http.StatusTooManyRequests:
+		// An answer that is not a transient failure proves the collector
+		// alive: the circuit closes, and the batch is a probe no more.
+		st.dead, st.probing = 0, false
+		switch {
+		case code/100 == 2:
+			return action{kind: actAck}, st
+		case !st.json && (code == http.StatusUnsupportedMediaType || code == http.StatusNotAcceptable || code == http.StatusBadRequest):
+			// The collector may not speak this codec (415/406), or be a
+			// pre-codec one that JSON-parsed a binary frame (400). Not
+			// 413: the body was too big, and its JSON is no smaller.
+			st.json = true
+			return action{kind: actFallback, timeout: min(d/2, st.began+d-now)}, st
+		}
+		return action{kind: actDrop, reason: dropRejected}, st
 	}
-	err = fmt.Errorf("collector returned %s", resp.Status)
-	if resp.StatusCode >= 400 && resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests {
-		// The collector understood the request and rejected the payload:
-		// retrying the same bytes cannot succeed.
-		return retryAfter, &permanentError{err: err, status: resp.StatusCode}
+	// A transient failure: 429, 5xx, no answer, or any other status.
+	if st.probing {
+		st.nextProbe = now + d
+		return action{kind: actDrop, reason: dropCircuitOpen}, st
 	}
-	return retryAfter, err
-}
-
-// backoff returns the delay before retry number attempt+1: BaseBackoff
-// doubled per attempt, capped at MaxBackoff, jittered into [50%, 100%] so
-// a fleet of senders recovering from a collector outage does not thunder
-// back in lockstep.
-func (s *HTTPSink) backoff(attempt int) time.Duration {
-	d := s.cfg.BaseBackoff << uint(attempt)
-	if d > s.cfg.MaxBackoff || d <= 0 {
-		d = s.cfg.MaxBackoff
+	wait := st.step/2 + time.Duration(jitter*float64(st.step/2))
+	wait = max(wait, min(o.retryAfter, d/5))
+	if now+wait >= st.began+d {
+		st.dead++
+		st.nextProbe = now + d
+		return action{kind: actDrop, reason: dropDeadline}, st
 	}
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
+	st.step = min(2*st.step, d/5)
+	return action{kind: actRetry, wait: wait, timeout: min(d/2, st.began+d-now-wait)}, st
 }
-
-// permanentError marks a delivery failure retrying cannot fix; status
-// carries the HTTP status code when the collector answered (0 otherwise),
-// which the wire fallback dispatches on.
-type permanentError struct {
-	err    error
-	status int
-}
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }

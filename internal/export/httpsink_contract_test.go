@@ -6,15 +6,17 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"omg/internal/assertion"
 )
 
 // TestHTTPSinkAccountingContract locks the DropCounter arithmetic the
 // sink documents: once Flush returns, Delivered() + Dropped() equals
-// exactly the violations Record accepted — through a healthy collector,
-// through a total outage, and through the recovery after it. Nothing is
-// double-counted and nothing vanishes into neither bucket.
+// exactly the violations Record accepted, and Dropped() is the sum of the
+// per-reason counts — through a healthy collector, through a total
+// outage, and through the recovery after it. Nothing is double-counted
+// and nothing vanishes into neither bucket.
 func TestHTTPSinkAccountingContract(t *testing.T) {
 	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
@@ -30,7 +32,6 @@ func TestHTTPSinkAccountingContract(t *testing.T) {
 	defer srv.Close()
 
 	cfg := fastCfg(srv.URL)
-	cfg.MaxRetries = 1
 	cfg.BatchMax = 8
 	s, err := NewHTTPSink(cfg)
 	if err != nil {
@@ -47,9 +48,11 @@ func TestHTTPSinkAccountingContract(t *testing.T) {
 		if err := s.Flush(); err != nil && !down.Load() && s.Dropped() == 0 {
 			t.Fatalf("%s: Flush: %v", phase, err)
 		}
-		if got := s.Delivered() + s.Dropped(); got != int64(accepted) {
-			t.Fatalf("%s: Delivered(%d) + Dropped(%d) = %d, want %d accepted",
-				phase, s.Delivered(), s.Dropped(), got, accepted)
+		st := s.Stats()
+		d := st.Drops
+		if sum := d.Deadline + d.CircuitOpen + d.Rejected + d.NonFinite; sum != st.Dropped || st.Delivered+sum != int64(accepted) {
+			t.Fatalf("%s: Delivered(%d) + Σ reasons %+v = %d, Dropped %d, want %d accepted",
+				phase, st.Delivered, d, st.Delivered+sum, st.Dropped, accepted)
 		}
 	}
 
@@ -61,8 +64,8 @@ func TestHTTPSinkAccountingContract(t *testing.T) {
 	}
 	delivered := s.Delivered()
 
-	// Phase 2: outage — every batch exhausts its retries and is counted
-	// as dropped; the balance still holds.
+	// Phase 2: outage — batches run out their deadline, then the circuit
+	// opens and drops the rest unsent; the balance still holds.
 	down.Store(true)
 	record(40)
 	checkBalance("outage")
@@ -70,9 +73,15 @@ func TestHTTPSinkAccountingContract(t *testing.T) {
 		t.Fatal("outage phase dropped nothing")
 	}
 
-	// Phase 3: recovery — new violations deliver again (no dead-latch)
-	// and the ledger still balances; the outage cost only its own batches.
+	if st := s.Stats(); !st.CircuitOpen || st.Drops.Deadline == 0 || st.Drops.CircuitOpen == 0 {
+		t.Fatalf("outage: %+v, want deadline drops and then an open circuit's", st)
+	}
+
+	// Phase 3: recovery — once a Deadline has passed, the next batch is
+	// the probe; it succeeds and new violations deliver again (no
+	// dead-latch), and the ledger still balances.
 	down.Store(false)
+	time.Sleep(fastDeadline)
 	record(30)
 	checkBalance("recovery")
 	if s.Delivered() <= delivered {
@@ -133,8 +142,8 @@ func TestHTTPSinkNonFiniteCostsOneViolation(t *testing.T) {
 			if err := s.Close(); err == nil {
 				t.Fatal("Close must surface the encode error")
 			}
-			if s.Delivered() != n-1 || s.Dropped() != 1 {
-				t.Fatalf("Delivered %d Dropped %d, want %d and 1", s.Delivered(), s.Dropped(), n-1)
+			if st := s.Stats(); st.Delivered != n-1 || st.Dropped != 1 || st.Drops.NonFinite != 1 {
+				t.Fatalf("Delivered %d Dropped %d (%+v), want %d and 1 non-finite", st.Delivered, st.Dropped, st.Drops, n-1)
 			}
 			if got := c.TotalFired(); got != n-1 {
 				t.Fatalf("collector total_fired = %d, want %d", got, n-1)

@@ -12,14 +12,14 @@ import (
 	"omg/internal/assertion"
 )
 
-// fastCfg returns a config with millisecond backoffs so failure-path
-// tests stay quick.
+// fastDeadline keeps failure-path tests quick: a dead batch costs half a
+// second, its backoffs run 2.5ms to 100ms and each attempt times out
+// after 250ms.
+const fastDeadline = 500 * time.Millisecond
+
+// fastCfg returns a config on fastDeadline.
 func fastCfg(url string) HTTPSinkConfig {
-	return HTTPSinkConfig{
-		BaseURL:     url,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  4 * time.Millisecond,
-	}
+	return HTTPSinkConfig{BaseURL: url, Deadline: fastDeadline}
 }
 
 func recordN(t *testing.T, s assertion.Sink, n int) {
@@ -127,7 +127,6 @@ func TestHTTPSinkCountsDropsWhenServerDown(t *testing.T) {
 	srv.Close() // nothing is listening any more
 
 	cfg := fastCfg(url)
-	cfg.MaxRetries = 1
 	cfg.BatchMax = 4
 	s, err := NewHTTPSink(cfg)
 	if err != nil {
@@ -157,9 +156,7 @@ func TestHTTPSinkDoesNotRetryRejectedPayloads(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	cfg := fastCfg(srv.URL)
-	cfg.MaxRetries = 5
-	s, err := NewHTTPSink(cfg)
+	s, err := NewHTTPSink(fastCfg(srv.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +189,7 @@ func TestHTTPSinkRecoversAfterOutage(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	cfg := fastCfg(srv.URL)
-	cfg.MaxRetries = 1
-	s, err := NewHTTPSink(cfg)
+	s, err := NewHTTPSink(fastCfg(srv.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +232,6 @@ func TestHTTPSinkRecordDuringClose(t *testing.T) {
 
 	cfg := fastCfg(srv.URL)
 	cfg.BatchMax = 16
-	cfg.QueueDepth = 64
 	s, err := NewHTTPSink(cfg)
 	if err != nil {
 		t.Fatal(err)
