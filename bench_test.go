@@ -2,8 +2,8 @@ package omg_test
 
 // The benchmark suite regenerates every table and figure of the paper at
 // reduced ("quick") scale and reports the headline numbers as benchmark
-// metrics, plus ablation benches for the design choices DESIGN.md calls
-// out and micro-benchmarks for the hot paths. cmd/omg-bench runs the same
+// metrics, plus ablation benches for the design choices and
+// micro-benchmarks for the hot paths. cmd/omg-bench runs the same
 // experiments at full scale.
 
 import (
@@ -135,7 +135,7 @@ func BenchmarkTable6HumanLabels(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Ablations: the design choices DESIGN.md calls out.
+// Ablations: one design choice varied at a time.
 
 // benchBALVariant runs Figure 4a's domain with one BAL configuration and
 // reports the final mAP.

@@ -1,5 +1,5 @@
-// Command omg-loadgen is the chaos harness for the collector's overload
-// protection (ROADMAP item 5): it replays the six seed domains as
+// Command omg-loadgen is the chaos harness for the export path's
+// exactly-once contract: it replays the six seed domains as
 // hundreds of concurrent synthetic streams through real export.HTTPSink
 // pipelines against a live omg-server it spawns and supervises, while a
 // seeded, deterministic fault schedule attacks every layer — 429 storms,
@@ -32,9 +32,7 @@
 //
 //	omg-loadgen -server-bin ./bin/omg-server [-duration 30s] [-seed 1]
 //	            [-streams 200] [-sinks 20] [-rate 20] [-data-dir DIR]
-//	            [-report chaos_report.json] [-shards 4]
-//	            [-collector-rate-limit N] [-collector-burst N]
-//	            [-collector-max-inflight N] [-chaos none|all]
+//	            [-report chaos_report.json] [-shards 4] [-chaos none|all]
 package main
 
 import (
@@ -175,9 +173,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "collector data directory (default: a temp dir, removed on success)")
 	reportPath := flag.String("report", "", "write the JSON accounting report here")
 	shards := flag.Int("shards", 4, "collector ingest shards")
-	rateLimit := flag.Int64("collector-rate-limit", 128<<10, "collector per-source -rate-limit bytes/s (0 = off)")
-	burst := flag.Int64("collector-burst", 256<<10, "collector -burst bytes (0 = one second's worth)")
-	maxInflight := flag.Int("collector-max-inflight", 64, "collector -max-inflight (0 = unbounded)")
 	chaos := flag.String("chaos", "all", "fault schedule: all (the full seeded schedule) or none (pure load)")
 	flag.Parse()
 	if *streams < 1 || *sinkN < 1 || *streams < *sinkN {
@@ -196,10 +191,7 @@ func main() {
 		}
 	}
 
-	proc := &collectorProc{
-		bin: *serverBin, dataDir: dir, shards: *shards,
-		rateLimit: *rateLimit, burst: *burst, maxInflight: *maxInflight,
-	}
+	proc := &collectorProc{bin: *serverBin, dataDir: dir, shards: *shards}
 	if err := proc.start(); err != nil {
 		log.Fatalf("start collector: %v", err)
 	}

@@ -19,12 +19,9 @@ import (
 // same data directory rides across every restart — recovery is the
 // thing under test.
 type collectorProc struct {
-	bin         string
-	dataDir     string
-	shards      int
-	rateLimit   int64
-	burst       int64
-	maxInflight int
+	bin     string
+	dataDir string
+	shards  int
 
 	mu  sync.Mutex
 	cmd *exec.Cmd
@@ -42,15 +39,6 @@ func (p *collectorProc) start(extra ...string) error {
 		"-data-dir", p.dataDir,
 		"-shards", strconv.Itoa(p.shards),
 		"-retain", "0", // retention evictions would blur the conservation books
-	}
-	if p.rateLimit > 0 {
-		args = append(args, "-rate-limit", strconv.FormatInt(p.rateLimit, 10))
-		if p.burst > 0 {
-			args = append(args, "-burst", strconv.FormatInt(p.burst, 10))
-		}
-	}
-	if p.maxInflight > 0 {
-		args = append(args, "-max-inflight", strconv.Itoa(p.maxInflight))
 	}
 	args = append(args, extra...)
 	cmd := exec.Command(p.bin, args...)

@@ -56,7 +56,6 @@
 //	           [-label-selector bal|ccmab|uncertainty|uniform-ma|random]
 //	           [-label-seed N] [-label-budget N] [-lease-ttl DUR]
 //	           [-wire-accept json,binary] [-drain DUR] [-debug-addr :PORT]
-//	           [-rate-limit BYTES/S] [-burst BYTES] [-max-inflight N]
 //	           [-chaos-disk-full-after BYTES]
 //	omg-server import -data-dir DIR [-shards N] SNAPSHOT.json
 //
@@ -64,15 +63,14 @@
 // profiling stays off the public collector port and off entirely unless
 // the flag is set.
 //
-// -rate-limit / -burst / -max-inflight are the overload controls: over
-// budget or over capacity, ingest answers 429 with a Retry-After the
-// sinks honor, every rejection is counted by reason in /metrics, and
-// retries of already-applied batches are still acknowledged so
-// throttling never wedges a sender's dedup window. A disk store that
-// stops accepting writes (ENOSPC — or -chaos-disk-full-after, which
-// injects it deterministically for chaos drills) latches the collector
-// degraded: ingest answers 503, /healthz reports it, queries keep
-// serving from memory.
+// Ingest admission is the same on every request. A retry of an
+// already-applied batch is acknowledged from its X-OMG-Source and
+// X-OMG-Seq headers before anything else, a body over 32 MiB answers
+// 413, and a disk store that stops accepting writes (ENOSPC — or
+// -chaos-disk-full-after, which injects it deterministically for chaos
+// drills) latches the collector degraded: ingest answers 503 with a
+// Retry-After the sinks honor, /healthz reports it, queries keep serving
+// from memory. Every rejection is counted by reason in /metrics.
 package main
 
 import (
@@ -117,41 +115,33 @@ func main() {
 	labelBudget := flag.Int("label-budget", 16, "default /v1/labels/next batch size when the pull names no ?budget=")
 	leaseTTL := flag.Duration("lease-ttl", 5*time.Minute, "how long a served label candidate stays exclusively leased to its puller")
 	wireAccept := flag.String("wire-accept", "", "comma-separated wire codecs ingest accepts (json,binary); empty accepts all — requests in other formats get 415 and capable senders fall back")
-	rateLimit := flag.Int64("rate-limit", 0, "per-source ingest byte budget per second; senders over it get 429 with Retry-After (0 = no rate limit)")
-	rateBurst := flag.Int64("burst", 0, "per-source ingest burst allowance in bytes for -rate-limit (0 = one second's worth)")
-	maxInflight := flag.Int("max-inflight", 0, "concurrent ingest requests admitted before newest arrivals are shed with 429 (0 = unbounded)")
 	chaosDiskFullAfter := flag.Int64("chaos-disk-full-after", 0, "fault injection for -store=disk: fail segment writes with ENOSPC once this many bytes have been written, degrading ingest to 503 (0 = off; chaos testing only)")
 	drain := flag.Duration("drain", 0, "after a shutdown signal, keep the listener answering (with /healthz reporting 503) this long so load balancers drain the instance first")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (gated: off unless set)")
 	flag.Parse()
-	if *retain < 0 {
-		log.Fatalf("-retain must be >= 0")
-	}
-	if *shards < 1 {
-		log.Fatalf("-shards must be >= 1")
-	}
-	if *retainAge < 0 || *retainPer < 0 || *compactEvery <= 0 {
-		log.Fatalf("retention periods must not be negative")
-	}
-	if *storeKind == export.StoreDisk && *dataDir == "" {
-		log.Fatalf("-store=disk requires -data-dir")
-	}
-	if *dataDir != "" && *storeKind != export.StoreDisk {
+	// Each bad flag exits before serving, with its own message; the first
+	// failing row wins.
+	for _, check := range []struct {
+		bad bool
+		msg string
+	}{
+		{*retain < 0, "-retain must be >= 0"},
+		{*shards < 1, "-shards must be >= 1"},
+		{*retainAge < 0, "-retain-age must be >= 0"},
+		{*retainPer < 0, "-retain-per-assertion must be >= 0"},
+		{*compactEvery <= 0, "-compact-every must be positive"},
+		{*storeKind == export.StoreDisk && *dataDir == "", "-store=disk requires -data-dir"},
 		// A mem collector would silently ignore the directory and lose
 		// everything at exit.
-		log.Fatalf("-data-dir requires -store=disk")
-	}
-	if *labelBudget < 1 {
-		log.Fatalf("-label-budget must be >= 1")
-	}
-	if *leaseTTL <= 0 {
-		log.Fatalf("-lease-ttl must be positive")
-	}
-	if *drain < 0 {
-		log.Fatalf("-drain must be >= 0")
-	}
-	if *rateLimit < 0 || *rateBurst < 0 || *maxInflight < 0 || *chaosDiskFullAfter < 0 {
-		log.Fatalf("-rate-limit, -burst, -max-inflight and -chaos-disk-full-after must be >= 0")
+		{*dataDir != "" && *storeKind != export.StoreDisk, "-data-dir requires -store=disk"},
+		{*labelBudget < 1, "-label-budget must be >= 1"},
+		{*leaseTTL <= 0, "-lease-ttl must be positive"},
+		{*drain < 0, "-drain must be >= 0"},
+		{*chaosDiskFullAfter < 0, "-chaos-disk-full-after must be >= 0"},
+	} {
+		if check.bad {
+			log.Fatal(check.msg)
+		}
 	}
 
 	var acceptWire []string
@@ -173,9 +163,6 @@ func main() {
 		Store:               *storeKind,
 		DataDir:             *dataDir,
 		AcceptWire:          acceptWire,
-		RateLimitBytes:      *rateLimit,
-		RateBurstBytes:      *rateBurst,
-		MaxInflight:         *maxInflight,
 		StoreFailAfterBytes: *chaosDiskFullAfter,
 		Labels: labelsvc.Config{
 			Selector:      *labelSelector,

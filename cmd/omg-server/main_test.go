@@ -724,6 +724,8 @@ func TestEndToEndBadServerFlags(t *testing.T) {
 	}{
 		{[]string{"-addr", "127.0.0.1:0", "-data-dir", t.TempDir()}, "-data-dir requires -store=disk"},
 		{[]string{"-addr", "127.0.0.1:0", "-snapshot", "x"}, "flag provided but not defined: -snapshot"},
+		{[]string{"-addr", "127.0.0.1:0", "-rate-limit", "1"}, "flag provided but not defined: -rate-limit"},
+		{[]string{"-addr", "127.0.0.1:0", "-compact-every", "0"}, "-compact-every must be positive"},
 		{[]string{"import", "-data-dir", full, "../../internal/export/testdata/snapshot-v2.json"}, "not empty"},
 	} {
 		// A server that does start is killed at the deadline and fails the

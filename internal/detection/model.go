@@ -1,6 +1,8 @@
 // Package detection implements a trainable *simulated* 2D object detector:
 // the stand-in for the SSD model in the paper's video-analytics and AV
-// experiments (§5.1). See DESIGN.md for the substitution argument.
+// experiments (§5.1). The paper's trained models and video corpora are not
+// reproducible offline; what its results depend on is the structure of the
+// model's mistakes, which the simulator reproduces directly.
 //
 // The detector's behaviour is governed by a set of systematic error modes
 // (transient flicker misses, duplicate "multibox" detections, class flips,

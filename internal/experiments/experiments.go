@@ -5,7 +5,8 @@
 // bench_test.go exposes each runner as a benchmark.
 //
 // Absolute numbers are not expected to match the paper (the substrate is
-// a simulator, see DESIGN.md); the reproduced comparisons are relative:
+// a simulator standing in for models and data that are not reproducible
+// offline); the reproduced comparisons are relative:
 // which method wins, by roughly what factor, and where crossovers fall.
 package experiments
 

@@ -1,26 +1,25 @@
 package export
 
 import (
-	"math"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 )
 
-// Overload protection for the collector's ingest path: per-source
-// token-bucket byte quotas, newest-first load shedding on an in-flight
-// cap, and the latched degraded mode a failed store sync flips. Every
-// rejection is counted under omg_collector_ingest_rejected_total{reason}
-// and carries a Retry-After header, and an already-applied retry is
-// always acknowledged first — admission control throttles new work, it
-// never breaks the exactly-once contract with a sender mid-retry.
+// Admission for the collector's ingest path is what runs on every
+// request: an already-applied retry is acknowledged first, from its
+// headers alone; a collector whose store failed a write rejects new
+// work with 503 + Retry-After until it is restarted; and every body is
+// bounded by maxIngestBytes (413). Each rejection is counted under
+// omg_collector_ingest_rejected_total{reason}.
 
 // Ingest request headers carrying the batch identity out-of-band. An
-// HTTPSink stamps both on every POST so an overloaded collector can
-// acknowledge an already-applied retry without reading or decoding the
-// body. The headers MUST match the body's Source/Seq (the collector
-// trusts them only for the duplicate fast path; actual dedup still keys
-// on the decoded batch).
+// HTTPSink stamps both on every POST so the collector can acknowledge
+// an already-applied retry without reading or decoding the body — even
+// while its store is degraded. The headers MUST match the body's
+// Source/Seq (the collector trusts them only for the duplicate fast
+// path; actual dedup still keys on the decoded batch).
 const (
 	SourceHeader = "X-OMG-Source"
 	SeqHeader    = "X-OMG-Seq"
@@ -30,86 +29,6 @@ const (
 // degraded: the condition is latched until an operator restarts the
 // collector, so senders should back way off.
 const degradedRetryAfter = 5 * time.Second
-
-// maxRetryAfter caps the advertised Retry-After: a source so far into
-// deficit that its wait exceeds this is told the cap — HTTPSinks clamp
-// into their backoff ladder anyway, and a sender that obeyed an hours
-// long wait would look dead to its operator.
-const maxRetryAfter = 60 * time.Second
-
-// maxBuckets bounds the per-source bucket map. Beyond it, new sources
-// share the anonymous bucket: a spoofed-source flood must not turn the
-// rate limiter itself into a memory leak.
-const maxBuckets = 4096
-
-// tokenBucket is one source's byte budget. Tokens are bytes; the bucket
-// refills at RateLimitBytes per second up to RateBurstBytes, and a body
-// is admitted whenever the bucket is not in deficit — the charge may
-// drive it negative, which is what admits single bodies larger than the
-// burst while still making the source pay for them in wait time.
-type tokenBucket struct {
-	tokens float64
-	last   time.Time
-}
-
-// admitBytes charges n request bytes against src's bucket. It reports
-// whether the request is admitted; when it is not, wait is how long the
-// source must wait for the bucket to clear its deficit (the Retry-After
-// value). A collector without a configured rate limit admits everything.
-func (c *Collector) admitBytes(src string, n int64) (wait time.Duration, ok bool) {
-	rate := float64(c.cfg.RateLimitBytes)
-	if rate <= 0 {
-		return 0, true
-	}
-	burst := float64(c.cfg.RateBurstBytes)
-	now := time.Now()
-	c.bucketsMu.Lock()
-	defer c.bucketsMu.Unlock()
-	b := c.buckets[src]
-	if b == nil {
-		if len(c.buckets) >= maxBuckets {
-			src = ""
-			b = c.buckets[src]
-		}
-		if b == nil {
-			b = &tokenBucket{tokens: burst, last: now}
-			c.buckets[src] = b
-		}
-	}
-	if elapsed := now.Sub(b.last); elapsed > 0 {
-		b.tokens += elapsed.Seconds() * rate
-		if b.tokens > burst {
-			b.tokens = burst
-		}
-	}
-	b.last = now
-	if b.tokens < 0 {
-		secs := math.Ceil(-b.tokens / rate)
-		wait = time.Duration(secs) * time.Second
-		if wait > maxRetryAfter {
-			wait = maxRetryAfter
-		}
-		if wait < time.Second {
-			wait = time.Second
-		}
-		return wait, false
-	}
-	b.tokens -= float64(n)
-	return 0, true
-}
-
-// acquireInflight claims an ingest slot. It returns a release func and
-// whether the request must be shed instead (the in-flight cap is
-// reached). The count is kept even without a cap, for the
-// omg_collector_ingest_inflight gauge.
-func (c *Collector) acquireInflight() (release func(), shed bool) {
-	n := c.inflight.Add(1)
-	if max := c.cfg.MaxInflight; max > 0 && n > int64(max) {
-		c.inflight.Add(-1)
-		return nil, true
-	}
-	return func() { c.inflight.Add(-1) }, false
-}
 
 // ackAppliedRetry answers a request whose (source, seq) headers identify
 // a batch at or below the source's applied high-water mark: a retry of
@@ -144,18 +63,15 @@ func (c *Collector) ackAppliedRetry(w http.ResponseWriter, r *http.Request) bool
 	return true
 }
 
-// shedIngest rejects one ingest request with a Retry-After header,
-// counting it under reason and recording the advertised wait on the
-// throttle histogram.
-func (c *Collector) shedIngest(w http.ResponseWriter, reason rejectReason, status int, msg string, retryAfter time.Duration) {
-	c.rejectIngest(reason)
-	throttleWaitHist.With(rejectReasonNames[reason]).Record(retryAfter)
-	secs := int(math.Ceil(retryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	http.Error(w, msg, status)
+// rejectDegraded answers one ingest request 503 with a Retry-After of
+// degradedRetryAfter, counted under reason store_degraded: cause is the
+// store failure that latched (or, for the batch that tripped it, just
+// hit) the degraded mode. The batch is not acknowledged, so the sender's
+// retry re-delivers it to a healed collector.
+func (c *Collector) rejectDegraded(w http.ResponseWriter, cause error) {
+	c.rejectIngest(rejectStoreDegraded)
+	w.Header().Set("Retry-After", strconv.Itoa(int(degradedRetryAfter/time.Second)))
+	http.Error(w, fmt.Sprintf("collector store degraded: %v", cause), http.StatusServiceUnavailable)
 }
 
 // degrade latches the collector into reject-with-reason mode: the disk

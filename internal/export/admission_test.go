@@ -10,7 +10,6 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 )
 
 // postBatchRaw posts a wire batch with the sink's identity headers set
@@ -18,142 +17,33 @@ import (
 // already read.
 func postBatchRaw(t *testing.T, url string, b Batch, withHeaders bool) (*http.Response, []byte) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url+IngestPath, jsonBody(t, b))
+	src := ""
+	if withHeaders {
+		src = b.Source
+	}
+	return postIngestRaw(t, url, jsonBody(t, b), src, b.Seq)
+}
+
+// postIngestRaw posts body as a JSON ingest request, with the identity
+// headers set to (src, seq) unless src is empty.
+func postIngestRaw(t *testing.T, url string, body io.Reader, src string, seq uint64) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url+IngestPath, body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if withHeaders {
-		req.Header.Set(SourceHeader, b.Source)
-		req.Header.Set(SeqHeader, strconv.FormatUint(b.Seq, 10))
+	if src != "" {
+		req.Header.Set(SourceHeader, src)
+		req.Header.Set(SeqHeader, strconv.FormatUint(seq, 10))
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	return resp, body
-}
-
-func TestAdmissionRateLimit429AndRetryAfter(t *testing.T) {
-	c := openCollector(t, CollectorConfig{RateLimitBytes: 200, RateBurstBytes: 200})
-	defer c.Close()
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-
-	// The first batch drains the 200-byte bucket into deficit (bodies are
-	// admitted whenever the bucket is non-negative, charged in full).
-	resp, body := postBatchRaw(t, srv.URL, mkBatch("edge-01", 1, 8), true)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("first batch = %s: %s", resp.Status, body)
-	}
-	// The second finds the deficit and is throttled with a Retry-After.
-	resp, _ = postBatchRaw(t, srv.URL, mkBatch("edge-01", 2, 8), true)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-rate batch = %s, want 429", resp.Status)
-	}
-	ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || ra < 1 {
-		t.Fatalf("Retry-After = %q, want a positive integer", resp.Header.Get("Retry-After"))
-	}
-	// A retry of the already-applied seq 1 is acknowledged as a duplicate
-	// even though the bucket is still in deficit: throttling must never
-	// wedge a sender's dedup window.
-	resp, body = postBatchRaw(t, srv.URL, mkBatch("edge-01", 1, 8), true)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("deduped retry under throttle = %s, want 200", resp.Status)
-	}
-	var r IngestResponse
-	if err := json.Unmarshal(body, &r); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Duplicate || r.Accepted != 0 {
-		t.Fatalf("deduped retry = %+v, want duplicate", r)
-	}
-	// Without the identity headers the request is charged to the shared
-	// anonymous bucket (attribution needs the header, before the body is
-	// read); that bucket is still full, so the retry is admitted and
-	// deduplicated the slow way, by decoding the body.
-	resp, body = postBatchRaw(t, srv.URL, mkBatch("edge-01", 1, 8), false)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("headerless retry = %s, want 200 via anonymous bucket", resp.Status)
-	}
-	r = IngestResponse{}
-	if err := json.Unmarshal(body, &r); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Duplicate {
-		t.Fatalf("headerless retry = %+v, want duplicate via body decode", r)
-	}
-	// Another source has its own bucket.
-	if resp, _ := postBatchRaw(t, srv.URL, mkBatch("edge-02", 1, 8), true); resp.StatusCode != http.StatusOK {
-		t.Fatalf("other source = %s, want 200", resp.Status)
-	}
-	metrics := string(getBody(t, srv.URL+"/metrics", http.StatusOK))
-	if !strings.Contains(metrics, `omg_collector_ingest_rejected_total{reason="rate_limit"} 1`) {
-		t.Fatalf("metrics missing rate_limit rejects:\n%s", metrics)
-	}
-	if got := c.TotalFired(); got != 16 {
-		t.Fatalf("TotalFired = %d, want 16 (throttled batches never applied)", got)
-	}
-}
-
-func TestAdmissionRateLimitRefills(t *testing.T) {
-	c := openCollector(t, CollectorConfig{RateLimitBytes: 64 << 10, RateBurstBytes: 400})
-	defer c.Close()
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-
-	postBatchRaw(t, srv.URL, mkBatch("edge-01", 1, 16), true)
-	resp, _ := postBatchRaw(t, srv.URL, mkBatch("edge-01", 2, 16), true)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("deficit batch = %s, want 429", resp.Status)
-	}
-	// At 64 KiB/s the few-hundred-byte deficit clears almost instantly.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		resp, _ = postBatchRaw(t, srv.URL, mkBatch("edge-01", 2, 16), true)
-		if resp.StatusCode == http.StatusOK {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("bucket never refilled: last status %s", resp.Status)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func TestAdmissionMaxInflightSheds(t *testing.T) {
-	c := openCollector(t, CollectorConfig{MaxInflight: 1})
-	defer c.Close()
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-
-	postBatchRaw(t, srv.URL, mkBatch("edge-01", 1, 2), true)
-
-	// Occupy the only slot, as a stuck in-flight request would.
-	c.inflight.Add(1)
-	resp, _ := postBatchRaw(t, srv.URL, mkBatch("edge-01", 2, 2), true)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("shed batch = %s, want 429", resp.Status)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("shed response missing Retry-After")
-	}
-	// The already-applied retry is still acknowledged while shedding.
-	resp, body := postBatchRaw(t, srv.URL, mkBatch("edge-01", 1, 2), true)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("deduped retry while shedding = %s: %s", resp.Status, body)
-	}
-	c.inflight.Add(-1)
-	if resp, _ := postBatchRaw(t, srv.URL, mkBatch("edge-01", 2, 2), true); resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch after release = %s, want 200", resp.Status)
-	}
-	metrics := string(getBody(t, srv.URL+"/metrics", http.StatusOK))
-	if !strings.Contains(metrics, `omg_collector_ingest_rejected_total{reason="inflight"} 1`) {
-		t.Fatalf("metrics missing inflight reject:\n%s", metrics)
-	}
+	respBody, _ := io.ReadAll(resp.Body)
+	return resp, respBody
 }
 
 func TestAdmissionStoreDegradedLatch(t *testing.T) {
@@ -240,8 +130,8 @@ func TestAdmissionStoreDegradedLatch(t *testing.T) {
 }
 
 func TestAdmissionUnlimitedCollectorUnchanged(t *testing.T) {
-	// The zero config has no admission control: everything is admitted
-	// and nothing is counted against the new reasons.
+	// A healthy collector admits everything and counts nothing under
+	// store_degraded.
 	c := openCollector(t, CollectorConfig{})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -253,9 +143,32 @@ func TestAdmissionUnlimitedCollectorUnchanged(t *testing.T) {
 	if got := c.TotalFired(); got != 160 {
 		t.Fatalf("TotalFired = %d, want 160", got)
 	}
-	for _, reason := range []rejectReason{rejectRateLimit, rejectInflight, rejectStoreDegraded} {
-		if n := c.rejectedBy[reason].Load(); n != 0 {
-			t.Fatalf("reason %s = %d rejects on an unlimited collector", rejectReasonNames[reason], n)
+	duplicate := func(what string, resp *http.Response, body []byte) {
+		t.Helper()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s = %s: %s", what, resp.Status, body)
 		}
+		var r IngestResponse
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatal(err)
+		}
+		if !r.Duplicate || r.Accepted != 0 {
+			t.Fatalf("%s = %+v, want duplicate", what, r)
+		}
+	}
+	// A headered retry of an applied seq is acknowledged from the headers
+	// alone: its body is never read, so not even an undecodable one is
+	// rejected.
+	resp, body := postIngestRaw(t, srv.URL, strings.NewReader("not a batch"), "edge-01", 7)
+	duplicate("headered retry with an undecodable body", resp, body)
+	// Without the headers the retry is deduplicated the slow way, by
+	// decoding the body.
+	resp, body = postBatchRaw(t, srv.URL, mkBatch("edge-01", 7, 8), false)
+	duplicate("headerless retry", resp, body)
+	if got := c.TotalFired(); got != 160 {
+		t.Fatalf("TotalFired after retries = %d, want 160", got)
+	}
+	if n := c.rejectedBy[rejectStoreDegraded].Load(); n != 0 {
+		t.Fatalf("reason %s = %d rejects on a healthy collector", rejectReasonNames[rejectStoreDegraded], n)
 	}
 }

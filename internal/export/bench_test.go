@@ -12,45 +12,33 @@ import (
 // BenchmarkHTTPSinkLoopback measures the full export path — Record,
 // coalesce, JSON encode, loopback POST, collector ingest — per violation.
 // Compare with the assertion package's BenchmarkJSONLSink to see what the
-// network hop costs. "guarded" turns on admission control with limits
-// generous enough to reject nothing, so plain vs guarded prices the
-// bookkeeping every admitted request pays.
+// network hop costs.
 func BenchmarkHTTPSinkLoopback(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		cfg  CollectorConfig
-	}{
-		{"plain", CollectorConfig{}},
-		{"guarded", CollectorConfig{RateLimitBytes: 1 << 30, RateBurstBytes: 1 << 30, MaxInflight: 1024}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			c := openCollector(b, bc.cfg)
-			srv := httptest.NewServer(c.Handler())
-			defer srv.Close()
+	c := openCollector(b, CollectorConfig{})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
 
-			s, err := NewHTTPSink(HTTPSinkConfig{BaseURL: srv.URL, BatchMax: 512})
-			if err != nil {
-				b.Fatal(err)
-			}
-			v := assertion.Violation{Assertion: "bench", Stream: "cam-0", Severity: 1}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v.SampleIndex = i
-				if err := s.Record(v); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := s.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			if got := c.TotalFired(); got != b.N {
-				b.Fatalf("collector ingested %d of %d", got, b.N)
-			}
-			if r := s.Retries(); r != 0 {
-				b.Fatalf("%d retries: the limits throttled, so this timed shedding, not bookkeeping", r)
-			}
-		})
+	s, err := NewHTTPSink(HTTPSinkConfig{BaseURL: srv.URL, BatchMax: 512})
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := assertion.Violation{Assertion: "bench", Stream: "cam-0", Severity: 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.SampleIndex = i
+		if err := s.Record(v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if got := c.TotalFired(); got != b.N {
+		b.Fatalf("collector ingested %d of %d", got, b.N)
+	}
+	if r := s.Retries(); r != 0 {
+		b.Fatalf("%d retries on a healthy loopback collector", r)
 	}
 }
 

@@ -81,26 +81,6 @@ type CollectorConfig struct {
 	// HTTPSink fall back to JSON against a JSON-only collector. An unknown
 	// name is an OpenCollector error.
 	AcceptWire []string
-	// RateLimitBytes is the per-source ingest byte budget in bytes/second
-	// (0 = unlimited). Each source draws request bodies from its own
-	// token bucket; a request that finds the bucket in deficit is
-	// answered 429 with a Retry-After header and counted under reason
-	// "rate_limit". Already-applied retries are acknowledged before the
-	// bucket is consulted, so throttling never wedges a sender's dedup
-	// window.
-	RateLimitBytes int64
-	// RateBurstBytes is the token bucket capacity — how many bytes a
-	// source may burst above its steady rate (0 = one second's worth,
-	// i.e. RateLimitBytes). A single body larger than the burst is still
-	// admitted when the bucket is full; it just leaves the bucket in
-	// deficit, which is what makes the limit enforceable without a
-	// request-size ceiling below maxIngestBytes.
-	RateBurstBytes int64
-	// MaxInflight bounds concurrently admitted ingest requests
-	// (0 = unbounded). Arrivals beyond it are shed newest-first with 429
-	// + Retry-After, counted under reason "inflight" — queue-depth load
-	// shedding, with the same dedup-retry exemption as the rate limit.
-	MaxInflight int
 	// StoreFailAfterBytes injects a deterministic disk-full fault into
 	// the disk store backend for chaos testing: once each shard has
 	// written this many segment bytes, further writes fail with
@@ -147,11 +127,9 @@ type Collector struct {
 	// before the listener goes away.
 	closing atomic.Bool
 
-	// Overload-protection state: per-source token buckets (RateLimitBytes),
-	// the admitted-request count (MaxInflight), and the latched degraded
-	// flag a failed store write flips — see admission.go.
-	bucketsMu    sync.Mutex
-	buckets      map[string]*tokenBucket
+	// Admission state: the ingest-request count behind the
+	// omg_collector_ingest_inflight gauge, and the latched degraded flag
+	// a failed store write flips — see admission.go.
 	inflight     atomic.Int64
 	degraded     atomic.Bool
 	degradeMu    sync.Mutex
@@ -234,13 +212,9 @@ func OpenCollector(cfg CollectorConfig) (*Collector, error) {
 	if cfg.CompactEvery <= 0 {
 		cfg.CompactEvery = 30 * time.Second
 	}
-	if cfg.RateLimitBytes > 0 && cfg.RateBurstBytes <= 0 {
-		cfg.RateBurstBytes = cfg.RateLimitBytes
-	}
 	c := &Collector{
 		cfg:     cfg,
 		sources: make(map[string]*sourceState),
-		buckets: make(map[string]*tokenBucket),
 		tail:    newTailHub(cfg.TailBuffer),
 		stop:    make(chan struct{}),
 	}
@@ -792,15 +766,12 @@ const (
 	rejectDecode
 	rejectVersion
 	rejectContentType
-	rejectRateLimit
-	rejectInflight
 	rejectStoreDegraded
 	numRejectReasons
 )
 
 var rejectReasonNames = [numRejectReasons]string{
-	"oversize", "decode", "version", "content_type",
-	"rate_limit", "inflight", "store_degraded",
+	"oversize", "decode", "version", "content_type", "store_degraded",
 }
 
 // rejectIngest bumps both the persisted total and the by-reason counter
@@ -854,41 +825,20 @@ func (c *Collector) codecFor(ct string) (BatchCodec, bool) {
 }
 
 func (c *Collector) handleIngest(w http.ResponseWriter, r *http.Request) {
-	// An already-applied retry is acknowledged before any admission
-	// decision, from the (source, seq) request headers alone — no body
-	// read, no bucket charge. Overload protection must never wedge a
-	// sender's dedup window: the retry it throttles would otherwise be
-	// retried forever (or dropped and recounted as loss) for a batch the
-	// collector already owns.
+	// An already-applied retry is acknowledged before anything else, from
+	// the (source, seq) request headers alone — no body read. The degraded
+	// latch must never wedge a sender's dedup window: the retry it rejects
+	// would otherwise be retried until its deadline (and counted dropped)
+	// for a batch the collector already owns.
 	if c.ackAppliedRetry(w, r) {
 		return
 	}
 	admStart := admissionHist.StartIf(true)
-	// Newest-first load shedding: an arrival beyond MaxInflight is the
-	// request shed, while everything already admitted keeps its slot.
-	release, shed := c.acquireInflight()
-	if shed {
-		c.shedIngest(w, rejectInflight, http.StatusTooManyRequests,
-			"collector overloaded: too many in-flight ingest requests", time.Second)
-		return
-	}
-	defer release()
+	c.inflight.Add(1)
+	defer c.inflight.Add(-1)
 	if err := c.DegradedCause(); err != nil {
-		c.shedIngest(w, rejectStoreDegraded, http.StatusServiceUnavailable,
-			fmt.Sprintf("collector store degraded: %v", err), degradedRetryAfter)
+		c.rejectDegraded(w, err)
 		return
-	}
-	// Per-source byte admission. The declared Content-Length is charged
-	// before the body is read, so a throttled request costs the
-	// collector a header parse, not a 32 MiB read; chunked senders
-	// (no declared length) are charged after the read instead.
-	charged := r.ContentLength >= 0
-	if charged {
-		if wait, ok := c.admitBytes(r.Header.Get(SourceHeader), r.ContentLength); !ok {
-			c.shedIngest(w, rejectRateLimit, http.StatusTooManyRequests,
-				"collector rate limit exceeded for this source", wait)
-			return
-		}
 	}
 	admissionHist.Done(admStart)
 	codec, ok := c.codecFor(r.Header.Get("Content-Type"))
@@ -922,13 +872,6 @@ func (c *Collector) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if !charged {
-		if wait, ok := c.admitBytes(r.Header.Get(SourceHeader), int64(len(data))); !ok {
-			c.shedIngest(w, rejectRateLimit, http.StatusTooManyRequests,
-				"collector rate limit exceeded for this source", wait)
-			return
-		}
-	}
 	hist := ingestDecodeHist.With(codec.Name())
 	start := hist.StartIf(true)
 	b, err := codec.DecodeBatch(data)
@@ -949,8 +892,7 @@ func (c *Collector) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// This batch tripped the store fault: nothing durable, mark not
 		// advanced. Reject it so the sender's retry re-delivers the same
 		// sequence number to a healed collector.
-		c.shedIngest(w, rejectStoreDegraded, http.StatusServiceUnavailable,
-			fmt.Sprintf("collector store degraded: %v", applyErr), degradedRetryAfter)
+		c.rejectDegraded(w, applyErr)
 		return
 	}
 	writeJSON(w, IngestResponse{Accepted: accepted, Duplicate: duplicate})

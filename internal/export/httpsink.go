@@ -464,9 +464,10 @@ func (s *HTTPSink) post(body []byte, seq uint64, timeout time.Duration) (outcome
 	// NewHTTPSink parsed the URL, so building the request cannot fail.
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, s.url, bytes.NewReader(body))
 	req.Header.Set("Content-Type", s.codec.ContentType())
-	// The batch identity rides the headers too, so an overloaded
-	// collector can acknowledge an already-applied retry without reading
-	// the body — admission control never wedges the dedup window.
+	// The batch identity rides the headers too, so the collector can
+	// acknowledge an already-applied retry without reading the body —
+	// even while its store is degraded, so the latch never wedges the
+	// dedup window.
 	req.Header.Set(SourceHeader, s.cfg.Source)
 	req.Header.Set(SeqHeader, strconv.FormatUint(seq, 10))
 	resp, err := s.cfg.Client.Do(req)

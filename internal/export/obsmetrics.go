@@ -44,18 +44,9 @@ var (
 	queryHist = obs.Default().NewHistogram(
 		"omg_collector_query_seconds",
 		"Query serve time per /v1/violations/query request.")
-	// throttleWaitHist charts the Retry-After waits the collector
-	// advertises on shed or throttled ingest requests, by rejection
-	// reason (rate_limit, inflight, store_degraded) — the shape of
-	// backpressure the fleet is being asked to absorb.
-	throttleWaitHist = obs.Default().NewHistogramVec(
-		"omg_collector_throttle_wait_seconds",
-		"Retry-After advertised on throttled/shed ingest requests, by reason.",
-		"reason")
-	// admissionHist times the admission fast path (duplicate-retry check,
-	// in-flight slot, token-bucket charge) for admitted requests — the
-	// per-request overhead the overload layer adds (priced end to end by
-	// BenchmarkHTTPSinkLoopback's plain vs guarded).
+	// admissionHist times admission for admitted requests: the in-flight
+	// count and the degraded-latch check that run after the
+	// duplicate-retry fast path.
 	admissionHist = obs.Default().NewHistogram(
 		"omg_collector_admission_seconds",
 		"Admission-control time per admitted ingest request.")
