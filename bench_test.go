@@ -14,7 +14,10 @@ import (
 	"testing"
 
 	"omg"
+	"omg/internal/assertion"
 	"omg/internal/bandit"
+	"omg/internal/consistency"
+	"omg/internal/domains/nightstreet"
 	"omg/internal/experiments"
 	"omg/internal/geometry"
 	"omg/internal/simrand"
@@ -251,6 +254,26 @@ func BenchmarkMonitorObserve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mon.Observe(omg.Sample{Index: i})
+	}
+}
+
+// BenchmarkMonitorObserveNightStreet is the edge's real per-sample cost:
+// the night-street suite (vehicle:flicker, vehicle:appear from the §4
+// consistency generator, plus multibox) through a window-8 Monitor, over
+// tracked detections of a simulated camera replayed with Index and Time
+// counting on, as the benchmark harness's edge_video feed does.
+func BenchmarkMonitorObserveNightStreet(b *testing.B) {
+	d := nightstreet.New(nightstreet.Config{Seed: 41, PoolFrames: 1000, TestFrames: 1})
+	feed := consistency.Samples(d.DetectTracked(d.Pool()))
+	dt := feed[1].Time - feed[0].Time
+	mon := assertion.NewMonitor(d.Suite(), assertion.WithWindowSize(8),
+		assertion.WithRecorder(assertion.NewRecorder(1024)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := feed[i%len(feed)]
+		s.Index, s.Time = i, float64(i)*dt
+		mon.Observe(s)
 	}
 }
 

@@ -57,7 +57,37 @@ type Assertion interface {
 	// The window slice is only valid for the duration of the call —
 	// monitors reuse its backing array across samples — so an assertion
 	// that retains samples across calls must copy them.
+	//
+	// An assertion whose Check re-derives the same per-sample facts for
+	// every window position may also implement Stateful: a Monitor then
+	// evaluates it through per-monitor State instead of calling Check.
 	Check(window []Sample) float64
+}
+
+// Stateful is the optional incremental form of an Assertion. NewMonitor
+// builds one State per Stateful assertion in its suite and evaluates the
+// assertion through it; every other caller (Suite.Evaluate, offline
+// experiments) keeps calling Check.
+type Stateful interface {
+	Assertion
+	// NewState returns fresh per-monitor state holding no samples.
+	NewState() State
+}
+
+// State is one monitor's evaluation state for a Stateful assertion. The
+// contract is "same answer as Check": State.Check(window) returns exactly
+// what the assertion's own Check(window) returns. A Monitor calls it under
+// its lock once per observed sample, with a window whose last element is
+// that sample and whose earlier elements are the samples it saw before,
+// so a State may keep what it derived from each retained sample and
+// derive only the newest one's. It assumes a sample's Output does not
+// change once observed.
+type State interface {
+	// Check evaluates the window ending at the newest observed sample.
+	Check(window []Sample) float64
+	// Reset forgets every retained sample, as Monitor.Reset clears the
+	// window.
+	Reset()
 }
 
 // Func adapts a plain function into an Assertion, mirroring OMG's
@@ -307,19 +337,41 @@ func (s *Suite) Evaluate(window []Sample) Vector {
 // nothing per sample. It returns the filled vector, which aliases dst
 // whenever dst was large enough.
 func (s *Suite) EvaluateInto(dst Vector, window []Sample) Vector {
+	return s.evaluateInto(dst, window, nil)
+}
+
+// evaluateInto is EvaluateInto with states[i], where set, answering for
+// assertion i (a Monitor's Stateful assertions). Each clamped severity is
+// counted in omg_assertion_errors_total; a 0 or -0 severity is an
+// abstention, not an error, and the count runs only on the clamp
+// branches.
+func (s *Suite) evaluateInto(dst Vector, window []Sample, states []State) Vector {
 	if cap(dst) < len(s.assertions) {
 		dst = make(Vector, len(s.assertions))
 	}
 	dst = dst[:len(s.assertions)]
 	for i, a := range s.assertions {
-		sev := a.Check(window)
+		var sev float64
+		if i < len(states) && states[i] != nil {
+			sev = states[i].Check(window)
+		} else {
+			sev = a.Check(window)
+		}
 		if !(sev > 0) {
 			// Negative and NaN severities are clamped: the contract is
 			// [0, inf), and a NaN reads as "did not fire".
+			if sev != 0 {
+				if sev < 0 {
+					assertionErrors.Add("negative", 1)
+				} else {
+					assertionErrors.Add("nan", 1)
+				}
+			}
 			sev = 0
 		} else if sev > math.MaxFloat64 {
 			// +Inf is the largest finite severity, which every encoder
 			// and statistic downstream can represent.
+			assertionErrors.Add("inf", 1)
 			sev = math.MaxFloat64
 		}
 		dst[i] = sev

@@ -54,6 +54,11 @@ type actionSpec struct {
 // A Monitor is safe for concurrent use; samples are serialised through an
 // internal lock since window semantics require a total order.
 //
+// Each Stateful assertion in the suite is evaluated through its own
+// per-monitor State (see Stateful), which answers exactly what the
+// assertion's Check would for the same window; Reset resets it with the
+// window.
+//
 // The observe path is allocation-free in the steady state: the window
 // lives in a fixed ring buffer, assertions receive a reused scratch view
 // of it, and the severity vector returned by Observe is reused across
@@ -79,6 +84,9 @@ type Monitor struct {
 	n       int      // retained sample count, <= windowSize
 	scratch []Sample // in-order window view handed to assertions when the ring has wrapped
 	vec     Vector   // reused severity vector returned by Observe
+	// states holds, per suite position, the Stateful assertion's State;
+	// nil entries are evaluated through Check.
+	states []State
 
 	recorder *Recorder
 	observed atomic.Int64
@@ -131,6 +139,12 @@ func NewMonitor(suite *Suite, opts ...MonitorOption) *Monitor {
 	m.ring = make([]Sample, m.windowSize)
 	m.scratch = make([]Sample, m.windowSize)
 	m.vec = make(Vector, suite.Len())
+	m.states = make([]State, suite.Len())
+	for i, a := range suite.Assertions() {
+		if sa, ok := a.(Stateful); ok {
+			m.states[i] = sa.NewState()
+		}
+	}
 	m.actions.Store(&[]actionSpec{})
 	m.obsSample = obs.HotSampler()
 	return m
@@ -232,7 +246,7 @@ func (m *Monitor) observeLocked(s Sample) (Vector, []Violation, []actionSpec) {
 	m.push(s)
 	m.observed.Add(1)
 
-	vec := m.suite.EvaluateInto(m.vec, m.window())
+	vec := m.suite.evaluateInto(m.vec, m.window(), m.states)
 	m.vec = vec
 	var fired []Violation
 	var actions []actionSpec
@@ -268,14 +282,20 @@ func (m *Monitor) Observed() int {
 // violations.
 func (m *Monitor) Recorder() *Recorder { return m.recorder }
 
-// Reset clears the sliding window (e.g. at a stream boundary) without
-// clearing recorded violations. The ring's backing array is retained, so
-// the first window after a stream boundary costs no re-growth; retained
-// sample payloads are released to the garbage collector.
+// Reset clears the sliding window (e.g. at a stream boundary) and every
+// assertion State without clearing recorded violations. The ring's
+// backing array is retained, so the first window after a stream boundary
+// costs no re-growth; retained sample payloads are released to the
+// garbage collector.
 func (m *Monitor) Reset() {
 	m.evalMu.Lock()
 	defer m.evalMu.Unlock()
 	clear(m.ring)
 	clear(m.scratch)
 	m.head, m.n = 0, 0
+	for _, st := range m.states {
+		if st != nil {
+			st.Reset()
+		}
+	}
 }

@@ -23,4 +23,10 @@ var (
 	sinkWriteHist = obs.Default().NewHistogram(
 		"omg_sink_write_seconds",
 		"JSONL sink worker batch time: coalesce, encode and write.")
+	// assertionErrors counts the severities the runtime clamped: NaN and
+	// negative read as 0, +Inf as math.MaxFloat64.
+	assertionErrors = obs.Default().NewCounterVec(
+		"omg_assertion_errors_total",
+		"Assertion severities clamped by the runtime, by kind: nan and negative read as 0, inf as the largest finite severity.",
+		"kind", "nan", "negative", "inf")
 )

@@ -71,10 +71,10 @@ type Config[Y any] struct {
 	// missing from an output's Attrs map are skipped for that output.
 	AttrKeys []string
 	// T is the temporal-consistency threshold in seconds. Zero disables
-	// temporal assertions.
+	// temporal assertions; New rejects a negative or NaN T.
 	T float64
 	// Temporal selects which temporal assertions to generate; defaults to
-	// both Flicker and Appear when T > 0.
+	// both Flicker and Appear when T > 0. New rejects any other kind.
 	Temporal []TemporalKind
 	// WeakLabel, when set, is consulted to synthesise a missing output
 	// for identifier id at sample gapIndex during a flicker gap, given
@@ -102,8 +102,13 @@ func New[Y any](cfg Config[Y]) (*Generator[Y], error) {
 	if len(cfg.AttrKeys) > 0 && cfg.Attrs == nil {
 		return nil, fmt.Errorf("consistency: AttrKeys given without Attrs function")
 	}
-	if cfg.T < 0 {
-		return nil, fmt.Errorf("consistency: negative T")
+	if !(cfg.T >= 0) {
+		return nil, fmt.Errorf("consistency: T must be a number >= 0, got %v", cfg.T)
+	}
+	for _, k := range cfg.Temporal {
+		if k != Flicker && k != Appear {
+			return nil, fmt.Errorf("consistency: unknown temporal kind %q (want %q or %q)", k, Flicker, Appear)
+		}
 	}
 	g := &Generator[Y]{cfg: cfg}
 	if cfg.T > 0 {
@@ -124,39 +129,18 @@ func MustNew[Y any](cfg Config[Y]) *Generator[Y] {
 	return g
 }
 
-// decode extracts the typed outputs from an assertion sample; samples
-// whose Output is not []Y are treated as empty.
-func decode[Y any](s assertion.Sample) []Y {
-	ys, _ := s.Output.([]Y)
-	return ys
-}
-
 // Assertions returns the generated Boolean assertions: one per attribute
 // key, then the selected temporal assertions. Names are
-// "<name>:attr:<key>", "<name>:flicker", "<name>:appear".
+// "<name>:attr:<key>", "<name>:flicker", "<name>:appear". Each is
+// assertion.Stateful, so a Monitor decodes every sample's outputs once
+// rather than once per window position.
 func (g *Generator[Y]) Assertions() []assertion.Assertion {
 	var out []assertion.Assertion
 	for _, key := range g.cfg.AttrKeys {
-		key := key
-		out = append(out, assertion.New(
-			fmt.Sprintf("%s:attr:%s", g.cfg.Name, key),
-			func(window []assertion.Sample) float64 {
-				return g.attrSeverity(window, key)
-			}))
+		out = append(out, g.newCheck(fmt.Sprintf("%s:attr:%s", g.cfg.Name, key), attrKind, key))
 	}
 	for _, kind := range g.temporal {
-		kind := kind
-		out = append(out, assertion.New(
-			fmt.Sprintf("%s:%s", g.cfg.Name, kind),
-			func(window []assertion.Sample) float64 {
-				switch kind {
-				case Flicker:
-					return float64(len(g.flickerEvents(toTimed[Y](window))))
-				case Appear:
-					return float64(len(g.appearEvents(toTimed[Y](window))))
-				}
-				return 0
-			}))
+		out = append(out, g.newCheck(fmt.Sprintf("%s:%s", g.cfg.Name, kind), kind, ""))
 	}
 	return out
 }
@@ -171,15 +155,6 @@ func (g *Generator[Y]) Register(reg *assertion.Registry, meta assertion.Meta) er
 		}
 	}
 	return nil
-}
-
-// toTimed converts an assertion window into typed timed outputs.
-func toTimed[Y any](window []assertion.Sample) []TimedOutputs[Y] {
-	out := make([]TimedOutputs[Y], len(window))
-	for i, s := range window {
-		out[i] = TimedOutputs[Y]{Index: s.Index, Time: s.Time, Outputs: decode[Y](s)}
-	}
-	return out
 }
 
 // Samples converts typed timed outputs into assertion samples, for
@@ -197,34 +172,6 @@ func Samples[Y any](stream []TimedOutputs[Y]) []assertion.Sample {
 type attrVal struct {
 	v  string
 	ok bool
-}
-
-// attrSeverity counts outputs in the window whose attribute `key`
-// disagrees with the majority value among outputs sharing their
-// identifier.
-func (g *Generator[Y]) attrSeverity(window []assertion.Sample, key string) float64 {
-	values := make(map[string][]attrVal) // id -> attribute values in window order
-	for _, s := range window {
-		for _, y := range decode[Y](s) {
-			id := g.cfg.Id(y)
-			attrs := g.cfg.Attrs(y)
-			v, ok := attrs[key]
-			values[id] = append(values[id], attrVal{v: v, ok: ok})
-		}
-	}
-	violations := 0
-	for _, vs := range values {
-		maj, n := majority(vs)
-		if n == 0 {
-			continue
-		}
-		for _, v := range vs {
-			if v.ok && v.v != maj {
-				violations++
-			}
-		}
-	}
-	return float64(violations)
 }
 
 // majority returns the most common present value and how many values were
