@@ -33,9 +33,9 @@
 //
 // The collector's state is durable in one way only: with -store=disk
 // every shard appends to segment files under -data-dir (rolled at
-// 64 MiB), dedup marks and counters go to a write-ahead log and
-// the label loop to a state file beside them, so a restarted — even a
-// SIGKILL'd — server resumes its exact state: counts, retained
+// 64 MiB), dedup marks and counters go to a write-ahead log and the
+// label loop to a snapshot and a delta log beside them, so a restarted —
+// even a SIGKILL'd — server resumes its exact state: counts, retained
 // violations, exactly-once dedup marks and leases. The default
 // -store=mem keeps everything in memory and loses it at exit. -log
 // streams ingested violations to a local JSONL file, size-rotated at

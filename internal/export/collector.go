@@ -72,7 +72,8 @@ type CollectorConfig struct {
 	// Labels tunes the collector-hosted label-selection service (selector
 	// kind, seed, lease TTL, batch budgets). The zero value runs the BAL
 	// loop with defaults. For a disk-backed collector, Labels.StatePath
-	// defaults to DataDir/labels.json so the loop survives kill -9.
+	// defaults to DataDir/labels.json (with its log, labels.log) so the loop
+	// survives kill -9.
 	Labels labelsvc.Config
 	// AcceptWire limits which wire codecs ingest accepts, by codec name
 	// ("json", "binary"). Empty accepts both. A request whose
@@ -97,7 +98,7 @@ type CollectorConfig struct {
 // seq) — the receiver half of the exactly-once contract HTTPSink's
 // sequence numbers set up. Its state is durable in exactly one way: a
 // disk collector's data directory (shard segments, the dedup-marks log,
-// the label state file) recovers it after a restart or a crash; a mem
+// the label state's snapshot and log) recovers it after a restart or a crash; a mem
 // collector's state lives and dies with the process. A retention policy
 // (RetainAge, RetainPerAssertion) ages out the queryable log without
 // touching the aggregate counts, and a live-tail hub streams ingested
@@ -181,7 +182,7 @@ type sourceState struct {
 // OpenCollector returns a collector shaped by cfg — the only constructor.
 // With Store "" / "mem" every shard is an in-memory ring; with "disk" each
 // shard is a store.SegmentStore in its own shard-N subdirectory of
-// DataDir, beside a dedup-marks log and the label state file, which
+// DataDir, beside a dedup-marks log and the label state files, which
 // together recover the collector's exact state — violations, statistics,
 // dedup high-water marks, request counters, the label loop — after a
 // crash. A configuration the collector cannot honour (unknown Store, disk
@@ -239,7 +240,7 @@ func OpenCollector(cfg CollectorConfig) (*Collector, error) {
 
 	labelsCfg := cfg.Labels
 	if c.durable() && labelsCfg.StatePath == "" {
-		// The label loop's state file lives beside the shards so selector
+		// The label loop's state files live beside the shards so selector
 		// state, leases and labels recover with the violations they rank.
 		labelsCfg.StatePath = filepath.Join(cfg.DataDir, labelsName)
 	}
@@ -1016,7 +1017,11 @@ func (c *Collector) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&b, "omg_collector_labels_index_events_total{kind=\"add\"} %d\n", index.Adds)
 	fmt.Fprintf(&b, "omg_collector_labels_index_events_total{kind=\"evict\"} %d\n", index.Evictions)
 	counter("omg_collector_labels_seeds_total", "Times the label index was built from the retained log (first label call, and after a store failure or a feed overflow).", index.Seeds)
-	counter("omg_collector_labels_state_write_errors_total", "Failed writes of the label state file.", index.StateWriteErrors)
+	counter("omg_collector_labels_state_write_errors_total", "Failed writes of the label state files.", index.StateWriteErrors)
+	fmt.Fprintf(&b, "# HELP omg_collector_labels_state_writes_total Durable writes of the label state: a log record per mutation, a snapshot when the log outgrows the last one.\n")
+	fmt.Fprintf(&b, "# TYPE omg_collector_labels_state_writes_total counter\n")
+	fmt.Fprintf(&b, "omg_collector_labels_state_writes_total{kind=\"delta\"} %d\n", index.StateDeltas)
+	fmt.Fprintf(&b, "omg_collector_labels_state_writes_total{kind=\"snapshot\"} %d\n", index.StateSnapshots)
 
 	summary := c.Summary()
 	names := make([]string, 0, len(summary))

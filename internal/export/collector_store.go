@@ -30,8 +30,8 @@ const marksName = "marks.log"
 // is rewritten as one line per source.
 const maxMarksBytes = 1 << 20
 
-// labelsName is the label service's state file inside DataDir (see
-// labelsvc.Config.StatePath).
+// labelsName is the label service's state snapshot inside DataDir; its
+// delta log, labels.log, sits beside it (see labelsvc.Config.StatePath).
 const labelsName = "labels.json"
 
 // markLine is one marks-log entry. Src/Seq are the dedup mark the entry

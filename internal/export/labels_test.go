@@ -563,3 +563,39 @@ func TestSeedWaitsForInFlightApply(t *testing.T) {
 		t.Fatalf("pool after the first sample was evicted = %+v, want only sample 2", pool)
 	}
 }
+
+// TestLabelStateWritesMetric: /metrics counts a disk collector's label
+// state writes by kind, and once a snapshot exists a pull and its
+// feedback append two log records and write no snapshot.
+func TestLabelStateWritesMetric(t *testing.T) {
+	c := openCollector(t, CollectorConfig{Store: StoreDisk, DataDir: t.TempDir()})
+	defer c.Close()
+	c.Ingest(labelBatch("edge-01", "cam-0", 1, 20))
+	old := labelsvc.State{Version: labelsvc.StateVersion}
+	for i := 0; i < 200; i++ {
+		old.Labeled = append(old.Labeled, labelsvc.LabeledSample{SampleKey: labelsvc.SampleKey{Stream: "old", Sample: i}, Label: "x"})
+	}
+	c.Labels().RestoreState(old)
+	writes := func() (delta, snapshot int) {
+		return metricValue(t, c, `omg_collector_labels_state_writes_total{kind="delta"}`),
+			metricValue(t, c, `omg_collector_labels_state_writes_total{kind="snapshot"}`)
+	}
+	d0, s0 := writes()
+	if s0 == 0 {
+		t.Fatal("no snapshot counted after RestoreState")
+	}
+	b, err := c.Labels().Next(4, "p")
+	if err != nil || len(b.Candidates) != 4 {
+		t.Fatalf("pull: %v %+v", err, b)
+	}
+	var fb []labelsvc.Feedback
+	for _, cand := range b.Candidates {
+		fb = append(fb, labelsvc.Feedback{SampleKey: cand.SampleKey, Label: "x"})
+	}
+	if _, err := c.Labels().ApplyFeedback(fb); err != nil {
+		t.Fatal(err)
+	}
+	if d1, s1 := writes(); d1-d0 != 2 || s1 != s0 {
+		t.Fatalf("a pull and its feedback: %d deltas and %d snapshots, want 2 and 0", d1-d0, s1-s0)
+	}
+}

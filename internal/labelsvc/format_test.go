@@ -61,3 +61,36 @@ func TestFormatFixtureLabelsV1(t *testing.T) {
 	}
 	requireFixtureJSON(t, "labels-v1.next.json", b)
 }
+
+// TestFormatFixtureLabelsLogV1 revives a snapshot and the delta log beside
+// it — two whole records, then half of a third that a crash tore — over
+// the same violation history. The torn record is cut off the log, and the
+// revived state, its Stats and its next Next(16, …) must be the ones its
+// writer's own revival answered.
+func TestFormatFixtureLabelsLogV1(t *testing.T) {
+	var vs []assertion.Violation
+	if err := json.Unmarshal(readFixture(t, "labels-v1.source.json"), &vs); err != nil {
+		t.Fatal(err)
+	}
+	state := filepath.Join(t.TempDir(), "labels.json")
+	if err := os.WriteFile(state, readFixture(t, "labels-log-v1.json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	torn := readFixture(t, "labels-log-v1.log")
+	if err := os.WriteFile(logPath(state), torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1700000120, 0)
+	svc := mustNew(t, &fakeSource{vs: vs}, Config{StatePath: state, Now: func() time.Time { return now }})
+	defer svc.Close()
+	if fi, err := os.Stat(logPath(state)); err != nil || fi.Size() != 1116 {
+		t.Fatalf("log after open: %v, want the torn record cut off at 1116 of %d bytes", err, len(torn))
+	}
+	requireFixtureJSON(t, "labels-log-v1.state.json", svc.StateSnapshot())
+	requireFixtureJSON(t, "labels-log-v1.stats.json", svc.Stats())
+	b, err := svc.Next(16, "puller-f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireFixtureJSON(t, "labels-log-v1.next.json", b)
+}

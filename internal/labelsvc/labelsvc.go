@@ -13,8 +13,12 @@
 // pool, algorithm state): the selector runs the bandit.RoundSelector
 // reseed-per-round protocol, and all cross-round state — selector
 // algorithm state, leases, labeled set, stream→source bindings — is a
-// plain JSON State persisted atomically on every mutation. Reviving a
-// Service from that State after kill -9 continues the loop byte
+// plain JSON State. On disk it is two files (state.go): a snapshot of the
+// State (labels.json) and an append-only log beside it (labels.log) of
+// what each mutation changed since, one fsync'd record per mutation, so a
+// label call writes what it changed rather than every label ever taken.
+// The log is folded into a fresh snapshot once it outgrows the last one.
+// Reviving a Service from the two after kill -9 continues the loop byte
 // identically.
 //
 // The candidate pool is a live index (index.go), maintained at the rate
@@ -42,12 +46,9 @@
 package labelsvc
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -98,9 +99,11 @@ type Config struct {
 	DefaultBudget int
 	// MaxBudget caps any single pull.
 	MaxBudget int
-	// StatePath, when non-empty, is the JSON file the service's State is
-	// atomically persisted to on every mutation and revived from at
-	// construction (the labeling loop's crash-recovery seam).
+	// StatePath, when non-empty, is the JSON snapshot of the service's
+	// State (written atomically), revived from at construction with the
+	// delta log beside it — the same path with ".json" replaced by ".log" —
+	// which every mutation appends one fsync'd record to (the labeling
+	// loop's crash-recovery seam).
 	StatePath string
 	// Now overrides the clock (tests). Defaults to time.Now.
 	Now func() time.Time
@@ -222,8 +225,8 @@ type LabeledSample struct {
 	Round        int    `json:"round,omitempty"`
 }
 
-// State is the service's full persistent state: plain JSON, written
-// atomically on every mutation, sufficient to revive the loop exactly.
+// State is the service's full persistent state: plain JSON, the body of
+// the snapshot file, sufficient to revive the loop exactly.
 type State struct {
 	Version  int                       `json:"version"`
 	Selector bandit.RoundSelectorState `json:"selector"`
@@ -278,9 +281,14 @@ type Service struct {
 
 	// idx is the candidate index; meaningful only while seeded.
 	idx *index
-	// unsaved is set while the state file lags the loop: the last write
-	// failed (logged once per such streak), so the next call writes even
-	// if it has nothing new.
+	// files is the on-disk state, the snapshot and its delta log; nil
+	// without a StatePath. expired holds the lease drops expiry made since
+	// the last write, for the next record to carry.
+	files   *stateFiles
+	expired []SampleKey
+	// unsaved is set while the state on disk lags the loop: the last write
+	// failed (logged once per such streak), so the next call writes a
+	// snapshot even if it has nothing new.
 	unsaved bool
 	closed  bool
 
@@ -305,9 +313,10 @@ type Service struct {
 const minFeedCap = 1 << 16
 
 // New builds a Service over the given violation source. If cfg.StatePath
-// names an existing state file the persisted loop is revived from it
-// (the file's selector kind and seed win over cfg, so a restarted server
-// continues the same deterministic trace regardless of flag drift).
+// names an existing snapshot the persisted loop is revived from it and
+// the log beside it (the snapshot's selector kind and seed win over cfg,
+// so a restarted server continues the same deterministic trace
+// regardless of flag drift).
 func New(src ViolationSource, cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	sel, err := bandit.NewRoundSelector(cfg.Selector, cfg.Seed)
@@ -323,17 +332,9 @@ func New(src ViolationSource, cfg Config) (*Service, error) {
 		streamSrc: make(map[string]string),
 	}
 	if cfg.StatePath != "" {
-		raw, err := os.ReadFile(cfg.StatePath)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-		case err != nil:
-			return nil, fmt.Errorf("labelsvc: read state: %w", err)
-		default:
-			var st State
-			if err := json.Unmarshal(raw, &st); err != nil {
-				return nil, fmt.Errorf("labelsvc: decode state %s: %w", cfg.StatePath, err)
-			}
-			s.restoreLocked(st)
+		s.files = &stateFiles{path: cfg.StatePath, logPath: logPath(cfg.StatePath)}
+		if err := s.loadLocked(); err != nil {
+			return nil, err
 		}
 	}
 	return s, nil
@@ -367,14 +368,18 @@ func (s *Service) ObserveBatch(source string, vs []assertion.Violation) {
 	if s.closed {
 		return
 	}
+	bound := make(map[string]string)
 	s.feedMu.Lock()
 	for _, v := range vs {
-		if v.Stream != "" {
+		if v.Stream != "" && s.streamSrc[v.Stream] != source {
 			s.streamSrc[v.Stream] = source
+			bound[v.Stream] = source
 		}
 	}
 	s.feedMu.Unlock()
-	s.persistLocked()
+	if len(bound) > 0 {
+		s.persistLocked(&stateDelta{StreamSources: bound})
+	}
 }
 
 // ObserveEvicted implements assertion.EvictionObserver: vs left the
@@ -493,7 +498,7 @@ func (s *Service) seedLocked() {
 // it. Samples already labeled or under an unexpired lease are never
 // served, so two concurrent pullers get disjoint batches. An empty pool
 // yields an empty batch without advancing the round. A non-nil error
-// other than ErrClosed means the state file could not be written: the
+// other than ErrClosed means the round could not be written to disk: the
 // round is taken back (its leases, the round and served counters, the
 // selector's state), no candidate is returned, and a retry redraws the
 // same round.
@@ -537,20 +542,23 @@ func (s *Service) Next(budget int, puller string) (Batch, error) {
 	expires := now.Add(s.cfg.LeaseTTL).Unix()
 	batch.Round = round
 	batch.Candidates = make([]Candidate, 0, len(chosen))
+	d := stateDelta{Leased: make([]Lease, 0, len(chosen))}
 	for _, pos := range chosen {
 		c := s.materialiseLocked(cands[pos])
 		c.LeaseUntilUnix = expires
 		batch.Candidates = append(batch.Candidates, c)
-		s.leases[c.key2()] = Lease{
+		l := Lease{
 			SampleKey:   c.SampleKey,
 			Puller:      puller,
 			Round:       round,
 			ExpiresUnix: expires,
 		}
+		s.leases[c.key2()] = l
+		d.Leased = append(d.Leased, l)
 	}
 	s.round = round
 	s.served += int64(len(batch.Candidates))
-	if err := s.persistLocked(); err != nil {
+	if err := s.persistLocked(&d); err != nil {
 		// Nobody will hold these leases: take the round back, so a puller
 		// retrying against a full disk does not drain the pool into them.
 		for _, c := range batch.Candidates {
@@ -580,8 +588,8 @@ func overProvision(budget, pool int) int {
 // reward-driven selectors. Re-posting an already-labeled sample is an
 // idempotent duplicate. Labels for samples the service never served are
 // accepted too (volunteered labels still shrink the pool). A non-nil error
-// other than ErrClosed means the labels were applied in memory but the
-// state file could not be written; re-posting them (they then count as
+// other than ErrClosed means the labels were applied in memory but could
+// not be written to disk; re-posting them (they then count as
 // duplicates) retries the write.
 func (s *Service) ApplyFeedback(items []Feedback) (FeedbackResult, error) {
 	s.lockCurrent()
@@ -590,6 +598,7 @@ func (s *Service) ApplyFeedback(items []Feedback) (FeedbackResult, error) {
 		return FeedbackResult{}, ErrClosed
 	}
 	res := FeedbackResult{Round: s.round}
+	var d stateDelta
 	for _, f := range items {
 		k := f.key2()
 		if _, dup := s.labeled[k]; dup {
@@ -601,10 +610,12 @@ func (s *Service) ApplyFeedback(items []Feedback) (FeedbackResult, error) {
 			rec.Round = l.Round
 			rec.Source = l.Source
 			delete(s.leases, k)
+			d.Dropped = append(d.Dropped, dropKey(k))
 		} else if src, ok := s.streamSrc[f.Stream]; ok && rec.Source == "" {
 			rec.Source = src
 		}
 		s.labeled[k] = rec
+		d.Labeled = append(d.Labeled, rec)
 		res.Applied++
 		s.feedback++
 		reward := 0.0
@@ -618,7 +629,7 @@ func (s *Service) ApplyFeedback(items []Feedback) (FeedbackResult, error) {
 		}
 	}
 	if res.Applied > 0 || s.unsaved {
-		if err := s.persistLocked(); err != nil {
+		if err := s.persistLocked(&d); err != nil {
 			return res, err
 		}
 	}
@@ -670,8 +681,8 @@ func (s *Service) StateSnapshot() State {
 }
 
 // RestoreState replaces the service's state with a snapshot's and
-// persists it: how a legacy collector snapshot file's label state is
-// imported into a data directory.
+// persists it as the state file's snapshot: how a legacy collector
+// snapshot file's label state is imported into a data directory.
 func (s *Service) RestoreState(st State) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -679,7 +690,7 @@ func (s *Service) RestoreState(st State) {
 		return
 	}
 	s.restoreLocked(st)
-	s.persistLocked()
+	s.persistLocked(nil)
 }
 
 // Round returns the number of completed selection rounds.
@@ -713,8 +724,10 @@ type IndexStats struct {
 	// Adds and Evictions count the deltas queued for the index; Seeds how
 	// often it was built from the retained log.
 	Adds, Evictions, Seeds int64
-	// StateWriteErrors counts failed writes of the state file.
-	StateWriteErrors int64
+	// StateWriteErrors counts failed writes of the state files;
+	// StateDeltas and StateSnapshots the durable ones, by kind: a log
+	// record per mutation, a snapshot when the log outgrows the last one.
+	StateWriteErrors, StateDeltas, StateSnapshots int64
 }
 
 // IndexStats reports the index's size and lifetime counters.
@@ -725,6 +738,9 @@ func (s *Service) IndexStats() IndexStats {
 		Seeds:            s.seeds.Load(),
 		StateWriteErrors: s.writeErrs.Load(),
 	}
+	if f := s.files; f != nil {
+		st.StateDeltas, st.StateSnapshots = f.deltas.Load(), f.snapshots.Load()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.drainLocked() {
@@ -733,15 +749,22 @@ func (s *Service) IndexStats() IndexStats {
 	return st
 }
 
-// Close persists the final state and rejects further mutations.
+// Close persists the final state as a snapshot and rejects further
+// mutations.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
-	err := s.saveLocked()
 	s.closed = true
+	if s.files == nil {
+		return nil
+	}
+	err := s.files.snapshot(s.stateLocked())
+	if cerr := s.files.close(); err == nil {
+		err = cerr
+	}
 	return err
 }
 
@@ -813,14 +836,32 @@ func (s *Service) restoreLocked(st State) {
 	s.feedMu.Unlock()
 }
 
-// persistLocked is saveLocked with the failure accounted for: counted,
-// logged once per streak of failures, and remembered (unsaved) so the next
-// call that could have nothing new to write writes anyway.
-func (s *Service) persistLocked() error {
-	err := s.saveLocked()
+// persistLocked makes a mutation durable — d, the one record of what it
+// changed, appended to the log, or a snapshot of the whole state when d is
+// nil, when the log has outgrown the last snapshot, or when an earlier
+// write failed — with a failure accounted for: counted, logged once per
+// streak of failures, and remembered (unsaved) so the next call writes a
+// snapshot even if it has nothing new.
+func (s *Service) persistLocked(d *stateDelta) error {
+	f := s.files
+	if f == nil {
+		return nil
+	}
+	var err error
+	wrote := false
+	if d != nil && !s.unsaved {
+		d.Selector = s.sel.StateSnapshot()
+		d.Round, d.Served, d.Feedback, d.ErrorsFound = s.round, s.served, s.feedback, s.errorsFound
+		d.Dropped = append(d.Dropped, s.expired...)
+		wrote, err = f.appendDelta(d)
+	}
+	if !wrote && err == nil {
+		err = f.snapshot(s.stateLocked())
+	}
 	streak := s.unsaved
 	s.unsaved = err != nil
 	if err == nil {
+		s.expired = nil
 		return nil
 	}
 	s.writeErrs.Add(1)
@@ -830,48 +871,16 @@ func (s *Service) persistLocked() error {
 	return fmt.Errorf("labelsvc: write state: %w", err)
 }
 
-// saveLocked atomically persists the state file: temp + fsync + rename +
-// parent-dir fsync.
-func (s *Service) saveLocked() error {
-	if s.cfg.StatePath == "" {
-		return nil
-	}
-	raw, err := json.Marshal(s.stateLocked())
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	dir := filepath.Dir(s.cfg.StatePath)
-	tmp, err := os.CreateTemp(dir, ".labels-*.tmp")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(raw); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmpName, s.cfg.StatePath)
-	}
-	if err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
+// expireLocked drops the leases that have run out. With a state file the
+// drops also ride on the next record written, whichever call writes it.
 func (s *Service) expireLocked(now time.Time) {
 	cut := now.Unix()
 	for k, l := range s.leases {
 		if l.ExpiresUnix <= cut {
 			delete(s.leases, k)
+			if s.files != nil {
+				s.expired = append(s.expired, dropKey(k))
+			}
 		}
 	}
 }
