@@ -984,7 +984,8 @@ func TestEndToEndLabelStateSurvivesKill(t *testing.T) {
 	wantStats := getRaw(t, baseURL, "/v1/labels/stats")
 
 	// SIGKILL: no shutdown hook runs; recovery must come entirely from
-	// the labels.json state file persisted on every mutation.
+	// the labels.json snapshot and the labels.log record fsync'd on every
+	// mutation.
 	server.Process.Kill()
 	server.Wait()
 

@@ -96,7 +96,7 @@ func TestAllocRegressionQueryNewest(t *testing.T) {
 		t.Skip("alloc accounting is meaningless under -race")
 	}
 	const retained, ceiling = 100_000, 16 << 10
-	seg, err := store.Open(store.Config{Dir: t.TempDir(), NoSync: true})
+	seg, err := store.Open(store.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

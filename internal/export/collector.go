@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -18,6 +17,7 @@ import (
 	"omg/internal/assertion"
 	"omg/internal/labelsvc"
 	"omg/internal/obs"
+	"omg/internal/store"
 )
 
 // maxIngestBytes bounds one ingest request body; larger bodies are
@@ -159,9 +159,8 @@ type Collector struct {
 
 	// The disk backend's dedup-marks write-ahead log (nil for in-memory
 	// collectors).
-	marks      *os.File
-	marksMu    sync.Mutex
-	marksBytes int64
+	marks   *store.RecordLog
+	marksMu sync.Mutex
 
 	quiesceOnce sync.Once
 	closeOnce   sync.Once

@@ -1,6 +1,7 @@
 package export
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,17 +18,21 @@ const (
 	StoreDisk = "disk"
 )
 
-// marksName is the dedup-marks write-ahead log inside DataDir. Each
-// ingest appends one self-contained JSON line carrying ABSOLUTE values —
-// the source's applied high-water mark and the request counters at that
-// moment — so replay (take the max of every field) is idempotent and a
-// torn last line costs at most one batch's counter update, never
-// correctness: an unmarked applied batch is simply re-deduplicated as a
-// fresh one if the sender retries.
+// marksName is the dedup-marks write-ahead log inside DataDir: a
+// store.RecordLog at the WriteOnly level, one JSON markLine per frame
+// (the internal/store package comment has the framing and the damage
+// rule). Each ingest appends one record carrying ABSOLUTE values — the
+// source's applied high-water mark and the request counters at that
+// moment — so replay (take the max of every field) is idempotent, and a
+// torn tail, cut away at open, costs at most the marks of the batches it
+// held: an unmarked applied batch is re-applied only if its sender
+// retries it. A marks.log in the line format collectors wrote before
+// (one JSON markLine per line) is read line by line and rewritten framed
+// at open.
 const marksName = "marks.log"
 
 // maxMarksBytes triggers a compaction of the marks log: above it the log
-// is rewritten as one line per source.
+// is rewritten as one record per source.
 const maxMarksBytes = 1 << 20
 
 // labelsName is the label service's state snapshot inside DataDir; its
@@ -98,29 +103,22 @@ func (c *Collector) closeStores() error {
 }
 
 // loadMarks replays the dedup-marks log into the source high-water marks
-// and request counters, then reopens it for appending.
+// and request counters, then opens it for appending.
 func (c *Collector) loadMarks() error {
 	path := filepath.Join(c.cfg.DataDir, marksName)
+	c.marks = &store.RecordLog{Path: path}
+	if err := store.SweepTemps(path); err != nil {
+		return err
+	}
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("export: read marks log: %w", err)
 	}
 	var batches, dups, rej int64
-	start := 0
-	for i := 0; i <= len(data); i++ {
-		if i != len(data) && data[i] != '\n' {
-			continue
-		}
-		line := data[start:i]
-		start = i + 1
-		if len(line) == 0 {
-			continue
-		}
+	fold := func(body []byte) error {
 		var m markLine
-		if json.Unmarshal(line, &m) != nil {
-			// A torn final line from a crash mid-append; everything before
-			// it already carried absolute values.
-			continue
+		if err := json.Unmarshal(body, &m); err != nil {
+			return err
 		}
 		if m.Src != "" {
 			st := c.sources[m.Src]
@@ -132,43 +130,41 @@ func (c *Collector) loadMarks() error {
 				st.lastSeq.Store(m.Seq)
 			}
 		}
-		if m.Batches > batches {
-			batches = m.Batches
+		batches, dups, rej = max(batches, m.Batches), max(dups, m.Dups), max(rej, m.Rej)
+		return nil
+	}
+	_, framed := store.FrameAt(data, 0)
+	legacy := len(data) > 0 && data[0] == '{' && !framed
+	if legacy {
+		// The line format has no checksum: an unparsable line, normally
+		// the torn last one, is skipped.
+		for _, line := range bytes.Split(data, []byte{'\n'}) {
+			fold(line)
 		}
-		if m.Dups > dups {
-			dups = m.Dups
-		}
-		if m.Rej > rej {
-			rej = m.Rej
-		}
+	} else if err := c.marks.Replay(false, nil, func(_, body []byte) error { return fold(body) }); err != nil {
+		return err
 	}
 	c.batches.Store(batches)
 	c.duplicates.Store(dups)
 	c.rejected.Store(rej)
-
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("export: open marks log: %w", err)
+	if legacy {
+		return c.rewriteMarksLocked()
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("export: open marks log: %w", err)
-	}
-	c.marks = f
-	c.marksBytes = fi.Size()
-	return nil
+	return c.marks.Open()
 }
 
-// logMarks appends one marks-log line recording the given dedup mark and
+// logMarks appends one marks-log record carrying the given dedup mark and
 // the current counters. A no-op for in-memory collectors. Like segment
-// appends, the line is written (not fsync'd): it survives a process
-// crash the moment the write returns.
+// appends, the record is written (not fsync'd): it survives a process
+// crash the moment the write returns. A failed write or compaction
+// latches the collector degraded. The batch whose mark it was is still
+// acknowledged: its violations are applied, and answering 503 would have
+// a healed collector apply its retry a second time.
 func (c *Collector) logMarks(src string, seq uint64) {
 	if c.marks == nil {
 		return
 	}
-	line, err := json.Marshal(markLine{
+	body, err := json.Marshal(markLine{
 		Src:     src,
 		Seq:     seq,
 		Batches: c.batches.Load(),
@@ -180,20 +176,18 @@ func (c *Collector) logMarks(src string, seq uint64) {
 	}
 	c.marksMu.Lock()
 	defer c.marksMu.Unlock()
-	if _, err := c.marks.Write(append(line, '\n')); err != nil {
-		return
+	err = c.marks.Append(body)
+	if err == nil && c.marks.Size() > maxMarksBytes {
+		err = c.rewriteMarksLocked()
 	}
-	c.marksBytes += int64(len(line)) + 1
-	if c.marksBytes > maxMarksBytes {
-		c.rewriteMarksLocked()
-	}
+	c.degrade(err)
 }
 
-// rewriteMarksLocked compacts the marks log to one line per source plus
-// a counters line, atomically (write temp, rename). Called with marksMu
-// held; source marks are read atomically, so no sourceState mutex is
-// taken (lock order stays sourceState.mu -> marksMu). On an error the
-// old log stays in place.
+// rewriteMarksLocked compacts the marks log to one record per source (or
+// one counters record without any) through RecordLog.Replace. Called with
+// marksMu held, or from loadMarks before ingest starts; source marks are
+// read atomically, so no sourceState mutex is taken (lock order stays
+// sourceState.mu -> marksMu). On an error the old log stays in place.
 func (c *Collector) rewriteMarksLocked() error {
 	c.mu.Lock()
 	marks := make(map[string]uint64, len(c.sources))
@@ -202,44 +196,19 @@ func (c *Collector) rewriteMarksLocked() error {
 	}
 	c.mu.Unlock()
 
-	var buf []byte
-	write := func(m markLine) {
-		line, err := json.Marshal(m)
-		if err != nil {
-			return
-		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
-	}
 	counters := markLine{Batches: c.batches.Load(), Dups: c.duplicates.Load(), Rej: c.rejected.Load()}
+	var frames []byte
+	add := func(m markLine) {
+		body, _ := json.Marshal(m)
+		frames = store.AppendFrame(frames, body)
+	}
 	for src, seq := range marks {
-		write(markLine{Src: src, Seq: seq, Batches: counters.Batches, Dups: counters.Dups, Rej: counters.Rej})
+		add(markLine{Src: src, Seq: seq, Batches: counters.Batches, Dups: counters.Dups, Rej: counters.Rej})
 	}
 	if len(marks) == 0 {
-		write(counters)
+		add(counters)
 	}
-
-	path := filepath.Join(c.cfg.DataDir, marksName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return fmt.Errorf("export: rewrite marks log: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("export: rewrite marks log: %w", err)
-	}
-	// The old fd now points at the replaced (unlinked) file; switch to
-	// the new one. On a reopen failure keep appending to the old fd —
-	// those marks are lost to a restart, which only risks re-counting a
-	// retried batch, never data loss.
-	nf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("export: reopen marks log: %w", err)
-	}
-	c.marks.Close()
-	c.marks = nf
-	c.marksBytes = int64(len(buf))
-	return nil
+	return c.marks.Replace(frames)
 }
 
 // StoreInfo sums the shard stores' shapes — entries, live segments and

@@ -15,8 +15,10 @@
 // algorithm state, leases, labeled set, stream→source bindings — is a
 // plain JSON State. On disk it is two files (state.go): a snapshot of the
 // State (labels.json) and an append-only log beside it (labels.log) of
-// what each mutation changed since, one fsync'd record per mutation, so a
-// label call writes what it changed rather than every label ever taken.
+// what each mutation changed since, one fsync'd record per mutation (a
+// store.RecordLog; the internal/store package comment has its framing and
+// damage rule), so a label call writes what it changed rather than every
+// label ever taken.
 // The log is folded into a fresh snapshot once it outgrows the last one.
 // Reviving a Service from the two after kill -9 continues the loop byte
 // identically.
@@ -332,7 +334,7 @@ func New(src ViolationSource, cfg Config) (*Service, error) {
 		streamSrc: make(map[string]string),
 	}
 	if cfg.StatePath != "" {
-		s.files = &stateFiles{path: cfg.StatePath, logPath: logPath(cfg.StatePath)}
+		s.files = newStateFiles(cfg.StatePath)
 		if err := s.loadLocked(); err != nil {
 			return nil, err
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"omg/internal/assertion"
+	"omg/internal/store"
 )
 
 // oldLabels is a restored state whose snapshot outweighs the log of every
@@ -268,14 +269,14 @@ func TestStateLogDamageRefusesOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, ok := frameAt(data)
-	if !ok || frameHeader+len(body) >= len(data) {
+	body, ok := store.FrameAt(data, 0)
+	if !ok || store.FrameHeader+len(body) >= len(data) {
 		t.Fatalf("want two records in the log, have %d bytes", len(data))
 	}
-	second := frameHeader + len(body)
+	second := store.FrameHeader + len(body)
 
 	flipped := append([]byte(nil), data...)
-	flipped[frameHeader+len(body)/2] ^= 0x20
+	flipped[store.FrameHeader+len(body)/2] ^= 0x20
 	if err := os.WriteFile(logPath(statePath), flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func TestStateLogDamageRefusesOpen(t *testing.T) {
 	}
 
 	flipped = append([]byte(nil), data...)
-	flipped[second+frameHeader+2] ^= 0x20
+	flipped[second+store.FrameHeader+2] ^= 0x20
 	if err := os.WriteFile(logPath(statePath), flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}

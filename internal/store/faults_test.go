@@ -12,7 +12,7 @@ import (
 // before the fault.
 func TestSegmentInjectedDiskFull(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, FailWritesAfterBytes: 400, NoSync: true})
+	s, err := Open(Config{Dir: dir, FailWritesAfterBytes: 400})
 	if err != nil {
 		t.Fatal(err)
 	}

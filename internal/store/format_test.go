@@ -285,7 +285,7 @@ func TestSegmentAppendRefusalIsTimedAndBuffersNothing(t *testing.T) {
 // within a quarter of the largest backlog seen and then stops moving, and
 // once a burst has passed it comes back down.
 func TestSegmentMirrorCapacityTracksPeak(t *testing.T) {
-	s, err := Open(Config{Dir: t.TempDir(), NoSync: true})
+	s, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestAllocRegressionSegmentCompact(t *testing.T) {
 		t.Skip("alloc accounting is meaningless under -race")
 	}
 	const survivors = 20000
-	s, err := Open(Config{Dir: t.TempDir(), NoSync: true})
+	s, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func scanQuery(log []assertion.Violation, q Query) []assertion.Violation {
 // no evicted entry, no key left behind by a stream that churned away.
 func TestQueryIndexInvariant(t *testing.T) {
 	const ringLimit = 48
-	seg, err := Open(Config{Dir: t.TempDir(), SegmentBytes: 4 << 10, NoSync: true})
+	seg, err := Open(Config{Dir: t.TempDir(), SegmentBytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

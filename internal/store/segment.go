@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -23,9 +22,9 @@ import (
 // ErrClosed reports an append or sync on a closed SegmentStore.
 var ErrClosed = errors.New("store: segment store is closed")
 
-// ErrCorrupt reports a segment file damaged beyond the recoverable torn
-// tail of the newest segment.
-var ErrCorrupt = errors.New("store: corrupt segment")
+// ErrCorrupt reports a record log damaged beyond a torn tail, or holding
+// a record its owner cannot decode (see the package comment).
+var ErrCorrupt = errors.New("store: corrupt record log")
 
 // ErrDiskFull is the synthetic disk-full failure injected by
 // Config.FailWritesAfterBytes. It wraps syscall.ENOSPC, so callers that
@@ -36,14 +35,17 @@ var ErrDiskFull = fmt.Errorf("injected disk full: %w", syscall.ENOSPC)
 const (
 	segmentBackend = "segment"
 
-	// recordHeader frames every record: u32 body length, u32 CRC-32
-	// (IEEE) of the body, u64 append sequence number, little-endian, then
-	// the body. A body is written as assertion.AppendViolationRecord — one
-	// tag byte and the binary wire layout — and read by its first byte:
-	// the tag is that, '{' is the JSON body stores before the binary
-	// format wrote (still replayed; compaction rewrites it as binary), and
-	// anything else is refused as ErrCorrupt naming the byte.
-	recordHeader = 16
+	// seqHeader is a segment frame's owner header: the record's u64
+	// append sequence number, little-endian. A body is written as
+	// assertion.AppendViolationRecord — one tag byte and the binary wire
+	// layout — and read by its first byte: the tag is that, '{' is the
+	// JSON body stores before the binary format wrote (still replayed;
+	// compaction rewrites it as binary), and anything else is refused as
+	// ErrCorrupt naming the byte.
+	seqHeader = 8
+
+	// recordHeader is everything before a segment record's body.
+	recordHeader = FrameHeader + seqHeader
 
 	// compactChunk is how much compaction encodes before each write to
 	// the segment it is building.
@@ -52,10 +54,6 @@ const (
 	// mirrorDoubleBelow is where the mirror's growth turns from doubling
 	// to ×1.25 (see appendEntry).
 	mirrorDoubleBelow = 64 << 10
-
-	// maxRecordBytes bounds a single record body on replay; a length
-	// prefix beyond it means the header itself is garbage.
-	maxRecordBytes = 32 << 20
 
 	// flushThreshold is the pending-buffer size that forces a write to
 	// the active segment even without an explicit Sync.
@@ -85,11 +83,6 @@ type Config struct {
 	// it, the segment is fsync'd, sealed and a new one started
 	// (0 = DefaultSegmentBytes).
 	SegmentBytes int64
-	// NoSync disables fsync on rolls, checkpoints and close — for
-	// benchmarks and tests where machine-crash durability is not under
-	// test. Appends still reach the OS via write, so process-crash
-	// recovery stays exact.
-	NoSync bool
 	// FailWritesAfterBytes injects a deterministic disk-full fault for
 	// chaos testing: once this store has handed that many bytes to
 	// write(2) across its lifetime (recovery replay not counted), every
@@ -131,10 +124,9 @@ type Segment struct {
 // checkpointVersion stamps segCheckpoint files.
 const checkpointVersion = 1
 
-// SegmentStore is the on-disk ViolationStore: an append-only log of
-// length-prefixed, CRC-checked records — one binary-encoded violation
-// each (see recordHeader) — across rolling segment files, mirrored in
-// memory for queries.
+// SegmentStore is the on-disk ViolationStore: rolling segment files, each
+// a WriteOnly RecordLog of one binary-encoded violation per record (see
+// seqHeader), mirrored in memory for queries.
 //
 // Durability model: every record is buffered in memory and written to
 // the active segment with a single write syscall on Sync (the collector
@@ -163,14 +155,12 @@ type SegmentStore struct {
 
 	dir       string
 	segBytes  int64
-	noSync    bool
 	failAfter int64 // injected disk-full threshold (Config.FailWritesAfterBytes)
 	written   int64 // bytes handed to write(2) since Open, for failAfter
 
-	active      *os.File
-	activeNum   int
-	activeBytes int64 // bytes handed to write(2); excludes pending
-	activeRecs  int
+	active     *RecordLog // its Size excludes pending
+	activeNum  int
+	activeRecs int
 
 	pending     []byte
 	pendingRecs int
@@ -230,7 +220,6 @@ func Open(cfg Config) (*SegmentStore, error) {
 	s := &SegmentStore{
 		dir:       cfg.Dir,
 		segBytes:  cfg.SegmentBytes,
-		noSync:    cfg.NoSync,
 		failAfter: cfg.FailWritesAfterBytes,
 		stats:     make(map[string]assertion.Stats),
 		obsSample: obs.HotSampler(),
@@ -360,26 +349,21 @@ func (s *SegmentStore) recover() error {
 	if n := len(s.finalized); n > 0 {
 		last := s.finalized[n-1]
 		if last.bytes < s.segBytes {
-			f, err := os.OpenFile(filepath.Join(s.dir, segName(last.num)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return fmt.Errorf("store: reopen active segment: %w", err)
-			}
-			s.active = f
-			s.activeNum = last.num
-			s.activeBytes = last.bytes
-			s.activeRecs = last.records
 			s.finalized = s.finalized[:n-1]
-			return nil
+			return s.openSegment(last.num, last.records)
 		}
 		next = last.num + 1
 	}
-	return s.openSegment(next)
+	return s.openSegment(next, 0)
 }
 
 // scanDir inventories segment files: names maps live numbers, tmps maps
 // numbers with a .tmp survivor file. Stray checkpoint temp files are
 // removed.
 func (s *SegmentStore) scanDir() (names, tmps map[int]bool, err error) {
+	if err := SweepTemps(s.checkpointPath()); err != nil {
+		return nil, nil, err
+	}
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: scan dir: %w", err)
@@ -387,10 +371,6 @@ func (s *SegmentStore) scanDir() (names, tmps map[int]bool, err error) {
 	names, tmps = make(map[int]bool), make(map[int]bool)
 	for _, ent := range ents {
 		name := ent.Name()
-		if strings.HasPrefix(name, checkpointName+".tmp") {
-			os.Remove(filepath.Join(s.dir, name))
-			continue
-		}
 		if base, ok := strings.CutSuffix(name, ".tmp"); ok {
 			if num, ok := segNum(base); ok {
 				tmps[num] = true
@@ -406,7 +386,7 @@ func (s *SegmentStore) scanDir() (names, tmps map[int]bool, err error) {
 
 func (s *SegmentStore) readCheckpoint() (segCheckpoint, bool, error) {
 	var cp segCheckpoint
-	data, err := os.ReadFile(filepath.Join(s.dir, checkpointName))
+	data, err := os.ReadFile(s.checkpointPath())
 	if errors.Is(err, os.ErrNotExist) {
 		return cp, false, nil
 	}
@@ -423,75 +403,50 @@ func (s *SegmentStore) readCheckpoint() (segCheckpoint, bool, error) {
 }
 
 // replaySegment reads one segment into the in-memory mirror, folding
-// records above coveredSeq into the statistics. A torn record — one that
-// fails the length or CRC check — is truncated away when the segment is
-// the newest (tail = the only place a crash can tear); anywhere else it
-// is refused as corruption. A record that passes both and still does not
-// decode is never a torn tail: it is corruption, or a newer writer's
-// format, and is refused wherever it sits.
+// records above coveredSeq into the statistics. The newest segment is the
+// only one a crash can tear, so a torn tail there is truncated away and
+// damage anywhere else refuses the open (RecordLog.Replay); a record that
+// passes the length and CRC checks and still does not decode is
+// corruption, or a newer writer's format, and is refused wherever it sits.
 func (s *SegmentStore) replaySegment(num int, coveredSeq uint64, newest bool, names *assertion.Interner) (segMeta, uint64, error) {
-	path := filepath.Join(s.dir, segName(num))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return segMeta{}, 0, fmt.Errorf("store: replay %s: %w", segName(num), err)
-	}
-	// One exact reservation for the whole segment, not a growth chain.
-	if need := len(s.vs) + countRecords(data); need > cap(s.vs) {
-		s.resizeMirror(need)
-	}
 	meta := segMeta{num: num}
 	maxSeq := uint64(0)
 	var jsonBodies, binaryBodies int64
-	off := 0
-	for off < len(data) {
-		rest := data[off:]
-		good := false
-		if len(rest) >= recordHeader {
-			bodyLen := int(binary.LittleEndian.Uint32(rest[0:4]))
-			if bodyLen > 0 && bodyLen <= maxRecordBytes && recordHeader+bodyLen <= len(rest) {
-				body := rest[recordHeader : recordHeader+bodyLen]
-				if crc32.ChecksumIEEE(body) == binary.LittleEndian.Uint32(rest[4:8]) {
-					seq := binary.LittleEndian.Uint64(rest[8:16])
-					var v assertion.Violation
-					if body[0] == '{' {
-						v, err = decodeJSONBody(body)
-						jsonBodies++
-					} else {
-						err = assertion.DecodeViolationRecord(body, &v, names)
-						binaryBodies++
-					}
-					if err != nil {
-						return segMeta{}, 0, fmt.Errorf("%w: %s record at offset %d: %v", ErrCorrupt, segName(num), off, err)
-					}
-					if seq > coveredSeq {
-						s.foldStats(v)
-					}
-					if seq > maxSeq {
-						maxSeq = seq
-					}
-					s.appendEntry(seq, v)
-					meta.records++
-					off += recordHeader + bodyLen
-					good = true
-				}
-			}
+	seg := &RecordLog{Path: filepath.Join(s.dir, segName(num)), Hdr: seqHeader}
+	// One exact reservation for the whole segment, not a growth chain.
+	reserve := func(n int) {
+		if need := len(s.vs) + n; need > cap(s.vs) {
+			s.resizeMirror(need)
 		}
-		if good {
-			continue
+	}
+	err := seg.Replay(!newest, reserve, func(hdr, body []byte) error {
+		var v assertion.Violation
+		var err error
+		if body[0] == '{' {
+			v, err = decodeJSONBody(body)
+			jsonBodies++
+		} else {
+			err = assertion.DecodeViolationRecord(body, &v, names)
+			binaryBodies++
 		}
-		if !newest {
-			return segMeta{}, 0, fmt.Errorf("%w: %s damaged at offset %d", ErrCorrupt, segName(num), off)
+		if err != nil {
+			return err
 		}
-		// Torn tail: the crash interrupted the final write. Drop it.
-		if err := os.Truncate(path, int64(off)); err != nil {
-			return segMeta{}, 0, fmt.Errorf("store: truncate torn tail of %s: %w", segName(num), err)
+		seq := binary.LittleEndian.Uint64(hdr)
+		if seq > coveredSeq {
+			s.foldStats(v)
 		}
-		data = data[:off]
-		break
+		maxSeq = max(maxSeq, seq)
+		s.appendEntry(seq, v)
+		meta.records++
+		meta.bytes += int64(recordHeader + len(body))
+		return nil
+	})
+	if err != nil {
+		return segMeta{}, 0, err
 	}
 	recoveredRecords.Add("json", jsonBodies)
 	recoveredRecords.Add("binary", binaryBodies)
-	meta.bytes = int64(len(data))
 	return meta, maxSeq, nil
 }
 
@@ -502,23 +457,6 @@ func decodeJSONBody(body []byte) (assertion.Violation, error) {
 	var v assertion.Violation
 	err := json.Unmarshal(body, &v)
 	return v, err
-}
-
-// countRecords walks data's record headers — lengths only, no CRC, no
-// decode — and returns how many records it frames, so replay can size the
-// mirror once for a segment it has already read. A torn tail may count
-// one too many; nothing but the reservation depends on it.
-func countRecords(data []byte) int {
-	n := 0
-	for len(data) >= recordHeader {
-		bodyLen := int(binary.LittleEndian.Uint32(data[0:4]))
-		if bodyLen <= 0 || bodyLen > maxRecordBytes || recordHeader+bodyLen > len(data) {
-			break
-		}
-		data = data[recordHeader+bodyLen:]
-		n++
-	}
-	return n
 }
 
 // appendEntry adds one record to the in-memory mirror and its index,
@@ -565,15 +503,14 @@ func (s *SegmentStore) foldStats(v assertion.Violation) {
 	s.stats[v.Assertion] = st
 }
 
-func (s *SegmentStore) openSegment(num int) error {
-	f, err := os.OpenFile(filepath.Join(s.dir, segName(num)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: open segment: %w", err)
+// openSegment makes segment num, holding records records, the active
+// one.
+func (s *SegmentStore) openSegment(num, records int) error {
+	seg := &RecordLog{Path: filepath.Join(s.dir, segName(num)), Hdr: seqHeader}
+	if err := seg.Open(); err != nil {
+		return err
 	}
-	s.active = f
-	s.activeNum = num
-	s.activeBytes = 0
-	s.activeRecs = 0
+	s.active, s.activeNum, s.activeRecs = seg, num, records
 	return nil
 }
 
@@ -588,10 +525,8 @@ func appendRecord(dst []byte, seq uint64, v *assertion.Violation) ([]byte, error
 	if err != nil {
 		return dst, err
 	}
-	body := out[start+recordHeader:]
-	binary.LittleEndian.PutUint32(out[start:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(out[start+4:], crc32.ChecksumIEEE(body))
-	binary.LittleEndian.PutUint64(out[start+8:], seq)
+	binary.LittleEndian.PutUint64(out[start+FrameHeader:], seq)
+	sealFrame(out[start:], seqHeader)
 	return out, nil
 }
 
@@ -634,7 +569,7 @@ func (s *SegmentStore) bufferLocked(v assertion.Violation) error {
 // rolls when the active segment (flushed + pending) has reached the
 // threshold.
 func (s *SegmentStore) maybeFlushRollLocked() error {
-	if s.activeBytes+int64(len(s.pending)) >= s.segBytes {
+	if s.active.Size()+int64(len(s.pending)) >= s.segBytes {
 		return s.rollLocked()
 	}
 	if len(s.pending) >= flushThreshold {
@@ -655,11 +590,10 @@ func (s *SegmentStore) flushLocked() error {
 		// pending is retained, and every later flush fails the same way.
 		return fmt.Errorf("store: write segment: %w", ErrDiskFull)
 	}
-	if _, err := s.active.Write(s.pending); err != nil {
-		return fmt.Errorf("store: write segment: %w", err)
+	if err := s.active.Write(s.pending); err != nil {
+		return err
 	}
 	s.written += int64(len(s.pending))
-	s.activeBytes += int64(len(s.pending))
 	s.activeRecs += s.pendingRecs
 	s.pending = s.pending[:0]
 	s.pendingRecs = 0
@@ -677,14 +611,12 @@ func (s *SegmentStore) rollLocked() error {
 		return err
 	}
 	sealed, num := s.active, s.activeNum
+	s.finalized = append(s.finalized, segMeta{num: num, records: s.activeRecs, bytes: sealed.Size()})
 	s.sealWG.Add(1)
 	go func() {
 		defer s.sealWG.Done()
 		start := sealSyncHist.StartIf(true)
-		var err error
-		if !s.noSync {
-			err = sealed.Sync()
-		}
+		err := sealed.Sync()
 		if cerr := sealed.Close(); err == nil {
 			err = cerr
 		}
@@ -697,8 +629,7 @@ func (s *SegmentStore) rollLocked() error {
 			s.sealMu.Unlock()
 		}
 	}()
-	s.finalized = append(s.finalized, segMeta{num: s.activeNum, records: s.activeRecs, bytes: s.activeBytes})
-	return s.openSegment(s.activeNum + 1)
+	return s.openSegment(num+1, 0)
 }
 
 // sealBarrierLocked waits for every background seal to finish and
@@ -728,7 +659,7 @@ func (s *SegmentStore) manifestLocked() []Segment {
 	for _, m := range s.finalized {
 		out = append(out, Segment{Name: segName(m.num), Records: m.records, Bytes: m.bytes})
 	}
-	out = append(out, Segment{Name: segName(s.activeNum), Records: s.activeRecs, Bytes: s.activeBytes})
+	out = append(out, Segment{Name: segName(s.activeNum), Records: s.activeRecs, Bytes: s.active.Size()})
 	return out
 }
 
@@ -742,10 +673,8 @@ func (s *SegmentStore) checkpointLocked() error {
 	if err := s.sealBarrierLocked(); err != nil {
 		return err
 	}
-	if !s.noSync {
-		if err := s.active.Sync(); err != nil {
-			return fmt.Errorf("store: fsync segment: %w", err)
-		}
+	if err := s.active.Sync(); err != nil {
+		return err
 	}
 	cp := segCheckpoint{
 		Version:   checkpointVersion,
@@ -766,45 +695,10 @@ func (s *SegmentStore) writeCheckpointFile(cp segCheckpoint) error {
 	if err != nil {
 		return fmt.Errorf("store: encode checkpoint: %w", err)
 	}
-	tmp := filepath.Join(s.dir, checkpointName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: write checkpoint: %w", err)
-	}
-	_, err = f.Write(append(data, '\n'))
-	if err == nil && !s.noSync {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, filepath.Join(s.dir, checkpointName))
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: write checkpoint: %w", err)
-	}
-	if !s.noSync {
-		return syncDir(s.dir)
-	}
-	return nil
+	return WriteFileAtomic(s.checkpointPath(), append(data, '\n'))
 }
 
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("store: fsync dir: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("store: fsync dir: %w", err)
-	}
-	return nil
-}
+func (s *SegmentStore) checkpointPath() string { return filepath.Join(s.dir, checkpointName) }
 
 // Checkpoint persists a durable recovery point: the active segment and
 // the statistics are fsynced. On a closed store it is a no-op, Close
@@ -959,10 +853,8 @@ func (s *SegmentStore) compact(minIngestUnix int64, budget func(string) (int, bo
 			return 0, fmt.Errorf("store: compact rename: %w", err)
 		}
 	}
-	if !s.noSync {
-		if err := syncDir(s.dir); err != nil {
-			return 0, err
-		}
+	if err := syncDir(s.dir); err != nil {
+		return 0, err
 	}
 
 	// Retire the old generation.
@@ -979,11 +871,9 @@ func (s *SegmentStore) compact(minIngestUnix int64, budget func(string) (int, bo
 	// Adopt the new generation: the last new segment becomes active.
 	last := newMetas[len(newMetas)-1]
 	s.finalized = append(s.finalized[:0], newMetas[:len(newMetas)-1]...)
-	if err := s.openSegment(last.num); err != nil {
+	if err := s.openSegment(last.num, last.records); err != nil {
 		return 0, err
 	}
-	s.activeBytes = last.bytes
-	s.activeRecs = last.records
 
 	assertion.ReportEvicted(s.observer, s.vs, mask) // the whole mirror, before it is filtered
 	s.filterMirror(mask)
@@ -1001,35 +891,34 @@ func (s *SegmentStore) compact(minIngestUnix int64, budget func(string) (int, bo
 func (s *SegmentStore) writeSurvivors(mask []bool) ([]segMeta, error) {
 	var metas []segMeta
 	meta := segMeta{num: s.activeNum + 1}
-	var f *os.File
+	var seg *RecordLog
 	buf := s.scratch[:0]
 	defer func() {
 		s.scratch = buf[:0]
-		if f != nil {
-			f.Close() // an error path; the .tmp it leaves is swept by recover
+		if seg != nil {
+			seg.Close() // an error path; the .tmp it leaves is swept by recover
 		}
 	}()
 	// flush writes the chunk out; seal also ends the current file.
 	flush := func(seal bool) error {
 		var err error
-		if f == nil {
-			f, err = os.Create(filepath.Join(s.dir, segName(meta.num)+".tmp"))
+		if seg == nil {
+			seg = &RecordLog{Path: filepath.Join(s.dir, segName(meta.num)+".tmp"), Hdr: seqHeader}
+			err = seg.Create()
 		}
 		if err == nil {
-			_, err = f.Write(buf)
+			err = seg.Write(buf)
 		}
 		meta.bytes += int64(len(buf))
 		buf = buf[:0]
 		if err != nil || !seal {
 			return err
 		}
-		if !s.noSync {
-			err = f.Sync()
-		}
-		if cerr := f.Close(); err == nil {
+		err = seg.Sync()
+		if cerr := seg.Close(); err == nil {
 			err = cerr
 		}
-		f = nil
+		seg = nil
 		metas = append(metas, meta)
 		meta = segMeta{num: meta.num + 1}
 		return err
@@ -1116,9 +1005,9 @@ func (s *SegmentStore) clearLocked() error {
 	s.sealMu.Lock()
 	s.sealErr = nil
 	s.sealMu.Unlock()
-	if s.active != nil {
-		s.active.Close()
-		s.active = nil
+	s.active.Close()
+	if err := SweepTemps(s.checkpointPath()); err != nil {
+		return err
 	}
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -1127,7 +1016,7 @@ func (s *SegmentStore) clearLocked() error {
 	for _, ent := range ents {
 		name := ent.Name()
 		_, isSeg := segNum(strings.TrimSuffix(name, ".tmp"))
-		if isSeg || name == checkpointName || strings.HasPrefix(name, checkpointName+".tmp") {
+		if isSeg || name == checkpointName {
 			if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
 				return fmt.Errorf("store: clear: %w", err)
 			}
@@ -1146,14 +1035,14 @@ func (s *SegmentStore) clearLocked() error {
 	s.appendSeq = 0
 	s.dropped = 0
 	s.compacted = 0
-	return s.openSegment(1)
+	return s.openSegment(1, 0)
 }
 
 // Info implements ViolationStore.
 func (s *SegmentStore) Info() Info {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bytes := s.activeBytes + int64(len(s.pending))
+	bytes := s.active.Size() + int64(len(s.pending))
 	for _, m := range s.finalized {
 		bytes += m.bytes
 	}

@@ -9,7 +9,7 @@
 //     edge assertion.Recorder records into. Fast, but ephemeral: a crash
 //     loses everything.
 //   - SegmentStore (this package) — an append-only on-disk backend:
-//     length-prefixed, CRC-checked segment files holding one violation
+//     segment files that are record logs (below) holding one violation
 //     per record, a per-assertion/stream index for queries, fsync'd
 //     segment rolls and checkpoints, crash-safe compaction with the same
 //     retention semantics as MemStore.Compact, and exact crash recovery
@@ -24,6 +24,34 @@
 // and compaction rewrites its survivors as binary; anything else is
 // ErrCorrupt, never guessed at and never truncated as a torn tail. An
 // older binary cannot read binary bodies and refuses the directory.
+//
+// # The record log
+//
+// Every append-only file a collector keeps — the segments, the label
+// service's labels.log and the export collector's marks.log — is a
+// RecordLog, and none writes its own framing. A frame is the body's
+// length and its CRC-32 (IEEE), little-endian uint32s (FrameHeader), then
+// the owner's fixed header (a segment's 8-byte append sequence number;
+// none for the others), then the body. A log has one of two durability
+// levels, and its damage rule follows from it:
+//
+//   - WriteOnly (segments, marks.log): a write reaches the OS and no
+//     further; fsync comes at the owner's durability points. A power loss
+//     may tear anywhere past the last fsync, so the first bad frame of the
+//     newest file and everything after it are a torn tail, truncated at
+//     open; a bad frame in a sealed segment refuses the open.
+//   - SyncEach (labels.log): every write is fsync'd, and the file checked
+//     to be still linked at its path, before it returns. Only the frame
+//     being appended can be torn, so a bad frame is a torn tail only if
+//     the file ends inside it or only zeros follow; anything else refuses
+//     the open, naming the file and the offset.
+//
+// At either level a frame whose CRC holds but whose body the owner cannot
+// decode refuses the open: a crash tears a frame, it does not forge a
+// checksum. A write that fails is cut back off the file. A file rewritten
+// whole — a checkpoint, a label snapshot, a compacted marks.log — goes
+// through WriteFileAtomic: a temp file, fsync, rename, directory fsync;
+// SweepTemps removes what a crash left of one.
 //
 // The interface and the in-memory backend are declared in
 // internal/assertion and aliased here: Go's import graph forbids
