@@ -8,7 +8,6 @@ package omg_test
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -174,48 +173,6 @@ func BenchmarkAblationBALRankPower2(b *testing.B) {
 
 func BenchmarkAblationBALStrictFallback(b *testing.B) {
 	benchBALVariant(b, omg.BALConfig{FallbackThreshold: 0.2})
-}
-
-// BenchmarkAblationCCMABRegret measures CC-MAB's learning on a synthetic
-// smooth-reward environment: the mean true quality of selected arms in
-// the final tenth of the horizon (higher = better; an oracle achieves
-// ~0.85 on this landscape, uniform random ~0.42).
-func BenchmarkAblationCCMABRegret(b *testing.B) {
-	var late float64
-	for i := 0; i < b.N; i++ {
-		late = ccmabLateQuality(int64(i))
-	}
-	b.ReportMetric(late, "late-mean-quality")
-}
-
-func ccmabLateQuality(seed int64) float64 {
-	const horizon = 400
-	rng := simrand.NewStream(seed, "ccmab-bench")
-	c := bandit.NewCCMAB(seed, 1, horizon, 1)
-	trueQuality := func(x float64) float64 {
-		return 0.15 + 0.7*math.Exp(-8*(x-0.7)*(x-0.7))
-	}
-	lateSum, lateN := 0.0, 0
-	for round := 1; round <= horizon; round++ {
-		arms := make([]bandit.CCArm, 25)
-		for i := range arms {
-			arms[i] = bandit.CCArm{ID: i, Context: []float64{rng.Float64()}}
-		}
-		sel := c.SelectArms(round, 3, arms)
-		for _, p := range sel {
-			q := trueQuality(arms[p].Context[0])
-			reward := 0.0
-			if rng.Bool(q) {
-				reward = 1
-			}
-			c.Update(arms[p], reward)
-			if round > horizon*9/10 {
-				lateSum += q
-				lateN++
-			}
-		}
-	}
-	return lateSum / float64(lateN)
 }
 
 // ---------------------------------------------------------------------

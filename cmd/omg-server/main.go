@@ -12,18 +12,19 @@
 //	GET  /v1/violations/query  retained violations, ?assertion= ?stream= ?limit=
 //	GET  /v1/violations/tail   SSE live tail, ?assertion= ?stream= (violation + weaklabel events)
 //	GET  /v1/labels/next       lease the next labeling batch, ?budget= ?puller=
-//	POST /v1/labels/feedback   post labels back: releases leases, rewards the selector
+//	POST /v1/labels/feedback   post labels back: marks samples labeled, releases leases
 //	GET  /v1/labels/stats      label loop summary
 //	GET  /healthz              liveness (503 once shutdown has begun)
 //	GET  /metrics              Prometheus text format
 //
 // The labels endpoints close the paper's active-learning loop (§3): the
 // collector assembles per-sample candidates from the retained violations,
-// ranks them with -label-selector (BAL by default; ccmab, uncertainty,
-// uniform-ma, random), and leases budgeted, per-assertion-diverse batches
-// for -lease-ttl so two pullers never hold the same sample. With
-// -store=disk the selector's round state, the leases and the labeled set
-// persist under -data-dir and survive SIGKILL.
+// ranks them with -label-selector (BAL, the paper's Algorithm 2, by
+// default; or one of its baselines uncertainty, uniform-ma, random), and
+// leases budgeted, per-assertion-diverse batches for -lease-ttl so two
+// pullers never hold the same sample. With -store=disk the selector's
+// round state, the leases and the labeled set persist under -data-dir and
+// survive SIGKILL.
 //
 // Ingest fan-in scales with -shards: batches route by source, so
 // concurrent senders append to independent recorders. -retain-age and
@@ -53,7 +54,7 @@
 //	           [-retain-age DUR] [-retain-per-assertion N] [-compact-every DUR]
 //	           [-log violations.jsonl]
 //	           [-store mem|disk] [-data-dir DIR]
-//	           [-label-selector bal|ccmab|uncertainty|uniform-ma|random]
+//	           [-label-selector bal|uncertainty|uniform-ma|random]
 //	           [-label-seed N] [-label-budget N] [-lease-ttl DUR]
 //	           [-wire-accept json,binary] [-drain DUR] [-debug-addr :PORT]
 //	           [-chaos-disk-full-after BYTES]
@@ -110,7 +111,7 @@ func main() {
 	logPath := flag.String("log", "", "also stream ingested violations to this JSONL file (size-rotated at 64 MiB, 3 rotations kept)")
 	storeKind := flag.String("store", export.StoreMem, "violation store backend: mem (in-memory, lost at exit) or disk (crash-recoverable segment files under -data-dir)")
 	dataDir := flag.String("data-dir", "", "data directory for -store=disk (created if missing)")
-	labelSelector := flag.String("label-selector", "bal", "label-selection strategy: bal, ccmab, uncertainty, uniform-ma or random")
+	labelSelector := flag.String("label-selector", "bal", "label-selection strategy: bal, uncertainty, uniform-ma or random")
 	labelSeed := flag.Int64("label-seed", 1, "seed for the label selector's per-round RNG derivation")
 	labelBudget := flag.Int("label-budget", 16, "default /v1/labels/next batch size when the pull names no ?budget=")
 	leaseTTL := flag.Duration("lease-ttl", 5*time.Minute, "how long a served label candidate stays exclusively leased to its puller")

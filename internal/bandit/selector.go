@@ -1,9 +1,10 @@
 // Package bandit implements the paper's data-selection algorithms for
-// active learning with model assertions (§3): BAL (Algorithm 2), the
-// resource-unconstrained CC-MAB reference algorithm (Algorithm 1, Chen et
-// al. 2018), and the baselines the paper compares against — random
-// sampling, uncertainty sampling ("least confident"), and uniform
-// sampling from data flagged by model assertions.
+// active learning with model assertions (§3): BAL (Algorithm 2) and the
+// baselines the paper compares it against — random sampling, uncertainty
+// sampling ("least confident"), and uniform sampling from data flagged by
+// model assertions. The paper's Algorithm 1, the contextual combinatorial
+// bandit BAL simplifies, is not here: it needs a label and a retrain per
+// selected point, which the paper itself sets aside as infeasible.
 package bandit
 
 import (

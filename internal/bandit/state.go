@@ -8,14 +8,16 @@ import (
 
 // This file makes selector round state exportable. The paper's selectors
 // carry two kinds of state across labeling rounds: algorithm state (BAL's
-// previous-round firing counts, CC-MAB's per-cube reward estimates) and
-// RNG state. Algorithm state serialises cleanly; the simrand generator's
-// internals do not. RoundSelector therefore fixes a protocol where the
-// RNG is re-derived from (seed, round) at every round and only the
-// algorithm state persists — selection becomes a pure function of
-// (seed, round, candidates, restored state), which is what lets a
-// collector-hosted labeling service recover byte-identically after a
-// crash and lets tests replay a reference trace against it.
+// previous-round firing counts) and RNG state. Algorithm state serialises
+// cleanly; the simrand generator's internals do not. RoundSelector
+// therefore fixes a protocol where the RNG is re-derived from (seed,
+// round) at every round and only the algorithm state persists — selection
+// becomes a pure function of (seed, round, candidates, restored state),
+// which is what lets a collector-hosted labeling service recover
+// byte-identically after a crash and lets tests replay a reference trace
+// against it. The state advances at selection time only, through the
+// round's firing counts, and is bounded: it holds one round's counts,
+// never a history.
 
 // BALState is BAL's cross-round algorithm state in serialisable form.
 type BALState struct {
@@ -25,18 +27,17 @@ type BALState struct {
 	// HasPrev reports whether any round has completed (round 1 samples
 	// uniformly from assertions regardless of PrevFired).
 	HasPrev bool `json:"has_prev,omitempty"`
-	// FellBack lists the rounds where BAL deferred to its fallback.
-	FellBack []int `json:"fell_back,omitempty"`
 }
 
 // StateSnapshot exports the selector's cross-round algorithm state. RNG
 // state is deliberately excluded; see RoundSelector for the reseeding
-// protocol that makes that sound.
+// protocol that makes that sound. The in-memory fallback history
+// (FellBackRounds) is not part of it: it grows by a round per fallback
+// and no selection reads it.
 func (b *BAL) StateSnapshot() BALState {
 	return BALState{
 		PrevFired: append([]float64(nil), b.prevFired...),
 		HasPrev:   b.hasPrev,
-		FellBack:  append([]int(nil), b.fellBack...),
 	}
 }
 
@@ -45,57 +46,23 @@ func (b *BAL) StateSnapshot() BALState {
 func (b *BAL) RestoreState(st BALState) {
 	b.prevFired = append([]float64(nil), st.PrevFired...)
 	b.hasPrev = st.HasPrev
-	b.fellBack = append([]int(nil), st.FellBack...)
-}
-
-// CCMABState is CC-MAB's learned per-cube reward statistics in
-// serialisable form.
-type CCMABState struct {
-	// Counts is the number of reward observations per hypercube.
-	Counts map[string]int `json:"counts,omitempty"`
-	// Sums is the summed observed reward per hypercube.
-	Sums map[string]float64 `json:"sums,omitempty"`
-}
-
-// StateSnapshot exports the bandit's learned cube statistics.
-func (c *CCMAB) StateSnapshot() CCMABState {
-	st := CCMABState{
-		Counts: make(map[string]int, len(c.counts)),
-		Sums:   make(map[string]float64, len(c.sums)),
-	}
-	for k, v := range c.counts {
-		st.Counts[k] = v
-	}
-	for k, v := range c.sums {
-		st.Sums[k] = v
-	}
-	return st
-}
-
-// RestoreState replaces the bandit's learned cube statistics with a
-// previously exported snapshot.
-func (c *CCMAB) RestoreState(st CCMABState) {
-	c.counts = make(map[string]int, len(st.Counts))
-	c.sums = make(map[string]float64, len(st.Sums))
-	for k, v := range st.Counts {
-		c.counts[k] = v
-	}
-	for k, v := range st.Sums {
-		c.sums[k] = v
-	}
 }
 
 // RoundSelectorKinds are the strategy names NewRoundSelector accepts.
-var RoundSelectorKinds = []string{"bal", "ccmab", "uncertainty", "uniform-ma", "random"}
+var RoundSelectorKinds = []string{"bal", "uncertainty", "uniform-ma", "random"}
 
 // RoundSelectorState is the full persistent state of a RoundSelector.
 // It is plain JSON: embed it in a checkpoint, write it back with
 // RestoreState, and the selector continues exactly where it stopped.
 type RoundSelectorState struct {
-	Kind  string     `json:"kind"`
-	Seed  int64      `json:"seed"`
-	BAL   BALState   `json:"bal,omitempty"`
-	CCMAB CCMABState `json:"ccmab,omitempty"`
+	Kind string   `json:"kind"`
+	Seed int64    `json:"seed"`
+	BAL  BALState `json:"bal,omitempty"`
+	// CCMAB is a reserved, always-empty key. Every label file written
+	// while the CC-MAB selector existed carries "ccmab":{} (omitempty has
+	// no effect on a struct), so writing it keeps those bytes stable; a
+	// non-empty object in an old file decodes into nothing.
+	CCMAB struct{} `json:"ccmab"`
 }
 
 // RoundSelector drives any of the paper's selection strategies through a
@@ -110,12 +77,6 @@ type RoundSelector struct {
 	kind string
 	seed int64
 	bal  BALState
-	cc   CCMABState
-
-	// CCHorizon and CCAlpha parameterise the CC-MAB reconstruction
-	// (defaults 1000 and 1; irrelevant for other kinds).
-	CCHorizon int
-	CCAlpha   float64
 }
 
 // NewRoundSelector builds a round selector of the given kind (one of
@@ -134,7 +95,7 @@ func NewRoundSelector(kind string, seed int64) (*RoundSelector, error) {
 	if !ok {
 		return nil, fmt.Errorf("bandit: unknown selector %q (want one of %v)", kind, RoundSelectorKinds)
 	}
-	return &RoundSelector{kind: kind, seed: seed, CCHorizon: 1000, CCAlpha: 1}, nil
+	return &RoundSelector{kind: kind, seed: seed}, nil
 }
 
 // NewRoundSelectorFromState revives a round selector from a persisted
@@ -156,7 +117,6 @@ func (r *RoundSelector) Name() string { return r.kind }
 func (r *RoundSelector) Reset(seed int64) {
 	r.seed = seed
 	r.bal = BALState{}
-	r.cc = CCMABState{}
 }
 
 // StateSnapshot exports everything needed to revive this selector.
@@ -167,11 +127,6 @@ func (r *RoundSelector) StateSnapshot() RoundSelectorState {
 		b.RestoreState(r.bal)
 		st.BAL = b.StateSnapshot()
 	}
-	if r.kind == "ccmab" {
-		c := NewCCMAB(0, 1, 1, 1)
-		c.RestoreState(r.cc)
-		st.CCMAB = c.StateSnapshot()
-	}
 	return st
 }
 
@@ -181,9 +136,6 @@ func (r *RoundSelector) RestoreState(st RoundSelectorState) {
 	b := &BAL{}
 	b.RestoreState(st.BAL)
 	r.bal = b.StateSnapshot()
-	c := NewCCMAB(0, 1, 1, 1)
-	c.RestoreState(st.CCMAB)
-	r.cc = c.StateSnapshot()
 }
 
 // roundSeed derives the RNG seed for one round: unique per (seed, kind,
@@ -202,24 +154,6 @@ func (r *RoundSelector) Select(state RoundState) []int {
 		out := b.Select(state)
 		r.bal = b.StateSnapshot()
 		return out
-	case "ccmab":
-		d := len(state.FiredCounts)
-		if d < 1 {
-			d = 1
-		}
-		c := NewCCMAB(seed, d, r.CCHorizon, r.CCAlpha)
-		c.RestoreState(r.cc)
-		arms := make([]CCArm, len(state.Candidates))
-		for i, cand := range state.Candidates {
-			arms[i] = CCArm{ID: cand.Index, Context: ContextFromSeverities(cand.Severities, d)}
-		}
-		round := state.Round
-		if round < 1 {
-			round = 1
-		}
-		out := c.SelectArms(round, state.Budget, arms)
-		r.cc = c.StateSnapshot()
-		return out
 	case "uncertainty":
 		return NewUncertainty().Select(state)
 	case "uniform-ma":
@@ -227,37 +161,4 @@ func (r *RoundSelector) Select(state RoundState) []int {
 	default: // "random"
 		return NewRandom(seed).Select(state)
 	}
-}
-
-// Reward feeds an observed labeling reward back into the learning
-// strategies that use one (CC-MAB's cube statistics). context is the
-// labeled point's severity-derived context (ContextFromSeverities);
-// reward is conventionally 1 when labeling surfaced a real model error
-// and 0 otherwise. A no-op for the stateless kinds and BAL (whose state
-// advances through firing counts, not per-point rewards).
-func (r *RoundSelector) Reward(context []float64, reward float64) {
-	if r.kind != "ccmab" {
-		return
-	}
-	d := len(context)
-	if d < 1 {
-		d = 1
-	}
-	c := NewCCMAB(0, d, r.CCHorizon, r.CCAlpha)
-	c.RestoreState(r.cc)
-	c.Update(CCArm{Context: context}, reward)
-	r.cc = c.StateSnapshot()
-}
-
-// ContextFromSeverities squashes a severity vector into the [0,1]^d
-// context CC-MAB partitions: coordinate m is s_m/(1+s_m), so severity 0
-// maps to 0 and larger severities approach 1.
-func ContextFromSeverities(sev []float64, d int) []float64 {
-	out := make([]float64, d)
-	for m := 0; m < d; m++ {
-		if m < len(sev) && sev[m] > 0 {
-			out[m] = sev[m] / (1 + sev[m])
-		}
-	}
-	return out
 }

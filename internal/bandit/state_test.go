@@ -41,29 +41,6 @@ func TestBALStateSnapshotRestore(t *testing.T) {
 	}
 }
 
-func TestCCMABStateSnapshotRestore(t *testing.T) {
-	c := NewCCMAB(3, 2, 100, 1)
-	c.Update(CCArm{Context: []float64{0.2, 0.9}}, 1)
-	c.Update(CCArm{Context: []float64{0.8, 0.1}}, 0)
-	st := c.StateSnapshot()
-	raw, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back CCMABState
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	c2 := NewCCMAB(3, 2, 100, 1)
-	c2.RestoreState(back)
-	if c2.CubesExplored() != c.CubesExplored() {
-		t.Fatalf("cubes: got %d want %d", c2.CubesExplored(), c.CubesExplored())
-	}
-	if q1, q2 := c.quality(CCArm{Context: []float64{0.2, 0.9}}), c2.quality(CCArm{Context: []float64{0.2, 0.9}}); q1 != q2 {
-		t.Fatalf("quality diverged after restore: %v vs %v", q1, q2)
-	}
-}
-
 // TestRoundSelectorCrashEquivalence is the property the collector's label
 // service depends on: serialising a RoundSelector mid-run and reviving it
 // from JSON yields exactly the selections the uninterrupted selector
@@ -139,29 +116,25 @@ func TestRoundSelectorUnknownKind(t *testing.T) {
 	}
 }
 
-func TestRoundSelectorRewardFeedsCCMAB(t *testing.T) {
-	rs, err := NewRoundSelector("ccmab", 5)
+// TestRoundSelectorStateDropsRetiredFields revives a state an older build
+// wrote, with a fallback history and a non-empty "ccmab" object: both
+// decode into nothing, and the state written back keeps the reserved
+// "ccmab" key empty.
+func TestRoundSelectorStateDropsRetiredFields(t *testing.T) {
+	const old = `{"kind":"bal","seed":3,"bal":{"prev_fired":[1,2],"has_prev":true,"fell_back":[2,3]},"ccmab":{"counts":{"0":2},"sums":{"0":1}}}`
+	var st RoundSelectorState
+	if err := json.Unmarshal([]byte(old), &st); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := NewRoundSelectorFromState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := ContextFromSeverities([]float64{3, 0}, 2)
-	rs.Reward(ctx, 1)
-	st := rs.StateSnapshot()
-	if len(st.CCMAB.Counts) != 1 {
-		t.Fatalf("reward did not land in cube stats: %+v", st.CCMAB)
+	got, err := json.Marshal(rs.StateSnapshot())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Reward is a no-op for bal.
-	bal, _ := NewRoundSelector("bal", 5)
-	bal.Reward(ctx, 1)
-	if got := bal.StateSnapshot(); len(got.CCMAB.Counts) != 0 {
-		t.Fatalf("bal Reward should be a no-op, got %+v", got.CCMAB)
-	}
-}
-
-func TestContextFromSeverities(t *testing.T) {
-	got := ContextFromSeverities([]float64{0, 1, 3, -2}, 5)
-	want := []float64{0, 0.5, 0.75, 0, 0}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v want %v", got, want)
+	if want := `{"kind":"bal","seed":3,"bal":{"prev_fired":[1,2],"has_prev":true},"ccmab":{}}`; string(got) != want {
+		t.Fatalf("got %s want %s", got, want)
 	}
 }

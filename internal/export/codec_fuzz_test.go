@@ -5,6 +5,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"unicode/utf8"
@@ -151,8 +153,63 @@ func rawBinaryFrame(b Batch) []byte {
 		p = binary.AppendVarint(p, v.IngestUnix)
 		p = binary.AppendVarint(p, v.ObservedUnixNano)
 	}
-	frame := append([]byte(binMagic), byte(b.Version), 0)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(p)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(p, binCastagnoli))
-	return append(frame, p...)
+	return frameAround(byte(b.Version), 0, p)
+}
+
+// frameAround wraps stored, the bytes a frame carries after its header,
+// in a CRC-valid header with the given version and flags.
+func frameAround(version, flags byte, stored []byte) []byte {
+	frame := append([]byte(binMagic), version, flags)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(stored)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(stored, binCastagnoli))
+	return append(frame, stored...)
+}
+
+// FuzzBinaryPayload fuzzes the binary frame decoder handleIngest runs on
+// every application/x-omg-batch body, from raw bytes: the payload a sender
+// outside this process chose, in a CRC-valid header, stored plain or
+// flagged as DEFLATE-compressed. DecodeBatch must either refuse it with
+// ErrBinaryFrame (or ErrWireVersion for a version outside the window), or
+// return a batch that AppendBatchJSON can encode and that survives a
+// plain binary round trip deep-equal.
+func FuzzBinaryPayload(f *testing.F) {
+	for _, name := range []string{"frame-plain.bin", "frame-deflate.bin"} {
+		frame, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		deflate := frame[5]&binFlagDeflate != 0
+		f.Add(frame[binHeaderLen:], deflate, frame[4])
+		f.Add(frame[binHeaderLen:], !deflate, frame[4])
+	}
+	f.Add([]byte{}, false, uint8(WireVersion))
+	f.Add([]byte{0, 0, 0}, false, uint8(WireVersion+1))
+	f.Fuzz(func(t *testing.T, payload []byte, deflate bool, version uint8) {
+		var flags byte
+		if deflate {
+			flags = binFlagDeflate
+		}
+		codec := &BinaryCodec{}
+		got, err := codec.DecodeBatch(frameAround(version, flags, payload))
+		if err != nil {
+			if !errors.Is(err, ErrBinaryFrame) && !errors.Is(err, ErrWireVersion) {
+				t.Fatalf("err = %v, want ErrBinaryFrame or ErrWireVersion", err)
+			}
+			return
+		}
+		if _, err := AppendBatchJSON(nil, got); err != nil {
+			t.Fatalf("DecodeBatch accepted a batch AppendBatchJSON cannot encode: %v", err)
+		}
+		frame, err := codec.AppendBatch(nil, got)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		again, err := codec.DecodeBatch(frame)
+		if err != nil {
+			t.Fatalf("decode of the re-encoded frame: %v", err)
+		}
+		if !reflect.DeepEqual(again, got) {
+			t.Fatalf("binary round trip changed the batch:\n got %+v\nwant %+v", again, got)
+		}
+	})
 }

@@ -717,7 +717,7 @@ type QueryResponse struct {
 //	GET  /v1/violations/query  retained violations, ?assertion= ?stream= ?limit=
 //	GET  /v1/violations/tail   SSE live tail, ?assertion= ?stream=
 //	GET  /v1/labels/next       lease the next labeling batch, ?budget= ?puller=
-//	POST /v1/labels/feedback   post labels, release leases, reward the selector
+//	POST /v1/labels/feedback   post labels, mark samples labeled, release leases
 //	GET  /v1/labels/stats      label loop summary
 //	GET  /healthz              liveness (503 once shutdown has begun)
 //	GET  /metrics              Prometheus text format
@@ -1010,12 +1010,12 @@ func (c *Collector) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("omg_collector_labels_leases", "Unexpired label leases.", int64(c.labels.ActiveLeases()))
 	gauge("omg_collector_labels_round", "Completed label selection rounds.", int64(c.labels.Round()))
 	index := c.labels.IndexStats()
-	gauge("omg_collector_labels_candidates", "Candidates in the live label index (0 until a label call seeds it).", int64(index.Candidates))
+	gauge("omg_collector_labels_candidates", "Candidates in the live label index (0 until a pull or stats read seeds it).", int64(index.Candidates))
 	fmt.Fprintf(&b, "# HELP omg_collector_labels_index_events_total Deltas queued for the label index: ingested adds and store evictions.\n")
 	fmt.Fprintf(&b, "# TYPE omg_collector_labels_index_events_total counter\n")
 	fmt.Fprintf(&b, "omg_collector_labels_index_events_total{kind=\"add\"} %d\n", index.Adds)
 	fmt.Fprintf(&b, "omg_collector_labels_index_events_total{kind=\"evict\"} %d\n", index.Evictions)
-	counter("omg_collector_labels_seeds_total", "Times the label index was built from the retained log (first label call, and after a store failure or a feed overflow).", index.Seeds)
+	counter("omg_collector_labels_seeds_total", "Times the label index was built from the retained log (first pull or stats read, and after a store failure or a feed overflow).", index.Seeds)
 	counter("omg_collector_labels_state_write_errors_total", "Failed writes of the label state files.", index.StateWriteErrors)
 	fmt.Fprintf(&b, "# HELP omg_collector_labels_state_writes_total Durable writes of the label state: a log record per mutation, a snapshot when the log outgrows the last one.\n")
 	fmt.Fprintf(&b, "# TYPE omg_collector_labels_state_writes_total counter\n")

@@ -15,7 +15,7 @@ import (
 // (paper §3): the label service ranks the retained violation history with
 // a bandit selector, /v1/labels/next leases budgeted, per-assertion-
 // diverse batches to label pullers, and /v1/labels/feedback posts labels
-// back, releasing leases and rewarding the selector.
+// back, marking their samples labeled and releasing their leases.
 
 // LabelsNextPath leases the next labeling batch (GET, ?budget= ?puller=).
 const LabelsNextPath = "/v1/labels/next"

@@ -209,20 +209,6 @@ func (x *index) sweep(st *streamIdx) {
 	x.order = slices.DeleteFunc(x.order, func(s *streamIdx) bool { return s == st })
 }
 
-// lookup returns the candidate at (stream, sample), or nil when no
-// retained positive-severity violation names it.
-func (x *index) lookup(k key2) *cand {
-	st := x.streams[k.stream]
-	if st == nil {
-		return nil
-	}
-	at, found := st.find(k.sample)
-	if !found || st.list[at].positive == 0 {
-		return nil
-	}
-	return st.list[at]
-}
-
 // settle rebuilds the assertion axis if a fold changed which assertions
 // have a positive cell. An axis that comes out the same (a name that
 // flickered within one batch) keeps its generation.

@@ -5,7 +5,7 @@
 // stream, sample), each carrying a per-assertion severity feature vector;
 // a bandit selector (BAL by default) ranks them round by round; budgeted,
 // per-assertion-diverse batches are leased to label pullers; and posted
-// labels feed the selector's round state. Consistency-generated
+// labels take their samples out of the pool. Consistency-generated
 // assertions additionally carry the §4.2 corrective weak-label proposal
 // for their violations.
 //
@@ -26,11 +26,12 @@
 // The candidate pool is a live index (index.go), maintained at the rate
 // the retained log changes rather than rebuilt at the rate it is read.
 // It is seeded once — one read of the ViolationSource, at the first label
-// call (Next, ApplyFeedback, Stats, Pool) and again after RestoreState or
-// a store Replace — and from then on folded forward by deltas: the adds
-// ObserveBatch hears from the ingest path and the evictions
-// ObserveEvicted hears from the stores. A service nobody asks for labels
-// never reads the log and keeps no index. Two locks split the work:
+// call that reads the pool (Next, Stats, Pool) and again after
+// RestoreState or a store Replace — and from then on folded forward by
+// deltas: the adds ObserveBatch hears from the ingest path and the
+// evictions ObserveEvicted hears from the stores. A service nobody asks
+// for labels never reads the log and keeps no index. Two locks split the
+// work:
 //
 //   - the feed lock guards the queue of pending deltas, the seeded flag
 //     and the stream→source bindings' readers on the ingest side. It is
@@ -40,7 +41,7 @@
 //     behind a pull.
 //   - Service.mu guards everything a label call reads and writes: the
 //     index, the selector, leases, the labeled set, the state file. Label
-//     calls drain the feed under it before they read.
+//     calls that read the pool drain the feed under it before they read.
 //
 // Served bytes are those of a full rebuild over the retained log at the
 // moment of the call: Candidate features are materialised from the index
@@ -90,7 +91,7 @@ type SeedLocker interface {
 // 5-minute lease TTL, batches of 16 (max 256), and no state file.
 type Config struct {
 	// Selector is the ranking strategy: one of bandit.RoundSelectorKinds
-	// ("bal", "ccmab", "uncertainty", "uniform-ma", "random"); "" = "bal".
+	// ("bal", "uncertainty", "uniform-ma", "random"); "" = "bal".
 	Selector string
 	// Seed bases the per-round RNG derivation.
 	Seed int64
@@ -198,7 +199,7 @@ type Feedback struct {
 	Label string `json:"label,omitempty"`
 	// ModelCorrect reports whether the model's original output was in
 	// fact correct (the assertion flagged a false positive). Labeling a
-	// real model error (ModelCorrect=false) is the bandit's reward.
+	// real model error (ModelCorrect=false) counts in ErrorsFound.
 	ModelCorrect bool `json:"model_correct,omitempty"`
 }
 
@@ -434,10 +435,10 @@ func (s *Service) enqueueLocked(vs []assertion.Violation, n int32, events *atomi
 }
 
 // lockCurrent takes mu and brings the index up to the retained log: it
-// folds every queued delta, seeding the index first if there is none. All
-// label calls start here. The seed is the one place the log itself is
-// read; it runs with the source's writers held off (SeedLocker), which
-// requires letting go of mu first.
+// folds every queued delta, seeding the index first if there is none.
+// Every label call that reads the pool starts here. The seed is the one
+// place the log itself is read; it runs with the source's writers held
+// off (SeedLocker), which requires letting go of mu first.
 func (s *Service) lockCurrent() {
 	s.mu.Lock()
 	for !s.drainLocked() {
@@ -586,15 +587,17 @@ func overProvision(budget, pool int) int {
 }
 
 // ApplyFeedback applies posted labels: marks samples labeled, releases their
-// leases, counts confirmed model errors, and feeds the reward back into
-// reward-driven selectors. Re-posting an already-labeled sample is an
-// idempotent duplicate. Labels for samples the service never served are
-// accepted too (volunteered labels still shrink the pool). A non-nil error
-// other than ErrClosed means the labels were applied in memory but could
-// not be written to disk; re-posting them (they then count as
-// duplicates) retries the write.
+// leases and counts confirmed model errors. It never moves the selector,
+// whose state advances through firing counts when a round is drawn, and it
+// reads nothing from the candidate index, so it neither seeds nor drains
+// it. Re-posting an already-labeled sample is an idempotent duplicate.
+// Labels for samples the service never served are accepted too
+// (volunteered labels still shrink the pool). A non-nil error other than
+// ErrClosed means the labels were applied in memory but could not be
+// written to disk; re-posting them (they then count as duplicates)
+// retries the write.
 func (s *Service) ApplyFeedback(items []Feedback) (FeedbackResult, error) {
-	s.lockCurrent()
+	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return FeedbackResult{}, ErrClosed
@@ -620,14 +623,8 @@ func (s *Service) ApplyFeedback(items []Feedback) (FeedbackResult, error) {
 		d.Labeled = append(d.Labeled, rec)
 		res.Applied++
 		s.feedback++
-		reward := 0.0
 		if !f.ModelCorrect {
 			s.errorsFound++
-			reward = 1
-		}
-		if c := s.idx.lookup(k); c != nil {
-			s.idx.derive(c)
-			s.sel.Reward(bandit.ContextFromSeverities(c.vec, len(s.idx.axis)), reward)
 		}
 	}
 	if res.Applied > 0 || s.unsaved {
@@ -808,9 +805,17 @@ func (s *Service) stateLocked() State {
 	return st
 }
 
+// restoreLocked replaces the loop's state with st. A selector kind this
+// build does not know (one since removed) does not strand the labels and
+// leases: they are revived and the configured selector ranks from here on,
+// which is logged, since the snapshot's kind otherwise wins over flags.
 func (s *Service) restoreLocked(st State) {
 	if st.Selector.Kind != "" {
-		if sel, err := bandit.NewRoundSelectorFromState(st.Selector); err == nil {
+		sel, err := bandit.NewRoundSelectorFromState(st.Selector)
+		if err != nil {
+			log.Printf("labelsvc: state file %s names selector %q, which this build does not have; continuing under %q: %v",
+				s.cfg.StatePath, st.Selector.Kind, s.sel.Name(), err)
+		} else {
 			s.sel = sel
 		}
 	}

@@ -22,10 +22,11 @@ import (
 // Revival loads the snapshot and replays the records it does not cover.
 
 // stateDelta is one log record: what one mutation changed. The loop's
-// scalars — selector state, round and counters — are small and ride whole
-// on every record; the sets change by lists. Replay drops Dropped's leases
-// before adding Leased, Labeled and StreamSources, the order the mutations
-// themselves run in.
+// scalars — selector state, round and counters — ride whole on every
+// record; they are bounded, the selector state being its kind, its seed
+// and at most the last round's firing counts. The sets change by lists.
+// Replay drops Dropped's leases before adding Leased, Labeled and
+// StreamSources, the order the mutations themselves run in.
 type stateDelta struct {
 	Seq           uint64                    `json:"seq"`
 	Selector      bandit.RoundSelectorState `json:"selector"`
