@@ -29,7 +29,7 @@
 //	            [-sink jsonl|rotate|http]
 //	            [-rotate-bytes N] [-rotate-keep N] [-rotate-interval D]
 //	            [-export-url http://collector:9077] [-export-batch N]
-//	            [-export-deadline D] [-wire json|binary] [-wire-compress]
+//	            [-export-deadline D] [-wire json|binary]
 //	            [-metrics-addr :9078] [-debug-addr :9079]
 package main
 
@@ -63,7 +63,6 @@ func main() {
 	exportBatch := flag.Int("export-batch", 256, "violations coalesced per exported batch (-sink=http)")
 	exportDeadline := flag.Duration("export-deadline", 10*time.Second, "longest one exported batch may take, attempts and retry waits together, before its violations count as dropped; the whole delivery policy derives from it (-sink=http)")
 	wire := flag.String("wire", "json", "wire codec for exported batches: json or binary; falls back to json automatically when the collector refuses the codec (-sink=http)")
-	wireCompress := flag.Bool("wire-compress", false, "DEFLATE-compress binary wire payloads (-sink=http -wire=binary)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics on this address (host:port; port 0 picks a free port)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (gated: off unless set)")
 	flag.Parse()
@@ -110,7 +109,7 @@ func main() {
 	case *sinkKind == "http":
 		cfg := export.HTTPSinkConfig{
 			BaseURL: *exportURL, BatchMax: *exportBatch, Deadline: *exportDeadline,
-			Wire: *wire, Compress: *wireCompress,
+			Wire: *wire,
 		}
 		var err error
 		if httpSink, err = export.NewHTTPSink(cfg); err != nil {
@@ -287,7 +286,7 @@ func main() {
 		if st.WireFellBack {
 			fmt.Printf("wire codec fell back to json (collector does not accept %s)\n", *wire)
 		} else if st.Wire != "json" {
-			fmt.Printf("wire codec: %s (compress=%v)\n", st.Wire, *wireCompress)
+			fmt.Printf("wire codec: %s\n", st.Wire)
 		}
 	}
 	if sink != nil && *logPath != "" {

@@ -56,7 +56,7 @@
 //	           [-store mem|disk] [-data-dir DIR]
 //	           [-label-selector bal|uncertainty|uniform-ma|random]
 //	           [-label-seed N] [-label-budget N] [-lease-ttl DUR]
-//	           [-wire-accept json,binary] [-drain DUR] [-debug-addr :PORT]
+//	           [-drain DUR] [-debug-addr :PORT]
 //	           [-chaos-disk-full-after BYTES]
 //	omg-server import -data-dir DIR [-shards N] SNAPSHOT.json
 //
@@ -83,7 +83,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -115,7 +114,6 @@ func main() {
 	labelSeed := flag.Int64("label-seed", 1, "seed for the label selector's per-round RNG derivation")
 	labelBudget := flag.Int("label-budget", 16, "default /v1/labels/next batch size when the pull names no ?budget=")
 	leaseTTL := flag.Duration("lease-ttl", 5*time.Minute, "how long a served label candidate stays exclusively leased to its puller")
-	wireAccept := flag.String("wire-accept", "", "comma-separated wire codecs ingest accepts (json,binary); empty accepts all — requests in other formats get 415 and capable senders fall back")
 	chaosDiskFullAfter := flag.Int64("chaos-disk-full-after", 0, "fault injection for -store=disk: fail segment writes with ENOSPC once this many bytes have been written, degrading ingest to 503 (0 = off; chaos testing only)")
 	drain := flag.Duration("drain", 0, "after a shutdown signal, keep the listener answering (with /healthz reporting 503) this long so load balancers drain the instance first")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (gated: off unless set)")
@@ -145,15 +143,6 @@ func main() {
 		}
 	}
 
-	var acceptWire []string
-	if *wireAccept != "" {
-		for _, name := range strings.Split(*wireAccept, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				acceptWire = append(acceptWire, name)
-			}
-		}
-	}
-
 	opened := time.Now()
 	c, err := export.OpenCollector(export.CollectorConfig{
 		Retain:              *retain,
@@ -163,7 +152,6 @@ func main() {
 		CompactEvery:        *compactEvery,
 		Store:               *storeKind,
 		DataDir:             *dataDir,
-		AcceptWire:          acceptWire,
 		StoreFailAfterBytes: *chaosDiskFullAfter,
 		Labels: labelsvc.Config{
 			Selector:      *labelSelector,

@@ -3,11 +3,17 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"compress/flate"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -473,6 +479,36 @@ func postCodecBatch(t *testing.T, baseURL string, codec export.BatchCodec, b exp
 	return ack.Duplicate
 }
 
+// oldDeflateCodec writes binary frames the way senders that still had
+// the DEFLATE encoder did: the plain frame's payload compressed at
+// flate.BestSpeed, flag bit 0 set, and the length and CRC-32C fields over
+// the compressed bytes. The collector must keep ingesting them.
+type oldDeflateCodec struct{ export.BatchCodec }
+
+func (c oldDeflateCodec) AppendBatch(dst []byte, b export.Batch) ([]byte, error) {
+	const headerLen = 14 // magic, version, flags, length, CRC
+	plain, err := c.BatchCodec.AppendBatch(nil, b)
+	if err != nil {
+		return dst, err
+	}
+	var z bytes.Buffer
+	w, err := flate.NewWriter(&z, flate.BestSpeed)
+	if err != nil {
+		return dst, err
+	}
+	if _, err := w.Write(plain[headerLen:]); err != nil {
+		return dst, err
+	}
+	if err := w.Close(); err != nil {
+		return dst, err
+	}
+	dst = append(dst, plain[:5]...)
+	dst = append(dst, 0x01) // flag bit 0: DEFLATE
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(z.Len()))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(z.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
+	return append(dst, z.Bytes()...), nil
+}
+
 // normalizeIngestStamps blanks the collector-stamped ingest_unix values,
 // which are the only wall-clock-dependent bytes in a query response, so
 // two separate runs over the same logical fleet compare byte-for-byte.
@@ -505,8 +541,8 @@ func mixedFleetBatches() map[string][]export.Batch {
 
 // TestEndToEndMixedWireFleet replays the same two-edge fleet twice
 // against disk-backed collectors — once all-JSON, once with edge-bin on
-// the binary wire (alternating compression) and its duplicates crossing
-// codecs — and requires the summary, query and (source,seq) dedup state
+// the binary wire (seq 2 as the DEFLATE frame an older sender wrote) and
+// its duplicates crossing codecs — and requires the summary, query and (source,seq) dedup state
 // to match byte-for-byte. The mixed-wire collector is then SIGKILLed and
 // must recover identically from its segment files, binary-ingested
 // violations included.
@@ -517,8 +553,11 @@ func TestEndToEndMixedWireFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binPlain := &export.BinaryCodec{}
-	binDeflate := &export.BinaryCodec{Compress: true}
+	binPlain, err := export.Codec(export.CodecBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binDeflate := oldDeflateCodec{binPlain}
 
 	// ingest drives one full fleet replay: every batch in seq order, a
 	// same-wire duplicate of edge-bin seq 2 and a cross-wire duplicate of
@@ -553,8 +592,8 @@ func TestEndToEndMixedWireFleet(t *testing.T) {
 	wantFiltered := normalizeIngestStamps(getRaw(t, baseURL, "/v1/violations/query?assertion=flicker&stream=edge-bin-cam-1&limit=5"))
 	stopServer(t, baseServer)
 
-	// Mixed fleet: edge-bin ships binary (seq 2 compressed), edge-json
-	// stays on JSON.
+	// Mixed fleet: edge-bin ships binary (seq 2 in an older sender's
+	// DEFLATE frame), edge-json stays on JSON.
 	mixDir := filepath.Join(t.TempDir(), "mixed")
 	diskArgs := []string{"-store", "disk", "-data-dir", mixDir, "-shards", "2"}
 	mixURL, mixServer := startServer(t, diskArgs...)
@@ -614,8 +653,9 @@ func TestEndToEndMixedWireFleet(t *testing.T) {
 }
 
 // TestEndToEndMonitorWireFleet runs real omg-monitor edges — one JSON,
-// one binary+DEFLATE — against one collector, then a binary-wire edge
-// against a JSON-only collector, which must fall back via 415 and still
+// one binary — against one collector, then a binary-wire edge against a
+// collector older than the binary wire (a proxy answering 415 to binary
+// frames in front of omg-server), which must fall back to JSON and still
 // deliver exactly once.
 func TestEndToEndMonitorWireFleet(t *testing.T) {
 	needBinaries(t)
@@ -625,7 +665,7 @@ func TestEndToEndMonitorWireFleet(t *testing.T) {
 	want := 0
 	for _, wireArgs := range [][]string{
 		{"-wire", "json"},
-		{"-wire", "binary", "-wire-compress"},
+		{"-wire", "binary"},
 	} {
 		args := append([]string{"-frames", "250", "-sink", "http", "-export-url", baseURL, "-export-batch", "32"}, wireArgs...)
 		out, err := exec.Command(monitorBin, args...).CombinedOutput()
@@ -648,10 +688,28 @@ func TestEndToEndMonitorWireFleet(t *testing.T) {
 	// A JSON-only collector (as an old deployment would be): the binary
 	// edge's first frame draws a 415, the sink falls back to JSON and
 	// every violation still lands exactly once.
-	jsonURL, jsonServer := startServer(t, "-wire-accept", "json")
+	jsonURL, jsonServer := startServer(t)
 	defer stopServer(t, jsonServer)
+	target, err := url.Parse(jsonURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forward := httputil.NewSingleHostReverseProxy(target)
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("Content-Type") == export.ContentTypeBinary {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusUnsupportedMediaType)
+			json.NewEncoder(w).Encode(export.UnsupportedMediaTypeResponse{
+				Error:                "unsupported Content-Type " + export.ContentTypeBinary,
+				AcceptedContentTypes: []string{export.ContentTypeJSON},
+			})
+			return
+		}
+		forward.ServeHTTP(w, r)
+	}))
+	defer old.Close()
 	out, err := exec.Command(monitorBin,
-		"-frames", "250", "-sink", "http", "-export-url", jsonURL, "-export-batch", "32",
+		"-frames", "250", "-sink", "http", "-export-url", old.URL, "-export-batch", "32",
 		"-wire", "binary",
 	).CombinedOutput()
 	if err != nil {
@@ -702,6 +760,7 @@ func TestEndToEndBadHTTPFlags(t *testing.T) {
 		{"-frames", "50", "-sink", "http"},                             // missing -export-url
 		{"-frames", "50", "-sink", "http", "-export-url", "collector"}, // scheme-less URL
 		{"-frames", "50", "-sink", "http", "-export-url", "http://x", "-export-deadline", "0s"},
+		{"-frames", "50", "-wire-compress"}, // removed with the DEFLATE encoder
 	} {
 		if out, err := exec.Command(monitorBin, args...).CombinedOutput(); err == nil {
 			t.Fatalf("%v: expected non-zero exit; output:\n%s", args, out)
@@ -718,6 +777,13 @@ func TestEndToEndBadServerFlags(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(full, "marks.log"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A data dir a 3-shard collector owns: reopened with fewer shards it
+	// would drop shard-2 from every read.
+	wide := filepath.Join(t.TempDir(), "wide")
+	if out, err := exec.Command(serverBin, "import", "-data-dir", wide, "-shards", "3",
+		"../../internal/export/testdata/snapshot-v2.json").CombinedOutput(); err != nil {
+		t.Fatalf("import: %v\n%s", err, out)
+	}
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -725,6 +791,8 @@ func TestEndToEndBadServerFlags(t *testing.T) {
 		{[]string{"-addr", "127.0.0.1:0", "-data-dir", t.TempDir()}, "-data-dir requires -store=disk"},
 		{[]string{"-addr", "127.0.0.1:0", "-snapshot", "x"}, "flag provided but not defined: -snapshot"},
 		{[]string{"-addr", "127.0.0.1:0", "-rate-limit", "1"}, "flag provided but not defined: -rate-limit"},
+		{[]string{"-addr", "127.0.0.1:0", "-wire-accept", "json"}, "flag provided but not defined: -wire-accept"},
+		{[]string{"-addr", "127.0.0.1:0", "-store", "disk", "-data-dir", wide, "-shards", "2"}, "-shards 3"},
 		{[]string{"-addr", "127.0.0.1:0", "-compact-every", "0"}, "-compact-every must be positive"},
 		{[]string{"import", "-data-dir", full, "../../internal/export/testdata/snapshot-v2.json"}, "not empty"},
 	} {

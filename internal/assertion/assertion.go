@@ -193,23 +193,6 @@ func (r *Registry) MustAdd(a Assertion) {
 	}
 }
 
-// Remove deletes the named assertion. It reports whether it was present.
-func (r *Registry) Remove(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.entries[name]; !ok {
-		return false
-	}
-	delete(r.entries, name)
-	for i, n := range r.order {
-		if n == name {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
 // Get returns the named assertion's registration.
 func (r *Registry) Get(name string) (Registered, bool) {
 	r.mu.RLock()
@@ -296,17 +279,6 @@ func (v Vector) Fired() bool {
 		}
 	}
 	return false
-}
-
-// Count returns the number of positive entries.
-func (v Vector) Count() int {
-	n := 0
-	for _, s := range v {
-		if s > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Max returns the maximum severity and its index; (-1, 0) for an empty

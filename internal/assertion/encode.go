@@ -185,7 +185,7 @@ func AppendViolationsJSON(dst []byte, vs []Violation) ([]byte, error) {
 //	varint  observed_unix_nano
 //
 // It is written in two places and read back by one decoder: the binary
-// wire frame (export.BinaryCodec) carries a run of these after its batch
+// wire frame (export's binary codec) carries a run of these after its batch
 // header, and a disk record body (store.SegmentStore) is one of them
 // behind ViolationRecordTag. Both refuse a non-finite Time or Severity on
 // the way in and on the way out — what AppendViolationJSON cannot write,

@@ -316,7 +316,3 @@ func (r *Recorder) Summary() map[string]int {
 	}
 	return out
 }
-
-// Clear removes all retained violations and statistics. It must not be
-// called concurrently with Record.
-func (r *Recorder) Clear() { r.store.Clear() }

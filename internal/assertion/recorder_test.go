@@ -216,15 +216,6 @@ func TestRecorderCountsRefusalWhenSharedSinkClosed(t *testing.T) {
 	}
 }
 
-func TestRecorderClear(t *testing.T) {
-	r := NewRecorder(0)
-	r.Record(Violation{Assertion: "a", Severity: 1})
-	r.Clear()
-	if r.TotalFired() != 0 || len(r.Violations()) != 0 || r.Dropped() != 0 {
-		t.Fatal("Clear did not reset state")
-	}
-}
-
 func TestRecorderByAssertion(t *testing.T) {
 	r := NewRecorder(0)
 	r.Record(Violation{Assertion: "a", SampleIndex: 1, Severity: 1})

@@ -38,7 +38,7 @@ func TestAllocRegressionBinaryDecodeBatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is meaningless under -race")
 	}
-	codec := &BinaryCodec{}
+	codec := binaryCodec{}
 	frame, err := codec.AppendBatch(nil, allocBenchBatch())
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestAllocRegressionBinaryEncodeBatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is meaningless under -race")
 	}
-	codec := &BinaryCodec{}
+	codec := binaryCodec{}
 	b := allocBenchBatch()
 	buf, err := codec.AppendBatch(nil, b)
 	if err != nil {

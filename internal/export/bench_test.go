@@ -60,8 +60,8 @@ func BenchmarkCollectorIngest(b *testing.B) {
 
 // BenchmarkBatchCodec races the registered wire codecs over the encode
 // and decode halves separately, on the same steady-state batch the alloc
-// gates use, with per-op bytes reported so the CPU/bytes trade of the
-// compressed variant stays visible in every bench-smoke log.
+// gates use, with per-op bytes reported so each wire's size stays
+// visible in every bench-smoke log.
 func BenchmarkBatchCodec(b *testing.B) {
 	batch := allocBenchBatch()
 	codecs := []struct {
@@ -69,8 +69,7 @@ func BenchmarkBatchCodec(b *testing.B) {
 		codec BatchCodec
 	}{
 		{"json", jsonCodec{}},
-		{"binary", &BinaryCodec{}},
-		{"binary-deflate", &BinaryCodec{Compress: true}},
+		{"binary", binaryCodec{}},
 	}
 	for _, c := range codecs {
 		b.Run("encode/"+c.name, func(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"mime"
+	"sort"
 	"strings"
 )
 
@@ -45,7 +46,18 @@ const (
 )
 
 // codecs is the fixed table of wire codecs, sorted by name.
-var codecs = [...]BatchCodec{&BinaryCodec{}, jsonCodec{}}
+var codecs = [...]BatchCodec{binaryCodec{}, jsonCodec{}}
+
+// acceptedContentTypes lists, sorted, the content types of every codec in
+// the table: what a 415 answer tells the sender ingest takes.
+var acceptedContentTypes = func() []string {
+	cts := make([]string, len(codecs))
+	for i, c := range codecs {
+		cts[i] = c.ContentType()
+	}
+	sort.Strings(cts)
+	return cts
+}()
 
 // Codec returns the codec named name. The empty name resolves to the
 // JSON codec, so zero-value configs keep today's wire format.

@@ -19,8 +19,8 @@ import (
 //	0       4     magic "OMGB"
 //	4       1     wire version (same [MinWireVersion, WireVersion] window
 //	              as the JSON "version" field)
-//	5       1     flags (bit 0: payload is DEFLATE-compressed; other bits
-//	              reserved, must be zero)
+//	5       1     flags (bit 0: payload is DEFLATE-compressed — only
+//	              older senders set it; other bits reserved, must be zero)
 //	6       4     payload length — must equal exactly the bytes that
 //	              follow the 14-byte header, so torn, truncated and
 //	              trailing-garbage frames all fail structurally
@@ -60,51 +60,28 @@ var ErrBinaryFrame = errors.New("export: malformed binary frame")
 
 var binCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// BinaryCodec is the length-prefixed binary wire format. The zero value
-// encodes uncompressed frames; Compress selects DEFLATE framing on
-// encode. Decode always handles both, whatever Compress says, so one
-// instance serves every incoming frame.
-type BinaryCodec struct {
-	// Compress DEFLATE-compresses encoded payloads (flag bit 0). Spends
-	// CPU to cut bytes on the wire; BenchmarkBatchCodec's binary and
-	// binary-deflate cases measure both sides of that trade.
-	Compress bool
-}
+// binaryCodec is the length-prefixed binary wire format. It encodes
+// plain frames only; DecodeBatch also inflates the DEFLATE-flagged frames
+// older senders wrote, so one stateless instance serves every request.
+type binaryCodec struct{}
 
-func (c *BinaryCodec) Name() string        { return CodecBinary }
-func (c *BinaryCodec) ContentType() string { return ContentTypeBinary }
+func (binaryCodec) Name() string        { return CodecBinary }
+func (binaryCodec) ContentType() string { return ContentTypeBinary }
 
 // AppendBatch appends b as one binary frame. Like AppendBatchJSON it
 // returns dst unextended on error (a version outside one byte, or a
 // non-finite Time/Severity — the same values the JSON encoder refuses, so
 // the two codecs accept identical batches).
-func (c *BinaryCodec) AppendBatch(dst []byte, b Batch) ([]byte, error) {
+func (binaryCodec) AppendBatch(dst []byte, b Batch) ([]byte, error) {
 	start := len(dst)
 	if b.Version < 0 || b.Version > 255 {
 		return dst, fmt.Errorf("export: binary codec: version %d does not fit the one-byte frame field", b.Version)
 	}
 	dst = append(dst, binMagic...)
 	dst = append(dst, byte(b.Version), 0, 0, 0, 0, 0, 0, 0, 0, 0)
-	if !c.Compress {
-		var err error
-		if dst, err = appendBinaryPayload(dst, b); err != nil {
-			return dst[:start], err
-		}
-	} else {
-		rawp := wireBufPool.Get().(*[]byte)
-		raw, err := appendBinaryPayload((*rawp)[:0], b)
-		if err != nil {
-			*rawp = raw[:0]
-			wireBufPool.Put(rawp)
-			return dst[:start], err
-		}
-		dst, err = appendDeflate(dst, raw)
-		*rawp = raw[:0]
-		wireBufPool.Put(rawp)
-		if err != nil {
-			return dst[:start], err
-		}
-		dst[start+5] = binFlagDeflate
+	dst, err := appendBinaryPayload(dst, b)
+	if err != nil {
+		return dst[:start], err
 	}
 	payload := dst[start+binHeaderLen:]
 	if len(payload) > binMaxPayload {
@@ -137,7 +114,7 @@ func appendBinaryPayload(dst []byte, b Batch) ([]byte, error) {
 // truncated frames, trailing bytes, CRC mismatch, unknown flags) and
 // non-finite floats wrap ErrBinaryFrame and never yield a partial batch;
 // an out-of-window version wraps ErrWireVersion.
-func (c *BinaryCodec) DecodeBatch(data []byte) (Batch, error) {
+func (binaryCodec) DecodeBatch(data []byte) (Batch, error) {
 	if len(data) < binHeaderLen {
 		return Batch{}, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrBinaryFrame, len(data), binHeaderLen)
 	}
@@ -285,38 +262,4 @@ func binReadBytes(p []byte, what string) ([]byte, []byte, error) {
 		return nil, p, fmt.Errorf("%w: %s length %d exceeds remaining %d payload bytes", ErrBinaryFrame, what, n, len(p))
 	}
 	return p[:n], p[n:], nil
-}
-
-// binFlateWriterPool recycles DEFLATE compressors across encodes.
-var binFlateWriterPool = sync.Pool{New: func() any {
-	w, err := flate.NewWriter(io.Discard, flate.BestSpeed)
-	if err != nil {
-		panic(err)
-	}
-	return w
-}}
-
-// appendWriter adapts append-to-slice to io.Writer for the compressor.
-type appendWriter struct{ buf []byte }
-
-func (w *appendWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-// appendDeflate appends raw compressed with DEFLATE (BestSpeed) to dst.
-func appendDeflate(dst, raw []byte) ([]byte, error) {
-	aw := &appendWriter{buf: dst}
-	fw := binFlateWriterPool.Get().(*flate.Writer)
-	fw.Reset(aw)
-	if _, err := fw.Write(raw); err != nil {
-		binFlateWriterPool.Put(fw)
-		return aw.buf, fmt.Errorf("export: binary codec: compress payload: %w", err)
-	}
-	if err := fw.Close(); err != nil {
-		binFlateWriterPool.Put(fw)
-		return aw.buf, fmt.Errorf("export: binary codec: compress payload: %w", err)
-	}
-	binFlateWriterPool.Put(fw)
-	return aw.buf, nil
 }

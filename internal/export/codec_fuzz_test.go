@@ -1,6 +1,8 @@
 package export
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -18,7 +20,8 @@ import (
 // JSON wire format over arbitrary batches: every violation field
 // (including the e2e-age stamps IngestUnix and ObservedUnixNano that the
 // weak-label and latency paths ride on), nil-vs-empty violation lists,
-// seq and version edges, and both compression modes. The binary round
+// seq and version edges, and plain as well as DEFLATE frames (these built
+// by deflateFrame, as older senders wrote them). The binary round
 // trip must reproduce the original batch exactly, agree with the JSON
 // codec on which batches and versions are acceptable, and — when the JSON
 // round trip is lossless (valid UTF-8 strings; JSON replaces invalid
@@ -55,9 +58,13 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 				}
 			}
 		}
-		codec := &BinaryCodec{Compress: compress}
+		codec := binaryCodec{}
 		jsonBytes, jsonErr := AppendBatchJSON(nil, b)
 		frame, binErr := codec.AppendBatch(nil, b)
+		if binErr == nil && compress {
+			// An older sender's DEFLATE frame of the same batch.
+			frame = deflateFrame(t, frame)
+		}
 		// The two codecs must accept exactly the same batches (NaN/Inf
 		// rejection parity).
 		if (jsonErr == nil) != (binErr == nil) {
@@ -156,6 +163,25 @@ func rawBinaryFrame(b Batch) []byte {
 	return frameAround(byte(b.Version), 0, p)
 }
 
+// deflateFrame rewrites a plain frame the way the DEFLATE encoder older
+// senders ran wrote it: the payload compressed at flate.BestSpeed, flag
+// bit 0 set, length and CRC over the compressed bytes.
+func deflateFrame(t testing.TB, plain []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := flate.NewWriter(&buf, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(plain[binHeaderLen:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return frameAround(plain[4], binFlagDeflate, buf.Bytes())
+}
+
 // frameAround wraps stored, the bytes a frame carries after its header,
 // in a CRC-valid header with the given version and flags.
 func frameAround(version, flags byte, stored []byte) []byte {
@@ -189,7 +215,7 @@ func FuzzBinaryPayload(f *testing.F) {
 		if deflate {
 			flags = binFlagDeflate
 		}
-		codec := &BinaryCodec{}
+		codec := binaryCodec{}
 		got, err := codec.DecodeBatch(frameAround(version, flags, payload))
 		if err != nil {
 			if !errors.Is(err, ErrBinaryFrame) && !errors.Is(err, ErrWireVersion) {

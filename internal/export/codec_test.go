@@ -82,36 +82,27 @@ func binRoundTripBatch() Batch {
 }
 
 func TestBinaryCodecRoundTrip(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		codec := &BinaryCodec{Compress: compress}
-		want := binRoundTripBatch()
-		frame, err := codec.AppendBatch(nil, want)
+	codec := binaryCodec{}
+	want := binRoundTripBatch()
+	frame, err := codec.AppendBatch(nil, want)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	// The plain frame, and the DEFLATE frame an older sender wrote of the
+	// same batch, both decode to it.
+	for _, f := range [][]byte{frame, deflateFrame(t, frame)} {
+		got, err := codec.DecodeBatch(f)
 		if err != nil {
-			t.Fatalf("compress=%v: encode: %v", compress, err)
-		}
-		got, err := codec.DecodeBatch(frame)
-		if err != nil {
-			t.Fatalf("compress=%v: decode: %v", compress, err)
+			t.Fatalf("flags %#x: decode: %v", f[5], err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("compress=%v: round trip mismatch:\n got %+v\nwant %+v", compress, got, want)
-		}
-		// A compressed frame of this repetitive batch must actually be
-		// smaller — that is the whole point of the flag bit.
-		if compress {
-			plain, err := (&BinaryCodec{}).AppendBatch(nil, want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(frame) >= len(plain) {
-				t.Fatalf("compressed frame is %d bytes, uncompressed %d", len(frame), len(plain))
-			}
+			t.Fatalf("flags %#x: round trip mismatch:\n got %+v\nwant %+v", f[5], got, want)
 		}
 	}
 }
 
 func TestBinaryCodecPreservesNilVsEmptyViolations(t *testing.T) {
-	codec := &BinaryCodec{}
+	codec := binaryCodec{}
 	for _, vs := range [][]assertion.Violation{nil, {}} {
 		frame, err := codec.AppendBatch(nil, Batch{Version: WireVersion, Source: "s", Seq: 1, Violations: vs})
 		if err != nil {
@@ -131,7 +122,7 @@ func TestBinaryCodecPreservesNilVsEmptyViolations(t *testing.T) {
 }
 
 func TestBinaryCodecRejectsWhatJSONRejects(t *testing.T) {
-	codec := &BinaryCodec{}
+	codec := binaryCodec{}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		b := Batch{Version: WireVersion, Violations: []assertion.Violation{{Assertion: "a", Severity: bad}}}
 		buf := []byte("prefix")
@@ -146,7 +137,7 @@ func TestBinaryCodecRejectsWhatJSONRejects(t *testing.T) {
 }
 
 func TestBinaryCodecVersionWindow(t *testing.T) {
-	codec := &BinaryCodec{}
+	codec := binaryCodec{}
 	for v := 0; v <= WireVersion+1; v++ {
 		frame, err := codec.AppendBatch(nil, Batch{Version: v, Source: "s", Seq: 1})
 		if err != nil {
@@ -171,7 +162,7 @@ func TestBinaryCodecVersionWindow(t *testing.T) {
 }
 
 func TestBinaryCodecRejectsMalformedFrames(t *testing.T) {
-	codec := &BinaryCodec{}
+	codec := binaryCodec{}
 	good, err := codec.AppendBatch(nil, binRoundTripBatch())
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +222,7 @@ func TestCollectorIngestsBinaryContentType(t *testing.T) {
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
-	codec := &BinaryCodec{}
+	codec := binaryCodec{}
 	b := mkBatch("edge-bin", 1, 3)
 	frame, err := codec.AppendBatch(nil, b)
 	if err != nil {
@@ -303,26 +294,38 @@ func TestCollectorIngest415ForUnknownContentType(t *testing.T) {
 	}
 }
 
+// TestCollectorAcceptWireRestrictsCodecs: the Content-Type alone picks
+// the codec. A well-formed binary frame under a media type no codec
+// speaks is refused with 415 (TestCollectorIngest415ForUnknownContentType
+// checks the body, TestCollectorCountsRejectionsByReason the count); the
+// same frame under its own type, and a JSON batch with no Content-Type at
+// all (what pre-codec senders posted), both land.
 func TestCollectorAcceptWireRestrictsCodecs(t *testing.T) {
-	c := openCollector(t, CollectorConfig{AcceptWire: []string{CodecJSON}})
+	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
-	frame, err := (&BinaryCodec{}).AppendBatch(nil, mkBatch("edge", 1, 1))
+	frame, err := binaryCodec{}.AppendBatch(nil, mkBatch("edge", 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(srv.URL+IngestPath, ContentTypeBinary, bytes.NewReader(frame))
+	resp, err := http.Post(srv.URL+IngestPath, "application/octet-stream", bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnsupportedMediaType {
-		t.Fatalf("binary against a json-only collector: status %d, want 415", resp.StatusCode)
+		t.Fatalf("binary frame under an unknown Content-Type: status %d, want 415", resp.StatusCode)
 	}
-	// JSON (and the bare Content-Type-less post of pre-codec senders)
-	// still lands.
+	resp, err = http.Post(srv.URL+IngestPath, ContentTypeBinary, bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("binary frame under its own Content-Type: status %d, want 200", resp.StatusCode)
+	}
 	req, _ := http.NewRequest(http.MethodPost, srv.URL+IngestPath, jsonBody(t, mkBatch("edge", 2, 2)))
 	resp, err = http.DefaultClient.Do(req) // no Content-Type header at all
 	if err != nil {
@@ -332,14 +335,8 @@ func TestCollectorAcceptWireRestrictsCodecs(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("header-less JSON post: status %d, want 200", resp.StatusCode)
 	}
-	if got := c.TotalFired(); got != 2 {
-		t.Fatalf("TotalFired = %d, want 2", got)
-	}
-}
-
-func TestOpenCollectorRejectsUnknownAcceptWire(t *testing.T) {
-	if _, err := OpenCollector(CollectorConfig{AcceptWire: []string{"avro"}}); err == nil {
-		t.Fatal("OpenCollector should reject an unknown AcceptWire codec")
+	if got := c.TotalFired(); got != 3 {
+		t.Fatalf("TotalFired = %d, want 3", got)
 	}
 }
 
@@ -359,7 +356,7 @@ func TestCollectorCountsRejectionsByReason(t *testing.T) {
 	// codecs.
 	resp, _ = http.Post(srv.URL+IngestPath, ContentTypeJSON, strings.NewReader(`{"version":99,"violations":null}`))
 	resp.Body.Close()
-	frame, err := (&BinaryCodec{}).AppendBatch(nil, Batch{Version: WireVersion + 1, Source: "s", Seq: 1})
+	frame, err := binaryCodec{}.AppendBatch(nil, Batch{Version: WireVersion + 1, Source: "s", Seq: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,37 +392,51 @@ func getMetrics(t *testing.T, baseURL string) string {
 }
 
 func TestHTTPSinkBinaryWireDeliversToCollector(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		c := openCollector(t, CollectorConfig{})
-		srv := httptest.NewServer(c.Handler())
-		sink, err := NewHTTPSink(HTTPSinkConfig{
-			BaseURL: srv.URL, Source: "edge-bin", Wire: CodecBinary, Compress: compress,
-		})
-		if err != nil {
+	c := openCollector(t, CollectorConfig{})
+	defer c.Close()
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	sink, err := NewHTTPSink(HTTPSinkConfig{BaseURL: srv.URL, Source: "edge-bin", Wire: CodecBinary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := sink.Record(assertion.Violation{Assertion: "a", Stream: "s", SampleIndex: i, Severity: 1}); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 10; i++ {
-			if err := sink.Record(assertion.Violation{Assertion: "a", Stream: "s", SampleIndex: i, Severity: 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sink.Close(); err != nil {
-			t.Fatalf("compress=%v: %v", compress, err)
-		}
-		if got := c.TotalFired(); got != 10 {
-			t.Fatalf("compress=%v: collector got %d violations, want 10", compress, got)
-		}
-		st := sink.Stats()
-		if st.Wire != CodecBinary || st.WireFellBack {
-			t.Fatalf("compress=%v: stats = %+v, want binary wire with no fallback", compress, st)
-		}
-		// The decode histogram carries the codec label.
-		if m := getMetrics(t, srv.URL); !strings.Contains(m, `omg_collector_ingest_decode_seconds_count{codec="binary"}`) {
-			t.Fatalf("compress=%v: metrics missing binary-labeled decode histogram", compress)
-		}
-		srv.Close()
-		c.Close()
 	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.TotalFired(); got != 10 {
+		t.Fatalf("collector got %d violations, want 10", got)
+	}
+	st := sink.Stats()
+	if st.Wire != CodecBinary || st.WireFellBack {
+		t.Fatalf("stats = %+v, want binary wire with no fallback", st)
+	}
+	// The decode histogram carries the codec label.
+	if m := getMetrics(t, srv.URL); !strings.Contains(m, `omg_collector_ingest_decode_seconds_count{codec="binary"}`) {
+		t.Fatal("metrics missing binary-labeled decode histogram")
+	}
+}
+
+// refuseBinary stands in for a collector that dispatches on Content-Type
+// but is older than the binary wire: a binary frame gets its 415, with the
+// parseable body, and everything else goes to next.
+func refuseBinary(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if codec, ok := CodecForContentType(r.Header.Get("Content-Type")); ok && codec.Name() == CodecBinary {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusUnsupportedMediaType)
+			json.NewEncoder(w).Encode(UnsupportedMediaTypeResponse{
+				Error:                "unsupported Content-Type " + ContentTypeBinary,
+				AcceptedContentTypes: []string{ContentTypeJSON},
+			})
+			return
+		}
+		next.ServeHTTP(w, r)
+	})
 }
 
 func TestHTTPSinkFallsBackToJSONOn415(t *testing.T) {
@@ -433,9 +444,9 @@ func TestHTTPSinkFallsBackToJSONOn415(t *testing.T) {
 	// parseable accepted-codecs body) makes the sink latch onto JSON and
 	// re-send the same batch under the same seq — delivery stays
 	// exactly-once, nothing is dropped.
-	c := openCollector(t, CollectorConfig{AcceptWire: []string{CodecJSON}})
+	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
-	srv := httptest.NewServer(c.Handler())
+	srv := httptest.NewServer(refuseBinary(c.Handler()))
 	defer srv.Close()
 
 	sink, err := NewHTTPSink(HTTPSinkConfig{BaseURL: srv.URL, Source: "edge-bin", Wire: CodecBinary})
@@ -512,8 +523,5 @@ func TestHTTPSinkFallsBackToJSONOn400FromLegacyCollector(t *testing.T) {
 func TestNewHTTPSinkRejectsBadWireConfig(t *testing.T) {
 	if _, err := NewHTTPSink(HTTPSinkConfig{BaseURL: "http://x", Wire: "avro"}); err == nil {
 		t.Fatal("unknown wire codec should error")
-	}
-	if _, err := NewHTTPSink(HTTPSinkConfig{BaseURL: "http://x", Wire: CodecJSON, Compress: true}); err == nil {
-		t.Fatal("compress with the json codec should error")
 	}
 }

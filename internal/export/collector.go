@@ -51,10 +51,6 @@ type CollectorConfig struct {
 	// The janitor only runs when RetainAge or RetainPerAssertion is
 	// set; CompactNow applies the policy on demand regardless.
 	CompactEvery time.Duration
-	// TailBuffer bounds each live-tail client's event buffer (default
-	// 256). A slow client overflows its own buffer and the overflow is
-	// dropped and counted — ingest never stalls on a tail consumer.
-	TailBuffer int
 	// Store selects the violation storage backend: "" or "mem" keeps the
 	// in-memory rings, which end with the process; "disk" puts every shard
 	// on an on-disk store.SegmentStore under DataDir, making violations,
@@ -75,13 +71,6 @@ type CollectorConfig struct {
 	// defaults to DataDir/labels.json (with its log, labels.log) so the loop
 	// survives kill -9.
 	Labels labelsvc.Config
-	// AcceptWire limits which wire codecs ingest accepts, by codec name
-	// ("json", "binary"). Empty accepts both. A request whose
-	// Content-Type maps to no accepted codec is answered 415 with a JSON
-	// body listing the accepted content types, which is what lets an
-	// HTTPSink fall back to JSON against a JSON-only collector. An unknown
-	// name is an OpenCollector error.
-	AcceptWire []string
 	// StoreFailAfterBytes injects a deterministic disk-full fault into
 	// the disk store backend for chaos testing: once each shard has
 	// written this many segment bytes, further writes fail with
@@ -145,12 +134,6 @@ type Collector struct {
 	// by-reason counters restart from zero and may sum below the total.
 	rejectedBy [numRejectReasons]atomic.Int64
 
-	// accepts is the set of codec names ingest takes, per
-	// CollectorConfig.AcceptWire; acceptCTs is their sorted content types
-	// for 415 bodies. Both are fixed at construction.
-	accepts   map[string]bool
-	acceptCTs []string
-
 	// sink is the attached -log tee (nil without one); logRefused counts
 	// the violations it refused at Record time.
 	sinkMu     sync.Mutex
@@ -185,11 +168,12 @@ type sourceState struct {
 // together recover the collector's exact state — violations, statistics,
 // dedup high-water marks, request counters, the label loop — after a
 // crash. A configuration the collector cannot honour (unknown Store, disk
-// without DataDir, unknown AcceptWire codec or label selector, unreadable
-// label state) is an error on either backend. Call Close when done.
+// without DataDir, unknown label selector, unreadable label state) is an
+// error on either backend. Call Close when done.
 //
-// Restarting with a different Shards count over the same DataDir is not
-// supported: each shard owns its subdirectory.
+// Each shard owns its subdirectory, so a DataDir holding a shard-K
+// directory with K >= Shards is refused: opening it narrower would drop
+// shard K's violations from every read.
 func OpenCollector(cfg CollectorConfig) (*Collector, error) {
 	switch cfg.Store {
 	case "", StoreMem:
@@ -206,37 +190,15 @@ func OpenCollector(cfg CollectorConfig) (*Collector, error) {
 	if cfg.Retain < 0 {
 		cfg.Retain = 0
 	}
-	if cfg.TailBuffer <= 0 {
-		cfg.TailBuffer = 256
-	}
 	if cfg.CompactEvery <= 0 {
 		cfg.CompactEvery = 30 * time.Second
 	}
 	c := &Collector{
 		cfg:     cfg,
 		sources: make(map[string]*sourceState),
-		tail:    newTailHub(cfg.TailBuffer),
+		tail:    newTailHub(),
 		stop:    make(chan struct{}),
 	}
-	names := cfg.AcceptWire
-	if len(names) == 0 {
-		names = CodecNames()
-	}
-	c.accepts = make(map[string]bool, len(names))
-	for _, name := range names {
-		codec, err := Codec(name)
-		if err != nil {
-			// A typo'd -wire-accept fails loudly instead of silently
-			// narrowing ingest.
-			return nil, err
-		}
-		if !c.accepts[codec.Name()] {
-			c.accepts[codec.Name()] = true
-			c.acceptCTs = append(c.acceptCTs, codec.ContentType())
-		}
-	}
-	sort.Strings(c.acceptCTs)
-
 	labelsCfg := cfg.Labels
 	if c.durable() && labelsCfg.StatePath == "" {
 		// The label loop's state files live beside the shards so selector
@@ -783,8 +745,8 @@ func (c *Collector) rejectIngest(reason rejectReason) {
 }
 
 // UnsupportedMediaTypeResponse is the parseable 415 body: it names the
-// content types this collector's ingest accepts, so a capable sender can
-// renegotiate (HTTPSink re-encodes the same batch, same seq, as JSON).
+// content types ingest accepts, so a capable sender can renegotiate
+// (HTTPSink re-encodes the same batch, same seq, as JSON).
 type UnsupportedMediaTypeResponse struct {
 	Error                string   `json:"error"`
 	AcceptedContentTypes []string `json:"accepted_content_types"`
@@ -812,18 +774,6 @@ func appendReadAll(buf []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-// codecFor resolves a request Content-Type to its codec and then checks
-// it against this collector's accepted codecs. The empty header means
-// JSON — that's what pre-codec senders posted — but still only matches
-// when JSON is accepted.
-func (c *Collector) codecFor(ct string) (BatchCodec, bool) {
-	codec, ok := CodecForContentType(ct)
-	if !ok || !c.accepts[codec.Name()] {
-		return nil, false
-	}
-	return codec, true
-}
-
 func (c *Collector) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// An already-applied retry is acknowledged before anything else, from
 	// the (source, seq) request headers alone — no body read. The degraded
@@ -841,14 +791,14 @@ func (c *Collector) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	admissionHist.Done(admStart)
-	codec, ok := c.codecFor(r.Header.Get("Content-Type"))
+	codec, ok := CodecForContentType(r.Header.Get("Content-Type"))
 	if !ok {
 		c.rejectIngest(rejectContentType)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusUnsupportedMediaType)
 		json.NewEncoder(w).Encode(UnsupportedMediaTypeResponse{
 			Error:                fmt.Sprintf("unsupported Content-Type %q", r.Header.Get("Content-Type")),
-			AcceptedContentTypes: c.acceptCTs,
+			AcceptedContentTypes: acceptedContentTypes,
 		})
 		return
 	}

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 
 	"omg/internal/assertion"
 	"omg/internal/store"
@@ -56,6 +58,11 @@ type markLine struct {
 // reports its evictions to the label service, the other half of what
 // keeps the candidate index current (apply reports the adds).
 func (c *Collector) openShards() error {
+	if c.durable() {
+		if err := c.checkShardDirs(); err != nil {
+			return err
+		}
+	}
 	for i := 0; i < c.cfg.Shards; i++ {
 		if !c.durable() {
 			st := assertion.NewMemStore(perShard(c.cfg.Retain, c.cfg.Shards))
@@ -76,6 +83,30 @@ func (c *Collector) openShards() error {
 	}
 	if c.durable() {
 		return c.loadMarks()
+	}
+	return nil
+}
+
+// checkShardDirs refuses a DataDir a wider collector wrote: its shard-K
+// directories with K >= Shards would otherwise go unopened, and their
+// violations would leave every read while marks.log still deduplicated
+// retries of the batches that carried them.
+func (c *Collector) checkShardDirs() error {
+	ents, err := os.ReadDir(c.cfg.DataDir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("export: read data dir: %w", err)
+	}
+	need, widest := c.cfg.Shards, ""
+	for _, e := range ents {
+		n, ok := strings.CutPrefix(e.Name(), "shard-")
+		k, err := strconv.Atoi(n)
+		if ok && err == nil && e.IsDir() && k >= need {
+			need, widest = k+1, e.Name()
+		}
+	}
+	if widest != "" {
+		return fmt.Errorf("export: data dir %s holds %s, written by a wider collector: open it with -shards %d or more, not %d",
+			c.cfg.DataDir, widest, need, c.cfg.Shards)
 	}
 	return nil
 }

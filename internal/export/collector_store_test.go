@@ -1,6 +1,7 @@
 package export
 
 import (
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"os"
@@ -48,7 +49,6 @@ func TestOpenCollectorValidation(t *testing.T) {
 	}
 	for backend, base := range backendConfigs(t) {
 		for name, mutate := range map[string]func(*CollectorConfig){
-			"unknown codec":       func(c *CollectorConfig) { c.AcceptWire = []string{CodecJSON, "morse"} },
 			"unknown selector":    func(c *CollectorConfig) { c.Labels = labelsvc.Config{Selector: "coin-flip"} },
 			"corrupt label state": func(c *CollectorConfig) { c.Labels = labelsvc.Config{StatePath: corrupt} },
 			"unreadable label state": func(c *CollectorConfig) {
@@ -62,6 +62,38 @@ func TestOpenCollectorValidation(t *testing.T) {
 				t.Errorf("%s: %s accepted", backend, name)
 			}
 		}
+	}
+}
+
+// TestDiskCollectorRefusesFewerShards: a data dir a 3-shard collector
+// wrote must not reopen with 2 shards. Opened narrower, shard-2's
+// violations would leave the summary, the query and the label pool while
+// marks.log still acknowledged retries of their batches as duplicates.
+func TestDiskCollectorRefusesFewerShards(t *testing.T) {
+	dir := t.TempDir()
+	c := diskCollector(t, dir, 3)
+	for i := 0; i < 8; i++ {
+		c.Ingest(mkBatch(fmt.Sprintf("edge-%d", i), 1, 1))
+	}
+	want := c.TotalFired()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	narrow, err := OpenCollector(CollectorConfig{Store: StoreDisk, DataDir: dir, Shards: 2})
+	if err == nil {
+		narrow.Close()
+		t.Fatal("a 3-shard data dir reopened with 2 shards")
+	}
+	for _, part := range []string{dir, "shard-2", "-shards 3"} {
+		if !strings.Contains(err.Error(), part) {
+			t.Fatalf("error %q does not name %q", err, part)
+		}
+	}
+	r := diskCollector(t, dir, 3)
+	defer r.Close()
+	if got := r.TotalFired(); got != want {
+		t.Fatalf("TotalFired after the refused open = %d, want %d", got, want)
 	}
 }
 

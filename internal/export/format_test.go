@@ -46,7 +46,9 @@ func getOK(t *testing.T, h http.Handler, path string) []byte {
 // TestFormatFixtureFrames holds the wire still: one batch in its four
 // checked-in spellings — JSON at wire versions 1 and 2, a binary frame
 // plain and deflated — must each decode to the checked-in batch, and
-// today's encoders must reproduce each file byte for byte.
+// today's encoders must reproduce each file byte for byte (the deflated
+// frame through deflateFrame, the test-side stand-in for the DEFLATE
+// encoder older senders ran).
 func TestFormatFixtureFrames(t *testing.T) {
 	var want Batch
 	if err := json.Unmarshal(readFixture(t, "batch.decoded.json"), &want); err != nil {
@@ -56,11 +58,12 @@ func TestFormatFixtureFrames(t *testing.T) {
 		file    string
 		codec   BatchCodec
 		version int
+		deflate bool // written by an older sender's DEFLATE encoder
 	}{
-		{"batch-v1.json", jsonCodec{}, 1},
-		{"batch-v2.json", jsonCodec{}, 2},
-		{"frame-plain.bin", &BinaryCodec{}, 2},
-		{"frame-deflate.bin", &BinaryCodec{Compress: true}, 2},
+		{"batch-v1.json", jsonCodec{}, 1, false},
+		{"batch-v2.json", jsonCodec{}, 2, false},
+		{"frame-plain.bin", binaryCodec{}, 2, false},
+		{"frame-deflate.bin", binaryCodec{}, 2, true},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			frame := readFixture(t, tc.file)
@@ -76,6 +79,9 @@ func TestFormatFixtureFrames(t *testing.T) {
 			again, err := tc.codec.AppendBatch(nil, want)
 			if err != nil {
 				t.Fatalf("encode: %v", err)
+			}
+			if tc.deflate {
+				again = deflateFrame(t, again)
 			}
 			if !bytes.Equal(again, frame) {
 				t.Fatalf("today's encoder writes %d bytes, the checked-in frame is %d:\n got %q\nwant %q", len(again), len(frame), again, frame)

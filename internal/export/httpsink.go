@@ -62,14 +62,10 @@ type HTTPSinkConfig struct {
 	// Wire selects the batch codec by name: "json" (the default) or
 	// "binary". Whatever is selected, the sink automatically falls back
 	// to JSON — re-encoding the in-flight batch under the same sequence
-	// number — when the collector answers 415/406 (it does not speak this
-	// codec) or 400 (a pre-codec collector that tried to JSON-parse a
-	// binary frame), so new edges keep delivering to old collectors.
+	// number — when the collector answers 415/406 or 400, which is how a
+	// collector older than the binary wire refuses a binary frame, so new
+	// edges keep delivering to old collectors.
 	Wire string
-	// Compress turns on the binary codec's DEFLATE payload compression.
-	// Only meaningful with Wire "binary"; NewHTTPSink rejects it for
-	// codecs without a compressed form rather than silently ignoring it.
-	Compress bool
 }
 
 func (c *HTTPSinkConfig) fill() {
@@ -153,12 +149,6 @@ func NewHTTPSink(cfg HTTPSinkConfig) (*HTTPSink, error) {
 	codec, err := Codec(cfg.Wire)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Compress {
-		if codec.Name() != CodecBinary {
-			return nil, fmt.Errorf("export: HTTPSink Compress requires the %q wire codec, not %q", CodecBinary, codec.Name())
-		}
-		codec = &BinaryCodec{Compress: true}
 	}
 	s := &HTTPSink{
 		cfg:     cfg,

@@ -112,12 +112,10 @@ func (c *Collector) handleLabelsNext(w http.ResponseWriter, r *http.Request) {
 func (c *Collector) handleLabelsFeedback(w http.ResponseWriter, r *http.Request) {
 	var req LabelsFeedbackRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBytes)).Decode(&req); err != nil {
-		c.rejected.Add(1)
 		http.Error(w, fmt.Sprintf("export: decode feedback: %v", err), http.StatusBadRequest)
 		return
 	}
 	if req.Version != 0 && (req.Version < MinWireVersion || req.Version > WireVersion) {
-		c.rejected.Add(1)
 		http.Error(w, fmt.Sprintf("%v: feedback has version %d, want %d..%d", ErrWireVersion, req.Version, MinWireVersion, WireVersion), http.StatusBadRequest)
 		return
 	}

@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -186,6 +188,30 @@ func TestLabelsFeedbackRejectsBadRequests(t *testing.T) {
 
 	if got := getBody(t, srv.URL+LabelsNextPath+"?budget=-1", http.StatusBadRequest); len(got) == 0 {
 		t.Fatal("bad budget must explain itself")
+	}
+
+	// A refused label post is not an ingest request: the 400 answers the
+	// caller, and the ingest rejection counters stay where they were, so
+	// the by-reason series still sums to the total.
+	var sum SummaryResponse
+	if err := json.Unmarshal(getBody(t, srv.URL+"/v1/summary", http.StatusOK), &sum); err != nil {
+		t.Fatal(err)
+	}
+	if sum.Rejected != 0 {
+		t.Fatalf("summary rejected = %d after two refused label posts, want 0", sum.Rejected)
+	}
+	m := getMetrics(t, srv.URL)
+	total := regexp.MustCompile(`(?m)^omg_collector_rejected_requests_total (\d+)$`).FindStringSubmatch(m)
+	if total == nil {
+		t.Fatalf("metrics missing omg_collector_rejected_requests_total:\n%s", m)
+	}
+	byReason := 0
+	for _, by := range regexp.MustCompile(`(?m)^omg_collector_ingest_rejected_total\{reason="[a-z_]+"\} (\d+)$`).FindAllStringSubmatch(m, -1) {
+		n, _ := strconv.Atoi(by[1])
+		byReason += n
+	}
+	if want, _ := strconv.Atoi(total[1]); byReason != want || want != 0 {
+		t.Fatalf("ingest_rejected_total sums to %d, rejected_requests_total is %s; want both 0", byReason, total[1])
 	}
 }
 

@@ -27,6 +27,11 @@ var tailHeartbeat = 15 * time.Second
 // Variable, not const, so tests can shrink it.
 var tailWriteGrace = 30 * time.Second
 
+// tailBuffer bounds each live-tail client's event buffer. A slow client
+// overflows its own buffer and the overflow is dropped and counted —
+// ingest never stalls on a tail consumer.
+const tailBuffer = 256
+
 // tailClient is one live-tail subscriber: a bounded event buffer plus
 // optional assertion/stream filters. The buffer decouples the subscriber
 // from ingest — publish never blocks on a slow client, it drops the
@@ -45,7 +50,7 @@ type tailClient struct {
 // tailHub fans ingested violations out to live-tail subscribers. The
 // ingest path pays one atomic load when nobody is tailing.
 type tailHub struct {
-	buffer int
+	buffer int // per-client event slots: tailBuffer (tests shrink it)
 
 	mu      sync.Mutex
 	clients map[*tailClient]struct{}
@@ -57,9 +62,9 @@ type tailHub struct {
 	done chan struct{} // closed by close(); ends every stream
 }
 
-func newTailHub(buffer int) *tailHub {
+func newTailHub() *tailHub {
 	return &tailHub{
-		buffer:  buffer,
+		buffer:  tailBuffer,
 		clients: make(map[*tailClient]struct{}),
 		done:    make(chan struct{}),
 	}

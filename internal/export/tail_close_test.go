@@ -26,8 +26,9 @@ func TestTailSlowConsumerAccountingOnCloseUnderChurn(t *testing.T) {
 
 	goroutinesBefore := runtime.NumGoroutine()
 
-	const tailBuffer = 4
-	c := openCollector(t, CollectorConfig{TailBuffer: tailBuffer})
+	const slots = 4 // per-client buffer, shrunk from tailBuffer
+	c := openCollector(t, CollectorConfig{})
+	c.tail.buffer = slots
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
@@ -108,15 +109,15 @@ func TestTailSlowConsumerAccountingOnCloseUnderChurn(t *testing.T) {
 	churn.Wait()
 
 	if reportedDropped == 0 {
-		t.Fatalf("no losses reported: %d published into a %d-slot buffer must shed", published, tailBuffer)
+		t.Fatalf("no losses reported: %d published into a %d-slot buffer must shed", published, slots)
 	}
 	// Conservation: delivered + reported-dropped accounts for every
-	// published violation except the at-most-TailBuffer frames stranded
+	// published violation except the at-most-slots frames stranded
 	// in the client buffer when the end event preempted them.
 	accounted := received + reportedDropped
-	if accounted > published || accounted < published-tailBuffer {
+	if accounted > published || accounted < published-slots {
 		t.Fatalf("received %d + dropped %d = %d, want within [%d, %d]",
-			received, reportedDropped, accounted, published-tailBuffer, published)
+			received, reportedDropped, accounted, published-slots, published)
 	}
 	// The exported tail_dropped_total is hub-wide: it carries this
 	// subscriber's full reported share plus whatever the churning

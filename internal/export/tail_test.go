@@ -110,8 +110,9 @@ func TestTailSlowConsumerDropsAndCounts(t *testing.T) {
 	// A subscriber that never drains its 4-slot buffer loses everything
 	// beyond it — dropped and counted, per client and hub-wide — and
 	// ingest completes without ever blocking on the laggard.
-	c := openCollector(t, CollectorConfig{TailBuffer: 4})
+	c := openCollector(t, CollectorConfig{})
 	defer c.Close()
+	c.tail.buffer = 4
 	cl := c.tail.subscribe("", "")
 	defer c.tail.unsubscribe(cl)
 

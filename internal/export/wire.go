@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"sync"
 
 	"omg/internal/assertion"
 	"omg/internal/labelsvc"
@@ -85,11 +84,6 @@ type Snapshot struct {
 	// the collector's own state file (or a fresh start) put it.
 	Labels *labelsvc.State `json:"labels,omitempty"`
 }
-
-// wireBufPool recycles the scratch buffers the binary encoder builds a
-// payload in before compressing it, so steady-state compressed encoding
-// costs no allocations beyond the first warm-up per concurrent encoder.
-var wireBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // AppendBatchJSON appends b's JSON object to dst without reflection and
 // returns the extended buffer. The bytes are identical to json.Marshal(b)

@@ -87,6 +87,9 @@ type SeedLocker interface {
 	LockSeed() (unlock func())
 }
 
+// maxBudget caps any single pull.
+const maxBudget = 256
+
 // Config tunes a Service. The zero value selects BAL with seed 1, a
 // 5-minute lease TTL, batches of 16 (max 256), and no state file.
 type Config struct {
@@ -100,8 +103,6 @@ type Config struct {
 	LeaseTTL time.Duration
 	// DefaultBudget is the batch size when a pull names none.
 	DefaultBudget int
-	// MaxBudget caps any single pull.
-	MaxBudget int
 	// StatePath, when non-empty, is the JSON snapshot of the service's
 	// State (written atomically), revived from at construction with the
 	// delta log beside it — the same path with ".json" replaced by ".log" —
@@ -124,9 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultBudget <= 0 {
 		c.DefaultBudget = 16
-	}
-	if c.MaxBudget <= 0 {
-		c.MaxBudget = 256
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -514,9 +512,7 @@ func (s *Service) Next(budget int, puller string) (Batch, error) {
 	if budget <= 0 {
 		budget = s.cfg.DefaultBudget
 	}
-	if budget > s.cfg.MaxBudget {
-		budget = s.cfg.MaxBudget
-	}
+	budget = min(budget, maxBudget)
 	now := s.cfg.Now()
 	s.expireLocked(now)
 	avail, cands := s.availableLocked()

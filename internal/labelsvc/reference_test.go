@@ -246,9 +246,7 @@ func ReferenceAnswers(t testing.TB, cfg Config, st State, vs []assertion.Violati
 	if budget <= 0 {
 		return ref
 	}
-	if budget > cfg.MaxBudget {
-		budget = cfg.MaxBudget
-	}
+	budget = min(budget, maxBudget)
 	ref.Next = Batch{
 		Round:          st.Round,
 		Selector:       sel.Name(),

@@ -700,18 +700,6 @@ func (s *SegmentStore) writeCheckpointFile(cp segCheckpoint) error {
 
 func (s *SegmentStore) checkpointPath() string { return filepath.Join(s.dir, checkpointName) }
 
-// Checkpoint persists a durable recovery point: the active segment and
-// the statistics are fsynced. On a closed store it is a no-op, Close
-// having checkpointed last.
-func (s *SegmentStore) Checkpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	return s.checkpointLocked()
-}
-
 // Query implements ViolationStore from the in-memory mirror and its
 // posting index.
 func (s *SegmentStore) Query(q Query) []assertion.Violation {

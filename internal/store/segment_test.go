@@ -156,6 +156,14 @@ func TestSegmentMidFileCorruptionRefused(t *testing.T) {
 	}
 }
 
+// checkpoint persists a recovery point the way Close and compaction do,
+// without closing: the active segment and the statistics are fsynced.
+func checkpoint(s *SegmentStore) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.checkpointLocked()
+}
+
 func TestSegmentCheckpointFoldsPostCheckpointRecords(t *testing.T) {
 	// Statistics recovery must be exact when records straddle a
 	// checkpoint: checkpointed stats cover seq <= AppendSeq, replay folds
@@ -166,7 +174,7 @@ func TestSegmentCheckpointFoldsPostCheckpointRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill(t, s, 30)
-	if err := s.Checkpoint(); err != nil {
+	if err := checkpoint(s); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	fill(t, s, 17) // post-checkpoint, only synced

@@ -54,7 +54,7 @@ func writeV1Script(dir string) (*SegmentStore, error) {
 		func() error { return appendN(40) },
 		func() error { _, err := s.Compact(0, 6); return err },
 		func() error { return appendN(30) },
-		s.Checkpoint,
+		func() error { return checkpoint(s) },
 		func() error { return appendN(7) },
 		s.Sync,
 	}

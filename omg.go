@@ -97,8 +97,8 @@ type (
 	// Collector ingests exported violation batches and serves queries; it
 	// is the engine behind cmd/omg-server.
 	Collector = export.Collector
-	// CollectorConfig shapes a Collector: shard count, retention bounds
-	// and live-tail buffering.
+	// CollectorConfig shapes a Collector: shard count, retention bounds,
+	// store backend and label loop.
 	CollectorConfig = export.CollectorConfig
 	// BatchCodec is the pluggable wire-codec seam: it encodes a batch to
 	// request bytes and decodes them back, selected by name on the sender
@@ -106,7 +106,7 @@ type (
 	BatchCodec = export.BatchCodec
 )
 
-// Wire codec names (HTTPSinkConfig.Wire, CollectorConfig.AcceptWire).
+// Wire codec names (HTTPSinkConfig.Wire).
 const (
 	CodecJSON   = export.CodecJSON
 	CodecBinary = export.CodecBinary
