@@ -7,12 +7,15 @@
 //
 // With -streams N > 1 it drives N concurrent camera feeds (each with its
 // own seed and stream key) through the pool's asynchronous ingestion path,
-// one shard per stream, exercising the multi-stream hot path. -sink
-// selects the violation backend: plain JSONL, size/time-rotated files, or
-// HTTP batch export to an omg-server collector.
+// one shard per stream, exercising the multi-stream hot path. The flags
+// given pick the violation sinks: -log writes a local JSONL file,
+// -export-url ships HTTP batches to an omg-server collector, both tee the
+// export into the file, and neither records in memory only. The
+// collector's data directory, not the edge, keeps the durable, bounded
+// violation history.
 //
-// With -sink=http, -log is optional and tees a local JSONL copy beside
-// the export. -export-url without -sink=http is an error.
+// -wire, -export-batch and -export-deadline shape the exporter, so each
+// is an error without -export-url.
 // -export-deadline is the exporter's one delivery knob: the longest one
 // batch may take before it is dropped and counted, so a dead or
 // black-holed collector costs violations, each counted by reason in the
@@ -26,8 +29,6 @@
 // Usage:
 //
 //	omg-monitor [-frames N] [-seed S] [-log violations.jsonl] [-streams N]
-//	            [-sink jsonl|rotate|http]
-//	            [-rotate-bytes N] [-rotate-keep N] [-rotate-interval D]
 //	            [-export-url http://collector:9077] [-export-batch N]
 //	            [-export-deadline D] [-wire json|binary]
 //	            [-metrics-addr :9078] [-debug-addr :9079]
@@ -53,44 +54,27 @@ import (
 func main() {
 	frames := flag.Int("frames", 2000, "number of video frames to monitor per stream")
 	seed := flag.Int64("seed", 1, "simulation seed (stream i uses seed+i)")
-	logPath := flag.String("log", "", "JSONL violation log path (default: stdout summary only)")
+	logPath := flag.String("log", "", "JSONL violation log path; with -export-url it holds a local copy of the export (default: stdout summary only)")
 	streams := flag.Int("streams", 1, "number of concurrent camera streams")
-	sinkKind := flag.String("sink", "jsonl", "violation sink backend: jsonl or rotate (with -log), or http (with -export-url)")
-	rotateBytes := flag.Int64("rotate-bytes", 1<<20, "rotate the log after this many bytes (-sink=rotate)")
-	rotateKeep := flag.Int("rotate-keep", 3, "rotated log files to keep (-sink=rotate)")
-	rotateInterval := flag.Duration("rotate-interval", 0, "also rotate the log after this long, whichever of size/age trips first (-sink=rotate; 0 = size only)")
-	exportURL := flag.String("export-url", "", "collector base URL, e.g. http://collector:9077 (-sink=http)")
-	exportBatch := flag.Int("export-batch", 256, "violations coalesced per exported batch (-sink=http)")
-	exportDeadline := flag.Duration("export-deadline", 10*time.Second, "longest one exported batch may take, attempts and retry waits together, before its violations count as dropped; the whole delivery policy derives from it (-sink=http)")
-	wire := flag.String("wire", "json", "wire codec for exported batches: json or binary; falls back to json automatically when the collector refuses the codec (-sink=http)")
+	exportURL := flag.String("export-url", "", "export violations to the collector at this base URL, e.g. http://collector:9077")
+	exportBatch := flag.Int("export-batch", 256, "violations coalesced per exported batch (with -export-url)")
+	exportDeadline := flag.Duration("export-deadline", 10*time.Second, "longest one exported batch may take, attempts and retry waits together, before its violations count as dropped; the whole delivery policy derives from it (with -export-url)")
+	wire := flag.String("wire", "json", "wire codec for exported batches: json or binary; falls back to json automatically when the collector refuses the codec (with -export-url)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics on this address (host:port; port 0 picks a free port)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (gated: off unless set)")
 	flag.Parse()
 	if *streams < 1 {
 		log.Fatalf("-streams must be >= 1")
 	}
-	switch *sinkKind {
-	case "jsonl", "rotate", "http":
-	default:
-		log.Fatalf("unknown -sink %q (want jsonl, rotate or http)", *sinkKind)
-	}
-	if *logPath == "" && *sinkKind == "rotate" {
-		log.Fatalf("-sink=rotate requires -log")
-	}
-	if *sinkKind == "http" && *exportURL == "" {
-		log.Fatalf("-sink=http requires -export-url")
-	}
-	if *sinkKind != "http" && *exportURL != "" {
-		log.Fatalf("-export-url requires -sink=http")
-	}
-	if *rotateBytes <= 0 {
-		log.Fatalf("-rotate-bytes must be > 0")
-	}
-	if *rotateKeep < 1 {
-		log.Fatalf("-rotate-keep must be >= 1")
-	}
-	if *rotateInterval < 0 {
-		log.Fatalf("-rotate-interval must be >= 0")
+	if *exportURL == "" {
+		// The exporter's knobs shape nothing without an exporter: set
+		// anyway, they would be silently ignored.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "wire", "export-batch", "export-deadline":
+				log.Fatalf("-%s requires -export-url", f.Name)
+			}
+		})
 	}
 	if *exportBatch < 1 {
 		log.Fatalf("-export-batch must be >= 1")
@@ -105,8 +89,7 @@ func main() {
 	var sink assertion.Sink
 	var httpSink *export.HTTPSink
 	var logFile *os.File
-	switch {
-	case *sinkKind == "http":
+	if *exportURL != "" {
 		cfg := export.HTTPSinkConfig{
 			BaseURL: *exportURL, BatchMax: *exportBatch, Deadline: *exportDeadline,
 			Wire: *wire,
@@ -116,32 +99,17 @@ func main() {
 			log.Fatalf("build http sink: %v", err)
 		}
 		sink = httpSink
-		if *logPath != "" {
-			// -log beside -sink=http: tee into a local JSONL file too.
-			f, err := os.Create(*logPath)
-			if err != nil {
-				log.Fatalf("create log: %v", err)
-			}
-			logFile = f
-			sink = assertion.NewMultiSink(httpSink, assertion.NewJSONLSink(f, 0))
+	}
+	if *logPath != "" {
+		f, err := os.Create(*logPath)
+		if err != nil {
+			log.Fatalf("create log: %v", err)
 		}
-	case *logPath != "":
-		switch *sinkKind {
-		case "jsonl":
-			f, err := os.Create(*logPath)
-			if err != nil {
-				log.Fatalf("create log: %v", err)
-			}
-			logFile = f
-			sink = assertion.NewJSONLSink(f, 0)
-		case "rotate":
-			s, err := assertion.NewRotatingFileSinkConfig(*logPath, assertion.RotateConfig{
-				MaxBytes: *rotateBytes, MaxAge: *rotateInterval, Keep: *rotateKeep,
-			})
-			if err != nil {
-				log.Fatalf("open rotating log: %v", err)
-			}
-			sink = s
+		logFile = f
+		sink = assertion.NewJSONLSink(f)
+		if httpSink != nil {
+			// -log beside -export-url: tee the export into the file.
+			sink = assertion.NewMultiSink(httpSink, sink)
 		}
 	}
 
@@ -166,7 +134,7 @@ func main() {
 	}
 	pool := assertion.NewMonitorPool(suite, popts...)
 
-	// Edge telemetry: the pool's queue depth and (for -sink=http) the
+	// Edge telemetry: the pool's queue depth and (with -export-url) the
 	// exporter's delivery counters read live at scrape time, alongside the
 	// stage histograms the instrumented packages registered at init.
 	reg := obs.Default()

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"omg/internal/assertion"
+	"omg/internal/export"
 	"omg/internal/obs"
 )
 
@@ -137,19 +138,94 @@ func TestEndToEndUnwritableSinkPath(t *testing.T) {
 func TestEndToEndBadSinkFlags(t *testing.T) {
 	bin := needBinary(t)
 	logPath := filepath.Join(t.TempDir(), "v.jsonl")
-	// Unknown backends, with and without -log, a backend that needs a log
-	// path but got none, and an export URL no backend uses: all must fail
-	// loudly, never silently no-op.
-	for _, args := range [][]string{
-		{"-frames", "50", "-log", logPath, "-sink", "bogus"},
-		{"-frames", "50", "-sink", "bogus"},
-		{"-frames", "50", "-sink", "sample"},
-		{"-frames", "50", "-sink", "rotate"},
-		{"-frames", "50", "-export-url", "http://127.0.0.1:1"},
+	// The removed backend selectors exit 2 before running, and an
+	// exporter knob without an exporter exits 1 naming the flag: none may
+	// run silently without the sink the caller asked for.
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-frames", "50", "-log", logPath, "-sink", "jsonl"}, 2, "flag provided but not defined: -sink"},
+		{[]string{"-frames", "50", "-sink", "http", "-export-url", "http://127.0.0.1:1"}, 2, "flag provided but not defined: -sink"},
+		{[]string{"-frames", "50", "-log", logPath, "-rotate-bytes", "2048"}, 2, "flag provided but not defined: -rotate-bytes"},
+		{[]string{"-frames", "50", "-wire", "bogus"}, 1, "-wire requires -export-url"},
+		{[]string{"-frames", "50", "-log", logPath, "-export-batch", "32"}, 1, "-export-batch requires -export-url"},
+		{[]string{"-frames", "50", "-export-deadline", "1s"}, 1, "-export-deadline requires -export-url"},
 	} {
-		if out, err := exec.Command(bin, args...).CombinedOutput(); err == nil {
-			t.Fatalf("%v: expected non-zero exit; output:\n%s", args, out)
+		out, err := exec.Command(bin, tc.args...).CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != tc.code || !strings.Contains(string(out), tc.want) {
+			t.Errorf("%v: err %v, want exit %d saying %q; output:\n%s", tc.args, err, tc.code, tc.want, out)
 		}
+	}
+}
+
+// TestEndToEndSinksFromFlags runs each sink configuration the flags can
+// ask for against an in-process collector: -log alone writes the file,
+// -export-url alone exports, both tee the export into the file, and
+// neither writes nothing and exports nothing. Wherever a sink runs it
+// holds every violation the monitor recorded.
+func TestEndToEndSinksFromFlags(t *testing.T) {
+	bin := needBinary(t)
+	for _, tc := range []struct {
+		name          string
+		log, exported bool
+	}{
+		{"none", false, false},
+		{"log", true, false},
+		{"export", false, true},
+		{"both", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := export.OpenCollector(export.CollectorConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			srv := httptest.NewServer(c.Handler())
+			defer srv.Close()
+
+			dir := t.TempDir()
+			logPath := filepath.Join(dir, "violations.jsonl")
+			args := []string{"-frames", "200", "-streams", "2"}
+			if tc.log {
+				args = append(args, "-log", logPath)
+			}
+			if tc.exported {
+				args = append(args, "-export-url", srv.URL)
+			}
+			out, err := exec.Command(bin, args...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("omg-monitor %v failed: %v\n%s", args, err, out)
+			}
+			m := regexp.MustCompile(`violations recorded: (\d+)`).FindSubmatch(out)
+			if m == nil {
+				t.Fatalf("summary line missing from output:\n%s", out)
+			}
+			recorded, _ := strconv.Atoi(string(m[1]))
+			if recorded == 0 {
+				t.Fatal("the night-street domain should fire violations")
+			}
+
+			if tc.log {
+				if got := len(readViolations(t, logPath)); got != recorded {
+					t.Fatalf("log holds %d violations, monitor recorded %d", got, recorded)
+				}
+			} else if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+				t.Fatalf("no -log, yet the run left %d files (%v)", len(entries), err)
+			}
+			want := 0
+			if tc.exported {
+				want = recorded
+			}
+			if got := c.TotalFired(); got != want {
+				t.Fatalf("collector holds %d violations, want %d", got, want)
+			}
+			if exportLine := strings.Contains(string(out), "exported "); exportLine != tc.exported {
+				t.Fatalf("export summary line present = %v, want %v:\n%s", exportLine, tc.exported, out)
+			}
+		})
 	}
 }
 
@@ -176,7 +252,7 @@ func TestEndToEndEdgeMetricsAndDebug(t *testing.T) {
 
 	cmd := exec.Command(bin,
 		"-frames", "300", "-streams", "2",
-		"-sink", "http", "-export-url", collector.URL,
+		"-export-url", collector.URL,
 		"-export-deadline", "60s", // the held first batch must outlast the scrape
 		"-metrics-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0",
 	)
@@ -305,7 +381,7 @@ func TestEndToEndBlackHoledCollector(t *testing.T) {
 
 	began := time.Now()
 	cmd := exec.Command(bin, "-frames", "300", "-streams", "2",
-		"-sink", "http", "-export-url", "http://"+ln.Addr().String(), "-export-deadline", "500ms")
+		"-export-url", "http://"+ln.Addr().String(), "-export-deadline", "500ms")
 	done := make(chan struct{})
 	var out []byte
 	go func() {
@@ -332,26 +408,5 @@ func TestEndToEndBlackHoledCollector(t *testing.T) {
 	}
 	if !regexp.MustCompile(`drops by reason \{Deadline:[1-9]\d* CircuitOpen:\d+ Rejected:0 NonFinite:0\}`).Match(out) {
 		t.Fatalf("drop reasons missing or wrong:\n%s", out)
-	}
-}
-
-func TestEndToEndRotatingSink(t *testing.T) {
-	bin := needBinary(t)
-	logPath := filepath.Join(t.TempDir(), "violations.jsonl")
-	out, err := exec.Command(bin,
-		"-frames", "500", "-streams", "2", "-log", logPath,
-		"-sink", "rotate", "-rotate-bytes", "2048", "-rotate-keep", "2",
-	).CombinedOutput()
-	if err != nil {
-		t.Fatalf("omg-monitor failed: %v\n%s", err, out)
-	}
-	if vs := readViolations(t, logPath); len(vs) == 0 {
-		t.Fatal("active rotated log is empty")
-	}
-	if _, err := os.Stat(logPath + ".1"); err != nil {
-		t.Fatalf("expected at least one rotation at 2 KiB: %v", err)
-	}
-	if _, err := os.Stat(logPath + ".3"); err == nil {
-		t.Fatal("-rotate-keep 2 must prune the third rotated file")
 	}
 }

@@ -1,6 +1,6 @@
 // Command omg-server is the collector side of networked monitoring: it
 // ingests violation batches exported by edge monitors (omg-monitor
-// -sink=http, or any client speaking the internal/export wire format)
+// -export-url, or any client speaking the internal/export wire format)
 // into a sharded set of recorders and serves aggregate and per-violation
 // queries — the central dashboard feed of the paper's deployment story
 // (§2.3).
@@ -38,9 +38,10 @@
 // label loop to a snapshot and a delta log beside them, so a restarted —
 // even a SIGKILL'd — server resumes its exact state: counts, retained
 // violations, exactly-once dedup marks and leases. The default
-// -store=mem keeps everything in memory and loses it at exit. -log
-// streams ingested violations to a local JSONL file, size-rotated at
-// 64 MiB with 3 rotated files retained.
+// -store=mem keeps everything in memory and loses it at exit. The data
+// directory is also the collector's one bounded violation log: segments
+// roll at 64 MiB and -retain-age/-retain-per-assertion compaction drops
+// what the policy evicts.
 //
 // "omg-server import" migrates a snapshot file an older server wrote
 // with its since-removed -snapshot flag into an empty data directory,
@@ -52,7 +53,6 @@
 //
 //	omg-server [-addr :9077] [-retain N] [-shards N]
 //	           [-retain-age DUR] [-retain-per-assertion N] [-compact-every DUR]
-//	           [-log violations.jsonl]
 //	           [-store mem|disk] [-data-dir DIR]
 //	           [-label-selector bal|uncertainty|uniform-ma|random]
 //	           [-label-seed N] [-label-budget N] [-lease-ttl DUR]
@@ -86,7 +86,6 @@ import (
 	"syscall"
 	"time"
 
-	"omg/internal/assertion"
 	"omg/internal/export"
 	"omg/internal/labelsvc"
 	"omg/internal/obs"
@@ -107,7 +106,6 @@ func main() {
 	retainAge := flag.Duration("retain-age", 0, "evict retained violations older than this, by ingest time (0 = no age bound)")
 	retainPer := flag.Int("retain-per-assertion", 0, "keep only the newest N retained violations per assertion (0 = no cap)")
 	compactEvery := flag.Duration("compact-every", 30*time.Second, "retention compaction period (with -retain-age or -retain-per-assertion)")
-	logPath := flag.String("log", "", "also stream ingested violations to this JSONL file (size-rotated at 64 MiB, 3 rotations kept)")
 	storeKind := flag.String("store", export.StoreMem, "violation store backend: mem (in-memory, lost at exit) or disk (crash-recoverable segment files under -data-dir)")
 	dataDir := flag.String("data-dir", "", "data directory for -store=disk (created if missing)")
 	labelSelector := flag.String("label-selector", "bal", "label-selection strategy: bal, uncertainty, uniform-ma or random")
@@ -167,13 +165,6 @@ func main() {
 		info := c.StoreInfo()
 		log.Printf("disk store at %s: replayed %d retained violations (%d ever fired) from %d segments, %d bytes, in %s",
 			*dataDir, info.Entries, c.TotalFired(), info.Segments, info.Bytes, time.Since(opened).Round(time.Millisecond))
-	}
-	if *logPath != "" {
-		s, err := assertion.NewRotatingFileSink(*logPath, 0, 3)
-		if err != nil {
-			log.Fatalf("open violation log: %v", err)
-		}
-		c.AttachSink(s)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -236,16 +227,15 @@ func main() {
 		}
 	case err := <-errCh:
 		// A serve failure must exit through the same shutdown sequence as
-		// SIGTERM: everything ingested so far still reaches the violation
-		// log, and a disk store checkpoints.
+		// SIGTERM, so a disk store checkpoints.
 		log.Printf("serve: %v; shutting down", err)
 		exitCode = 1
 	}
 
 	// Quiesce before Shutdown (tail streams never end on their own, so
-	// Shutdown would wait out its whole deadline on them), but keep the
-	// -log sink attached until the drain finishes: ingests still in
-	// flight during Shutdown must reach the durable log too.
+	// Shutdown would wait out its whole deadline on them), but close the
+	// stores only after the drain: ingests still in flight during
+	// Shutdown must land durably too.
 	c.Quiesce()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -169,7 +169,7 @@ func TestEndToEndHTTPExportDeliversExactlyOnce(t *testing.T) {
 
 	out, err := exec.Command(monitorBin,
 		"-frames", "300", "-streams", "2",
-		"-sink", "http", "-export-url", baseURL, "-export-batch", "32",
+		"-export-url", baseURL, "-export-batch", "32",
 	).CombinedOutput()
 	if err != nil {
 		t.Fatalf("omg-monitor failed: %v\n%s", err, out)
@@ -197,14 +197,14 @@ func TestEndToEndHTTPExportDeliversExactlyOnce(t *testing.T) {
 	teePath := filepath.Join(t.TempDir(), "tee.jsonl")
 	out2, err := exec.Command(monitorBin,
 		"-frames", "200", "-seed", "7",
-		"-sink", "http", "-export-url", baseURL, "-log", teePath,
+		"-export-url", baseURL, "-log", teePath,
 	).CombinedOutput()
 	if err != nil {
 		t.Fatalf("second omg-monitor failed: %v\n%s", err, out2)
 	}
 	run2 := recordedTotal(t, out2)
 	if data, err := os.ReadFile(teePath); err != nil {
-		t.Fatalf("-log tee beside -sink=http: %v", err)
+		t.Fatalf("-log beside -export-url: %v", err)
 	} else if got := strings.Count(string(data), "\n"); got != run2 {
 		t.Fatalf("local tee holds %d violations, recorder counted %d", got, run2)
 	}
@@ -667,7 +667,7 @@ func TestEndToEndMonitorWireFleet(t *testing.T) {
 		{"-wire", "json"},
 		{"-wire", "binary"},
 	} {
-		args := append([]string{"-frames", "250", "-sink", "http", "-export-url", baseURL, "-export-batch", "32"}, wireArgs...)
+		args := append([]string{"-frames", "250", "-export-url", baseURL, "-export-batch", "32"}, wireArgs...)
 		out, err := exec.Command(monitorBin, args...).CombinedOutput()
 		if err != nil {
 			t.Fatalf("omg-monitor %v failed: %v\n%s", wireArgs, err, out)
@@ -709,7 +709,7 @@ func TestEndToEndMonitorWireFleet(t *testing.T) {
 	}))
 	defer old.Close()
 	out, err := exec.Command(monitorBin,
-		"-frames", "250", "-sink", "http", "-export-url", old.URL, "-export-batch", "32",
+		"-frames", "250", "-export-url", old.URL, "-export-batch", "32",
 		"-wire", "binary",
 	).CombinedOutput()
 	if err != nil {
@@ -734,7 +734,7 @@ func TestEndToEndCollectorDownCountsDrops(t *testing.T) {
 	// monitor must exit non-zero reporting exactly how much it lost.
 	out, err := exec.Command(monitorBin,
 		"-frames", "200",
-		"-sink", "http", "-export-url", "http://127.0.0.1:9", "-export-deadline", "500ms",
+		"-export-url", "http://127.0.0.1:9", "-export-deadline", "500ms",
 	).CombinedOutput()
 	if err == nil {
 		t.Fatalf("expected non-zero exit with the collector down; output:\n%s", out)
@@ -757,9 +757,8 @@ func TestEndToEndCollectorDownCountsDrops(t *testing.T) {
 func TestEndToEndBadHTTPFlags(t *testing.T) {
 	needBinaries(t)
 	for _, args := range [][]string{
-		{"-frames", "50", "-sink", "http"},                             // missing -export-url
-		{"-frames", "50", "-sink", "http", "-export-url", "collector"}, // scheme-less URL
-		{"-frames", "50", "-sink", "http", "-export-url", "http://x", "-export-deadline", "0s"},
+		{"-frames", "50", "-export-url", "collector"}, // scheme-less URL
+		{"-frames", "50", "-export-url", "http://x", "-export-deadline", "0s"},
 		{"-frames", "50", "-wire-compress"}, // removed with the DEFLATE encoder
 	} {
 		if out, err := exec.Command(monitorBin, args...).CombinedOutput(); err == nil {
@@ -792,6 +791,7 @@ func TestEndToEndBadServerFlags(t *testing.T) {
 		{[]string{"-addr", "127.0.0.1:0", "-snapshot", "x"}, "flag provided but not defined: -snapshot"},
 		{[]string{"-addr", "127.0.0.1:0", "-rate-limit", "1"}, "flag provided but not defined: -rate-limit"},
 		{[]string{"-addr", "127.0.0.1:0", "-wire-accept", "json"}, "flag provided but not defined: -wire-accept"},
+		{[]string{"-addr", "127.0.0.1:0", "-log", "v.jsonl"}, "flag provided but not defined: -log"},
 		{[]string{"-addr", "127.0.0.1:0", "-store", "disk", "-data-dir", wide, "-shards", "2"}, "-shards 3"},
 		{[]string{"-addr", "127.0.0.1:0", "-compact-every", "0"}, "-compact-every must be positive"},
 		{[]string{"import", "-data-dir", full, "../../internal/export/testdata/snapshot-v2.json"}, "not empty"},
@@ -825,26 +825,6 @@ func TestEndToEndImportLegacySnapshot(t *testing.T) {
 	}
 	if got := getRaw(t, baseURL, "/v1/violations/query"); !bytes.Equal(got, want) {
 		t.Fatalf("imported data dir serves\n%s\nwant\n%s", got, want)
-	}
-}
-
-func TestEndToEndMonitorRotateInterval(t *testing.T) {
-	needBinaries(t)
-	// Sanity: the new flag is accepted and plain size rotation still
-	// works under it (age high enough not to trip).
-	logPath := filepath.Join(t.TempDir(), "v.jsonl")
-	out, err := exec.Command(monitorBin,
-		"-frames", "500", "-log", logPath,
-		"-sink", "rotate", "-rotate-bytes", "2048", "-rotate-interval", "1h",
-	).CombinedOutput()
-	if err != nil {
-		t.Fatalf("omg-monitor failed: %v\n%s", err, out)
-	}
-	if _, err := os.Stat(logPath + ".1"); err != nil {
-		t.Fatalf("size rotation should still trip with -rotate-interval set: %v", err)
-	}
-	if !strings.Contains(string(out), "JSONL violation log written") {
-		t.Fatalf("log line missing:\n%s", out)
 	}
 }
 
@@ -1089,7 +1069,7 @@ func TestEndToEndMonitorReplayFeedsLabelLoop(t *testing.T) {
 	defer stopServer(t, server)
 
 	out, err := exec.Command(monitorBin,
-		"-frames", "200", "-sink", "http", "-export-url", baseURL, "-export-batch", "32",
+		"-frames", "200", "-export-url", baseURL, "-export-batch", "32",
 	).CombinedOutput()
 	if err != nil {
 		t.Fatalf("omg-monitor failed: %v\n%s", err, out)

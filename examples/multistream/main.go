@@ -54,7 +54,7 @@ func main() {
 		omg.WithPoolWindowSize(8),
 		omg.WithQueueDepth(64),
 		omg.WithPoolRecorder(omg.NewRecorder(1000)),
-		omg.WithPoolSink(omg.NewJSONLSink(os.Stderr, 0)),
+		omg.WithPoolSink(omg.NewJSONLSink(os.Stderr)),
 	)
 
 	// Corrective action: page the on-call when any sensor jumps hard.

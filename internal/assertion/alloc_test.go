@@ -93,7 +93,7 @@ func TestAllocRegressionJSONLSinkRecord(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is meaningless under -race")
 	}
-	s := NewJSONLSink(io.Discard, 8192)
+	s := newJSONLSink(io.Discard, 8192)
 	defer s.Close()
 	v := Violation{Assertion: "alloc", Stream: "s", SampleIndex: 1, Time: 0.5, Severity: 1}
 	for i := 0; i < 4096; i++ { // warm the worker's encode buffer

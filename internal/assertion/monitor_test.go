@@ -290,7 +290,7 @@ func TestNaNSeverityDoesNotFire(t *testing.T) {
 
 	t.Run("pool-jsonl", func(t *testing.T) {
 		var buf bytes.Buffer
-		sink := NewJSONLSink(&buf, 0)
+		sink := NewJSONLSink(&buf)
 		pool := NewMonitorPool(suite(), WithShards(2), WithPoolSink(sink))
 		for i := 0; i < 4; i++ {
 			if err := pool.Enqueue(Sample{Stream: "cam", Index: i}); err != nil {
@@ -344,7 +344,7 @@ func TestInfSeverityClampsToMaxFloat(t *testing.T) {
 
 	t.Run("pool-jsonl", func(t *testing.T) {
 		var buf bytes.Buffer
-		sink := NewJSONLSink(&buf, 0)
+		sink := NewJSONLSink(&buf)
 		pool := NewMonitorPool(suite(), WithShards(2), WithPoolSink(sink))
 		for i := 0; i < 4; i++ {
 			if err := pool.Enqueue(Sample{Stream: "cam", Index: i}); err != nil {

@@ -243,7 +243,7 @@ func TestPoolCloseSemantics(t *testing.T) {
 func TestPoolStreamsJSONLWithStreamKey(t *testing.T) {
 	var buf bytes.Buffer
 	rec := NewRecorder(0)
-	rec.StreamToSink(NewJSONLSink(&buf, 0))
+	rec.StreamToSink(NewJSONLSink(&buf))
 	pool := NewMonitorPool(NewSuite(New("always", func([]Sample) float64 { return 1 })),
 		WithShards(2), WithPoolRecorder(rec))
 	if err := pool.ObserveBatch([]Sample{

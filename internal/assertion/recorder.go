@@ -162,7 +162,7 @@ type Recorder struct {
 	sinkDropped atomic.Int64
 
 	// streamErr retains the first streaming error across sink swaps, so
-	// rotating logs with StreamToSink cannot silently discard a failure.
+	// swapping sinks with StreamToSink cannot silently discard a failure.
 	streamErr firstErr
 }
 
@@ -180,8 +180,8 @@ func NewRecorder(limit int) *Recorder {
 // StreamToSink attaches a violation backend and takes ownership of it: a
 // previously attached sink is closed first (its error retained and its
 // drops folded into SinkDropped), and Close or a later swap closes this
-// one. Passing nil detaches the current sink. Compose backends —
-// MultiSink, RotatingFileSink — before attaching.
+// one. Passing nil detaches the current sink. Compose backends with a
+// MultiSink before attaching.
 func (r *Recorder) StreamToSink(s Sink) {
 	var box *sinkBox
 	if s != nil {
@@ -298,10 +298,6 @@ func (r *Recorder) Stats(name string) (Stats, bool) { return r.store.Stats(name)
 // TotalFired returns the total number of violations recorded (including
 // any dropped from the retained log).
 func (r *Recorder) TotalFired() int { return r.store.TotalFired() }
-
-// Dropped returns how many violations were evicted from the bounded
-// retained log by its own size bound.
-func (r *Recorder) Dropped() int { return int(r.store.Dropped()) }
 
 // AssertionNames returns the names of assertions that have fired, sorted.
 func (r *Recorder) AssertionNames() []string { return r.store.AssertionNames() }

@@ -53,8 +53,8 @@ func TestRecorderBounded(t *testing.T) {
 	if vs[0].SampleIndex != 3 || vs[1].SampleIndex != 4 {
 		t.Fatalf("kept wrong entries: %v", vs)
 	}
-	if r.Dropped() != 3 {
-		t.Fatalf("Dropped = %d", r.Dropped())
+	if got := r.store.Dropped(); got != 3 {
+		t.Fatalf("Dropped = %d", got)
 	}
 	// Aggregates must be complete despite eviction.
 	st, _ := r.Stats("a")
@@ -66,7 +66,7 @@ func TestRecorderBounded(t *testing.T) {
 func TestRecorderJSONLStream(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewRecorder(0)
-	r.StreamToSink(NewJSONLSink(&buf, 0))
+	r.StreamToSink(NewJSONLSink(&buf))
 	r.Record(Violation{Assertion: "flicker", SampleIndex: 7, Time: 0.25, Severity: 1})
 	r.Record(Violation{Assertion: "agree", SampleIndex: 9, Severity: 2})
 	if err := r.Flush(); err != nil {
@@ -95,7 +95,7 @@ func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk ful
 
 func TestRecorderStreamErrorRetained(t *testing.T) {
 	r := NewRecorder(0)
-	r.StreamToSink(NewJSONLSink(failingWriter{}, 0))
+	r.StreamToSink(NewJSONLSink(failingWriter{}))
 	r.Record(Violation{Assertion: "a", Severity: 1})
 	if err := r.Flush(); err == nil {
 		t.Fatal("stream error not retained")
@@ -115,7 +115,7 @@ func TestRecorderStreamErrorRetained(t *testing.T) {
 
 func TestRecorderSinkDroppedCountsPostErrorLoss(t *testing.T) {
 	r := NewRecorder(0)
-	r.StreamToSink(NewJSONLSink(failingWriter{}, 0))
+	r.StreamToSink(NewJSONLSink(failingWriter{}))
 	const n = 25
 	for i := 0; i < n; i++ {
 		r.Record(Violation{Assertion: "a", SampleIndex: i, Severity: 1})
@@ -143,10 +143,10 @@ func TestRecorderSinkDroppedCountsPostErrorLoss(t *testing.T) {
 
 func TestRecorderSinkDroppedSurvivesSwap(t *testing.T) {
 	r := NewRecorder(0)
-	r.StreamToSink(NewJSONLSink(failingWriter{}, 0))
+	r.StreamToSink(NewJSONLSink(failingWriter{}))
 	r.Record(Violation{Assertion: "a", Severity: 1})
 	var buf bytes.Buffer
-	r.StreamToSink(NewJSONLSink(&buf, 0)) // retires the dead sink, folding in its drops
+	r.StreamToSink(NewJSONLSink(&buf)) // retires the dead sink, folding in its drops
 	if got := r.SinkDropped(); got != 1 {
 		t.Fatalf("SinkDropped after swap = %d, want 1", got)
 	}
@@ -244,8 +244,8 @@ func TestRecorderRingWraparound(t *testing.T) {
 			t.Fatalf("arrival order wrong after wraparound: %v", vs)
 		}
 	}
-	if r.Dropped() != 5 {
-		t.Fatalf("Dropped = %d", r.Dropped())
+	if got := r.store.Dropped(); got != 5 {
+		t.Fatalf("Dropped = %d", got)
 	}
 	by := r.Query(StoreQuery{Assertion: "a"})
 	if len(by) != 3 || by[0].SampleIndex != 5 || by[2].SampleIndex != 7 {
@@ -256,7 +256,7 @@ func TestRecorderRingWraparound(t *testing.T) {
 func TestRecorderFlushAndClose(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewRecorder(0)
-	r.StreamToSink(NewJSONLSink(&buf, 0))
+	r.StreamToSink(NewJSONLSink(&buf))
 	const n = 2000 // exceed the sink batch size to exercise coalescing
 	for i := 0; i < n; i++ {
 		r.Record(Violation{Assertion: "a", SampleIndex: i, Severity: 1})
@@ -283,7 +283,7 @@ func TestRecorderFlushAndClose(t *testing.T) {
 func TestRecorderSinkDetach(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewRecorder(0)
-	r.StreamToSink(NewJSONLSink(&buf, 0))
+	r.StreamToSink(NewJSONLSink(&buf))
 	r.Record(Violation{Assertion: "a", Severity: 1})
 	r.StreamToSink(nil) // detach closes the previous sink
 	if got := strings.Count(buf.String(), "\n"); got != 1 {
@@ -300,11 +300,11 @@ func TestRecorderSinkDetach(t *testing.T) {
 
 func TestRecorderErrorSurvivesSinkSwap(t *testing.T) {
 	r := NewRecorder(0)
-	r.StreamToSink(NewJSONLSink(failingWriter{}, 0))
+	r.StreamToSink(NewJSONLSink(failingWriter{}))
 	r.Record(Violation{Assertion: "a", Severity: 1})
-	// Rotating the log must not discard the failed sink's error.
+	// Swapping the sink must not discard the failed sink's error.
 	var buf bytes.Buffer
-	r.StreamToSink(NewJSONLSink(&buf, 0))
+	r.StreamToSink(NewJSONLSink(&buf))
 	if r.Err() == nil {
 		t.Fatal("error lost across StreamToSink swap")
 	}

@@ -9,7 +9,8 @@ import (
 )
 
 const (
-	defaultSinkDepth = 1024
+	// sinkDepth is a JSONLSink's queue depth.
+	sinkDepth = 1024
 	// sinkBatchMax bounds how many queued violations the worker coalesces
 	// into a single Write call.
 	sinkBatchMax = 256
@@ -19,10 +20,11 @@ const (
 var ErrSinkClosed = errors.New("assertion: violation sink is closed")
 
 // Sink is a pluggable violation backend: the destination of a Recorder's
-// streaming path. A production deployment picks a JSONLSink, a
-// RotatingFileSink for durable rotated JSONL or export.HTTPSink for a
-// collector, and a MultiSink to fan out to several of them at once. The
-// queryable in-memory view is the Recorder's own MemStore, not a sink.
+// streaming path. A deployment picks a JSONLSink for a local log or
+// export.HTTPSink for a collector, and a MultiSink to fan out to both. The
+// queryable in-memory view is the Recorder's own MemStore, not a sink;
+// the durable, bounded violation history is the collector's data
+// directory.
 //
 // Implementations must be safe for concurrent use. Record may be
 // asynchronous: a nil return means the violation was accepted, not that it
@@ -39,11 +41,7 @@ type Sink interface {
 	// sink, not necessarily reached stable storage.
 	Flush() error
 	// Close flushes, releases resources and returns the first error. It is
-	// idempotent; Record returns ErrSinkClosed afterwards. A
-	// RotatingFileSink fsyncs on Close and at every rotation boundary, and
-	// a JSONLSink over a file does so on Close when JSONLConfig
-	// SyncOnClose asks it to, so a clean shutdown leaves that violation
-	// log durable.
+	// idempotent; Record returns ErrSinkClosed afterwards.
 	Close() error
 	// Err returns the first error the sink has encountered, if any,
 	// without blocking for in-flight violations.
@@ -129,8 +127,7 @@ func (w *waiter) count() int {
 // never blocked by a dead sink — every violation discarded that way is
 // counted by Dropped.
 type JSONLSink struct {
-	w           io.Writer
-	syncOnClose bool // fsync w on Close when it supports Sync
+	w io.Writer
 
 	mu     sync.RWMutex // record (read side) vs close (write side)
 	closed bool
@@ -145,44 +142,20 @@ type JSONLSink struct {
 	dropped atomic.Int64
 }
 
-// syncer is the optional durability hook a JSONLSink writer can expose:
-// *os.File satisfies it, and so does any writer that can push buffered
-// bytes to stable storage on demand.
-type syncer interface{ Sync() error }
-
-// JSONLConfig configures a JSONLSink beyond the queue depth.
-type JSONLConfig struct {
-	// Depth is the queue depth (<= 0 uses the default of 1024). When the
-	// queue is full, Record blocks until the worker catches up — explicit
-	// backpressure rather than silent loss.
-	Depth int
-	// SyncOnClose fsyncs the writer on Close, after the worker has
-	// drained, when the writer exposes Sync() error (as *os.File does).
-	// A sync failure is retained and reported like a write failure.
-	// Writers without a Sync method are unaffected.
-	SyncOnClose bool
-}
-
 // NewJSONLSink returns a sink encoding violations as one JSON object per
-// line on w, with a queue of the given depth (<= 0 uses the default of
-// 1024). When the queue is full, Record blocks until the worker catches up
-// — explicit backpressure rather than silent loss. Use NewJSONLSinkConfig
-// to also fsync on Close.
-func NewJSONLSink(w io.Writer, depth int) *JSONLSink {
-	return NewJSONLSinkConfig(w, JSONLConfig{Depth: depth})
-}
+// line on w, with a queue of 1024 violations. When the queue is full,
+// Record blocks until the worker catches up — explicit backpressure
+// rather than silent loss.
+func NewJSONLSink(w io.Writer) *JSONLSink { return newJSONLSink(w, sinkDepth) }
 
-// NewJSONLSinkConfig is NewJSONLSink with the full option set.
-func NewJSONLSinkConfig(w io.Writer, cfg JSONLConfig) *JSONLSink {
-	if cfg.Depth <= 0 {
-		cfg.Depth = defaultSinkDepth
-	}
+// newJSONLSink is NewJSONLSink with the queue depth given, so tests can
+// exercise backpressure with a short queue.
+func newJSONLSink(w io.Writer, depth int) *JSONLSink {
 	s := &JSONLSink{
-		w:           w,
-		syncOnClose: cfg.SyncOnClose,
-		ch:          make(chan Violation, cfg.Depth),
-		pending:     newWaiter(),
-		done:        make(chan struct{}),
+		w:       w,
+		ch:      make(chan Violation, depth),
+		pending: newWaiter(),
+		done:    make(chan struct{}),
 	}
 	go s.run()
 	return s
@@ -207,9 +180,8 @@ func (s *JSONLSink) Flush() error {
 	return s.Err()
 }
 
-// Close drains the queue, stops the worker, fsyncs the writer when
-// configured (JSONLConfig SyncOnClose and the writer supports it), and
-// returns the first error.
+// Close drains the queue, stops the worker and returns the first error.
+// It does not fsync: closing the writer is the caller's.
 func (s *JSONLSink) Close() error {
 	s.mu.Lock()
 	already := s.closed
@@ -219,11 +191,6 @@ func (s *JSONLSink) Close() error {
 		close(s.ch)
 	}
 	<-s.done
-	if !already && s.syncOnClose && !s.dead.Load() {
-		if sy, ok := s.w.(syncer); ok {
-			s.setErr(sy.Sync())
-		}
-	}
 	return s.Err()
 }
 
@@ -280,7 +247,7 @@ func (s *JSONLSink) run() {
 				if wn, err := s.w.Write(buf); err != nil {
 					s.setErr(err)
 					s.dead.Store(true)
-					// A partial write (e.g. a rotation failing mid-batch)
+					// A partial write (e.g. a disk filling mid-batch)
 					// still landed complete lines: count as dropped only
 					// the violations that did not make it out.
 					wrote := bytes.Count(buf[:wn], []byte{'\n'})

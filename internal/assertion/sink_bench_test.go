@@ -3,7 +3,6 @@ package assertion
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 )
@@ -30,19 +29,11 @@ func benchSink(b *testing.B, s Sink) {
 }
 
 func BenchmarkJSONLSink(b *testing.B) {
-	benchSink(b, NewJSONLSink(io.Discard, 0))
+	benchSink(b, NewJSONLSink(io.Discard))
 }
 
 func BenchmarkMultiSink(b *testing.B) {
-	benchSink(b, NewMultiSink(NewJSONLSink(io.Discard, 0), NewJSONLSink(io.Discard, 0)))
-}
-
-func BenchmarkRotatingFileSink(b *testing.B) {
-	s, err := NewRotatingFileSink(filepath.Join(b.TempDir(), "v.jsonl"), 1<<20, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchSink(b, s)
+	benchSink(b, NewMultiSink(NewJSONLSink(io.Discard), NewJSONLSink(io.Discard)))
 }
 
 // BenchmarkMonitorPoolAlwaysFiring prices the pool's synchronous path

@@ -1,14 +1,10 @@
 package assertion
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -47,7 +43,7 @@ func recordN(t *testing.T, s Sink, name string, n int) {
 }
 
 func TestJSONLSinkCountsPostErrorDrops(t *testing.T) {
-	s := NewJSONLSink(failingWriter{}, 0)
+	s := NewJSONLSink(failingWriter{})
 	const n = 700 // several coalesced batches
 	recordN(t, s, "a", n)
 	if err := s.Flush(); err == nil {
@@ -64,7 +60,7 @@ func TestJSONLSinkCountsPostErrorDrops(t *testing.T) {
 }
 
 // partialWriter lands exactly one line, reports an error for that write,
-// and fails everything afterwards — a rotation dying mid-batch.
+// and fails everything afterwards — a disk filling mid-batch.
 type partialWriter struct{ failed bool }
 
 func (w *partialWriter) Write(p []byte) (int, error) {
@@ -79,7 +75,7 @@ func (w *partialWriter) Write(p []byte) (int, error) {
 }
 
 func TestJSONLSinkPartialWriteNotOvercounted(t *testing.T) {
-	s := NewJSONLSink(&partialWriter{}, 0)
+	s := NewJSONLSink(&partialWriter{})
 	const n = 5
 	recordN(t, s, "a", n)
 	if err := s.Flush(); err == nil {
@@ -95,7 +91,7 @@ func TestJSONLSinkPartialWriteNotOvercounted(t *testing.T) {
 
 func TestJSONLSinkSurvivesUnmarshalableViolation(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewJSONLSink(&buf, 0)
+	s := NewJSONLSink(&buf)
 	// NaN severity cannot be marshalled; the violation is dropped and
 	// counted, but the stream must stay alive for the next violation.
 	if err := s.Record(Violation{Assertion: "bad", Severity: math.NaN()}); err != nil {
@@ -118,7 +114,7 @@ func TestJSONLSinkSurvivesUnmarshalableViolation(t *testing.T) {
 
 func TestJSONLSinkNoDropsOnHealthyWriter(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewJSONLSink(&buf, 0)
+	s := NewJSONLSink(&buf)
 	recordN(t, s, "a", 100)
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close = %v", err)
@@ -133,7 +129,7 @@ func TestJSONLSinkNoDropsOnHealthyWriter(t *testing.T) {
 
 func TestMultiSinkKeepsHealthyBackendsAlive(t *testing.T) {
 	healthy := &captureSink{}
-	dead := NewJSONLSink(failingWriter{}, 0)
+	dead := NewJSONLSink(failingWriter{})
 	s := NewMultiSink(dead, healthy)
 
 	recordN(t, s, "a", 50)
@@ -182,40 +178,6 @@ func TestMultiSinkFanOut(t *testing.T) {
 	}
 }
 
-func TestRotatingWriterSplitsBatchAroundOversizedLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &rotatingWriter{path: path, maxBytes: 64, keep: 5, f: f}
-	big := strings.Repeat("b", 100) + "\n" // one line larger than maxBytes
-	batch := big + "s1\ns2\n"
-	n, err := w.Write([]byte(batch))
-	if err != nil || n != len(batch) {
-		t.Fatalf("Write = %d, %v", n, err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The oversized line goes into its own rotated file; the trailing
-	// small lines must NOT ride along with it past the bound.
-	rotated, err := os.ReadFile(path + ".1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(rotated) != big {
-		t.Fatalf("rotated file holds %d bytes, want the oversized line alone (%d)", len(rotated), len(big))
-	}
-	active, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(active) != "s1\ns2\n" {
-		t.Fatalf("active file = %q, want the small lines", active)
-	}
-}
-
 func TestNilBackendsDoNotPanic(t *testing.T) {
 	// Mis-wired compositions must degrade gracefully, not crash a shard
 	// worker on the observe path.
@@ -234,153 +196,15 @@ func TestNilBackendsDoNotPanic(t *testing.T) {
 	}
 }
 
-// readJSONLFiles parses every retained rotating-log file and returns the
-// total violation count.
-func readJSONLFiles(t *testing.T, paths ...string) int {
-	t.Helper()
-	total := 0
-	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			continue
-		}
-		sc := bufio.NewScanner(f)
-		for sc.Scan() {
-			var v Violation
-			if err := json.Unmarshal(sc.Bytes(), &v); err != nil {
-				t.Fatalf("%s: bad JSONL line %q: %v", p, sc.Text(), err)
-			}
-			total++
-		}
-		f.Close()
-	}
-	return total
-}
-
-func TestRotatingFileSinkRotates(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "violations.jsonl")
-	s, err := NewRotatingFileSink(path, 256, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 40
-	for i := 0; i < n; i++ {
-		if err := s.Record(Violation{Assertion: "a", SampleIndex: i, Severity: 1}); err != nil {
-			t.Fatal(err)
-		}
-		// Flush per record so each write is one line and rotation points
-		// are deterministic relative to maxBytes.
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close = %v", err)
-	}
-	for _, p := range []string{path, path + ".1", path + ".2"} {
-		st, err := os.Stat(p)
-		if err != nil {
-			t.Fatalf("expected rotated file %s: %v", p, err)
-		}
-		if p != path && st.Size() > 256+128 {
-			t.Fatalf("%s grew to %d bytes, rotation bound ignored", p, st.Size())
-		}
-	}
-	if _, err := os.Stat(path + ".3"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("keep=2 must prune path.3: %v", err)
-	}
-	// Every retained line must still be valid JSONL; with keep=2 some of
-	// the oldest lines have been pruned, never more than were written.
-	got := readJSONLFiles(t, path, path+".1", path+".2")
-	if got == 0 || got > n {
-		t.Fatalf("retained lines = %d, want (0, %d]", got, n)
-	}
-	if err := s.Record(Violation{}); !errors.Is(err, ErrSinkClosed) {
-		t.Fatalf("Record after Close = %v, want ErrSinkClosed", err)
-	}
-}
-
-func TestRotatingWriterNeverClobbersRetainedFileOnShiftFailure(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "v.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &rotatingWriter{path: path, maxBytes: 8, keep: 2, f: f}
-	for _, line := range []string{"aaaa\n", "bbbb\n"} { // second write rotates
-		if _, err := w.Write([]byte(line)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Block the next shift: path.1 can no longer be renamed to path.2.
-	if err := os.MkdirAll(filepath.Join(path+".2", "occupied"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write([]byte("cccc\n")); err == nil {
-		t.Fatal("rotation with a blocked shift must fail, not clobber")
-	}
-	// The retained rotated file must be untouched.
-	data, err := os.ReadFile(path + ".1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "aaaa\n" {
-		t.Fatalf("retained rotated file clobbered: %q", data)
-	}
-}
-
-func TestRotatingFileSinkAppendsToExistingLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v.jsonl")
-	// A previous run left violations in the active log; reopening the
-	// sink must preserve them, not truncate.
-	prev := `{"assertion":"old","sample_index":0,"time":0,"severity":1}` + "\n"
-	if err := os.WriteFile(path, []byte(prev), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewRotatingFileSink(path, 1<<20, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recordN(t, s, "new", 3)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(data), prev) {
-		t.Fatalf("previous run's log truncated:\n%s", data)
-	}
-	if got := bytes.Count(data, []byte("\n")); got != 4 {
-		t.Fatalf("lines = %d, want 4 (1 old + 3 new)", got)
-	}
-}
-
-func TestRotatingFileSinkUnwritablePath(t *testing.T) {
-	if _, err := NewRotatingFileSink(filepath.Join(t.TempDir(), "no-such-dir", "v.jsonl"), 0, 1); err == nil {
-		t.Fatal("expected error for unwritable path")
-	}
-}
-
 // TestSinkFlushCloseSemantics locks down the shared Sink contract across
 // every backend: Record concurrent with Flush is race-free (-race),
 // Flush-then-read is consistent, Close is idempotent, and Record after
 // Close returns ErrSinkClosed.
 func TestSinkFlushCloseSemantics(t *testing.T) {
 	backends := map[string]func(t *testing.T) Sink{
-		"jsonl": func(t *testing.T) Sink { return NewJSONLSink(&bytes.Buffer{}, 8) },
+		"jsonl": func(t *testing.T) Sink { return newJSONLSink(&bytes.Buffer{}, 8) },
 		"multi": func(t *testing.T) Sink {
-			return NewMultiSink(&captureSink{}, NewJSONLSink(&bytes.Buffer{}, 8))
-		},
-		"rotating": func(t *testing.T) Sink {
-			s, err := NewRotatingFileSink(filepath.Join(t.TempDir(), "v.jsonl"), 4096, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
+			return NewMultiSink(&captureSink{}, newJSONLSink(&bytes.Buffer{}, 8))
 		},
 	}
 	for name, mk := range backends {

@@ -92,8 +92,7 @@ type CollectorConfig struct {
 // (RetainAge, RetainPerAssertion) ages out the queryable log without
 // touching the aggregate counts, and a live-tail hub streams ingested
 // violations to SSE subscribers. It is safe for concurrent use; Close
-// stops the retention janitor, ends tail streams and settles the attached
-// sink.
+// stops the retention janitor, ends tail streams and closes the stores.
 type Collector struct {
 	cfg CollectorConfig
 	// shards holds one store per ingest shard, routed by batch source:
@@ -133,12 +132,6 @@ type Collector struct {
 	// the total persists in the marks log, so after a restart the
 	// by-reason counters restart from zero and may sum below the total.
 	rejectedBy [numRejectReasons]atomic.Int64
-
-	// sink is the attached -log tee (nil without one); logRefused counts
-	// the violations it refused at Record time.
-	sinkMu     sync.Mutex
-	sink       assertion.Sink
-	logRefused atomic.Int64
 
 	// The disk backend's dedup-marks write-ahead log (nil for in-memory
 	// collectors).
@@ -248,40 +241,12 @@ func (c *Collector) sourceState(source string) *sourceState {
 // NumShards returns the number of ingest shards.
 func (c *Collector) NumShards() int { return len(c.shards) }
 
-// AttachSink tees every ingested violation into s — e.g. a durable JSONL
-// log beside the queryable state. The collector takes ownership: Close
-// flushes and closes it.
-func (c *Collector) AttachSink(s assertion.Sink) {
-	c.sinkMu.Lock()
-	c.sink = s
-	c.sinkMu.Unlock()
-}
-
-// logSink returns the attached tee, if any.
-func (c *Collector) logSink() assertion.Sink {
-	c.sinkMu.Lock()
-	defer c.sinkMu.Unlock()
-	return c.sink
-}
-
-// LogTeeDropped returns how many ingested violations the attached tee has
-// lost: the sink's own drop count (write errors, bounded backends) plus
-// the violations it refused at Record time — an ingest racing or
-// following Close included, since the closed sink stays attached.
-func (c *Collector) LogTeeDropped() int64 {
-	n := c.logRefused.Load()
-	if dc, ok := c.logSink().(assertion.DropCounter); ok {
-		n += dc.Dropped()
-	}
-	return n
-}
-
 // Quiesce stops the retention janitor and ends live-tail streams, but
-// leaves the attached sink in place. It is the shutdown half that must
-// run before http.Server.Shutdown — tail streams never end on their own,
-// so Shutdown would otherwise wait out its whole deadline on them —
-// while the sink stays attached so ingests still in flight during the
-// drain keep reaching the durable log. Idempotent; Close calls it.
+// leaves the stores open. It is the shutdown half that must run before
+// http.Server.Shutdown — tail streams never end on their own, so
+// Shutdown would otherwise wait out its whole deadline on them — while
+// ingests still in flight during the drain keep landing in the stores.
+// Idempotent; Close calls it.
 func (c *Collector) Quiesce() {
 	c.closing.Store(true)
 	c.quiesceOnce.Do(func() {
@@ -291,23 +256,18 @@ func (c *Collector) Quiesce() {
 	})
 }
 
-// Close quiesces the collector (janitor, tail streams), flushes and
-// closes the attached sink (if any), and — for a disk-backed collector —
-// checkpoints and closes the shard stores and the marks log, returning
-// the first error. An in-memory collector remains usable for ingest and
-// queries afterwards (only the background machinery stops); a
-// disk-backed one refuses further ingest, though queries keep answering
-// from memory. Close is idempotent.
+// Close quiesces the collector (janitor, tail streams), closes the label
+// service and — for a disk-backed collector — checkpoints and closes the
+// shard stores and the marks log, returning the first error. An
+// in-memory collector remains usable for ingest and queries afterwards
+// (only the background machinery stops); a disk-backed one refuses
+// further ingest, though queries keep answering from memory. Close is
+// idempotent.
 func (c *Collector) Close() error {
 	c.Quiesce()
 	var err error
 	c.closeOnce.Do(func() {
-		if s := c.logSink(); s != nil {
-			err = s.Close()
-		}
-		if e := c.labels.Close(); err == nil {
-			err = e
-		}
+		err = c.labels.Close()
 		if e := c.closeStores(); err == nil {
 			err = e
 		}
@@ -367,16 +327,15 @@ func (c *Collector) ingestChecked(b Batch) (accepted int, duplicate bool, err er
 }
 
 // apply appends a batch's violations to its source's shard store, stamps
-// their ingest time (the retention clock), tees them to the attached sink,
-// publishes them to tail subscribers and updates the counters. It returns
-// how many violations the store took and the store's first failure, which
-// latches the collector degraded: a refused Append ends the batch there,
-// and a failed Sync leaves all of it in the memory mirror but not durable.
+// their ingest time (the retention clock), publishes them to tail
+// subscribers and updates the counters. It returns how many violations
+// the store took and the store's first failure, which latches the
+// collector degraded: a refused Append ends the batch there, and a failed
+// Sync leaves all of it in the memory mirror but not durable.
 func (c *Collector) apply(b Batch) (int, error) {
 	c.seedMu.RLock()
 	defer c.seedMu.RUnlock()
 	st := c.shards[assertion.ShardFor(b.Source, len(c.shards))]
-	sink := c.logSink()
 	now := time.Now()
 	nowUnix := now.Unix()
 	nowNano := now.UnixNano()
@@ -398,9 +357,6 @@ func (c *Collector) apply(b Batch) (int, error) {
 			break
 		}
 		applied++
-		if sink != nil && sink.Record(v) != nil {
-			c.logRefused.Add(1)
-		}
 		c.tail.publish(v)
 		c.publishWeakLabel(v)
 	}
@@ -941,7 +897,6 @@ func (c *Collector) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	counter("omg_collector_retention_evictions_total", "Violations evicted from the queryable log by the retention policy.", c.RetentionEvicted())
 	counter("omg_collector_tail_dropped_total", "Tail events dropped because a subscriber's buffer was full.", c.tail.droppedTotal())
-	counter("omg_collector_log_dropped_total", "Ingested violations the attached -log sink refused or dropped.", c.LogTeeDropped())
 	gauge("omg_collector_tail_clients", "Connected live-tail subscribers.", c.tail.clientCount())
 	gauge("omg_collector_shards", "Ingest shards.", int64(len(c.shards)))
 	degraded := int64(0)

@@ -163,46 +163,3 @@ func TestIngestRejectsNonFiniteBinaryFrame(t *testing.T) {
 		})
 	}
 }
-
-// refusingSink refuses every record and reports drops of its own.
-type refusingSink struct{ dropped int64 }
-
-func (s *refusingSink) Record(assertion.Violation) error { return errRefused }
-func (s *refusingSink) Flush() error                     { return nil }
-func (s *refusingSink) Close() error                     { return nil }
-func (s *refusingSink) Err() error                       { return nil }
-func (s *refusingSink) Dropped() int64                   { return s.dropped }
-
-// TestLogTeeLossesAreCounted: omg_collector_log_dropped_total is the
-// attached sink's own drops plus what it refused at ingest — an ingest
-// after Close, which leaves the closed sink attached, included.
-func TestLogTeeLossesAreCounted(t *testing.T) {
-	c := openCollector(t, CollectorConfig{Shards: 2})
-	c.Ingest(mkBatch("edge-00", 1, 2)) // nothing attached: nothing to lose
-	if got := metricValue(t, c, "omg_collector_log_dropped_total"); got != 0 {
-		t.Fatalf("log_dropped = %d with no sink attached", got)
-	}
-	c.AttachSink(&refusingSink{dropped: 5})
-	c.Ingest(mkBatch("edge-00", 2, 3))
-	c.Ingest(mkBatch("edge-01", 1, 4))
-	if got := metricValue(t, c, "omg_collector_log_dropped_total"); got != 5+3+4 {
-		t.Fatalf("log_dropped = %d, want the sink's 5 plus 7 refusals", got)
-	}
-
-	var teeLog bytes.Buffer
-	c.AttachSink(assertion.NewJSONLSink(&teeLog, 0))
-	c.Ingest(mkBatch("edge-00", 3, 2))
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	c.Ingest(mkBatch("edge-00", 4, 6)) // the tee is closed: all six are lost to it
-	if got := metricValue(t, c, "omg_collector_log_dropped_total"); got != 7+6 {
-		t.Fatalf("log_dropped = %d after Close, want 13", got)
-	}
-	if got := bytes.Count(teeLog.Bytes(), []byte{'\n'}); got != 2 {
-		t.Fatalf("tee holds %d violations, want the 2 ingested while it was open", got)
-	}
-	if got := c.TotalFired(); got != 2+3+4+2+6 {
-		t.Fatalf("TotalFired = %d: the tee's losses must not cost the store anything", got)
-	}
-}

@@ -524,23 +524,21 @@ func TestParkedPullDoesNotBlockIngest(t *testing.T) {
 	}
 }
 
-// parkingSink parks the first Record it is handed — inside apply, after
-// the violation's Append and before its ObserveBatch.
-type parkingSink struct {
+// parkingStore parks the first Sync it is handed — inside apply, after
+// the batch's Append and before its ObserveBatch.
+type parkingStore struct {
+	assertion.ViolationStore
 	once            sync.Once
 	parked, release chan struct{}
 }
 
-func (s *parkingSink) Record(assertion.Violation) error {
+func (s *parkingStore) Sync() error {
 	s.once.Do(func() {
 		close(s.parked)
 		<-s.release
 	})
-	return nil
+	return s.ViolationStore.Sync()
 }
-func (s *parkingSink) Flush() error { return nil }
-func (s *parkingSink) Close() error { return nil }
-func (s *parkingSink) Err() error   { return nil }
 
 // TestSeedWaitsForInFlightApply pins the seed's atomicity: a first label
 // call that arrives while a batch is between its Append and its
@@ -551,8 +549,8 @@ func (s *parkingSink) Err() error   { return nil }
 func TestSeedWaitsForInFlightApply(t *testing.T) {
 	c := openCollector(t, CollectorConfig{RetainPerAssertion: 1, CompactEvery: time.Hour})
 	defer c.Close()
-	sink := &parkingSink{parked: make(chan struct{}), release: make(chan struct{})}
-	c.AttachSink(sink)
+	park := &parkingStore{ViolationStore: c.shards[0], parked: make(chan struct{}), release: make(chan struct{})}
+	c.shards[0] = park
 
 	one := func(seq uint64, sample int) Batch {
 		return Batch{Version: WireVersion, Source: "edge-1", Seq: seq, Violations: []assertion.Violation{
@@ -564,7 +562,7 @@ func TestSeedWaitsForInFlightApply(t *testing.T) {
 		c.Ingest(one(1, 1))
 		close(applied)
 	}()
-	<-sink.parked
+	<-park.parked
 
 	seeded := make(chan struct{})
 	go func() {
@@ -576,7 +574,7 @@ func TestSeedWaitsForInFlightApply(t *testing.T) {
 		t.Fatal("the seed did not wait for the apply in flight")
 	case <-time.After(100 * time.Millisecond):
 	}
-	close(sink.release)
+	close(park.release)
 	<-applied
 	<-seeded
 

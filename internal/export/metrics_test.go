@@ -52,8 +52,8 @@ func TestMetricsExpositionStrict(t *testing.T) {
 			}
 
 			// The stage families this PR's dashboards scrape must be present
-			// as proper histograms, and the runtime block and the -log tee's
-			// loss counter must ride along.
+			// as proper histograms, and the runtime block and the store's
+			// recovery counters must ride along.
 			for _, family := range []string{
 				"omg_collector_ingest_decode_seconds",
 				"omg_collector_ingest_apply_seconds",
@@ -70,7 +70,7 @@ func TestMetricsExpositionStrict(t *testing.T) {
 					t.Errorf("/metrics is missing histogram family %s", family)
 				}
 			}
-			for _, series := range []string{"go_goroutines", "go_memstats_heap_alloc_bytes", "omg_collector_log_dropped_total",
+			for _, series := range []string{"go_goroutines", "go_memstats_heap_alloc_bytes",
 				`omg_store_recovered_records_total{format="json"}`, `omg_store_recovered_records_total{format="binary"}`} {
 				if !strings.Contains(body, "\n"+series+" ") {
 					t.Errorf("/metrics is missing series %s", series)

@@ -72,10 +72,6 @@ type (
 	// MultiSink fans violations out to several backends with independent
 	// error tracking.
 	MultiSink = assertion.MultiSink
-	// RotatingFileSink writes size- and age-rotated JSONL files.
-	RotatingFileSink = assertion.RotatingFileSink
-	// RotateConfig is a RotatingFileSink's size/age/retention policy.
-	RotateConfig = assertion.RotateConfig
 
 	// ViolationStore is the pluggable storage seam under each collector
 	// shard: append, query, stats, compaction, replace. MemStore is the
@@ -152,24 +148,12 @@ type (
 // ErrSinkClosed is returned by a Sink's Record method after Close.
 var ErrSinkClosed = assertion.ErrSinkClosed
 
-// NewJSONLSink returns an asynchronous JSONL sink over w with the given
-// queue depth (<= 0 uses the default of 1024).
-func NewJSONLSink(w io.Writer, depth int) *JSONLSink { return assertion.NewJSONLSink(w, depth) }
+// NewJSONLSink returns an asynchronous JSONL sink over w with a bounded
+// queue of 1024 violations.
+func NewJSONLSink(w io.Writer) *JSONLSink { return assertion.NewJSONLSink(w) }
 
 // NewMultiSink returns a sink fanning out to every given backend.
 func NewMultiSink(sinks ...Sink) *MultiSink { return assertion.NewMultiSink(sinks...) }
-
-// NewRotatingFileSink opens a JSONL log at path rotating after maxBytes,
-// keeping at most `keep` rotated files beside the active one.
-func NewRotatingFileSink(path string, maxBytes int64, keep int) (*RotatingFileSink, error) {
-	return assertion.NewRotatingFileSink(path, maxBytes, keep)
-}
-
-// NewRotatingFileSinkConfig opens a rotating JSONL log at path with an
-// explicit size/age/retention policy.
-func NewRotatingFileSinkConfig(path string, cfg RotateConfig) (*RotatingFileSink, error) {
-	return assertion.NewRotatingFileSinkConfig(path, cfg)
-}
 
 // NewHTTPSink returns a sink exporting violation batches to the collector
 // at cfg.BaseURL.
