@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"omg"
+	"omg/internal/activelearn"
 	"omg/internal/assertion"
 	"omg/internal/bandit"
 	"omg/internal/consistency"
@@ -139,14 +140,24 @@ func BenchmarkTable6HumanLabels(b *testing.B) {
 // ---------------------------------------------------------------------
 // Ablations: one design choice varied at a time.
 
-// benchBALVariant runs Figure 4a's domain with one BAL configuration and
-// reports the final mAP.
+// benchBALVariant runs only BAL, with one configuration, on Figure 4a's
+// night-street domain and reports the final mAP: the ablation entry point
+// for the exploration fraction, fallback threshold and rank-power design
+// choices.
 func benchBALVariant(b *testing.B, cfg omg.BALConfig) {
 	s := experiments.QuickScale()
 	var final float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.Figure4aWithBAL(s, cfg)
-		for _, c := range r.Curves {
+		d := nightstreet.New(nightstreet.Config{
+			Seed:       simrand.DeriveSeed(s.Seed, "video"),
+			PoolFrames: s.VideoPoolFrames, TestFrames: s.VideoTestFrames,
+		})
+		curves := activelearn.RunAll(d, []bandit.Selector{
+			bandit.NewBAL(simrand.DeriveSeed(s.Seed, "sel-bal"), cfg),
+		}, activelearn.Config{
+			Rounds: s.Rounds, Budget: s.VideoBudget, Trials: s.TrialsVideo, Seed: s.Seed,
+		})
+		for _, c := range curves {
 			if c.Strategy == "bal" {
 				final = c.Final()
 			}
@@ -243,9 +254,10 @@ func benchSuite() *omg.Suite {
 }
 
 // BenchmarkMonitorPoolObserve measures multi-stream monitoring throughput
-// on the synchronous path: each goroutine is its own stream, so shards
-// evaluate concurrently and ns/op should drop as GOMAXPROCS grows —
-// compare with the single-mutex BenchmarkMonitorObserve.
+// one sample at a time: each goroutine is its own stream and Enqueues onto
+// its shard, so shards evaluate concurrently and ns/op should drop as
+// GOMAXPROCS grows — compare with the single-mutex BenchmarkMonitorObserve.
+// The closing Flush keeps every evaluation inside the timed region.
 func BenchmarkMonitorPoolObserve(b *testing.B) {
 	pool := omg.NewMonitorPool(benchSuite(), omg.WithPoolWindowSize(8))
 	defer pool.Close()
@@ -254,10 +266,16 @@ func BenchmarkMonitorPoolObserve(b *testing.B) {
 		key := fmt.Sprintf("stream-%d", stream.Add(1))
 		i := 0
 		for pb.Next() {
-			pool.Observe(omg.Sample{Stream: key, Index: i})
+			if err := pool.Enqueue(omg.Sample{Stream: key, Index: i}); err != nil {
+				b.Error(err)
+				return
+			}
 			i++
 		}
 	})
+	if err := pool.Flush(); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // BenchmarkMonitorPoolObserveBatch measures the asynchronous ingestion

@@ -65,7 +65,6 @@ func newFaultProxy(backendURL string) (*faultProxy, error) {
 func (p *faultProxy) url() string         { return "http://" + p.ln.Addr().String() }
 func (p *faultProxy) setBackend(u string) { p.backend.Store(u) }
 func (p *faultProxy) setMode(mode string) { p.mode.Store(mode) }
-func (p *faultProxy) currentMode() string { return p.mode.Load().(string) }
 
 func (p *faultProxy) serve(w http.ResponseWriter, r *http.Request) {
 	switch p.mode.Load().(string) {

@@ -5,10 +5,10 @@
 // dashboard-style summary — the "populate dashboards" use the paper
 // describes.
 //
-// With -streams N > 1 it drives N concurrent camera feeds (each with its
-// own seed and stream key) through the pool's asynchronous ingestion path,
-// one shard per stream, exercising the multi-stream hot path. The flags
-// given pick the violation sinks: -log writes a local JSONL file,
+// It drives -streams N concurrent camera feeds (each with its own seed and
+// stream key, one shard per stream) through the pool's asynchronous
+// ingestion path, the pool's only one, at every N. The flags given pick
+// the violation sinks: -log writes a local JSONL file,
 // -export-url ships HTTP batches to an omg-server collector, both tee the
 // export into the file, and neither records in memory only. The
 // collector's data directory, not the edge, keeps the durable, bounded
@@ -41,6 +41,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -66,6 +67,9 @@ func main() {
 	if *streams < 1 {
 		log.Fatalf("-streams must be >= 1")
 	}
+	if *frames < 1 {
+		log.Fatalf("-frames must be >= 1")
+	}
 	if *exportURL == "" {
 		// The exporter's knobs shape nothing without an exporter: set
 		// anyway, they would be silently ignored.
@@ -88,6 +92,7 @@ func main() {
 	// exits non-zero.
 	var sink assertion.Sink
 	var httpSink *export.HTTPSink
+	var jsonlSink *assertion.JSONLSink
 	var logFile *os.File
 	if *exportURL != "" {
 		cfg := export.HTTPSinkConfig{
@@ -106,10 +111,11 @@ func main() {
 			log.Fatalf("create log: %v", err)
 		}
 		logFile = f
-		sink = assertion.NewJSONLSink(f)
+		jsonlSink = assertion.NewJSONLSink(f)
+		sink = jsonlSink
 		if httpSink != nil {
 			// -log beside -export-url: tee the export into the file.
-			sink = assertion.NewMultiSink(httpSink, sink)
+			sink = assertion.NewMultiSink(httpSink, jsonlSink)
 		}
 	}
 
@@ -219,17 +225,21 @@ func main() {
 	wg.Wait()
 	// Close drains the pipeline, flushes the recorder and closes the
 	// pool-owned sink; any sink error surfaces here. Drops must never be
-	// silent: the error then already carries the recorder's drop count, so
-	// the exit line names it once, out of the total, beside the sink's
-	// own error.
+	// silent: the exit line names each backend's drops out of the total,
+	// beside the sink's own error. A tee hands every violation to both
+	// backends, so one sum over them would count a violation twice.
 	if err := pool.Close(); err != nil {
-		if n := pool.Recorder().SinkDropped(); n > 0 && sink.Err() != nil {
-			by := ""
+		if pool.Recorder().SinkDropped() > 0 && sink.Err() != nil {
+			var drops []string
 			if httpSink != nil {
-				by = fmt.Sprintf("; export drops by reason %+v", httpSink.Stats().Drops)
+				drops = append(drops, fmt.Sprintf("export sink dropped %d of %d violations; export drops by reason %+v",
+					httpSink.Dropped(), pool.TotalFired(), httpSink.Stats().Drops))
 			}
-			log.Fatalf("drain monitor pool: %v (sink dropped %d of %d violations%s)",
-				sink.Err(), n, pool.TotalFired(), by)
+			if jsonlSink != nil {
+				drops = append(drops, fmt.Sprintf("log sink dropped %d of %d violations",
+					jsonlSink.Dropped(), pool.TotalFired()))
+			}
+			log.Fatalf("drain monitor pool: %v (%s)", sink.Err(), strings.Join(drops, "; "))
 		}
 		log.Fatalf("drain monitor pool: %v", err)
 	}

@@ -140,7 +140,8 @@ func TestEndToEndBadSinkFlags(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "v.jsonl")
 	// The removed backend selectors exit 2 before running, and an
 	// exporter knob without an exporter exits 1 naming the flag: none may
-	// run silently without the sink the caller asked for.
+	// run silently without the sink the caller asked for. A count below
+	// one exits 1 naming the flag, rather than running some default.
 	for _, tc := range []struct {
 		args []string
 		code int
@@ -152,6 +153,9 @@ func TestEndToEndBadSinkFlags(t *testing.T) {
 		{[]string{"-frames", "50", "-wire", "bogus"}, 1, "-wire requires -export-url"},
 		{[]string{"-frames", "50", "-log", logPath, "-export-batch", "32"}, 1, "-export-batch requires -export-url"},
 		{[]string{"-frames", "50", "-export-deadline", "1s"}, 1, "-export-deadline requires -export-url"},
+		{[]string{"-frames", "0"}, 1, "-frames must be >= 1"},
+		{[]string{"-frames", "-5"}, 1, "-frames must be >= 1"},
+		{[]string{"-frames", "50", "-streams", "0"}, 1, "-streams must be >= 1"},
 	} {
 		out, err := exec.Command(bin, tc.args...).CombinedOutput()
 		ee, ok := err.(*exec.ExitError)
@@ -361,6 +365,39 @@ func TestEndToEndEdgeMetricsAndDebug(t *testing.T) {
 	out := tail.String()
 	if !regexp.MustCompile(`exported \d+ violations in \d+ batches .* \(\d+ retries, \d+ dropped, \d+ queued\)`).MatchString(out) {
 		t.Fatalf("export summary with sink stats missing from output:\n%s", out)
+	}
+}
+
+// TestEndToEndTeeCountsDropsPerBackend: with -log beside -export-url
+// every violation goes to both backends, so when both fail the exit line
+// counts each backend's drops out of the violations recorded, never their
+// sum.
+func TestEndToEndTeeCountsDropsPerBackend(t *testing.T) {
+	bin := needBinary(t)
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail the log's writes")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := "http://" + ln.Addr().String()
+	ln.Close()
+
+	out, err := exec.Command(bin, "-frames", "300", "-log", "/dev/full",
+		"-export-url", refused, "-export-deadline", "300ms").CombinedOutput()
+	if _, ok := err.(*exec.ExitError); !ok {
+		t.Fatalf("want a non-zero exit, got %v:\n%s", err, out)
+	}
+	for _, backend := range []string{"export", "log"} {
+		m := regexp.MustCompile(backend + ` sink dropped (\d+) of (\d+) violations`).FindSubmatch(out)
+		if m == nil {
+			t.Fatalf("%s drop accounting missing from output:\n%s", backend, out)
+		}
+		if dropped, recorded := string(m[1]), string(m[2]); dropped != recorded || recorded == "0" {
+			t.Fatalf("%s sink dropped %s of %s violations; with the backend dead every one, and no more, must be counted:\n%s",
+				backend, dropped, recorded, out)
+		}
 	}
 }
 

@@ -6,8 +6,6 @@
 package activelearn
 
 import (
-	"fmt"
-
 	"omg/internal/bandit"
 	"omg/internal/metrics"
 )
@@ -67,17 +65,6 @@ type Curve struct {
 	// LabelsPerRound echoes the budget for downstream label-efficiency
 	// computations.
 	LabelsPerRound int
-}
-
-// At returns the metric at the given round, or an error if the round was
-// not recorded.
-func (c Curve) At(round int) (float64, error) {
-	for i, r := range c.Rounds {
-		if r == round {
-			return c.Metric[i], nil
-		}
-	}
-	return 0, fmt.Errorf("activelearn: round %d not recorded", round)
 }
 
 // Final returns the last recorded metric.

@@ -112,12 +112,6 @@ func TestCurveHelpers(t *testing.T) {
 		Rounds: []int{1, 2, 3}, Metric: []float64{0.5, 0.6, 0.7},
 		LabelsPerRound: 100,
 	}
-	if v, err := c.At(2); err != nil || v != 0.6 {
-		t.Fatalf("At(2) = %v, %v", v, err)
-	}
-	if _, err := c.At(9); err == nil {
-		t.Fatal("At(9) should error")
-	}
 	if c.Final() != 0.7 {
 		t.Fatalf("Final = %v", c.Final())
 	}

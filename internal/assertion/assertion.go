@@ -210,13 +210,6 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Len returns the number of registered assertions.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.entries)
-}
-
 // Suite returns a stable evaluation view of the current registry contents.
 // The suite's assertion order is the registration order; subsequent
 // registry mutations do not affect a previously obtained suite.

@@ -41,8 +41,8 @@ func TestRegistryAddGet(t *testing.T) {
 	if got.Assertion.Name() != "flicker" {
 		t.Fatalf("name = %q", got.Assertion.Name())
 	}
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d", r.Len())
+	if n := len(r.Names()); n != 1 {
+		t.Fatalf("registered %d, want 1", n)
 	}
 }
 

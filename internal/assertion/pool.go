@@ -21,15 +21,11 @@ var ErrPoolClosed = errors.New("assertion: monitor pool is closed")
 // shard, so per-stream results are independent of the shard count and each
 // stream keeps the total order its window semantics require.
 //
-// Two ingestion paths are offered:
-//
-//   - Observe evaluates synchronously on the owning shard and returns the
-//     severity vector — for a single stream this reproduces Monitor
-//     exactly;
-//   - Enqueue/ObserveBatch queue samples on a bounded per-shard queue
-//     drained by one worker goroutine per shard. A full queue blocks the
-//     producer (explicit backpressure, never silent loss); Flush waits for
-//     the pipeline and the recorder's sink to drain.
+// Samples enter through Enqueue or ObserveBatch, which queue them on a
+// bounded per-shard queue drained by one worker goroutine per shard. A
+// full queue blocks the producer (explicit backpressure, never silent
+// loss); Flush waits for the pipeline and the recorder's sink to drain.
+// The synchronous surface is Monitor.Observe.
 //
 // All streams record into one Recorder, whose statistics are lock-free
 // and whose sink is asynchronous, so the observe path stays
@@ -158,7 +154,7 @@ func WithPoolSink(s Sink) PoolOption {
 }
 
 // NewMonitorPool builds a sharded monitor over the given suite and starts
-// its worker goroutines. Call Close when done with the async path.
+// its worker goroutines. Call Close when done.
 func NewMonitorPool(suite *Suite, opts ...PoolOption) *MonitorPool {
 	cfg := poolConfig{
 		shards:     runtime.GOMAXPROCS(0),
@@ -264,15 +260,6 @@ func (p *MonitorPool) monitorFor(shard int, stream string) *Monitor {
 	return m
 }
 
-// Observe synchronously delivers one sample to its stream's monitor and
-// returns the severity vector. For any single stream this is byte-for-byte
-// the behaviour of Monitor.Observe. Do not mix Observe and Enqueue on the
-// same stream while the async pipeline is non-empty, or the stream's
-// sample order is no longer defined.
-func (p *MonitorPool) Observe(s Sample) Vector {
-	return p.monitorFor(p.shardFor(s.Stream), s.Stream).Observe(s)
-}
-
 // Enqueue queues one sample for asynchronous evaluation on its stream's
 // shard. It blocks while the shard's queue is full (backpressure) and
 // returns ErrPoolClosed after Close.
@@ -361,8 +348,8 @@ func (p *MonitorPool) Flush() error {
 // recorder's sink and closes the pool-owned sink (WithPoolSink), returning
 // the first error. The recorder itself is not closed — a caller that
 // attached its own sink to it should rec.Close() it when the stream is
-// final. Close is idempotent; Observe keeps working afterwards but Enqueue
-// returns ErrPoolClosed.
+// final. Close is idempotent; Enqueue and ObserveBatch return
+// ErrPoolClosed afterwards.
 func (p *MonitorPool) Close() error {
 	p.mu.Lock()
 	first := !p.closed
@@ -476,9 +463,3 @@ func (p *MonitorPool) NumShards() int { return len(p.shards) }
 // or in flight with a worker — the async pipeline's depth, the natural
 // value for a queue-depth gauge on an edge /metrics page.
 func (p *MonitorPool) Pending() int { return p.pending.count() }
-
-// Reset clears every stream monitor's sliding window (e.g. at a
-// deployment boundary) without clearing recorded violations.
-func (p *MonitorPool) Reset() {
-	p.eachMonitor(func(m *Monitor) { m.Reset() })
-}

@@ -2,6 +2,7 @@ package assertion
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -32,17 +33,35 @@ func TestPoolSingleShardMatchesMonitor(t *testing.T) {
 	pool := NewMonitorPool(poolSuite(), WithShards(1), WithPoolWindowSize(4))
 	defer pool.Close()
 
+	var batch []Sample
 	for i := 0; i < 200; i++ {
 		s := Sample{Index: i, Time: float64(i)}
-		want := mon.Observe(s)
-		got := pool.Observe(s)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("sample %d: pool vector %v, monitor vector %v", i, got, want)
+		mon.Observe(s)
+		if i%2 == 0 {
+			if err := pool.Enqueue(s); err != nil {
+				t.Fatal(err)
+			}
+			continue
 		}
+		batch = append(batch, s)
+		if err := pool.ObserveBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		batch = batch[:0]
 	}
-	if mon.Recorder().TotalFired() != pool.Recorder().TotalFired() {
-		t.Fatalf("TotalFired: monitor %d, pool %d",
-			mon.Recorder().TotalFired(), pool.Recorder().TotalFired())
+	if err := pool.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(mon.Recorder().Violations())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(pool.Recorder().Violations())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mon.Recorder().TotalFired() == 0 || !bytes.Equal(got, want) {
+		t.Fatalf("1-shard pool recorded\n%s\nmonitor recorded\n%s", got, want)
 	}
 }
 
@@ -126,7 +145,7 @@ func TestPoolPerStreamOrdering(t *testing.T) {
 
 func TestPoolConcurrentObserveAndRegister(t *testing.T) {
 	// Run with -race: action registration must be safe against in-flight
-	// Observe/Enqueue traffic.
+	// Enqueue/ObserveBatch traffic.
 	var fired sync.Map
 	pool := NewMonitorPool(poolSuite(), WithShards(4))
 	defer pool.Close()
@@ -139,10 +158,14 @@ func TestPoolConcurrentObserveAndRegister(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("s-%d", g)
+				var err error
 				if i%2 == 0 {
-					pool.Observe(Sample{Stream: key, Index: i})
-				} else if err := pool.Enqueue(Sample{Stream: key, Index: i}); err != nil {
-					t.Errorf("Enqueue: %v", err)
+					err = pool.ObserveBatch([]Sample{{Stream: key, Index: i}})
+				} else {
+					err = pool.Enqueue(Sample{Stream: key, Index: i})
+				}
+				if err != nil {
+					t.Errorf("observe: %v", err)
 					return
 				}
 			}
@@ -264,23 +287,6 @@ func TestPoolStreamsJSONLWithStreamKey(t *testing.T) {
 	}
 }
 
-func TestPoolReset(t *testing.T) {
-	var lastLen int
-	a := New("len", func(w []Sample) float64 { lastLen = len(w); return 0 })
-	pool := NewMonitorPool(NewSuite(a), WithShards(1), WithPoolWindowSize(10))
-	defer pool.Close()
-	pool.Observe(Sample{Index: 0})
-	pool.Observe(Sample{Index: 1})
-	pool.Reset()
-	pool.Observe(Sample{Index: 2})
-	if lastLen != 1 {
-		t.Fatalf("window after Reset = %d, want 1", lastLen)
-	}
-	if pool.Observed() != 3 {
-		t.Fatalf("Observed = %d", pool.Observed())
-	}
-}
-
 // drive pushes perStream samples for each of n streams through the pool's
 // async path and flushes.
 func drive(t *testing.T, pool *MonitorPool, streams, perStream int) {
@@ -334,7 +340,8 @@ func TestPoolBooksBalanceAcrossClose(t *testing.T) {
 	if err := pool.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	pool.Observe(Sample{Stream: "cam-0", Index: 25}) // fires into the closed sink
+	// What a stream monitor records after Close goes into the closed sink.
+	pool.Recorder().Record(Violation{Assertion: "always", Stream: "cam-0", SampleIndex: 25})
 	dropped := pool.Recorder().SinkDropped()
 	if dropped != 1 {
 		t.Fatalf("SinkDropped = %d, want the 1 violation recorded after Close", dropped)
@@ -356,7 +363,10 @@ func TestPoolPerStreamConcurrentViews(t *testing.T) {
 			defer wg.Done()
 			key := fmt.Sprintf("s-%d", g)
 			for i := 0; i < 300; i++ {
-				pool.Observe(Sample{Stream: key, Index: i})
+				if err := pool.Enqueue(Sample{Stream: key, Index: i}); err != nil {
+					t.Errorf("Enqueue: %v", err)
+					return
+				}
 			}
 		}(g)
 	}

@@ -43,9 +43,9 @@ func (s *countingState) Check(w []Sample) float64 {
 func (s *countingState) Reset() { s.resets++ }
 
 // TestMonitorEvaluatesThroughState checks the seam's wiring: a Monitor
-// builds one State per Stateful assertion and evaluates through it, Reset
-// (on a Monitor and on a MonitorPool) resets it, plain assertions and
-// Suite.Evaluate keep calling Check.
+// builds one State per Stateful assertion and evaluates through it,
+// Monitor.Reset resets it, a MonitorPool builds one per stream, plain
+// assertions and Suite.Evaluate keep calling Check.
 func TestMonitorEvaluatesThroughState(t *testing.T) {
 	a := &countingStateful{name: "stateful"}
 	plainChecks := 0
@@ -77,20 +77,25 @@ func TestMonitorEvaluatesThroughState(t *testing.T) {
 		t.Fatalf("Suite.Evaluate called Check %d times, want 1", a.checks)
 	}
 
-	pool := NewMonitorPool(suite, WithPoolWindowSize(3), WithShards(2))
+	// One shard, so one worker: the counters above are not synchronised.
+	pool := NewMonitorPool(suite, WithPoolWindowSize(3), WithShards(1))
 	defer pool.Close()
 	for i := 0; i < 4; i++ {
 		for _, stream := range []string{"a", "b"} {
-			pool.Observe(Sample{Stream: stream, Index: i})
+			if err := pool.Enqueue(Sample{Stream: stream, Index: i}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	pool.Reset()
+	if err := pool.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if a.newStates != 3 {
 		t.Fatalf("%d states after two pool streams, want 3", a.newStates)
 	}
 	for _, st := range a.states[1:] {
-		if st.checks != 4 || st.resets != 1 {
-			t.Fatalf("pool stream state: %d checks, %d resets; want 4, 1", st.checks, st.resets)
+		if st.checks != 4 || st.resets != 0 {
+			t.Fatalf("pool stream state: %d checks, %d resets; want 4, 0", st.checks, st.resets)
 		}
 	}
 }

@@ -89,8 +89,9 @@ func referenceCount(g *Generator[obj], name string, win []TimedOutputs[obj]) flo
 	return float64(n)
 }
 
-// oracleCase is one stream of the differential test with a mid-stream
-// window reset, and the reference severity vector of every sample.
+// oracleCase is one stream of the differential test with a window reset
+// at resetAt (none when resetAt is len(samples)), and the reference
+// severity vector of every sample.
 type oracleCase struct {
 	stream  []TimedOutputs[obj]
 	samples []assertion.Sample
@@ -105,13 +106,29 @@ func newOracleCase(g *Generator[obj], names []string, r *rand.Rand, window, n, r
 		if len(c.stream[i].Outputs) == 0 && i%5 == 0 {
 			c.samples[i].Output = "not-an-output-slice" // decodes as empty
 		}
+	}
+	c.want = c.reference(g, names, window)
+	return c
+}
+
+// reference is the severity vector of every sample under c.resetAt.
+func (c oracleCase) reference(g *Generator[obj], names []string, window int) [][]float64 {
+	var want [][]float64
+	for i := range c.samples {
 		win := c.stream[c.oldest(i, window) : i+1]
 		row := make([]float64, len(names))
 		for j, name := range names {
 			row[j] = referenceCount(g, name, win)
 		}
-		c.want = append(c.want, row)
+		want = append(want, row)
 	}
+	return want
+}
+
+// withoutReset is the same stream with nothing resetting its window.
+func (c oracleCase) withoutReset(g *Generator[obj], names []string, window int) oracleCase {
+	c.resetAt = len(c.samples)
+	c.want = c.reference(g, names, window)
 	return c
 }
 
@@ -125,10 +142,12 @@ func (c oracleCase) oldest(i, size int) int {
 }
 
 // TestStateMatchesWindowReference is the differential oracle for the
-// incremental evaluation: through a Monitor, MonitorPool.Observe and
-// MonitorPool.ObserveBatch, each generated assertion's severity equals
-// the full-stream reference count over the same window, as does the
-// stateless Check, across window sizes and a mid-stream Reset.
+// incremental evaluation: through a Monitor, across a mid-stream Reset,
+// each generated assertion's severity equals the full-stream reference
+// count over the same window, as does the stateless Check; through
+// MonitorPool.Enqueue and MonitorPool.ObserveBatch, the recorded
+// violations are the reference's positive severities. All across window
+// sizes.
 func TestStateMatchesWindowReference(t *testing.T) {
 	g := MustNew(objConfig(objT))
 	suite := assertion.NewSuite(g.Assertions()...)
@@ -140,7 +159,8 @@ func TestStateMatchesWindowReference(t *testing.T) {
 	for _, size := range []int{1, 2, 3, 8, 16, 100} {
 		for seed := int64(1); seed <= 3; seed++ {
 			r := rand.New(rand.NewSource(seed*1000 + int64(size)))
-			// One pool Reset restarts both streams, so they share resetAt.
+			// The Monitor leg resets cases[0] at resetAt; the pool legs
+			// run both streams without a reset.
 			resetAt := 80 + r.Intn(80)
 			cases := []oracleCase{
 				newOracleCase(g, names, r, size, 240, resetAt),
@@ -169,27 +189,52 @@ func TestStateMatchesWindowReference(t *testing.T) {
 				}
 			}
 
-			// MonitorPool.Observe over two interleaved streams.
-			pool := assertion.NewMonitorPool(suite, assertion.WithPoolWindowSize(size), assertion.WithShards(2))
-			for i := range c.samples {
-				if i == c.resetAt {
-					pool.Reset()
-				}
-				for k, oc := range cases {
-					s := oc.samples[i]
-					s.Stream = fmt.Sprintf("s%d", k)
-					vec := pool.Observe(s)
-					for j := range names {
-						if vec[j] != oc.want[i][j] {
-							t.Fatalf("%s: pool.Observe stream %d %s at sample %d = %v, reference %v", ctx, k, names[j], i, vec[j], oc.want[i][j])
+			// The pool legs: two interleaved streams, no reset.
+			streams := []oracleCase{
+				cases[0].withoutReset(g, names, size),
+				cases[1].withoutReset(g, names, size),
+			}
+			var want []string
+			for k, oc := range streams {
+				for i, row := range oc.want {
+					for j, sev := range row {
+						if sev > 0 {
+							want = append(want, fmt.Sprintf("s%d/%d/%s/%v", k, i, names[j], sev))
 						}
 					}
 				}
 			}
-			pool.Close()
+			sort.Strings(want)
+			checkRecorded := func(leg string, pool *assertion.MonitorPool) {
+				t.Helper()
+				if err := pool.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				var got []string
+				for _, v := range pool.Violations() {
+					got = append(got, fmt.Sprintf("%s/%d/%s/%v", v.Stream, v.SampleIndex, v.Assertion, v.Severity))
+				}
+				pool.Close()
+				sort.Strings(got)
+				if strings.Join(got, "\n") != strings.Join(want, "\n") {
+					t.Fatalf("%s: %s recorded %d violations, reference %d", ctx, leg, len(got), len(want))
+				}
+			}
 
-			// MonitorPool.ObserveBatch: the recorded violations are the
-			// reference's positive severities.
+			// MonitorPool.Enqueue, one sample at a time.
+			pool := assertion.NewMonitorPool(suite, assertion.WithPoolWindowSize(size), assertion.WithShards(2))
+			for i := range c.samples {
+				for k, oc := range streams {
+					s := oc.samples[i]
+					s.Stream = fmt.Sprintf("s%d", k)
+					if err := pool.Enqueue(s); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			checkRecorded("Enqueue", pool)
+
+			// MonitorPool.ObserveBatch, in batches of random length.
 			pool = assertion.NewMonitorPool(suite, assertion.WithPoolWindowSize(size), assertion.WithShards(2))
 			var batch []assertion.Sample
 			flush := func() {
@@ -199,14 +244,7 @@ func TestStateMatchesWindowReference(t *testing.T) {
 				batch = batch[:0]
 			}
 			for i := range c.samples {
-				if i == c.resetAt {
-					flush()
-					if err := pool.Flush(); err != nil {
-						t.Fatal(err)
-					}
-					pool.Reset()
-				}
-				for k, oc := range cases {
+				for k, oc := range streams {
 					s := oc.samples[i]
 					s.Stream = fmt.Sprintf("s%d", k)
 					batch = append(batch, s)
@@ -216,28 +254,7 @@ func TestStateMatchesWindowReference(t *testing.T) {
 				}
 			}
 			flush()
-			if err := pool.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			var want, got []string
-			for k, oc := range cases {
-				for i, row := range oc.want {
-					for j, sev := range row {
-						if sev > 0 {
-							want = append(want, fmt.Sprintf("s%d/%d/%s/%v", k, i, names[j], sev))
-						}
-					}
-				}
-			}
-			for _, v := range pool.Violations() {
-				got = append(got, fmt.Sprintf("%s/%d/%s/%v", v.Stream, v.SampleIndex, v.Assertion, v.Severity))
-			}
-			pool.Close()
-			sort.Strings(want)
-			sort.Strings(got)
-			if strings.Join(got, "\n") != strings.Join(want, "\n") {
-				t.Fatalf("%s: ObserveBatch recorded %d violations, reference %d", ctx, len(got), len(want))
-			}
+			checkRecorded("ObserveBatch", pool)
 		}
 	}
 	for j, n := range fired {

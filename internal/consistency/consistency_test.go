@@ -309,8 +309,8 @@ func TestRegisterAddsAllWithMeta(t *testing.T) {
 	if err := g.Register(reg, assertion.Meta{Domain: "tv-news"}); err != nil {
 		t.Fatal(err)
 	}
-	if reg.Len() != 4 {
-		t.Fatalf("registered %d, want 4", reg.Len())
+	if n := len(reg.Names()); n != 4 {
+		t.Fatalf("registered %d, want 4", n)
 	}
 	e, _ := reg.Get("news:flicker")
 	if e.Meta.Kind != "consistency" || e.Meta.Domain != "tv-news" {

@@ -56,15 +56,6 @@ const (
 	numModes
 )
 
-// Modes lists all error modes in order.
-func Modes() []Mode {
-	out := make([]Mode, numModes)
-	for i := range out {
-		out[i] = Mode(i)
-	}
-	return out
-}
-
 // String implements fmt.Stringer.
 func (m Mode) String() string {
 	switch m {
@@ -205,16 +196,6 @@ func New(seed int64, params Params) *Model {
 	}
 }
 
-// Clone returns an independent copy of the model (used by active-learning
-// experiments to reset training state between strategies).
-func (m *Model) Clone() *Model {
-	c := New(m.seed, m.params)
-	for k, v := range m.exposure {
-		c.exposure[k] = v
-	}
-	return c
-}
-
 // Rate returns the current error rate for the mode.
 func (m *Model) Rate(mode Mode) float64 {
 	p, ok := m.params.Modes[mode]
@@ -222,17 +203,6 @@ func (m *Model) Rate(mode Mode) float64 {
 		return 0
 	}
 	return p.Floor + (p.Base-p.Floor)*math.Exp(-m.exposure[mode]/p.Tau)
-}
-
-// Exposure returns the accumulated effective exposure for the mode.
-func (m *Model) Exposure(mode Mode) float64 { return m.exposure[mode] }
-
-// AddExposure directly adds effective exposure to a mode (used by weak
-// supervision, which teaches specific modes).
-func (m *Model) AddExposure(mode Mode, amount float64) {
-	if amount > 0 {
-		m.exposure[mode] += amount
-	}
 }
 
 // event domains keep hash streams for different decisions disjoint.

@@ -168,9 +168,6 @@ func (d *Domain) Reset(seed int64) {
 // Model exposes the camera model under improvement.
 func (d *Domain) Model() *detection.Model { return d.camModel }
 
-// Camera exposes the rig's camera.
-func (d *Domain) Camera() geometry.Camera { return d.cam }
-
 // LidarDetector exposes the fixed LIDAR model.
 func (d *Domain) LidarDetector() *lidar.Detector { return d.lidarDet }
 

@@ -110,9 +110,6 @@ func (d *Domain) Reset(seed int64) {
 // Model exposes the classifier (for weak supervision).
 func (d *Domain) Model() *ecg.Classifier { return d.model }
 
-// Generator exposes the consistency generator.
-func (d *Domain) Generator() *consistency.Generator[string] { return d.gen }
-
 // Train implements activelearn.Domain.
 func (d *Domain) Train(indices []int) {
 	recs := make([]ecg.Record, 0, len(indices))
@@ -164,12 +161,6 @@ func (d *Domain) Assess() []bandit.Candidate {
 		}
 	}
 	return out
-}
-
-// Suite returns the runtime-monitoring suite: the single generated
-// flicker assertion over per-segment predictions.
-func (d *Domain) Suite() *assertion.Suite {
-	return assertion.NewSuite(d.gen.Assertions()...)
 }
 
 // WeakSupervisionResult reports the Table 4 ECG weak-supervision run.

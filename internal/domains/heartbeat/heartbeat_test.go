@@ -3,6 +3,7 @@ package heartbeat
 import (
 	"testing"
 
+	"omg/internal/assertion"
 	"omg/internal/ecg"
 )
 
@@ -109,7 +110,7 @@ func TestPredictionStream(t *testing.T) {
 
 func TestSuiteSingleAssertion(t *testing.T) {
 	d := smallDomain(t)
-	suite := d.Suite()
+	suite := assertion.NewSuite(d.gen.Assertions()...)
 	if suite.Len() != 1 || suite.Names()[0] != AssertionName {
 		t.Fatalf("suite = %v", suite.Names())
 	}

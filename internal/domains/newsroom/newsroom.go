@@ -6,7 +6,6 @@
 package newsroom
 
 import (
-	"omg/internal/assertion"
 	"omg/internal/consistency"
 	"omg/internal/tvnews"
 )
@@ -43,14 +42,6 @@ func ConsistencyConfig() consistency.Config[tvnews.Detection] {
 		// assertions rarely apply; attribute consistency is the workhorse.
 		T: 1,
 	}
-}
-
-// Generator exposes the consistency generator.
-func (d *Domain) Generator() *consistency.Generator[tvnews.Detection] { return d.gen }
-
-// Suite returns the generated assertions as a monitoring suite.
-func (d *Domain) Suite() *assertion.Suite {
-	return assertion.NewSuite(d.gen.Assertions()...)
 }
 
 // Stream converts the archive's detections into the consistency stream

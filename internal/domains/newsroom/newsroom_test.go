@@ -3,6 +3,7 @@ package newsroom
 import (
 	"testing"
 
+	"omg/internal/assertion"
 	"omg/internal/tvnews"
 )
 
@@ -13,7 +14,7 @@ func smallDomain(t *testing.T) *Domain {
 
 func TestSuiteContents(t *testing.T) {
 	d := smallDomain(t)
-	names := d.Suite().Names()
+	names := assertion.NewSuite(d.gen.Assertions()...).Names()
 	want := map[string]bool{
 		"news:attr:identity": true, "news:attr:gender": true,
 		"news:attr:hair": true, "news:flicker": true, "news:appear": true,

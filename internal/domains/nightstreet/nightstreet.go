@@ -188,17 +188,8 @@ func (d *Domain) Reset(seed int64) {
 	d.model = detection.New(simrand.DeriveSeed(seed, "night-street-model"), detection.DefaultParams())
 }
 
-// Model exposes the current detector (for weak-supervision experiments).
-func (d *Domain) Model() *detection.Model { return d.model }
-
 // Pool exposes the unlabeled pool frames.
 func (d *Domain) Pool() []video.Frame { return d.pool }
-
-// Test exposes the held-out frames.
-func (d *Domain) Test() []video.Frame { return d.test }
-
-// Generator exposes the consistency generator.
-func (d *Domain) Generator() *consistency.Generator[TrackedBox] { return d.gen }
 
 // Train implements activelearn.Domain.
 func (d *Domain) Train(indices []int) {
@@ -332,26 +323,4 @@ func (d *Domain) Suite() *assertion.Suite {
 		return Multibox(boxes, iou)
 	})
 	return assertion.NewSuite(flicker, appear, multibox)
-}
-
-// Registry returns an assertion database holding the domain's three
-// assertions with their metadata, as a team would register them (§2.3).
-func (d *Domain) Registry() *assertion.Registry {
-	reg := assertion.NewRegistry()
-	for _, a := range d.Suite().Assertions() {
-		kind := "consistency"
-		desc := "identifier temporal consistency (§4)"
-		if a.Name() == "vehicle:multibox" {
-			kind = "domain-knowledge"
-			desc = "three vehicles should not highly overlap"
-		}
-		if err := reg.AddWithMeta(a, assertion.Meta{
-			Description: desc,
-			Domain:      "video-analytics",
-			Kind:        kind,
-		}); err != nil {
-			panic(err) // unreachable: suite names are unique by construction
-		}
-	}
-	return reg
 }

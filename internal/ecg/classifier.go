@@ -71,12 +71,6 @@ func NewClassifier(seed int64, params ClassifierParams) *Classifier {
 	return &Classifier{seed: seed, params: params}
 }
 
-// Clone returns an independent copy.
-func (c *Classifier) Clone() *Classifier {
-	cp := *c
-	return &cp
-}
-
 // ErrorRate returns the current confusion rate on ordinary segments.
 func (c *Classifier) ErrorRate() float64 {
 	p := c.params

@@ -223,19 +223,6 @@ func TestTrainWeakOscillationTargetsOscMode(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	c := NewClassifier(1, DefaultClassifierParams())
-	c.Train(records(t, 200), 1)
-	cp := c.Clone()
-	if cp.ErrorRate() != c.ErrorRate() {
-		t.Fatal("clone differs")
-	}
-	cp.Train(records(t, 200), 1)
-	if cp.ErrorRate() >= c.ErrorRate() {
-		t.Fatal("clone not independent")
-	}
-}
-
 func TestAccuracyEmpty(t *testing.T) {
 	c := NewClassifier(1, DefaultClassifierParams())
 	if got := c.Accuracy(nil); got != 0 {

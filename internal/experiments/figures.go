@@ -140,22 +140,6 @@ func Figure4a(s Scale) ALResult {
 	return ALResult{Domain: d.Name(), Curves: curves, LabelSavingsPct: savings, Target: target}
 }
 
-// Figure4aWithBAL runs only BAL (with the given configuration) on the
-// night-street domain: the ablation entry point for the exploration
-// fraction, fallback threshold and rank-power design choices.
-func Figure4aWithBAL(s Scale, cfg bandit.BALConfig) ALResult {
-	d := nightstreet.New(nightstreet.Config{
-		Seed:       simrand.DeriveSeed(s.Seed, "video"),
-		PoolFrames: s.VideoPoolFrames, TestFrames: s.VideoTestFrames,
-	})
-	curves := activelearn.RunAll(d, []bandit.Selector{
-		bandit.NewBAL(simrand.DeriveSeed(s.Seed, "sel-bal"), cfg),
-	}, activelearn.Config{
-		Rounds: s.Rounds, Budget: s.VideoBudget, Trials: s.TrialsVideo, Seed: s.Seed,
-	})
-	return ALResult{Domain: d.Name(), Curves: curves, LabelSavingsPct: -1}
-}
-
 // Figure4b runs the NuScenes-style comparison (Figures 4b and 9b).
 func Figure4b(s Scale) ALResult {
 	d := avscenes.New(avscenes.Config{

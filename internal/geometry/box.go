@@ -106,11 +106,6 @@ func (b Box2D) IoU(o Box2D) float64 {
 	return inter / union
 }
 
-// Overlaps reports whether the boxes share positive area.
-func (b Box2D) Overlaps(o Box2D) bool {
-	return b.IntersectionArea(o) > 0
-}
-
 // Contains reports whether the point (x, y) lies inside the box
 // (inclusive).
 func (b Box2D) Contains(x, y float64) bool {
@@ -158,19 +153,8 @@ type Vec3 struct {
 	X, Y, Z float64
 }
 
-// Add returns v + o.
-func (v Vec3) Add(o Vec3) Vec3 { return Vec3{v.X + o.X, v.Y + o.Y, v.Z + o.Z} }
-
 // Sub returns v - o.
 func (v Vec3) Sub(o Vec3) Vec3 { return Vec3{v.X - o.X, v.Y - o.Y, v.Z - o.Z} }
-
-// Scale returns v scaled by s.
-func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
-
-// Norm returns the Euclidean length of v.
-func (v Vec3) Norm() float64 {
-	return math.Sqrt(v.X*v.X + v.Y*v.Y + v.Z*v.Z)
-}
 
 // Box3D is an upright (gravity-aligned) 3D bounding box: a centre, extents
 // along the object's local axes, and a yaw rotation about the vertical (z)
@@ -212,29 +196,6 @@ func (b Box3D) Corners() [8]Vec3 {
 		out[i+4] = Vec3{X: x, Y: y, Z: b.Center.Z + h2}
 	}
 	return out
-}
-
-// BEVBox returns the axis-aligned bird's-eye-view footprint of the box in
-// the ground (x, y) plane. It is a conservative bound of the rotated
-// footprint, sufficient for the coarse overlap checks used by assertions.
-func (b Box3D) BEVBox() Box2D {
-	corners := b.Corners()
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for _, c := range corners[:4] {
-		minX = math.Min(minX, c.X)
-		maxX = math.Max(maxX, c.X)
-		minY = math.Min(minY, c.Y)
-		maxY = math.Max(maxY, c.Y)
-	}
-	return Box2D{X1: minX, Y1: minY, X2: maxX, Y2: maxY}
-}
-
-// BEVIoU returns the IoU of the two boxes' axis-aligned bird's-eye-view
-// footprints. It is an approximation of rotated-box IoU that is exact for
-// axis-aligned boxes and adequate for assertion-level overlap checks.
-func (b Box3D) BEVIoU(o Box3D) float64 {
-	return b.BEVBox().IoU(o.BEVBox())
 }
 
 // String implements fmt.Stringer.

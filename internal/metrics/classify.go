@@ -1,160 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
-
-// ConfusionMatrix accumulates classification outcomes keyed by
-// (trueClass, predictedClass).
-type ConfusionMatrix struct {
-	counts  map[string]map[string]int
-	classes map[string]bool
-}
-
-// NewConfusionMatrix returns an empty confusion matrix.
-func NewConfusionMatrix() *ConfusionMatrix {
-	return &ConfusionMatrix{
-		counts:  make(map[string]map[string]int),
-		classes: make(map[string]bool),
-	}
-}
-
-// Add records one observation with the given true and predicted classes.
-func (m *ConfusionMatrix) Add(trueClass, predClass string) {
-	row, ok := m.counts[trueClass]
-	if !ok {
-		row = make(map[string]int)
-		m.counts[trueClass] = row
-	}
-	row[predClass]++
-	m.classes[trueClass] = true
-	m.classes[predClass] = true
-}
-
-// Count returns the number of observations with the given true and
-// predicted classes.
-func (m *ConfusionMatrix) Count(trueClass, predClass string) int {
-	return m.counts[trueClass][predClass]
-}
-
-// Total returns the total number of observations.
-func (m *ConfusionMatrix) Total() int {
-	n := 0
-	for _, row := range m.counts {
-		for _, c := range row {
-			n += c
-		}
-	}
-	return n
-}
-
-// Correct returns the number of observations on the diagonal.
-func (m *ConfusionMatrix) Correct() int {
-	n := 0
-	for tc, row := range m.counts {
-		n += row[tc]
-	}
-	return n
-}
-
-// Accuracy returns overall accuracy; 0 if the matrix is empty.
-func (m *ConfusionMatrix) Accuracy() float64 {
-	total := m.Total()
-	if total == 0 {
-		return 0
-	}
-	return float64(m.Correct()) / float64(total)
-}
-
-// Classes returns the sorted set of classes seen either as truth or
-// prediction.
-func (m *ConfusionMatrix) Classes() []string {
-	out := make([]string, 0, len(m.classes))
-	for c := range m.classes {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Precision returns the precision for the given class: of everything
-// predicted as class, how much truly was. Returns 0 when the class was
-// never predicted.
-func (m *ConfusionMatrix) Precision(class string) float64 {
-	tp := m.Count(class, class)
-	predicted := 0
-	for tc := range m.counts {
-		predicted += m.counts[tc][class]
-	}
-	if predicted == 0 {
-		return 0
-	}
-	return float64(tp) / float64(predicted)
-}
-
-// Recall returns the recall for the given class: of everything truly of
-// class, how much was predicted as such. Returns 0 when the class never
-// appears as truth.
-func (m *ConfusionMatrix) Recall(class string) float64 {
-	tp := m.Count(class, class)
-	actual := 0
-	for _, c := range m.counts[class] {
-		actual += c
-	}
-	if actual == 0 {
-		return 0
-	}
-	return float64(tp) / float64(actual)
-}
-
-// F1 returns the harmonic mean of precision and recall for the class.
-func (m *ConfusionMatrix) F1(class string) float64 {
-	p, r := m.Precision(class), m.Recall(class)
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
-// MacroF1 returns the unweighted mean F1 across classes that appear as
-// ground truth.
-func (m *ConfusionMatrix) MacroF1() float64 {
-	sum, n := 0.0, 0
-	for _, c := range m.Classes() {
-		if len(m.counts[c]) == 0 {
-			continue // never a true class
-		}
-		sum += m.F1(c)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// String renders the matrix as an aligned text table (rows: truth,
-// columns: prediction).
-func (m *ConfusionMatrix) String() string {
-	classes := m.Classes()
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s", "true\\pred")
-	for _, c := range classes {
-		fmt.Fprintf(&b, "%8s", c)
-	}
-	b.WriteByte('\n')
-	for _, tc := range classes {
-		fmt.Fprintf(&b, "%-10s", tc)
-		for _, pc := range classes {
-			fmt.Fprintf(&b, "%8d", m.Count(tc, pc))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
+import "math"
 
 // Accuracy is a convenience for computing accuracy from parallel slices of
 // truth and prediction. It panics if the slices have different lengths.
@@ -172,30 +18,6 @@ func Accuracy(truth, pred []string) float64 {
 		}
 	}
 	return float64(correct) / float64(len(truth))
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) of values using
-// linear interpolation between closest ranks. It panics on an empty slice.
-func Percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		panic("metrics: Percentile of empty slice")
-	}
-	sorted := make([]float64, len(values))
-	copy(sorted, values)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
 // PercentileRank returns the percentage of values strictly less than v,

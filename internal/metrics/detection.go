@@ -1,7 +1,7 @@
 // Package metrics implements the evaluation metrics used throughout the
 // paper's experiments: mean average precision (mAP) for object detection
-// (Figures 4, 9 and Table 4) and classification accuracy / confusion
-// matrices for the ECG domain (Figure 5, Table 4).
+// (Figures 4, 9 and Table 4) and the summary statistics the experiments
+// report (mean, standard deviation, percentile rank).
 //
 // The detection metric is a full implementation — greedy confidence-ordered
 // matching against ground truth at a configurable IoU threshold, all-point

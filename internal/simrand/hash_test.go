@@ -54,52 +54,6 @@ func TestHashRNGDeterministic(t *testing.T) {
 	}
 }
 
-func TestHashGaussianMoments(t *testing.T) {
-	const n = 50000
-	sum, sumsq := 0.0, 0.0
-	for i := int64(0); i < n; i++ {
-		v := HashGaussian(3, i)
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("gaussian mean = %v", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("gaussian variance = %v", variance)
-	}
-}
-
-func TestInvNormCDFKnownValues(t *testing.T) {
-	cases := []struct{ p, want float64 }{
-		{0.5, 0},
-		{0.975, 1.959964},
-		{0.025, -1.959964},
-		{0.8413, 0.99982}, // ~1 sigma
-	}
-	for _, c := range cases {
-		if got := invNormCDF(c.p); math.Abs(got-c.want) > 1e-3 {
-			t.Errorf("invNormCDF(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestQuickInvNormCDFMonotone(t *testing.T) {
-	f := func(a8, b8 uint16) bool {
-		pa := 0.001 + 0.998*float64(a8)/65535
-		pb := 0.001 + 0.998*float64(b8)/65535
-		if pa > pb {
-			pa, pb = pb, pa
-		}
-		return invNormCDF(pa) <= invNormCDF(pb)+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // The monotone-error property: if an event is not realised at rate r, it is
 // also not realised at any lower rate.
 func TestQuickHashUniformMonotoneRealization(t *testing.T) {

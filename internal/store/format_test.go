@@ -56,8 +56,8 @@ type fixtureExpect struct {
 
 // model returns an in-memory store holding exactly the expected state, for
 // assertSame.
-func (e fixtureExpect) model() *MemStore {
-	m := NewMemStore(0)
+func (e fixtureExpect) model() *assertion.MemStore {
+	m := assertion.NewMemStore(0)
 	m.Replace(assertion.RecorderSnapshot{Stats: e.StatsAll, Violations: e.Query, Compacted: e.Compacted})
 	return m
 }

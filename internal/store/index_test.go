@@ -13,7 +13,7 @@ import (
 // indexedStore is a ViolationStore that answers Query from a
 // PostingIndex — both backends.
 type indexedStore interface {
-	ViolationStore
+	assertion.ViolationStore
 	IndexSize() (keys, postings int)
 }
 
@@ -69,7 +69,7 @@ func TestQueryIndexInvariant(t *testing.T) {
 		s     indexedStore
 		limit int
 	}{
-		"mem":     {NewMemStore(ringLimit), ringLimit},
+		"mem":     {assertion.NewMemStore(ringLimit), ringLimit},
 		"segment": {seg, 0},
 	} {
 		t.Run(name, func(t *testing.T) { runIndexInvariant(t, tc.s, tc.limit) })

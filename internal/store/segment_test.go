@@ -11,7 +11,7 @@ import (
 )
 
 // fill appends n violations across a few assertions/streams.
-func fill(t *testing.T, s ViolationStore, n int) []assertion.Violation {
+func fill(t *testing.T, s assertion.ViolationStore, n int) []assertion.Violation {
 	t.Helper()
 	var vs []assertion.Violation
 	for i := 1; i <= n; i++ {
@@ -25,7 +25,7 @@ func fill(t *testing.T, s ViolationStore, n int) []assertion.Violation {
 }
 
 // assertSame asserts two stores hold identical logs and statistics.
-func assertSame(t *testing.T, got, want ViolationStore) {
+func assertSame(t *testing.T, got, want assertion.ViolationStore) {
 	t.Helper()
 	if g, w := got.Query(Query{}), want.Query(Query{}); !reflect.DeepEqual(g, w) {
 		t.Fatalf("Violations mismatch:\n got %+v\nwant %+v", g, w)
@@ -66,8 +66,8 @@ func TestSegmentReopenAfterClose(t *testing.T) {
 
 // mirrorOf copies a store's retained log, statistics and eviction count
 // into a MemStore: the state a reopened SegmentStore must equal.
-func mirrorOf(s ViolationStore) *MemStore {
-	m := NewMemStore(0)
+func mirrorOf(s assertion.ViolationStore) *assertion.MemStore {
+	m := assertion.NewMemStore(0)
 	m.Replace(assertion.RecorderSnapshot{Stats: s.StatsAll(), Violations: s.Query(Query{}), Compacted: s.Compacted()})
 	return m
 }

@@ -2,7 +2,7 @@
 // export collector keeps each ingest shard's queryable violation log and
 // aggregate statistics in.
 //
-// Two backends implement ViolationStore:
+// Two backends implement assertion.ViolationStore:
 //
 //   - MemStore — the in-memory default: a bounded ring-buffer log with
 //     O(1) eviction plus lock-free per-assertion statistics; also what an
@@ -53,14 +53,14 @@
 // through WriteFileAtomic: a temp file, fsync, rename, directory fsync;
 // SweepTemps removes what a crash left of one.
 //
-// The interface and the in-memory backend are declared in
-// internal/assertion and aliased here: Go's import graph forbids
-// assertion -> store (every backend needs the Violation and Stats
-// types), and MemStore is the Recorder's own storage. Aliasing makes the
-// two packages share one set of types, so a *store.SegmentStore is a
-// valid assertion.ViolationStore with no adapter.
+// The interface (assertion.ViolationStore) and the in-memory backend
+// (assertion.MemStore) are declared in internal/assertion: Go's import
+// graph forbids assertion -> store (every backend needs the Violation and
+// Stats types), and MemStore is the Recorder's own storage. The two
+// packages share one set of types, so a *store.SegmentStore is a valid
+// assertion.ViolationStore with no adapter.
 //
-// Beside the interface, both backends take an EvictionObserver
+// Beside the interface, both backends take an assertion.EvictionObserver
 // (SetEvictionObserver on the concrete type): the seam's other direction,
 // through which a store tells its owner what compaction, a ring overflow
 // or a wholesale Replace removed from the retained log. The collector
@@ -70,23 +70,8 @@ package store
 
 import "omg/internal/assertion"
 
-// ViolationStore is the storage seam interface; see
-// assertion.ViolationStore for the contract.
-type ViolationStore = assertion.ViolationStore
-
 // Query selects retained violations from a store.
 type Query = assertion.StoreQuery
 
 // Info describes a store's current shape for metrics.
 type Info = assertion.StoreInfo
-
-// EvictionObserver hears what leaves a backend's retained log; both
-// backends take one through SetEvictionObserver.
-type EvictionObserver = assertion.EvictionObserver
-
-// MemStore is the in-memory backend.
-type MemStore = assertion.MemStore
-
-// NewMemStore returns an in-memory store keeping at most limit
-// violations in its log (0 or negative = unbounded).
-func NewMemStore(limit int) *MemStore { return assertion.NewMemStore(limit) }

@@ -24,15 +24,15 @@ func mkv(name, stream string, i int, sev float64, ingest int64) assertion.Violat
 
 // backends returns a fresh instance of every ViolationStore
 // implementation, keyed by name. The cleanup closes disk-backed stores.
-func backends(t *testing.T) map[string]ViolationStore {
+func backends(t *testing.T) map[string]assertion.ViolationStore {
 	t.Helper()
 	seg, err := Open(Config{Dir: t.TempDir(), SegmentBytes: 1 << 20})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	t.Cleanup(func() { seg.Close() })
-	return map[string]ViolationStore{
-		"mem":     NewMemStore(0),
+	return map[string]assertion.ViolationStore{
+		"mem":     assertion.NewMemStore(0),
 		"segment": seg,
 	}
 }
@@ -198,7 +198,7 @@ func TestContractClear(t *testing.T) {
 
 func TestContractExportReplaceRoundTrip(t *testing.T) {
 	// A legacy (mem-shaped) snapshot restores into either backend.
-	src := NewMemStore(0)
+	src := assertion.NewMemStore(0)
 	for i := 1; i <= 6; i++ {
 		src.Append(mkv("a", "s", i, float64(i), int64(100+i)))
 	}

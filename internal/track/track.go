@@ -43,15 +43,6 @@ type Track struct {
 	lastFrame int
 }
 
-// Frames returns the frame indices the track was observed on.
-func (t *Track) Frames() []int {
-	out := make([]int, len(t.Obs))
-	for i, o := range t.Obs {
-		out[i] = o.Frame
-	}
-	return out
-}
-
 // MajorityClass returns the most common class label across the track's
 // observations, breaking ties lexicographically. Empty tracks return "".
 func (t *Track) MajorityClass() string {

@@ -140,9 +140,8 @@ func TestTrackerObservationBookkeeping(t *testing.T) {
 	if o.Frame != 3 || o.Ref != 42 || o.Score != 0.9 {
 		t.Fatalf("observation = %+v", o)
 	}
-	frames := tracks[0].Frames()
-	if len(frames) != 1 || frames[0] != 3 {
-		t.Fatalf("Frames = %v", frames)
+	if len(tracks[0].Obs) != 1 {
+		t.Fatalf("track has %d observations, want 1", len(tracks[0].Obs))
 	}
 }
 

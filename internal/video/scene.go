@@ -211,36 +211,3 @@ func markOcclusions(objs []Object) {
 		}
 	}
 }
-
-// Stats summarises a generated scene, for tests and reporting.
-type Stats struct {
-	Frames       int
-	Observations int // total object-frame pairs
-	Tracks       int
-	Small        int
-	LowContrast  int
-	Occluded     int
-}
-
-// Summarize computes scene statistics.
-func Summarize(frames []Frame) Stats {
-	s := Stats{Frames: len(frames)}
-	tracks := make(map[int]bool)
-	for _, f := range frames {
-		s.Observations += len(f.Objects)
-		for _, o := range f.Objects {
-			tracks[o.TrackID] = true
-			if o.Small {
-				s.Small++
-			}
-			if o.LowContrast {
-				s.LowContrast++
-			}
-			if o.Occluded {
-				s.Occluded++
-			}
-		}
-	}
-	s.Tracks = len(tracks)
-	return s
-}

@@ -32,7 +32,7 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateSeedMatters(t *testing.T) {
 	a := Generate(Config{Seed: 1, NumFrames: 200})
 	b := Generate(Config{Seed: 2, NumFrames: 200})
-	sa, sb := Summarize(a), Summarize(b)
+	sa, sb := summarize(a), summarize(b)
 	if sa == sb {
 		t.Fatal("different seeds produced identical scene statistics")
 	}
@@ -69,7 +69,7 @@ func TestGenerateObjectsHaveValidBoxes(t *testing.T) {
 }
 
 func TestGenerateProducesActivity(t *testing.T) {
-	s := Summarize(genSmall(t))
+	s := summarize(genSmall(t))
 	if s.Tracks < 10 {
 		t.Fatalf("too few tracks: %d", s.Tracks)
 	}
@@ -130,7 +130,7 @@ func TestGenerateClassStableWithinTrack(t *testing.T) {
 func TestGenerateOcclusionsOccur(t *testing.T) {
 	// A busy scene should contain at least some occlusions.
 	frames := Generate(Config{Seed: 3, NumFrames: 600, SpawnRate: 0.4})
-	if Summarize(frames).Occluded == 0 {
+	if summarize(frames).Occluded == 0 {
 		t.Fatal("busy scene produced no occlusions")
 	}
 }
@@ -163,4 +163,36 @@ func TestMarkOcclusionsDisjoint(t *testing.T) {
 
 func boxAt(x, y, w, h float64) geometry.Box2D {
 	return geometry.NewBox2D(x, y, x+w, y+h)
+}
+
+// sceneStats summarises a generated scene.
+type sceneStats struct {
+	Frames       int
+	Observations int // total object-frame pairs
+	Tracks       int
+	Small        int
+	LowContrast  int
+	Occluded     int
+}
+
+func summarize(frames []Frame) sceneStats {
+	s := sceneStats{Frames: len(frames)}
+	tracks := make(map[int]bool)
+	for _, f := range frames {
+		s.Observations += len(f.Objects)
+		for _, o := range f.Objects {
+			tracks[o.TrackID] = true
+			if o.Small {
+				s.Small++
+			}
+			if o.LowContrast {
+				s.LowContrast++
+			}
+			if o.Occluded {
+				s.Occluded++
+			}
+		}
+	}
+	s.Tracks = len(tracks)
+	return s
 }

@@ -51,10 +51,10 @@ type (
 	// MonitorOption configures a Monitor.
 	MonitorOption = assertion.MonitorOption
 	// MonitorPool is the sharded, pipelined runtime-monitoring component:
-	// samples are routed by Sample.Stream to per-stream monitors, with a
-	// synchronous Observe path and an asynchronous Enqueue/ObserveBatch
-	// path drained by one worker per shard, all recording into one
-	// Recorder.
+	// samples are routed by Sample.Stream to per-stream monitors through
+	// one asynchronous path, Enqueue/ObserveBatch onto bounded queues
+	// drained by one worker per shard, all recording into one Recorder.
+	// The synchronous surface is Monitor.Observe.
 	MonitorPool = assertion.MonitorPool
 	// PoolOption configures a MonitorPool.
 	PoolOption = assertion.PoolOption
