@@ -197,23 +197,6 @@ func BenchmarkIoU(b *testing.B) {
 	}
 }
 
-func BenchmarkNMS100Boxes(b *testing.B) {
-	rng := simrand.New(1)
-	boxes := make([]geometry.ScoredBox, 100)
-	for i := range boxes {
-		cx, cy := rng.Uniform(0, 1000), rng.Uniform(0, 1000)
-		boxes[i] = geometry.ScoredBox{
-			Box:   geometry.BoxFromCenter(cx, cy, 80, 60),
-			Score: rng.Float64(),
-			Index: i,
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = geometry.NMS(boxes, 0.5)
-	}
-}
-
 func BenchmarkMonitorObserve(b *testing.B) {
 	reg := omg.NewRegistry()
 	reg.MustAdd(omg.NewAssertion("noop", func(w []omg.Sample) float64 { return 0 }))

@@ -114,32 +114,11 @@ func TestStatsMaxSevSeverityRanges(t *testing.T) {
 			if st.MaxSev != tc.wantMax {
 				t.Fatalf("MaxSev = %v, want %v", st.MaxSev, tc.wantMax)
 			}
-			// The -Inf seed must survive a snapshot round-trip and further
-			// negative records without leaking into the JSON-facing Stats.
-			r2 := NewMemStore(0)
-			r2.Replace(r.Export())
-			if st2, _ := r2.Stats("a"); st2.MaxSev != tc.wantMax {
-				t.Fatalf("restored MaxSev = %v, want %v", st2.MaxSev, tc.wantMax)
-			}
-			r2.Append(Violation{Assertion: "a", SampleIndex: 99, Severity: tc.wantMax - 1})
-			if st2, _ := r2.Stats("a"); st2.MaxSev != tc.wantMax {
-				t.Fatalf("MaxSev after lower record = %v, want %v", st2.MaxSev, tc.wantMax)
+			r.Append(Violation{Assertion: "a", SampleIndex: 99, Severity: tc.wantMax - 1})
+			if st, _ := r.Stats("a"); st.MaxSev != tc.wantMax {
+				t.Fatalf("MaxSev after lower record = %v, want %v", st.MaxSev, tc.wantMax)
 			}
 		})
-	}
-}
-
-func TestRestoreSnapshotUnfiredCellKeepsSeed(t *testing.T) {
-	// A restored cell that has never fired keeps the -Inf seed, so the
-	// first post-restore record — even a negative one — becomes the max.
-	r := NewMemStore(0)
-	r.Replace(RecorderSnapshot{Stats: map[string]Stats{"a": {Fired: 0}}})
-	if st, _ := r.Stats("a"); st.MaxSev != 0 || math.IsInf(st.MaxSev, -1) {
-		t.Fatalf("unfired restored cell MaxSev = %v, want 0", st.MaxSev)
-	}
-	r.Append(Violation{Assertion: "a", Severity: -2})
-	if st, _ := r.Stats("a"); st.MaxSev != -2 {
-		t.Fatalf("MaxSev after negative record on unfired cell = %v, want -2", st.MaxSev)
 	}
 }
 

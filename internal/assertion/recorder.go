@@ -130,11 +130,6 @@ func (r *violationRing) snapshot() []Violation {
 	return out
 }
 
-func (r *violationRing) clear() {
-	r.buf, r.head = nil, 0
-	r.dropped.Store(0)
-}
-
 // sinkBox holds the attached Sink. Each attach allocates a new box, so
 // Record can tell a swap (a new box) from a sink closed in place (the
 // same box).

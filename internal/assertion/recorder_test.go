@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -138,6 +139,36 @@ func TestRecorderSinkDroppedCountsPostErrorLoss(t *testing.T) {
 	}
 	if got := r.SinkDropped(); got != n {
 		t.Fatalf("SinkDropped after Close = %d, want %d", got, n)
+	}
+}
+
+// TestRecorderSinkDroppedCountsATeeOnce: behind a MultiSink, a violation
+// every backend lost is one lost violation, not one per backend — the
+// count, and the one Err reports, never exceed what was recorded.
+func TestRecorderSinkDroppedCountsATeeOnce(t *testing.T) {
+	const n = 25
+	for name, healthy := range map[string]Sink{
+		"both-failing": NewJSONLSink(failingWriter{}),
+		"one-healthy":  NewJSONLSink(&bytes.Buffer{}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := NewRecorder(0)
+			r.StreamToSink(NewMultiSink(NewJSONLSink(failingWriter{}), healthy))
+			for i := 0; i < n; i++ {
+				r.Record(Violation{Assertion: "a", SampleIndex: i, Severity: 1})
+			}
+			err := r.Flush()
+			if got := r.SinkDropped(); got != n {
+				t.Fatalf("SinkDropped = %d, want %d", got, n)
+			}
+			if want := fmt.Sprintf("(sink dropped %d violations)", n); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Flush = %v, want an error ending %q", err, want)
+			}
+			r.Close()
+			if got := r.SinkDropped(); got != n {
+				t.Fatalf("SinkDropped after Close = %d, want %d", got, n)
+			}
+		})
 	}
 }
 

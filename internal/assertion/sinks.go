@@ -14,7 +14,7 @@ type MultiSink struct {
 	mu     sync.RWMutex // record (read side) vs close (write side)
 	closed bool
 
-	dropped atomic.Int64 // violations a backend refused at Record time
+	refused []atomic.Int64 // violations each backend refused at Record time, index-aligned with sinks
 
 	errs []firstErr // first noted error per backend, index-aligned with sinks
 }
@@ -31,7 +31,7 @@ func NewMultiSink(sinks ...Sink) *MultiSink {
 		}
 		kept[i] = s
 	}
-	return &MultiSink{sinks: kept, errs: make([]firstErr, len(kept))}
+	return &MultiSink{sinks: kept, refused: make([]atomic.Int64, len(kept)), errs: make([]firstErr, len(kept))}
 }
 
 func (s *MultiSink) noteErr(i int, err error) { s.errs[i].set(err) }
@@ -48,7 +48,7 @@ func (s *MultiSink) Record(v Violation) error {
 	for i, child := range s.sinks {
 		if err := child.Record(v); err != nil {
 			s.noteErr(i, err)
-			s.dropped.Add(1)
+			s.refused[i].Add(1)
 		}
 	}
 	return nil
@@ -100,19 +100,21 @@ func (s *MultiSink) Errs() []error {
 	return out
 }
 
-// Dropped sums the drop counts of every backend that exposes one, plus
-// deliveries a backend refused outright at Record time. Counts are per
-// backend delivery: one violation refused by two backends counts twice,
-// so for a fan-out the total can exceed the number of violations
-// recorded.
+// Dropped returns the largest loss of any one backend: its own drop count,
+// when it exposes one, plus the deliveries it refused at Record time. A
+// violation lost by every backend counts once, so the total never exceeds
+// the violations recorded; a caller that needs each backend's loss reads
+// the backends themselves.
 func (s *MultiSink) Dropped() int64 {
-	n := s.dropped.Load()
-	for _, child := range s.sinks {
+	var most int64
+	for i, child := range s.sinks {
+		n := s.refused[i].Load()
 		if dc, ok := child.(DropCounter); ok {
 			n += dc.Dropped()
 		}
+		most = max(most, n)
 	}
-	return n
+	return most
 }
 
 // nopSink discards — and counts — everything; it stands in for nil

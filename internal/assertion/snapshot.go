@@ -3,10 +3,11 @@ package assertion
 import "encoding/json"
 
 // RecorderSnapshot is a point-in-time, JSON-serialisable copy of a store's
-// state (MemStore.Export, ViolationStore.Replace): per-assertion aggregate
-// statistics plus the retained violation log. It is the store half of the
-// legacy collector snapshot file (internal/export), which an offline
-// import migrates into a data directory; the name is the wire format's.
+// state: per-assertion aggregate statistics plus the retained violation
+// log. It is the store half of the legacy collector snapshot file
+// (internal/export), which an offline import (store.Import) writes into a
+// fresh data directory; collectors no longer write one, and the name is the
+// wire format's.
 type RecorderSnapshot struct {
 	// Stats holds each fired assertion's aggregate statistics.
 	Stats map[string]Stats `json:"stats,omitempty"`

@@ -1,7 +1,6 @@
 package assertion
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,10 +30,9 @@ import (
 //
 // The seam's other direction is the EvictionObserver a store's owner may
 // set on the concrete backend (it is not part of ViolationStore): the
-// store reports what leaves its retained log — a ring overflow, a
-// compaction, a wholesale Clear/Replace — so a derived view can be kept
-// current at the rate the log changes instead of re-read whenever it is
-// consulted. The collector's label service keeps its candidate index
+// store reports what leaves its retained log — a ring overflow or a
+// compaction — so a derived view can be kept current at the rate the log
+// changes instead of re-read whenever it is consulted. The collector's label service keeps its candidate index
 // that way; its adds it already hears from the ingest path.
 
 // StoreQuery selects retained violations from a ViolationStore. The zero
@@ -44,11 +42,6 @@ type StoreQuery struct {
 	Assertion string
 	// Stream restricts results to one stream key ("" = any).
 	Stream string
-	// MinIngestUnix / MaxIngestUnix bound the violations' ingest stamps
-	// (inclusive; 0 disables a bound). Violations without an ingest stamp
-	// match only unbounded queries, mirroring retention's age exemption.
-	MinIngestUnix int64
-	MaxIngestUnix int64
 	// Limit keeps only the newest N matches (0 = all).
 	Limit int
 	// ByKey makes "newest" mean greatest by (Time, Stream, SampleIndex)
@@ -66,12 +59,6 @@ func (q StoreQuery) Matches(v Violation) bool {
 		return false
 	}
 	if q.Stream != "" && v.Stream != q.Stream {
-		return false
-	}
-	if q.MinIngestUnix > 0 && (v.IngestUnix == 0 || v.IngestUnix < q.MinIngestUnix) {
-		return false
-	}
-	if q.MaxIngestUnix > 0 && (v.IngestUnix == 0 || v.IngestUnix > q.MaxIngestUnix) {
 		return false
 	}
 	return true
@@ -101,9 +88,6 @@ type EvictionObserver interface {
 	// ObserveEvicted reports violations evicted by the log's own bound or
 	// by a compaction, oldest first.
 	ObserveEvicted(vs []Violation)
-	// ObserveReplaced reports that the whole log was cleared or replaced
-	// (Clear, Replace): whatever was derived from it must be re-read.
-	ObserveReplaced()
 }
 
 // ViolationStore is the violation storage seam: the backend a collector
@@ -150,10 +134,6 @@ type ViolationStore interface {
 	// a few bytes per distinct (assertion, second) instead of a copy of
 	// the log.
 	IngestRuns() map[string][]IngestRun
-	// Replace overwrites the store's state with a snapshot's — how a
-	// legacy snapshot file is imported. It must not be called
-	// concurrently with Append.
-	Replace(snap RecorderSnapshot) error
 	// Sync makes every appended violation durable against process crash
 	// (buffered disk stores flush to the OS; in-memory stores no-op).
 	// Machine-crash durability additionally needs the fsync a disk
@@ -441,57 +421,6 @@ func IngestRunsOf(log []Violation, head int) map[string][]IngestRun {
 	return out
 }
 
-// Export captures the store's state as a recorder snapshot, the shape
-// Replace takes. It is safe to call concurrently with Append; violations
-// appended while the export is being taken may appear in the statistics,
-// the log, both or neither, but each assertion's Stats entry is
-// internally consistent.
-func (m *MemStore) Export() RecorderSnapshot {
-	snap := RecorderSnapshot{Stats: m.StatsAll()}
-	m.mu.Lock()
-	snap.Violations = m.log.snapshot()
-	snap.LogDropped = m.log.dropped.Load()
-	m.mu.Unlock()
-	snap.Compacted = m.compacted.Load()
-	return snap
-}
-
-// Replace implements ViolationStore. When this store's bound is tighter
-// than the snapshotting store's, the oldest restored violations are
-// evicted and counted in Dropped as usual.
-func (m *MemStore) Replace(snap RecorderSnapshot) error {
-	m.Clear()
-	for name, st := range snap.Stats {
-		cell := statsCellFrom(st)
-		m.stats.Store(name, cell)
-	}
-	m.mu.Lock()
-	m.log.dropped.Store(snap.LogDropped)
-	for _, v := range snap.Violations {
-		m.addLocked(v)
-	}
-	m.mu.Unlock()
-	m.compacted.Store(snap.Compacted)
-	return nil
-}
-
-// Clear removes all retained violations and statistics. It must not be
-// called concurrently with Append.
-func (m *MemStore) Clear() {
-	m.mu.Lock()
-	m.log.clear()
-	m.index.Reset()
-	if m.observer != nil {
-		m.observer.ObserveReplaced()
-	}
-	m.mu.Unlock()
-	m.compacted.Store(0)
-	m.stats.Range(func(name, _ any) bool {
-		m.stats.Delete(name)
-		return true
-	})
-}
-
 // Sync implements ViolationStore; an in-memory store has nothing to
 // flush.
 func (m *MemStore) Sync() error { return nil }
@@ -517,19 +446,4 @@ func (m *MemStore) AssertionNames() []string {
 	})
 	sort.Strings(out)
 	return out
-}
-
-// statsCellFrom seeds a statistics cell from a snapshot entry. A cell
-// that has never fired keeps the -Inf seed, so the first recorded
-// severity — even a negative one — becomes the maximum.
-func statsCellFrom(st Stats) *statsCell {
-	cell := newStatsCell()
-	cell.fired.Store(int64(st.Fired))
-	cell.totalSev.Store(math.Float64bits(st.TotalSev))
-	if st.Fired > 0 {
-		cell.maxSev.Store(math.Float64bits(st.MaxSev))
-	}
-	cell.first.Store(int64(st.FirstSample))
-	cell.last.Store(int64(st.LastSample))
-	return cell
 }

@@ -576,28 +576,6 @@ func (c *Collector) LogDropped() int {
 	return n
 }
 
-// redistribute replaces the shards' contents with a merged snapshot in
-// this collector's shard shape: violations re-route by stream key
-// (sources are not recorded per violation), statistics and eviction
-// counters land on shard 0 — the merged read views are identical either
-// way. It must not be called concurrently with Ingest.
-func (c *Collector) redistribute(m assertion.RecorderSnapshot) error {
-	parts := make([]assertion.RecorderSnapshot, len(c.shards))
-	parts[0].Stats = m.Stats
-	parts[0].LogDropped = m.LogDropped
-	parts[0].Compacted = m.Compacted
-	for _, v := range m.Violations {
-		i := assertion.ShardFor(v.Stream, len(c.shards))
-		parts[i].Violations = append(parts[i].Violations, v)
-	}
-	for i, st := range c.shards {
-		if err := st.Replace(parts[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SummaryResponse is the JSON body of GET /v1/summary.
 type SummaryResponse struct {
 	Version          int            `json:"version"`

@@ -71,7 +71,7 @@ func (c *Collector) openShards() error {
 			continue
 		}
 		st, err := store.Open(store.Config{
-			Dir:                  filepath.Join(c.cfg.DataDir, fmt.Sprintf("shard-%d", i)),
+			Dir:                  shardDir(c.cfg.DataDir, i),
 			SegmentBytes:         c.cfg.SegmentBytes,
 			FailWritesAfterBytes: c.cfg.StoreFailAfterBytes,
 		})
@@ -85,6 +85,11 @@ func (c *Collector) openShards() error {
 		return c.loadMarks()
 	}
 	return nil
+}
+
+// shardDir names shard i's SegmentStore directory inside a data dir.
+func shardDir(dataDir string, i int) string {
+	return filepath.Join(dataDir, fmt.Sprintf("shard-%d", i))
 }
 
 // checkShardDirs refuses a DataDir a wider collector wrote: its shard-K

@@ -9,12 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"omg/internal/assertion"
 	"omg/internal/labelsvc"
+	"omg/internal/store"
 )
 
 // The wire, data-directory and snapshot-file format tests. Everything
@@ -194,4 +196,97 @@ func TestFormatFixtureSnapshots(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestFormatFixtureImportV2 holds the write side of the import to what the
+// parent of the rewrite wrote for `omg-server import -shards 3
+// snapshot-v2.json`: every shard file byte for byte, and marks.log and the
+// label files by decoded content — the marks rewrite walks a map, so its
+// records' order is not part of the format.
+func TestFormatFixtureImportV2(t *testing.T) {
+	snap, err := ReadSnapshotFile(filepath.Join("testdata", "snapshot-v2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "data")
+	if err := ImportSnapshot(dir, 3, snap); err != nil {
+		t.Fatal(err)
+	}
+	fixture := filepath.Join("testdata", "import-v2-3shard")
+	wantFiles, gotFiles := treeFiles(t, fixture), treeFiles(t, dir)
+	if !reflect.DeepEqual(gotFiles, wantFiles) {
+		t.Fatalf("import wrote %v, want %v", gotFiles, wantFiles)
+	}
+	for _, name := range wantFiles {
+		want, err := os.ReadFile(filepath.Join(fixture, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case strings.HasPrefix(name, "shard-"):
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s differs from the fixture:\n got %q\nwant %q", name, got, want)
+			}
+		case strings.HasSuffix(name, ".log"):
+			if g, w := decodedFrames(t, name, got), decodedFrames(t, name, want); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s records\n got %v\nwant %v", name, g, w)
+			}
+		default:
+			var g, w any
+			if err := json.Unmarshal(got, &g); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if err := json.Unmarshal(want, &w); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s\n got %s\nwant %s", name, got, want)
+			}
+		}
+	}
+}
+
+// treeFiles lists the regular files under root, relative to it and sorted.
+func treeFiles(t *testing.T, root string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		out = append(out, filepath.ToSlash(rel))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// decodedFrames decodes a record log of JSON bodies into its records,
+// sorted by their canonical encoding.
+func decodedFrames(t *testing.T, name string, data []byte) []string {
+	t.Helper()
+	var out []string
+	for len(data) > 0 {
+		body, ok := store.FrameAt(data, 0)
+		if !ok {
+			t.Fatalf("%s: bad frame at %d bytes from the end", name, len(data))
+		}
+		var v any
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		canon, _ := json.Marshal(v)
+		out = append(out, string(canon))
+		data = data[store.FrameHeader+len(body):]
+	}
+	sort.Strings(out)
+	return out
 }

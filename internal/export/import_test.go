@@ -30,10 +30,20 @@ func legacySnapshot(c *Collector) Snapshot {
 	labels := c.labels.StateSnapshot()
 	s.Labels = &labels
 	for _, st := range c.shards {
-		s.Recorders = append(s.Recorders, st.(*assertion.MemStore).Export())
+		s.Recorders = append(s.Recorders, snapshotOf(st))
 	}
 	s.Recorder = assertion.MergeRecorderSnapshots(s.Recorders...)
 	return s
+}
+
+// snapshotOf captures a store's state as a legacy snapshot file holds it.
+func snapshotOf(st assertion.ViolationStore) assertion.RecorderSnapshot {
+	return assertion.RecorderSnapshot{
+		Stats:      st.StatsAll(),
+		Violations: st.Query(assertion.StoreQuery{}),
+		LogDropped: st.Dropped(),
+		Compacted:  st.Compacted(),
+	}
 }
 
 // importInto imports s into a fresh data directory and opens a disk

@@ -98,7 +98,8 @@ func ingestTies(c *Collector, seqBase uint64, n int) {
 // three shards, every filter shape and limit, over tie-heavy data in every
 // state the index has to follow the log through — plain appends, a
 // wrapped MemStore ring, Compact capped (one shard) and budgeted (sharded)
-// retention, the import's wholesale Replace, and a disk close and reopen.
+// retention, and — disk only — a legacy snapshot imported into the data
+// dir, and a close and reopen.
 func TestQueryMatchesReferenceOracle(t *testing.T) {
 	open := func(t *testing.T, cfg CollectorConfig) *Collector {
 		c, err := OpenCollector(cfg)
@@ -109,24 +110,24 @@ func TestQueryMatchesReferenceOracle(t *testing.T) {
 		return c
 	}
 	type state struct {
-		name  string
-		build func(t *testing.T, cfg CollectorConfig) *Collector
+		name     string
+		diskOnly bool
+		build    func(t *testing.T, cfg CollectorConfig) *Collector
 	}
-	const reopened = "reopened" // the one state only the disk backend has
 	states := []state{
-		{"appended", func(t *testing.T, cfg CollectorConfig) *Collector {
+		{"appended", false, func(t *testing.T, cfg CollectorConfig) *Collector {
 			c := open(t, cfg)
 			ingestTies(c, 0, 40)
 			return c
 		}},
-		{"wrapped", func(t *testing.T, cfg CollectorConfig) *Collector {
+		{"wrapped", false, func(t *testing.T, cfg CollectorConfig) *Collector {
 			cfg.Retain = 50 // a ring bound: only the mem backend honours it
 			c := open(t, cfg)
 			ingestTies(c, 0, 40)
 			ingestTies(c, 1, 9)
 			return c
 		}},
-		{"compacted", func(t *testing.T, cfg CollectorConfig) *Collector {
+		{"compacted", false, func(t *testing.T, cfg CollectorConfig) *Collector {
 			cfg.RetainPerAssertion = 25
 			cfg.CompactEvery = 1 << 40 // CompactNow only
 			c := open(t, cfg)
@@ -137,22 +138,17 @@ func TestQueryMatchesReferenceOracle(t *testing.T) {
 			ingestTies(c, 1, 5)
 			return c
 		}},
-		{"replaced", func(t *testing.T, cfg CollectorConfig) *Collector {
+		{"imported", true, func(t *testing.T, cfg CollectorConfig) *Collector {
 			src := open(t, CollectorConfig{Shards: cfg.Shards})
 			ingestTies(src, 0, 40)
-			c := open(t, cfg)
-			ingestTies(c, 0, 3) // state the replacement must overwrite
-			var parts []assertion.RecorderSnapshot
-			for _, st := range src.shards {
-				parts = append(parts, st.(*assertion.MemStore).Export())
-			}
-			if err := c.redistribute(assertion.MergeRecorderSnapshots(parts...)); err != nil {
+			if err := ImportSnapshot(cfg.DataDir, cfg.Shards, legacySnapshot(src)); err != nil {
 				t.Fatal(err)
 			}
+			c := open(t, cfg)
 			ingestTies(c, 1, 5)
 			return c
 		}},
-		{reopened, func(t *testing.T, cfg CollectorConfig) *Collector {
+		{"reopened", true, func(t *testing.T, cfg CollectorConfig) *Collector {
 			c := open(t, cfg)
 			ingestTies(c, 0, 40)
 			if err := c.Close(); err != nil {
@@ -171,7 +167,7 @@ func TestQueryMatchesReferenceOracle(t *testing.T) {
 	for _, backend := range []string{StoreMem, StoreDisk} {
 		for shards := 1; shards <= 3; shards++ {
 			for _, st := range states {
-				if st.name == reopened && backend != StoreDisk {
+				if st.diskOnly && backend != StoreDisk {
 					continue
 				}
 				t.Run(fmt.Sprintf("%s/shards=%d/%s", backend, shards, st.name), func(t *testing.T) {

@@ -269,22 +269,25 @@ func TestCollectorRetentionPerAssertionGlobalUnderSkew(t *testing.T) {
 }
 
 func TestCollectorRetentionAge(t *testing.T) {
-	c := openCollector(t, CollectorConfig{RetainAge: time.Hour, CompactEvery: time.Hour})
-	defer c.Close()
-	c.Ingest(mkBatch("edge-01", 1, 5))
+	src := openCollector(t, CollectorConfig{RetainAge: time.Hour, CompactEvery: time.Hour})
+	defer src.Close()
+	src.Ingest(mkBatch("edge-01", 1, 5))
 	// Nothing is an hour old yet.
-	if n := c.CompactNow(); n != 0 {
+	if n := src.CompactNow(); n != 0 {
 		t.Fatalf("fresh violations evicted: %d", n)
 	}
-	// Age the retained violations artificially and compact again.
+	// Age the retained violations: import them stamped two hours back.
 	old := time.Now().Add(-2 * time.Hour).Unix()
-	snap := c.shards[0].(*assertion.MemStore).Export()
+	snap := snapshotOf(src.shards[0])
 	for i := range snap.Violations {
 		snap.Violations[i].IngestUnix = old
 	}
-	if err := c.shards[0].Replace(snap); err != nil {
+	dir := t.TempDir()
+	if err := ImportSnapshot(dir, 1, Snapshot{Version: WireVersion, Recorder: snap}); err != nil {
 		t.Fatal(err)
 	}
+	c := openCollector(t, CollectorConfig{Store: StoreDisk, DataDir: dir, RetainAge: time.Hour, CompactEvery: time.Hour})
+	defer c.Close()
 	if n := c.CompactNow(); n != 5 {
 		t.Fatalf("aged violations evicted = %d, want 5", n)
 	}

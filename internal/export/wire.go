@@ -20,6 +20,7 @@ import (
 
 	"omg/internal/assertion"
 	"omg/internal/labelsvc"
+	"omg/internal/store"
 )
 
 // WireVersion is the version stamped on every batch. Version 2 added the
@@ -140,15 +141,17 @@ func ReadSnapshotFile(path string) (Snapshot, error) {
 
 // ImportSnapshot migrates a legacy snapshot into dataDir, which must be
 // empty or absent, as the state of a disk collector with the given shard
-// count: every shape (per-shard Recorders of any count, or the
-// single-shard Recorder) is merged and redistributed by stream key, so
-// the merged views are the snapshot's; then the dedup marks, counters and
-// label state are restored and written to the data directory. Refusing a
-// non-empty directory is what keeps a stale snapshot from rolling a
-// collector's state back. A snapshot a disk collector wrote carries a
-// segment manifest instead of its violations and is refused: that
-// collector's data directory is its state. A failed import leaves a
-// partial directory behind; remove it before retrying.
+// count. Every shape (per-shard Recorders of any count, or the
+// single-shard Recorder) is merged and split by stream key — sources are
+// not recorded per violation — with the statistics and eviction counters
+// on shard 0, so the merged views are the snapshot's; store.Import writes
+// each part as a fresh shard. A collector then opened on the directory
+// restores the dedup marks, counters and label state and writes them
+// beside the shards. Refusing a non-empty directory is what keeps a stale
+// snapshot from rolling a collector's state back. A snapshot a disk
+// collector wrote carries a segment manifest instead of its violations
+// and is refused: that collector's data directory is its state. A failed
+// import leaves a partial directory behind; remove it before retrying.
 func ImportSnapshot(dataDir string, shards int, s Snapshot) error {
 	ents, err := os.ReadDir(dataDir)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -166,11 +169,22 @@ func ImportSnapshot(dataDir string, shards int, s Snapshot) error {
 			return errors.New("export: import: a disk collector wrote this snapshot; its data dir, not the snapshot, holds its state")
 		}
 	}
-	c, err := OpenCollector(CollectorConfig{Store: StoreDisk, DataDir: dataDir, Shards: shards})
+	m := assertion.MergeRecorderSnapshots(recs...)
+	parts := make([]assertion.RecorderSnapshot, max(shards, 1))
+	parts[0] = assertion.RecorderSnapshot{Stats: m.Stats, LogDropped: m.LogDropped, Compacted: m.Compacted}
+	for _, v := range m.Violations {
+		i := assertion.ShardFor(v.Stream, len(parts))
+		parts[i].Violations = append(parts[i].Violations, v)
+	}
+	for i, part := range parts {
+		if err := store.Import(store.Config{Dir: shardDir(dataDir, i)}, part); err != nil {
+			return err
+		}
+	}
+	c, err := OpenCollector(CollectorConfig{Store: StoreDisk, DataDir: dataDir, Shards: len(parts)})
 	if err != nil {
 		return err
 	}
-	err = c.redistribute(assertion.MergeRecorderSnapshots(recs...))
 	for src, seq := range s.LastSeq {
 		c.sourceState(src).lastSeq.Store(seq)
 	}
@@ -181,9 +195,7 @@ func ImportSnapshot(dataDir string, shards int, s Snapshot) error {
 		c.labels.RestoreState(*s.Labels)
 	}
 	c.marksMu.Lock()
-	if merr := c.rewriteMarksLocked(); err == nil {
-		err = merr
-	}
+	err = c.rewriteMarksLocked()
 	c.marksMu.Unlock()
 	if cerr := c.Close(); err == nil {
 		err = cerr

@@ -66,7 +66,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	st.Append(assertion.Violation{Assertion: "a", SampleIndex: 1, Severity: 3})
 	in := Snapshot{
 		Version:  WireVersion,
-		Recorder: st.Export(),
+		Recorder: snapshotOf(st),
 		LastSeq:  map[string]uint64{"edge-01": 12, "edge-02": 4},
 		Batches:  16,
 	}

@@ -1,7 +1,8 @@
 // Package geometry provides the 2D/3D box arithmetic every detection
 // substrate in this repository depends on: intersection-over-union, box
-// containment, non-maximum suppression, a pinhole camera model, and the
-// 3D→2D projection used by the paper's cross-sensor "agree" assertion.
+// containment, the overlapping-triples count behind the paper's multibox
+// assertion, a pinhole camera model, and the 3D→2D projection used by the
+// paper's cross-sensor "agree" assertion.
 package geometry
 
 import (
@@ -117,16 +118,6 @@ func (b Box2D) ContainsBox(o Box2D) bool {
 	return o.X1 >= b.X1 && o.Y1 >= b.Y1 && o.X2 <= b.X2 && o.Y2 <= b.Y2
 }
 
-// Union returns the smallest box containing both a and b.
-func (b Box2D) Union(o Box2D) Box2D {
-	return Box2D{
-		X1: math.Min(b.X1, o.X1),
-		Y1: math.Min(b.Y1, o.Y1),
-		X2: math.Max(b.X2, o.X2),
-		Y2: math.Max(b.Y2, o.Y2),
-	}
-}
-
 // Clip returns the part of b inside the bounds box. The result may be
 // degenerate (zero area) if b lies entirely outside bounds.
 func (b Box2D) Clip(bounds Box2D) Box2D {
@@ -202,4 +193,27 @@ func (b Box3D) Corners() [8]Vec3 {
 func (b Box3D) String() string {
 	return fmt.Sprintf("Box3D(c=(%.1f,%.1f,%.1f) lwh=(%.1f,%.1f,%.1f) yaw=%.2f)",
 		b.Center.X, b.Center.Y, b.Center.Z, b.Length, b.Width, b.Height, b.Yaw)
+}
+
+// CountOverlappingTriples returns the number of box triples whose members
+// pairwise overlap with IoU above the threshold: the geometric core of
+// the paper's multibox assertion ("three vehicles should not highly
+// overlap", Figure 7).
+func CountOverlappingTriples(boxes []Box2D, iouThreshold float64) int {
+	n := len(boxes)
+	triples := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if boxes[i].IoU(boxes[j]) <= iouThreshold {
+				continue
+			}
+			for k := j + 1; k < n; k++ {
+				if boxes[i].IoU(boxes[k]) > iouThreshold &&
+					boxes[j].IoU(boxes[k]) > iouThreshold {
+					triples++
+				}
+			}
+		}
+	}
+	return triples
 }

@@ -126,15 +126,6 @@ func TestContainsBox(t *testing.T) {
 	}
 }
 
-func TestUnionContainsBoth(t *testing.T) {
-	a := NewBox2D(0, 0, 2, 2)
-	b := NewBox2D(5, -1, 7, 1)
-	u := a.Union(b)
-	if !u.ContainsBox(a) || !u.ContainsBox(b) {
-		t.Fatalf("union %v does not contain inputs", u)
-	}
-}
-
 func TestClipInside(t *testing.T) {
 	bounds := NewBox2D(0, 0, 100, 100)
 	b := NewBox2D(10, 10, 20, 20)
@@ -229,17 +220,6 @@ func TestQuickIntersectionNoLargerThanEither(t *testing.T) {
 		ba, bb := randomBox(a), randomBox(b)
 		inter := ba.IntersectionArea(bb)
 		return inter <= ba.Area()+1e-9 && inter <= bb.Area()+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickUnionContains(t *testing.T) {
-	f := func(a, b [4]float64) bool {
-		ba, bb := randomBox(a), randomBox(b)
-		u := ba.Union(bb)
-		return u.ContainsBox(ba) && u.ContainsBox(bb)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@
 // the retained log changes rather than rebuilt at the rate it is read.
 // It is seeded once — one read of the ViolationSource, at the first label
 // call that reads the pool (Next, Stats, Pool) and again after
-// RestoreState or a store Replace — and from then on folded forward by
+// RestoreState or ObserveReplaced — and from then on folded forward by
 // deltas: the adds ObserveBatch hears from the ingest path and the
 // evictions ObserveEvicted hears from the stores. A service nobody asks
 // for labels never reads the log and keeps no index. Two locks split the
@@ -395,9 +395,9 @@ func (s *Service) ObserveEvicted(vs []assertion.Violation) {
 	s.feedMu.Unlock()
 }
 
-// ObserveReplaced implements assertion.EvictionObserver: the retained log
-// was cleared or replaced wholesale, so the index is dropped and the next
-// label call seeds again.
+// ObserveReplaced reports that the retained log changed in a way no delta
+// describes — the collector calls it after a store refused part of a
+// batch — so the index is dropped and the next label call seeds again.
 func (s *Service) ObserveReplaced() {
 	s.feedMu.Lock()
 	s.unseedLocked()

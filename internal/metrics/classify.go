@@ -2,24 +2,6 @@ package metrics
 
 import "math"
 
-// Accuracy is a convenience for computing accuracy from parallel slices of
-// truth and prediction. It panics if the slices have different lengths.
-func Accuracy(truth, pred []string) float64 {
-	if len(truth) != len(pred) {
-		panic("metrics: Accuracy slices of unequal length")
-	}
-	if len(truth) == 0 {
-		return 0
-	}
-	correct := 0
-	for i := range truth {
-		if truth[i] == pred[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(truth))
-}
-
 // PercentileRank returns the percentage of values strictly less than v,
 // i.e. the percentile standing of v within values. Returns 0 for an empty
 // slice.

@@ -3,27 +3,7 @@ package metrics
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestAccuracyHelper(t *testing.T) {
-	got := Accuracy([]string{"a", "b", "c"}, []string{"a", "x", "c"})
-	if math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Fatalf("Accuracy = %v", got)
-	}
-	if Accuracy(nil, nil) != 0 {
-		t.Fatal("empty accuracy should be 0")
-	}
-}
-
-func TestAccuracyPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on mismatched lengths")
-		}
-	}()
-	Accuracy([]string{"a"}, nil)
-}
 
 func TestPercentileRank(t *testing.T) {
 	vals := []float64{1, 2, 3, 4}
@@ -54,25 +34,5 @@ func TestMeanStdDev(t *testing.T) {
 	s := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if math.Abs(s-2) > 1e-12 {
 		t.Fatalf("StdDev = %v, want 2", s)
-	}
-}
-
-func TestQuickAccuracyBounded(t *testing.T) {
-	f := func(xs []bool) bool {
-		truth := make([]string, len(xs))
-		pred := make([]string, len(xs))
-		for i, x := range xs {
-			truth[i] = "t"
-			if x {
-				pred[i] = "t"
-			} else {
-				pred[i] = "f"
-			}
-		}
-		a := Accuracy(truth, pred)
-		return a >= 0 && a <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

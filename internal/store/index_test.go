@@ -52,9 +52,9 @@ func scanQuery(log []assertion.Violation, q Query) []assertion.Violation {
 }
 
 // TestQueryIndexInvariant drives both backends through a seeded
-// interleaving of appends (with ring eviction on the bounded MemStore),
-// Compact (capped and budgeted), Replace and Clear, keeping a plain slice as the
-// model of the retained log. After every step Query must equal a linear
+// interleaving of appends (with ring eviction on the bounded MemStore) and
+// Compact (capped and budgeted), keeping a plain slice as the model of the
+// retained log. After every step Query must equal a linear
 // scan of the model for every filter shape, limit and order, and the index
 // must hold exactly the model's postings under exactly the model's keys —
 // no evicted entry, no key left behind by a stream that churned away.
@@ -125,13 +125,13 @@ func runIndexInvariant(t *testing.T, s indexedStore, limit int) {
 
 	for step := 0; step < 2000; step++ {
 		switch op := rng.Choice(100); {
-		case op < 94:
+		case op < 96:
 			v := next(step)
 			if err := s.Append(v); err != nil {
 				t.Fatal(err)
 			}
 			add(v)
-		case op < 96:
+		case op < 98:
 			minIngest, maxPer := int64(1000+step/10-rng.Choice(8)), rng.Choice(12)
 			if _, err := s.Compact(minIngest, maxPer); err != nil {
 				t.Fatal(err)
@@ -139,29 +139,12 @@ func runIndexInvariant(t *testing.T, s indexedStore, limit int) {
 			if minIngest > 0 || maxPer > 0 {
 				compactModel(minIngest, assertion.CompactionBudget(maxPer, nil))
 			}
-		case op < 98:
+		default:
 			budgets := map[string]int{assertions[rng.Choice(4)]: rng.Choice(6), assertions[rng.Choice(4)]: rng.Choice(6)}
 			if _, err := s.Compact(0, 0, budgets); err != nil {
 				t.Fatal(err)
 			}
 			compactModel(0, assertion.CompactionBudget(0, budgets))
-		case op < 99:
-			var snap assertion.RecorderSnapshot
-			for i := rng.Choice(70); i > 0; i-- {
-				snap.Violations = append(snap.Violations, next(step))
-			}
-			if err := s.Replace(snap); err != nil {
-				t.Fatal(err)
-			}
-			model = nil
-			for _, v := range snap.Violations {
-				add(v)
-			}
-		default:
-			if err := s.Replace(assertion.RecorderSnapshot{}); err != nil {
-				t.Fatal(err)
-			}
-			model = nil
 		}
 
 		streams := []string{"", "s-0", fmt.Sprintf("s-%d", step/60), fmt.Sprintf("s-%d", step/60+2)}
@@ -170,9 +153,6 @@ func runIndexInvariant(t *testing.T, s indexedStore, limit int) {
 				for _, lim := range []int{0, 1, 3, len(model) + 5} {
 					for _, byKey := range []bool{false, true} {
 						q := Query{Assertion: name, Stream: stream, Limit: lim, ByKey: byKey}
-						if step%7 == 0 {
-							q.MinIngestUnix = int64(1000 + step/10 - 2)
-						}
 						if got, want := s.Query(q), scanQuery(model, q); !slices.Equal(got, want) {
 							t.Fatalf("step %d: Query(%+v)\n got %+v\nwant %+v", step, q, got, want)
 						}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -190,8 +191,8 @@ type SegmentStore struct {
 	// mu, which is what makes the non-atomic sampler safe here.
 	obsSample obs.Sampler
 
-	// observer hears what leaves the mirror: compaction's evictions and
-	// clearLocked's wholesale reset (see assertion.EvictionObserver).
+	// observer hears what compaction evicts from the mirror (see
+	// assertion.EvictionObserver).
 	observer assertion.EvictionObserver
 }
 
@@ -516,7 +517,7 @@ func (s *SegmentStore) openSegment(num, records int) error {
 
 // appendRecord frames v as one record on dst: the header, then the
 // tagged binary body it checksums. Every record this store writes —
-// Append, compaction's survivors, Replace's migration — is framed here.
+// Append, compaction's survivors, Import's migration — is framed here.
 // On error (a non-finite Time or Severity) dst is returned unextended.
 func appendRecord(dst []byte, seq uint64, v *assertion.Violation) ([]byte, error) {
 	start := len(dst)
@@ -634,7 +635,7 @@ func (s *SegmentStore) rollLocked() error {
 
 // sealBarrierLocked waits for every background seal to finish and
 // returns the first seal failure, if any. Durability points (checkpoint,
-// compaction, Replace, Close) must pass this barrier before promising that
+// compaction, Close) must pass this barrier before promising that
 // sealed segments are on stable storage.
 func (s *SegmentStore) sealBarrierLocked() error {
 	s.sealWG.Wait()
@@ -952,23 +953,29 @@ func (s *SegmentStore) filterMirror(mask []bool) {
 	}
 }
 
-// Replace implements ViolationStore: the store's files are cleared, the
-// snapshot's violation log is rewritten as segments and its statistics
-// adopted wholesale — how a legacy snapshot file migrates into a data
-// directory.
-func (s *SegmentStore) Replace(snap assertion.RecorderSnapshot) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if err := s.clearLocked(); err != nil {
+// Import writes a legacy snapshot into cfg.Dir as a fresh store — how a
+// snapshot file migrates into a data directory. It refuses a directory
+// that already holds a store, adopts the snapshot's statistics and
+// eviction counters wholesale, appends its violation log as segments, and
+// closes the store; Open then recovers exactly that state.
+func Import(cfg Config, snap assertion.RecorderSnapshot) (err error) {
+	s, err := Open(cfg)
+	if err != nil {
 		return err
 	}
-	for name, st := range snap.Stats {
-		s.stats[name] = st
-		s.totalFired += st.Fired
+	// Close checkpoints: its AppendSeq covers every imported record, so a
+	// recovery will not fold them into the adopted statistics twice.
+	defer func() {
+		if cerr := s.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.appendSeq > 0 || len(s.stats) > 0 || s.dropped != 0 || s.compacted != 0 {
+		return fmt.Errorf("store: import: %s already holds a store", s.dir)
 	}
+	maps.Copy(s.stats, snap.Stats)
 	s.dropped = snap.LogDropped
 	s.compacted = snap.Compacted
 	for _, v := range snap.Violations {
@@ -979,51 +986,7 @@ func (s *SegmentStore) Replace(snap assertion.RecorderSnapshot) error {
 			return err
 		}
 	}
-	// The checkpoint's AppendSeq covers every migrated record, so a
-	// recovery will not fold them into the adopted statistics twice.
-	return s.checkpointLocked()
-}
-
-// clearLocked deletes every segment and the checkpoint and restarts the
-// store empty.
-func (s *SegmentStore) clearLocked() error {
-	// Settle background seals before deleting their files; whatever they
-	// reported no longer matters once the store is reset.
-	s.sealWG.Wait()
-	s.sealMu.Lock()
-	s.sealErr = nil
-	s.sealMu.Unlock()
-	s.active.Close()
-	if err := SweepTemps(s.checkpointPath()); err != nil {
-		return err
-	}
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("store: clear: %w", err)
-	}
-	for _, ent := range ents {
-		name := ent.Name()
-		_, isSeg := segNum(strings.TrimSuffix(name, ".tmp"))
-		if isSeg || name == checkpointName {
-			if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
-				return fmt.Errorf("store: clear: %w", err)
-			}
-		}
-	}
-	s.pending = s.pending[:0]
-	s.pendingRecs = 0
-	s.finalized = nil
-	s.vs, s.seqs = nil, nil
-	s.index.Reset()
-	if s.observer != nil {
-		s.observer.ObserveReplaced()
-	}
-	s.stats = make(map[string]assertion.Stats)
-	s.totalFired = 0
-	s.appendSeq = 0
-	s.dropped = 0
-	s.compacted = 0
-	return s.openSegment(1, 0)
+	return nil
 }
 
 // Info implements ViolationStore.

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,19 +26,25 @@ func fill(t *testing.T, s assertion.ViolationStore, n int) []assertion.Violation
 	return vs
 }
 
-// assertSame asserts two stores hold identical logs and statistics.
-func assertSame(t *testing.T, got, want assertion.ViolationStore) {
+// assertSame asserts a store holds exactly want's retained log,
+// statistics and compaction count, and the lifetime total its statistics
+// add up to.
+func assertSame(t *testing.T, got assertion.ViolationStore, want assertion.RecorderSnapshot) {
 	t.Helper()
-	if g, w := got.Query(Query{}), want.Query(Query{}); !reflect.DeepEqual(g, w) {
-		t.Fatalf("Violations mismatch:\n got %+v\nwant %+v", g, w)
+	if g := got.Query(Query{}); !slices.Equal(g, want.Violations) {
+		t.Fatalf("Violations mismatch:\n got %+v\nwant %+v", g, want.Violations)
 	}
-	if g, w := got.StatsAll(), want.StatsAll(); !reflect.DeepEqual(g, w) {
-		t.Fatalf("StatsAll mismatch:\n got %+v\nwant %+v", g, w)
+	if g := got.StatsAll(); !maps.Equal(g, want.Stats) {
+		t.Fatalf("StatsAll mismatch:\n got %+v\nwant %+v", g, want.Stats)
 	}
-	if g, w := got.TotalFired(), want.TotalFired(); g != w {
-		t.Fatalf("TotalFired = %d, want %d", g, w)
+	total := 0
+	for _, st := range want.Stats {
+		total += st.Fired
 	}
-	if g, w := got.Compacted(), want.Compacted(); g != w {
+	if g := got.TotalFired(); g != total {
+		t.Fatalf("TotalFired = %d, want %d", g, total)
+	}
+	if g, w := got.Compacted(), want.Compacted; g != w {
 		t.Fatalf("Compacted = %d, want %d", g, w)
 	}
 }
@@ -64,12 +72,58 @@ func TestSegmentReopenAfterClose(t *testing.T) {
 	assertSame(t, r, mirror)
 }
 
-// mirrorOf copies a store's retained log, statistics and eviction count
-// into a MemStore: the state a reopened SegmentStore must equal.
-func mirrorOf(s assertion.ViolationStore) *assertion.MemStore {
-	m := assertion.NewMemStore(0)
-	m.Replace(assertion.RecorderSnapshot{Stats: s.StatsAll(), Violations: s.Query(Query{}), Compacted: s.Compacted()})
-	return m
+// mirrorOf copies a store's retained log, statistics and eviction count:
+// the state a reopened SegmentStore must equal.
+func mirrorOf(s assertion.ViolationStore) assertion.RecorderSnapshot {
+	return assertion.RecorderSnapshot{Stats: s.StatsAll(), Violations: s.Query(Query{}), Compacted: s.Compacted()}
+}
+
+// TestImportWritesAFreshStore: a legacy snapshot — a bounded, compacted
+// mem store's state — imports as a closed store that opens to exactly that
+// state, eviction counters included, folds later appends once, and is
+// never imported over.
+func TestImportWritesAFreshStore(t *testing.T) {
+	src := assertion.NewMemStore(5)
+	fill(t, src, 8)
+	if _, err := src.Compact(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	snap := mirrorOf(src)
+	snap.LogDropped = src.Dropped()
+	if snap.LogDropped != 3 || snap.Compacted != 2 {
+		t.Fatalf("source store dropped %d and compacted %d, want 3 and 2", snap.LogDropped, snap.Compacted)
+	}
+
+	cfg := Config{Dir: filepath.Join(t.TempDir(), "shard-0"), SegmentBytes: 40} // absent; a roll per record
+	if err := Import(cfg, snap); err != nil {
+		t.Fatalf("Import: %v", err)
+	}
+	r, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("open the imported dir: %v", err)
+	}
+	assertSame(t, r, snap)
+	if r.Dropped() != 3 || r.Info().Segments < 3 {
+		t.Fatalf("imported store: dropped %d, %+v; want 3 and several segments", r.Dropped(), r.Info())
+	}
+	if err := r.Append(mkv("a1", "cam0", 9, 1, 2000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := Import(cfg, snap); err == nil || !strings.Contains(err.Error(), "already holds a store") {
+		t.Fatalf("Import over a store: err = %v, want a refusal", err)
+	}
+	again, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if got := again.TotalFired(); got != 9 {
+		t.Fatalf("TotalFired after the refused import = %d, want 9", got)
+	}
 }
 
 func TestSegmentCrashRecoveryWithoutClose(t *testing.T) {

@@ -62,10 +62,15 @@
 //
 // Beside the interface, both backends take an assertion.EvictionObserver
 // (SetEvictionObserver on the concrete type): the seam's other direction,
-// through which a store tells its owner what compaction, a ring overflow
-// or a wholesale Replace removed from the retained log. The collector
-// points it at its label service, which keeps the candidate index
-// current from those reports instead of re-reading the log.
+// through which a store tells its owner what compaction or a ring overflow
+// removed from the retained log. The collector points it at its label
+// service, which keeps the candidate index current from those reports
+// instead of re-reading the log.
+//
+// No store is ever wiped or replaced while open. A legacy snapshot file
+// migrates through Import, which writes a fresh SegmentStore directory
+// and closes it; the only code that removes segment or checkpoint files
+// is compaction's generation swap and recovery completing one.
 package store
 
 import "omg/internal/assertion"

@@ -96,9 +96,6 @@ func TestContractQuery(t *testing.T) {
 		{"byAssertion", Query{Assertion: "a"}, []int{1, 3, 4, 5}},
 		{"byStream", Query{Stream: "cam0"}, []int{1, 5}},
 		{"byBoth", Query{Assertion: "a", Stream: "cam1"}, []int{3}},
-		{"minIngest", Query{MinIngestUnix: 101}, []int{2, 3, 5}},
-		{"maxIngest", Query{MaxIngestUnix: 101}, []int{1, 2}},
-		{"window", Query{MinIngestUnix: 101, MaxIngestUnix: 102}, []int{2, 3}},
 		{"limitNewest", Query{Assertion: "a", Limit: 2}, []int{4, 5}},
 		{"noMatch", Query{Assertion: "zz"}, nil},
 	}
@@ -166,63 +163,6 @@ func TestContractCompact(t *testing.T) {
 			}
 			if st := s.StatsAll()["odd"]; st.Fired != 5 {
 				t.Fatalf("Stats(odd).Fired = %d, want 5", st.Fired)
-			}
-		})
-	}
-}
-
-// The seam has no Clear of its own: replacing a store's state with the
-// empty snapshot is how a reader of the interface resets one.
-func TestContractClear(t *testing.T) {
-	for backend, s := range backends(t) {
-		t.Run(backend, func(t *testing.T) {
-			for i := 0; i < 5; i++ {
-				s.Append(mkv("a", "s", i, 1, 100))
-			}
-			if err := s.Replace(assertion.RecorderSnapshot{}); err != nil {
-				t.Fatalf("Clear: %v", err)
-			}
-			if len(s.Query(Query{})) != 0 || s.TotalFired() != 0 || len(s.StatsAll()) != 0 {
-				t.Fatalf("state survived Clear")
-			}
-			// The store stays usable.
-			if err := s.Append(mkv("b", "s", 1, 1, 100)); err != nil {
-				t.Fatalf("Append after Clear: %v", err)
-			}
-			if s.TotalFired() != 1 {
-				t.Fatalf("TotalFired after Clear+Append = %d", s.TotalFired())
-			}
-		})
-	}
-}
-
-func TestContractExportReplaceRoundTrip(t *testing.T) {
-	// A legacy (mem-shaped) snapshot restores into either backend.
-	src := assertion.NewMemStore(0)
-	for i := 1; i <= 6; i++ {
-		src.Append(mkv("a", "s", i, float64(i), int64(100+i)))
-	}
-	src.Compact(0, 4)
-	snap := src.Export()
-	if snap.Store != nil {
-		t.Fatalf("mem export carries a store checkpoint: %+v", snap.Store)
-	}
-	for backend, s := range backends(t) {
-		t.Run(backend, func(t *testing.T) {
-			if err := s.Replace(snap); err != nil {
-				t.Fatalf("Replace: %v", err)
-			}
-			if got := s.TotalFired(); got != 6 {
-				t.Fatalf("TotalFired = %d, want 6", got)
-			}
-			if got := len(s.Query(Query{})); got != 4 {
-				t.Fatalf("retained = %d, want 4", got)
-			}
-			if got := s.Compacted(); got != 2 {
-				t.Fatalf("Compacted = %d, want 2", got)
-			}
-			if !reflect.DeepEqual(s.StatsAll(), src.StatsAll()) {
-				t.Fatalf("StatsAll mismatch after Replace")
 			}
 		})
 	}

@@ -43,30 +43,6 @@ type Track struct {
 	lastFrame int
 }
 
-// MajorityClass returns the most common class label across the track's
-// observations, breaking ties lexicographically. Empty tracks return "".
-func (t *Track) MajorityClass() string {
-	if len(t.Obs) == 0 {
-		return ""
-	}
-	counts := make(map[string]int)
-	for _, o := range t.Obs {
-		counts[o.Class]++
-	}
-	best, bestN := "", -1
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if counts[k] > bestN {
-			best, bestN = k, counts[k]
-		}
-	}
-	return best
-}
-
 // Tracker assigns stable identifiers to detections across frames by greedy
 // IoU matching: each new detection is matched to the live track whose most
 // recent box overlaps it the most, provided IoU exceeds the threshold.

@@ -78,36 +78,6 @@ func TestTrackerClassFlipDoesNotBreakTrack(t *testing.T) {
 	}
 }
 
-func TestMajorityClass(t *testing.T) {
-	tr := NewTracker()
-	tr.Update(0, []Observation{{Box: b(0, 0, 10, 10), Class: "car"}})
-	tr.Update(1, []Observation{{Box: b(0, 0, 10, 10), Class: "truck"}})
-	tr.Update(2, []Observation{{Box: b(0, 0, 10, 10), Class: "car"}})
-	tracks := tr.Tracks()
-	if len(tracks) != 1 {
-		t.Fatalf("tracks = %d", len(tracks))
-	}
-	if got := tracks[0].MajorityClass(); got != "car" {
-		t.Fatalf("MajorityClass = %q", got)
-	}
-}
-
-func TestMajorityClassTieBreaksLexicographically(t *testing.T) {
-	tk := &Track{Obs: []TrackedObservation{
-		{Observation: Observation{Class: "truck"}},
-		{Observation: Observation{Class: "car"}},
-	}}
-	if got := tk.MajorityClass(); got != "car" {
-		t.Fatalf("tie break = %q", got)
-	}
-}
-
-func TestMajorityClassEmpty(t *testing.T) {
-	if got := (&Track{}).MajorityClass(); got != "" {
-		t.Fatalf("empty majority = %q", got)
-	}
-}
-
 func TestTrackerMultipleObjects(t *testing.T) {
 	tr := NewTracker()
 	// Two objects crossing paths but never overlapping enough to swap.

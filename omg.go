@@ -81,8 +81,8 @@ type (
 	// MemStore is the bounded in-memory ViolationStore a Recorder records
 	// into.
 	MemStore = assertion.MemStore
-	// StoreQuery selects violations by assertion, stream and ingest-time
-	// window with a newest-N limit.
+	// StoreQuery selects violations by assertion and stream with a
+	// newest-N limit.
 	StoreQuery = assertion.StoreQuery
 
 	// HTTPSink exports violation batches to an omg-server collector over
