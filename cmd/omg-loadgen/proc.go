@@ -38,7 +38,6 @@ func (p *collectorProc) start(extra ...string) error {
 		"-store", "disk",
 		"-data-dir", p.dataDir,
 		"-shards", strconv.Itoa(p.shards),
-		"-retain", "0", // retention evictions would blur the conservation books
 	}
 	args = append(args, extra...)
 	cmd := exec.Command(p.bin, args...)

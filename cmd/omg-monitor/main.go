@@ -153,10 +153,10 @@ func main() {
 			func() float64 { return float64(httpSink.Stats().Queued) })
 		reg.NewCounterFunc("omg_export_delivered_total",
 			"Violations acknowledged by the collector.",
-			func() float64 { return float64(httpSink.Delivered()) })
+			func() float64 { return float64(httpSink.Stats().Delivered) })
 		reg.NewCounterFunc("omg_export_retries_total",
 			"Failed batch ship attempts that were retried.",
-			func() float64 { return float64(httpSink.Retries()) })
+			func() float64 { return float64(httpSink.Stats().Retries) })
 		reg.NewCounterFunc("omg_export_dropped_total",
 			"Violations dropped: at a batch's delivery deadline, by the open circuit, rejected by the collector, or non-finite.",
 			func() float64 { return float64(httpSink.Dropped()) })

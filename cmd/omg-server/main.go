@@ -101,7 +101,7 @@ func main() {
 		flag.PrintDefaults()
 	}
 	addr := flag.String("addr", ":9077", "listen address (host:port; port 0 picks a free port)")
-	retain := flag.Int("retain", 100000, "violations to retain in memory for queries, across all shards (0 = unbounded)")
+	retain := flag.Int("retain", 100000, "-store=mem: violations to retain in memory for queries, across all shards (0 = unbounded)")
 	shards := flag.Int("shards", 1, "ingest shards; batches route by source so concurrent senders do not contend on one recorder")
 	retainAge := flag.Duration("retain-age", 0, "evict retained violations older than this, by ingest time (0 = no age bound)")
 	retainPer := flag.Int("retain-per-assertion", 0, "keep only the newest N retained violations per assertion (0 = no cap)")
@@ -116,6 +116,8 @@ func main() {
 	drain := flag.Duration("drain", 0, "after a shutdown signal, keep the listener answering (with /healthz reporting 503) this long so load balancers drain the instance first")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (gated: off unless set)")
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	// Each bad flag exits before serving, with its own message; the first
 	// failing row wins.
 	for _, check := range []struct {
@@ -135,6 +137,11 @@ func main() {
 		{*leaseTTL <= 0, "-lease-ttl must be positive"},
 		{*drain < 0, "-drain must be >= 0"},
 		{*chaosDiskFullAfter < 0, "-chaos-disk-full-after must be >= 0"},
+		// A flag the chosen configuration never reads would be silently
+		// ignored.
+		{set["retain"] && *storeKind == export.StoreDisk, "-retain is ignored by -store=disk: bound it with -retain-age or -retain-per-assertion"},
+		{set["chaos-disk-full-after"] && *storeKind != export.StoreDisk, "-chaos-disk-full-after requires -store=disk"},
+		{set["compact-every"] && *retainAge == 0 && *retainPer == 0, "-compact-every requires -retain-age or -retain-per-assertion"},
 	} {
 		if check.bad {
 			log.Fatal(check.msg)

@@ -794,6 +794,9 @@ func TestEndToEndBadServerFlags(t *testing.T) {
 		{[]string{"-addr", "127.0.0.1:0", "-log", "v.jsonl"}, "flag provided but not defined: -log"},
 		{[]string{"-addr", "127.0.0.1:0", "-store", "disk", "-data-dir", wide, "-shards", "2"}, "-shards 3"},
 		{[]string{"-addr", "127.0.0.1:0", "-compact-every", "0"}, "-compact-every must be positive"},
+		{[]string{"-addr", "127.0.0.1:0", "-store", "disk", "-data-dir", t.TempDir(), "-retain", "10"}, "-retain is ignored by -store=disk"},
+		{[]string{"-addr", "127.0.0.1:0", "-chaos-disk-full-after", "4096"}, "-chaos-disk-full-after requires -store=disk"},
+		{[]string{"-addr", "127.0.0.1:0", "-compact-every", "1s"}, "-compact-every requires -retain-age or -retain-per-assertion"},
 		{[]string{"import", "-data-dir", full, "../../internal/export/testdata/snapshot-v2.json"}, "not empty"},
 	} {
 		// A server that does start is killed at the deadline and fails the

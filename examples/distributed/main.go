@@ -132,8 +132,9 @@ func main() {
 			if err := pool.Close(); err != nil {
 				panic(err)
 			}
+			st := sink.Stats()
 			fmt.Printf("edge-%02d exported %d violations in %d batches over the %s wire\n",
-				e, sink.Delivered(), sink.Batches(), sink.Wire())
+				e, st.Delivered, st.Batches, st.Wire)
 		}(e)
 	}
 	wg.Wait()

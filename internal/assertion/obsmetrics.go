@@ -18,11 +18,12 @@ var (
 	queueWaitHist = obs.Default().NewHistogram(
 		"omg_pool_queue_wait_seconds",
 		"MonitorPool shard-queue wait from enqueue to worker dequeue (sampled).")
-	// sinkWriteHist times one JSONL worker cycle: coalescing queued
-	// violations, encoding them and the single Write call.
+	// sinkWriteHist times one JSONLSink ship step: encoding a coalesced
+	// run of violations and the single Write call. Dequeuing the run is
+	// the QueuedSink worker's and is not timed.
 	sinkWriteHist = obs.Default().NewHistogram(
 		"omg_sink_write_seconds",
-		"JSONL sink worker batch time: coalesce, encode and write.")
+		"JSONL sink batch time: encode and write one coalesced run (dequeue not timed).")
 	// assertionErrors counts the severities the runtime clamped: NaN and
 	// negative read as 0, +Inf as math.MaxFloat64.
 	assertionErrors = obs.Default().NewCounterVec(

@@ -2,6 +2,7 @@ package assertion
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"io"
 	"sync"
@@ -11,8 +12,8 @@ import (
 const (
 	// sinkDepth is a JSONLSink's queue depth.
 	sinkDepth = 1024
-	// sinkBatchMax bounds how many queued violations the worker coalesces
-	// into a single Write call.
+	// sinkBatchMax bounds how many queued violations a JSONLSink's worker
+	// coalesces into a single Write call.
 	sinkBatchMax = 256
 )
 
@@ -30,7 +31,10 @@ var ErrSinkClosed = errors.New("assertion: violation sink is closed")
 // asynchronous: a nil return means the violation was accepted, not that it
 // has been written out — call Flush before reading the backend's output.
 // Errors a sink encounters after accepting a violation are retained and
-// reported by Err (and by Flush and Close), never silently discarded.
+// reported by Err (and by Flush and Close), never silently discarded. The
+// queued form of this contract is QueuedSink, the one core under
+// JSONLSink and export.HTTPSink: once Flush returns, what such a sink
+// wrote or delivered plus what it dropped equals what Record accepted.
 type Sink interface {
 	// Record accepts one violation. It returns ErrSinkClosed after Close;
 	// asynchronous backends report later write failures via Err, not here.
@@ -119,15 +123,20 @@ func (w *waiter) count() int {
 	return w.n
 }
 
-// JSONLSink is the buffered asynchronous JSONL backend. Violations are
-// handed to a single worker goroutine over a bounded channel; the worker
-// coalesces whatever is queued into one Write so encoding and I/O never
-// run on the observe path. After the first
-// write error the worker keeps draining (discarding output) so senders are
-// never blocked by a dead sink — every violation discarded that way is
-// counted by Dropped.
-type JSONLSink struct {
-	w io.Writer
+// QueuedSink is the asynchronous half of the Sink contract, the one core
+// under every queued backend (JSONLSink, export.HTTPSink). Record hands a
+// violation to a bounded queue, blocking while it is full — explicit
+// backpressure rather than silent loss — and returns ErrSinkClosed after
+// Close. One worker goroutine coalesces whatever is queued into runs of
+// at most batchMax violations and hands each run to the backend's ship
+// step, so encoding and I/O never run on the observe path. Flush waits
+// until every accepted violation has been through ship; Close drains the
+// queue, stops the worker and is idempotent. The first error ship returns
+// is retained for Err, Flush and Close. A backend embeds *QueuedSink and
+// supplies only ship, which accounts for every violation it is handed:
+// delivered, or counted as dropped.
+type QueuedSink struct {
+	ship func(batch []Violation) error
 
 	mu     sync.RWMutex // record (read side) vs close (write side)
 	closed bool
@@ -136,8 +145,100 @@ type JSONLSink struct {
 	pending *waiter
 	done    chan struct{}
 
-	err  firstErr
-	dead atomic.Bool // a Write failed; the worker only drains from now on
+	err firstErr
+}
+
+// NewQueuedSink starts the worker of a sink queueing up to depth
+// violations and shipping runs of at most batchMax. ship runs on the
+// worker goroutine only, so the state it owns needs no lock; the slice it
+// is handed is reused for the next run.
+func NewQueuedSink(depth, batchMax int, ship func(batch []Violation) error) *QueuedSink {
+	q := &QueuedSink{
+		ship:    ship,
+		ch:      make(chan Violation, depth),
+		pending: newWaiter(),
+		done:    make(chan struct{}),
+	}
+	go q.run(batchMax)
+	return q
+}
+
+// Record queues one violation, blocking when the queue is full
+// (backpressure). It returns ErrSinkClosed once the sink has been closed.
+func (q *QueuedSink) Record(v Violation) error {
+	q.mu.RLock()
+	defer q.mu.RUnlock()
+	if q.closed {
+		return ErrSinkClosed
+	}
+	q.pending.add(1)
+	q.ch <- v
+	return nil
+}
+
+// Flush blocks until every violation accepted so far has been shipped —
+// written, delivered or counted as dropped — and returns the first error.
+func (q *QueuedSink) Flush() error {
+	q.pending.wait()
+	return q.Err()
+}
+
+// Close drains the queue, stops the worker and returns the first error.
+func (q *QueuedSink) Close() error {
+	q.mu.Lock()
+	already := q.closed
+	q.closed = true
+	q.mu.Unlock()
+	if !already {
+		close(q.ch)
+	}
+	<-q.done
+	return q.Err()
+}
+
+// Err returns the first error ship has returned, if any.
+func (q *QueuedSink) Err() error { return q.err.get() }
+
+// Queued returns how many accepted violations wait in the queue, not
+// counting the run being shipped.
+func (q *QueuedSink) Queued() int { return len(q.ch) }
+
+func (q *QueuedSink) run(batchMax int) {
+	defer close(q.done)
+	batch := make([]Violation, 0, batchMax)
+	for v := range q.ch {
+		batch = append(batch[:0], v)
+	drain:
+		for len(batch) < batchMax {
+			select {
+			case more, ok := <-q.ch:
+				if !ok {
+					break drain
+				}
+				batch = append(batch, more)
+			default:
+				break drain
+			}
+		}
+		q.err.set(q.ship(batch))
+		q.pending.add(-len(batch))
+	}
+}
+
+// JSONLSink is the buffered asynchronous JSONL backend: a QueuedSink whose
+// ship step encodes each run into one Write. After the first write error
+// it keeps draining (discarding output) so senders are never blocked by a
+// dead sink — every violation discarded that way is counted by Dropped.
+// The sink never fsyncs: closing the writer is the caller's.
+type JSONLSink struct {
+	*QueuedSink
+	w io.Writer
+
+	// Owned by the worker: buf is the encode buffer, reused so a warmed-up
+	// sink writes batches without allocating at all; dead latches once a
+	// Write has failed.
+	buf  []byte
+	dead bool
 
 	dropped atomic.Int64
 }
@@ -151,51 +252,10 @@ func NewJSONLSink(w io.Writer) *JSONLSink { return newJSONLSink(w, sinkDepth) }
 // newJSONLSink is NewJSONLSink with the queue depth given, so tests can
 // exercise backpressure with a short queue.
 func newJSONLSink(w io.Writer, depth int) *JSONLSink {
-	s := &JSONLSink{
-		w:       w,
-		ch:      make(chan Violation, depth),
-		pending: newWaiter(),
-		done:    make(chan struct{}),
-	}
-	go s.run()
+	s := &JSONLSink{w: w, buf: make([]byte, 0, 4096)}
+	s.QueuedSink = NewQueuedSink(depth, sinkBatchMax, s.ship)
 	return s
 }
-
-// Record queues one violation, blocking when the buffer is full
-// (backpressure). It returns ErrSinkClosed once the sink has been closed.
-func (s *JSONLSink) Record(v Violation) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrSinkClosed
-	}
-	s.pending.add(1)
-	s.ch <- v
-	return nil
-}
-
-// Flush blocks until everything queued so far has been written.
-func (s *JSONLSink) Flush() error {
-	s.pending.wait()
-	return s.Err()
-}
-
-// Close drains the queue, stops the worker and returns the first error.
-// It does not fsync: closing the writer is the caller's.
-func (s *JSONLSink) Close() error {
-	s.mu.Lock()
-	already := s.closed
-	s.closed = true
-	s.mu.Unlock()
-	if !already {
-		close(s.ch)
-	}
-	<-s.done
-	return s.Err()
-}
-
-// Err returns the first write or encoding error, if any.
-func (s *JSONLSink) Err() error { return s.err.get() }
 
 // Dropped returns how many violations were discarded instead of written:
 // everything accepted after the first write error, the unwritten lines of
@@ -203,73 +263,41 @@ func (s *JSONLSink) Err() error { return s.err.get() }
 // violations. Written and dropped always sum to the recorded total.
 func (s *JSONLSink) Dropped() int64 { return s.dropped.Load() }
 
-func (s *JSONLSink) setErr(err error) { s.err.set(err) }
-
-func (s *JSONLSink) run() {
-	defer close(s.done)
-	// The worker owns one scratch buffer for its whole lifetime: lines are
-	// appended by the reflection-free encoder, so a warmed-up sink writes
-	// batches without allocating at all.
-	buf := make([]byte, 0, 4096)
-	for v := range s.ch {
-		start := sinkWriteHist.StartIf(true)
-		// Once a write has failed the sink only drains, so a dead sink
-		// costs no encoding work for the recorder's remaining lifetime.
+// ship encodes batch as JSONL lines and writes them in one Write.
+func (s *JSONLSink) ship(batch []Violation) error {
+	start := sinkWriteHist.StartIf(true)
+	defer sinkWriteHist.Done(start)
+	// Once a write has failed the sink only drains, so a dead sink costs
+	// no encoding work for the recorder's remaining lifetime.
+	if s.dead {
+		s.dropped.Add(int64(len(batch)))
+		return nil
+	}
+	var first error
+	buf := s.buf[:0]
+	for _, v := range batch {
 		// Encoding failures do NOT latch: one unmarshalable violation is
-		// dropped (and counted) without killing the stream.
-		dead := s.dead.Load()
-		buf = buf[:0]
-		n, encoded := 1, 0
-		if !dead {
-			encoded += s.encode(&buf, v)
+		// dropped (and counted) without killing the stream. A failed
+		// encode leaves buf unextended — AppendViolationJSON never commits
+		// a partial object.
+		b, err := AppendViolationJSON(buf, v)
+		if err != nil {
+			first = cmp.Or(first, err)
+			s.dropped.Add(1)
+			continue
 		}
-		// Coalesce whatever is already queued into this write.
-	drain:
-		for n < sinkBatchMax {
-			select {
-			case more, ok := <-s.ch:
-				if !ok {
-					break drain
-				}
-				if !dead {
-					encoded += s.encode(&buf, more)
-				}
-				n++
-			default:
-				break drain
-			}
-		}
-		if dead {
-			s.dropped.Add(int64(n))
-		} else {
-			s.dropped.Add(int64(n - encoded)) // violations the encoder refused
-			if len(buf) > 0 {
-				if wn, err := s.w.Write(buf); err != nil {
-					s.setErr(err)
-					s.dead.Store(true)
-					// A partial write (e.g. a disk filling mid-batch)
-					// still landed complete lines: count as dropped only
-					// the violations that did not make it out.
-					wrote := bytes.Count(buf[:wn], []byte{'\n'})
-					s.dropped.Add(int64(encoded - wrote))
-				}
-			}
-		}
-		sinkWriteHist.Done(start)
-		s.pending.add(-n)
+		buf = append(b, '\n')
 	}
-}
-
-// encode appends v to buf as one JSONL line, reporting 1 on success and 0
-// when the violation could not be encoded (the error is retained). A
-// failed encode leaves buf unextended — AppendViolationJSON never commits
-// a partial object.
-func (s *JSONLSink) encode(buf *[]byte, v Violation) int {
-	b, err := AppendViolationJSON(*buf, v)
+	if s.buf = buf; len(buf) == 0 {
+		return first
+	}
+	wn, err := s.w.Write(buf)
 	if err != nil {
-		s.setErr(err)
-		return 0
+		s.dead = true
+		// A partial write (e.g. a disk filling mid-batch) still landed
+		// complete lines: count as dropped only the lines that did not
+		// make it out.
+		s.dropped.Add(int64(bytes.Count(buf[wn:], []byte{'\n'})))
 	}
-	*buf = append(b, '\n')
-	return 1
+	return cmp.Or(first, err)
 }

@@ -38,6 +38,18 @@ type sinkContractCase struct {
 // counted — never silently lost.
 func TestSinkRecordDuringCloseContract(t *testing.T) {
 	cases := []sinkContractCase{
+		{"core", func(t *testing.T) (Sink, func(*testing.T, int64)) {
+			var shipped atomic.Int64
+			s := NewQueuedSink(64, 16, func(batch []Violation) error {
+				shipped.Add(int64(len(batch)))
+				return nil
+			})
+			return s, func(t *testing.T, accepted int64) {
+				if got := shipped.Load(); got != accepted {
+					t.Fatalf("ship was handed %d, want the %d accepted", got, accepted)
+				}
+			}
+		}},
 		{"jsonl", func(t *testing.T) (Sink, func(*testing.T, int64)) {
 			w := &lineCountWriter{}
 			s := newJSONLSink(w, 64)

@@ -2,7 +2,10 @@ package export
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"runtime"
+	"strings"
 	"testing"
 
 	"omg/internal/assertion"
@@ -81,6 +84,58 @@ func TestAllocRegressionBinaryEncodeBatch(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("binary AppendBatch allocated %.1f times per frame into a warm buffer, want 0", allocs)
+	}
+}
+
+// parkedTransport answers every request 200, but only once release is
+// closed; entered receives each request as it arrives.
+type parkedTransport struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (p parkedTransport) RoundTrip(*http.Request) (*http.Response, error) {
+	p.entered <- struct{}{}
+	<-p.release
+	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(strings.NewReader("{}"))}, nil
+}
+
+// TestAllocRegressionHTTPSinkRecord bounds HTTPSink.Record — on the edge's
+// observe path — at one allocation per violation, the JSONLSink.Record
+// budget: the ObservedUnixNano stamp and a channel send of an inline
+// value. The shipper is parked inside its first POST for the measured
+// window, so its own allocations stay out of the count.
+func TestAllocRegressionHTTPSinkRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is meaningless under -race")
+	}
+	rt := parkedTransport{entered: make(chan struct{}, queueDepth), release: make(chan struct{})}
+	s, err := NewHTTPSink(HTTPSinkConfig{BaseURL: "http://collector.invalid", Client: &http.Client{Transport: rt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := assertion.Violation{Assertion: "alloc", Stream: "s", SampleIndex: 1, Time: 0.5, Severity: 1}
+	if err := s.Record(v); err != nil {
+		t.Fatal(err)
+	}
+	// The shipper now holds that one violation and the queue is empty;
+	// AllocsPerRun records runs+1 times, which fits in queueDepth.
+	<-rt.entered
+	const runs = 1000
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := s.Record(v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	close(rt.release)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Delivered != runs+2 || st.Dropped != 0 {
+		t.Fatalf("delivered %d, dropped %d, want %d and 0", st.Delivered, st.Dropped, runs+2)
+	}
+	if allocs > 1 {
+		t.Fatalf("HTTPSink.Record allocated %.1f times per violation, want <= 1", allocs)
 	}
 }
 

@@ -37,7 +37,7 @@ func BenchmarkHTTPSinkLoopback(b *testing.B) {
 	if got := c.TotalFired(); got != b.N {
 		b.Fatalf("collector ingested %d of %d", got, b.N)
 	}
-	if r := s.Retries(); r != 0 {
+	if r := s.Stats().Retries; r != 0 {
 		b.Fatalf("%d retries on a healthy loopback collector", r)
 	}
 }

@@ -2,6 +2,7 @@ package export
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -88,47 +89,39 @@ func (c *HTTPSinkConfig) fill() {
 }
 
 // HTTPSink ships a recorder's violation stream to a collector over HTTP:
-// the network backend of the Sink seam. Violations are handed to a single
-// shipper goroutine over a bounded queue; the shipper coalesces whatever
-// is queued into one wire Batch per POST and delivers it under the
-// policy next decides (see HTTPSinkConfig.Deadline). A batch that is not
-// delivered is dropped and counted by reason (Stats), never silently
-// lost, and the failure is retained for Err — but the sink does not
-// latch dead: a collector outage costs the batches shipped while it
-// lasted, and one Deadline of open circuit after it.
+// the network backend of the Sink seam. It is an assertion.QueuedSink
+// whose ship step encodes each coalesced run into one wire Batch per POST
+// and delivers it under the policy next decides (see
+// HTTPSinkConfig.Deadline). A batch that is not delivered is dropped and
+// counted by reason (Stats), never silently lost, and the failure is
+// retained for Err — but the sink does not latch dead: a collector outage
+// costs the batches shipped while it lasted, and one Deadline of open
+// circuit after it.
 //
 // Exactly-once: each batch carries a (Source, Seq) pair reused across its
 // retries, and the collector ignores sequence numbers it has already
 // applied, so a retry after a lost response cannot double-count.
 type HTTPSink struct {
+	*assertion.QueuedSink
 	cfg HTTPSinkConfig
 	url string
 
-	// codec is the wire codec batches encode with. Owned by the shipper
-	// goroutine after construction: the JSON fallback swaps it without
-	// locking, and readers (Stats) learn about the swap via fellBack.
+	// codec is the wire codec batches encode with, and buf the reused
+	// encode buffer. Owned by the shipper goroutine after construction:
+	// the JSON fallback swaps codec without locking, and readers (Stats)
+	// learn about the swap via fellBack.
 	codec    BatchCodec
+	buf      []byte
 	fellBack atomic.Bool
 
-	mu     sync.RWMutex // record (read side) vs close (write side)
-	closed bool
-	ch     chan assertion.Violation
-
-	pendingMu   sync.Mutex
-	pendingCond *sync.Cond
-	pendingN    int
-
-	done    chan struct{}
-	closing chan struct{} // closed as Close begins: cuts retry waits short
+	closeOnce sync.Once
+	closing   chan struct{} // closed as Close begins: cuts retry waits short
 
 	// The policy's memory and clock, owned by the shipper goroutine. The
 	// clock reads time.Since(epoch); Close moves epoch back by every wait
 	// it cuts short, so a skipped wait still counts against its batch.
 	state deliveryState
 	epoch time.Time
-
-	errMu sync.Mutex
-	err   error // first delivery failure, retained
 
 	seq         atomic.Uint64
 	delivered   atomic.Int64
@@ -139,8 +132,8 @@ type HTTPSink struct {
 }
 
 // NewHTTPSink returns a sink exporting violation batches to the collector
-// at cfg.BaseURL. The shipper goroutine starts immediately; Close stops
-// it after draining the queue.
+// at cfg.BaseURL, with a queue of 1024 violations. The shipper goroutine
+// starts immediately; Close stops it after draining the queue.
 func NewHTTPSink(cfg HTTPSinkConfig) (*HTTPSink, error) {
 	if u, err := url.Parse(cfg.BaseURL); err != nil || u.Scheme != "http" && u.Scheme != "https" {
 		return nil, fmt.Errorf("export: HTTPSink BaseURL %q must be an http:// or https:// URL", cfg.BaseURL)
@@ -154,90 +147,43 @@ func NewHTTPSink(cfg HTTPSinkConfig) (*HTTPSink, error) {
 		cfg:     cfg,
 		url:     strings.TrimSuffix(cfg.BaseURL, "/") + IngestPath,
 		codec:   codec,
-		ch:      make(chan assertion.Violation, queueDepth),
-		done:    make(chan struct{}),
+		buf:     make([]byte, 0, 4096),
 		closing: make(chan struct{}),
 		state:   deliveryState{deadline: cfg.Deadline, json: codec.Name() == CodecJSON},
 		epoch:   time.Now(),
 	}
-	s.pendingCond = sync.NewCond(&s.pendingMu)
-	go s.run()
+	s.QueuedSink = assertion.NewQueuedSink(queueDepth, cfg.BatchMax, s.ship)
 	return s, nil
 }
 
 // Source returns the sender identity stamped on this sink's batches.
 func (s *HTTPSink) Source() string { return s.cfg.Source }
 
-// Record queues one violation for export, blocking when the queue is full
-// (backpressure). It returns ErrSinkClosed once the sink has been closed.
-// Record stamps ObservedUnixNano (when the caller has not): it runs
+// Record queues one violation for export (see assertion.QueuedSink). It
+// stamps ObservedUnixNano (when the caller has not): Record runs
 // synchronously on the observe path, so the stamp is the observe-side end
 // of the collector's end-to-end latency measurement.
 func (s *HTTPSink) Record(v assertion.Violation) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return assertion.ErrSinkClosed
-	}
 	if v.ObservedUnixNano == 0 {
 		v.ObservedUnixNano = time.Now().UnixNano()
 	}
-	s.addPending(1)
-	s.ch <- v
-	return nil
-}
-
-// Flush blocks until every accepted violation has been delivered to the
-// collector or dropped, and returns the first delivery error, if any.
-func (s *HTTPSink) Flush() error {
-	s.pendingMu.Lock()
-	for s.pendingN > 0 {
-		s.pendingCond.Wait()
-	}
-	s.pendingMu.Unlock()
-	return s.Err()
+	return s.QueuedSink.Record(v)
 }
 
 // Close drains the queue (delivering or counting every queued violation),
-// stops the shipper and returns the first delivery error. It is
-// idempotent; Record returns ErrSinkClosed afterwards. A shipper asleep
-// in a retry wait wakes at once, and later waits are skipped, but every
-// skipped wait still counts against its batch's Deadline: a closing
+// stops the shipper and returns the first delivery error. A shipper
+// asleep in a retry wait wakes at once, and later waits are skipped, but
+// every skipped wait still counts against its batch's Deadline: a closing
 // shipper makes the attempts it would have made awake and no more.
 func (s *HTTPSink) Close() error {
-	s.mu.Lock()
-	already := s.closed
-	s.closed = true
-	s.mu.Unlock()
-	if !already {
-		close(s.closing)
-		close(s.ch)
-	}
-	<-s.done
-	return s.Err()
-}
-
-// Err returns the first delivery failure, if any, without blocking for
-// in-flight batches.
-func (s *HTTPSink) Err() error {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return s.err
+	s.closeOnce.Do(func() { close(s.closing) })
+	return s.QueuedSink.Close()
 }
 
 // Dropped returns how many violations were discarded, for any reason —
-// actual loss, per the DropCounter contract. Delivered() + Dropped()
+// actual loss, per the DropCounter contract. Stats().Delivered + Dropped()
 // equals the violations accepted by Record once Flush returns.
 func (s *HTTPSink) Dropped() int64 { return s.Stats().Dropped }
-
-// Delivered returns how many violations the collector has acknowledged.
-func (s *HTTPSink) Delivered() int64 { return s.delivered.Load() }
-
-// Batches returns how many batches have been acknowledged.
-func (s *HTTPSink) Batches() int64 { return s.batches.Load() }
-
-// Retries returns how many delivery attempts were retries.
-func (s *HTTPSink) Retries() int64 { return s.retries.Load() }
 
 // DropCounts splits a sink's dropped violations by reason.
 type DropCounts struct {
@@ -284,79 +230,28 @@ type HTTPSinkStats struct {
 func (s *HTTPSink) Stats() HTTPSinkStats {
 	d := DropCounts{s.drops[dropDeadline].Load(), s.drops[dropCircuitOpen].Load(),
 		s.drops[dropRejected].Load(), s.drops[dropNonFinite].Load()}
+	wire := s.cfg.Wire
+	if s.fellBack.Load() || wire == "" {
+		wire = CodecJSON
+	}
 	return HTTPSinkStats{
 		Delivered:    s.delivered.Load(),
 		Batches:      s.batches.Load(),
 		Retries:      s.retries.Load(),
 		Dropped:      d.Deadline + d.CircuitOpen + d.Rejected + d.NonFinite,
 		Drops:        d,
-		Queued:       len(s.ch),
-		Wire:         s.Wire(),
+		Queued:       s.Queued(),
+		Wire:         wire,
 		WireFellBack: s.fellBack.Load(),
 		CircuitOpen:  s.circuitOpen.Load(),
 	}
 }
 
-// Wire returns the name of the codec batches currently ship with —
-// the configured one, or "json" after the fallback latched.
-func (s *HTTPSink) Wire() string {
-	if s.fellBack.Load() || s.cfg.Wire == "" {
-		return CodecJSON
-	}
-	return s.cfg.Wire
-}
-
-func (s *HTTPSink) setErr(err error) {
-	if err == nil {
-		return
-	}
-	s.errMu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.errMu.Unlock()
-}
-
-func (s *HTTPSink) addPending(delta int) {
-	s.pendingMu.Lock()
-	s.pendingN += delta
-	if s.pendingN <= 0 {
-		s.pendingCond.Broadcast()
-	}
-	s.pendingMu.Unlock()
-}
-
-func (s *HTTPSink) run() {
-	defer close(s.done)
-	// The shipper owns its coalescing buffer and its encode buffer for its
-	// whole lifetime, so a warmed-up sink builds wire payloads without
-	// allocating per batch.
-	batch := make([]assertion.Violation, 0, s.cfg.BatchMax)
-	encBuf := make([]byte, 0, 4096)
-	for v := range s.ch {
-		batch = append(batch[:0], v)
-	drain:
-		for len(batch) < s.cfg.BatchMax {
-			select {
-			case more, ok := <-s.ch:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, more)
-			default:
-				break drain
-			}
-		}
-		encBuf = s.ship(encBuf[:0], batch)
-		s.addPending(-len(batch))
-	}
-}
-
-// ship encodes one batch into buf (reflection-free, reusing buf's backing
-// array) and carries out the actions next decides for it until the batch
-// is acknowledged or dropped. The extended buffer is returned so the
-// shipper keeps its capacity across batches.
-func (s *HTTPSink) ship(buf []byte, violations []assertion.Violation) []byte {
+// ship encodes one coalesced run (reflection-free, into the shipper's
+// reused buffer) and carries out the actions next decides for it until
+// the batch is acknowledged or dropped. It returns the batch's first
+// failure: an encode error, else the delivery failure that dropped it.
+func (s *HTTPSink) ship(violations []assertion.Violation) error {
 	start := deliverHist.StartIf(true)
 	defer deliverHist.Done(start)
 	wb := Batch{
@@ -365,9 +260,9 @@ func (s *HTTPSink) ship(buf []byte, violations []assertion.Violation) []byte {
 		Seq:        s.seq.Add(1),
 		Violations: violations,
 	}
-	body := s.encode(buf, &wb)
+	encErr := s.encode(&wb)
 	if len(wb.Violations) == 0 {
-		return body
+		return encErr
 	}
 	err, o := errCircuitOpen, outcome{status: batchStart}
 	for {
@@ -378,11 +273,10 @@ func (s *HTTPSink) ship(buf []byte, violations []assertion.Violation) []byte {
 		case actAck:
 			s.delivered.Add(int64(len(wb.Violations)))
 			s.batches.Add(1)
-			return body
+			return encErr
 		case actDrop:
-			s.setErr(fmt.Errorf("export: deliver batch to %s (%s drop): %w", s.url, dropReasonNames[act.reason], err))
 			s.drops[act.reason].Add(int64(len(wb.Violations)))
-			return body
+			return cmp.Or(encErr, fmt.Errorf("export: deliver batch to %s (%s drop): %w", s.url, dropReasonNames[act.reason], err))
 		case actRetry:
 			s.retries.Add(1)
 			s.sleep(act.wait)
@@ -392,27 +286,29 @@ func (s *HTTPSink) ship(buf []byte, violations []assertion.Violation) []byte {
 			// semantics are untouched.
 			s.codec = jsonCodec{}
 			s.fellBack.Store(true)
-			if body = s.encode(body[:0], &wb); len(wb.Violations) == 0 {
-				return body
+			if encErr = cmp.Or(encErr, s.encode(&wb)); len(wb.Violations) == 0 {
+				return encErr
 			}
 		}
-		o, err = s.post(body, wb.Seq, act.timeout)
+		o, err = s.post(s.buf, wb.Seq, act.timeout)
 	}
 }
 
 var errCircuitOpen = errors.New("circuit open")
 
-// encode appends wb's wire form to buf. Neither codec carries a
+// encode sets s.buf to wb's wire form. Neither codec carries a
 // non-finite Time or Severity: those violations are dropped, counted,
 // and the rest encode under the same Seq — one bad value must not cost
 // the violations beside it. wb.Violations is left holding what was
-// encoded; it is empty when nothing could be.
-func (s *HTTPSink) encode(buf []byte, wb *Batch) []byte {
-	body, err := s.codec.AppendBatch(buf, *wb)
+// encoded; it is empty when nothing could be. The error describes the
+// first encode failure.
+func (s *HTTPSink) encode(wb *Batch) error {
+	body, err := s.codec.AppendBatch(s.buf[:0], *wb)
 	if err == nil {
-		return body
+		s.buf = body
+		return nil
 	}
-	s.setErr(fmt.Errorf("export: encode batch: %w", err))
+	err = fmt.Errorf("export: encode batch: %w", err)
 	kept := wb.Violations[:0]
 	for _, v := range wb.Violations {
 		if finite(v.Time) && finite(v.Severity) {
@@ -421,13 +317,14 @@ func (s *HTTPSink) encode(buf []byte, wb *Batch) []byte {
 	}
 	s.drops[dropNonFinite].Add(int64(len(wb.Violations) - len(kept)))
 	if wb.Violations = kept; len(kept) > 0 {
-		if body, err = s.codec.AppendBatch(buf, *wb); err == nil {
-			return body
+		if body, rerr := s.codec.AppendBatch(s.buf[:0], *wb); rerr == nil {
+			s.buf = body
+			return err
 		}
 	}
 	s.drops[dropRejected].Add(int64(len(kept)))
 	wb.Violations = nil
-	return buf
+	return err
 }
 
 // sleep waits d, or less once Close has begun: the rest of the wait is

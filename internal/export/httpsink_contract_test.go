@@ -12,7 +12,7 @@ import (
 )
 
 // TestHTTPSinkAccountingContract locks the DropCounter arithmetic the
-// sink documents: once Flush returns, Delivered() + Dropped() equals
+// sink documents: once Flush returns, Stats().Delivered + Dropped() equals
 // exactly the violations Record accepted, and Dropped() is the sum of the
 // per-reason counts — through a healthy collector, through a total
 // outage, and through the recovery after it. Nothing is double-counted
@@ -62,7 +62,7 @@ func TestHTTPSinkAccountingContract(t *testing.T) {
 	if s.Dropped() != 0 {
 		t.Fatalf("healthy phase dropped %d", s.Dropped())
 	}
-	delivered := s.Delivered()
+	delivered := s.Stats().Delivered
 
 	// Phase 2: outage — batches run out their deadline, then the circuit
 	// opens and drops the rest unsent; the balance still holds.
@@ -84,20 +84,20 @@ func TestHTTPSinkAccountingContract(t *testing.T) {
 	time.Sleep(fastDeadline)
 	record(30)
 	checkBalance("recovery")
-	if s.Delivered() <= delivered {
-		t.Fatalf("no deliveries after recovery: %d then %d", delivered, s.Delivered())
+	if s.Stats().Delivered <= delivered {
+		t.Fatalf("no deliveries after recovery: %d then %d", delivered, s.Stats().Delivered)
 	}
 	if err := s.Close(); err == nil {
 		t.Fatal("Close must surface the outage's delivery error")
 	}
 	// Close drains whatever was left; the final ledger must balance too.
-	if got := s.Delivered() + s.Dropped(); got != int64(accepted) {
+	if got := s.Stats().Delivered + s.Dropped(); got != int64(accepted) {
 		t.Fatalf("after Close: Delivered(%d) + Dropped(%d) = %d, want %d",
-			s.Delivered(), s.Dropped(), got, accepted)
+			s.Stats().Delivered, s.Dropped(), got, accepted)
 	}
 	// The collector saw exactly the delivered violations, once each.
-	if got := c.TotalFired(); int64(got) != s.Delivered() {
-		t.Fatalf("collector ingested %d, sink delivered %d", got, s.Delivered())
+	if got := c.TotalFired(); int64(got) != s.Stats().Delivered {
+		t.Fatalf("collector ingested %d, sink delivered %d", got, s.Stats().Delivered)
 	}
 }
 

@@ -109,7 +109,7 @@ func TestHTTPSinkHonorsRetryAfter(t *testing.T) {
 	if gap := attempts[1].Sub(attempts[0]); gap < 900*time.Millisecond {
 		t.Fatalf("retry gap = %s, want >= ~1s from Retry-After", gap)
 	}
-	if got := s.Delivered(); got != 3 {
+	if got := s.Stats().Delivered; got != 3 {
 		t.Fatalf("Delivered = %d, want 3", got)
 	}
 }
@@ -239,7 +239,7 @@ func TestHTTPSinkBreakerProbeCloses(t *testing.T) {
 	// A closed circuit ships normally again.
 	recordN(t, s, 1)
 	s.Flush()
-	if got := s.Delivered(); got != 3 {
+	if got := s.Stats().Delivered; got != 3 {
 		t.Fatalf("Delivered = %d after recovery, want 3", got)
 	}
 }
@@ -271,7 +271,7 @@ func TestHTTPSinkAnsweredProbeClosesCircuit(t *testing.T) {
 	if st := s.Stats(); st.CircuitOpen || st.Drops.Rejected != 1 {
 		t.Fatalf("after a probe answered 413: CircuitOpen %v, drops %+v; want closed and 1 rejected", st.CircuitOpen, st.Drops)
 	}
-	retries := s.Retries()
+	retries := s.Stats().Retries
 	recordN(t, s, 1) // batch 4: one 503 blip, then delivered
 	s.Flush()
 	if st := s.Stats(); st.Delivered != 1 || st.Retries != retries+1 || st.CircuitOpen {

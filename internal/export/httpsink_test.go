@@ -48,11 +48,11 @@ func TestHTTPSinkDeliversToCollector(t *testing.T) {
 	if got := c.TotalFired(); got != n {
 		t.Fatalf("collector ingested %d, want %d", got, n)
 	}
-	if s.Delivered() != n || s.Dropped() != 0 {
-		t.Fatalf("Delivered %d Dropped %d, want %d and 0", s.Delivered(), s.Dropped(), n)
+	if s.Stats().Delivered != n || s.Dropped() != 0 {
+		t.Fatalf("Delivered %d Dropped %d, want %d and 0", s.Stats().Delivered, s.Dropped(), n)
 	}
-	if s.Batches() < 1 || s.Batches() > n {
-		t.Fatalf("Batches = %d", s.Batches())
+	if s.Stats().Batches < 1 || s.Stats().Batches > n {
+		t.Fatalf("Batches = %d", s.Stats().Batches)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -86,8 +86,8 @@ func TestHTTPSinkRetriesTransientFailures(t *testing.T) {
 	if got := c.TotalFired(); got != 5 {
 		t.Fatalf("collector ingested %d, want 5", got)
 	}
-	if s.Retries() < 2 || s.Dropped() != 0 {
-		t.Fatalf("Retries %d Dropped %d, want >= 2 and 0", s.Retries(), s.Dropped())
+	if s.Stats().Retries < 2 || s.Dropped() != 0 {
+		t.Fatalf("Retries %d Dropped %d, want >= 2 and 0", s.Stats().Retries, s.Dropped())
 	}
 }
 
@@ -140,8 +140,8 @@ func TestHTTPSinkCountsDropsWhenServerDown(t *testing.T) {
 	if got := s.Dropped(); got != n {
 		t.Fatalf("Dropped = %d, want all %d accepted violations", got, n)
 	}
-	if s.Delivered() != 0 {
-		t.Fatalf("Delivered = %d, want 0", s.Delivered())
+	if s.Stats().Delivered != 0 {
+		t.Fatalf("Delivered = %d, want 0", s.Stats().Delivered)
 	}
 	if err := s.Close(); err == nil {
 		t.Fatal("Close should keep reporting the delivery failure")
@@ -273,11 +273,11 @@ func TestHTTPSinkRecordDuringClose(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if got := s.Delivered() + s.Dropped(); got != accepted.Load() {
+	if got := s.Stats().Delivered + s.Dropped(); got != accepted.Load() {
 		t.Fatalf("delivered %d + dropped %d = %d, want the %d accepted",
-			s.Delivered(), s.Dropped(), got, accepted.Load())
+			s.Stats().Delivered, s.Dropped(), got, accepted.Load())
 	}
-	if got := c.TotalFired(); int64(got) != s.Delivered() {
-		t.Fatalf("collector ingested %d, sink delivered %d", got, s.Delivered())
+	if got := c.TotalFired(); int64(got) != s.Stats().Delivered {
+		t.Fatalf("collector ingested %d, sink delivered %d", got, s.Stats().Delivered)
 	}
 }
