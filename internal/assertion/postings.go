@@ -1,28 +1,44 @@
 package assertion
 
-import "slices"
+import (
+	"math"
+	"slices"
+	"sort"
+)
+
+// zoneBlock is how many consecutive log slots one zone bound covers.
+const zoneBlock = 256
 
 // PostingIndex is the read index both ViolationStore backends answer
 // Query from: per assertion name and per stream key, the log slots of the
-// retained violations, oldest first. The owning store keeps it in step
-// with its log under its own lock — Add on append, EvictOldest when a
-// bounded log overwrites its oldest entry, Rebuild after compaction —
-// so a filtered query costs the matching postings, not the retained log.
-// Violations with an empty Stream carry no stream posting (an empty
-// StoreQuery.Stream means "any").
+// retained violations, oldest first, plus a zone map — for every
+// zoneBlock consecutive log slots, an upper bound on their Time. The
+// owning store keeps it in step with its log under its own lock — Add on
+// append, EvictOldest when a bounded log overwrites its oldest entry,
+// Rebuild after compaction — so a filtered query costs the matching
+// postings, not the retained log, and a ByKey query skips the blocks
+// whose bound cannot reach its newest Limit. Violations with an empty
+// Stream carry no stream posting (an empty StoreQuery.Stream means
+// "any").
 type PostingIndex struct {
 	byAssert map[string][]int32
 	byStream map[string][]int32
+	// zone[b] bounds the Time of log slots [b*zoneBlock, (b+1)*zoneBlock)
+	// from above; a NaN Time makes its block's bound NaN, which no
+	// comparison skips. Add only raises a bound and EvictOldest leaves it,
+	// since a bound over fewer entries is still a bound.
+	zone []float64
 }
 
-// Reset drops every posting.
+// Reset drops every posting and zone bound.
 func (p *PostingIndex) Reset() {
 	p.byAssert = make(map[string][]int32)
 	p.byStream = make(map[string][]int32)
+	p.zone = p.zone[:0]
 }
 
 // Add indexes v, which the store just wrote to slot as its newest
-// retained violation.
+// retained violation, and raises slot's zone bound to v.Time.
 func (p *PostingIndex) Add(slot int, v Violation) {
 	if p.byAssert == nil {
 		p.Reset()
@@ -30,6 +46,13 @@ func (p *PostingIndex) Add(slot int, v Violation) {
 	p.byAssert[v.Assertion] = append(p.byAssert[v.Assertion], int32(slot))
 	if v.Stream != "" {
 		p.byStream[v.Stream] = append(p.byStream[v.Stream], int32(slot))
+	}
+	b := slot / zoneBlock
+	for b >= len(p.zone) {
+		p.zone = append(p.zone, math.Inf(-1))
+	}
+	if z := p.zone[b]; z == z && !(v.Time <= z) { // a NaN bound stays NaN
+		p.zone[b] = v.Time
 	}
 }
 
@@ -67,18 +90,28 @@ func (p *PostingIndex) Rebuild(log []Violation, head int) {
 	}
 }
 
-// Size reports the index's footprint: how many keys it holds and how
-// many postings across them. Both are bounded by the retained log — one
-// assertion posting per violation, one stream posting per keyed one, no
-// key without a posting.
-func (p *PostingIndex) Size() (keys, postings int) {
+// Size reports the index's footprint over log, the retained violations it
+// covers: how many keys it holds and how many postings across them, both
+// bounded by the retained log — one assertion posting per violation, one
+// stream posting per keyed one, no key without a posting. badBounds
+// counts where the zone map breaks its own invariant: a block of log
+// without a bound or a bound without a block, and a bound below a Time in
+// its block (a NaN bound never is).
+func (p *PostingIndex) Size(log []Violation) (keys, postings, badBounds int) {
 	for _, lists := range []map[string][]int32{p.byAssert, p.byStream} {
 		keys += len(lists)
 		for _, list := range lists {
 			postings += len(list)
 		}
 	}
-	return keys, postings
+	blocks := (len(log) + zoneBlock - 1) / zoneBlock
+	badBounds = max(len(p.zone)-blocks, blocks-len(p.zone))
+	for slot := range min(len(log), len(p.zone)*zoneBlock) {
+		if z := p.zone[slot/zoneBlock]; z == z && !(z >= log[slot].Time) {
+			badBounds++
+		}
+	}
+	return keys, postings, badBounds
 }
 
 // candidates returns the posting list a query walks — the shorter one
@@ -109,7 +142,25 @@ func (p *PostingIndex) candidates(q StoreQuery) (list []int32, indexed bool) {
 // q.Limit matches and neither walk allocates beyond the matches it keeps:
 // nothing is sized by q.Limit alone. The caller holds the lock guarding
 // log.
+//
+// The ByKey walk keeps a size-q.Limit heap and, once it is full, reads
+// each block's zone bound once and skips a block whose bound is below the
+// heap minimum's Time: nothing in it can displace the minimum. While Time
+// rises with arrival that leaves the zone bounds (one per 256 slots) plus
+// the candidates of the block or two the newest matches sit in, and of
+// the block a ring's head splits; when Time runs against arrival no bound
+// skips anything and the walk is one pass over the candidates.
 func (p *PostingIndex) Query(q StoreQuery, log []Violation, head int) []Violation {
+	return p.query(q, log, head, nil)
+}
+
+// queryWork counts what a ByKey walk read: the candidates it examined and
+// the zone bounds it compared.
+type queryWork struct{ candidates, bounds int }
+
+// query is Query, counting the ByKey walk's work into work when it is not
+// nil.
+func (p *PostingIndex) query(q StoreQuery, log []Violation, head int, work *queryWork) []Violation {
 	list, indexed := p.candidates(q)
 	n := len(log)
 	if indexed {
@@ -151,7 +202,46 @@ func (p *PostingIndex) Query(q StoreQuery, log []Violation, head int) []Violatio
 			va, vb := cand(a), cand(b)
 			return keyLess(va, vb) || (!keyLess(vb, va) && a < b)
 		}
+		// Candidate ranks [0, split) sit at ascending slots from head on,
+		// ranks [split, n) at ascending slots below head: the two runs of a
+		// wrapped ring, or one run when head is 0.
+		split := len(log) - head
+		if indexed {
+			split = sort.Search(n, func(k int) bool { return int(list[k]) < head })
+		}
+		seen, examined, bounds := -1, 0, 0 // seen: the block whose bound was read last
 		for i := n - 1; i >= 0; i-- {
+			if len(picked) == q.Limit {
+				slot := head + i
+				switch {
+				case indexed:
+					slot = int(list[i])
+				case slot >= len(log):
+					slot -= len(log)
+				}
+				if b := slot / zoneBlock; b != seen && b < len(p.zone) {
+					seen = b
+					bounds++
+					// v.Time <= zone[b] < min.Time makes keyLess(v, min) hold
+					// for every v in the block: none can enter the heap.
+					if p.zone[b] < cand(picked[0]).Time {
+						// Step i to the first rank of the block in its run.
+						lo, start := 0, b*zoneBlock
+						if i >= split {
+							lo = split
+						} else {
+							start = max(start, head)
+						}
+						if indexed {
+							i = lo + sort.Search(i-lo, func(k int) bool { return int(list[lo+k]) >= start })
+						} else {
+							i -= slot - start
+						}
+						continue // i-- steps to the newest candidate below the block
+					}
+				}
+			}
+			examined++
 			switch {
 			case !q.Matches(*cand(i)):
 			case len(picked) < q.Limit:
@@ -161,6 +251,9 @@ func (p *PostingIndex) Query(q StoreQuery, log []Violation, head int) []Violatio
 				picked[0] = i
 				siftDown(picked, less)
 			}
+		}
+		if work != nil {
+			*work = queryWork{candidates: examined, bounds: bounds}
 		}
 		slices.Sort(picked)
 	}

@@ -23,10 +23,12 @@ import (
 // and ByAssertion, the collector's merged views, /v1/violations/query —
 // is a StoreQuery, and both backends answer it from the shared
 // PostingIndex (postings.go; MemStore builds its own on the first
-// filtered query): a filtered query walks only its matching postings, a
-// limited one keeps only the newest Limit matches, and the store lock is
-// held for that walk rather than for a copy of the whole retained log.
-// Only the unlimited, unfiltered query is still a full copy.
+// filtered or ByKey query): a filtered query walks only its matching
+// postings, a limited one keeps only the newest Limit matches — under
+// ByKey skipping the blocks of the log whose Time bound cannot reach
+// them — and the store lock is held for that walk rather than for a copy
+// of the whole retained log. Only the unlimited, unfiltered query is
+// still a full copy.
 //
 // The seam's other direction is the EvictionObserver a store's owner may
 // set on the concrete backend (it is not part of ViolationStore): the
@@ -154,9 +156,9 @@ type ViolationStore interface {
 type MemStore struct {
 	mu  sync.Mutex // guards the violation ring and its index
 	log violationRing
-	// index follows the ring from the first filtered Query on (indexed).
-	// A store nobody asks by assertion or stream — every edge Recorder —
-	// pays nothing for it on Append.
+	// index follows the ring from the first Query that filters or asks
+	// ByKey on (indexed). A store nobody asks by assertion, stream or key
+	// — every edge Recorder — pays nothing for it on Append.
 	index   PostingIndex
 	indexed bool
 
@@ -222,23 +224,25 @@ func (m *MemStore) addLocked(v Violation) {
 }
 
 // Query implements ViolationStore. The first query that names an
-// assertion or a stream builds the index, one pass over the ring.
+// assertion or a stream, or asks ByKey (a sharded collector's newest,
+// which the index's zone map serves), builds the index, one pass over
+// the ring.
 func (m *MemStore) Query(q StoreQuery) []Violation {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.indexed && (q.Assertion != "" || q.Stream != "") {
+	if !m.indexed && (q.Assertion != "" || q.Stream != "" || q.ByKey) {
 		m.index.Rebuild(m.log.buf, m.log.head)
 		m.indexed = true
 	}
 	return m.index.Query(q, m.log.buf, m.log.head)
 }
 
-// IndexSize reports the query index's keys and postings (see
-// PostingIndex.Size).
-func (m *MemStore) IndexSize() (keys, postings int) {
+// IndexSize reports the query index's keys and postings and its zone
+// map's broken bounds (see PostingIndex.Size).
+func (m *MemStore) IndexSize() (keys, postings, badBounds int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.index.Size()
+	return m.index.Size(m.log.buf)
 }
 
 // Stats returns one assertion's aggregate statistics.

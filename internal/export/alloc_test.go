@@ -176,7 +176,7 @@ func TestAllocRegressionQueryNewest(t *testing.T) {
 		for _, q := range []assertion.StoreQuery{{}, {Stream: "cam-7"}, {Assertion: "assert-3"}} {
 			for _, byKey := range []bool{false, true} {
 				q.Limit, q.ByKey = 100, byKey
-				s.Query(q) // MemStore builds its index on the first filtered query
+				s.Query(q) // MemStore builds its index on the first filtered or ByKey query
 				const runs = 20
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)

@@ -537,7 +537,11 @@ func (c *Collector) Summary() map[string]int {
 // (ties by shard, then arrival), q.Limit keeps the newest in that order,
 // and each shard hands over only its own newest q.Limit (q.ByKey) — so a
 // limited query merges at most Limit violations per shard, never the
-// retained log.
+// retained log. A shard finds its newest Limit under its lock with a
+// size-Limit heap that skips every 256-slot block whose Time bound is
+// below the heap's minimum (assertion.PostingIndex.Query): while Time
+// rises with arrival that is the block bounds plus a block or two of
+// candidates, and at worst, Time against arrival, one pass over them.
 func (c *Collector) Query(q assertion.StoreQuery) []assertion.Violation {
 	if len(c.shards) == 1 {
 		return c.shards[0].Query(q)

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"slices"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -193,6 +195,204 @@ func TestQueryMatchesReferenceOracle(t *testing.T) {
 		}
 	}
 	t.Logf("%d differential queries", queries)
+}
+
+// zoneSources returns one source name per shard, each routed to its own
+// shard, so a test lays out every shard's log slot by slot.
+func zoneSources(shards int) []string {
+	out := make([]string, shards)
+	found := 0
+	for k := 0; found < shards; k++ {
+		name := fmt.Sprintf("zone-%02d", k)
+		if i := assertion.ShardFor(name, shards); out[i] == "" {
+			out[i] = name
+			found++
+		}
+	}
+	return out
+}
+
+// zoneShapes are per-source Time orders against arrival (i is the arrival
+// rank, n the load's size). Each ties Times across some block boundary;
+// "plateau" ends on 300 equal Times on one stream straddling one, with
+// SampleIndex falling in arrival order, so the newest by key are the
+// plateau's oldest and sit in a block whose bound equals the heap
+// minimum's Time.
+var zoneShapes = []struct {
+	name string
+	at   func(i, n int) (time float64, stream string, sample int)
+}{
+	{"ascending", func(i, _ int) (float64, string, int) { return float64(i / 3), zoneStream(i), i % 2 }},
+	{"descending", func(i, _ int) (float64, string, int) { return float64(1e6 - i/3), zoneStream(i), i % 2 }},
+	{"sawtooth", func(i, _ int) (float64, string, int) { return float64(i % 700), zoneStream(i), i % 2 }},
+	{"plateau", func(i, n int) (float64, string, int) {
+		if i >= n-300 {
+			return 1e6, "s1", n - i
+		}
+		return float64(i / 3), zoneStream(i), i % 2
+	}},
+}
+
+func zoneStream(i int) string { return []string{"", "s0", "s1", "s2"}[i%4] }
+
+// zoneLoad ingests n violations per source, arrival ranks from..from+n-1,
+// in batches of 500.
+func zoneLoad(c *Collector, sources []string, shape func(i, n int) (float64, string, int), from, n int) {
+	for _, src := range sources {
+		for lo := from; lo < from+n; lo += 500 {
+			b := Batch{Version: WireVersion, Source: src, Seq: uint64(lo + 1)}
+			for i := lo; i < min(lo+500, from+n); i++ {
+				tm, stream, sample := shape(i, from+n)
+				b.Violations = append(b.Violations, assertion.Violation{
+					Assertion: []string{"a", "b", "c"}[i%3], Stream: stream, SampleIndex: sample,
+					Time: tm, Severity: float64(i), IngestUnix: int64(1000 + i),
+				})
+			}
+			c.Ingest(b)
+		}
+	}
+}
+
+// byKeyOrder returns log's ranks sorted ascending by (Time, Stream,
+// SampleIndex, arrival): a store's ByKey answer at limit L is the last L
+// of its matches in this order, put back in arrival order.
+func byKeyOrder(log []assertion.Violation) []int {
+	idx := make([]int, len(log))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		va, vb := &log[idx[a]], &log[idx[b]]
+		if va.Time != vb.Time {
+			return va.Time < vb.Time
+		}
+		if va.Stream != vb.Stream {
+			return va.Stream < vb.Stream
+		}
+		return va.SampleIndex < vb.SampleIndex
+	})
+	return idx
+}
+
+// TestQueryOracleZoneMap reaches the zone map that lets a ByKey walk skip
+// whole 256-slot blocks: both backends, one to three shards, every shard
+// holding at least 20 blocks, Time ascending, descending, sawtooth and
+// plateaued against arrival — on a plain log, a MemStore ring wrapped with
+// its head mid-block, and across compactions between queries. The
+// collector's answer must equal referenceQuery's, and every shard's own
+// ByKey answer a sort of its retained log.
+func TestQueryOracleZoneMap(t *testing.T) {
+	const perShard, minBlocks = 8000, 20
+	filters := [][2]string{{"", ""}, {"a", ""}, {"", "s1"}, {"b", "s2"}}
+	limits := []int{1, 100, 700}
+	check := func(t *testing.T, c *Collector, when string) {
+		t.Helper()
+		// The references sort once per check and filter per query: the
+		// sorts are stable, so that is the same as filtering first.
+		merged := referenceQuery(c, "", "", 0)
+		logs := make([][]assertion.Violation, len(c.shards))
+		sorted := make([][]int, len(c.shards))
+		for i, st := range c.shards {
+			logs[i] = st.Query(assertion.StoreQuery{})
+			sorted[i] = byKeyOrder(logs[i])
+		}
+		for _, f := range filters {
+			m := assertion.StoreQuery{Assertion: f[0], Stream: f[1]}
+			var all []assertion.Violation
+			for _, v := range merged {
+				if m.Matches(v) {
+					all = append(all, v)
+				}
+			}
+			orders := make([][]int, len(logs))
+			for i, log := range logs {
+				for _, k := range sorted[i] {
+					if m.Matches(log[k]) {
+						orders[i] = append(orders[i], k)
+					}
+				}
+			}
+			for _, limit := range limits {
+				q := assertion.StoreQuery{Assertion: f[0], Stream: f[1], Limit: limit}
+				if got, want := c.Query(q), all[max(len(all)-limit, 0):]; !slices.Equal(got, want) {
+					t.Fatalf("%s: collector %+v differs from the reference (%d vs %d violations)", when, q, len(got), len(want))
+				}
+				q.ByKey = true
+				for i, st := range c.shards {
+					picked := slices.Clone(orders[i][max(len(orders[i])-limit, 0):])
+					slices.Sort(picked)
+					want := make([]assertion.Violation, len(picked))
+					for j, k := range picked {
+						want[j] = logs[i][k]
+					}
+					if got := st.Query(q); !slices.Equal(got, want) {
+						t.Fatalf("%s: shard %d %+v differs from the sorted log (%d vs %d violations)", when, i, q, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+	spans := func(t *testing.T, c *Collector) {
+		t.Helper()
+		for i, st := range c.shards {
+			if n := st.Info().Entries; n < minBlocks*256 {
+				t.Fatalf("shard %d retains %d violations, under %d blocks", i, n, minBlocks)
+			}
+		}
+	}
+	shapes := zoneShapes
+	if raceEnabled {
+		// The race detector looks for unsynchronised access, which the Time
+		// shape does not change, and the whole matrix costs it half a
+		// minute: it keeps the plateau, whose skips are the closest calls.
+		shapes = shapes[len(shapes)-1:]
+	}
+	for _, backend := range []string{StoreMem, StoreDisk} {
+		for shards := 1; shards <= 3; shards++ {
+			for _, shape := range shapes {
+				t.Run(fmt.Sprintf("%s/shards=%d/%s", backend, shards, shape.name), func(t *testing.T) {
+					sources := zoneSources(shards)
+					cfg := CollectorConfig{Store: backend, Shards: shards}
+					if backend == StoreDisk {
+						cfg.DataDir = t.TempDir()
+					}
+					if backend == StoreMem {
+						// A ring of 5400 a shard, queried (so indexed) before
+						// it wraps and again 3017 past its first wrap, its
+						// head 201 slots into block 11: every overwrite
+						// raises a bound in place.
+						cfg := cfg
+						cfg.Retain = 5400 * shards
+						c := openCollector(t, cfg)
+						zoneLoad(c, sources, shape.at, 0, 5200)
+						check(t, c, "before the wrap")
+						zoneLoad(c, sources, shape.at, 5200, 3217)
+						spans(t, c)
+						if got := c.LogDropped(); got != 3017*shards {
+							t.Fatalf("the rings dropped %d, want %d", got, 3017*shards)
+						}
+						check(t, c, "wrapped")
+					}
+
+					cfg.RetainPerAssertion = 2400 * shards
+					cfg.CompactEvery = 1 << 40 // CompactNow only
+					c := openCollector(t, cfg)
+					zoneLoad(c, sources, shape.at, 0, perShard)
+					spans(t, c)
+					check(t, c, "appended")
+					if c.CompactNow() == 0 {
+						t.Fatal("retention evicted nothing")
+					}
+					spans(t, c)
+					check(t, c, "compacted")
+					zoneLoad(c, sources, shape.at, perShard, 1000)
+					check(t, c, "appended after compaction")
+					c.CompactNow()
+					check(t, c, "compacted twice")
+				})
+			}
+		}
+	}
 }
 
 // TestQueryResponseMatchesEncodingJSON pins the hand-written response

@@ -14,7 +14,7 @@ import (
 // PostingIndex — both backends.
 type indexedStore interface {
 	assertion.ViolationStore
-	IndexSize() (keys, postings int)
+	IndexSize() (keys, postings, badBounds int)
 }
 
 // scanQuery is the linear-scan model of Query over an arrival-ordered
@@ -57,7 +57,8 @@ func scanQuery(log []assertion.Violation, q Query) []assertion.Violation {
 // retained log. After every step Query must equal a linear
 // scan of the model for every filter shape, limit and order, and the index
 // must hold exactly the model's postings under exactly the model's keys —
-// no evicted entry, no key left behind by a stream that churned away.
+// no evicted entry, no key left behind by a stream that churned away —
+// and a zone map whose every bound covers its block of the log.
 func TestQueryIndexInvariant(t *testing.T) {
 	const ringLimit = 48
 	seg, err := Open(Config{Dir: t.TempDir(), SegmentBytes: 4 << 10})
@@ -172,9 +173,15 @@ func runIndexInvariant(t *testing.T, s indexedStore, limit int) {
 				wantPostings++
 			}
 		}
-		if gotKeys, gotPostings := s.IndexSize(); gotKeys != len(keys) || gotPostings != wantPostings {
+		gotKeys, gotPostings, badBounds := s.IndexSize()
+		if gotKeys != len(keys) || gotPostings != wantPostings {
 			t.Fatalf("step %d: index holds %d keys / %d postings, the retained log has %d / %d",
 				step, gotKeys, gotPostings, len(keys), wantPostings)
+		}
+		// The zone map: one bound per 256 log slots, each NaN or at least
+		// every retained Time in its block.
+		if badBounds != 0 {
+			t.Fatalf("step %d: the zone map breaks its invariant %d times over %d retained", step, badBounds, len(model))
 		}
 	}
 }

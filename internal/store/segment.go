@@ -709,12 +709,12 @@ func (s *SegmentStore) Query(q Query) []assertion.Violation {
 	return s.index.Query(q, s.vs, 0)
 }
 
-// IndexSize reports the query index's keys and postings (see
-// assertion.PostingIndex.Size).
-func (s *SegmentStore) IndexSize() (keys, postings int) {
+// IndexSize reports the query index's keys and postings and its zone
+// map's broken bounds (see assertion.PostingIndex.Size).
+func (s *SegmentStore) IndexSize() (keys, postings, badBounds int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.index.Size()
+	return s.index.Size(s.vs)
 }
 
 // StatsAll implements ViolationStore.
