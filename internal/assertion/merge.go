@@ -1,6 +1,10 @@
 package assertion
 
-import "sort"
+import (
+	"cmp"
+	"sort"
+	"strings"
+)
 
 // ShardFor routes a key to one of n shards with FNV-1a — the routing seam
 // shared by MonitorPool (keyed by Sample.Stream) and the export
@@ -53,17 +57,61 @@ func SortViolations(vs []Violation) {
 	sort.SliceStable(vs, func(i, j int) bool { return keyLess(&vs[i], &vs[j]) })
 }
 
+// MergeNewest merges answers that are each in SortViolations order — a
+// sharded reader's per-store ByKey answers — into one in that order,
+// keeping the greatest limit of them (0 = all). It fills the result from
+// the answers' tails, so it allocates only what it returns, and a key tie
+// goes to the later answer: the order SortViolations gives their
+// concatenation. It consumes parts, shortening its slices.
+func MergeNewest(parts [][]Violation, limit int) []Violation {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if limit > 0 {
+		n = min(n, limit)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Violation, n)
+	for k := n - 1; k >= 0; k-- {
+		best := -1 // scanned from the last answer, so a tie keeps it
+		for i := len(parts) - 1; i >= 0; i-- {
+			p := parts[i]
+			if len(p) > 0 && (best < 0 || keyLess(&parts[best][len(parts[best])-1], &p[len(p)-1])) {
+				best = i
+			}
+		}
+		last := len(parts[best]) - 1
+		out[k] = parts[best][last]
+		parts[best] = parts[best][:last]
+	}
+	return out
+}
+
 // keyLess is the SortViolations order: Time, then Stream, then
 // SampleIndex. StoreQuery.ByKey selects by the same key, which is what
 // lets a sharded reader merge per-shard answers instead of whole logs.
-func keyLess(a, b *Violation) bool {
+func keyLess(a, b *Violation) bool { return keyCompare(a, b) < 0 }
+
+// keyCompare is keyLess as one three-way comparison. Two Times that
+// differ without either being less — one is NaN — compare equal, keys
+// and all.
+func keyCompare(a, b *Violation) int {
 	if a.Time != b.Time {
-		return a.Time < b.Time
+		switch {
+		case a.Time < b.Time:
+			return -1
+		case a.Time > b.Time:
+			return 1
+		}
+		return 0
 	}
-	if a.Stream != b.Stream {
-		return a.Stream < b.Stream
+	if c := strings.Compare(a.Stream, b.Stream); c != 0 {
+		return c
 	}
-	return a.SampleIndex < b.SampleIndex
+	return cmp.Compare(a.SampleIndex, b.SampleIndex)
 }
 
 // MergeRecorderSnapshots combines per-shard (or per-stream) snapshots

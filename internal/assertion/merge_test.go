@@ -3,6 +3,8 @@ package assertion
 import (
 	"hash/fnv"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -51,6 +53,39 @@ func TestSortViolationsOrder(t *testing.T) {
 	for i, v := range vs {
 		if v.SampleIndex != wantIdx[i] {
 			t.Fatalf("position %d: sample %d, want %d (order %+v)", i, v.SampleIndex, wantIdx[i], vs)
+		}
+	}
+}
+
+// TestMergeNewestMatchesSortedConcatenation holds MergeNewest to what it
+// replaces: concatenate the answers, SortViolations, keep the last limit.
+// Keys come from a few values, so most tie across answers, and Severity
+// tells tied violations apart: a tie must go to the later answer.
+func TestMergeNewestMatchesSortedConcatenation(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 50))
+	for round := 0; round < 300; round++ {
+		parts := make([][]Violation, 1+rng.IntN(4))
+		var all []Violation
+		for i := range parts {
+			for j := rng.IntN(12); j > 0; j-- {
+				parts[i] = append(parts[i], Violation{
+					Stream: []string{"s0", "s1"}[rng.IntN(2)], SampleIndex: rng.IntN(2),
+					Time: float64(rng.IntN(3)), Severity: rng.Float64(),
+				})
+			}
+			SortViolations(parts[i])
+			all = append(all, parts[i]...)
+		}
+		SortViolations(all)
+		for _, limit := range []int{0, 1, 3, len(all), len(all) + 2} {
+			want := all[len(all)-min(len(all), limit):]
+			if limit == 0 {
+				want = all
+			}
+			got := MergeNewest(slices.Clone(parts), limit)
+			if !slices.Equal(got, want) && len(got)+len(want) > 0 {
+				t.Fatalf("round %d, limit %d:\n got %v\nwant %v", round, limit, got, want)
+			}
 		}
 	}
 }

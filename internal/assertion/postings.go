@@ -135,13 +135,13 @@ func (p *PostingIndex) candidates(q StoreQuery) (list []int32, indexed bool) {
 
 // Query answers q over log, the retained violations this index covers: a
 // ring whose oldest entry sits at log[head] (head is 0 for a flat log).
-// The result is a fresh slice in arrival order. With a limit it holds the
-// newest q.Limit matches — the last to arrive, or under q.ByKey the
-// greatest by (Time, Stream, SampleIndex, arrival) — found by walking the
-// candidates newest to oldest, so the arrival-order walk stops after
-// q.Limit matches and neither walk allocates beyond the matches it keeps:
-// nothing is sized by q.Limit alone. The caller holds the lock guarding
-// log.
+// The result is a fresh slice, in arrival order, or under q.ByKey in key
+// order: (Time, Stream, SampleIndex, arrival) ascending. With a limit it
+// holds the newest q.Limit matches — the last to arrive, or under q.ByKey
+// the greatest in key order — found by walking the candidates newest to
+// oldest, so the arrival-order walk stops after q.Limit matches and
+// neither walk allocates beyond the matches it keeps: nothing is sized by
+// q.Limit alone. The caller holds the lock guarding log.
 //
 // The ByKey walk keeps a size-q.Limit heap and, once it is full, reads
 // each block's zone bound once and skips a block whose bound is below the
@@ -176,7 +176,7 @@ func (p *PostingIndex) query(q StoreQuery, log []Violation, head int, work *quer
 		}
 		return &log[i]
 	}
-	if q.Limit <= 0 {
+	if q.Limit <= 0 && !q.ByKey {
 		out := make([]Violation, 0, n)
 		for i := 0; i < n; i++ {
 			if v := cand(i); q.Matches(*v) {
@@ -186,22 +186,37 @@ func (p *PostingIndex) query(q StoreQuery, log []Violation, head int, work *quer
 		return out
 	}
 
-	picked := make([]int, 0, min(q.Limit, n)) // candidate ranks
-	if !q.ByKey {
+	// order compares candidate ranks by key, then rank: ranks break key
+	// ties, so a candidate older than everything in the heap never
+	// displaces an equal key.
+	order := func(a, b int) int {
+		if c := keyCompare(cand(a), cand(b)); c != 0 {
+			return c
+		}
+		return a - b
+	}
+	less := func(a, b int) bool { return order(a, b) < 0 }
+	var picked []int // candidate ranks
+	switch {
+	case !q.ByKey:
+		picked = make([]int, 0, min(q.Limit, n))
 		for i := n - 1; i >= 0 && len(picked) < q.Limit; i-- {
 			if q.Matches(*cand(i)) {
 				picked = append(picked, i)
 			}
 		}
 		slices.Reverse(picked)
-	} else {
-		// picked is a min-heap of the q.Limit greatest candidates seen so
-		// far. Ranks break key ties, so the order is total and a candidate
-		// older than everything in the heap never displaces an equal key.
-		less := func(a, b int) bool {
-			va, vb := cand(a), cand(b)
-			return keyLess(va, vb) || (!keyLess(vb, va) && a < b)
+	case q.Limit <= 0:
+		picked = make([]int, 0, n)
+		for i := 0; i < n; i++ {
+			if q.Matches(*cand(i)) {
+				picked = append(picked, i)
+			}
 		}
+	default:
+		// picked is a min-heap of the q.Limit greatest candidates seen so
+		// far.
+		picked = make([]int, 0, min(q.Limit, n))
 		// Candidate ranks [0, split) sit at ascending slots from head on,
 		// ranks [split, n) at ascending slots below head: the two runs of a
 		// wrapped ring, or one run when head is 0.
@@ -255,7 +270,13 @@ func (p *PostingIndex) query(q StoreQuery, log []Violation, head int, work *quer
 		if work != nil {
 			*work = queryWork{candidates: examined, bounds: bounds}
 		}
+		// From rank order, the key sort below is the same for every walk
+		// that picked the same set, even where a NaN Time leaves keyLess
+		// no total order.
 		slices.Sort(picked)
+	}
+	if q.ByKey {
+		slices.SortFunc(picked, order)
 	}
 	out := make([]Violation, len(picked))
 	for j, i := range picked {

@@ -185,9 +185,9 @@ func TestZoneMapWorkGate(t *testing.T) {
 	if want := zoneless(&descIndex).Query(q, desc, 0); !sameViolations(got, want) || len(got) != limit {
 		t.Fatalf("descending: %d violations, differ from the full walk's %d", len(got), len(want))
 	}
-	if got[0].SampleIndex != retained-1 || got[limit-1].SampleIndex != retained-limit {
+	if got[0].SampleIndex != retained-limit || got[limit-1].SampleIndex != retained-1 {
 		t.Fatalf("descending: answer spans SampleIndex %d..%d, want %d..%d",
-			got[0].SampleIndex, got[limit-1].SampleIndex, retained-1, retained-limit)
+			got[0].SampleIndex, got[limit-1].SampleIndex, retained-limit, retained-1)
 	}
 	if work.candidates != retained {
 		t.Fatalf("descending: examined %d candidates, want all %d", work.candidates, retained)

@@ -47,10 +47,11 @@ type StoreQuery struct {
 	// Limit keeps only the newest N matches (0 = all).
 	Limit int
 	// ByKey makes "newest" mean greatest by (Time, Stream, SampleIndex)
-	// with ties to the later arrival, instead of last to arrive. Results
-	// stay in arrival order either way. A reader merging several stores
-	// in SortViolations order sets it, so that each store's newest Limit
-	// are the only ones that can reach the merged newest Limit.
+	// with ties to the later arrival, instead of last to arrive, and
+	// answers in that key order instead of arrival order. A reader
+	// merging several stores in SortViolations order sets it, so that
+	// each store's newest Limit are the only ones that can reach the
+	// merged newest Limit, and arrive ready to merge (MergeNewest).
 	ByKey bool
 }
 
@@ -107,7 +108,8 @@ type ViolationStore interface {
 	// retention policy may later evict it from).
 	Append(v Violation) error
 	// Query returns a fresh slice of the retained violations matching q,
-	// in arrival order; the zero query copies the whole retained log.
+	// in arrival order (key order under q.ByKey); the zero query copies
+	// the whole retained log.
 	Query(q StoreQuery) []Violation
 	// StatsAll returns every fired assertion's aggregate statistics.
 	// Statistics are complete over everything ever appended, regardless

@@ -535,9 +535,11 @@ func (c *Collector) Summary() map[string]int {
 // keeps the last to arrive. Across shards no global arrival order
 // exists: the answer is ordered by Time, then Stream, then SampleIndex
 // (ties by shard, then arrival), q.Limit keeps the newest in that order,
-// and each shard hands over only its own newest q.Limit (q.ByKey) — so a
-// limited query merges at most Limit violations per shard, never the
-// retained log. A shard finds its newest Limit under its lock with a
+// and each shard hands over only its own newest q.Limit (q.ByKey), in
+// that order, for Query to merge from their tails into one Limit-sized
+// answer (assertion.MergeNewest) — so a limited query reads at most
+// Limit violations per shard, never the retained log, and sorts nothing
+// across shards. A shard finds its newest Limit under its lock with a
 // size-Limit heap that skips every 256-slot block whose Time bound is
 // below the heap's minimum (assertion.PostingIndex.Query): while Time
 // rises with arrival that is the block bounds plus a block or two of
@@ -547,15 +549,11 @@ func (c *Collector) Query(q assertion.StoreQuery) []assertion.Violation {
 		return c.shards[0].Query(q)
 	}
 	q.ByKey = true
-	var out []assertion.Violation
-	for _, st := range c.shards {
-		out = append(out, st.Query(q)...)
+	parts := make([][]assertion.Violation, len(c.shards))
+	for i, st := range c.shards {
+		parts[i] = st.Query(q)
 	}
-	assertion.SortViolations(out)
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[len(out)-q.Limit:]
-	}
-	return out
+	return assertion.MergeNewest(parts, q.Limit)
 }
 
 // Violations returns the retained violations of every shard, in Query's
@@ -824,12 +822,18 @@ func (c *Collector) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeQueryResponse(w, c.Query(q))
 }
 
-// queryBodyPool recycles query response buffers.
-var queryBodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 32<<10); return &b }}
+// queryBodyPool recycles query response buffers; writeQueryResponse
+// sizes an empty or too small one.
+var queryBodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledQueryBody keeps an unlimited query's tens of megabytes from
 // living on in the pool after the one response that needed them.
 const maxPooledQueryBody = 1 << 20
+
+// queryBytesPerViolation is what writeQueryResponse reserves per
+// violation: about what one with every field set and short names
+// encodes to, so a response is sized once instead of grown by doubling.
+const queryBytesPerViolation = 256
 
 // writeQueryResponse writes a QueryResponse body, byte for byte what
 // encoding/json writes for it (an empty answer is [], never null), with
@@ -839,7 +843,11 @@ func writeQueryResponse(w http.ResponseWriter, vs []assertion.Violation) {
 		vs = []assertion.Violation{}
 	}
 	bufp := queryBodyPool.Get().(*[]byte)
-	buf := append((*bufp)[:0], `{"count":`...)
+	buf := (*bufp)[:0]
+	if need := 64 + len(vs)*queryBytesPerViolation; cap(buf) < need {
+		buf = make([]byte, 0, need)
+	}
+	buf = append(buf, `{"count":`...)
 	buf = strconv.AppendInt(buf, int64(len(vs)), 10)
 	buf = append(buf, `,"violations":`...)
 	buf, err := assertion.AppendViolationsJSON(buf, vs)

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 
 	"omg/internal/assertion"
 	"omg/internal/store"
@@ -54,37 +55,54 @@ type markLine struct {
 
 // openShards opens one store per shard: in-memory rings splitting
 // cfg.Retain between them, or — for the disk backend — a SegmentStore per
-// shard-N subdirectory of DataDir plus the dedup-marks log. Every shard
-// reports its evictions to the label service, the other half of what
-// keeps the candidate index current (apply reports the adds).
+// shard-N subdirectory of DataDir plus the dedup-marks log. The disk
+// shards are independent directories, so they recover side by side, one
+// goroutine each: the collector is away for its slowest shard's replay,
+// not for the sum. If any fails, every store that opened is closed and
+// the lowest-numbered shard's error is returned. Every shard reports its
+// evictions to the label service, the other half of what keeps the
+// candidate index current (apply reports the adds).
 func (c *Collector) openShards() error {
-	if c.durable() {
-		if err := c.checkShardDirs(); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < c.cfg.Shards; i++ {
-		if !c.durable() {
+	if !c.durable() {
+		for i := 0; i < c.cfg.Shards; i++ {
 			st := assertion.NewMemStore(perShard(c.cfg.Retain, c.cfg.Shards))
 			st.SetEvictionObserver(c.labels)
 			c.shards = append(c.shards, st)
-			continue
 		}
-		st, err := store.Open(store.Config{
-			Dir:                  shardDir(c.cfg.DataDir, i),
-			SegmentBytes:         c.cfg.SegmentBytes,
-			FailWritesAfterBytes: c.cfg.StoreFailAfterBytes,
-		})
+		return nil
+	}
+	if err := c.checkShardDirs(); err != nil {
+		return err
+	}
+	stores := make([]*store.SegmentStore, c.cfg.Shards)
+	errs := make([]error, c.cfg.Shards)
+	var wg sync.WaitGroup
+	for i := range stores {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stores[i], errs[i] = store.Open(store.Config{
+				Dir:                  shardDir(c.cfg.DataDir, i),
+				SegmentBytes:         c.cfg.SegmentBytes,
+				FailWritesAfterBytes: c.cfg.StoreFailAfterBytes,
+			})
+		}()
+	}
+	wg.Wait()
+	for _, st := range stores {
+		if st != nil {
+			c.shards = append(c.shards, st) // closed by OpenCollector if another failed
+		}
+	}
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
+	}
+	for _, st := range stores {
 		st.SetEvictionObserver(c.labels)
-		c.shards = append(c.shards, st)
 	}
-	if c.durable() {
-		return c.loadMarks()
-	}
-	return nil
+	return c.loadMarks()
 }
 
 // shardDir names shard i's SegmentStore directory inside a data dir.
@@ -177,7 +195,7 @@ func (c *Collector) loadMarks() error {
 		for _, line := range bytes.Split(data, []byte{'\n'}) {
 			fold(line)
 		}
-	} else if err := c.marks.Replay(false, nil, func(_, body []byte) error { return fold(body) }); err != nil {
+	} else if err := c.marks.Replay(false, func(_, body []byte) error { return fold(body) }); err != nil {
 		return err
 	}
 	c.batches.Store(batches)

@@ -1,18 +1,21 @@
 package export
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"omg/internal/assertion"
 	"omg/internal/labelsvc"
+	"omg/internal/store"
 )
 
 func diskCollector(t *testing.T, dir string, shards int) *Collector {
@@ -282,5 +285,84 @@ func TestDiskCollectorMarksFile(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"src":"s"`) {
 		t.Fatalf("marks log missing source mark: %s", data)
+	}
+}
+
+// TestOpenCollectorShardFailureClosesTheRest opens a 4-shard data dir
+// whose shard-1 and shard-3 each hold a sealed segment damaged mid-file.
+// The shards open concurrently; the open must fail with ErrCorrupt naming
+// shard-1's segment, the lowest-numbered failure, and close every shard
+// store that did open — a closed store writes its checkpoint, which the
+// healthy shards here start without. Once the segments are restored, the
+// same dir must open with everything in it.
+func TestOpenCollectorShardFailureClosesTheRest(t *testing.T) {
+	const shards = 4
+	dir := t.TempDir()
+	cfg := CollectorConfig{Store: StoreDisk, DataDir: dir, Shards: shards, SegmentBytes: 1 << 10}
+	c, err := OpenCollector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perShard := make([]int, shards)
+	for i := 0; slices.Contains(perShard, 0); i++ {
+		src := fmt.Sprintf("edge-%02d", i)
+		c.Ingest(mkBatch(src, 1, 40))
+		perShard[assertion.ShardFor(src, shards)] += 40
+	}
+	total := c.TotalFired()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	healthy, damaged := []int{0, 2}, []int{1, 3}
+	good := make(map[string][]byte)
+	for _, i := range damaged {
+		seg := filepath.Join(shardDir(dir, i), "seg-00000001.log")
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good[seg] = slices.Clone(data)
+		data[len(data)/2] ^= 0xFF
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, i := range healthy {
+		if err := os.Remove(filepath.Join(shardDir(dir, i), "checkpoint.json")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	bad := filepath.Join(shardDir(dir, 1), "seg-00000001.log")
+	if c, err := OpenCollector(cfg); err == nil {
+		c.Close()
+		t.Fatal("OpenCollector accepted shards with a corrupt sealed segment")
+	} else if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("OpenCollector = %v, want ErrCorrupt naming %s", err, bad)
+	}
+	for _, i := range healthy {
+		if _, err := os.Stat(filepath.Join(shardDir(dir, i), "checkpoint.json")); err != nil {
+			t.Fatalf("shard %d was opened and not closed: %v", i, err)
+		}
+	}
+
+	for seg, data := range good {
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err = OpenCollector(cfg)
+	if err != nil {
+		t.Fatalf("OpenCollector after the segments were restored: %v", err)
+	}
+	defer c.Close()
+	if got := c.TotalFired(); got != total {
+		t.Fatalf("reopened with %d violations, want %d", got, total)
+	}
+	for i, st := range c.shards {
+		if got := st.TotalFired(); got != perShard[i] {
+			t.Fatalf("shard %d reopened with %d violations, want %d", i, got, perShard[i])
+		}
 	}
 }

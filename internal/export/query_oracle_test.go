@@ -319,8 +319,7 @@ func TestQueryOracleZoneMap(t *testing.T) {
 				}
 				q.ByKey = true
 				for i, st := range c.shards {
-					picked := slices.Clone(orders[i][max(len(orders[i])-limit, 0):])
-					slices.Sort(picked)
+					picked := orders[i][max(len(orders[i])-limit, 0):]
 					want := make([]assertion.Violation, len(picked))
 					for j, k := range picked {
 						want[j] = logs[i][k]

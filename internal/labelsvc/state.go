@@ -97,7 +97,7 @@ func (s *Service) loadLocked() error {
 		s.restoreLocked(snap.State)
 		f.seq = snap.LogSeq
 	}
-	return f.log.Replay(false, nil, func(_, body []byte) error {
+	return f.log.Replay(false, func(_, body []byte) error {
 		var d stateDelta
 		if err := json.Unmarshal(body, &d); err != nil {
 			return err

@@ -9,8 +9,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"omg/internal/assertion"
 	"omg/internal/obs"
@@ -384,5 +386,54 @@ func TestAllocRegressionSegmentCompact(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, cycle)
 	if perSurvivor := allocs / survivors; perSurvivor > 0.05 {
 		t.Fatalf("a compaction keeping %d violations allocated %.0f times (%.3f per survivor), want none per survivor", survivors, allocs, perSurvivor)
+	}
+}
+
+// TestAllocRegressionSegmentReopen bounds what Open allocates replaying a
+// store of many segments: recovery counts every live segment's frames
+// first and sizes the mirror once, so the mirror costs one array of the
+// retained count, not a reallocation and copy per segment (7.4 mirrors'
+// worth over the eleven segments here); and every segment streams through
+// one pooled read chunk, not a buffer of its own size.
+func TestAllocRegressionSegmentReopen(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is meaningless under -race")
+	}
+	const records = 60_000
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir, SegmentBytes: 256 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < records; i++ {
+		if err := s.Append(mkv("a"+string(rune('0'+i%4)), "cam"+string(rune('0'+i%7)), i, 1, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err = Open(Config{Dir: dir, SegmentBytes: 256 << 10})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	segs := s.Info().Segments
+	mirror := uint64(records) * uint64(unsafe.Sizeof(assertion.Violation{})+unsafe.Sizeof(uint64(0)))
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d segments: Open allocated %d bytes, %.2f mirrors", segs, grew, float64(grew)/float64(mirror))
+	if segs < 4 {
+		t.Fatalf("the store has %d segments, want at least 4", segs)
+	}
+	if len(s.vs) != records {
+		t.Fatalf("reopened %d records, want %d", len(s.vs), records)
+	}
+	// One mirror, the posting lists and a read chunk come to about 1.7.
+	if grew > 2*mirror {
+		t.Fatalf("Open of %d records in %d segments allocated %d bytes, over 2 mirrors (%d)", records, segs, grew, 2*mirror)
 	}
 }

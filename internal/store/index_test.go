@@ -19,8 +19,9 @@ type indexedStore interface {
 
 // scanQuery is the linear-scan model of Query over an arrival-ordered
 // log: filter with q.Matches, keep the newest q.Limit — the last to
-// arrive, or under ByKey the greatest by (Time, Stream, SampleIndex) with
-// ties to the later arrival — and answer in arrival order.
+// arrive, answered in arrival order, or under ByKey the greatest by
+// (Time, Stream, SampleIndex) with ties to the later arrival, answered in
+// that order.
 func scanQuery(log []assertion.Violation, q Query) []assertion.Violation {
 	var idx []int
 	for i, v := range log {
@@ -28,21 +29,20 @@ func scanQuery(log []assertion.Violation, q Query) []assertion.Violation {
 			idx = append(idx, i)
 		}
 	}
+	if q.ByKey {
+		sort.SliceStable(idx, func(a, b int) bool {
+			va, vb := log[idx[a]], log[idx[b]]
+			if va.Time != vb.Time {
+				return va.Time < vb.Time
+			}
+			if va.Stream != vb.Stream {
+				return va.Stream < vb.Stream
+			}
+			return va.SampleIndex < vb.SampleIndex
+		})
+	}
 	if q.Limit > 0 && len(idx) > q.Limit {
-		if q.ByKey {
-			sort.SliceStable(idx, func(a, b int) bool {
-				va, vb := log[idx[a]], log[idx[b]]
-				if va.Time != vb.Time {
-					return va.Time < vb.Time
-				}
-				if va.Stream != vb.Stream {
-					return va.Stream < vb.Stream
-				}
-				return va.SampleIndex < vb.SampleIndex
-			})
-		}
 		idx = idx[len(idx)-q.Limit:]
-		sort.Ints(idx)
 	}
 	out := make([]assertion.Violation, 0, len(idx))
 	for _, i := range idx {

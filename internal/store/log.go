@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 )
 
 // FrameHeader is what every frame starts with: the body's length, then its
@@ -80,78 +82,194 @@ func FrameAt(b []byte, hdr int) ([]byte, bool) {
 	return body, crc32.ChecksumIEEE(body) == binary.LittleEndian.Uint32(b[4:])
 }
 
+// replayChunk is the read buffer a replay streams a log through; a frame
+// larger than it gets a buffer of its own for as long as it is read.
+const replayChunk = 1 << 20
+
+// chunkPool recycles replay's read buffers: a store replaying several
+// segments, and a collector replaying several stores side by side, hold
+// one chunk per replay in progress, not one per file.
+var chunkPool = sync.Pool{New: func() any { b := make([]byte, replayChunk); return &b }}
+
 // Replay reads the log and hands visit each whole frame's owner header and
-// body, in order; both alias the file's bytes, so visit copies what it
-// keeps. reserve, if set, first hears how many frames the length prefixes
-// chain, so the owner can size what it builds once. A missing file is an
-// empty log. The first bad frame is a torn tail, truncated away, or
-// damage, refused as ErrCorrupt naming the file and offset: which one is
-// the log's damage rule, and a sealed log — one nothing appends to again —
+// body, in order; both alias a read buffer that the next frame reuses, so
+// visit copies what it keeps. The file streams through one pooled chunk
+// of replayChunk bytes, whatever its size. A missing file is an empty
+// log. The first bad frame is a torn tail, truncated away, or damage,
+// refused as ErrCorrupt naming the file and offset: which one is the
+// log's damage rule, and a sealed log — one nothing appends to again —
 // refuses any bad frame. A frame visit refuses is refused the same way,
 // never truncated.
-func (l *RecordLog) Replay(sealed bool, reserve func(frames int), visit func(hdr, body []byte) error) error {
-	data, err := os.ReadFile(l.Path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
+func (l *RecordLog) Replay(sealed bool, visit func(hdr, body []byte) error) error {
+	r, err := l.openReader()
+	if r == nil {
+		return err
 	}
-	if err != nil {
-		return fmt.Errorf("store: replay %s: %w", l.Path, err)
-	}
-	if reserve != nil {
-		reserve(l.countFrames(data))
-	}
-	off := 0
-	for off < len(data) {
-		rest := data[off:]
-		body, ok := FrameAt(rest, l.Hdr)
+	defer r.close()
+	head := FrameHeader + l.Hdr
+	for r.off < r.size {
+		b, err := r.fill(head)
+		if err == nil && len(b) >= head {
+			if n := binary.LittleEndian.Uint32(b); n > 0 && n <= maxRecordBytes {
+				b, err = r.fill(head + int(n))
+			}
+		}
+		if err != nil {
+			return err
+		}
+		body, ok := FrameAt(b, l.Hdr)
 		if !ok {
-			if sealed || !l.tornTail(rest) {
+			off := r.off
+			torn, err := l.tornTail(r)
+			if err != nil {
+				return err
+			}
+			if sealed || !torn {
 				return fmt.Errorf("%w: %s damaged at offset %d", ErrCorrupt, l.Path, off)
 			}
-			if err := os.Truncate(l.Path, int64(off)); err != nil {
+			if err := os.Truncate(l.Path, off); err != nil {
 				return fmt.Errorf("store: truncate torn tail of %s: %w", l.Path, err)
 			}
 			break
 		}
-		if err := visit(rest[FrameHeader:FrameHeader+l.Hdr], body); err != nil {
-			return fmt.Errorf("%w: %s record at offset %d: %v", ErrCorrupt, l.Path, off, err)
+		if err := visit(b[FrameHeader:head], body); err != nil {
+			return fmt.Errorf("%w: %s record at offset %d: %v", ErrCorrupt, l.Path, r.off, err)
 		}
-		off += FrameHeader + l.Hdr + len(body)
+		if err := r.skip(head + len(body)); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// tornTail reports whether rest, which starts with a bad frame, is what a
-// crash mid-write leaves. Without per-write fsync a crash may tear
-// anywhere past the last fsync, so any bad frame is one. With it, only the
-// frame being appended can be: one the file ends inside of, or zeros the
-// crash extended the file by and never filled.
-func (l *RecordLog) tornTail(rest []byte) bool {
-	if l.Level == WriteOnly || len(rest) < FrameHeader+l.Hdr ||
-		int64(FrameHeader+l.Hdr)+int64(binary.LittleEndian.Uint32(rest)) >= int64(len(rest)) {
-		return true
+// tornTail reports whether the rest of the file from r's offset, which
+// starts with a bad frame, is what a crash mid-write leaves. Without
+// per-write fsync a crash may tear anywhere past the last fsync, so any
+// bad frame is one. With it, only the frame being appended can be: one
+// the file ends inside of, or zeros the crash extended the file by and
+// never filled.
+func (l *RecordLog) tornTail(r *logReader) (bool, error) {
+	rest, head := r.size-r.off, FrameHeader+l.Hdr
+	if l.Level == WriteOnly || rest < int64(head) ||
+		int64(head)+int64(binary.LittleEndian.Uint32(r.data)) >= rest {
+		return true, nil
 	}
-	for _, b := range rest {
-		if b != 0 {
-			return false
+	for r.off < r.size {
+		b, err := r.fill(replayChunk)
+		if err != nil {
+			return false, err
+		}
+		for _, c := range b {
+			if c != 0 {
+				return false, nil
+			}
+		}
+		if err := r.skip(len(b)); err != nil {
+			return false, err
 		}
 	}
-	return true
+	return true, nil
 }
 
-// countFrames walks data's length prefixes — no CRC, no decode — and
-// returns how many frames they chain. A torn tail may count one too many.
-func (l *RecordLog) countFrames(data []byte) int {
-	n := 0
-	for len(data) >= FrameHeader+l.Hdr {
-		size := FrameHeader + l.Hdr + int(binary.LittleEndian.Uint32(data))
-		if size == FrameHeader+l.Hdr || size > FrameHeader+l.Hdr+maxRecordBytes || size > len(data) {
-			break
+// countFrames streams the log's length prefixes — no CRC, no decode — and
+// returns how many frames they chain. A torn tail may count one too many;
+// a missing file has none.
+func (l *RecordLog) countFrames() (int, error) {
+	r, err := l.openReader()
+	if r == nil {
+		return 0, err
+	}
+	defer r.close()
+	head, n := FrameHeader+l.Hdr, 0
+	for {
+		b, err := r.fill(head)
+		if err != nil {
+			return 0, err
 		}
-		data = data[size:]
+		if len(b) < head {
+			return n, nil
+		}
+		size := head + int(binary.LittleEndian.Uint32(b))
+		if size == head || size > head+maxRecordBytes || int64(size) > r.size-r.off {
+			return n, nil
+		}
+		if err := r.skip(size); err != nil {
+			return 0, err
+		}
 		n++
 	}
-	return n
+}
+
+// logReader reads a log file front to back through a pooled chunk. data
+// is what it has read and not yet consumed, starting at file offset off;
+// the file's read position is off+len(data), and size its length when
+// opened.
+type logReader struct {
+	path  string
+	f     *os.File
+	chunk *[]byte
+	data  []byte
+	off   int64
+	size  int64
+}
+
+// openReader opens the log for reading, or returns nil and no error if
+// there is no file.
+func (l *RecordLog) openReader() (*logReader, error) {
+	f, err := os.Open(l.Path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err == nil {
+		var fi os.FileInfo
+		if fi, err = f.Stat(); err == nil {
+			return &logReader{path: l.Path, f: f, chunk: chunkPool.Get().(*[]byte), size: fi.Size()}, nil
+		}
+		f.Close()
+	}
+	return nil, fmt.Errorf("store: replay %s: %w", l.Path, err)
+}
+
+func (r *logReader) close() {
+	r.f.Close()
+	chunkPool.Put(r.chunk)
+}
+
+// fill returns the unconsumed bytes, having read on until they hold at
+// least n, or all the file has left if that is less. The bytes already
+// buffered move to the front of the chunk, or of a buffer of n bytes if
+// the chunk is too small for them.
+func (r *logReader) fill(n int) ([]byte, error) {
+	left := r.size - r.off
+	if n = int(min(int64(n), left)); len(r.data) >= n {
+		return r.data, nil
+	}
+	buf := *r.chunk
+	if n > len(buf) {
+		buf = make([]byte, n)
+	}
+	have := copy(buf, r.data)
+	end := int(min(int64(len(buf)), left))
+	if _, err := io.ReadFull(r.f, buf[have:end]); err != nil {
+		return nil, fmt.Errorf("store: replay %s: %w", r.path, err)
+	}
+	r.data = buf[:end]
+	return r.data, nil
+}
+
+// skip consumes n bytes, seeking past whatever of them is not buffered.
+func (r *logReader) skip(n int) error {
+	r.off += int64(n)
+	if n <= len(r.data) {
+		r.data = r.data[n:]
+		return nil
+	}
+	ahead := int64(n - len(r.data))
+	r.data = nil
+	if _, err := r.f.Seek(ahead, io.SeekCurrent); err != nil {
+		return fmt.Errorf("store: replay %s: %w", r.path, err)
+	}
+	return nil
 }
 
 // Open opens the log for appending, creating it if missing.

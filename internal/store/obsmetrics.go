@@ -15,8 +15,9 @@ var (
 	sealSyncHist = obs.Default().NewHistogram(
 		"omg_store_seal_sync_seconds",
 		"Background fsync+close of a sealed segment file.")
-	// recoverHist times Open's crash recovery — how long the store (and
-	// the collector above it) was away. One record per Open.
+	// recoverHist times Open's crash recovery — how long the store was
+	// away. One record per Open; a collector opens its shards side by
+	// side, so it is away for its slowest shard's record.
 	recoverHist = obs.Default().NewHistogram(
 		"omg_store_recover_seconds",
 		"SegmentStore crash recovery on Open: segment replay into the mirror, index and statistics.")

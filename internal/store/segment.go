@@ -326,6 +326,18 @@ func (s *SegmentStore) recover() error {
 	}
 	sort.Ints(live)
 
+	// One exact reservation for every live segment's records, not a
+	// reallocation and copy of the mirror per segment.
+	frames := 0
+	for _, num := range live {
+		n, err := s.segLog(num).countFrames()
+		if err != nil {
+			return err
+		}
+		frames += n
+	}
+	s.resizeMirror(frames)
+
 	maxSeq := coveredSeq
 	var interned assertion.Interner // one table for the whole replay
 	for i, num := range live {
@@ -413,14 +425,7 @@ func (s *SegmentStore) replaySegment(num int, coveredSeq uint64, newest bool, na
 	meta := segMeta{num: num}
 	maxSeq := uint64(0)
 	var jsonBodies, binaryBodies int64
-	seg := &RecordLog{Path: filepath.Join(s.dir, segName(num)), Hdr: seqHeader}
-	// One exact reservation for the whole segment, not a growth chain.
-	reserve := func(n int) {
-		if need := len(s.vs) + n; need > cap(s.vs) {
-			s.resizeMirror(need)
-		}
-	}
-	err := seg.Replay(!newest, reserve, func(hdr, body []byte) error {
+	err := s.segLog(num).Replay(!newest, func(hdr, body []byte) error {
 		var v assertion.Violation
 		var err error
 		if body[0] == '{' {
@@ -504,10 +509,15 @@ func (s *SegmentStore) foldStats(v assertion.Violation) {
 	s.stats[v.Assertion] = st
 }
 
+// segLog is segment num's record log, not yet open.
+func (s *SegmentStore) segLog(num int) *RecordLog {
+	return &RecordLog{Path: filepath.Join(s.dir, segName(num)), Hdr: seqHeader}
+}
+
 // openSegment makes segment num, holding records records, the active
 // one.
 func (s *SegmentStore) openSegment(num, records int) error {
-	seg := &RecordLog{Path: filepath.Join(s.dir, segName(num)), Hdr: seqHeader}
+	seg := s.segLog(num)
 	if err := seg.Open(); err != nil {
 		return err
 	}

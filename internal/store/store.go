@@ -48,7 +48,11 @@
 //
 // At either level a frame whose CRC holds but whose body the owner cannot
 // decode refuses the open: a crash tears a frame, it does not forge a
-// checksum. A write that fails is cut back off the file. A file rewritten
+// checksum. Replay streams a log through one pooled 1 MiB read chunk,
+// whatever the file's size (a frame larger than the chunk is read into a
+// buffer of its own), so a replay holds one chunk, never a whole file; it
+// applies the damage rules above exactly as a read of the whole file
+// would. A write that fails is cut back off the file. A file rewritten
 // whole — a checkpoint, a label snapshot, a compacted marks.log — goes
 // through WriteFileAtomic: a temp file, fsync, rename, directory fsync;
 // SweepTemps removes what a crash left of one.
