@@ -135,8 +135,8 @@ func TestAllocRegressionAppendViolationJSON(t *testing.T) {
 
 // TestAllocRegressionViolationRecord asserts both directions of the
 // binary record codec allocate nothing in steady state: encoding into a
-// buffer with capacity, and — what a store's replay does a million times
-// — decoding a record whose names the interner has already seen.
+// buffer with capacity, and decoding a record — what a store's replay
+// does a million times — whose names the interner has already seen.
 func TestAllocRegressionViolationRecord(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is meaningless under -race")
@@ -146,12 +146,12 @@ func TestAllocRegressionViolationRecord(t *testing.T) {
 	var in Interner
 	var back Violation
 	body, err := AppendViolationRecord(buf, &v)
-	if err != nil || DecodeViolationRecord(body, &back, &in) != nil { // interns both names
+	if err != nil || decodeRecord(body, &back, &in) != nil { // interns both names
 		t.Fatal("warm-up round trip failed")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		body, err := AppendViolationRecord(buf, &v)
-		if err != nil || DecodeViolationRecord(body, &back, &in) != nil || back != v {
+		if err != nil || decodeRecord(body, &back, &in) != nil || back != v {
 			t.Fatal("round trip failed")
 		}
 	})

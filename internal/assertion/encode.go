@@ -237,8 +237,8 @@ func AppendViolationRecord(dst []byte, v *Violation) ([]byte, error) {
 
 // Interner deduplicates the strings a decoder produces: violations repeat
 // a handful of assertion and stream names thousands of times, and one
-// table per decode (a pooled wire decoder, a store's replay) makes each
-// distinct name one allocation. The zero value is ready to use; it is not
+// table per decode (a pooled wire decoder) makes each distinct name one
+// allocation. The zero value is ready to use; it is not
 // safe for concurrent use.
 type Interner struct{ m map[string]string }
 
@@ -271,23 +271,30 @@ func (in *Interner) Intern(b []byte) string {
 // it. Errors wrap ErrViolationEncoding; v is unspecified after one. With
 // the names already interned it allocates nothing.
 func DecodeViolationBinary(p []byte, v *Violation, in *Interner) ([]byte, error) {
-	name, p, err := readBinaryString(p, "assertion")
-	if err != nil {
-		return p, err
+	name, stream, p, err := decodeViolationFields(p, v)
+	if err == nil {
+		v.Assertion, v.Stream = in.Intern(name), in.Intern(stream)
 	}
-	v.Assertion = in.Intern(name)
-	stream, p, err := readBinaryString(p, "stream")
-	if err != nil {
-		return p, err
+	return p, err
+}
+
+// decodeViolationFields decodes one violation in the binary layout from
+// the front of p into every field of v but its names, which it returns as
+// subslices of p, and returns the bytes after it.
+func decodeViolationFields(p []byte, v *Violation) (name, stream, rest []byte, err error) {
+	if name, p, err = readBinaryString(p, "assertion"); err != nil {
+		return nil, nil, p, err
 	}
-	v.Stream = in.Intern(stream)
+	if stream, p, err = readBinaryString(p, "stream"); err != nil {
+		return nil, nil, p, err
+	}
 	sample, p, err := readBinaryVarint(p, "sample_index")
 	if err != nil {
-		return p, err
+		return nil, nil, p, err
 	}
 	v.SampleIndex = int(sample)
 	if len(p) < 16 {
-		return p, fmt.Errorf("%w: truncated float fields", ErrViolationEncoding)
+		return nil, nil, p, fmt.Errorf("%w: truncated float fields", ErrViolationEncoding)
 	}
 	v.Time = math.Float64frombits(binary.LittleEndian.Uint64(p))
 	v.Severity = math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
@@ -295,33 +302,36 @@ func DecodeViolationBinary(p []byte, v *Violation, in *Interner) ([]byte, error)
 	if !isFinite(v.Time) || !isFinite(v.Severity) {
 		// The encoder's rule, enforced on bytes built outside this
 		// process: what no JSON body can carry, no binary one may.
-		return p, fmt.Errorf("%w: non-finite time or severity", ErrViolationEncoding)
+		return nil, nil, p, fmt.Errorf("%w: non-finite time or severity", ErrViolationEncoding)
 	}
 	if v.IngestUnix, p, err = readBinaryVarint(p, "ingest_unix"); err != nil {
-		return p, err
+		return nil, nil, p, err
 	}
 	v.ObservedUnixNano, p, err = readBinaryVarint(p, "observed_unix_nano")
-	return p, err
+	return name, stream, p, err
 }
 
 // DecodeViolationRecord decodes a whole record body — ViolationRecordTag,
-// one binary violation, nothing after it — into v. Any other first byte
-// is refused by name rather than guessed at.
-func DecodeViolationRecord(body []byte, v *Violation, in *Interner) error {
+// one binary violation, nothing after it — into every field of v but its
+// names, which it returns as subslices of body for the caller to keep its
+// own way (a store keeps them as ids into its name table). Any other
+// first byte is refused by name rather than guessed at. It allocates
+// nothing.
+func DecodeViolationRecord(body []byte, v *Violation) (name, stream []byte, err error) {
 	if len(body) == 0 {
-		return fmt.Errorf("%w: empty record body", ErrViolationEncoding)
+		return nil, nil, fmt.Errorf("%w: empty record body", ErrViolationEncoding)
 	}
 	if body[0] != ViolationRecordTag {
-		return fmt.Errorf("%w: unknown record tag 0x%02x", ErrViolationEncoding, body[0])
+		return nil, nil, fmt.Errorf("%w: unknown record tag 0x%02x", ErrViolationEncoding, body[0])
 	}
-	rest, err := DecodeViolationBinary(body[1:], v, in)
+	name, stream, rest, err := decodeViolationFields(body[1:], v)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after the record", ErrViolationEncoding, len(rest))
+		return nil, nil, fmt.Errorf("%w: %d trailing bytes after the record", ErrViolationEncoding, len(rest))
 	}
-	return nil
+	return name, stream, nil
 }
 
 // readBinaryVarint consumes one signed varint from p. The error is

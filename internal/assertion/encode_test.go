@@ -166,7 +166,7 @@ func FuzzViolationRecord(f *testing.F) {
 			body = body[len(prefix):]
 			var in Interner
 			var got Violation
-			if err := DecodeViolationRecord(body, &got, &in); err != nil {
+			if err := decodeRecord(body, &got, &in); err != nil {
 				t.Fatalf("decode of %x: %v", body, err)
 			}
 			if got != v {
@@ -178,7 +178,7 @@ func FuzzViolationRecord(f *testing.F) {
 				append([]byte{'{'}, body[1:]...),              // the legacy format's first byte
 				append([]byte{byte(cut) | 0x02}, body[1:]...), // any tag but ours
 			} {
-				if err := DecodeViolationRecord(bad, &got, &in); !errors.Is(err, ErrViolationEncoding) {
+				if err := decodeRecord(bad, &got, &in); !errors.Is(err, ErrViolationEncoding) {
 					t.Fatalf("decode of damaged body %x: err = %v, want ErrViolationEncoding", bad, err)
 				}
 			}
@@ -186,7 +186,7 @@ func FuzzViolationRecord(f *testing.F) {
 
 		var in Interner
 		var wild Violation
-		if err := DecodeViolationRecord(raw, &wild, &in); err != nil {
+		if err := decodeRecord(raw, &wild, &in); err != nil {
 			if !errors.Is(err, ErrViolationEncoding) {
 				t.Fatalf("decode of %x: err = %v, want ErrViolationEncoding", raw, err)
 			}
@@ -200,10 +200,20 @@ func FuzzViolationRecord(f *testing.F) {
 			t.Fatalf("decoder accepted %x as %+v, which the encoder refuses: %v", raw, wild, err)
 		}
 		var back Violation
-		if err := DecodeViolationRecord(again, &back, &in); err != nil || back != wild {
+		if err := decodeRecord(again, &back, &in); err != nil || back != wild {
 			t.Fatalf("re-encoded %+v decodes as %+v, %v", wild, back, err)
 		}
 	})
+}
+
+// decodeRecord decodes a whole record body into v, names and all, the way
+// a reader that keeps names as strings would.
+func decodeRecord(body []byte, v *Violation, in *Interner) error {
+	name, stream, err := DecodeViolationRecord(body, v)
+	if err == nil {
+		v.Assertion, v.Stream = in.Intern(name), in.Intern(stream)
+	}
+	return err
 }
 
 // TestViolationBinaryCoversAllFields fails when a field is added to
@@ -232,7 +242,7 @@ func TestViolationBinaryCoversAllFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := DecodeViolationRecord(body, &back, &in); err != nil || back != v {
+	if err := decodeRecord(body, &back, &in); err != nil || back != v {
 		t.Fatalf("record round trip lost data: %+v != %+v (%v)", back, v, err)
 	}
 	back = Violation{}

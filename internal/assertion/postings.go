@@ -10,19 +10,31 @@ import (
 const zoneBlock = 256
 
 // PostingIndex is the read index both ViolationStore backends answer
-// Query from: per assertion name and per stream key, the log slots of the
-// retained violations, oldest first, plus a zone map — for every
-// zoneBlock consecutive log slots, an upper bound on their Time. The
-// owning store keeps it in step with its log under its own lock — Add on
-// append, EvictOldest when a bounded log overwrites its oldest entry,
-// Rebuild after compaction — so a filtered query costs the matching
-// postings, not the retained log, and a ByKey query skips the blocks
-// whose bound cannot reach its newest Limit. Violations with an empty
-// Stream carry no stream posting (an empty StoreQuery.Stream means
-// "any").
+// Query from, and the name table a store's log can key its entries on.
+// Every assertion name and stream key it has seen has an id, an index
+// into Names ("" is always id 0). Per id it holds the log slots of the
+// retained violations naming it as their assertion and, apart, as their
+// stream, oldest first, in slices indexed by id; and a zone map — for
+// every zoneBlock consecutive log slots, an upper bound on their Time.
+// The owning store keeps it in step with its log under its own lock —
+// Add (or AddID) on append, EvictOldest when a bounded log overwrites its
+// oldest entry, Rebuild after compaction — so a filtered query costs the
+// matching postings, not the retained log, and a ByKey query skips the
+// blocks whose bound cannot reach its newest Limit. Violations with an
+// empty Stream carry no stream posting (an empty StoreQuery.Stream means
+// "any"). A posting is 4 bytes: the index costs a retained violation
+// about 8 B (its assertion's posting, its stream's, and their lists'
+// growth slack), and the zone map 8 B per 256.
+//
+// MemStore's log holds Violations and indexes them by name (Add), so its
+// table is only the postings' keys: a name whose last posting EvictOldest
+// drops gives its id back. SegmentStore's log holds rows that carry the
+// ids themselves (Intern, AddID), so its table is append-only between
+// compactions, and each compaction rebuilds it from the survivors.
 type PostingIndex struct {
-	byAssert map[string][]int32
-	byStream map[string][]int32
+	nameTable
+	byAssert [][]int32 // by assertion id
+	byStream [][]int32 // by stream id; id 0 ("") has none
 	// zone[b] bounds the Time of log slots [b*zoneBlock, (b+1)*zoneBlock)
 	// from above; a NaN Time makes its block's bound NaN, which no
 	// comparison skips. Add only raises a bound and EvictOldest leaves it,
@@ -30,49 +42,118 @@ type PostingIndex struct {
 	zone []float64
 }
 
-// Reset drops every posting and zone bound.
+// nameTable gives every distinct name an id, an index into names. "" is
+// id 0 from the first use on; an id released to free is reused by the
+// next new name.
+type nameTable struct {
+	ids   map[string]uint32
+	names []string
+	free  []uint32
+}
+
+// reset empties the table down to "". It allocates a fresh names slice,
+// so a caller still holding the old one can read it on.
+func (t *nameTable) reset() {
+	t.ids = map[string]uint32{"": 0}
+	t.names = []string{""}
+	t.free = nil
+}
+
+// Intern returns name's id, giving it the next one if it has none.
+func (t *nameTable) Intern(name string) uint32 {
+	if id, ok := t.ids[name]; ok {
+		return id
+	}
+	return t.add(name)
+}
+
+// InternBytes is Intern for a name a decoder holds as bytes; the lookup
+// of a known name allocates nothing.
+func (t *nameTable) InternBytes(name []byte) uint32 {
+	if id, ok := t.ids[string(name)]; ok {
+		return id
+	}
+	return t.add(string(name))
+}
+
+func (t *nameTable) add(name string) uint32 {
+	if t.ids == nil {
+		t.reset()
+		if name == "" {
+			return 0
+		}
+	}
+	var id uint32
+	if n := len(t.free); n > 0 {
+		id, t.free = t.free[n-1], t.free[:n-1]
+		t.names[id] = name
+	} else {
+		id = uint32(len(t.names))
+		t.names = append(t.names, name)
+	}
+	t.ids[name] = id
+	return id
+}
+
+// Names returns the name table: the name of id i is Names()[i]. It is the
+// index's own slice, valid until the next Reset, Rebuild or EvictOldest.
+func (t *nameTable) Names() []string { return t.names }
+
+// Reset drops every name, posting and zone bound.
 func (p *PostingIndex) Reset() {
-	p.byAssert = make(map[string][]int32)
-	p.byStream = make(map[string][]int32)
+	p.nameTable.reset()
+	p.byAssert, p.byStream = nil, nil
 	p.zone = p.zone[:0]
 }
 
 // Add indexes v, which the store just wrote to slot as its newest
 // retained violation, and raises slot's zone bound to v.Time.
 func (p *PostingIndex) Add(slot int, v Violation) {
-	if p.byAssert == nil {
-		p.Reset()
+	p.AddID(slot, p.Intern(v.Assertion), p.Intern(v.Stream), v.Time)
+}
+
+// AddID is Add for a violation the store names by id (Intern): its
+// assertion's and its stream's, and its Time.
+func (p *PostingIndex) AddID(slot int, assertion, stream uint32, time float64) {
+	for int(max(assertion, stream)) >= len(p.byAssert) {
+		p.byAssert, p.byStream = append(p.byAssert, nil), append(p.byStream, nil)
 	}
-	p.byAssert[v.Assertion] = append(p.byAssert[v.Assertion], int32(slot))
-	if v.Stream != "" {
-		p.byStream[v.Stream] = append(p.byStream[v.Stream], int32(slot))
+	p.byAssert[assertion] = append(p.byAssert[assertion], int32(slot))
+	if stream != 0 {
+		p.byStream[stream] = append(p.byStream[stream], int32(slot))
 	}
 	b := slot / zoneBlock
 	for b >= len(p.zone) {
 		p.zone = append(p.zone, math.Inf(-1))
 	}
-	if z := p.zone[b]; z == z && !(v.Time <= z) { // a NaN bound stays NaN
-		p.zone[b] = v.Time
+	if z := p.zone[b]; z == z && !(time <= z) { // a NaN bound stays NaN
+		p.zone[b] = time
 	}
 }
 
 // EvictOldest drops the postings of v, which must be the oldest retained
-// violation — and so the head of each list it is on. A key whose last
-// posting goes is deleted, which keeps the index bounded by the retained
-// log on a fleet whose stream keys churn.
+// violation — and so the head of each list it is on. A name whose last
+// posting goes leaves the table, which keeps the index bounded by the
+// retained log on a fleet whose stream keys churn.
 func (p *PostingIndex) EvictOldest(v Violation) {
-	popHead(p.byAssert, v.Assertion)
+	p.popHead(p.byAssert, p.ids[v.Assertion])
 	if v.Stream != "" {
-		popHead(p.byStream, v.Stream)
+		p.popHead(p.byStream, p.ids[v.Stream])
 	}
 }
 
-// popHead drops the oldest posting under key, and the key with its last.
-func popHead(lists map[string][]int32, key string) {
-	if list := lists[key]; len(list) > 1 {
-		lists[key] = list[1:]
-	} else {
-		delete(lists, key)
+// popHead drops the oldest posting of id in lists, and releases id from
+// the table once neither of its lists holds one.
+func (p *PostingIndex) popHead(lists [][]int32, id uint32) {
+	if list := lists[id]; len(list) > 1 {
+		lists[id] = list[1:]
+		return
+	}
+	lists[id] = nil
+	if id != 0 && p.byAssert[id] == nil && p.byStream[id] == nil {
+		delete(p.ids, p.names[id])
+		p.names[id] = ""
+		p.free = append(p.free, id)
 	}
 }
 
@@ -90,24 +171,26 @@ func (p *PostingIndex) Rebuild(log []Violation, head int) {
 	}
 }
 
-// Size reports the index's footprint over log, the retained violations it
-// covers: how many keys it holds and how many postings across them, both
-// bounded by the retained log — one assertion posting per violation, one
-// stream posting per keyed one, no key without a posting. badBounds
-// counts where the zone map breaks its own invariant: a block of log
-// without a bound or a bound without a block, and a bound below a Time in
-// its block (a NaN bound never is).
-func (p *PostingIndex) Size(log []Violation) (keys, postings, badBounds int) {
-	for _, lists := range []map[string][]int32{p.byAssert, p.byStream} {
-		keys += len(lists)
+// Size reports the index's footprint over a log of n slots whose Times
+// time reads: how many keys it holds and how many postings across them,
+// both bounded by the retained log — one assertion posting per
+// violation, one stream posting per keyed one, no key without a
+// posting. badBounds counts where the zone map breaks its own invariant:
+// a block of log without a bound or a bound without a block, and a bound
+// below a Time in its block (a NaN bound never is).
+func (p *PostingIndex) Size(n int, time func(slot int) float64) (keys, postings, badBounds int) {
+	for _, lists := range [][][]int32{p.byAssert, p.byStream} {
 		for _, list := range lists {
-			postings += len(list)
+			if len(list) > 0 {
+				keys++
+				postings += len(list)
+			}
 		}
 	}
-	blocks := (len(log) + zoneBlock - 1) / zoneBlock
+	blocks := (n + zoneBlock - 1) / zoneBlock
 	badBounds = max(len(p.zone)-blocks, blocks-len(p.zone))
-	for slot := range min(len(log), len(p.zone)*zoneBlock) {
-		if z := p.zone[slot/zoneBlock]; z == z && !(z >= log[slot].Time) {
+	for slot := range min(n, len(p.zone)*zoneBlock) {
+		if z := p.zone[slot/zoneBlock]; z == z && !(z >= time(slot)) {
 			badBounds++
 		}
 	}
@@ -118,17 +201,23 @@ func (p *PostingIndex) Size(log []Violation) (keys, postings, badBounds int) {
 // when it names both an assertion and a stream — or indexed false when
 // it names neither and every retained slot is a candidate.
 func (p *PostingIndex) candidates(q StoreQuery) (list []int32, indexed bool) {
+	postings := func(lists [][]int32, name string) []int32 {
+		if id, ok := p.ids[name]; ok && int(id) < len(lists) {
+			return lists[id]
+		}
+		return nil
+	}
 	switch {
 	case q.Assertion != "" && q.Stream != "":
-		a, s := p.byAssert[q.Assertion], p.byStream[q.Stream]
+		a, s := postings(p.byAssert, q.Assertion), postings(p.byStream, q.Stream)
 		if len(s) < len(a) {
 			return s, true
 		}
 		return a, true
 	case q.Assertion != "":
-		return p.byAssert[q.Assertion], true
+		return postings(p.byAssert, q.Assertion), true
 	case q.Stream != "":
-		return p.byStream[q.Stream], true
+		return postings(p.byStream, q.Stream), true
 	}
 	return nil, false
 }
@@ -154,6 +243,13 @@ func (p *PostingIndex) Query(q StoreQuery, log []Violation, head int) []Violatio
 	return p.query(q, log, head, nil)
 }
 
+// QueryAt is Query over a log the store does not hold as Violations: n
+// slots, the oldest at head, at(slot, v) reading slot into v. The walk is
+// Query's, and reads each candidate it examines once.
+func (p *PostingIndex) QueryAt(q StoreQuery, n, head int, at func(slot int, v *Violation)) []Violation {
+	return p.walk(q, n, head, at, nil)
+}
+
 // queryWork counts what a ByKey walk read: the candidates it examined and
 // the zone bounds it compared.
 type queryWork struct{ candidates, bounds int }
@@ -161,66 +257,91 @@ type queryWork struct{ candidates, bounds int }
 // query is Query, counting the ByKey walk's work into work when it is not
 // nil.
 func (p *PostingIndex) query(q StoreQuery, log []Violation, head int, work *queryWork) []Violation {
+	return p.walk(q, len(log), head, func(slot int, v *Violation) { *v = log[slot] }, work)
+}
+
+// walk answers q over a log of size slots, the oldest at head, that at
+// reads — the one walk behind Query and QueryAt.
+func (p *PostingIndex) walk(q StoreQuery, size, head int, at func(slot int, v *Violation), work *queryWork) []Violation {
 	list, indexed := p.candidates(q)
-	n := len(log)
+	n := size
 	if indexed {
 		n = len(list)
 	}
-	// cand returns the i-th oldest candidate.
-	cand := func(i int) *Violation {
-		if indexed {
-			return &log[list[i]]
-		}
-		if i += head; i >= len(log) {
-			i -= len(log)
-		}
-		return &log[i]
+	// kept holds the matches the walk keeps, each candidate read once,
+	// straight into the slot past the last one kept (next). It is sized
+	// for what the walk can keep when every candidate matches — one filter
+	// or none — and otherwise grows with the matches.
+	most := n
+	if q.Limit > 0 {
+		most = min(q.Limit, n)
 	}
-	if q.Limit <= 0 && !q.ByKey {
-		out := make([]Violation, 0, n)
-		for i := 0; i < n; i++ {
-			if v := cand(i); q.Matches(*v) {
-				out = append(out, *v)
+	if q.Assertion != "" && q.Stream != "" {
+		most = 0
+	}
+	kept := make([]Violation, 0, most+1)
+	next := func(i int) *Violation { // reads the i-th oldest candidate
+		if len(kept) == cap(kept) {
+			kept = slices.Grow(kept, 1)
+		}
+		if indexed {
+			i = int(list[i])
+		} else if i += head; i >= size {
+			i -= size
+		}
+		v := &kept[:len(kept)+1][len(kept)]
+		at(i, v)
+		return v
+	}
+	keep := func() { kept = kept[:len(kept)+1] }
+
+	if !q.ByKey {
+		// Every match, or the newest q.Limit: from the newest back when
+		// there is a limit to stop at.
+		if q.Limit <= 0 {
+			for i := 0; i < n; i++ {
+				if q.Matches(*next(i)) {
+					keep()
+				}
+			}
+			return kept
+		}
+		for i := n - 1; i >= 0 && len(kept) < q.Limit; i-- {
+			if q.Matches(*next(i)) {
+				keep()
 			}
 		}
-		return out
+		slices.Reverse(kept)
+		return kept
 	}
 
-	// order compares candidate ranks by key, then rank: ranks break key
-	// ties, so a candidate older than everything in the heap never
-	// displaces an equal key.
+	// picked orders kept: an entry packs a candidate's rank above its
+	// index in kept, so that as ints entries sort by rank, and ranks break
+	// key ties — a candidate older than everything in the heap never
+	// displaces an equal key. A rank fits in 32 bits: postings are int32.
+	const slotBits = math.MaxUint32
+	picked := make([]int, 0, cap(kept)-1)
 	order := func(a, b int) int {
-		if c := keyCompare(cand(a), cand(b)); c != 0 {
+		all := kept[:cap(kept)] // b may be the candidate past the kept ones
+		if c := keyCompare(&all[a&slotBits], &all[b&slotBits]); c != 0 {
 			return c
 		}
-		return a - b
+		return a>>32 - b>>32
 	}
 	less := func(a, b int) bool { return order(a, b) < 0 }
-	var picked []int // candidate ranks
-	switch {
-	case !q.ByKey:
-		picked = make([]int, 0, min(q.Limit, n))
-		for i := n - 1; i >= 0 && len(picked) < q.Limit; i-- {
-			if q.Matches(*cand(i)) {
-				picked = append(picked, i)
-			}
-		}
-		slices.Reverse(picked)
-	case q.Limit <= 0:
-		picked = make([]int, 0, n)
+	if q.Limit <= 0 {
 		for i := 0; i < n; i++ {
-			if q.Matches(*cand(i)) {
-				picked = append(picked, i)
+			if q.Matches(*next(i)) {
+				picked = append(picked, i<<32|len(kept))
+				keep()
 			}
 		}
-	default:
+	} else {
 		// picked is a min-heap of the q.Limit greatest candidates seen so
-		// far.
-		picked = make([]int, 0, min(q.Limit, n))
-		// Candidate ranks [0, split) sit at ascending slots from head on,
-		// ranks [split, n) at ascending slots below head: the two runs of a
-		// wrapped ring, or one run when head is 0.
-		split := len(log) - head
+		// far. Candidate ranks [0, split) sit at ascending slots from head
+		// on, ranks [split, n) at ascending slots below head: the two runs
+		// of a wrapped ring, or one run when head is 0.
+		split := size - head
 		if indexed {
 			split = sort.Search(n, func(k int) bool { return int(list[k]) < head })
 		}
@@ -231,15 +352,15 @@ func (p *PostingIndex) query(q StoreQuery, log []Violation, head int, work *quer
 				switch {
 				case indexed:
 					slot = int(list[i])
-				case slot >= len(log):
-					slot -= len(log)
+				case slot >= size:
+					slot -= size
 				}
 				if b := slot / zoneBlock; b != seen && b < len(p.zone) {
 					seen = b
 					bounds++
 					// v.Time <= zone[b] < min.Time makes keyLess(v, min) hold
 					// for every v in the block: none can enter the heap.
-					if p.zone[b] < cand(picked[0]).Time {
+					if p.zone[b] < kept[picked[0]&slotBits].Time {
 						// Step i to the first rank of the block in its run.
 						lo, start := 0, b*zoneBlock
 						if i >= split {
@@ -257,13 +378,17 @@ func (p *PostingIndex) query(q StoreQuery, log []Violation, head int, work *quer
 				}
 			}
 			examined++
+			v, c := next(i), i<<32|len(kept)
 			switch {
-			case !q.Matches(*cand(i)):
+			case !q.Matches(*v):
 			case len(picked) < q.Limit:
-				picked = append(picked, i)
+				picked = append(picked, c)
+				keep()
 				siftUp(picked, less)
-			case less(picked[0], i):
-				picked[0] = i
+			case less(picked[0], c):
+				k := picked[0] & slotBits
+				kept[k] = *v
+				picked[0] = i<<32 | k
 				siftDown(picked, less)
 			}
 		}
@@ -275,14 +400,29 @@ func (p *PostingIndex) query(q StoreQuery, log []Violation, head int, work *quer
 		// no total order.
 		slices.Sort(picked)
 	}
-	if q.ByKey {
-		slices.SortFunc(picked, order)
+	slices.SortFunc(picked, order)
+
+	// Put kept in picked's order in place, one cycle of the permutation at
+	// a time, marking each slot done as it is filled.
+	for j := range picked {
+		picked[j] &= slotBits
 	}
-	out := make([]Violation, len(picked))
-	for j, i := range picked {
-		out[j] = *cand(i)
+	for start := range picked {
+		if picked[start] == start {
+			continue
+		}
+		first := kept[start]
+		for dst := start; ; {
+			from := picked[dst]
+			picked[dst] = dst
+			if from == start {
+				kept[dst] = first
+				break
+			}
+			kept[dst], dst = kept[from], from
+		}
 	}
-	return out
+	return kept
 }
 
 // siftUp restores the min-heap h after an append.

@@ -2,6 +2,7 @@ package assertion
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -31,7 +32,7 @@ var timeShapes = []struct {
 // with no block ever skipped — the one pass Query made before the zone
 // map.
 func zoneless(p *PostingIndex) *PostingIndex {
-	return &PostingIndex{byAssert: p.byAssert, byStream: p.byStream}
+	return &PostingIndex{nameTable: p.nameTable, byAssert: p.byAssert, byStream: p.byStream}
 }
 
 // sameViolations compares answers field by field, so that a NaN Time
@@ -219,6 +220,35 @@ func TestZoneMapNaNTime(t *testing.T) {
 			if got, want := m.Query(q), zoneless(&m.index).Query(q, m.log.buf, m.log.head); !sameViolations(got, want) {
 				t.Fatalf("NaN at %d, %+v:\n got %v\nwant %v", at, q, got, want)
 			}
+		}
+	}
+}
+
+// TestMemIndexNameTableBound churns stream keys through an indexed
+// MemStore ring: a name leaves the table with its last posting and its id
+// is reused, so the table holds the ring's distinct names, "" aside, and
+// never grows past them however many keys have come and gone.
+func TestMemIndexNameTableBound(t *testing.T) {
+	const limit = 500
+	m := NewMemStore(limit)
+	m.Query(StoreQuery{Assertion: "a"})
+	for i := 0; i < 40*limit; i++ {
+		m.Append(Violation{Assertion: fmt.Sprintf("a%d", i%3), Stream: fmt.Sprintf("cam-%d", i/50), SampleIndex: i})
+		if i%97 != 0 {
+			continue
+		}
+		want := map[string]bool{}
+		for _, v := range m.log.buf {
+			want[v.Assertion], want[v.Stream] = true, true
+		}
+		live := map[string]bool{}
+		for id, name := range m.index.names {
+			if id != 0 && !slices.Contains(m.index.free, uint32(id)) {
+				live[name] = true
+			}
+		}
+		if !maps.Equal(live, want) || len(m.index.names) > len(want)+2 {
+			t.Fatalf("after %d appends the table holds %v (%d slots), the ring %v", i+1, live, len(m.index.names), want)
 		}
 	}
 }

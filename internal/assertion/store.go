@@ -1,6 +1,7 @@
 package assertion
 
 import (
+	"iter"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,12 +24,18 @@ import (
 // and ByAssertion, the collector's merged views, /v1/violations/query —
 // is a StoreQuery, and both backends answer it from the shared
 // PostingIndex (postings.go; MemStore builds its own on the first
-// filtered or ByKey query): a filtered query walks only its matching
-// postings, a limited one keeps only the newest Limit matches — under
-// ByKey skipping the blocks of the log whose Time bound cannot reach
-// them — and the store lock is held for that walk rather than for a copy
-// of the whole retained log. Only the unlimited, unfiltered query is
-// still a full copy.
+// filtered or ByKey query). MemStore's log is a ring of Violations;
+// SegmentStore's is a pointer-free mirror of 56-byte rows that name their
+// assertion and stream by id into the index's name table (about 65 B of
+// heap per retained violation with the postings), built into Violations
+// only for what a query returns. The walk reads either log through one
+// accessor (PostingIndex.QueryAt), and the retention planner and
+// IngestRuns read the rows' ids (PlanCompactionIDs, IngestRunsIDs). A
+// filtered query walks only its matching postings, a limited one keeps
+// only the newest Limit matches — under ByKey skipping the blocks of the
+// log whose Time bound cannot reach them — and the store lock is held for
+// that walk rather than for a copy of the whole retained log. Only the
+// unlimited, unfiltered query is still a full copy.
 //
 // The seam's other direction is the EvictionObserver a store's owner may
 // set on the concrete backend (it is not part of ViolationStore): the
@@ -86,7 +93,8 @@ type StoreInfo struct {
 // an observer set calls it under its own lock, so the calls arrive in the
 // order the log changed; the observer must return quickly, must not call
 // back into the store, and must not keep vs (a ring overflow passes the
-// slot about to be overwritten).
+// slot about to be overwritten, a SegmentStore compaction a buffer it
+// reuses for the next call).
 type EvictionObserver interface {
 	// ObserveEvicted reports violations evicted by the log's own bound or
 	// by a compaction, oldest first.
@@ -244,7 +252,7 @@ func (m *MemStore) Query(q StoreQuery) []Violation {
 func (m *MemStore) IndexSize() (keys, postings, badBounds int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.index.Size(m.log.buf)
+	return m.index.Size(len(m.log.buf), func(slot int) float64 { return m.log.buf[slot].Time })
 }
 
 // Stats returns one assertion's aggregate statistics.
@@ -326,49 +334,82 @@ func (m *MemStore) compact(minIngestUnix int64, budget func(name string) (int, b
 }
 
 // PlanCompaction returns a keep-mask over an arrival-ordered log for a
-// retention pass — the shared policy core of MemStore and SegmentStore
-// compaction. A violation survives when it is not older than
-// minIngestUnix (0 disables; unstamped violations are exempt) and its
-// assertion's budget, when one exists, is not yet spent; the
+// retention pass — MemStore's, over PlanCompactionIDs, the policy core it
+// shares with SegmentStore. A violation survives when it is not older
+// than minIngestUnix (0 disables; unstamped violations are exempt) and
+// its assertion's budget, when one exists, is not yet spent; the
 // newest-to-oldest walk makes budgets keep the newest.
 func PlanCompaction(vs []Violation, minIngestUnix int64, budget func(name string) (int, bool)) []bool {
-	keepMask := make([]bool, len(vs))
-	perAssertion := make(map[string]int)
-	for i := len(vs) - 1; i >= 0; i-- {
-		v := vs[i]
-		if minIngestUnix > 0 && v.IngestUnix > 0 && v.IngestUnix < minIngestUnix {
+	var names nameTable
+	ids := make([]uint32, len(vs))
+	for i := range vs {
+		ids[i] = names.Intern(vs[i].Assertion)
+	}
+	return PlanCompactionIDs(len(vs), names.names, func(i int) (uint32, int64) { return ids[i], vs[i].IngestUnix }, minIngestUnix, budget)
+}
+
+// PlanCompactionIDs is PlanCompaction over a log of n entries that names
+// its assertions by id: at(i) returns entry i's assertion id, an index
+// into names, and its IngestUnix. budget is asked once per name, and what
+// each assertion has left of it is a slice indexed by id.
+func PlanCompactionIDs(n int, names []string, at func(i int) (id uint32, ingestUnix int64), minIngestUnix int64, budget func(name string) (int, bool)) []bool {
+	const unbounded = -1
+	left := make([]int, len(names))
+	for id, name := range names {
+		left[id] = unbounded
+		if n, ok := budget(name); ok {
+			left[id] = max(n, 0)
+		}
+	}
+	keepMask := make([]bool, n)
+	for i := n - 1; i >= 0; i-- {
+		id, ingest := at(i)
+		if minIngestUnix > 0 && ingest > 0 && ingest < minIngestUnix {
 			continue
 		}
-		if max, ok := budget(v.Assertion); ok {
-			if perAssertion[v.Assertion] >= max {
-				continue
-			}
-			perAssertion[v.Assertion]++
+		switch left[id] {
+		case 0:
+			continue
+		case unbounded:
+		default:
+			left[id]--
 		}
 		keepMask[i] = true
 	}
 	return keepMask
 }
 
+// EvictedRuns yields the runs [i, j) of entries a PlanCompaction mask
+// evicts, oldest first.
+func EvictedRuns(keep []bool) iter.Seq2[int, int] {
+	return func(yield func(i, j int) bool) {
+		for i := 0; i < len(keep); {
+			if keep[i] {
+				i++
+				continue
+			}
+			j := i + 1
+			for j < len(keep) && !keep[j] {
+				j++
+			}
+			if !yield(i, j) {
+				return
+			}
+			i = j
+		}
+	}
+}
+
 // ReportEvicted tells o (nil = nobody) what a PlanCompaction mask evicts
 // from vs: the runs of vs between survivors, handed over as they lie — an
 // observer that is not listening costs a compaction no copy of what it
-// evicts. Shared with SegmentStore.
+// evicts.
 func ReportEvicted(o EvictionObserver, vs []Violation, keep []bool) {
 	if o == nil {
 		return
 	}
-	for i := 0; i < len(vs); {
-		if keep[i] {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(vs) && !keep[j] {
-			j++
-		}
+	for i, j := range EvictedRuns(keep) {
 		o.ObserveEvicted(vs[i:j])
-		i = j
 	}
 }
 
@@ -406,23 +447,43 @@ type IngestRun struct {
 
 // IngestRunsOf run-length encodes each assertion's ingest stamps over log,
 // a ring whose oldest entry sits at log[head] (0 for a flat log), in
-// arrival order — the shared body of both backends' IngestRuns. Stamps
-// are the collector's clock at ingest, so they barely ever step backwards
-// and an assertion costs one run per second it was retained over.
+// arrival order — MemStore's IngestRuns, over IngestRunsIDs. Stamps are
+// the collector's clock at ingest, so they barely ever step backwards and
+// an assertion costs one run per second it was retained over.
 func IngestRunsOf(log []Violation, head int) map[string][]IngestRun {
-	out := make(map[string][]IngestRun)
+	var names nameTable
+	ids := make([]uint32, len(log))
 	for i := range log {
-		slot := head + i
-		if slot >= len(log) {
-			slot -= len(log)
+		ids[i] = names.Intern(log[i].Assertion)
+	}
+	return IngestRunsIDs(len(log), names.names, func(i int) (uint32, int64) {
+		if i += head; i >= len(log) {
+			i -= len(log)
 		}
-		v := &log[slot]
-		runs := out[v.Assertion]
-		if n := len(runs); n > 0 && runs[n-1].Unix == v.IngestUnix {
-			runs[n-1].N++
+		return ids[i], log[i].IngestUnix
+	})
+}
+
+// IngestRunsIDs is IngestRunsOf over a log of n entries, oldest first,
+// that names its assertions by id: at(i) returns entry i's assertion id,
+// an index into names, and its IngestUnix. Each assertion's runs build up
+// in a slice indexed by id.
+func IngestRunsIDs(n int, names []string, at func(i int) (id uint32, ingestUnix int64)) map[string][]IngestRun {
+	byID := make([][]IngestRun, len(names))
+	for i := 0; i < n; i++ {
+		id, unix := at(i)
+		runs := byID[id]
+		if k := len(runs); k > 0 && runs[k-1].Unix == unix {
+			runs[k-1].N++
 			continue
 		}
-		out[v.Assertion] = append(runs, IngestRun{Unix: v.IngestUnix, N: 1})
+		byID[id] = append(runs, IngestRun{Unix: unix, N: 1})
+	}
+	out := make(map[string][]IngestRun)
+	for id, runs := range byID {
+		if len(runs) > 0 {
+			out[names[id]] = runs
+		}
 	}
 	return out
 }

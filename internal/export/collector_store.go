@@ -2,9 +2,11 @@ package export
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -164,9 +166,9 @@ func (c *Collector) loadMarks() error {
 	if err := store.SweepTemps(path); err != nil {
 		return err
 	}
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("export: read marks log: %w", err)
+	legacy, err := marksLineFormat(path)
+	if err != nil {
+		return err
 	}
 	var batches, dups, rej int64
 	fold := func(body []byte) error {
@@ -187,9 +189,11 @@ func (c *Collector) loadMarks() error {
 		batches, dups, rej = max(batches, m.Batches), max(dups, m.Dups), max(rej, m.Rej)
 		return nil
 	}
-	_, framed := store.FrameAt(data, 0)
-	legacy := len(data) > 0 && data[0] == '{' && !framed
 	if legacy {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("export: read marks log: %w", err)
+		}
 		// The line format has no checksum: an unparsable line, normally
 		// the torn last one, is skipped.
 		for _, line := range bytes.Split(data, []byte{'\n'}) {
@@ -205,6 +209,45 @@ func (c *Collector) loadMarks() error {
 		return c.rewriteMarksLocked()
 	}
 	return c.marks.Open()
+}
+
+// marksLineFormat reports whether the marks log at path is in the line
+// format: its first byte is '{' and it does not start with a whole frame.
+// It reads the first byte and, only when that is '{', the first frame, so
+// a framed log is read once, by its replay.
+func marksLineFormat(path string) (bool, error) {
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("export: read marks log: %w", err)
+	}
+	defer f.Close()
+	head := make([]byte, store.FrameHeader)
+	n, err := io.ReadFull(f, head)
+	switch {
+	case err != nil && err != io.EOF && err != io.ErrUnexpectedEOF:
+		return false, fmt.Errorf("export: read marks log: %w", err)
+	case n == 0 || head[0] != '{':
+		return false, nil
+	case n < store.FrameHeader:
+		return true, nil
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return false, fmt.Errorf("export: read marks log: %w", err)
+	}
+	size := store.FrameHeader + int64(binary.LittleEndian.Uint32(head))
+	if size > fi.Size() {
+		return true, nil // its "length" runs past the file: '{' starts a line
+	}
+	frame := append(head, make([]byte, size-store.FrameHeader)...)
+	if _, err := io.ReadFull(f, frame[store.FrameHeader:]); err != nil {
+		return false, fmt.Errorf("export: read marks log: %w", err)
+	}
+	_, framed := store.FrameAt(frame, 0)
+	return !framed, nil
 }
 
 // logMarks appends one marks-log record carrying the given dedup mark and

@@ -1,6 +1,7 @@
 package export
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -222,5 +223,67 @@ func TestMarksLogTruncatedAtEveryOffset(t *testing.T) {
 			t.Fatalf("cut at %d (%d whole records): %+v, want %+v", off, whole, got, states[whole])
 		}
 		r.Close()
+	}
+}
+
+// TestMarksLogLineFormatRewrittenFramed opens a data dir whose marks.log
+// is in the line format collectors wrote before the framed one, torn last
+// line and all: its marks and counters are folded in, and the log is
+// rewritten framed, which the next open reads back the same. A framed log
+// whose first byte happens to be '{' (a 123-byte first record) is told
+// apart by its first frame and replayed as it is.
+func TestMarksLogLineFormatRewrittenFramed(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, marksName)
+	lines := `{"src":"edge-a","seq":3,"batches":5}
+{"src":"edge-b","seq":7,"batches":9,"dups":2,"rej":1}
+{"src":"edge-a","seq":2,"batches":6}
+{"src":"edge-c","se`
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := marksState{Marks: map[string]uint64{"edge-a": 3, "edge-b": 7}, Batches: 9, Dups: 2, Rejects: 1}
+	c := diskCollector(t, dir, 1)
+	if got := marksOf(c); !reflect.DeepEqual(got, want) {
+		t.Fatalf("folded the line format into %+v, want %+v", got, want)
+	}
+	c.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for rest := data; len(rest) > 0; records++ {
+		body, ok := store.FrameAt(rest, 0)
+		if !ok {
+			t.Fatalf("marks.log after the rewrite is not whole frames at offset %d: %q", len(data)-len(rest), data)
+		}
+		rest = rest[store.FrameHeader+len(body):]
+	}
+	if data[0] == '{' || records == 0 {
+		t.Fatalf("marks.log was not rewritten framed: %d records, %q", records, data)
+	}
+	c = diskCollector(t, dir, 1)
+	if got := marksOf(c); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened over the rewrite: %+v, want %+v", got, want)
+	}
+	c.Close()
+
+	src := "edge-" + strings.Repeat("x", 123-len(`{"src":"edge-","seq":4,"batches":1}`))
+	body := []byte(`{"src":"` + src + `","seq":4,"batches":1}`)
+	framed := store.AppendFrame(nil, body)
+	if len(body) != 123 || framed[0] != '{' {
+		t.Fatalf("the record is %d bytes, its frame starts %q: want 123 and '{'", len(body), framed[0])
+	}
+	if err := os.WriteFile(path, framed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c = diskCollector(t, dir, 1)
+	defer c.Close()
+	if got, want := marksOf(c), (marksState{Marks: map[string]uint64{src: 4}, Batches: 1}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a framed log starting '{' read as %+v, want %+v", got, want)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, framed) {
+		t.Fatalf("a framed log starting '{' was rewritten: %q, %v", got, err)
 	}
 }

@@ -340,7 +340,7 @@ func TestSegmentMirrorCapacityTracksPeak(t *testing.T) {
 		t.Fatalf("mirror capacity %d after a steady backlog peaking at %d, want within a quarter above it", settled, peak)
 	}
 	cycle(backlog)
-	if cap(s.vs) != settled || cap(s.seqs) != settled {
+	if cap(s.vs) != settled {
 		t.Fatalf("mirror capacity moved at a steady backlog: %d -> %d", settled, cap(s.vs))
 	}
 	cycle(backlog / 4)

@@ -129,6 +129,15 @@ const checkpointVersion = 1
 // a WriteOnly RecordLog of one binary-encoded violation per record (see
 // seqHeader), mirrored in memory for queries.
 //
+// The mirror is one row per retained record (row): 56 bytes with no
+// pointer, its assertion and stream as ids into the posting index's name
+// table. With the postings that is about 65 B of heap per retained
+// violation after a reopen and 76 B while appending, and the garbage
+// collector does not scan it. A Violation is built only for what leaves
+// the store: a query's answer, compaction's re-encode and the evictions
+// it reports. Nothing leaves the mirror but through Compact, so a store
+// without a retention policy is bounded only by RAM.
+//
 // Durability model: every record is buffered in memory and written to
 // the active segment with a single write syscall on Sync (the collector
 // syncs once per ingested batch) or when the buffer exceeds 64 KiB —
@@ -173,11 +182,10 @@ type SegmentStore struct {
 	sealMu  sync.Mutex     // guards sealErr (never taken with mu held by the sealer)
 	sealErr error          // first background seal failure, latched
 
-	// The in-memory mirror of the on-disk records, in arrival order:
-	// vs[i] was appended with sequence number seqs[i], and index holds
-	// its postings.
-	vs    []assertion.Violation
-	seqs  []uint64
+	// The in-memory mirror of the on-disk records, in arrival order, one
+	// row each; index holds their postings and the name table the rows'
+	// ids point into.
+	vs    []row
 	index assertion.PostingIndex
 
 	stats      map[string]assertion.Stats
@@ -339,9 +347,8 @@ func (s *SegmentStore) recover() error {
 	s.resizeMirror(frames)
 
 	maxSeq := coveredSeq
-	var interned assertion.Interner // one table for the whole replay
 	for i, num := range live {
-		meta, segMax, err := s.replaySegment(num, coveredSeq, i == len(live)-1, &interned)
+		meta, segMax, err := s.replaySegment(num, coveredSeq, i == len(live)-1)
 		if err != nil {
 			return err
 		}
@@ -415,35 +422,42 @@ func (s *SegmentStore) readCheckpoint() (segCheckpoint, bool, error) {
 	return cp, true, nil
 }
 
-// replaySegment reads one segment into the in-memory mirror, folding
-// records above coveredSeq into the statistics. The newest segment is the
-// only one a crash can tear, so a torn tail there is truncated away and
-// damage anywhere else refuses the open (RecordLog.Replay); a record that
-// passes the length and CRC checks and still does not decode is
-// corruption, or a newer writer's format, and is refused wherever it sits.
-func (s *SegmentStore) replaySegment(num int, coveredSeq uint64, newest bool, names *assertion.Interner) (segMeta, uint64, error) {
+// replaySegment reads one segment into the in-memory mirror, its names
+// straight into the index's name table, folding records above coveredSeq
+// into the statistics. The newest segment is the only one a crash can
+// tear, so a torn tail there is truncated away and damage anywhere else
+// refuses the open (RecordLog.Replay); a record that passes the length
+// and CRC checks and still does not decode is corruption, or a newer
+// writer's format, and is refused wherever it sits.
+func (s *SegmentStore) replaySegment(num int, coveredSeq uint64, newest bool) (segMeta, uint64, error) {
 	meta := segMeta{num: num}
 	maxSeq := uint64(0)
 	var jsonBodies, binaryBodies int64
 	err := s.segLog(num).Replay(!newest, func(hdr, body []byte) error {
 		var v assertion.Violation
-		var err error
+		var name, stream uint32
 		if body[0] == '{' {
-			v, err = decodeJSONBody(body)
+			var err error
+			if v, err = decodeJSONBody(body); err != nil {
+				return err
+			}
+			name, stream = s.index.Intern(v.Assertion), s.index.Intern(v.Stream)
 			jsonBodies++
 		} else {
-			err = assertion.DecodeViolationRecord(body, &v, names)
+			a, st, err := assertion.DecodeViolationRecord(body, &v)
+			if err != nil {
+				return err
+			}
+			name, stream = s.index.InternBytes(a), s.index.InternBytes(st)
 			binaryBodies++
-		}
-		if err != nil {
-			return err
 		}
 		seq := binary.LittleEndian.Uint64(hdr)
 		if seq > coveredSeq {
+			v.Assertion = s.index.Names()[name]
 			s.foldStats(v)
 		}
 		maxSeq = max(maxSeq, seq)
-		s.appendEntry(seq, v)
+		s.appendEntry(newRow(seq, name, stream, &v))
 		meta.records++
 		meta.bytes += int64(recordHeader + len(body))
 		return nil
@@ -465,6 +479,41 @@ func decodeJSONBody(body []byte) (assertion.Violation, error) {
 	return v, err
 }
 
+// row is one retained violation as the mirror holds it: its names as ids
+// into the index's name table, its append sequence number, and nothing
+// the garbage collector has to scan: 56 bytes.
+type row struct {
+	stream, assertion uint32
+	sampleIndex       int64
+	time, severity    float64
+	ingestUnix        int64
+	observedUnixNano  int64
+	seq               uint64
+}
+
+// newRow is v, appended with sequence number seq, as a row naming its
+// assertion and stream by id.
+func newRow(seq uint64, name, stream uint32, v *assertion.Violation) row {
+	return row{
+		stream: stream, assertion: name,
+		sampleIndex: int64(v.SampleIndex), time: v.Time, severity: v.Severity,
+		ingestUnix: v.IngestUnix, observedUnixNano: v.ObservedUnixNano,
+		seq: seq,
+	}
+}
+
+// violationAt builds the Violation mirror slot i holds into v. Only what
+// leaves the store is built: a query's answer, a compaction's re-encode
+// and what it reports evicted.
+func (s *SegmentStore) violationAt(i int, v *assertion.Violation) {
+	r, names := &s.vs[i], s.index.Names()
+	*v = assertion.Violation{
+		Assertion: names[r.assertion], Stream: names[r.stream],
+		SampleIndex: int(r.sampleIndex), Time: r.time, Severity: r.severity,
+		IngestUnix: r.ingestUnix, ObservedUnixNano: r.observedUnixNano,
+	}
+}
+
 // appendEntry adds one record to the in-memory mirror and its index,
 // growing a full mirror geometrically: doubling while it is small (the
 // runtime's own ×1.25 would re-allocate, zero and copy about 5x a young
@@ -473,8 +522,8 @@ func decodeJSONBody(body []byte) (assertion.Violation, error) {
 // under a retention policy the capacity settles within a quarter of the
 // largest backlog one compaction period has produced, however the ingest
 // rate moves; doubling there would land on the next power of two and hold
-// up to twice the peak (84 MB a step at a million entries).
-func (s *SegmentStore) appendEntry(seq uint64, v assertion.Violation) {
+// up to twice the peak (59 MB a step at a million entries).
+func (s *SegmentStore) appendEntry(r row) {
 	if n := cap(s.vs); len(s.vs) == n {
 		if n < mirrorDoubleBelow {
 			s.resizeMirror(max(1024, 2*n))
@@ -482,15 +531,14 @@ func (s *SegmentStore) appendEntry(seq uint64, v assertion.Violation) {
 			s.resizeMirror(n + n/4)
 		}
 	}
-	s.index.Add(len(s.vs), v)
-	s.vs = append(s.vs, v)
-	s.seqs = append(s.seqs, seq)
+	s.index.AddID(len(s.vs), r.assertion, r.stream, r.time)
+	s.vs = append(s.vs, r)
 }
 
-// resizeMirror moves the mirror into arrays of exactly the given capacity.
+// resizeMirror moves the mirror into an array of exactly the given
+// capacity.
 func (s *SegmentStore) resizeMirror(capacity int) {
-	s.vs = append(make([]assertion.Violation, 0, capacity), s.vs...)
-	s.seqs = append(make([]uint64, 0, capacity), s.seqs...)
+	s.vs = append(make([]row, 0, capacity), s.vs...)
 }
 
 // foldStats applies one violation to the aggregate statistics — the
@@ -572,7 +620,7 @@ func (s *SegmentStore) bufferLocked(v assertion.Violation) error {
 	s.pending = pending
 	s.pendingRecs++
 	s.appendSeq = seq
-	s.appendEntry(seq, v)
+	s.appendEntry(newRow(seq, s.index.Intern(v.Assertion), s.index.Intern(v.Stream), &v))
 	return nil
 }
 
@@ -712,11 +760,11 @@ func (s *SegmentStore) writeCheckpointFile(cp segCheckpoint) error {
 func (s *SegmentStore) checkpointPath() string { return filepath.Join(s.dir, checkpointName) }
 
 // Query implements ViolationStore from the in-memory mirror and its
-// posting index.
+// posting index, building a Violation for each row it answers with.
 func (s *SegmentStore) Query(q Query) []assertion.Violation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.index.Query(q, s.vs, 0)
+	return s.index.QueryAt(q, len(s.vs), 0, s.violationAt)
 }
 
 // IndexSize reports the query index's keys and postings and its zone
@@ -724,7 +772,7 @@ func (s *SegmentStore) Query(q Query) []assertion.Violation {
 func (s *SegmentStore) IndexSize() (keys, postings, badBounds int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.index.Size(s.vs)
+	return s.index.Size(len(s.vs), func(i int) float64 { return s.vs[i].time })
 }
 
 // StatsAll implements ViolationStore.
@@ -777,7 +825,7 @@ func (s *SegmentStore) Compact(minIngestUnix int64, maxPerAssertion int, budgets
 func (s *SegmentStore) IngestRuns() map[string][]assertion.IngestRun {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return assertion.IngestRunsOf(s.vs, 0)
+	return assertion.IngestRunsIDs(len(s.vs), s.index.Names(), s.assertionAt)
 }
 
 // compact rewrites the live segments with only the surviving records.
@@ -809,7 +857,7 @@ func (s *SegmentStore) compact(minIngestUnix int64, budget func(string) (int, bo
 		return 0, err
 	}
 
-	mask := assertion.PlanCompaction(s.vs, minIngestUnix, budget)
+	mask := assertion.PlanCompactionIDs(len(s.vs), s.index.Names(), s.assertionAt, minIngestUnix, budget)
 	kept := 0
 	for _, keep := range mask {
 		if keep {
@@ -874,11 +922,40 @@ func (s *SegmentStore) compact(minIngestUnix int64, budget func(string) (int, bo
 		return 0, err
 	}
 
-	assertion.ReportEvicted(s.observer, s.vs, mask) // the whole mirror, before it is filtered
+	s.reportEvicted(mask, evicted) // from the whole mirror, before it is filtered
 	s.filterMirror(mask)
-	s.index.Rebuild(s.vs, 0)
 	s.compacted += int64(evicted)
 	return evicted, nil
+}
+
+// assertionAt returns mirror slot i's assertion id and ingest stamp, what
+// the retention planner and IngestRuns read.
+func (s *SegmentStore) assertionAt(i int) (uint32, int64) {
+	return s.vs[i].assertion, s.vs[i].ingestUnix
+}
+
+// evictChunk bounds the buffer compaction reports evictions through.
+const evictChunk = 1024
+
+// reportEvicted tells the observer, if one is set, what mask evicts from
+// the mirror, oldest first: each evicted run is built as Violations
+// through one buffer of at most evictChunk, reused for every call, which
+// the EvictionObserver contract forbids keeping.
+func (s *SegmentStore) reportEvicted(mask []bool, evicted int) {
+	if s.observer == nil {
+		return
+	}
+	buf := make([]assertion.Violation, 0, min(evicted, evictChunk))
+	for i, j := range assertion.EvictedRuns(mask) {
+		for i < j {
+			buf = buf[:0]
+			for ; i < j && len(buf) < cap(buf); i++ {
+				buf = buf[:len(buf)+1]
+				s.violationAt(i, &buf[len(buf)-1])
+			}
+			s.observer.ObserveEvicted(buf)
+		}
+	}
 }
 
 // writeSurvivors writes the mirror's entries that mask keeps into .tmp
@@ -926,8 +1003,10 @@ func (s *SegmentStore) writeSurvivors(mask []bool) ([]segMeta, error) {
 		if !keep {
 			continue
 		}
+		var v assertion.Violation
+		s.violationAt(i, &v)
 		var err error
-		if buf, err = appendRecord(buf, s.seqs[i], &s.vs[i]); err != nil {
+		if buf, err = appendRecord(buf, s.vs[i].seq, &v); err != nil {
 			return nil, fmt.Errorf("store: compact encode: %w", err)
 		}
 		meta.records++
@@ -944,20 +1023,34 @@ func (s *SegmentStore) writeSurvivors(mask []bool) ([]segMeta, error) {
 }
 
 // filterMirror drops from the mirror, in place, what mask does not keep,
-// and clears the vacated tail so the evicted violations' strings are
-// freed. The arrays stay — the next period's backlog refills them — unless
-// this period's peak fit in half of them, in which case a burst has
-// passed and they shrink to that peak.
+// and rebuilds the index over the survivors in the same pass: a fresh
+// name table holding only the survivors' names, each survivor's ids
+// remapped into it, and their postings. The table stays bounded by the
+// retained log however many stream keys a fleet churns through. The
+// array stays — the next period's backlog refills it — unless this
+// period's peak fit in half of it, in which case a burst has passed and
+// it shrinks to that peak.
 func (s *SegmentStore) filterMirror(mask []bool) {
+	old := s.index.Names()
+	s.index.Reset()
+	remap := make([]uint32, len(old)) // 0: not yet seen ("" is id 0 in both)
+	id := func(o uint32) uint32 {
+		if o != 0 && remap[o] == 0 {
+			remap[o] = s.index.Intern(old[o])
+		}
+		return remap[o]
+	}
 	kept := 0
 	for i, keep := range mask {
 		if keep {
-			s.vs[kept], s.seqs[kept] = s.vs[i], s.seqs[i]
+			r := s.vs[i]
+			r.assertion, r.stream = id(r.assertion), id(r.stream)
+			s.index.AddID(kept, r.assertion, r.stream, r.time)
+			s.vs[kept] = r
 			kept++
 		}
 	}
-	clear(s.vs[kept:])
-	s.vs, s.seqs = s.vs[:kept], s.seqs[:kept]
+	s.vs = s.vs[:kept]
 	if peak := len(mask); peak <= cap(s.vs)/2 {
 		s.resizeMirror(peak)
 	}
