@@ -9,45 +9,38 @@ import (
 // zoneBlock is how many consecutive log slots one zone bound covers.
 const zoneBlock = 256
 
-// PostingIndex is the read index both ViolationStore backends answer
-// Query from, and the name table a store's log can key its entries on.
-// Every assertion name and stream key it has seen has an id, an index
-// into Names ("" is always id 0). Per id it holds the log slots of the
-// retained violations naming it as their assertion and, apart, as their
-// stream, oldest first, in slices indexed by id; and a zone map — for
-// every zoneBlock consecutive log slots, an upper bound on their Time.
-// The owning store keeps it in step with its log under its own lock —
-// Add (or AddID) on append, EvictOldest when a bounded log overwrites its
-// oldest entry, Rebuild after compaction — so a filtered query costs the
-// matching postings, not the retained log, and a ByKey query skips the
-// blocks whose bound cannot reach its newest Limit. Violations with an
-// empty Stream carry no stream posting (an empty StoreQuery.Stream means
-// "any"). A posting is 4 bytes: the index costs a retained violation
-// about 8 B (its assertion's posting, its stream's, and their lists'
-// growth slack), and the zone map 8 B per 256.
-//
-// MemStore's log holds Violations and indexes them by name (Add), so its
-// table is only the postings' keys: a name whose last posting EvictOldest
-// drops gives its id back. SegmentStore's log holds rows that carry the
-// ids themselves (Intern, AddID), so its table is append-only between
-// compactions, and each compaction rebuilds it from the survivors.
+// PostingIndex is the read index over a RowLog's slots that both
+// ViolationStore backends answer Query from. Per name id (an index into
+// the log's name table) it holds the slots of the retained rows naming it
+// as their assertion and, apart, as their stream, oldest first, in slices
+// indexed by id; and a zone map — for every zoneBlock consecutive slots,
+// an upper bound on their Time. The log keeps it in step with its rows —
+// add on append, evictOldest when a ring overwrites its oldest row, a
+// fresh build after compaction — so a filtered query costs the matching
+// postings, not the retained log, and a ByKey query skips the blocks
+// whose bound cannot reach its newest Limit. Rows with an empty stream
+// carry no stream posting (an empty StoreQuery.Stream means "any"). A
+// posting is 4 bytes: the index costs a retained violation about 8 B (its
+// assertion's posting, its stream's, and their lists' growth slack), and
+// the zone map 8 B per 256.
 type PostingIndex struct {
-	nameTable
 	byAssert [][]int32 // by assertion id
 	byStream [][]int32 // by stream id; id 0 ("") has none
 	// zone[b] bounds the Time of log slots [b*zoneBlock, (b+1)*zoneBlock)
 	// from above; a NaN Time makes its block's bound NaN, which no
-	// comparison skips. Add only raises a bound and EvictOldest leaves it,
+	// comparison skips. add only raises a bound and evictOldest leaves it,
 	// since a bound over fewer entries is still a bound.
 	zone []float64
 }
 
 // nameTable gives every distinct name an id, an index into names. "" is
-// id 0 from the first use on; an id released to free is reused by the
-// next new name.
+// id 0 from the first use on. refs counts the rows naming each id; an id
+// whose last row goes is released to free and reused by the next new
+// name.
 type nameTable struct {
 	ids   map[string]uint32
 	names []string
+	refs  []int32
 	free  []uint32
 }
 
@@ -56,6 +49,7 @@ type nameTable struct {
 func (t *nameTable) reset() {
 	t.ids = map[string]uint32{"": 0}
 	t.names = []string{""}
+	t.refs = []int32{0}
 	t.free = nil
 }
 
@@ -90,31 +84,35 @@ func (t *nameTable) add(name string) uint32 {
 	} else {
 		id = uint32(len(t.names))
 		t.names = append(t.names, name)
+		t.refs = append(t.refs, 0)
 	}
 	t.ids[name] = id
 	return id
 }
 
+// release drops one row's reference to id, and id itself from the table
+// with the last one.
+func (t *nameTable) release(id uint32) {
+	if t.refs[id]--; t.refs[id] == 0 && id != 0 {
+		delete(t.ids, t.names[id])
+		t.names[id] = ""
+		t.free = append(t.free, id)
+	}
+}
+
 // Names returns the name table: the name of id i is Names()[i]. It is the
-// index's own slice, valid until the next Reset, Rebuild or EvictOldest.
+// table's own slice, valid until the next append or compaction.
 func (t *nameTable) Names() []string { return t.names }
 
-// Reset drops every name, posting and zone bound.
-func (p *PostingIndex) Reset() {
-	p.nameTable.reset()
+// reset drops every posting and zone bound.
+func (p *PostingIndex) reset() {
 	p.byAssert, p.byStream = nil, nil
 	p.zone = p.zone[:0]
 }
 
-// Add indexes v, which the store just wrote to slot as its newest
-// retained violation, and raises slot's zone bound to v.Time.
-func (p *PostingIndex) Add(slot int, v Violation) {
-	p.AddID(slot, p.Intern(v.Assertion), p.Intern(v.Stream), v.Time)
-}
-
-// AddID is Add for a violation the store names by id (Intern): its
-// assertion's and its stream's, and its Time.
-func (p *PostingIndex) AddID(slot int, assertion, stream uint32, time float64) {
+// add indexes the row at slot, the log's newest, by its assertion's and
+// its stream's ids, and raises slot's zone bound to its time.
+func (p *PostingIndex) add(slot int, assertion, stream uint32, time float64) {
 	for int(max(assertion, stream)) >= len(p.byAssert) {
 		p.byAssert, p.byStream = append(p.byAssert, nil), append(p.byStream, nil)
 	}
@@ -131,54 +129,32 @@ func (p *PostingIndex) AddID(slot int, assertion, stream uint32, time float64) {
 	}
 }
 
-// EvictOldest drops the postings of v, which must be the oldest retained
-// violation — and so the head of each list it is on. A name whose last
-// posting goes leaves the table, which keeps the index bounded by the
-// retained log on a fleet whose stream keys churn.
-func (p *PostingIndex) EvictOldest(v Violation) {
-	p.popHead(p.byAssert, p.ids[v.Assertion])
-	if v.Stream != "" {
-		p.popHead(p.byStream, p.ids[v.Stream])
+// evictOldest drops the postings of the log's oldest row, which names
+// assertion and stream — and so is the head of each list it is on.
+func (p *PostingIndex) evictOldest(assertion, stream uint32) {
+	popHead(p.byAssert, assertion)
+	if stream != 0 {
+		popHead(p.byStream, stream)
 	}
 }
 
-// popHead drops the oldest posting of id in lists, and releases id from
-// the table once neither of its lists holds one.
-func (p *PostingIndex) popHead(lists [][]int32, id uint32) {
+// popHead drops the oldest posting of id in lists, and the list's array
+// with its last posting.
+func popHead(lists [][]int32, id uint32) {
 	if list := lists[id]; len(list) > 1 {
 		lists[id] = list[1:]
-		return
-	}
-	lists[id] = nil
-	if id != 0 && p.byAssert[id] == nil && p.byStream[id] == nil {
-		delete(p.ids, p.names[id])
-		p.names[id] = ""
-		p.free = append(p.free, id)
+	} else {
+		lists[id] = nil
 	}
 }
 
-// Rebuild re-indexes log, a ring whose oldest entry sits at log[head]
-// (head is 0 for a flat, arrival-ordered log) — the state after
-// compaction, or when a store starts indexing a log it already holds.
-func (p *PostingIndex) Rebuild(log []Violation, head int) {
-	p.Reset()
-	for i := range log {
-		slot := head + i
-		if slot >= len(log) {
-			slot -= len(log)
-		}
-		p.Add(slot, log[slot])
-	}
-}
-
-// Size reports the index's footprint over a log of n slots whose Times
-// time reads: how many keys it holds and how many postings across them,
-// both bounded by the retained log — one assertion posting per
-// violation, one stream posting per keyed one, no key without a
-// posting. badBounds counts where the zone map breaks its own invariant:
-// a block of log without a bound or a bound without a block, and a bound
-// below a Time in its block (a NaN bound never is).
-func (p *PostingIndex) Size(n int, time func(slot int) float64) (keys, postings, badBounds int) {
+// size reports the index's footprint over rows: how many keys it holds
+// and how many postings across them, both bounded by the retained log —
+// one assertion posting per row, one stream posting per keyed one, no key
+// without a posting. badBounds counts where the zone map breaks its own
+// invariant: a block of rows without a bound or a bound without a block,
+// and a bound below a time in its block (a NaN bound never is).
+func (p *PostingIndex) size(rows []row) (keys, postings, badBounds int) {
 	for _, lists := range [][][]int32{p.byAssert, p.byStream} {
 		for _, list := range lists {
 			if len(list) > 0 {
@@ -187,10 +163,11 @@ func (p *PostingIndex) Size(n int, time func(slot int) float64) (keys, postings,
 			}
 		}
 	}
+	n := len(rows)
 	blocks := (n + zoneBlock - 1) / zoneBlock
 	badBounds = max(len(p.zone)-blocks, blocks-len(p.zone))
 	for slot := range min(n, len(p.zone)*zoneBlock) {
-		if z := p.zone[slot/zoneBlock]; z == z && !(z >= time(slot)) {
+		if z := p.zone[slot/zoneBlock]; z == z && !(z >= rows[slot].time) {
 			badBounds++
 		}
 	}
@@ -200,13 +177,14 @@ func (p *PostingIndex) Size(n int, time func(slot int) float64) (keys, postings,
 // candidates returns the posting list a query walks — the shorter one
 // when it names both an assertion and a stream — or indexed false when
 // it names neither and every retained slot is a candidate.
-func (p *PostingIndex) candidates(q StoreQuery) (list []int32, indexed bool) {
+func (l *RowLog) candidates(q StoreQuery) (list []int32, indexed bool) {
 	postings := func(lists [][]int32, name string) []int32 {
-		if id, ok := p.ids[name]; ok && int(id) < len(lists) {
+		if id, ok := l.ids[name]; ok && int(id) < len(lists) {
 			return lists[id]
 		}
 		return nil
 	}
+	p := &l.index
 	switch {
 	case q.Assertion != "" && q.Stream != "":
 		a, s := postings(p.byAssert, q.Assertion), postings(p.byStream, q.Stream)
@@ -222,48 +200,16 @@ func (p *PostingIndex) candidates(q StoreQuery) (list []int32, indexed bool) {
 	return nil, false
 }
 
-// Query answers q over log, the retained violations this index covers: a
-// ring whose oldest entry sits at log[head] (head is 0 for a flat log).
-// The result is a fresh slice, in arrival order, or under q.ByKey in key
-// order: (Time, Stream, SampleIndex, arrival) ascending. With a limit it
-// holds the newest q.Limit matches — the last to arrive, or under q.ByKey
-// the greatest in key order — found by walking the candidates newest to
-// oldest, so the arrival-order walk stops after q.Limit matches and
-// neither walk allocates beyond the matches it keeps: nothing is sized by
-// q.Limit alone. The caller holds the lock guarding log.
-//
-// The ByKey walk keeps a size-q.Limit heap and, once it is full, reads
-// each block's zone bound once and skips a block whose bound is below the
-// heap minimum's Time: nothing in it can displace the minimum. While Time
-// rises with arrival that leaves the zone bounds (one per 256 slots) plus
-// the candidates of the block or two the newest matches sit in, and of
-// the block a ring's head splits; when Time runs against arrival no bound
-// skips anything and the walk is one pass over the candidates.
-func (p *PostingIndex) Query(q StoreQuery, log []Violation, head int) []Violation {
-	return p.query(q, log, head, nil)
-}
-
-// QueryAt is Query over a log the store does not hold as Violations: n
-// slots, the oldest at head, at(slot, v) reading slot into v. The walk is
-// Query's, and reads each candidate it examines once.
-func (p *PostingIndex) QueryAt(q StoreQuery, n, head int, at func(slot int, v *Violation)) []Violation {
-	return p.walk(q, n, head, at, nil)
-}
-
 // queryWork counts what a ByKey walk read: the candidates it examined and
 // the zone bounds it compared.
 type queryWork struct{ candidates, bounds int }
 
-// query is Query, counting the ByKey walk's work into work when it is not
-// nil.
-func (p *PostingIndex) query(q StoreQuery, log []Violation, head int, work *queryWork) []Violation {
-	return p.walk(q, len(log), head, func(slot int, v *Violation) { *v = log[slot] }, work)
-}
-
-// walk answers q over a log of size slots, the oldest at head, that at
-// reads — the one walk behind Query and QueryAt.
-func (p *PostingIndex) walk(q StoreQuery, size, head int, at func(slot int, v *Violation), work *queryWork) []Violation {
-	list, indexed := p.candidates(q)
+// query is Query's walk over the built index, counting a ByKey walk's
+// work into work when it is not nil. It reads each candidate it examines
+// once, building its row straight into the answer.
+func (l *RowLog) query(q StoreQuery, work *queryWork) []Violation {
+	p, size, head := &l.index, len(l.rows), l.head
+	list, indexed := l.candidates(q)
 	n := size
 	if indexed {
 		n = len(list)
@@ -290,7 +236,7 @@ func (p *PostingIndex) walk(q StoreQuery, size, head int, at func(slot int, v *V
 			i -= size
 		}
 		v := &kept[:len(kept)+1][len(kept)]
-		at(i, v)
+		l.violationAt(i, v)
 		return v
 	}
 	keep := func() { kept = kept[:len(kept)+1] }

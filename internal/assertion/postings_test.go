@@ -28,11 +28,23 @@ var timeShapes = []struct {
 	}},
 }
 
-// zoneless is p with its zone map taken away: the same postings, walked
-// with no block ever skipped — the one pass Query made before the zone
-// map.
-func zoneless(p *PostingIndex) *PostingIndex {
-	return &PostingIndex{nameTable: p.nameTable, byAssert: p.byAssert, byStream: p.byStream}
+// zoneless is the indexed log l with its zone map taken away: the same
+// rows and postings, walked with no block ever skipped — the one pass
+// Query made before the zone map.
+func zoneless(l *RowLog) *RowLog {
+	c := *l
+	c.index.zone = nil
+	return &c
+}
+
+// flatLog is an indexed flat RowLog of vs, as SegmentStore keeps one.
+func flatLog(vs []Violation) *RowLog {
+	var l RowLog
+	l.Index()
+	for i := range vs {
+		l.Append(0, l.Intern(vs[i].Assertion), l.Intern(vs[i].Stream), &vs[i])
+	}
+	return &l
 }
 
 // sameViolations compares answers field by field, so that a NaN Time
@@ -81,14 +93,13 @@ func TestZoneMapMatchesFullWalk(t *testing.T) {
 			rng := rand.New(rand.NewPCG(7, uint64(k)))
 			for round := 0; round < rounds; round++ {
 				n := 1 + rng.IntN(5000)
-				log := make([]Violation, n)
-				var p PostingIndex
-				for i := range log {
-					log[i] = zoneViolation(rng, shape.at, i, n)
-					p.Add(i, log[i])
+				vs := make([]Violation, n)
+				for i := range vs {
+					vs[i] = zoneViolation(rng, shape.at, i, n)
 				}
+				l := flatLog(vs)
 				for _, q := range zoneQueries() {
-					if got, want := p.Query(q, log, 0), zoneless(&p).Query(q, log, 0); !sameViolations(got, want) {
+					if got, want := l.Query(q), zoneless(l).Query(q); !sameViolations(got, want) {
 						t.Fatalf("flat log of %d, %+v:\n got %v\nwant %v", n, q, got, want)
 					}
 				}
@@ -106,7 +117,7 @@ func TestZoneMapMatchesFullWalk(t *testing.T) {
 					continue
 				}
 				for _, q := range zoneQueries() {
-					if got, want := m.Query(q), zoneless(&m.index).Query(q, m.log.buf, m.log.head); !sameViolations(got, want) {
+					if got, want := m.Query(q), zoneless(&m.log).Query(q); !sameViolations(got, want) {
 						t.Fatalf("ring at %d appended (head %d), %+v:\n got %v\nwant %v", i+1, m.log.head, q, got, want)
 					}
 				}
@@ -133,10 +144,8 @@ func TestZoneMapWorkGate(t *testing.T) {
 	}
 
 	flat := make([]Violation, retained)
-	var flatIndex PostingIndex
 	for i := range flat {
 		flat[i] = arrival(i)
-		flatIndex.Add(i, flat[i])
 	}
 	ring := NewMemStore(retained)
 	ring.Query(StoreQuery{Limit: 1, ByKey: true}) // a sharded newest query indexes the ring
@@ -149,19 +158,17 @@ func TestZoneMapWorkGate(t *testing.T) {
 
 	for _, tc := range []struct {
 		name      string
-		p         *PostingIndex
-		log       []Violation
-		head      int
+		l         *RowLog
 		maxBounds int // the block a ring's head splits is read from both sides
 	}{
-		{"flat", &flatIndex, flat, 0, blocks},
-		{"ring", &ring.index, ring.log.buf, ring.log.head, blocks + 1},
+		{"flat", flatLog(flat), blocks},
+		{"ring", &ring.log, blocks + 1},
 	} {
 		for _, q := range []StoreQuery{{}, {Assertion: "c"}, {Stream: "s3"}, {Assertion: "b", Stream: "s5"}} {
 			q.Limit, q.ByKey = limit, true
 			var work queryWork
-			got := tc.p.query(q, tc.log, tc.head, &work)
-			if want := zoneless(tc.p).Query(q, tc.log, tc.head); !sameViolations(got, want) || len(got) != limit {
+			got := tc.l.query(q, &work)
+			if want := zoneless(tc.l).Query(q); !sameViolations(got, want) || len(got) != limit {
 				t.Fatalf("%s %+v: %d violations, differ from the full walk's %d", tc.name, q, len(got), len(want))
 			}
 			t.Logf("%s %+v: %d candidates, %d bounds", tc.name, q, work.candidates, work.bounds)
@@ -175,15 +182,14 @@ func TestZoneMapWorkGate(t *testing.T) {
 	// Time against arrival: no bound is below the heap's minimum, so the
 	// walk reads everything — and still answers what the full walk does.
 	desc := make([]Violation, retained)
-	var descIndex PostingIndex
 	for i := range desc {
 		desc[i] = arrival(retained - 1 - i)
-		descIndex.Add(i, desc[i])
 	}
+	descLog := flatLog(desc)
 	q := StoreQuery{Limit: limit, ByKey: true}
 	var work queryWork
-	got := descIndex.query(q, desc, 0, &work)
-	if want := zoneless(&descIndex).Query(q, desc, 0); !sameViolations(got, want) || len(got) != limit {
+	got := descLog.query(q, &work)
+	if want := zoneless(descLog).Query(q); !sameViolations(got, want) || len(got) != limit {
 		t.Fatalf("descending: %d violations, differ from the full walk's %d", len(got), len(want))
 	}
 	if got[0].SampleIndex != retained-limit || got[limit-1].SampleIndex != retained-1 {
@@ -213,42 +219,50 @@ func TestZoneMapNaNTime(t *testing.T) {
 		if _, _, bad := m.IndexSize(); bad != 0 {
 			t.Fatalf("NaN at %d: the zone map breaks its invariant %d times", at, bad)
 		}
-		if !math.IsNaN(m.index.zone[at/zoneBlock]) {
-			t.Fatalf("NaN at %d: block %d's bound is %v, want NaN", at, at/zoneBlock, m.index.zone[at/zoneBlock])
+		if zone := m.log.index.zone; !math.IsNaN(zone[at/zoneBlock]) {
+			t.Fatalf("NaN at %d: block %d's bound is %v, want NaN", at, at/zoneBlock, zone[at/zoneBlock])
 		}
 		for _, q := range []StoreQuery{{Limit: 100, ByKey: true}, {Stream: "s", Limit: 100, ByKey: true}, {Limit: 3, ByKey: true}} {
-			if got, want := m.Query(q), zoneless(&m.index).Query(q, m.log.buf, m.log.head); !sameViolations(got, want) {
+			if got, want := m.Query(q), zoneless(&m.log).Query(q); !sameViolations(got, want) {
 				t.Fatalf("NaN at %d, %+v:\n got %v\nwant %v", at, q, got, want)
 			}
 		}
 	}
 }
 
-// TestMemIndexNameTableBound churns stream keys through an indexed
-// MemStore ring: a name leaves the table with its last posting and its id
-// is reused, so the table holds the ring's distinct names, "" aside, and
-// never grows past them however many keys have come and gone.
+// TestMemIndexNameTableBound churns stream keys through a MemStore ring,
+// indexed and not (every edge Recorder's): a name leaves the table with
+// the last retained row naming it and its id is reused, so the table holds
+// the ring's distinct names, "" aside, and never grows past them however
+// many keys have come and gone.
 func TestMemIndexNameTableBound(t *testing.T) {
 	const limit = 500
-	m := NewMemStore(limit)
-	m.Query(StoreQuery{Assertion: "a"})
-	for i := 0; i < 40*limit; i++ {
-		m.Append(Violation{Assertion: fmt.Sprintf("a%d", i%3), Stream: fmt.Sprintf("cam-%d", i/50), SampleIndex: i})
-		if i%97 != 0 {
-			continue
+	for _, indexed := range []bool{false, true} {
+		m := NewMemStore(limit)
+		if indexed {
+			m.Query(StoreQuery{Assertion: "a"})
 		}
-		want := map[string]bool{}
-		for _, v := range m.log.buf {
-			want[v.Assertion], want[v.Stream] = true, true
-		}
-		live := map[string]bool{}
-		for id, name := range m.index.names {
-			if id != 0 && !slices.Contains(m.index.free, uint32(id)) {
-				live[name] = true
+		for i := 0; i < 40*limit; i++ {
+			m.Append(Violation{Assertion: fmt.Sprintf("a%d", i%3), Stream: fmt.Sprintf("cam-%d", i/50), SampleIndex: i})
+			if i%97 != 0 {
+				continue
+			}
+			want := map[string]bool{}
+			for _, v := range m.Query(StoreQuery{}) {
+				want[v.Assertion], want[v.Stream] = true, true
+			}
+			live := map[string]bool{}
+			for id, name := range m.log.names {
+				if id != 0 && !slices.Contains(m.log.free, uint32(id)) {
+					live[name] = true
+				}
+			}
+			if !maps.Equal(live, want) || len(m.log.names) > len(want)+2 {
+				t.Fatalf("indexed %v: after %d appends the table holds %v (%d slots), the ring %v", indexed, i+1, live, len(m.log.names), want)
 			}
 		}
-		if !maps.Equal(live, want) || len(m.index.names) > len(want)+2 {
-			t.Fatalf("after %d appends the table holds %v (%d slots), the ring %v", i+1, live, len(m.index.names), want)
+		if m.log.indexed != indexed {
+			t.Fatalf("indexed %v: the ring's index was built %v", indexed, m.log.indexed)
 		}
 	}
 }

@@ -91,45 +91,6 @@ func atomicMaxFloat(a *atomic.Uint64, x float64) {
 	}
 }
 
-// violationRing is MemStore's bounded violation log: append-or-overwrite
-// with O(1) eviction, arrival-order reads. Callers provide their own
-// locking.
-type violationRing struct {
-	limit   int
-	buf     []Violation
-	head    int // index of the oldest retained violation once the ring is full
-	dropped atomic.Int64
-}
-
-// full reports whether the next add overwrites the oldest entry,
-// buf[head].
-func (r *violationRing) full() bool { return r.limit > 0 && len(r.buf) == r.limit }
-
-// add appends v, overwriting the oldest entry in place (constant-time
-// eviction) once the bound is hit, and returns the slot v landed in.
-func (r *violationRing) add(v Violation) int {
-	if r.full() {
-		slot := r.head
-		r.buf[slot] = v
-		r.head++
-		if r.head == r.limit {
-			r.head = 0
-		}
-		r.dropped.Add(1)
-		return slot
-	}
-	r.buf = append(r.buf, v)
-	return len(r.buf) - 1
-}
-
-// snapshot copies the retained violations in arrival order.
-func (r *violationRing) snapshot() []Violation {
-	out := make([]Violation, 0, len(r.buf))
-	out = append(out, r.buf[r.head:]...)
-	out = append(out, r.buf[:r.head]...)
-	return out
-}
-
 // sinkBox holds the attached Sink. Each attach allocates a new box, so
 // Record can tell a swap (a new box) from a sink closed in place (the
 // same box).

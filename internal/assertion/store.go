@@ -1,7 +1,6 @@
 package assertion
 
 import (
-	"iter"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,20 +21,20 @@ import (
 //
 // Query is the seam's one read path. Every reader — Recorder.Violations
 // and ByAssertion, the collector's merged views, /v1/violations/query —
-// is a StoreQuery, and both backends answer it from the shared
-// PostingIndex (postings.go; MemStore builds its own on the first
-// filtered or ByKey query). MemStore's log is a ring of Violations;
-// SegmentStore's is a pointer-free mirror of 56-byte rows that name their
-// assertion and stream by id into the index's name table (about 65 B of
-// heap per retained violation with the postings), built into Violations
-// only for what a query returns. The walk reads either log through one
-// accessor (PostingIndex.QueryAt), and the retention planner and
-// IngestRuns read the rows' ids (PlanCompactionIDs, IngestRunsIDs). A
-// filtered query walks only its matching postings, a limited one keeps
-// only the newest Limit matches — under ByKey skipping the blocks of the
-// log whose Time bound cannot reach them — and the store lock is held for
-// that walk rather than for a copy of the whole retained log. Only the
-// unlimited, unfiltered query is still a full copy.
+// is a StoreQuery, and both backends answer it from one retained-log
+// shape, the RowLog (rowlog.go): 56-byte pointer-free rows that name
+// their assertion and stream by id into the log's name table, with the
+// PostingIndex over them (postings.go). MemStore keeps it as a ring
+// bounded by its limit that builds its postings on the first filtered or
+// ByKey query; SegmentStore keeps it flat, mirroring its segment files,
+// indexed from open. A Violation is built only for what a query returns,
+// what a store evicts and what compaction re-encodes. A filtered query
+// walks only its matching postings, a limited one keeps only the newest
+// Limit matches — under ByKey skipping the blocks of the log whose Time
+// bound cannot reach them — and the store lock is held for that walk
+// rather than for a copy of the whole retained log. Only the unlimited,
+// unfiltered query is still a full copy. The retention planner and
+// IngestRuns read the rows' ids (RowLog.Plan, RowLog.IngestRuns).
 //
 // The seam's other direction is the EvictionObserver a store's owner may
 // set on the concrete backend (it is not part of ViolationStore): the
@@ -92,9 +91,9 @@ type StoreInfo struct {
 // EvictionObserver hears what leaves a store's retained log. A store with
 // an observer set calls it under its own lock, so the calls arrive in the
 // order the log changed; the observer must return quickly, must not call
-// back into the store, and must not keep vs (a ring overflow passes the
-// slot about to be overwritten, a SegmentStore compaction a buffer it
-// reuses for the next call).
+// back into the store, and must not keep vs: the store builds what it
+// evicts into a buffer it reuses for the next call (a one-slot one for a
+// ring overflow, one of at most 1024 for a compaction's runs).
 type EvictionObserver interface {
 	// ObserveEvicted reports violations evicted by the log's own bound or
 	// by a compaction, oldest first.
@@ -158,27 +157,19 @@ type ViolationStore interface {
 	Close() error
 }
 
-// MemStore is the in-memory ViolationStore: a bounded ring-buffer log
-// with O(1) eviction, indexed for Query once someone queries it, plus
+// MemStore is the in-memory ViolationStore: a RowLog ring with O(1)
+// eviction, indexed for Query once someone queries it by name or key, plus
 // lock-free per-assertion statistics. It is every edge Recorder's storage,
 // the collector's "mem" shard backend, and the baseline the on-disk
 // SegmentStore is benchmarked against. It is safe for concurrent use.
 type MemStore struct {
-	mu  sync.Mutex // guards the violation ring and its index
-	log violationRing
-	// index follows the ring from the first Query that filters or asks
-	// ByKey on (indexed). A store nobody asks by assertion, stream or key
-	// — every edge Recorder — pays nothing for it on Append.
-	index   PostingIndex
-	indexed bool
+	mu      sync.Mutex // guards the log
+	log     RowLog
+	dropped atomic.Int64
 
 	stats sync.Map // assertion name -> *statsCell
 
 	compacted atomic.Int64
-
-	// observer hears evictions (nil for every edge Recorder). It sits last
-	// so the fields Append touches keep their layout.
-	observer EvictionObserver
 }
 
 // SetEvictionObserver makes o hear every later eviction from the retained
@@ -186,7 +177,7 @@ type MemStore struct {
 // shared.
 func (m *MemStore) SetEvictionObserver(o EvictionObserver) {
 	m.mu.Lock()
-	m.observer = o
+	m.log.Observer = o
 	m.mu.Unlock()
 }
 
@@ -194,7 +185,7 @@ func (m *MemStore) SetEvictionObserver(o EvictionObserver) {
 // violations in its log (0 or negative = unbounded). Statistics are
 // complete regardless of the bound.
 func NewMemStore(limit int) *MemStore {
-	return &MemStore{log: violationRing{limit: limit}}
+	return &MemStore{log: RowLog{limit: max(limit, 0)}}
 }
 
 // Append implements ViolationStore; it never fails.
@@ -212,47 +203,29 @@ func (m *MemStore) Append(v Violation) error {
 	st.last.Store(int64(v.SampleIndex))
 
 	m.mu.Lock()
-	m.addLocked(v)
+	if m.log.Append(0, m.log.Intern(v.Assertion), m.log.Intern(v.Stream), &v) {
+		m.dropped.Add(1)
+	}
 	m.mu.Unlock()
 	return nil
 }
 
-// addLocked appends v to the ring, moving a built index with it: the
-// entry a full ring is about to overwrite is its oldest.
-func (m *MemStore) addLocked(v Violation) {
-	if m.observer != nil && m.log.full() {
-		m.observer.ObserveEvicted(m.log.buf[m.log.head : m.log.head+1])
-	}
-	if !m.indexed {
-		m.log.add(v)
-		return
-	}
-	if m.log.full() {
-		m.index.EvictOldest(m.log.buf[m.log.head])
-	}
-	m.index.Add(m.log.add(v), v)
-}
-
-// Query implements ViolationStore. The first query that names an
-// assertion or a stream, or asks ByKey (a sharded collector's newest,
-// which the index's zone map serves), builds the index, one pass over
-// the ring.
+// Query implements ViolationStore (see RowLog.Query). The first query
+// that names an assertion or a stream, or asks ByKey (a sharded
+// collector's newest, which the index's zone map serves), builds the
+// index, one pass over the ring.
 func (m *MemStore) Query(q StoreQuery) []Violation {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.indexed && (q.Assertion != "" || q.Stream != "" || q.ByKey) {
-		m.index.Rebuild(m.log.buf, m.log.head)
-		m.indexed = true
-	}
-	return m.index.Query(q, m.log.buf, m.log.head)
+	return m.log.Query(q)
 }
 
 // IndexSize reports the query index's keys and postings and its zone
-// map's broken bounds (see PostingIndex.Size).
+// map's broken bounds (see PostingIndex.size).
 func (m *MemStore) IndexSize() (keys, postings, badBounds int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.index.Size(len(m.log.buf), func(slot int) float64 { return m.log.buf[slot].Time })
+	return m.log.IndexSize()
 }
 
 // Stats returns one assertion's aggregate statistics.
@@ -285,7 +258,7 @@ func (m *MemStore) TotalFired() int {
 }
 
 // Dropped implements ViolationStore.
-func (m *MemStore) Dropped() int64 { return m.log.dropped.Load() }
+func (m *MemStore) Dropped() int64 { return m.dropped.Load() }
 
 // Compacted implements ViolationStore.
 func (m *MemStore) Compacted() int64 { return m.compacted.Load() }
@@ -295,136 +268,21 @@ func (m *MemStore) Compact(minIngestUnix int64, maxPerAssertion int, budgets ...
 	if !RetentionBounds(minIngestUnix, maxPerAssertion, budgets) {
 		return 0, nil
 	}
-	return m.compact(minIngestUnix, CompactionBudget(maxPerAssertion, budgets...)), nil
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	keep, evicted := m.log.Plan(minIngestUnix, maxPerAssertion, budgets)
+	if evicted > 0 {
+		m.log.Compact(keep, evicted)
+		m.compacted.Add(int64(evicted))
+	}
+	return evicted, nil
 }
 
 // IngestRuns implements ViolationStore.
 func (m *MemStore) IngestRuns() map[string][]IngestRun {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return IngestRunsOf(m.log.buf, m.log.head)
-}
-
-// compact rewrites the retained log, keeping a violation when it is not
-// older than minIngestUnix (0 disables; unstamped violations are exempt)
-// and its assertion's budget, when one exists, is not yet spent. The
-// newest-to-oldest walk makes budgets keep the newest.
-func (m *MemStore) compact(minIngestUnix int64, budget func(name string) (int, bool)) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	vs := m.log.snapshot() // oldest -> newest
-	mask := PlanCompaction(vs, minIngestUnix, budget)
-	kept := make([]Violation, 0, len(vs))
-	for i, keep := range mask {
-		if keep {
-			kept = append(kept, vs[i])
-		}
-	}
-	evicted := len(vs) - len(kept)
-	if evicted == 0 {
-		return 0
-	}
-	ReportEvicted(m.observer, vs, mask)
-	m.log.buf, m.log.head = kept, 0
-	if m.indexed {
-		m.index.Rebuild(kept, 0)
-	}
-	m.compacted.Add(int64(evicted))
-	return evicted
-}
-
-// PlanCompaction returns a keep-mask over an arrival-ordered log for a
-// retention pass — MemStore's, over PlanCompactionIDs, the policy core it
-// shares with SegmentStore. A violation survives when it is not older
-// than minIngestUnix (0 disables; unstamped violations are exempt) and
-// its assertion's budget, when one exists, is not yet spent; the
-// newest-to-oldest walk makes budgets keep the newest.
-func PlanCompaction(vs []Violation, minIngestUnix int64, budget func(name string) (int, bool)) []bool {
-	var names nameTable
-	ids := make([]uint32, len(vs))
-	for i := range vs {
-		ids[i] = names.Intern(vs[i].Assertion)
-	}
-	return PlanCompactionIDs(len(vs), names.names, func(i int) (uint32, int64) { return ids[i], vs[i].IngestUnix }, minIngestUnix, budget)
-}
-
-// PlanCompactionIDs is PlanCompaction over a log of n entries that names
-// its assertions by id: at(i) returns entry i's assertion id, an index
-// into names, and its IngestUnix. budget is asked once per name, and what
-// each assertion has left of it is a slice indexed by id.
-func PlanCompactionIDs(n int, names []string, at func(i int) (id uint32, ingestUnix int64), minIngestUnix int64, budget func(name string) (int, bool)) []bool {
-	const unbounded = -1
-	left := make([]int, len(names))
-	for id, name := range names {
-		left[id] = unbounded
-		if n, ok := budget(name); ok {
-			left[id] = max(n, 0)
-		}
-	}
-	keepMask := make([]bool, n)
-	for i := n - 1; i >= 0; i-- {
-		id, ingest := at(i)
-		if minIngestUnix > 0 && ingest > 0 && ingest < minIngestUnix {
-			continue
-		}
-		switch left[id] {
-		case 0:
-			continue
-		case unbounded:
-		default:
-			left[id]--
-		}
-		keepMask[i] = true
-	}
-	return keepMask
-}
-
-// EvictedRuns yields the runs [i, j) of entries a PlanCompaction mask
-// evicts, oldest first.
-func EvictedRuns(keep []bool) iter.Seq2[int, int] {
-	return func(yield func(i, j int) bool) {
-		for i := 0; i < len(keep); {
-			if keep[i] {
-				i++
-				continue
-			}
-			j := i + 1
-			for j < len(keep) && !keep[j] {
-				j++
-			}
-			if !yield(i, j) {
-				return
-			}
-			i = j
-		}
-	}
-}
-
-// ReportEvicted tells o (nil = nobody) what a PlanCompaction mask evicts
-// from vs: the runs of vs between survivors, handed over as they lie — an
-// observer that is not listening costs a compaction no copy of what it
-// evicts.
-func ReportEvicted(o EvictionObserver, vs []Violation, keep []bool) {
-	if o == nil {
-		return
-	}
-	for i, j := range EvictedRuns(keep) {
-		o.ObserveEvicted(vs[i:j])
-	}
-}
-
-// CompactionBudget adapts Compact's cap parameters into the budget
-// callback PlanCompaction takes: an assertion named in one of budgets
-// gets that budget, any other the uniform cap. Shared with SegmentStore.
-func CompactionBudget(maxPerAssertion int, budgets ...map[string]int) func(name string) (int, bool) {
-	return func(name string) (int, bool) {
-		for _, b := range budgets {
-			if n, ok := b[name]; ok {
-				return n, true
-			}
-		}
-		return maxPerAssertion, maxPerAssertion > 0
-	}
+	return m.log.IngestRuns()
 }
 
 // RetentionBounds reports whether Compact's parameters bound anything at
@@ -445,49 +303,6 @@ type IngestRun struct {
 	N    int   // how many violations
 }
 
-// IngestRunsOf run-length encodes each assertion's ingest stamps over log,
-// a ring whose oldest entry sits at log[head] (0 for a flat log), in
-// arrival order — MemStore's IngestRuns, over IngestRunsIDs. Stamps are
-// the collector's clock at ingest, so they barely ever step backwards and
-// an assertion costs one run per second it was retained over.
-func IngestRunsOf(log []Violation, head int) map[string][]IngestRun {
-	var names nameTable
-	ids := make([]uint32, len(log))
-	for i := range log {
-		ids[i] = names.Intern(log[i].Assertion)
-	}
-	return IngestRunsIDs(len(log), names.names, func(i int) (uint32, int64) {
-		if i += head; i >= len(log) {
-			i -= len(log)
-		}
-		return ids[i], log[i].IngestUnix
-	})
-}
-
-// IngestRunsIDs is IngestRunsOf over a log of n entries, oldest first,
-// that names its assertions by id: at(i) returns entry i's assertion id,
-// an index into names, and its IngestUnix. Each assertion's runs build up
-// in a slice indexed by id.
-func IngestRunsIDs(n int, names []string, at func(i int) (id uint32, ingestUnix int64)) map[string][]IngestRun {
-	byID := make([][]IngestRun, len(names))
-	for i := 0; i < n; i++ {
-		id, unix := at(i)
-		runs := byID[id]
-		if k := len(runs); k > 0 && runs[k-1].Unix == unix {
-			runs[k-1].N++
-			continue
-		}
-		byID[id] = append(runs, IngestRun{Unix: unix, N: 1})
-	}
-	out := make(map[string][]IngestRun)
-	for id, runs := range byID {
-		if len(runs) > 0 {
-			out[names[id]] = runs
-		}
-	}
-	return out
-}
-
 // Sync implements ViolationStore; an in-memory store has nothing to
 // flush.
 func (m *MemStore) Sync() error { return nil }
@@ -495,7 +310,7 @@ func (m *MemStore) Sync() error { return nil }
 // Info implements ViolationStore.
 func (m *MemStore) Info() StoreInfo {
 	m.mu.Lock()
-	entries := len(m.log.buf)
+	entries := m.log.Len()
 	m.mu.Unlock()
 	return StoreInfo{Backend: "mem", Entries: entries}
 }

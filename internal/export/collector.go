@@ -541,7 +541,7 @@ func (c *Collector) Summary() map[string]int {
 // Limit violations per shard, never the retained log, and sorts nothing
 // across shards. A shard finds its newest Limit under its lock with a
 // size-Limit heap that skips every 256-slot block whose Time bound is
-// below the heap's minimum (assertion.PostingIndex.Query): while Time
+// below the heap's minimum (assertion.RowLog.Query): while Time
 // rises with arrival that is the block bounds plus a block or two of
 // candidates, and at worst, Time against arrival, one pass over them.
 func (c *Collector) Query(q assertion.StoreQuery) []assertion.Violation {

@@ -9,10 +9,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"omg/internal/assertion"
 	"omg/internal/obs"
@@ -80,12 +80,7 @@ func modelAppend(m *assertion.RecorderSnapshot, v assertion.Violation) {
 
 // modelCompact applies Compact(0, maxPerAssertion)'s retention to m.
 func modelCompact(m *assertion.RecorderSnapshot, maxPerAssertion int) {
-	var kept []assertion.Violation
-	for i, keep := range assertion.PlanCompaction(m.Violations, 0, assertion.CompactionBudget(maxPerAssertion)) {
-		if keep {
-			kept = append(kept, m.Violations[i])
-		}
-	}
+	kept := retainNewest(m.Violations, 0, maxPerAssertion, nil)
 	m.Compacted += int64(len(m.Violations) - len(kept))
 	m.Violations = kept
 }
@@ -308,6 +303,12 @@ func TestSegmentAppendRefusalIsTimedAndBuffersNothing(t *testing.T) {
 	}
 }
 
+// mirrorCap is the capacity of s's row array, which the row log keeps
+// unexported.
+func mirrorCap(s *SegmentStore) int {
+	return reflect.ValueOf(&s.log).Elem().FieldByName("rows").Cap()
+}
+
 // The mirror's capacity follows the backlog one compaction period builds,
 // not the next power of two above it: under a per-assertion cap it settles
 // within a quarter of the largest backlog seen and then stops moving, and
@@ -330,25 +331,26 @@ func TestSegmentMirrorCapacityTracksPeak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A backlog just past a power of two, where doubling would hold 2x.
-	const backlog = mirrorDoubleBelow*2 + 5000
+	// A backlog just past a power of two, where doubling would hold 2x: past
+	// twice the 64 Ki rows below which the row log doubles.
+	const backlog = 2*(64<<10) + 5000
 	for i := 0; i < 3; i++ {
 		cycle(backlog)
 	}
-	settled := cap(s.vs)
+	settled := mirrorCap(s)
 	if peak := backlog + 1000; settled < peak || settled > peak+peak/4 {
 		t.Fatalf("mirror capacity %d after a steady backlog peaking at %d, want within a quarter above it", settled, peak)
 	}
 	cycle(backlog)
-	if cap(s.vs) != settled {
-		t.Fatalf("mirror capacity moved at a steady backlog: %d -> %d", settled, cap(s.vs))
+	if got := mirrorCap(s); got != settled {
+		t.Fatalf("mirror capacity moved at a steady backlog: %d -> %d", settled, got)
 	}
 	cycle(backlog / 4)
-	if quiet := backlog/4 + 1000; cap(s.vs) != quiet {
-		t.Fatalf("mirror capacity %d after the burst passed, want the quiet period's peak %d", cap(s.vs), quiet)
+	if quiet := backlog/4 + 1000; mirrorCap(s) != quiet {
+		t.Fatalf("mirror capacity %d after the burst passed, want the quiet period's peak %d", mirrorCap(s), quiet)
 	}
-	if len(s.vs) != 1000 || len(s.Query(Query{Assertion: "a"})) != 1000 {
-		t.Fatalf("retained %d, want the cap of 1000", len(s.vs))
+	if n := s.Info().Entries; n != 1000 || len(s.Query(Query{Assertion: "a"})) != 1000 {
+		t.Fatalf("retained %d, want the cap of 1000", n)
 	}
 }
 
@@ -391,10 +393,10 @@ func TestAllocRegressionSegmentCompact(t *testing.T) {
 
 // TestAllocRegressionSegmentReopen bounds what Open allocates replaying a
 // store of many segments: recovery counts every live segment's frames
-// first and sizes the mirror once, so the mirror costs one array of the
-// retained count, not a reallocation and copy per segment (7.4 mirrors'
-// worth over the eleven segments here); and every segment streams through
-// one pooled read chunk, not a buffer of its own size.
+// first and sizes the mirror once, so the mirror costs one row array of
+// the retained count, not a reallocation and copy per segment; every
+// segment streams through one pooled read chunk, not a buffer of its own
+// size; and the postings grow as they are added.
 func TestAllocRegressionSegmentReopen(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is meaningless under -race")
@@ -423,17 +425,24 @@ func TestAllocRegressionSegmentReopen(t *testing.T) {
 	}
 	defer s.Close()
 	segs := s.Info().Segments
-	mirror := uint64(records) * uint64(unsafe.Sizeof(assertion.Violation{})+unsafe.Sizeof(uint64(0)))
+	rows, _ := reflect.TypeFor[assertion.RowLog]().FieldByName("rows")
+	mirror := uint64(records) * uint64(rows.Type.Elem().Size())
+	postings := uint64(records) * 2 * 4 // an assertion and a stream posting, 4 B each
 	grew := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%d segments: Open allocated %d bytes, %.2f mirrors", segs, grew, float64(grew)/float64(mirror))
+	t.Logf("%d segments: Open allocated %d bytes: one row array (%d), one read chunk (%d) and %.2f times the postings (%d)",
+		segs, grew, mirror, replayChunk, float64(grew-min(grew, mirror+replayChunk))/float64(postings), postings)
 	if segs < 4 {
 		t.Fatalf("the store has %d segments, want at least 4", segs)
 	}
-	if len(s.vs) != records {
-		t.Fatalf("reopened %d records, want %d", len(s.vs), records)
+	if n := s.Info().Entries; n != records {
+		t.Fatalf("reopened %d records, want %d", n, records)
 	}
-	// One mirror, the posting lists and a read chunk come to about 1.7.
-	if grew > 2*mirror {
-		t.Fatalf("Open of %d records in %d segments allocated %d bytes, over 2 mirrors (%d)", records, segs, grew, 2*mirror)
+	// The posting lists grow by append, whose reallocations add up to about
+	// 4.5 times their final size here; a second row array would be 7. The
+	// read chunk is pooled per P, so a replay that moves to another one
+	// now and then misses it and allocates a second.
+	if bound := mirror + 2*replayChunk + 6*postings; grew > bound {
+		t.Fatalf("Open of %d records in %d segments allocated %d bytes, over one row array, two read chunks and 6 times the postings (%d)",
+			records, segs, grew, bound)
 	}
 }

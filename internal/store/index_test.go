@@ -51,6 +51,34 @@ func scanQuery(log []assertion.Violation, q Query) []assertion.Violation {
 	return out
 }
 
+// retainNewest is the reference of Compact's retention over an
+// arrival-ordered log: walking newest to oldest, a violation survives when
+// it is not older than minIngest (0 disables; unstamped violations are
+// exempt) and fewer than its assertion's cap — budgets[name] when present,
+// else maxPer when positive, else none — of its assertion's newer ones
+// survived.
+func retainNewest(log []assertion.Violation, minIngest int64, maxPer int, budgets map[string]int) []assertion.Violation {
+	kept := map[string]int{}
+	var out []assertion.Violation
+	for i := len(log) - 1; i >= 0; i-- {
+		v := log[i]
+		if minIngest > 0 && v.IngestUnix > 0 && v.IngestUnix < minIngest {
+			continue
+		}
+		limit, capped := budgets[v.Assertion]
+		if !capped && maxPer > 0 {
+			limit, capped = maxPer, true
+		}
+		if capped && kept[v.Assertion] >= limit {
+			continue
+		}
+		kept[v.Assertion]++
+		out = append(out, v)
+	}
+	slices.Reverse(out)
+	return out
+}
+
 // TestQueryIndexInvariant drives both backends through a seeded
 // interleaving of appends (with ring eviction on the bounded MemStore) and
 // Compact (capped and budgeted), keeping a plain slice as the model of the
@@ -87,14 +115,8 @@ func runIndexInvariant(t *testing.T, s indexedStore, limit int) {
 			model = model[1:]
 		}
 	}
-	compactModel := func(minIngest int64, budget func(string) (int, bool)) {
-		var kept []assertion.Violation
-		for i, keep := range assertion.PlanCompaction(model, minIngest, budget) {
-			if keep {
-				kept = append(kept, model[i])
-			}
-		}
-		model = kept
+	compactModel := func(minIngest int64, maxPer int, budgets map[string]int) {
+		model = retainNewest(model, minIngest, maxPer, budgets)
 	}
 	// next draws a violation with few distinct keys, so (Time, Stream,
 	// SampleIndex) ties are the rule; Severity tells the tied ones apart.
@@ -138,14 +160,14 @@ func runIndexInvariant(t *testing.T, s indexedStore, limit int) {
 				t.Fatal(err)
 			}
 			if minIngest > 0 || maxPer > 0 {
-				compactModel(minIngest, assertion.CompactionBudget(maxPer, nil))
+				compactModel(minIngest, maxPer, nil)
 			}
 		default:
 			budgets := map[string]int{assertions[rng.Choice(4)]: rng.Choice(6), assertions[rng.Choice(4)]: rng.Choice(6)}
 			if _, err := s.Compact(0, 0, budgets); err != nil {
 				t.Fatal(err)
 			}
-			compactModel(0, assertion.CompactionBudget(0, budgets))
+			compactModel(0, 0, budgets)
 		}
 
 		streams := []string{"", "s-0", fmt.Sprintf("s-%d", step/60), fmt.Sprintf("s-%d", step/60+2)}

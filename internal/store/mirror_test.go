@@ -6,13 +6,12 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"unsafe"
 
 	"omg/internal/assertion"
 )
 
-// TestMirrorRowShape pins the mirror's row: no field the garbage
-// collector has to scan — a string, slice, map, pointer, interface,
+// TestMirrorRowShape pins the row both stores' logs (assertion.RowLog)
+// hold: no field the garbage collector has to scan — a string, slice, map, pointer, interface,
 // channel or func anywhere in it would make every GC cycle mark the whole
 // retained log again — and at most 56 bytes.
 func TestMirrorRowShape(t *testing.T) {
@@ -30,17 +29,20 @@ func TestMirrorRowShape(t *testing.T) {
 			t.Errorf("%s is a %s: the mirror's row must hold no pointer", path, typ.Kind())
 		}
 	}
-	walk(reflect.TypeFor[row](), "row")
-	if size := unsafe.Sizeof(row{}); size > 56 {
+	rows, _ := reflect.TypeFor[assertion.RowLog]().FieldByName("rows")
+	row := rows.Type.Elem()
+	walk(row, "row")
+	if size := row.Size(); size > 56 {
 		t.Fatalf("a row is %d bytes, want at most 56", size)
 	}
 }
 
-// TestAllocRegressionSegmentMirrorHeap bounds the heap a SegmentStore
-// holds per retained violation — the mirror's rows, its posting lists and
-// name table — at a million violations over 64 streams and 8 assertions:
-// once after the appends, with the mirror's growth slack, and once after
-// a reopen, which sizes the mirror exactly.
+// TestAllocRegressionSegmentMirrorHeap bounds the heap each store's row
+// log holds per retained violation — the rows, their posting lists and
+// name table — at a million violations over 64 streams and 8 assertions.
+// A SegmentStore is measured once after the appends, with the log's growth
+// slack, and once after a reopen, which sizes the log exactly; a MemStore
+// ring of a million, filled and then indexed by one query, once.
 func TestAllocRegressionSegmentMirrorHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting is meaningless under -race")
@@ -54,6 +56,10 @@ func TestAllocRegressionSegmentMirrorHeap(t *testing.T) {
 	for i := range streams {
 		assertions[i%8], streams[i] = fmt.Sprintf("assertion-%d", i%8), fmt.Sprintf("stream-%02d", i)
 	}
+	violation := func(i int) assertion.Violation {
+		return assertion.Violation{Assertion: assertions[i/64%8], Stream: streams[i%64], SampleIndex: i,
+			Time: float64(i) / 30, Severity: 1, IngestUnix: 1_753_800_000 + int64(i/10_000)}
+	}
 	heapInuse := func() uint64 {
 		var ms runtime.MemStats
 		runtime.GC()
@@ -61,45 +67,61 @@ func TestAllocRegressionSegmentMirrorHeap(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapInuse
 	}
-	perViolation := func(s *SegmentStore, base uint64) float64 {
+	perViolation := func(store any, base uint64) float64 {
 		b := float64(heapInuse()-base) / retained
-		runtime.KeepAlive(s)
+		runtime.KeepAlive(store)
 		return b
 	}
 
-	dir := t.TempDir()
-	base := heapInuse()
-	s, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < retained; i++ {
-		v := assertion.Violation{Assertion: assertions[i/64%8], Stream: streams[i%64], SampleIndex: i,
-			Time: float64(i) / 30, Severity: 1, IngestUnix: 1_753_800_000 + int64(i/10_000)}
-		if err := s.Append(v); err != nil {
+	t.Run("segment", func(t *testing.T) {
+		dir := t.TempDir()
+		base := heapInuse()
+		s, err := Open(Config{Dir: dir})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	appended := perViolation(s, base)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s = nil
+		for i := 0; i < retained; i++ {
+			if err := s.Append(violation(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		appended := perViolation(s, base)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s = nil
 
-	s, err = Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	reopened := perViolation(s, base)
-	if n := s.Info().Entries; n != retained {
-		t.Fatalf("reopened %d violations, want %d", n, retained)
-	}
-	t.Logf("heap in use per retained violation: %.1f B after the appends, %.1f B after a reopen", appended, reopened)
-	if appended > 85 || reopened > 75 {
-		t.Fatalf("heap in use per retained violation is %.1f B after the appends and %.1f B after a reopen, want at most 85 and 75",
-			appended, reopened)
-	}
+		s, err = Open(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		reopened := perViolation(s, base)
+		if n := s.Info().Entries; n != retained {
+			t.Fatalf("reopened %d violations, want %d", n, retained)
+		}
+		t.Logf("heap in use per retained violation: %.1f B after the appends, %.1f B after a reopen", appended, reopened)
+		if appended > 85 || reopened > 75 {
+			t.Fatalf("heap in use per retained violation is %.1f B after the appends and %.1f B after a reopen, want at most 85 and 75",
+				appended, reopened)
+		}
+	})
+
+	t.Run("mem", func(t *testing.T) {
+		base := heapInuse()
+		m := assertion.NewMemStore(retained)
+		for i := 0; i < retained; i++ {
+			m.Append(violation(i))
+		}
+		if got := m.Query(Query{Assertion: assertions[3], Limit: 1}); len(got) != 1 {
+			t.Fatalf("the indexing query answered %d violations, want 1", len(got))
+		}
+		indexed := perViolation(m, base)
+		t.Logf("heap in use per retained violation: %.1f B, indexed", indexed)
+		if indexed > 75 {
+			t.Fatalf("heap in use per retained violation is %.1f B, want at most 75", indexed)
+		}
+	})
 }
 
 // TestMirrorNameTableBound churns stream keys through appends and
@@ -134,7 +156,7 @@ func TestMirrorNameTableBound(t *testing.T) {
 		}
 		delete(want, "")
 		s.mu.Lock()
-		table := s.index.Names()
+		table := s.log.Names()
 		got := map[string]bool{}
 		for _, name := range table[1:] {
 			got[name] = true
@@ -153,9 +175,12 @@ func TestMirrorNameTableBound(t *testing.T) {
 }
 
 // FuzzMirrorRow holds the row round trip exact: a Violation appended to a
-// SegmentStore comes back from Query bit for bit — names through the
-// name table, every number through its row field — before and after a
-// reopen, whichever filters the query names.
+// store comes back from Query bit for bit — names through the name table,
+// every number through its row field. A SegmentStore gives it back before
+// and after a reopen, whichever filters the query names; a MemStore ring
+// of one, where it overwrites an earlier violation, through the
+// unfiltered walk, and once a filtered query has indexed the ring,
+// through the postings too.
 func FuzzMirrorRow(f *testing.F) {
 	f.Add("a", "", int64(0), math.Float64bits(math.Copysign(0, -1)), math.Float64bits(math.Copysign(0, -1)), int64(0), int64(0))
 	f.Add("vehicle:flicker", "cam-7", int64(math.MaxInt64), math.Float64bits(1.5), math.Float64bits(math.MaxFloat64), int64(math.MaxInt64), int64(math.MinInt64))
@@ -165,6 +190,21 @@ func FuzzMirrorRow(f *testing.F) {
 		v := assertion.Violation{Assertion: name, Stream: stream, SampleIndex: int(sample),
 			Time: math.Float64frombits(timeBits), Severity: math.Float64frombits(sevBits),
 			IngestUnix: ingest, ObservedUnixNano: observed}
+		for _, indexed := range []bool{false, true} {
+			m := assertion.NewMemStore(1)
+			queries := []Query{{}, {Limit: 1}}
+			if indexed {
+				queries = append(queries, Query{Assertion: name}, Query{Stream: stream}, Query{Assertion: name, Stream: stream, Limit: 1, ByKey: true})
+				m.Query(Query{ByKey: true}) // indexes the empty ring
+			}
+			m.Append(assertion.Violation{Assertion: "earlier", Stream: "earlier", Time: 1})
+			m.Append(v)
+			for _, q := range queries {
+				if got := m.Query(q); len(got) != 1 || !sameBits(got[0], v) {
+					t.Fatalf("MemStore ring of one, indexed %v: Query(%+v) = %+v, want [%+v]", indexed, q, got, v)
+				}
+			}
+		}
 		dir := t.TempDir()
 		s, err := Open(Config{Dir: dir})
 		if err != nil {

@@ -52,10 +52,6 @@ const (
 	// the segment it is building.
 	compactChunk = 256 << 10
 
-	// mirrorDoubleBelow is where the mirror's growth turns from doubling
-	// to ×1.25 (see appendEntry).
-	mirrorDoubleBelow = 64 << 10
-
 	// flushThreshold is the pending-buffer size that forces a write to
 	// the active segment even without an explicit Sync.
 	flushThreshold = 64 << 10
@@ -129,14 +125,14 @@ const checkpointVersion = 1
 // a WriteOnly RecordLog of one binary-encoded violation per record (see
 // seqHeader), mirrored in memory for queries.
 //
-// The mirror is one row per retained record (row): 56 bytes with no
-// pointer, its assertion and stream as ids into the posting index's name
-// table. With the postings that is about 65 B of heap per retained
-// violation after a reopen and 76 B while appending, and the garbage
-// collector does not scan it. A Violation is built only for what leaves
-// the store: a query's answer, compaction's re-encode and the evictions
-// it reports. Nothing leaves the mirror but through Compact, so a store
-// without a retention policy is bounded only by RAM.
+// The mirror is a flat assertion.RowLog, indexed from open: one 56-byte
+// row per retained record with no pointer, its assertion and stream as
+// ids into the log's name table. With the postings that is about 65 B of
+// heap per retained violation after a reopen and 76 B while appending,
+// and the garbage collector does not scan it. A Violation is built only
+// for what leaves the store: a query's answer, compaction's re-encode and
+// the evictions it reports. Nothing leaves the mirror but through
+// Compact, so a store without a retention policy is bounded only by RAM.
 //
 // Durability model: every record is buffered in memory and written to
 // the active segment with a single write syscall on Sync (the collector
@@ -182,11 +178,9 @@ type SegmentStore struct {
 	sealMu  sync.Mutex     // guards sealErr (never taken with mu held by the sealer)
 	sealErr error          // first background seal failure, latched
 
-	// The in-memory mirror of the on-disk records, in arrival order, one
-	// row each; index holds their postings and the name table the rows'
-	// ids point into.
-	vs    []row
-	index assertion.PostingIndex
+	// log mirrors the on-disk records, in arrival order, one row each; its
+	// Observer hears what compaction evicts from it.
+	log assertion.RowLog
 
 	stats      map[string]assertion.Stats
 	totalFired int
@@ -198,17 +192,13 @@ type SegmentStore struct {
 	// obsSample gates the append histogram's clock reads; mutated under
 	// mu, which is what makes the non-atomic sampler safe here.
 	obsSample obs.Sampler
-
-	// observer hears what compaction evicts from the mirror (see
-	// assertion.EvictionObserver).
-	observer assertion.EvictionObserver
 }
 
 // SetEvictionObserver makes o hear every later eviction from the retained
 // log; nil detaches.
 func (s *SegmentStore) SetEvictionObserver(o assertion.EvictionObserver) {
 	s.mu.Lock()
-	s.observer = o
+	s.log.Observer = o
 	s.mu.Unlock()
 }
 
@@ -233,6 +223,7 @@ func Open(cfg Config) (*SegmentStore, error) {
 		stats:     make(map[string]assertion.Stats),
 		obsSample: obs.HotSampler(),
 	}
+	s.log.Index()
 	start := time.Now()
 	if err := s.recover(); err != nil {
 		return nil, err
@@ -344,7 +335,7 @@ func (s *SegmentStore) recover() error {
 		}
 		frames += n
 	}
-	s.resizeMirror(frames)
+	s.log.Reserve(frames)
 
 	maxSeq := coveredSeq
 	for i, num := range live {
@@ -423,7 +414,7 @@ func (s *SegmentStore) readCheckpoint() (segCheckpoint, bool, error) {
 }
 
 // replaySegment reads one segment into the in-memory mirror, its names
-// straight into the index's name table, folding records above coveredSeq
+// straight into the log's name table, folding records above coveredSeq
 // into the statistics. The newest segment is the only one a crash can
 // tear, so a torn tail there is truncated away and damage anywhere else
 // refuses the open (RecordLog.Replay); a record that passes the length
@@ -441,23 +432,23 @@ func (s *SegmentStore) replaySegment(num int, coveredSeq uint64, newest bool) (s
 			if v, err = decodeJSONBody(body); err != nil {
 				return err
 			}
-			name, stream = s.index.Intern(v.Assertion), s.index.Intern(v.Stream)
+			name, stream = s.log.Intern(v.Assertion), s.log.Intern(v.Stream)
 			jsonBodies++
 		} else {
 			a, st, err := assertion.DecodeViolationRecord(body, &v)
 			if err != nil {
 				return err
 			}
-			name, stream = s.index.InternBytes(a), s.index.InternBytes(st)
+			name, stream = s.log.InternBytes(a), s.log.InternBytes(st)
 			binaryBodies++
 		}
 		seq := binary.LittleEndian.Uint64(hdr)
 		if seq > coveredSeq {
-			v.Assertion = s.index.Names()[name]
+			v.Assertion = s.log.Names()[name]
 			s.foldStats(v)
 		}
 		maxSeq = max(maxSeq, seq)
-		s.appendEntry(newRow(seq, name, stream, &v))
+		s.log.Append(seq, name, stream, &v)
 		meta.records++
 		meta.bytes += int64(recordHeader + len(body))
 		return nil
@@ -477,68 +468,6 @@ func decodeJSONBody(body []byte) (assertion.Violation, error) {
 	var v assertion.Violation
 	err := json.Unmarshal(body, &v)
 	return v, err
-}
-
-// row is one retained violation as the mirror holds it: its names as ids
-// into the index's name table, its append sequence number, and nothing
-// the garbage collector has to scan: 56 bytes.
-type row struct {
-	stream, assertion uint32
-	sampleIndex       int64
-	time, severity    float64
-	ingestUnix        int64
-	observedUnixNano  int64
-	seq               uint64
-}
-
-// newRow is v, appended with sequence number seq, as a row naming its
-// assertion and stream by id.
-func newRow(seq uint64, name, stream uint32, v *assertion.Violation) row {
-	return row{
-		stream: stream, assertion: name,
-		sampleIndex: int64(v.SampleIndex), time: v.Time, severity: v.Severity,
-		ingestUnix: v.IngestUnix, observedUnixNano: v.ObservedUnixNano,
-		seq: seq,
-	}
-}
-
-// violationAt builds the Violation mirror slot i holds into v. Only what
-// leaves the store is built: a query's answer, a compaction's re-encode
-// and what it reports evicted.
-func (s *SegmentStore) violationAt(i int, v *assertion.Violation) {
-	r, names := &s.vs[i], s.index.Names()
-	*v = assertion.Violation{
-		Assertion: names[r.assertion], Stream: names[r.stream],
-		SampleIndex: int(r.sampleIndex), Time: r.time, Severity: r.severity,
-		IngestUnix: r.ingestUnix, ObservedUnixNano: r.observedUnixNano,
-	}
-}
-
-// appendEntry adds one record to the in-memory mirror and its index,
-// growing a full mirror geometrically: doubling while it is small (the
-// runtime's own ×1.25 would re-allocate, zero and copy about 5x a young
-// mirror's final size through the append path), ×1.25 once it holds
-// mirrorDoubleBelow entries. Compaction filters the mirror in place, so
-// under a retention policy the capacity settles within a quarter of the
-// largest backlog one compaction period has produced, however the ingest
-// rate moves; doubling there would land on the next power of two and hold
-// up to twice the peak (59 MB a step at a million entries).
-func (s *SegmentStore) appendEntry(r row) {
-	if n := cap(s.vs); len(s.vs) == n {
-		if n < mirrorDoubleBelow {
-			s.resizeMirror(max(1024, 2*n))
-		} else {
-			s.resizeMirror(n + n/4)
-		}
-	}
-	s.index.AddID(len(s.vs), r.assertion, r.stream, r.time)
-	s.vs = append(s.vs, r)
-}
-
-// resizeMirror moves the mirror into an array of exactly the given
-// capacity.
-func (s *SegmentStore) resizeMirror(capacity int) {
-	s.vs = append(make([]row, 0, capacity), s.vs...)
 }
 
 // foldStats applies one violation to the aggregate statistics — the
@@ -620,7 +549,7 @@ func (s *SegmentStore) bufferLocked(v assertion.Violation) error {
 	s.pending = pending
 	s.pendingRecs++
 	s.appendSeq = seq
-	s.appendEntry(newRow(seq, s.index.Intern(v.Assertion), s.index.Intern(v.Stream), &v))
+	s.log.Append(seq, s.log.Intern(v.Assertion), s.log.Intern(v.Stream), &v)
 	return nil
 }
 
@@ -764,7 +693,7 @@ func (s *SegmentStore) checkpointPath() string { return filepath.Join(s.dir, che
 func (s *SegmentStore) Query(q Query) []assertion.Violation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.index.QueryAt(q, len(s.vs), 0, s.violationAt)
+	return s.log.Query(q)
 }
 
 // IndexSize reports the query index's keys and postings and its zone
@@ -772,7 +701,7 @@ func (s *SegmentStore) Query(q Query) []assertion.Violation {
 func (s *SegmentStore) IndexSize() (keys, postings, badBounds int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.index.Size(len(s.vs), func(i int) float64 { return s.vs[i].time })
+	return s.log.IndexSize()
 }
 
 // StatsAll implements ViolationStore.
@@ -812,24 +741,16 @@ func (s *SegmentStore) Compacted() int64 {
 	return s.compacted
 }
 
-// Compact implements ViolationStore with the same retention semantics as
-// the in-memory backend, rewriting the segment files crash-safely.
-func (s *SegmentStore) Compact(minIngestUnix int64, maxPerAssertion int, budgets ...map[string]int) (int, error) {
-	if !assertion.RetentionBounds(minIngestUnix, maxPerAssertion, budgets) {
-		return 0, nil
-	}
-	return s.compact(minIngestUnix, assertion.CompactionBudget(maxPerAssertion, budgets...))
-}
-
 // IngestRuns implements ViolationStore.
 func (s *SegmentStore) IngestRuns() map[string][]assertion.IngestRun {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return assertion.IngestRunsIDs(len(s.vs), s.index.Names(), s.assertionAt)
+	return s.log.IngestRuns()
 }
 
-// compact rewrites the live segments with only the surviving records.
-// The protocol is crash-safe at every step: survivors are written to
+// Compact implements ViolationStore with the same retention semantics as
+// the in-memory backend (assertion.RowLog.Plan), rewriting the live
+// segments with only the surviving records. The protocol is crash-safe at every step: survivors are written to
 // .tmp files under NEW segment numbers (original sequence numbers
 // preserved), fsync'd, then a checkpoint naming the final files is
 // written, then the .tmp files are renamed into place and the old
@@ -842,7 +763,10 @@ func (s *SegmentStore) IngestRuns() map[string][]assertion.IngestRun {
 // straight from the mirror, under the keep-mask, through one reused chunk
 // buffer into one open file at a time, and the mirror is then filtered in
 // place.
-func (s *SegmentStore) compact(minIngestUnix int64, budget func(string) (int, bool)) (int, error) {
+func (s *SegmentStore) Compact(minIngestUnix int64, maxPerAssertion int, budgets ...map[string]int) (int, error) {
+	if !assertion.RetentionBounds(minIngestUnix, maxPerAssertion, budgets) {
+		return 0, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -857,14 +781,7 @@ func (s *SegmentStore) compact(minIngestUnix int64, budget func(string) (int, bo
 		return 0, err
 	}
 
-	mask := assertion.PlanCompactionIDs(len(s.vs), s.index.Names(), s.assertionAt, minIngestUnix, budget)
-	kept := 0
-	for _, keep := range mask {
-		if keep {
-			kept++
-		}
-	}
-	evicted := len(mask) - kept
+	mask, evicted := s.log.Plan(minIngestUnix, maxPerAssertion, budgets)
 	if evicted == 0 {
 		return 0, nil
 	}
@@ -922,40 +839,9 @@ func (s *SegmentStore) compact(minIngestUnix int64, budget func(string) (int, bo
 		return 0, err
 	}
 
-	s.reportEvicted(mask, evicted) // from the whole mirror, before it is filtered
-	s.filterMirror(mask)
+	s.log.Compact(mask, evicted)
 	s.compacted += int64(evicted)
 	return evicted, nil
-}
-
-// assertionAt returns mirror slot i's assertion id and ingest stamp, what
-// the retention planner and IngestRuns read.
-func (s *SegmentStore) assertionAt(i int) (uint32, int64) {
-	return s.vs[i].assertion, s.vs[i].ingestUnix
-}
-
-// evictChunk bounds the buffer compaction reports evictions through.
-const evictChunk = 1024
-
-// reportEvicted tells the observer, if one is set, what mask evicts from
-// the mirror, oldest first: each evicted run is built as Violations
-// through one buffer of at most evictChunk, reused for every call, which
-// the EvictionObserver contract forbids keeping.
-func (s *SegmentStore) reportEvicted(mask []bool, evicted int) {
-	if s.observer == nil {
-		return
-	}
-	buf := make([]assertion.Violation, 0, min(evicted, evictChunk))
-	for i, j := range assertion.EvictedRuns(mask) {
-		for i < j {
-			buf = buf[:0]
-			for ; i < j && len(buf) < cap(buf); i++ {
-				buf = buf[:len(buf)+1]
-				s.violationAt(i, &buf[len(buf)-1])
-			}
-			s.observer.ObserveEvicted(buf)
-		}
-	}
 }
 
 // writeSurvivors writes the mirror's entries that mask keeps into .tmp
@@ -1004,9 +890,9 @@ func (s *SegmentStore) writeSurvivors(mask []bool) ([]segMeta, error) {
 			continue
 		}
 		var v assertion.Violation
-		s.violationAt(i, &v)
+		seq := s.log.At(i, &v)
 		var err error
-		if buf, err = appendRecord(buf, s.vs[i].seq, &v); err != nil {
+		if buf, err = appendRecord(buf, seq, &v); err != nil {
 			return nil, fmt.Errorf("store: compact encode: %w", err)
 		}
 		meta.records++
@@ -1020,40 +906,6 @@ func (s *SegmentStore) writeSurvivors(mask []bool) ([]segMeta, error) {
 		return nil, fmt.Errorf("store: compact: %w", err)
 	}
 	return metas, nil
-}
-
-// filterMirror drops from the mirror, in place, what mask does not keep,
-// and rebuilds the index over the survivors in the same pass: a fresh
-// name table holding only the survivors' names, each survivor's ids
-// remapped into it, and their postings. The table stays bounded by the
-// retained log however many stream keys a fleet churns through. The
-// array stays — the next period's backlog refills it — unless this
-// period's peak fit in half of it, in which case a burst has passed and
-// it shrinks to that peak.
-func (s *SegmentStore) filterMirror(mask []bool) {
-	old := s.index.Names()
-	s.index.Reset()
-	remap := make([]uint32, len(old)) // 0: not yet seen ("" is id 0 in both)
-	id := func(o uint32) uint32 {
-		if o != 0 && remap[o] == 0 {
-			remap[o] = s.index.Intern(old[o])
-		}
-		return remap[o]
-	}
-	kept := 0
-	for i, keep := range mask {
-		if keep {
-			r := s.vs[i]
-			r.assertion, r.stream = id(r.assertion), id(r.stream)
-			s.index.AddID(kept, r.assertion, r.stream, r.time)
-			s.vs[kept] = r
-			kept++
-		}
-	}
-	s.vs = s.vs[:kept]
-	if peak := len(mask); peak <= cap(s.vs)/2 {
-		s.resizeMirror(peak)
-	}
 }
 
 // Import writes a legacy snapshot into cfg.Dir as a fresh store — how a
@@ -1102,7 +954,7 @@ func (s *SegmentStore) Info() Info {
 	}
 	return Info{
 		Backend:  segmentBackend,
-		Entries:  len(s.vs),
+		Entries:  s.log.Len(),
 		Segments: len(s.finalized) + 1,
 		Bytes:    bytes,
 	}
