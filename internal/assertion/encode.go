@@ -1,6 +1,7 @@
 package assertion
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,7 +15,11 @@ import (
 // human or another tool may read (JSONL sink, JSON wire batches, SSE tail,
 // query answers), and the binary one for what only this program reads —
 // the binary wire frame's per-violation layout and, behind one tag byte,
-// the disk store's record body (see AppendViolationBinary).
+// the disk store's record body (see AppendViolationBinary). Each has its
+// reader here too: DecodeViolationBinary for the binary layout, and
+// ParseViolationsJSON, a reflection-free parser of exactly the JSON the
+// encoder writes, which leaves every other shape to encoding/json (see
+// the comment above it).
 //
 // The observe→record→export hot path encodes every violation at least
 // once, and encoding/json pays reflection plus an intermediate allocation
@@ -26,8 +31,9 @@ import (
 // escaping, � replacement of invalid UTF-8 and U+2028/U+2029), float
 // formatting, and the refusal to encode NaN/Inf. FuzzAppendViolationJSON
 // differentially fuzzes the two encoders against each other; any change to
-// the Violation struct must keep this encoder in sync (the fuzzer and
-// TestAppendViolationJSONCoversAllFields fail loudly if it drifts).
+// the Violation struct must keep this encoder and the parser in sync (the
+// fuzzers and TestAppendViolationJSONCoversAllFields fail loudly if either
+// drifts).
 
 const jsonHex = "0123456789abcdef"
 
@@ -355,4 +361,231 @@ func readBinaryString(p []byte, what string) ([]byte, []byte, error) {
 		return nil, p, fmt.Errorf("%w: %s length %d exceeds remaining %d bytes", ErrViolationEncoding, what, n, len(p))
 	}
 	return p[:n], p[n:], nil
+}
+
+// The JSON parser below reads back exactly the bytes AppendViolationJSON
+// and AppendViolationsJSON write, without reflection: keys in the
+// encoder's order with no whitespace, strings with no escape, numbers in
+// JSON's grammar. It is a fast path, not a second JSON decoder: anything
+// else — reordered, duplicate or unknown keys, an escape, a byte below
+// 0x20, invalid UTF-8, 1.0 where an integer belongs, an overflowing
+// number — makes it decline (ok false), and the caller decodes with
+// encoding/json instead. What it takes, encoding/json decodes to the same
+// value: strings carry the same bytes, and every number has the value of
+// the strconv call encoding/json makes (checked against JSON's grammar
+// first, which strconv alone is looser than). FuzzDecodeBatch in
+// internal/export holds the two to that.
+
+// minViolationJSON is the shortest object parseViolationJSON takes: a
+// batch of n violations is at least n times this long.
+const minViolationJSON = len(`{"assertion":"","sample_index":0,"time":0,"severity":0}`)
+
+// CutJSONString parses the JSON string literal p starts with and returns
+// its contents and the bytes after it. It declines (ok false) a string
+// with an escape, a control byte or invalid UTF-8, and an unterminated
+// one.
+func CutJSONString(p []byte) (s, rest []byte, ok bool) {
+	if len(p) == 0 || p[0] != '"' {
+		return nil, p, false
+	}
+	ascii := true
+	for i := 1; i < len(p); i++ {
+		switch c := p[i]; {
+		case c == '"':
+			if s = p[1:i]; !ascii && !utf8.Valid(s) {
+				return nil, p, false
+			}
+			return s, p[i+1:], true
+		case c < 0x20 || c == '\\':
+			return nil, p, false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	return nil, p, false
+}
+
+// cutJSONNumber returns the JSON number literal p starts with, and
+// whether it is an integer (no fraction, no exponent).
+func cutJSONNumber(p []byte) (num, rest []byte, integer, ok bool) {
+	i := 0
+	if i < len(p) && p[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(p) && p[i] == '0':
+		i++
+	case i < len(p) && p[i] >= '1' && p[i] <= '9':
+		i = skipDigits(p, i+1)
+	default:
+		return nil, p, false, false
+	}
+	integer = true
+	if i < len(p) && p[i] == '.' {
+		j := skipDigits(p, i+1)
+		if j == i+1 {
+			return nil, p, false, false
+		}
+		i, integer = j, false
+	}
+	if i < len(p) && (p[i] == 'e' || p[i] == 'E') {
+		i++
+		if i < len(p) && (p[i] == '+' || p[i] == '-') {
+			i++
+		}
+		j := skipDigits(p, i)
+		if j == i {
+			return nil, p, false, false
+		}
+		i, integer = j, false
+	}
+	return p[:i], p[i:], integer, true
+}
+
+func skipDigits(p []byte, i int) int {
+	for i < len(p) && p[i] >= '0' && p[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// CutJSONInt parses the JSON integer p starts with, as encoding/json
+// decodes one into a signed integer of bitSize bits, and returns the
+// bytes after it. A fraction, an exponent or an overflow declines.
+func CutJSONInt(p []byte, bitSize int) (int64, []byte, bool) {
+	num, rest, integer, ok := cutJSONNumber(p)
+	if !ok || !integer {
+		return 0, p, false
+	}
+	if bitSize == 64 && len(num) <= 18 { // too short to overflow
+		if num[0] == '-' {
+			return -int64(sumDigits(num[1:])), rest, true
+		}
+		return int64(sumDigits(num)), rest, true
+	}
+	n, err := strconv.ParseInt(string(num), 10, bitSize)
+	return n, rest, err == nil
+}
+
+// CutJSONUint is CutJSONInt for an unsigned 64-bit field: a minus sign
+// declines too, as it fails encoding/json.
+func CutJSONUint(p []byte) (uint64, []byte, bool) {
+	num, rest, integer, ok := cutJSONNumber(p)
+	if !ok || !integer {
+		return 0, p, false
+	}
+	if num[0] != '-' && len(num) <= 19 { // too short to overflow
+		return sumDigits(num), rest, true
+	}
+	n, err := strconv.ParseUint(string(num), 10, 64)
+	return n, rest, err == nil
+}
+
+// sumDigits is the value of a run of decimal digits too short to
+// overflow; the strconv calls above take the longer ones.
+func sumDigits(digits []byte) uint64 {
+	var n uint64
+	for _, c := range digits {
+		n = n*10 + uint64(c-'0')
+	}
+	return n
+}
+
+// cutJSONFloat parses the JSON number p starts with into a float64 as
+// encoding/json does; out of range declines.
+func cutJSONFloat(p []byte) (float64, []byte, bool) {
+	num, rest, _, ok := cutJSONNumber(p)
+	if !ok {
+		return 0, p, false
+	}
+	f, err := strconv.ParseFloat(string(num), 64)
+	return f, rest, err == nil
+}
+
+// parseViolationJSON parses one violation object, in exactly the shape
+// AppendViolationJSON writes, from the front of p into v, interning its
+// names, and returns the bytes after it. ok false means p does not start
+// with that shape (see the parser's comment above): v is then
+// unspecified, and the caller decodes with encoding/json. With the names
+// already interned it allocates nothing.
+func parseViolationJSON(p []byte, v *Violation, in *Interner) (rest []byte, ok bool) {
+	var s []byte
+	if p, ok = bytes.CutPrefix(p, []byte(`{"assertion":`)); !ok {
+		return p, false
+	}
+	if s, p, ok = CutJSONString(p); !ok {
+		return p, false
+	}
+	v.Assertion, v.Stream = in.Intern(s), ""
+	if q, ok := bytes.CutPrefix(p, []byte(`,"stream":`)); ok {
+		if s, p, ok = CutJSONString(q); !ok {
+			return p, false
+		}
+		v.Stream = in.Intern(s)
+	}
+	var n int64
+	if p, ok = bytes.CutPrefix(p, []byte(`,"sample_index":`)); !ok {
+		return p, false
+	}
+	if n, p, ok = CutJSONInt(p, strconv.IntSize); !ok {
+		return p, false
+	}
+	v.SampleIndex = int(n)
+	if p, ok = bytes.CutPrefix(p, []byte(`,"time":`)); !ok {
+		return p, false
+	}
+	if v.Time, p, ok = cutJSONFloat(p); !ok {
+		return p, false
+	}
+	if p, ok = bytes.CutPrefix(p, []byte(`,"severity":`)); !ok {
+		return p, false
+	}
+	if v.Severity, p, ok = cutJSONFloat(p); !ok {
+		return p, false
+	}
+	v.IngestUnix, v.ObservedUnixNano = 0, 0
+	if q, ok := bytes.CutPrefix(p, []byte(`,"ingest_unix":`)); ok {
+		if v.IngestUnix, p, ok = CutJSONInt(q, 64); !ok {
+			return p, false
+		}
+	}
+	if q, ok := bytes.CutPrefix(p, []byte(`,"observed_unix_nano":`)); ok {
+		if v.ObservedUnixNano, p, ok = CutJSONInt(q, 64); !ok {
+			return p, false
+		}
+	}
+	return bytes.CutPrefix(p, []byte(`}`))
+}
+
+// ParseViolationsJSON parses a violation array — null, [] or [<v>,…],
+// in exactly the shape AppendViolationsJSON writes — from the front of p
+// and returns it and the bytes after it, null as a nil slice and [] as an
+// empty one, as encoding/json decodes them. The slice is allocated once,
+// sized by the objects p can hold. ok false declines, as
+// parseViolationJSON does.
+func ParseViolationsJSON(p []byte, in *Interner) (vs []Violation, rest []byte, ok bool) {
+	if rest, ok = bytes.CutPrefix(p, []byte(`null`)); ok {
+		return nil, rest, true
+	}
+	if rest, ok = bytes.CutPrefix(p, []byte(`[]`)); ok {
+		return []Violation{}, rest, true
+	}
+	if p, ok = bytes.CutPrefix(p, []byte(`[`)); !ok {
+		return nil, p, false
+	}
+	n := min(bytes.Count(p, []byte(`{"assertion":`)), len(p)/minViolationJSON)
+	vs = make([]Violation, 0, n)
+	for len(vs) < n {
+		vs = vs[:len(vs)+1]
+		if p, ok = parseViolationJSON(p, &vs[len(vs)-1], in); !ok {
+			return nil, p, false
+		}
+		if rest, ok = bytes.CutPrefix(p, []byte(`]`)); ok {
+			return vs, rest, true
+		}
+		if p, ok = bytes.CutPrefix(p, []byte(`,`)); !ok {
+			return nil, p, false
+		}
+	}
+	return nil, p, false
 }

@@ -60,9 +60,10 @@ func FuzzAppendViolationJSON(f *testing.F) {
 }
 
 // TestAppendViolationJSONCoversAllFields fails when a field is added to
-// Violation without teaching AppendViolationJSON about it: a fully
-// populated violation must round-trip through the hand encoder back into
-// an equal struct via encoding/json.
+// Violation without teaching AppendViolationJSON and parseViolationJSON
+// about it: every field of the violation below must be set, and it must
+// round-trip through the hand encoder back into an equal struct, both via
+// encoding/json and via the hand parser.
 func TestAppendViolationJSONCoversAllFields(t *testing.T) {
 	v := Violation{
 		Assertion:        "field-cover",
@@ -72,6 +73,12 @@ func TestAppendViolationJSONCoversAllFields(t *testing.T) {
 		Severity:         3.5,
 		IngestUnix:       1753800000,
 		ObservedUnixNano: 1753800000123456789,
+	}
+	rv := reflect.ValueOf(v)
+	for i := 0; i < rv.NumField(); i++ {
+		if rv.Field(i).IsZero() {
+			t.Fatalf("Violation.%s is not set here: set it, and teach the JSON encoder and parser about it", rv.Type().Field(i).Name)
+		}
 	}
 	data, err := AppendViolationJSON(nil, v)
 	if err != nil {
@@ -83,6 +90,15 @@ func TestAppendViolationJSONCoversAllFields(t *testing.T) {
 	}
 	if back != v {
 		t.Fatalf("round-trip lost data: %+v != %+v\nencoded: %s", back, v, data)
+	}
+	var parsed Violation
+	var in Interner
+	rest, ok := parseViolationJSON(data, &parsed, &in)
+	if !ok || len(rest) != 0 {
+		t.Fatalf("parseViolationJSON declined what AppendViolationJSON wrote (ok %v, %d bytes left): %s", ok, len(rest), data)
+	}
+	if parsed != v {
+		t.Fatalf("parse round-trip lost data: %+v != %+v\nencoded: %s", parsed, v, data)
 	}
 }
 

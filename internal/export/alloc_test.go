@@ -62,6 +62,36 @@ func TestAllocRegressionBinaryDecodeBatch(t *testing.T) {
 	}
 }
 
+// TestAllocRegressionJSONDecodeBatch asserts the same budget for the
+// default wire: a steady-state 256-violation batch in the shape
+// AppendBatchJSON writes decodes, without reflection, in at most 2 heap
+// allocations (the violations slice; names intern against the binary
+// decoder's pooled table), where encoding/json took about 530. Skipped
+// under -race; the CI alloc-gate job runs it without -race.
+func TestAllocRegressionJSONDecodeBatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is meaningless under -race")
+	}
+	codec := jsonCodec{}
+	body, err := codec.AppendBatch(nil, allocBenchBatch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if _, err := codec.DecodeBatch(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := codec.DecodeBatch(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("JSON DecodeBatch allocated %.1f times per batch, want <= 2", allocs)
+	}
+}
+
 // TestAllocRegressionBinaryEncodeBatch keeps the encode side honest too:
 // appending a frame into a warmed buffer must not allocate at all, so the
 // HTTPSink shipper's reused buffer keeps the whole encode off the heap.

@@ -103,11 +103,13 @@ func CodecForContentType(ct string) (BatchCodec, bool) {
 	return nil, false
 }
 
-// jsonCodec adapts the existing reflection-free JSON wire format —
-// AppendBatchJSON on the way out, the same decode the collector always
-// ran on the way in — to the BatchCodec seam. Byte-identical to the
-// pre-seam format by construction (it calls the same differential-fuzzed
-// encoder).
+// jsonCodec adapts the reflection-free JSON wire format to the
+// BatchCodec seam: AppendBatchJSON on the way out, and on the way in
+// parseBatchJSON for exactly the bytes AppendBatchJSON writes, with
+// encoding/json for a body of any other shape. Both directions are
+// differentially fuzzed against encoding/json (FuzzAppendBatchJSON,
+// FuzzDecodeBatch), so the wire and what a body decodes to are those of
+// the pre-seam format.
 type jsonCodec struct{}
 
 func (jsonCodec) Name() string        { return CodecJSON }
@@ -119,14 +121,32 @@ func (jsonCodec) AppendBatch(dst []byte, b Batch) ([]byte, error) {
 
 // DecodeBatch decodes one JSON batch and validates its version. The
 // whole payload must be one batch object: trailing whitespace is allowed,
-// trailing garbage is an error.
+// trailing garbage is an error. Names intern through the binary decoder's
+// pooled table, so a steady-state batch of the canonical shape allocates
+// only its violations slice.
 func (jsonCodec) DecodeBatch(data []byte) (Batch, error) {
-	var b Batch
-	if err := json.Unmarshal(data, &b); err != nil {
-		return Batch{}, fmt.Errorf("export: decode batch: %w", err)
+	d := binDecoderPool.Get().(*binDecoder)
+	b, ok := parseBatchJSON(data, &d.names)
+	binDecoderPool.Put(d)
+	if !ok {
+		var err error
+		if b, err = unmarshalBatch(data); err != nil {
+			return Batch{}, err
+		}
 	}
 	if err := checkBatchVersion(b.Version); err != nil {
 		return Batch{}, err
+	}
+	return b, nil
+}
+
+// unmarshalBatch decodes a body parseBatchJSON declined. It is its own
+// function so that encoding/json, which makes its target escape to the
+// heap, costs the parsed path nothing.
+func unmarshalBatch(data []byte) (Batch, error) {
+	var b Batch
+	if err := json.Unmarshal(data, &b); err != nil {
+		return Batch{}, fmt.Errorf("export: decode batch: %w", err)
 	}
 	return b, nil
 }

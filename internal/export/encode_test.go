@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"omg/internal/assertion"
@@ -13,7 +14,9 @@ import (
 // encoder against encoding/json over arbitrary batches: arbitrary source
 // identities (including invalid UTF-8), seq edges (0 is omitempty), nil
 // versus empty violation lists, and violations exercising every field
-// including NaN/Inf rejection.
+// including NaN/Inf rejection. The collector's parser closes the loop:
+// every batch whose strings need no escape must come back through
+// parseBatchJSON, not the encoding/json fallback, equal to the input.
 func FuzzAppendBatchJSON(f *testing.F) {
 	f.Add("edge-0", uint64(0), 0, "a", "s", 1.5, 2.5, int64(0))
 	f.Add("", uint64(1), 2, "flicker", "", 1e-7, 1e21, int64(77))
@@ -21,20 +24,23 @@ func FuzzAppendBatchJSON(f *testing.F) {
 	f.Add("bad\xffsource", uint64(3), 3, "n", "s", math.Inf(1), 1.0, int64(5))
 	f.Fuzz(func(t *testing.T, source string, seq uint64, nViolations int, name, stream string, tm, sev float64, ingest int64) {
 		b := Batch{Version: WireVersion, Source: source, Seq: seq}
-		nViolations %= 4
+		nViolations %= 5
 		if nViolations < 0 {
 			nViolations = -nViolations
 		}
-		if nViolations > 0 {
+		if nViolations == 4 {
+			b.Violations = []assertion.Violation{}
+		} else if nViolations > 0 {
 			b.Violations = make([]assertion.Violation, nViolations)
 			for i := range b.Violations {
 				b.Violations[i] = assertion.Violation{
-					Assertion:   name,
-					Stream:      stream,
-					SampleIndex: i,
-					Time:        tm,
-					Severity:    sev,
-					IngestUnix:  ingest,
+					Assertion:        name,
+					Stream:           stream,
+					SampleIndex:      i,
+					Time:             tm,
+					Severity:         sev,
+					IngestUnix:       ingest,
+					ObservedUnixNano: ingest * int64(i),
 				}
 			}
 		}
@@ -51,6 +57,19 @@ func FuzzAppendBatchJSON(f *testing.F) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("encoding mismatch for %+v:\n json: %s\n ours: %s", b, want, got)
+		}
+		for _, s := range []string{source, name, stream} {
+			if q := assertion.AppendJSONString(nil, s); len(q) != len(s)+2 {
+				return // an escaped string is encoding/json's to decode
+			}
+		}
+		var in assertion.Interner
+		back, ok := parseBatchJSON(got, &in)
+		if !ok {
+			t.Fatalf("parseBatchJSON declined what AppendBatchJSON wrote: %s", got)
+		}
+		if !reflect.DeepEqual(back, b) {
+			t.Fatalf("parseBatchJSON round trip:\n  in %#v\n out %#v\nfrom %s", b, back, got)
 		}
 	})
 }

@@ -12,6 +12,7 @@
 package export
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -110,6 +111,45 @@ func AppendBatchJSON(dst []byte, b Batch) ([]byte, error) {
 		return dst[:start], err
 	}
 	return append(dst, '}'), nil
+}
+
+// parseBatchJSON parses a batch in exactly the shape AppendBatchJSON
+// writes, optionally followed by JSON whitespace, interning its names in
+// in; the violations go through assertion.ParseViolationsJSON, whose
+// comment has the rules. ok false declines the body, which then decodes
+// through encoding/json. The version is not checked here.
+func parseBatchJSON(data []byte, in *assertion.Interner) (b Batch, ok bool) {
+	p, ok := bytes.CutPrefix(data, []byte(`{"version":`))
+	if !ok {
+		return Batch{}, false
+	}
+	var n int64
+	if n, p, ok = assertion.CutJSONInt(p, strconv.IntSize); !ok {
+		return Batch{}, false
+	}
+	b.Version = int(n)
+	if q, ok := bytes.CutPrefix(p, []byte(`,"source":`)); ok {
+		var src []byte
+		if src, p, ok = assertion.CutJSONString(q); !ok {
+			return Batch{}, false
+		}
+		b.Source = in.Intern(src)
+	}
+	if q, ok := bytes.CutPrefix(p, []byte(`,"seq":`)); ok {
+		if b.Seq, p, ok = assertion.CutJSONUint(q); !ok {
+			return Batch{}, false
+		}
+	}
+	if p, ok = bytes.CutPrefix(p, []byte(`,"violations":`)); !ok {
+		return Batch{}, false
+	}
+	if b.Violations, p, ok = assertion.ParseViolationsJSON(p, in); !ok {
+		return Batch{}, false
+	}
+	if p, ok = bytes.CutPrefix(p, []byte(`}`)); !ok || len(bytes.TrimLeft(p, " \t\n\r")) != 0 {
+		return Batch{}, false
+	}
+	return b, true
 }
 
 // checkBatchVersion enforces the [MinWireVersion, WireVersion] acceptance

@@ -353,8 +353,13 @@ func (s *Service) ObserveBatch(source string, vs []assertion.Violation) {
 	s.enqueueLocked(vs, +1, &s.adds)
 	rebind := false
 	if source != "" {
+		// One lookup per run of equal streams, not one per violation.
+		last := ""
 		for _, v := range vs {
-			if v.Stream != "" && s.streamSrc[v.Stream] != source {
+			if v.Stream == last {
+				continue
+			}
+			if last = v.Stream; last != "" && s.streamSrc[last] != source {
 				rebind = true
 				break
 			}

@@ -86,9 +86,10 @@ func FrameAt(b []byte, hdr int) ([]byte, bool) {
 // larger than it gets a buffer of its own for as long as it is read.
 const replayChunk = 1 << 20
 
-// chunkPool recycles replay's read buffers: a store replaying several
-// segments, and a collector replaying several stores side by side, hold
-// one chunk per replay in progress, not one per file.
+// chunkPool recycles replay's read buffers between opens: a collector
+// replaying several stores side by side holds one chunk per store being
+// opened, and a store takes one for its whole recovery
+// (SegmentStore.recover), not one per file.
 var chunkPool = sync.Pool{New: func() any { b := make([]byte, replayChunk); return &b }}
 
 // Replay reads the log and hands visit each whole frame's owner header and
@@ -101,11 +102,19 @@ var chunkPool = sync.Pool{New: func() any { b := make([]byte, replayChunk); retu
 // refuses any bad frame. A frame visit refuses is refused the same way,
 // never truncated.
 func (l *RecordLog) Replay(sealed bool, visit func(hdr, body []byte) error) error {
-	r, err := l.openReader()
+	chunk := chunkPool.Get().(*[]byte)
+	defer chunkPool.Put(chunk)
+	return l.replay(chunk, sealed, visit)
+}
+
+// replay is Replay through the caller's chunk, so that one reader of many
+// logs reads them all through the same one.
+func (l *RecordLog) replay(chunk *[]byte, sealed bool, visit func(hdr, body []byte) error) error {
+	r, err := l.openReader(chunk)
 	if r == nil {
 		return err
 	}
-	defer r.close()
+	defer r.f.Close()
 	head := FrameHeader + l.Hdr
 	for r.off < r.size {
 		b, err := r.fill(head)
@@ -171,15 +180,15 @@ func (l *RecordLog) tornTail(r *logReader) (bool, error) {
 	return true, nil
 }
 
-// countFrames streams the log's length prefixes — no CRC, no decode — and
-// returns how many frames they chain. A torn tail may count one too many;
-// a missing file has none.
-func (l *RecordLog) countFrames() (int, error) {
-	r, err := l.openReader()
+// countFrames streams the log's length prefixes — no CRC, no decode —
+// through chunk and returns how many frames they chain. A torn tail may
+// count one too many; a missing file has none.
+func (l *RecordLog) countFrames(chunk *[]byte) (int, error) {
+	r, err := l.openReader(chunk)
 	if r == nil {
 		return 0, err
 	}
-	defer r.close()
+	defer r.f.Close()
 	head, n := FrameHeader+l.Hdr, 0
 	for {
 		b, err := r.fill(head)
@@ -200,7 +209,7 @@ func (l *RecordLog) countFrames() (int, error) {
 	}
 }
 
-// logReader reads a log file front to back through a pooled chunk. data
+// logReader reads a log file front to back through its caller's chunk. data
 // is what it has read and not yet consumed, starting at file offset off;
 // the file's read position is off+len(data), and size its length when
 // opened.
@@ -213,9 +222,9 @@ type logReader struct {
 	size  int64
 }
 
-// openReader opens the log for reading, or returns nil and no error if
-// there is no file.
-func (l *RecordLog) openReader() (*logReader, error) {
+// openReader opens the log for reading through chunk, or returns nil and
+// no error if there is no file.
+func (l *RecordLog) openReader(chunk *[]byte) (*logReader, error) {
 	f, err := os.Open(l.Path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
@@ -223,16 +232,11 @@ func (l *RecordLog) openReader() (*logReader, error) {
 	if err == nil {
 		var fi os.FileInfo
 		if fi, err = f.Stat(); err == nil {
-			return &logReader{path: l.Path, f: f, chunk: chunkPool.Get().(*[]byte), size: fi.Size()}, nil
+			return &logReader{path: l.Path, f: f, chunk: chunk, size: fi.Size()}, nil
 		}
 		f.Close()
 	}
 	return nil, fmt.Errorf("store: replay %s: %w", l.Path, err)
-}
-
-func (r *logReader) close() {
-	r.f.Close()
-	chunkPool.Put(r.chunk)
 }
 
 // fill returns the unconsumed bytes, having read on until they hold at

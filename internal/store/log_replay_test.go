@@ -130,7 +130,9 @@ func replayBoth(t testing.TB, path string, level Durability, hdr int, sealed boo
 		return replayWholeFile(l, sealed, visit)
 	})
 	got = run(func() int {
-		n, err := l.countFrames()
+		chunk := chunkPool.Get().(*[]byte)
+		defer chunkPool.Put(chunk)
+		n, err := l.countFrames(chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +302,7 @@ func TestReplayStreamingMatchesWholeFile(t *testing.T) {
 		for _, hdr := range []int{0, seqHeader} {
 			checkReplay(t, path, hdr, nil, "empty")
 			l := &RecordLog{Path: filepath.Join(t.TempDir(), "missing.log"), Hdr: hdr}
-			n, err := l.countFrames()
+			n, err := l.countFrames(new([]byte))
 			if err != nil || n != 0 {
 				t.Fatalf("countFrames of a missing log = %d, %v", n, err)
 			}

@@ -326,10 +326,13 @@ func (s *SegmentStore) recover() error {
 	sort.Ints(live)
 
 	// One exact reservation for every live segment's records, not a
-	// reallocation and copy of the mirror per segment.
+	// reallocation and copy of the mirror per segment; and one read chunk
+	// for every count and replay, not one per file.
+	chunk := chunkPool.Get().(*[]byte)
+	defer chunkPool.Put(chunk)
 	frames := 0
 	for _, num := range live {
-		n, err := s.segLog(num).countFrames()
+		n, err := s.segLog(num).countFrames(chunk)
 		if err != nil {
 			return err
 		}
@@ -339,7 +342,7 @@ func (s *SegmentStore) recover() error {
 
 	maxSeq := coveredSeq
 	for i, num := range live {
-		meta, segMax, err := s.replaySegment(num, coveredSeq, i == len(live)-1)
+		meta, segMax, err := s.replaySegment(chunk, num, coveredSeq, i == len(live)-1)
 		if err != nil {
 			return err
 		}
@@ -413,18 +416,18 @@ func (s *SegmentStore) readCheckpoint() (segCheckpoint, bool, error) {
 	return cp, true, nil
 }
 
-// replaySegment reads one segment into the in-memory mirror, its names
-// straight into the log's name table, folding records above coveredSeq
-// into the statistics. The newest segment is the only one a crash can
+// replaySegment reads one segment through chunk into the in-memory
+// mirror, its names straight into the log's name table, folding records
+// above coveredSeq into the statistics. The newest segment is the only one a crash can
 // tear, so a torn tail there is truncated away and damage anywhere else
 // refuses the open (RecordLog.Replay); a record that passes the length
 // and CRC checks and still does not decode is corruption, or a newer
 // writer's format, and is refused wherever it sits.
-func (s *SegmentStore) replaySegment(num int, coveredSeq uint64, newest bool) (segMeta, uint64, error) {
+func (s *SegmentStore) replaySegment(chunk *[]byte, num int, coveredSeq uint64, newest bool) (segMeta, uint64, error) {
 	meta := segMeta{num: num}
 	maxSeq := uint64(0)
 	var jsonBodies, binaryBodies int64
-	err := s.segLog(num).Replay(!newest, func(hdr, body []byte) error {
+	err := s.segLog(num).replay(chunk, !newest, func(hdr, body []byte) error {
 		var v assertion.Violation
 		var name, stream uint32
 		if body[0] == '{' {
