@@ -87,3 +87,73 @@ var flagDefiners = set(
 	"Func", "Int", "IntVar", "Int64", "Int64Var", "String", "StringVar", "TextVar",
 	"Uint", "UintVar", "Uint64", "Uint64Var", "Var",
 )
+
+// TestREADMENamesEveryRoute holds README.md to the collector's HTTP API:
+// every pattern export.Collector.Handler registers on its ServeMux names a
+// path README.md gives whole, so a route added without docs fails here.
+func TestREADMENamesEveryRoute(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go toolchain unavailable; cannot list the module")
+	}
+	root := filepath.Join("..", "..")
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := newLoader(t)
+	l.list(t, root)
+	c, err := l.check(modulePath + "/internal/export")
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := handlerRoutes(t, c)
+	if len(routes) == 0 {
+		t.Fatal("Collector.Handler registers no route the scan can see")
+	}
+	for _, route := range routes {
+		path := route[strings.LastIndexByte(route, ' ')+1:]
+		named := regexp.MustCompile(`(^|[^\w/.-])` + regexp.QuoteMeta(path) + `($|[^\w/-])`)
+		if !named.Match(readme) {
+			t.Errorf("Collector.Handler registers %q, whose path README.md never names", route)
+		}
+	}
+}
+
+// handlerRoutes returns the patterns c's Collector.Handler passes to
+// net/http's ServeMux.Handle and HandleFunc, evaluated as constants.
+func handlerRoutes(t *testing.T, c *checked) []string {
+	var routes []string
+	for _, f := range c.files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Name.Name != "Handler" || fd.Recv == nil || fd.Body == nil {
+				continue
+			}
+			if recv := namedObj(c.info.TypeOf(fd.Recv.List[0].Type)); recv == nil || recv.Name() != "Collector" {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				fn, ok := c.info.Uses[sel.Sel].(*types.Func)
+				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "net/http" || (fn.Name() != "Handle" && fn.Name() != "HandleFunc") {
+					return true
+				}
+				pattern := c.info.Types[call.Args[0]].Value
+				if pattern == nil || pattern.Kind() != constant.String {
+					t.Errorf("%s: Collector.Handler registers a route with no constant pattern", c.path)
+					return true
+				}
+				routes = append(routes, constant.StringVal(pattern))
+				return true
+			})
+		}
+	}
+	return routes
+}

@@ -179,3 +179,29 @@ func TestAllocRegressionSuiteEvaluateInto(t *testing.T) {
 		t.Fatalf("Suite.EvaluateInto allocated %.1f times per call, want 0", allocs)
 	}
 }
+
+// TestAllocRegressionRecorderRecord asserts the firing path's budget: a
+// steady-state Record of an assertion the store already knows, into a
+// full bounded ring that evicts on every call, performs zero heap
+// allocations — the statistics fold updates its entry in place and the
+// ring reuses its slot and name ids.
+func TestAllocRegressionRecorderRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is meaningless under -race")
+	}
+	r := NewRecorder(256)
+	v := Violation{Assertion: "a", Stream: "cam0", Severity: 0.5}
+	for i := 0; i < 1024; i++ { // fill the ring past wrap-around
+		v.SampleIndex, v.Time = i, float64(i)
+		r.Record(v)
+	}
+	i := 1024
+	allocs := testing.AllocsPerRun(1000, func() {
+		v.SampleIndex, v.Time = i, float64(i)
+		r.Record(v)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Recorder.Record allocated %.1f times per violation, want 0", allocs)
+	}
+}

@@ -27,9 +27,8 @@ var ErrPoolClosed = errors.New("assertion: monitor pool is closed")
 // loss); Flush waits for the pipeline and the recorder's sink to drain.
 // The synchronous surface is Monitor.Observe.
 //
-// All streams record into one Recorder, whose statistics are lock-free
-// and whose sink is asynchronous, so the observe path stays
-// allocation-lean under multi-stream load.
+// All streams record into one Recorder, whose sink is asynchronous, so
+// the observe path stays allocation-lean under multi-stream load.
 type MonitorPool struct {
 	suite      *Suite
 	windowSize int

@@ -3,7 +3,9 @@ package assertion
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -16,42 +18,69 @@ type Stats struct {
 	FirstSample int     `json:"first_sample"`
 }
 
-// statsCell is the internal lock-free accumulator behind Stats. Floats are
-// stored as IEEE-754 bit patterns and updated with CAS loops so concurrent
-// recorders never contend on a lock for the aggregate counters.
-//
-// maxSev is seeded with -Inf (see newStatsCell), not the zero bits (+0.0):
-// an assertion whose severities are all negative must report its true
-// maximum, and a +0.0 seed would absorb every negative update. The
-// sentinel never escapes: snapshot normalises a still-at-seed maxSev to 0.
-type statsCell struct {
-	fired    atomic.Int64
-	totalSev atomic.Uint64 // float64 bits
-	maxSev   atomic.Uint64 // float64 bits
-	first    atomic.Int64
-	last     atomic.Int64
+// StatsTable holds one store's per-assertion Stats, folded from every
+// appended violation. It is not safe for concurrent use: each store
+// guards its table with the lock it already takes for its RowLog, so the
+// statistics and the retained log change together. The zero value is
+// empty and ready to use.
+type StatsTable struct {
+	byName map[string]*Stats
+	total  int
 }
 
-// negInfBits is the maxSev seed: below every real severity.
-var negInfBits = math.Float64bits(math.Inf(-1))
-
-func newStatsCell() *statsCell {
-	c := &statsCell{}
-	c.maxSev.Store(negInfBits)
-	return c
-}
-
-func (c *statsCell) snapshot() Stats {
-	maxSev := math.Float64frombits(c.maxSev.Load())
-	if math.IsInf(maxSev, -1) {
-		maxSev = 0 // nothing fired yet; don't leak the seed
+// Fold applies one violation to its assertion's statistics. A fresh
+// entry starts at the violation's own severity and sample, so an
+// assertion whose severities are all negative reports its true maximum.
+func (t *StatsTable) Fold(v *Violation) {
+	st := t.byName[v.Assertion]
+	if st == nil {
+		if t.byName == nil {
+			t.byName = make(map[string]*Stats)
+		}
+		st = &Stats{MaxSev: v.Severity, FirstSample: v.SampleIndex}
+		t.byName[v.Assertion] = st
+	} else if v.Severity > st.MaxSev {
+		st.MaxSev = v.Severity
 	}
-	return Stats{
-		Fired:       int(c.fired.Load()),
-		TotalSev:    math.Float64frombits(c.totalSev.Load()),
-		MaxSev:      maxSev,
-		LastSample:  int(c.last.Load()),
-		FirstSample: int(c.first.Load()),
+	st.Fired++
+	st.TotalSev = AddSeverity(st.TotalSev, v.Severity)
+	st.LastSample = v.SampleIndex
+	t.total++
+}
+
+// Get returns one assertion's statistics.
+func (t *StatsTable) Get(name string) (Stats, bool) {
+	if st := t.byName[name]; st != nil {
+		return *st, true
+	}
+	return Stats{}, false
+}
+
+// All returns a copy of every fired assertion's statistics.
+func (t *StatsTable) All() map[string]Stats {
+	out := make(map[string]Stats, len(t.byName))
+	for name, st := range t.byName {
+		out[name] = *st
+	}
+	return out
+}
+
+// Total returns the lifetime violation count: the sum of Fired.
+func (t *StatsTable) Total() int { return t.total }
+
+// Names returns the names of assertions that have fired, sorted.
+func (t *StatsTable) Names() []string {
+	return slices.Sorted(maps.Keys(t.byName))
+}
+
+// Set replaces the table with a copy of stats: a checkpoint's statistics
+// at recovery, or a snapshot's at import.
+func (t *StatsTable) Set(stats map[string]Stats) {
+	t.byName = make(map[string]*Stats, len(stats))
+	t.total = 0
+	for name, st := range stats {
+		t.byName[name] = &st
+		t.total += st.Fired
 	}
 }
 
@@ -64,31 +93,6 @@ func AddSeverity(a, b float64) float64 {
 		return math.Copysign(math.MaxFloat64, s)
 	}
 	return s
-}
-
-// atomicAddFloat adds x to the float64 stored as bits in a, saturating
-// like AddSeverity.
-func atomicAddFloat(a *atomic.Uint64, x float64) {
-	for {
-		old := a.Load()
-		next := math.Float64bits(AddSeverity(math.Float64frombits(old), x))
-		if a.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// atomicMaxFloat raises the float64 stored as bits in a to at least x.
-func atomicMaxFloat(a *atomic.Uint64, x float64) {
-	for {
-		old := a.Load()
-		if math.Float64frombits(old) >= x {
-			return
-		}
-		if a.CompareAndSwap(old, math.Float64bits(x)) {
-			return
-		}
-	}
 }
 
 // sinkBox holds the attached Sink. Each attach allocates a new box, so

@@ -27,8 +27,9 @@ func BenchmarkRecorderRecordBounded(b *testing.B) {
 	}
 }
 
-// BenchmarkRecorderRecordParallel measures the lock-free stats path under
-// contention from many goroutines.
+// BenchmarkRecorderRecordParallel measures Record under contention from
+// many goroutines: each takes the store's one lock for the statistics and
+// the ring together.
 func BenchmarkRecorderRecordParallel(b *testing.B) {
 	r := NewRecorder(4096)
 	b.RunParallel(func(pb *testing.PB) {

@@ -1,10 +1,6 @@
 package assertion
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // This file declares the violation storage seam: the ViolationStore
 // interface the export collector keeps one of per ingest shard, and
@@ -35,6 +31,10 @@ import (
 // rather than for a copy of the whole retained log. Only the unlimited,
 // unfiltered query is still a full copy. The retention planner and
 // IngestRuns read the rows' ids (RowLog.Plan, RowLog.IngestRuns).
+//
+// The statistics have one shape too: each backend folds every append into
+// a StatsTable (recorder.go) under the lock that guards its RowLog, so the
+// statistics and the retained log change together.
 //
 // The seam's other direction is the EvictionObserver a store's owner may
 // set on the concrete backend (it is not part of ViolationStore): the
@@ -104,8 +104,8 @@ type EvictionObserver interface {
 // shard keeps its queryable log and aggregate statistics in.
 // Implementations must be safe for concurrent use.
 //
-// Two backends exist: MemStore (this package; ring buffer + lock-free
-// statistics, also the edge Recorder's storage) and store.SegmentStore
+// Two backends exist: MemStore (this package; a ring buffer, also the
+// edge Recorder's storage) and store.SegmentStore
 // (append-only on-disk segment files with exact crash recovery). The
 // internal/store package is the canonical home of the seam; it aliases
 // this interface so both packages share one type.
@@ -159,17 +159,16 @@ type ViolationStore interface {
 
 // MemStore is the in-memory ViolationStore: a RowLog ring with O(1)
 // eviction, indexed for Query once someone queries it by name or key, plus
-// lock-free per-assertion statistics. It is every edge Recorder's storage,
-// the collector's "mem" shard backend, and the baseline the on-disk
-// SegmentStore is benchmarked against. It is safe for concurrent use.
+// the per-assertion StatsTable, both under one lock. It is every edge
+// Recorder's storage, the collector's "mem" shard backend, and the
+// baseline the on-disk SegmentStore is benchmarked against. It is safe for
+// concurrent use.
 type MemStore struct {
-	mu      sync.Mutex // guards the log
-	log     RowLog
-	dropped atomic.Int64
-
-	stats sync.Map // assertion name -> *statsCell
-
-	compacted atomic.Int64
+	mu        sync.Mutex // guards everything below
+	log       RowLog
+	stats     StatsTable
+	dropped   int64
+	compacted int64
 }
 
 // SetEvictionObserver makes o hear every later eviction from the retained
@@ -190,21 +189,10 @@ func NewMemStore(limit int) *MemStore {
 
 // Append implements ViolationStore; it never fails.
 func (m *MemStore) Append(v Violation) error {
-	cell, ok := m.stats.Load(v.Assertion)
-	if !ok {
-		fresh := newStatsCell()
-		fresh.first.Store(int64(v.SampleIndex))
-		cell, _ = m.stats.LoadOrStore(v.Assertion, fresh)
-	}
-	st := cell.(*statsCell)
-	st.fired.Add(1)
-	atomicAddFloat(&st.totalSev, v.Severity)
-	atomicMaxFloat(&st.maxSev, v.Severity)
-	st.last.Store(int64(v.SampleIndex))
-
 	m.mu.Lock()
+	m.stats.Fold(&v)
 	if m.log.Append(0, m.log.Intern(v.Assertion), m.log.Intern(v.Stream), &v) {
-		m.dropped.Add(1)
+		m.dropped++
 	}
 	m.mu.Unlock()
 	return nil
@@ -230,50 +218,47 @@ func (m *MemStore) IndexSize() (keys, postings, badBounds int) {
 
 // Stats returns one assertion's aggregate statistics.
 func (m *MemStore) Stats(name string) (Stats, bool) {
-	cell, ok := m.stats.Load(name)
-	if !ok {
-		return Stats{}, false
-	}
-	return cell.(*statsCell).snapshot(), true
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.stats.Get(name)
 }
 
 // StatsAll implements ViolationStore.
 func (m *MemStore) StatsAll() map[string]Stats {
-	out := make(map[string]Stats)
-	m.stats.Range(func(name, cell any) bool {
-		out[name.(string)] = cell.(*statsCell).snapshot()
-		return true
-	})
-	return out
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.stats.All()
 }
 
 // TotalFired implements ViolationStore.
 func (m *MemStore) TotalFired() int {
-	total := int64(0)
-	m.stats.Range(func(_, cell any) bool {
-		total += cell.(*statsCell).fired.Load()
-		return true
-	})
-	return int(total)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.stats.Total()
 }
 
 // Dropped implements ViolationStore.
-func (m *MemStore) Dropped() int64 { return m.dropped.Load() }
+func (m *MemStore) Dropped() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.dropped
+}
 
 // Compacted implements ViolationStore.
-func (m *MemStore) Compacted() int64 { return m.compacted.Load() }
+func (m *MemStore) Compacted() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.compacted
+}
 
 // Compact implements ViolationStore.
 func (m *MemStore) Compact(minIngestUnix int64, maxPerAssertion int, budgets ...map[string]int) (int, error) {
-	if !RetentionBounds(minIngestUnix, maxPerAssertion, budgets) {
-		return 0, nil
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	keep, evicted := m.log.Plan(minIngestUnix, maxPerAssertion, budgets)
 	if evicted > 0 {
 		m.log.Compact(keep, evicted)
-		m.compacted.Add(int64(evicted))
+		m.compacted += int64(evicted)
 	}
 	return evicted, nil
 }
@@ -283,17 +268,6 @@ func (m *MemStore) IngestRuns() map[string][]IngestRun {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.log.IngestRuns()
-}
-
-// RetentionBounds reports whether Compact's parameters bound anything at
-// all — a Compact they do not is a no-op. Shared with SegmentStore.
-func RetentionBounds(minIngestUnix int64, maxPerAssertion int, budgets []map[string]int) bool {
-	for _, b := range budgets {
-		if len(b) > 0 {
-			return true
-		}
-	}
-	return minIngestUnix > 0 || maxPerAssertion > 0
 }
 
 // IngestRun is a run of one assertion's retained violations that share an
@@ -321,11 +295,7 @@ func (m *MemStore) Close() error { return nil }
 // AssertionNames returns the names of assertions that have fired,
 // sorted — shared by Recorder.AssertionNames and the merged pool views.
 func (m *MemStore) AssertionNames() []string {
-	var out []string
-	m.stats.Range(func(name, _ any) bool {
-		out = append(out, name.(string))
-		return true
-	})
-	sort.Strings(out)
-	return out
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.stats.Names()
 }

@@ -926,7 +926,7 @@ func (c *Collector) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&b, "# HELP omg_collector_assertion_fired_total Violations ingested per assertion.\n")
 	fmt.Fprintf(&b, "# TYPE omg_collector_assertion_fired_total counter\n")
 	for _, name := range names {
-		fmt.Fprintf(&b, "omg_collector_assertion_fired_total{assertion=\"%s\"} %d\n", escapeLabel(name), summary[name])
+		fmt.Fprintf(&b, "omg_collector_assertion_fired_total{assertion=\"%s\"} %d\n", obs.EscapeLabelValue(name), summary[name])
 	}
 	// Stage latency histograms (ingest decode/apply, store append and
 	// fsync, tail broadcast, e2e violation age, ...) plus Go runtime
@@ -934,13 +934,6 @@ func (c *Collector) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	obs.Default().WriteMetrics(&b)
 	obs.WriteRuntimeMetrics(&b)
 	fmt.Fprint(w, b.String())
-}
-
-// escapeLabel escapes a Prometheus label value per the exposition format
-// (backslash, quote and newline).
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -94,7 +94,7 @@ func (v *HistogramVec) expose(w *strings.Builder) {
 func (v *CounterVec) expose(w *strings.Builder) {
 	writeFamilyHeader(w, v.name, v.help, "counter")
 	for i, value := range v.values {
-		fmt.Fprintf(w, "%s{%s=\"%s\"} %d\n", v.name, v.label, escapeLabelValue(value), v.counts[i].Load())
+		fmt.Fprintf(w, "%s{%s=\"%s\"} %d\n", v.name, v.label, EscapeLabelValue(value), v.counts[i].Load())
 	}
 }
 

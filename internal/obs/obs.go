@@ -164,7 +164,7 @@ func (v *HistogramVec) With(value string) *Histogram {
 	h = &Histogram{
 		name:   v.name,
 		help:   v.help,
-		labels: v.label + `="` + escapeLabelValue(value) + `"`,
+		labels: v.label + `="` + EscapeLabelValue(value) + `"`,
 	}
 	v.m[value] = h
 	return h
@@ -193,9 +193,10 @@ func (v *CounterVec) Add(value string, n int64) {
 	panic(fmt.Sprintf("obs: counter %s has no %s=%q child", v.name, v.label, value))
 }
 
-// escapeLabelValue escapes a Prometheus label value per the exposition
-// format: backslash, double quote and newline.
-func escapeLabelValue(s string) string {
+// EscapeLabelValue escapes a Prometheus label value per the exposition
+// format: backslash, double quote and newline. A value with none of them
+// is returned as is.
+func EscapeLabelValue(s string) string {
 	if !strings.ContainsAny(s, "\\\"\n") {
 		return s
 	}

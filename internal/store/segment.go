@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -182,12 +180,11 @@ type SegmentStore struct {
 	// Observer hears what compaction evicts from it.
 	log assertion.RowLog
 
-	stats      map[string]assertion.Stats
-	totalFired int
-	appendSeq  uint64
-	dropped    int64
-	compacted  int64
-	closed     bool
+	stats     assertion.StatsTable
+	appendSeq uint64
+	dropped   int64
+	compacted int64
+	closed    bool
 
 	// obsSample gates the append histogram's clock reads; mutated under
 	// mu, which is what makes the non-atomic sampler safe here.
@@ -220,7 +217,6 @@ func Open(cfg Config) (*SegmentStore, error) {
 		dir:       cfg.Dir,
 		segBytes:  cfg.SegmentBytes,
 		failAfter: cfg.FailWritesAfterBytes,
-		stats:     make(map[string]assertion.Stats),
 		obsSample: obs.HotSampler(),
 	}
 	s.log.Index()
@@ -268,9 +264,7 @@ func (s *SegmentStore) recover() error {
 	coveredSeq := uint64(0)
 	if haveCP {
 		coveredSeq = cp.AppendSeq
-		for name, st := range cp.Stats {
-			s.stats[name] = st
-		}
+		s.stats.Set(cp.Stats)
 		s.dropped = cp.Dropped
 		s.compacted = cp.Compacted
 
@@ -352,10 +346,6 @@ func (s *SegmentStore) recover() error {
 		s.finalized = append(s.finalized, meta)
 	}
 	s.appendSeq = maxSeq
-	s.totalFired = 0
-	for _, st := range s.stats {
-		s.totalFired += st.Fired
-	}
 
 	// The highest segment resumes as the active one unless it is already
 	// at the roll threshold.
@@ -448,7 +438,7 @@ func (s *SegmentStore) replaySegment(chunk *[]byte, num int, coveredSeq uint64, 
 		seq := binary.LittleEndian.Uint64(hdr)
 		if seq > coveredSeq {
 			v.Assertion = s.log.Names()[name]
-			s.foldStats(v)
+			s.stats.Fold(&v)
 		}
 		maxSeq = max(maxSeq, seq)
 		s.log.Append(seq, name, stream, &v)
@@ -471,22 +461,6 @@ func decodeJSONBody(body []byte) (assertion.Violation, error) {
 	var v assertion.Violation
 	err := json.Unmarshal(body, &v)
 	return v, err
-}
-
-// foldStats applies one violation to the aggregate statistics — the
-// same update Append performs, reused by replay.
-func (s *SegmentStore) foldStats(v assertion.Violation) {
-	st, ok := s.stats[v.Assertion]
-	if !ok {
-		st = assertion.Stats{FirstSample: v.SampleIndex, MaxSev: math.Inf(-1)}
-	}
-	st.Fired++
-	st.TotalSev = assertion.AddSeverity(st.TotalSev, v.Severity)
-	if v.Severity > st.MaxSev {
-		st.MaxSev = v.Severity
-	}
-	st.LastSample = v.SampleIndex
-	s.stats[v.Assertion] = st
 }
 
 // segLog is segment num's record log, not yet open.
@@ -533,8 +507,7 @@ func (s *SegmentStore) Append(v assertion.Violation) error {
 	start := appendHist.StartIf(s.obsSample.Next())
 	err := s.bufferLocked(v)
 	if err == nil {
-		s.foldStats(v)
-		s.totalFired++
+		s.stats.Fold(&v)
 		err = s.maybeFlushRollLocked()
 	}
 	appendHist.Done(start)
@@ -670,13 +643,10 @@ func (s *SegmentStore) checkpointLocked() error {
 	cp := segCheckpoint{
 		Version:   checkpointVersion,
 		AppendSeq: s.appendSeq,
-		Stats:     make(map[string]assertion.Stats, len(s.stats)),
+		Stats:     s.stats.All(),
 		Dropped:   s.dropped,
 		Compacted: s.compacted,
 		Segments:  s.manifestLocked(),
-	}
-	for name, st := range s.stats {
-		cp.Stats[name] = st
 	}
 	return s.writeCheckpointFile(cp)
 }
@@ -711,21 +681,14 @@ func (s *SegmentStore) IndexSize() (keys, postings, badBounds int) {
 func (s *SegmentStore) StatsAll() map[string]assertion.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]assertion.Stats, len(s.stats))
-	for name, st := range s.stats {
-		if math.IsInf(st.MaxSev, -1) {
-			st.MaxSev = 0
-		}
-		out[name] = st
-	}
-	return out
+	return s.stats.All()
 }
 
 // TotalFired implements ViolationStore.
 func (s *SegmentStore) TotalFired() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.totalFired
+	return s.stats.Total()
 }
 
 // Dropped implements ViolationStore. The on-disk log has no size bound
@@ -767,9 +730,6 @@ func (s *SegmentStore) IngestRuns() map[string][]assertion.IngestRun {
 // buffer into one open file at a time, and the mirror is then filtered in
 // place.
 func (s *SegmentStore) Compact(minIngestUnix int64, maxPerAssertion int, budgets ...map[string]int) (int, error) {
-	if !assertion.RetentionBounds(minIngestUnix, maxPerAssertion, budgets) {
-		return 0, nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -800,12 +760,9 @@ func (s *SegmentStore) Compact(minIngestUnix int64, maxPerAssertion int, budgets
 	cp := segCheckpoint{
 		Version:   checkpointVersion,
 		AppendSeq: s.appendSeq,
-		Stats:     make(map[string]assertion.Stats, len(s.stats)),
+		Stats:     s.stats.All(),
 		Dropped:   s.dropped,
 		Compacted: s.compacted + int64(evicted),
-	}
-	for name, st := range s.stats {
-		cp.Stats[name] = st
 	}
 	for _, m := range newMetas {
 		cp.Segments = append(cp.Segments, Segment{Name: segName(m.num), Records: m.records, Bytes: m.bytes})
@@ -930,10 +887,10 @@ func Import(cfg Config, snap assertion.RecorderSnapshot) (err error) {
 	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.appendSeq > 0 || len(s.stats) > 0 || s.dropped != 0 || s.compacted != 0 {
+	if s.appendSeq > 0 || len(s.stats.Names()) > 0 || s.dropped != 0 || s.compacted != 0 {
 		return fmt.Errorf("store: import: %s already holds a store", s.dir)
 	}
-	maps.Copy(s.stats, snap.Stats)
+	s.stats.Set(snap.Stats)
 	s.dropped = snap.LogDropped
 	s.compacted = snap.Compacted
 	for _, v := range snap.Violations {

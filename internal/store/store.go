@@ -5,9 +5,8 @@
 // Two backends implement assertion.ViolationStore:
 //
 //   - MemStore — the in-memory default: a bounded ring-buffer log with
-//     O(1) eviction plus lock-free per-assertion statistics; also what an
-//     edge assertion.Recorder records into. Fast, but ephemeral: a crash
-//     loses everything.
+//     O(1) eviction; also what an edge assertion.Recorder records into.
+//     Fast, but ephemeral: a crash loses everything.
 //   - SegmentStore (this package) — an append-only on-disk backend:
 //     segment files that are record logs (below) holding one violation
 //     per record, a per-assertion/stream index for queries, fsync'd

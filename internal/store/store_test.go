@@ -1,6 +1,7 @@
 package store
 
 import (
+	"os"
 	"reflect"
 	"sort"
 	"strconv"
@@ -77,6 +78,113 @@ func TestContractAppendAndViews(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestContractStatsSeverityRanges holds every backend, and a disk store
+// on both of its recovery paths, to one statistics fold: the severity
+// ranges a zero-valued or -Inf maximum would get wrong (all negative, all
+// zero, mixed, one negative) must read the same from a MemStore, a live
+// SegmentStore, one reopened from its checkpoint after Close, and one
+// opened on a copy of its directory taken before Close, so recovery folds
+// the records after the checkpoint back in by replay.
+func TestContractStatsSeverityRanges(t *testing.T) {
+	cases := []struct {
+		name       string
+		severities []float64
+		wantMax    float64
+	}{
+		{"all-negative", []float64{-3, -1.5, -7, -2}, -1.5},
+		{"all-zero", []float64{0, 0}, 0},
+		{"mixed", []float64{-2, 0, 3, -9}, 3},
+		{"single-negative", []float64{-0.25}, -0.25},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var vs []assertion.Violation
+			want := map[string]assertion.Stats{}
+			for i, sev := range tc.severities {
+				vs = append(vs, mkv("a", "cam0", 10+i, sev, 0), mkv("b", "cam1", 20+i, 1, 0))
+			}
+			want["a"] = assertion.Stats{Fired: len(tc.severities), TotalSev: sum(tc.severities), MaxSev: tc.wantMax, FirstSample: 10, LastSample: 9 + len(tc.severities)}
+			want["b"] = assertion.Stats{Fired: len(tc.severities), TotalSev: float64(len(tc.severities)), MaxSev: 1, FirstSample: 20, LastSample: 19 + len(tc.severities)}
+			for leg, s := range statsLegs(t, vs) {
+				if got := s.StatsAll(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: StatsAll = %+v, want %+v", leg, got, want)
+				}
+				if got := s.TotalFired(); got != len(vs) {
+					t.Errorf("%s: TotalFired = %d, want %d", leg, got, len(vs))
+				}
+				if one, ok := s.(interface {
+					Stats(string) (assertion.Stats, bool)
+				}); ok {
+					if got, ok := one.Stats("a"); !ok || got != want["a"] {
+						t.Errorf("%s: Stats(a) = %+v, %v, want %+v", leg, got, ok, want["a"])
+					}
+				}
+			}
+		})
+	}
+}
+
+// statsLegs appends vs to every backend and returns them keyed by leg,
+// with two disk legs beside the live one: "segment-checkpoint" appends
+// the first half, closes, reopens (recovery adopts the checkpoint's
+// statistics) and appends the rest; "segment-replay" opens a copy of
+// that store's directory taken before its Close, so the second half is
+// folded back in by replay over the checkpointed first.
+func statsLegs(t *testing.T, vs []assertion.Violation) map[string]assertion.ViolationStore {
+	t.Helper()
+	legs := backends(t)
+	for _, s := range legs {
+		appendAll(t, s, vs)
+	}
+	dir := t.TempDir()
+	first, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, first, vs[:len(vs)/2])
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reopened.Close() })
+	appendAll(t, reopened, vs[len(vs)/2:])
+	if err := reopened.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	copied := t.TempDir()
+	if err := os.CopyFS(copied, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := Open(Config{Dir: copied})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { replayed.Close() })
+	legs["segment-checkpoint"] = reopened
+	legs["segment-replay"] = replayed
+	return legs
+}
+
+func appendAll(t *testing.T, s assertion.ViolationStore, vs []assertion.Violation) {
+	t.Helper()
+	for _, v := range vs {
+		if err := s.Append(v); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+}
+
+func sum(xs []float64) float64 {
+	total := 0.0
+	for _, x := range xs {
+		total += x
+	}
+	return total
 }
 
 func TestContractQuery(t *testing.T) {
